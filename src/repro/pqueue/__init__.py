@@ -1,6 +1,6 @@
 """Bulk-parallel priority queues (Section 5) and baselines."""
 
-from .bulk_pq import BulkParallelPQ, DeleteMinResult, TreapSeq
+from .bulk_pq import BulkParallelPQ, DeleteMinResult
 from .heap import BinaryHeap
 from .karp_zhang import RandomAllocPQ
 
@@ -9,5 +9,4 @@ __all__ = [
     "BulkParallelPQ",
     "DeleteMinResult",
     "RandomAllocPQ",
-    "TreapSeq",
 ]

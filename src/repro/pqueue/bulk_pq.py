@@ -3,30 +3,38 @@
 The queue keeps one search tree per PE and **never moves elements**:
 
 * ``insert*`` puts new elements into the *local* tree -- zero
-  communication, ``O(log n)`` time per element.  (Previous designs --
-  Karp-Zhang random allocation [20], the randomized PQ of [31] -- send
-  every insertion to a random PE.)
+  communication, ``O(log n)`` modeled time per element.  (Previous
+  designs -- Karp-Zhang random allocation [20], the randomized PQ of
+  [31] -- send every insertion to a random PE.)
 * ``deleteMin*`` runs the multisequence selection algorithms of
   Section 4 directly **on the trees**: the search tree supports
   ``select`` (i-th smallest) and ``rank`` in logarithmic time, which is
   all ``msSelect``/``amsSelect`` need from a "sorted sequence".  The
   selected per-PE prefixes are then split off the trees.
 
-Execution is resident: the treaps live in the execution backend's
+The per-PE tree is :class:`repro.trees.Treap`, a sorted
+structure-of-arrays multiset (:mod:`repro.kernels.treap`), in every
+kernels mode: all the queue observes of its tree depends on the key
+multiset only.  The *modeled* cost is still the paper's search tree --
+``log2 n`` ops per inserted key, :meth:`~repro.trees.Treap.access_cost`
+``= O(log min(k, n))`` per extracted one -- while the *wall* cost of a
+flush of ``m`` keys into ``n`` is one stable sort of the batch plus an
+``O(n + m)`` memmove.
+
+Execution is resident: the trees live in the execution backend's
 worker memory behind a :class:`~repro.machine.backends.base.ChunkRef`
-handle.  Insertions are buffered driver-side and flushed as one
-resident callback; a ``deleteMin*`` is a single generator SPMD step
+handle.  Insertions are buffered driver-side (as arrays) and flushed as
+one resident callback; a ``deleteMin*`` is a single generator SPMD step
 (:meth:`Backend.run_spmd`) in which the whole multisequence-selection
 recursion -- pivot draws, rank counts, tie granting and the final tree
-split -- executes next to the trees.  All randomness (treap rotation
-priorities, pivot and estimator draws) is counter-addressed
-(:mod:`repro.machine.ctrrng`): each command ships a tiny draw address
-and the kernels derive identical streams in place, so backends stay
-bit-identical with no generator state on the wire -- which is also why
-every ``deleteMin*`` can enter the pipe right behind an in-flight
-insertion flush.  Only the extracted batches and a small charge log
-(replayed through :meth:`Machine.replay_charges`) return to the
-driver.
+split -- executes next to the trees.  All randomness (pivot and
+estimator draws) is counter-addressed (:mod:`repro.machine.ctrrng`):
+each command ships a tiny draw address and the kernels derive identical
+streams in place, so backends stay bit-identical with no generator
+state on the wire -- which is also why every ``deleteMin*`` can enter
+the pipe right behind an in-flight insertion flush.  Only the extracted
+batches and a small charge log (replayed through
+:meth:`Machine.replay_charges`) return to the driver.
 
 Costs (Theorem 5): ``O(alpha log^2 kp)`` for fixed batch size ``k``,
 ``O(alpha log kp)`` for flexible batch size in ``[k_lo, k_hi]`` with
@@ -40,44 +48,18 @@ convention).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..common.ordering import TOP
 from ..common.validation import check_rank_range
-from ..kernels import ArrayTreap, effective_mode
 from ..machine import Machine
 from ..selection.flexible import ams_select_gen
 from ..selection.sorted_select import ms_select_with_cuts_gen
 from ..trees import Treap
 
-__all__ = ["BulkParallelPQ", "TreapSeq", "DeleteMinResult"]
-
-
-class TreapSeq:
-    """A :class:`~repro.trees.Treap` viewed as a sorted sequence.
-
-    Adapter for the selection algorithms: ``item`` is tree-select,
-    ``count_le`` is tree-rank, both ``O(log n)`` (``O(log k)`` with the
-    paper's min/max-path augmentation, which :meth:`Treap.access_cost`
-    models for the cost accounting).
-    """
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: Treap):
-        self.tree = tree
-
-    def __len__(self) -> int:
-        return len(self.tree)
-
-    def item(self, i: int):
-        return self.tree.select(i)
-
-    def count_le(self, v) -> int:
-        return self.tree.count_le(v)
+__all__ = ["BulkParallelPQ", "DeleteMinResult"]
 
 
 @dataclass(frozen=True)
@@ -96,40 +78,39 @@ class DeleteMinResult:
     rounds: int
 
 
+def _as_scores(scores) -> np.ndarray:
+    """One PE's insertion batch as a fresh float64 array (the caller
+    keeps theirs).  NaN has no place in a total order -- in a sorted
+    column it would silently misplace every later binary search -- so it
+    is refused here, before anything is buffered or charged."""
+    if not isinstance(scores, (np.ndarray, list, tuple)):
+        scores = list(scores)
+    batch = np.array(scores, dtype=np.float64)
+    if batch.ndim != 1:
+        raise ValueError(f"scores must be a flat sequence, got shape {batch.shape}")
+    if np.isnan(batch).any():
+        raise ValueError("scores must not be NaN")
+    return batch
+
+
 # ----------------------------------------------------------------------
 # Resident worker callbacks (module-level so real backends can ship them)
 # ----------------------------------------------------------------------
 
 def _make_tree(rank: int) -> tuple:
-    """Per-PE resident state: one (initially empty) tree.
-
-    The tree *kind* follows the worker's kernel mode: the pointer
-    :class:`~repro.trees.Treap` in python mode, the sorted-array
-    :class:`~repro.kernels.ArrayTreap` in native mode.  Every output the
-    queue observes from its tree is structure-independent (see
-    :mod:`repro.kernels.treap`), so the two are bit-interchangeable --
-    including rng consumption (one priority draw per insert).
-    """
-    if effective_mode() == "native":
-        return (ArrayTreap(None), None)
-    return (Treap(None), None)
+    """Per-PE resident state: one (initially empty) tree."""
+    return (Treap(), None)
 
 
-def _insert_step(rank: int, tree: Treap, scores, first_uid, addr):
+def _insert_step(rank: int, tree: Treap, scores, first_uid):
     """Flush this PE's buffered insertions into its resident tree.
 
     ``scores`` arrives as a binary float array (cheap on the wire) with
     uids reconstructed from ``first_uid`` -- buffered insertions number
-    their uids contiguously per PE.  The treap's rotation priorities
-    come from this flush's counter-addressed per-PE stream
-    (``addr.local(rank)``), so the draw sequence is a pure function of
-    the flush's issue-order address -- identical on every backend, with
-    nothing to ship back.
+    their uids contiguously per PE.
     """
-    if scores is None or len(scores) == 0:
-        return None
-    tree._rng = addr.local(rank)
-    tree.insert_batch(scores, rank, int(first_uid))
+    if scores is not None:
+        tree.insert_batch(scores, rank, int(first_uid))
     return None
 
 
@@ -144,10 +125,9 @@ def _delete_min_kernel(rank: int, tree: Treap, k: int, p: int, addr):
     replicated pivot stream is derived in place from ``addr``."""
     log: list = []
     value, cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, TreapSeq(tree), k, addr.shared(), log
+        rank, p, tree, k, addr.shared(), log
     )
-    taken = tree.split_at_rank(int(cut))
-    batch = tuple((key[0], key[1]) for key in taken)
+    batch = tuple(tree.split_at_rank(int(cut)))
     log.append(("ops", max(1.0, cut * tree.access_cost(k))))
     return {
         "batch": batch,
@@ -165,10 +145,9 @@ def _delete_flex_kernel(
     fallback fires."""
     log: list = []
     value, k_hat, cut, rounds, _ = yield from ams_select_gen(
-        rank, p, TreapSeq(tree), k_lo, k_hi, addr.local(rank), addr.shared(), log
+        rank, p, tree, k_lo, k_hi, addr.local(rank), addr.shared(), log
     )
-    taken = tree.split_at_rank(int(cut))
-    batch = tuple((key[0], key[1]) for key in taken)
+    batch = tuple(tree.split_at_rank(int(cut)))
     log.append(("ops", max(1.0, cut * tree.access_cost(k_hat))))
     return {
         "batch": batch,
@@ -191,7 +170,8 @@ class BulkParallelPQ:
         self._ref = refs[0]
         self._uid = [0] * machine.p
         self._sizes = [0] * machine.p  # driver-tracked (resident + pending)
-        self._pending: list[list] = [[] for _ in range(machine.p)]
+        # per PE: float64 arrays, one per buffered insert, in uid order
+        self._pending: list[list[np.ndarray]] = [[] for _ in range(machine.p)]
 
     # ------------------------------------------------------------------
     # Insertion: local, communication-free (buffered driver-side and
@@ -209,28 +189,40 @@ class BulkParallelPQ:
                 f"need one insertion batch per PE (p={self.machine.p}, "
                 f"got {len(per_pe_scores)})"
             )
-        for i, scores in enumerate(per_pe_scores):
-            self.insert_local(i, scores)
+        # validate every batch before buffering any: a refused insert*
+        # leaves the queue as it was
+        batches = [_as_scores(scores) for scores in per_pe_scores]
+        for i, batch in enumerate(batches):
+            self._buffer(i, batch)
 
     def insert_local(self, rank: int, scores) -> list[tuple[int, int]]:
         """Insert elements on a single PE (e.g. children in B&B).
 
+        ``scores`` is any iterable of floats; ``+-inf`` are ordinary
+        scores, NaN raises ``ValueError`` (nothing is inserted).
         Returns the assigned uids ``(rank, counter)`` so applications can
         attach satellite data in per-PE side tables.
         """
-        ops = 0.0
-        uids = []
-        n = self._sizes[rank]
-        for s in scores:
-            uids.append((rank, self._uid[rank]))
-            self._pending[rank].append(float(s))
-            self._uid[rank] += 1
-            n += 1
-            ops += math.log2(max(n, 2))
-        self._sizes[rank] = n
-        if ops:
-            self.machine.charge_ops_one(rank, ops)
-        return uids
+        batch = _as_scores(scores)
+        first = self._buffer(rank, batch)
+        return list(zip([rank] * batch.size, range(first, first + batch.size)))
+
+    def _buffer(self, rank: int, batch: np.ndarray) -> int:
+        """Buffer one PE's validated insertions and charge their modeled
+        cost; returns the first uid counter of the batch."""
+        m = batch.size
+        first = self._uid[rank]
+        if m:
+            n = self._sizes[rank]
+            # the paper's search tree: log2(size) ops per inserted key
+            sizes = np.arange(n + 1, n + m + 1)
+            self.machine.charge_ops_one(
+                rank, float(np.log2(np.maximum(sizes, 2)).sum())
+            )
+            self._pending[rank].append(batch)
+            self._uid[rank] = first + m
+            self._sizes[rank] = n + m
+        return first
 
     def _flush_submit(self):
         """Ship buffered insertions into the resident trees without
@@ -238,26 +230,25 @@ class BulkParallelPQ:
         batches).  Returns a handle for :meth:`_settle_flush`, or
         ``None`` when nothing was buffered.  While the flush is in
         flight a *later* command may already be submitted -- workers
-        execute commands in seq order -- and since the treap priorities
-        are counter-addressed (one draw address per flush) the handle
-        carries no rng state back; settling in submit order is still
-        required by the :class:`PendingValues` contract (charge replay
-        order)."""
+        execute commands in seq order; settling in submit order is
+        still required by the :class:`PendingValues` contract (charge
+        replay order)."""
         if not any(self._pending):
             return None
         machine = self.machine
-        addr = machine.draw_addr()
+        # the flush draws nothing, but every command takes its draw
+        # address in issue order: skipping this one would shift the
+        # address -- hence every pivot and the modeled cost -- of each
+        # deleteMin* that follows
+        machine.draw_addr()
         args = []
         for i in range(machine.p):
-            batch = self._pending[i]
-            if batch:
-                args.append((
-                    np.asarray(batch, dtype=np.float64),
-                    self._uid[i] - len(batch),
-                    addr,
-                ))
+            parts = self._pending[i]
+            if parts:
+                batch = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                args.append((batch, self._uid[i] - batch.size))
             else:
-                args.append((None, 0, None))
+                args.append((None, 0))
         self._pending = [[] for _ in range(machine.p)]
         _, pending = machine.backend.submit_map_resident(
             _insert_step, [self._ref], n_out=0, args=args
@@ -318,11 +309,14 @@ class BulkParallelPQ:
         Theorem 5) on the resident trees and splits each tree at its cut
         rank -- one SPMD worker command end to end.
         """
-        total = self.total_size()
-        if not 1 <= k <= total:
-            raise ValueError(f"k must satisfy 1 <= k <= {total}, got {k}")
         machine = self.machine
         p = machine.p
+        # the total is a one-word all-reduction of the local sizes: the
+        # driver tracks those, so charge it without a worker round trip
+        total = sum(self._sizes)
+        machine._meter_allreduce(words=1)
+        if not 1 <= k <= total:
+            raise ValueError(f"k must satisfy 1 <= k <= {total}, got {k}")
         # overlapped issue: every draw is counter-addressed, so the
         # deleteMin command enters the pipe right behind the flush
         # (workers execute in seq order) instead of stalling on the

@@ -8,10 +8,11 @@ three local primitives from each PE's sorted data:
 * ``seq.count_le(v)`` -- number of elements ``<= v``.
 
 Plain sorted NumPy arrays provide them in O(1)/O(log n) via
-:class:`ArraySeq`; the bulk-parallel priority queue provides them on its
-search trees (:class:`repro.pqueue.bulk_pq.TreapSeq`), which is exactly
-the observation that makes ``deleteMin*`` "very similar to the
-multi-sequence selection algorithms" (Section 5).
+:class:`ArraySeq`; the bulk-parallel priority queue's search tree
+(:class:`repro.trees.Treap`) offers all three itself and is passed to
+the algorithms as is, which is exactly the observation that makes
+``deleteMin*`` "very similar to the multi-sequence selection
+algorithms" (Section 5).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ def _rng_workload(machine, seed):
     """Every counter-addressed draw site: in-kernel Bernoulli sampling
     (unsorted selection), per-level multiselection samples, PAC
     frequent sampling with a forced rho < 1, and both priority queues
-    (treap priorities, shared pivot streams, random allocation)."""
+    (shared pivot and estimator streams, random allocation)."""
     p = machine.p
     out = []
     d = make_dist(machine, np.random.default_rng(seed), 500)
@@ -117,8 +117,8 @@ class TestServeFusionStability:
 
 class TestRecoveryStability:
     def _phase_a(self, machine, seed):
-        """Resident rng-consuming state: treap priorities and pivot
-        streams all derive from journaled draw addresses."""
+        """Resident rng-consuming state: the queue's pivot streams derive
+        from journaled draw addresses (the flushes take theirs too)."""
         q = BulkParallelPQ(machine)
         rng = np.random.default_rng(seed)
         for _ in range(2):
@@ -134,7 +134,7 @@ class TestRecoveryStability:
 
     def test_journal_recovery_replays_identical_draws(self):
         """Kill a worker between algorithm calls; the journal replay
-        reconstructs the treaps from recorded draw addresses alone, and
+        reconstructs the trees from the journaled flushes alone, and
         post-recovery draws continue the exact fault-free stream."""
         # calibrate where the kill lands: the drive phase right after
         # phase A (allreduces allocate no draw seqs, so a retry there

@@ -1,10 +1,12 @@
-"""Property-based tests: treap invariants (hypothesis)."""
+"""Property-based tests: invariants of the pointer-treap oracle
+(hypothesis); the array tree is checked against it in
+test_array_tree_differential.py."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trees import Treap
+from tests.support.pointer_treap import Treap
 
 keys = st.lists(st.integers(-1000, 1000), max_size=120)
 

@@ -1,24 +1,18 @@
-"""Size-augmented search tree (treap) -- the Section 5 substrate.
+"""Size-augmented pointer treap -- the differential oracle for the
+sorted-array tree of ``src/`` (:class:`repro.trees.Treap`).
 
-The bulk-parallel priority queue replaces each PE's binary heap by a
-search tree supporting, in logarithmic time:
+An independent implementation of the same operation set (Section 2,
+"Search trees"), kept out of ``src/`` because nothing there runs it:
 
 * ``insert`` / ``delete`` of a key,
 * ``select(i)`` -- the i-th smallest key (0-based),
 * ``rank(x)`` -- number of keys strictly smaller than ``x``
   (``count_le`` gives the <=-variant used for pivot counting),
-* ``split`` / ``join`` -- used to peel off the ``deleteMin*`` prefix,
+* ``split`` / ``join`` -- used to peel off the ``deleteMin*`` prefix.
 
-exactly the operation set listed in Section 2 ("Search trees").  The
-paper additionally augments the tree with the root-to-min/max paths so
-operations touching only the smallest ``k`` keys cost ``O(log k)``
-instead of ``O(log n)``; we keep cached min/max keys (enough for the
-simulation's correctness) and expose :meth:`Treap.access_cost` so
-callers can charge the ``O(log min(k, n))`` bound of the paper.
-
-Keys may be any totally ordered Python values; the priority queue uses
-``(score, uid)`` tuples so that ordering is unique (Section 2 assumes
-ties are broken by object identity).
+Keys may be any totally ordered Python values (the array tree takes
+``(score, (ra, rb))`` keys only), so its own unit and property tests run
+on plain integers and the differential tests on queue-shaped keys.
 """
 
 from __future__ import annotations

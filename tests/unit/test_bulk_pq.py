@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.machine import Machine
-from repro.pqueue import BulkParallelPQ, TreapSeq
+from repro.pqueue import BulkParallelPQ
+from repro.selection.accessors import SortedSequence, as_sorted_seq
 from repro.trees import Treap
 
 
@@ -21,14 +22,16 @@ def fill(machine, rng, per_pe=100):
     return pq, allv
 
 
-class TestTreapSeq:
-    def test_adapter_protocol(self, rng):
-        t = Treap(rng)
-        t.insert_many([3, 1, 2])
-        seq = TreapSeq(t)
-        assert len(seq) == 3
-        assert seq.item(0) == 1
-        assert seq.count_le(2) == 2
+class TestTreeIsSortedSequence:
+    def test_sequence_protocol(self):
+        """The selection algorithms take the tree as it is."""
+        t = Treap()
+        t.insert_batch([3.0, 1.0, 2.0], rank=0, first_uid=0)
+        assert isinstance(t, SortedSequence) and as_sorted_seq(t) is t
+        assert len(t) == 3
+        assert t.item(0) == (1.0, (0, 1))
+        assert t.count_le((2.0, (0, 2))) == 2
+        assert t.count_le((2.0, (0, 1))) == 1
 
 
 class TestInsert:

@@ -35,7 +35,7 @@ from repro.kernels import (
 )
 from repro.kernels.philox import is_philox, put_state, state_words
 from repro.machine.ctrrng import philox_generator
-from repro.trees import Treap
+from tests.support.pointer_treap import Treap
 
 
 @pytest.fixture(autouse=True)
@@ -220,6 +220,26 @@ class TestTwinParity:
         args = run()
         self.assert_twins_agree(treap_merge, lambda: args)
 
+    def test_treap_merge_placement_path_without_shared_scores(self):
+        # no score of the second run occurs in the first, so the
+        # reference places by searchsorted instead of lexsorting; the
+        # second run repeats scores inside itself and reaches past both
+        # ends of the first
+        s_a = np.arange(0.0, 400.0, 2.0)
+        s_b = np.sort(np.repeat(np.arange(-3.0, 405.0, 6.0), 3))
+        a_a = np.zeros(s_a.size, dtype=np.int64)
+        a_b = np.ones(s_b.size, dtype=np.int64)
+        b_a = np.arange(s_a.size, dtype=np.int64)
+        b_b = np.arange(s_b.size, dtype=np.int64)
+        assert not np.intersect1d(s_a, s_b).size
+        self.assert_twins_agree(treap_merge, lambda: (s_a, a_a, b_a, s_b, a_b, b_b))
+        for empty_side in [(s_a[:0], a_a[:0], b_a[:0], s_b, a_b, b_b),
+                           (s_a, a_a, b_a, s_b[:0], a_b[:0], b_b[:0])]:
+            self.assert_twins_agree(treap_merge, lambda: empty_side)
+        s, a, b = treap_merge.py(s_a, a_a, b_a, s_b, a_b, b_b)
+        keys = list(zip(s.tolist(), a.tolist(), b.tolist()))
+        assert keys == sorted(keys) and len(keys) == s_a.size + s_b.size
+
     def test_spacesaving_offer_with_evictions(self):
         r = np.random.default_rng(5)
         new_keys = r.integers(0, 40, 500).astype(np.int64)
@@ -316,17 +336,17 @@ class TestArrayTreapParity:
         assert ptr.split_at_key(cut).to_list() == arr.split_at_key(cut).to_list()
         assert ptr.to_list() == arr.to_list()
 
-    def test_priority_draws_advance_identically(self):
-        # one draw per inserted key in both implementations, so the
-        # counter-addressed stream stays interchangeable across modes
-        ptr, arr, r_ptr, r_arr = self.build_pair()
-        ptr.insert_batch([3.0, 1.0, 2.0], rank=0, first_uid=0)
+    def test_array_tree_draws_nothing(self):
+        # a sorted array has no shape to randomise: the generator the
+        # constructor is handed (the frozen probes' call shape) is left
+        # exactly where it was, whatever is inserted
+        _, arr, _, r_arr = self.build_pair()
+        _, untouched = rng_pair(seq=21)
         arr.insert_batch([3.0, 1.0, 2.0], rank=0, first_uid=0)
-        ptr.insert((0.5, (1, 7)))
         arr.insert((0.5, (1, 7)))
-        ptr.insert_many([(9.0, (2, 1)), (8.0, (2, 2))])
         arr.insert_many([(9.0, (2, 1)), (8.0, (2, 2))])
-        assert np.array_equal(r_ptr.random(8), r_arr.random(8))
+        assert arr.to_list()[0] == (0.5, (1, 7)) and len(arr) == 6
+        assert np.array_equal(untouched.random(8), r_arr.random(8))
 
     def test_empty_tree_raises_like_treap(self):
         _, arr, _, _ = self.build_pair()

@@ -1,9 +1,10 @@
-"""Unit tests: the size-augmented treap (repro.trees.treap)."""
+"""Unit tests: the pointer treap the array tree is checked against
+(tests/support/pointer_treap.py) -- an oracle has to be right itself."""
 
 import numpy as np
 import pytest
 
-from repro.trees import Treap
+from tests.support.pointer_treap import Treap
 
 
 @pytest.fixture
