@@ -1,4 +1,4 @@
-"""Ablations for the design choices called out in DESIGN.md §5.
+"""Ablations for the sampling design choices.
 
 1. amsSelect concurrent trials d vs flexibility-window width (Thm 4);
 2. EC's candidate count k* (sample volume vs broadcast volume, Thm 11);

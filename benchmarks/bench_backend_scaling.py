@@ -14,22 +14,14 @@ per ``p``:
 * ``worker_msgs`` -- total worker-exchange messages (the O(p log p)
   quantity the resident-chunk refactor bounds),
 * ``driver_sends`` -- driver command-channel writes per collective (the
-  O(1) the broadcast command channel bounds; p direct sends before it),
+  O(1) the broadcast command channel bounds; p direct sends before it)
+  and per ``multi_select`` call (asserted 1: the whole recursion is one
+  worker command),
 * ``wire_bytes`` / ``shm_bytes`` -- measured driver transport bytes:
   what physically crossed the command/result pipes vs what rode
   shared-memory blocks (the zero-copy data plane; see the ``transport``
   experiment, which runs the same large-payload workloads with the
   shared-memory lane on and off and asserts the wire bytes collapse).
-
-The ``pipeline_overlap`` experiment times ``multi_select`` at
-``pipeline_depth`` 1 vs 8 on the mp pool: counter-addressed draws
-(:mod:`repro.machine.ctrrng`) removed rng consumption from the settle
-path, so the split sample/count level kernels genuinely overlap
-(``max_inflight > 1``) and coalesced command frames cut driver sends --
-asserted, along with cross-depth bit-identity of the selected values.
-Walls are medians over interleaved measurement blocks and full runs also
-gate on the median paired per-block difference being a depth-8 win, a
-statistic that holds up against load drift on a shared box.
 
 The ``kernel_throughput`` experiment times every registered kernel's
 python reference against its native twin (elements/sec at 1M elements
@@ -104,7 +96,7 @@ def _resident_rows(p_list, n_per_pe, backend):
     """The PR-3 resident subsystems: one row per (workload, p)."""
     rows = []
     for p in p_list:
-        # -- multiselection: shared recursion, one worker command/level
+        # -- multiselection: shared recursion, one worker command/call
         with Machine(p=p, seed=61, backend=backend) as m:
             data = DistArray.generate(
                 m, lambda r, g: g.integers(0, 1 << 20, n_per_pe)
@@ -112,11 +104,14 @@ def _resident_rows(p_list, n_per_pe, backend):
             m.reset()
             n = data.global_size
             ks = sorted({1, n // 16, n // 4, n // 2, 3 * n // 4, n})
+            sends0 = getattr(m.backend, "driver_sends", 0)
             t0 = time.perf_counter()
             multi_select(m, data, ks)
             wall = time.perf_counter() - t0
             rep = m.report()
+            sends = getattr(m.backend, "driver_sends", 0) - sends0
         rows.append(_row("multi_select", f"{len(ks)} ranks", rep, p, n_per_pe, wall))
+        rows[-1]["driver_sends"] = sends
 
         # -- redistribution: skewed layout, worker-to-worker transfers
         with Machine(p=p, seed=62, backend=backend) as m:
@@ -254,9 +249,8 @@ def _concurrent_query_rows(p, n, clients, per_client, window=0.01):
     """The ``repro serve`` story: N closed-loop clients against one
     resident mp pool, serial (batch_window=0, pipeline_depth=1 -- every
     query runs alone, strictly submit-then-wait) vs batched (admission
-    window fuses concurrent rank queries into one multi_select, and the
-    pipelined engine overlaps command issue).  Records throughput,
-    latency percentiles and the realized pipeline depth."""
+    window fuses concurrent rank queries into one multi_select).
+    Records throughput and latency percentiles."""
     from repro.serve import QueryEngine, default_datasets
 
     rows = []
@@ -295,7 +289,6 @@ def _concurrent_query_rows(p, n, clients, per_client, window=0.01):
                 k: engine.stats[k] - stats0[k]
                 for k in ("queries", "batches", "fused_commands")
             }
-            max_inflight = machine.backend.max_inflight
         finally:
             engine.close()
 
@@ -319,82 +312,8 @@ def _concurrent_query_rows(p, n, clients, per_client, window=0.01):
             "p50_ms": pct(0.50),
             "p95_ms": pct(0.95),
             "p99_ms": pct(0.99),
-            "max_inflight": max_inflight,
         })
     return rows
-
-
-def _pipeline_overlap_rows(p, n_per_pe, reps):
-    """The stateless-RNG payoff: with draws counter-addressed (nothing
-    gates settling on rng consumption) and multi_select's level kernels
-    split into separately issued sample/count halves, depth 8 keeps
-    several commands in flight across recursion levels where depth 1
-    strictly serializes.  Coalesced command frames make the overlapped
-    issue cheaper in driver sends (and total CPU), so the win shows
-    even on a single-CPU box where wall == CPU."""
-    depths = (1, 8)
-    machines, datasets, ks = {}, {}, None
-    for depth in depths:
-        m = Machine(p=p, seed=91, backend="mp", pipeline_depth=depth)
-        machines[depth] = m
-        datasets[depth] = DistArray.generate(
-            m, lambda r, g: g.integers(0, 1 << 20, n_per_pe)
-        )
-        n = datasets[depth].global_size
-        ks = sorted({1, n // 3, n // 2})
-    try:
-        values_by_depth, sends0 = {}, {}
-        for depth in depths:
-            # warm the pool off the clock
-            values_by_depth[depth] = multi_select(
-                machines[depth], datasets[depth], ks
-            )
-            sends0[depth] = machines[depth].backend.driver_sends
-            machines[depth].reset()
-        # both pools stay live and the measurement blocks interleave,
-        # so load drift of a busy box hits both depths alike; per-depth
-        # walls are the MEDIAN over blocks and the gating statistic is
-        # the median of the PAIRED per-block differences -- both shrug
-        # off the scheduling spikes that make per-call minima and plain
-        # totals unreliable on a shared machine
-        per_block = 4
-        blocks = max(2, reps // per_block)
-        block_walls = {d: [] for d in depths}
-        for block in range(blocks):
-            order = depths if block % 2 == 0 else depths[::-1]
-            for depth in order:
-                m, d = machines[depth], datasets[depth]
-                t0 = time.perf_counter()
-                for _ in range(per_block):
-                    assert multi_select(m, d, ks) == values_by_depth[depth]
-                block_walls[depth].append(time.perf_counter() - t0)
-        paired_win = float(np.median(
-            [a - b for a, b in zip(block_walls[1], block_walls[8])]
-        )) / per_block
-        rows = []
-        done = blocks * per_block
-        for depth in depths:
-            m = machines[depth]
-            rows.append({
-                "experiment": "pipeline_overlap",
-                "algorithm": f"depth{depth}",
-                "backend": "mp",
-                "p": p,
-                "n_per_pe": n_per_pe,
-                "reps": done,
-                "wall_s": float(np.median(block_walls[depth])) / per_block,
-                "paired_median_win_s": paired_win,
-                "driver_sends": (m.backend.driver_sends - sends0[depth])
-                // done,
-                "max_inflight": m.backend.max_inflight,
-            })
-        # draw stability across depths rides along: the overlapped run
-        # must return the exact bits of the serial one
-        assert values_by_depth[1] == values_by_depth[8]
-        return rows
-    finally:
-        for m in machines.values():
-            m.close()
 
 
 def _kernel_throughput_rows(p, n_per_pe, reps):
@@ -621,14 +540,6 @@ def main(argv=None) -> int:
         rows += _resident_rows(p_list, n_per_pe, backend)
     rows += _collective_msgs(p_list)
     rows += _transport_rows(max(p_list), args.transport_n)
-    rows += _pipeline_overlap_rows(
-        max(p_list),
-        # the overlap win peaks where per-level compute is small relative
-        # to command latency; cap the input so full runs measure the
-        # pipelining effect rather than local partitioning cost
-        min(n_per_pe, 1 << 13),
-        reps=8 if args.quick else 96,
-    )
     rows += _kernel_throughput_rows(
         p=8,
         n_per_pe=1 << 12 if args.quick else 1 << 16,
@@ -662,28 +573,19 @@ def main(argv=None) -> int:
     shm_r, inband_r = tr["chunk_roundtrip[shm]"], tr["chunk_roundtrip[inband]"]
     assert shm_r["shm_bytes"] > 0, shm_r
     assert shm_r["wire_bytes"] < inband_r["wire_bytes"] / 10, (shm_r, inband_r)
-    # the serving front-end: admission batching + the pipelined engine
-    # must beat the serial (window=0, depth=1) baseline, with real
-    # overlapped issue on the pool
+    # the whole multi_select recursion is ONE worker command
+    for r in rows:
+        if r["experiment"] == "multi_select" and r["backend"] == "mp":
+            assert r["driver_sends"] == 1, r
+    # the serving front-end: admission batching fuses concurrent rank
+    # queries; the throughput win over the serial (window=0, depth=1)
+    # baseline is asserted on full runs only (at the quick inputs a
+    # query is a few ms, so the admission window is a visible share)
     cq = {r["algorithm"]: r for r in rows
           if r["experiment"] == "concurrent_queries"}
-    assert cq["batched"]["qps"] > cq["serial"]["qps"], cq
     assert cq["batched"]["fused_commands"] < cq["batched"]["queries"], cq
-    assert cq["batched"]["max_inflight"] > 1, cq
-    assert cq["serial"]["max_inflight"] == 1, cq
-    # pipelined multi_select: counter-addressed draws let consecutive
-    # recursion levels overlap (true in-flight depth > 1) and coalesced
-    # frames cut the per-call command-channel writes; the wall-clock win
-    # is asserted on full runs only (quick CI inputs are noise-bound)
-    po = {r["algorithm"]: r for r in rows
-          if r["experiment"] == "pipeline_overlap"}
-    assert po["depth1"]["max_inflight"] == 1, po
-    if max(p_list) > 1:
-        assert po["depth8"]["max_inflight"] > 1, po
-        assert po["depth8"]["driver_sends"] < po["depth1"]["driver_sends"], po
     if not args.quick:
-        assert po["depth8"]["paired_median_win_s"] > 0, po
-        assert po["depth8"]["wall_s"] < po["depth1"]["wall_s"], po
+        assert cq["batched"]["qps"] > cq["serial"]["qps"], cq
     # native kernels: with numba the compiled partition twin must clear
     # 3x the numpy reference at 1M elements and the end-to-end selection
     # must win at p=8; without numba the rows are informational only
@@ -742,8 +644,7 @@ def main(argv=None) -> int:
                   f"{r['clients']} clients, {r['queries']} queries -> "
                   f"{r['qps']:7.1f} qps, p50 {r['p50_ms']:6.1f} ms, "
                   f"p95 {r['p95_ms']:6.1f} ms, p99 {r['p99_ms']:6.1f} ms, "
-                  f"{r['fused_commands']} fused cmds, "
-                  f"max_inflight {r['max_inflight']}")
+                  f"{r['fused_commands']} fused cmds")
     print(f"\nwrote {args.out} ({len(history['runs'])} accumulated runs)")
     return 0
 

@@ -477,7 +477,7 @@ def redistribution_comparison(
 
 
 # ----------------------------------------------------------------------
-# Ablations (DESIGN.md Section 5)
+# Ablations
 # ----------------------------------------------------------------------
 
 def ablation_ams_trials(

@@ -8,7 +8,7 @@ Scaling note: the paper uses 2^24..2^28 elements *per PE*.  Python
 simulation budgets dictate smaller defaults (2^14..2^18); the
 communication terms of all algorithms depend on ``p``, ``k``, ``eps``
 and ``delta`` rather than ``n/p``, so weak-scaling *shapes* survive the
-scale-down (see DESIGN.md, substitution table).
+scale-down.
 """
 
 from __future__ import annotations

@@ -35,6 +35,24 @@ anything that arrives early, so fast workers can run ahead without
 confusing slow ones.  Worker-to-worker exchanges follow logarithmic
 schedules instead of direct O(p^2) delivery:
 
+* rooted collectives (broadcast, reduce, gather, scatter) walk a
+  binomial tree -- ``p - 1`` messages, ``log p`` depth;
+* replicated-result collectives (allgather, allreduce, scan, the fused
+  ``allreduce_exscan``/``reduce_allgather``, the value collective fused
+  into ``map_resident`` and every ``allgather``/``allreduce``/
+  ``allreduce_exscan`` an SPMD kernel yields) share ONE dissemination
+  (Bruck) schedule -- ``ceil(log2 p)`` rounds on the critical path,
+  ``p * ceil(log2 p)`` messages on any ``p``, power of two or not; the
+  reducing kinds combine the rank-ordered list locally in binomial-tree
+  order, so values stay bit-identical to ``sim``;
+* ``alltoall`` store-and-forwards along the same hop sequence
+  (hypercube routing, Leighton Thm 3.24) -- ``p * ceil(log2 p)``
+  messages instead of ``p * (p - 1)``.
+
+Every worker counts its sends; :meth:`RuntimeBackend.
+worker_message_counts` exposes the totals so tests can assert the
+O(p log p) bound.
+
 Pipelined issue
 ---------------
 The driver may keep several broadcast-channel commands in flight at
@@ -57,20 +75,6 @@ under pipelining the arrival of a newer command proves nothing about
 an older round's blocks, and with in-place consumption even a settled
 command's blocks may outlive it (resident chunks decoded straight out
 of the segment).
-
-* rooted collectives (broadcast, reduce, gather, scatter) walk a
-  binomial tree -- ``p - 1`` messages, ``log p`` depth;
-* symmetric collectives (allgather, allreduce, scan, the fused
-  ``allreduce_exscan``/``reduce_allgather`` and the value collectives
-  fused into ``map_resident``) use the dissemination (Bruck) schedule
-  -- ``p * ceil(log2 p)`` messages on any ``p``, power of two or not;
-* ``alltoall`` store-and-forwards along the same hop sequence
-  (hypercube routing, Leighton Thm 3.24) -- ``p * ceil(log2 p)``
-  messages instead of ``p * (p - 1)``.
-
-Every worker counts its sends; :meth:`RuntimeBackend.
-worker_message_counts` exposes the totals so tests can assert the
-O(p log p) bound.
 """
 
 from __future__ import annotations
@@ -336,15 +340,6 @@ def _tree_gather(comm: Comm, root: int, local, tag: int = 1):
     return [bundle[j] for j in range(comm.p)]
 
 
-def _tree_allgather(comm: Comm, myval, tag_base: int = 1) -> list:
-    """Gather-to-root + broadcast composition: ``2 (p - 1)`` messages,
-    ``2 log p`` depth.  The message-count winner for the small values
-    the reduction-type collectives combine; the payload-heavy allgather
-    and alltoall use the dissemination/hypercube schedules instead."""
-    vals = _tree_gather(comm, 0, myval, tag_base)
-    return _tree_bcast(comm, 0, vals, tag_base + 16)
-
-
 def _tree_scatter(comm: Comm, root: int, pieces, tag: int = 2):
     """Binomial-tree scatter: parents forward each child its subtree's
     bundle; returns this PE's piece."""
@@ -363,7 +358,14 @@ def _tree_scatter(comm: Comm, root: int, pieces, tag: int = 2):
 
 def _bruck_allgather(comm: Comm, myval, tag_base: int = 3) -> list:
     """Dissemination allgather: ceil(log2 p) rounds on any p, one
-    message per PE per round; returns the rank-ordered value list."""
+    message per PE per round; returns the rank-ordered value list.
+
+    The one schedule under every replicated-result collective: the
+    reducing kinds combine the returned list with ``tree_reduce_order``
+    / ``inclusive_scan`` locally, so results keep the binomial-tree
+    combination order of the sim backend while the critical path is
+    ``ceil(log2 p)`` hops (a gather-to-root + broadcast pays twice
+    that)."""
     rank, p = comm.rank, comm.p
     blocks = {rank: myval}
     for tag, hop in enumerate(bruck_hops(p)):
@@ -430,7 +432,9 @@ class _VerifiedValue:
 
 def _run_spmd_step(comm: Comm, gen, trace: list | None = None):
     """Drive one SPMD generator inside the worker: every yielded
-    collective becomes a tree exchange with its own tag block.
+    collective becomes a logarithmic exchange with its own tag block
+    (dissemination for the replicated-result kinds, hypercube routing
+    for ``alltoall``, one direct hop for ``sendrecv``).
 
     With ``trace`` (a list), record each yield's signature so the
     driver can assert lockstep across ranks after the command.
@@ -464,7 +468,7 @@ def _run_spmd_step(comm: Comm, gen, trace: list | None = None):
                 tag_base += 32
                 req = gen.send(res)
                 continue
-            gathered = _tree_allgather(comm, req[1], tag_base)
+            gathered = _bruck_allgather(comm, req[1], tag_base)
             tag_base += 32
             if kind == "allgather":
                 res = gathered
@@ -523,7 +527,7 @@ def _execute(comm: Comm, spec, local, store):
             value = res
         if collect is None:
             return value
-        gathered = _tree_allgather(comm, value, 40)
+        gathered = _bruck_allgather(comm, value, 40)
         if collect[0] == "allgather":
             return value, gathered
         return value, tree_reduce_order(gathered, collect[1])
@@ -570,18 +574,18 @@ def _execute(comm: Comm, spec, local, store):
         recv = _tree_gather(comm, root, local)
         return None if recv is None else tree_reduce_order(recv, op)
     if kind == "allreduce":
-        return tree_reduce_order(_tree_allgather(comm, local), spec[1])
+        return tree_reduce_order(_bruck_allgather(comm, local), spec[1])
     if kind == "scan":
-        return inclusive_scan(_tree_allgather(comm, local), spec[1])[rank]
+        return inclusive_scan(_bruck_allgather(comm, local), spec[1])[rank]
     if kind == "allreduce_exscan":
         op, initial = spec[1], spec[2]
-        recv = _tree_allgather(comm, local)
+        recv = _bruck_allgather(comm, local)
         total = tree_reduce_order(recv, op)
         prefix = initial if rank == 0 else inclusive_scan(recv, op)[rank - 1]
         return total, prefix
     if kind == "reduce_allgather":
         op = spec[1]
-        pairs = _tree_allgather(comm, local)
+        pairs = _bruck_allgather(comm, local)
         total = tree_reduce_order([rv for rv, _ in pairs], op)
         return total, [gv for _, gv in pairs]
     if kind == "gather":
@@ -1501,7 +1505,8 @@ class RuntimeBackend(Backend):
         -- workers unpack a batch into the same per-command loop -- so
         call sites opt in purely as a transport optimization where they
         know two submits run back to back with no driver work between
-        (e.g. the two halves of a multi-selection recursion level)."""
+        (e.g. the bulk queue's insertion flush and the ``deleteMin*``
+        kernel right behind it)."""
         if self._coalescing or self.pipeline_depth <= 1:
             yield
             return

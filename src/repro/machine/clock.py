@@ -40,8 +40,10 @@ class SimClock:
         ``seconds`` may be a scalar (applied to every PE) or an array of
         length ``p``.
         """
-        dt = np.broadcast_to(np.asarray(seconds, dtype=np.float64), (self.p,))
-        if np.any(dt < 0):
+        dt = np.asarray(seconds, dtype=np.float64)
+        if dt.ndim and dt.shape != (self.p,):
+            dt = np.broadcast_to(dt, (self.p,))  # rejects a wrong length
+        if (dt < 0).any():
             raise ValueError("negative local work duration")
         self.t += dt
         self.work_time += dt

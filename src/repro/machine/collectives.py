@@ -2,9 +2,9 @@
 
 Every operation takes the per-PE contributions as a list of length ``p``
 (one entry per PE) and returns the per-PE results as a list of length
-``p``.  This is the SPMD-by-construction style described in DESIGN.md:
-the call site reads exactly like the corresponding mpi4py collective,
-but all ``p`` ranks are driven lock-step by one Python call.
+``p``.  This is the SPMD-by-construction style: the call site reads
+exactly like the corresponding mpi4py collective, but all ``p`` ranks
+are driven lock-step by one Python call.
 
 Each collective
 

@@ -9,9 +9,11 @@ it down to ``O(n/p log m)`` -- each recursion level splits both the data
 *and* the rank set, so every element takes part in at most
 ``O(log m + log_p n)`` partitioning rounds.
 
-Execution is resident-chunk SPMD with *cross-level pipelining*: every
-PE keeps a list of segment records pinned in the backend, and one level
-of the shared recursion is TWO pipelined worker commands:
+Execution is resident-chunk SPMD, the paper's own shape (every PE runs
+the same program; Section 2 has no driver): the WHOLE shared recursion
+is ONE worker command.  Each PE keeps its list of segment records next
+to its slice and loops over levels in place; one level is two
+``yield from`` halves:
 
 * the **sample-extract half** draws each split segment's Bernoulli
   sample where the data lives (counter-addressed randomness,
@@ -21,18 +23,16 @@ of the shared recursion is TWO pipelined worker commands:
   in-worker allgather;
 * the **partition-count half** fuses all split segments' two-word part
   counts into one in-worker all-reduction and -- because the reduced
-  counts are replicated -- derives the *next* level's segment records
-  entirely worker-side.
+  counts are replicated -- derives the next level's segment records
+  identically on every rank.
 
-Since the next level's inputs exist in the workers as soon as the count
-half runs, the driver does not need any level's results to issue the
-next one: it issues levels ahead (up to the machine's
-``pipeline_depth``), and consecutive recursion levels overlap in the
-pipe (``max_inflight > 1`` across levels).  Only small per-level values
-(sample word counts, finished values, charge metadata) return to the
-driver, which settles them in issue order to keep the modeled cost
-bit-identical at every depth; levels issued past the recursion's actual
-end see an empty segment list and charge nothing.
+So a call costs one driver send and one result per PE, whatever the
+recursion depth, and each level costs the two ``O(beta m + alpha log
+p)`` collectives Theorem 1 charges.  Only the small per-level records
+(sample word counts, finished values, charge metadata) return; the
+driver replays the cost model from them level by level, in the order a
+step-by-step driver would have charged it, so the modeled cost is
+bit-identical on every backend.
 
 :func:`quantiles` exposes the everyday use case (percentiles /
 histogram boundaries of a distributed vector).
@@ -59,13 +59,8 @@ __all__ = ["multi_select", "quantiles"]
 # where ``arr`` is this PE's slice, ``ranks`` the target ranks relative
 # to the segment, ``offset`` the segment's global rank offset and ``n``
 # its global size (replicated -- every PE derives the identical record
-# list from the all-reduced part counts, which is what lets the driver
-# issue the next level before this one settles).
-
-
-def _wrap_ms_state(rank: int, chunk: np.ndarray, ks: tuple, n_total: int):
-    """Initial resident state: one root segment per PE."""
-    return [(np.asarray(chunk), ks, 0, n_total)], None
+# list from the all-reduced part counts, which keeps the level loop in
+# lockstep without a driver round trip).
 
 
 def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
@@ -75,22 +70,18 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
     Draws each split segment's Bernoulli sample indices in place with
     the counter-addressed generator ``addr.local(rank, draw=level)``
     (the whole multiselection owns one draw sequence; the level index
-    subdivides it, so speculative levels never perturb the machine's
-    address stream).  All samples -- and finishing segments' full
-    residual content -- ride ONE in-worker allgather; pivots and
-    partitions are computed replicated and handed to the count half
-    through resident state.
+    subdivides it, so the data-dependent depth never perturbs a later
+    caller's draws).  All samples -- and finishing segments' full
+    residual content -- ride ONE in-worker allgather; pivots are
+    computed replicated and the local partitions handed to the count
+    half.
 
-    Returns per-PE ``(sample_words, finishes, meta)`` where
+    Returns ``(inter, (sample_words, finishes, meta))`` where
     ``finishes`` is the replicated list of resolved ``(global_rank,
     value)`` pairs and ``meta`` carries one charge record per segment:
     ``("finish", rest_size)`` / ``("empty", local_size, rho)`` /
     ``("split", union_size, local_size, rho)``.
     """
-    if not segs:
-        # speculatively issued past the recursion's end: a pure no-op
-        # (replicated decision -- every rank skips the collective)
-        return [], (0, [], [])
     gen = addr.local(rank, draw=level)
     plans: list[tuple] = []
     samples: list[np.ndarray] = []
@@ -139,10 +130,8 @@ def _ms_count_kernel(rank: int, inter: list):
 
     All split segments' two-word part counts share one in-worker
     all-reduction; the replicated totals let every rank derive the next
-    level's segment records identically, so the new resident state is
-    ready for the (already pipelined) next sample command without a
-    driver round trip.  Returns per-PE ``(remaining, found)``:
-    the replicated number of surviving segments and the ``(global_rank,
+    level's segment records identically.  Returns ``(new_segs,
+    found)``: the surviving segments and the replicated ``(global_rank,
     value)`` pairs resolved by an exact pivot hit.
     """
     counts_vec: list[int] = []
@@ -185,7 +174,29 @@ def _ms_count_kernel(rank: int, inter: list):
             new_segs.append(
                 (parts[2], hi_ranks, offset + na + nb, n - na - nb)
             )
-    return new_segs, (len(new_segs), found)
+    return new_segs, found
+
+
+def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, ks: tuple,
+               n_total: int, base_case: int, max_depth: int):
+    """The whole shared recursion, where the data lives.
+
+    Loops the two level halves until no segment survives (``segs`` has
+    the same shape on every rank, so the loop is lockstep); level
+    ``max_depth`` forces every remaining segment to finish.  Returns one
+    ``((sample_words, finishes, meta), found)`` record per level for the
+    driver's charge replay.
+    """
+    segs = [(np.asarray(chunk), ks, 0, n_total)]
+    records: list[tuple] = []
+    while segs:
+        level = len(records) + 1
+        inter, sampled = yield from _ms_sample_kernel(
+            rank, segs, p, addr, level, base_case, level >= max_depth
+        )
+        segs, found = yield from _ms_count_kernel(rank, inter)
+        records.append((sampled, found))
+    return records
 
 
 def multi_select(
@@ -202,9 +213,8 @@ def multi_select(
     use :func:`quantiles` for a friendlier interface.  Cost: shared
     recursion over disjoint segments; each *level* pays one fused
     Bernoulli-sample allgather and one fused part-count all-reduction
-    covering every active segment, executed as two pipelined resident
-    SPMD commands (the slices never leave the backend, and consecutive
-    levels overlap in the pipe).
+    covering every active segment; all levels execute inside one
+    resident SPMD command (the slices never leave the backend).
     """
     n = data.global_size
     ks_sorted = sorted(set(int(k) for k in ks))
@@ -220,63 +230,21 @@ def multi_select(
     # The root size falls out of the driver-tracked sizes (the one-word
     # all-reduction the algorithm needs is charged through the meter).
     machine._meter_allreduce(words=1)
-    n_total = int(data.sizes().sum())
     # One draw sequence for the whole multiselection; levels subdivide
-    # it by draw index, so the machine's address stream advances the
-    # same way at every pipeline depth (speculatively issued levels
-    # would otherwise burn depth-dependent sequence numbers).
+    # it by draw index, so the data-dependent recursion depth never
+    # perturbs any later caller's draws.
     addr = machine.draw_addr()
-    seg_refs, wrap = machine.backend.submit_map_resident(
-        _wrap_ms_state,
+    _, per_pe = machine.backend.run_spmd(
+        _ms_kernel,
         [data._ensure_ref()],
-        n_out=1,
-        args=[(tuple(ks_sorted), n_total)] * p,
+        args=[(p, addr, tuple(ks_sorted), n, base_case, max_depth)] * p,
     )
-    seg_ref = seg_refs[0]
-
-    # Staggered cross-level issue: the count half derives level L+1's
-    # resident state worker-side, so level L+1's SAMPLE command depends
-    # on nothing the driver has to see -- it is issued speculatively,
-    # one level ahead, before level L settles (the workers run it back
-    # to back with level L's count, which is the cross-level overlap).
-    # The count half of L+1 is held back until level L's settled result
-    # confirms the recursion is still alive, so a whole run wastes at
-    # most ONE no-op command (the dangling speculative sample after the
-    # final level).  Waits stay in submit order (the PendingValues
-    # contract).
-    def _issue_sample(lvl: int):
-        inter_refs, p_samp = machine.backend.submit_spmd(
-            _ms_sample_kernel,
-            [seg_ref],
-            n_out=1,
-            args=[(p, addr, lvl, base_case, lvl >= max_depth)] * p,
-        )
-        return inter_refs[0], p_samp
-
-    def _issue_count(inter_ref):
-        out_refs, p_cnt = machine.backend.submit_spmd(
-            _ms_count_kernel, [inter_ref], n_out=1
-        )
-        return out_refs[0], p_cnt
-
-    level = 1
-    with machine.backend.coalesced():
-        inter_ref, p_samp = _issue_sample(level)
-        seg_ref, p_cnt = _issue_count(inter_ref)
-    if wrap is not None:
-        wrap.wait()  # settle in submit order (carries no values)
-        wrap = None
-    next_inter, next_samp = (
-        _issue_sample(level + 1) if level < max_depth else (None, None)
-    )
-    while True:
-        svals = p_samp.wait()
-        cvals = p_cnt.wait()
-        # re-play the model from the small returned values, in issue
-        # order (levels past the recursion's end are empty: no charges)
+    # re-play the model from the small returned records, level by level
+    # in the order a step-by-step driver would have charged it
+    for records in zip(*per_pe):  # records[i]: PE i's (sampled, found)
+        svals = [sampled for sampled, _ in records]
         _, finishes, meta0 = svals[0]
-        if meta0:
-            machine._meter_allgather(words=[v[0] for v in svals])
+        machine._meter_allgather(words=[v[0] for v in svals])
         n_split = 0
         for s, m in enumerate(meta0):
             if m[0] == "finish":
@@ -301,25 +269,8 @@ def multi_select(
                 )
         if n_split:
             machine._meter_allreduce(words=2 * n_split)
-        remaining, found = cvals[0]
-        for grank, v in finishes:
-            out[grank] = v
-        for grank, v in found:
-            out[grank] = v
-        if remaining == 0:
-            # the dangling speculative sample saw empty state: a no-op
-            # that returns no values and charges nothing
-            if next_samp is not None:
-                next_samp.wait()
-            break
-        level += 1
-        inter_ref, p_samp = next_inter, next_samp
-        # the two submits of a steady-state level ride one command frame
-        with machine.backend.coalesced():
-            seg_ref, p_cnt = _issue_count(inter_ref)
-            next_inter, next_samp = (
-                _issue_sample(level + 1) if level < max_depth else (None, None)
-            )
+        out.update(finishes)
+        out.update(records[0][1])  # found (replicated)
 
     return [out[k] for k in ks_sorted]
 

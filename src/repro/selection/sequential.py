@@ -77,8 +77,8 @@ def fr_pivots(sample: np.ndarray, k: int, n: int, delta_exp: float = 5.0 / 6.0) 
         raise ValueError("cannot pick pivots from an empty sample")
     center = k * s / max(n, 1)
     delta = max(1.0, s**delta_exp)
-    lo = int(np.clip(math.floor(center - delta), 0, s - 1))
-    hi = int(np.clip(math.ceil(center + delta), 0, s - 1))
+    lo = min(max(math.floor(center - delta), 0), s - 1)
+    hi = min(max(math.ceil(center + delta), 0), s - 1)
     return sample[lo], sample[hi]
 
 

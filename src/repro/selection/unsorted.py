@@ -12,14 +12,19 @@ are picked, and every PE partitions its slice into
 A two-word all-reduction yields the global part sizes and the recursion
 continues in the part containing rank ``k``.
 
-Execution is resident-chunk SPMD: the slices stay pinned in the
-backend's workers for the whole recursion.  Sampling draws *where the
-data lives* from the counter-addressed rng (:mod:`repro.machine.ctrrng`
--- only a tiny draw address crosses the wire, never index sets or
-generator state), the sample union rides an in-worker allgather, and
-the three-way partition runs in the same SPMD step with its two-word
-counts fused into the same round trip as an in-worker all-reduction --
-per level, exactly one backend round trip and zero chunk movement.
+Execution is resident-chunk SPMD, and the WHOLE recursion is ONE worker
+command (the paper's machine has no driver: every PE runs the same
+program).  The slices stay pinned in the backend's workers; each level
+draws its sample *where the data lives* from the counter-addressed rng
+(:mod:`repro.machine.ctrrng` -- only a tiny draw address crosses the
+wire, never index sets or generator state), shares the sample union in
+an in-worker allgather, three-way partitions locally and combines the
+two-word counts in an in-worker all-reduction; the level loop, the
+duplicate-pivot early exit and the residual base case all run in the
+workers.  Only the value and one small record per level return, from
+which the driver replays the cost model in the order a step-by-step
+driver would have charged it -- one driver send per call, modeled cost
+bit-identical on every backend.
 
 Expected running time ``O(n/p + beta * min(sqrt(p) log_p n, n/p)
 + alpha * log n)`` (Theorem 1); for constant alpha/beta this is
@@ -32,8 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..common.sampling import bernoulli_sample_indices
 from ..common.validation import check_rank
+from ..kernels import partition3, topk_count, topk_cut
 from ..machine import DistArray, Machine
+from ..machine.metrics import payload_words
+from .sequential import fr_pivots
 
 __all__ = ["select_kth", "select_topk_smallest", "select_topk_largest", "SelectionStats"]
 
@@ -52,48 +61,67 @@ class SelectionStats:
 # Resident worker callbacks (module-level so real backends can ship them)
 # ----------------------------------------------------------------------
 
-def _selection_round_kernel(
-    rank: int, chunk: np.ndarray, addr, level: int, rho: float, k: int, n: int
-):
-    """One full recursion level, executed where the chunk lives.
+def _select_kernel(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
+                   sample_factor: float, base_case: int, max_rounds: int):
+    """The whole recursion of Algorithm 1, executed where the chunk lives.
 
-    SPMD generator: draw the Bernoulli(rho) sample *in the kernel* from
-    the counter-addressed stream (``addr.local(rank, draw=level)`` --
-    the same bits on every backend, with nothing but the tiny address on
-    the wire), share it (in-worker allgather), pick the Floyd-Rivest
-    pivots from the replicated union, three-way partition the local
-    slice and combine the two-word part counts (in-worker allreduce) --
-    a single backend round trip per level; the slice itself never moves.
+    SPMD generator.  Per level: draw the Bernoulli(rho) sample *in the
+    kernel* from the counter-addressed stream (``addr.local(rank,
+    draw=level)`` -- the same bits on every backend, with nothing but
+    the tiny address on the wire), share it (in-worker allgather), pick
+    the Floyd-Rivest pivots from the replicated union, three-way
+    partition the local slice, combine the two-word part counts
+    (in-worker allreduce) and continue in the part holding rank ``k``
+    (``k`` and the global size ``n`` are updated from the replicated
+    counts, so every rank takes the same branch).  Once ``n <=
+    base_case`` (or after ``max_rounds`` levels) the residual elements
+    are shared and sorted and rank ``k`` read off.
 
-    Returns the three part chunks plus the small value tuple
-    ``(sample_words, sample_total, lo_pivot, hi_pivot, na, nb,
-    n_lo, n_mid)`` the driver re-plays the cost model from
-    (``sample_total == 0`` flags an empty-sample level: the parts are
-    ``(chunk, empty, empty)`` and no pivots exist).
+    Returns ``(value, levels, base_words)``: one ``(local_size, rho,
+    sample_words, sample_total)`` record per level (``sample_total ==
+    0`` flags an empty-sample level, which keeps the slice and retries)
+    and this PE's residual size, or ``None`` after the duplicate-pivot
+    early exit.
     """
-    from ..common.sampling import bernoulli_sample_indices
-    from ..kernels import partition3
-    from ..machine.metrics import payload_words
-    from .sequential import fr_pivots
-
-    idx = bernoulli_sample_indices(addr.local(rank, draw=level), int(chunk.size), rho)
-    sample = chunk.copy() if idx is None else chunk[idx]
-    gathered = yield ("allgather", sample)
-    sample_words = payload_words(sample)
-    nonempty = [s for s in gathered if s.size]
-    if not nonempty:
-        empty = chunk[:0]
-        return chunk, empty, empty, (sample_words, 0, None, None, 0, 0, chunk.size, 0)
-    union = np.sort(np.concatenate(nonempty))
-    lo_p, hi_p = fr_pivots(union, k, n)
-
-    part_lo, part_mid, part_hi = partition3(chunk, lo_p, hi_p)
-    counts = np.array([part_lo.size, part_mid.size], dtype=np.int64)
-    totals = yield ("allreduce", counts, "sum")
-    return part_lo, part_mid, part_hi, (
-        sample_words, int(union.size), lo_p, hi_p,
-        int(totals[0]), int(totals[1]), part_lo.size, part_mid.size,
-    )
+    levels: list[tuple] = []
+    while n > base_case and len(levels) < max_rounds:
+        # Bernoulli sampling at rate sqrt(p)/n on every PE (Theorem 1)
+        rho = min(1.0, sample_factor * np.sqrt(p) / n)
+        idx = bernoulli_sample_indices(
+            addr.local(rank, draw=len(levels)), int(chunk.size), rho
+        )
+        sample = chunk.copy() if idx is None else chunk[idx]
+        gathered = yield ("allgather", sample)
+        nonempty = [s for s in gathered if s.size]
+        if not nonempty:
+            levels.append((int(chunk.size), rho, payload_words(sample), 0))
+            continue
+        # the "fast inefficient sorting" of Section 2: the replicated
+        # union (expected O(sqrt(p)) words per PE) is sorted locally
+        union = np.sort(np.concatenate(nonempty))
+        lo_p, hi_p = fr_pivots(union, k, n)
+        part_lo, part_mid, part_hi = partition3(chunk, lo_p, hi_p)
+        counts = np.array([part_lo.size, part_mid.size], dtype=np.int64)
+        totals = yield ("allreduce", counts, "sum")
+        levels.append(
+            (int(chunk.size), rho, payload_words(sample), int(union.size))
+        )
+        na, nb = int(totals[0]), int(totals[1])
+        if na >= k:
+            chunk, n = part_lo, na
+        elif na + nb < k:
+            chunk, k, n = part_hi, k - na - nb, n - na - nb
+        elif lo_p == hi_p:
+            # rank k falls inside a run of duplicates of the pivot
+            return lo_p.item(), levels, None
+        else:
+            chunk, k, n = part_mid, k - na, nb
+    # base case: the data plane shares the residual elements with every
+    # PE (one dissemination); the model charges gather + sort on PE 0 +
+    # broadcast, as the driver replays it
+    gathered = yield ("allgather", chunk)
+    rest = np.sort(np.concatenate([c for c in gathered if c.size]))
+    return rest[min(k, rest.size) - 1].item(), levels, int(chunk.size)
 
 
 def _topk_cut_kernel(rank: int, chunk: np.ndarray, threshold, k: int):
@@ -106,8 +134,6 @@ def _topk_cut_kernel(rank: int, chunk: np.ndarray, threshold, k: int):
     ``(below, equal, selected)`` count triple the driver re-plays the
     cost model from.
     """
-    from ..kernels import topk_count, topk_cut
-
     n_below, n_eq = topk_count(chunk, threshold)
     counts = np.array([n_below, n_eq], dtype=np.int64)
     totals, prefix = yield (
@@ -156,99 +182,50 @@ def select_kth(
     The k-th smallest value (a Python scalar), or stats including it.
     """
     p = machine.p
-    n0 = data.global_size
-    k = check_rank(k, n0)
+    n = data.global_size
+    k = check_rank(k, n)
     if base_case is None:
         base_case = int(max(64, 4 * np.sqrt(p)))
 
-    cur = data
-    sizes = data.sizes()
-    rounds = 0
-    sample_total = 0
+    # One all-reduction establishes the global size (the driver tracks
+    # the sizes, so it is charged through the meter); afterwards every
+    # PE updates n locally from the part counts it already received, so
+    # the recursion pays a single collective per level instead of two.
+    machine._meter_allreduce(words=1)
     # one draw address for the whole recursion; each level subdivides it
     # via its ``draw=level`` slot, so the number of levels (which varies
     # with the data) never perturbs any later caller's draws
     addr = machine.draw_addr()
-    # One all-reduction establishes the global size; afterwards every PE
-    # updates n locally from the part counts it already received, so the
-    # recursion pays a single collective per level instead of two.
-    n = int(machine.allreduce(list(sizes), op="sum")[0])
-    while True:
-        if n <= base_case or rounds >= max_rounds:
-            value = _gather_base_case(machine, cur, k)
-            if return_stats:
-                return SelectionStats(value, rounds, sample_total, n)
-            return value
-
-        # Bernoulli sampling at rate sqrt(p)/n on every PE (Theorem 1).
-        # The index draws happen where the data lives, addressed by
-        # counter (:mod:`repro.machine.ctrrng`) -- the whole level
-        # (sampling, the sample-union allgather (expected O(sqrt(p))
-        # words per PE, O(alpha log p) startups; the "fast inefficient
-        # sorting" of Section 2 sorts the replicated union locally),
-        # pivot picking, the three-way partition and the two-word count
-        # all-reduction) runs inside the workers as ONE SPMD step.
-        rho = min(1.0, sample_factor * np.sqrt(p) / n)
+    _, vals = machine.backend.run_spmd(
+        _select_kernel,
+        [data._ensure_ref()],
+        args=[(p, addr, k, n, sample_factor, base_case, max_rounds)] * p,
+    )
+    value, levels, base_words = vals[0]
+    # re-play the model from the small returned records, in the same
+    # order a step-by-step driver would have charged it
+    sample_total = 0
+    for level in zip(*(v[1] for v in vals)):  # level[i]: PE i's record
+        sizes = [rec[0] for rec in level]
+        _, rho, _, s_total = level[0]
         machine.charge_ops([max(1.0, rho * s) for s in sizes])
-        part_refs, vals = machine.backend.run_spmd(
-            _selection_round_kernel,
-            [cur._ensure_ref()],
-            n_out=3,
-            args=[(addr, rounds, rho, k, n)] * p,
-        )
-        # re-play the model from the small returned values, in the same
-        # order a step-by-step driver would have charged it
-        machine._meter_allgather(words=[v[0] for v in vals])
-        s_total = int(vals[0][1])
+        machine._meter_allgather(words=[rec[2] for rec in level])
         if s_total == 0:
-            cur = DistArray(machine, ref=part_refs[0], sizes=sizes, dtype=cur.dtype)
-            rounds += 1
             continue
         machine.charge_ops(s_total * np.log2(max(s_total, 2)))
         sample_total += s_total
-        machine.charge_ops(sizes.astype(np.float64))
-        raw_counts = [
-            np.array([v[6], v[7]], dtype=np.int64) for v in vals
-        ]
-        machine._meter_allreduce(raw_counts)
-        n_lo = np.array([int(v[6]) for v in vals], dtype=np.int64)
-        n_mid = np.array([int(v[7]) for v in vals], dtype=np.int64)
-        lo_p, hi_p = vals[0][2], vals[0][3]
-        na, nb = int(vals[0][4]), int(vals[0][5])
-
-        if na >= k:
-            cur = DistArray(machine, ref=part_refs[0], sizes=n_lo, dtype=cur.dtype)
-            sizes = n_lo
-            n = na
-        elif na + nb < k:
-            cur = DistArray(
-                machine, ref=part_refs[2], sizes=sizes - n_lo - n_mid, dtype=cur.dtype
-            )
-            sizes = sizes - n_lo - n_mid
-            k -= na + nb
-            n = n - na - nb
-        else:
-            if lo_p == hi_p:
-                # rank k falls inside a run of duplicates of the pivot
-                value = lo_p.item() if hasattr(lo_p, "item") else lo_p
-                if return_stats:
-                    return SelectionStats(value, rounds + 1, sample_total, 0)
-                return value
-            cur = DistArray(machine, ref=part_refs[1], sizes=n_mid, dtype=cur.dtype)
-            sizes = n_mid
-            k -= na
-            n = nb
-        rounds += 1
-
-
-def _gather_base_case(machine: Machine, data: DistArray, k: int):
-    """Gather the residual problem to PE 0, solve it, broadcast the result."""
-    gathered = machine.gather(data.chunks, root=0)[0]
-    rest = np.concatenate([c for c in gathered if c.size])
-    rest_sorted = np.sort(rest)
-    machine.charge_ops_one(0, rest.size * np.log2(max(rest.size, 2)))
-    value = rest_sorted[min(k, rest.size) - 1].item()
-    return machine.broadcast(value, root=0)[0]
+        machine.charge_ops(np.asarray(sizes, dtype=np.float64))
+        machine._meter_allreduce(words=2)
+    rest_size = 0
+    if base_words is not None:
+        # the residual problem: gathered to PE 0, solved, broadcast
+        machine._meter_gather([v[2] for v in vals], root=0)
+        rest_size = sum(v[2] for v in vals)
+        machine.charge_ops_one(0, rest_size * np.log2(max(rest_size, 2)))
+        machine._meter_broadcast(payload_words(value), root=0)
+    if return_stats:
+        return SelectionStats(value, len(levels), sample_total, rest_size)
+    return value
 
 
 def select_topk_smallest(

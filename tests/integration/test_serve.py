@@ -106,6 +106,7 @@ class TestQueryEngine:
         n = values.size
         engine = _engine(backend="mp", window=0.2)
         try:
+            sends = engine.machine.backend.driver_sends
             futures = [
                 engine.submit({"op": "select", "k": 1 + (i * 37) % n})
                 for i in range(6)
@@ -113,8 +114,9 @@ class TestQueryEngine:
             for i, f in enumerate(futures):
                 assert f.result(timeout=120) == values[(1 + (i * 37) % n) - 1]
             assert engine.stats["fused_commands"] == 1
-            # the fused multi_select overlaps wrap with level 1
-            assert engine.machine.backend.max_inflight > 1
+            # six queries, one fused multi_select, ONE command frame:
+            # the whole recursion runs inside the workers
+            assert engine.machine.backend.driver_sends - sends == 1
         finally:
             engine.close()
 

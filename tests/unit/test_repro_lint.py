@@ -105,6 +105,113 @@ class TestRL001:
             "RL001",
         )
 
+    # -- ``yield from`` composition: a delegation is a collective site,
+    # and its result is whatever the callee returns
+
+    _LEVEL_HALVES = """
+        def _sample(rank, segs, addr):
+            mine = addr.local(rank)
+            gathered = yield ("allgather", segs)
+            return mine, gathered
+
+        def _count(rank, inter):
+            totals = yield ("allreduce", len(inter), "sum")
+            return [inter] * totals, totals
+    """
+
+    def test_fires_on_rank_guarded_delegation(self):
+        found = hits(
+            self._LEVEL_HALVES + """
+        def _kernel(rank, chunk, addr):
+            if rank == 0:
+                yield from _sample(rank, chunk, addr)
+            return chunk
+            """,
+            "RL001",
+        )
+        assert len(found) == 1
+        assert "yield from _sample" in found[0].message
+
+    def test_fires_on_rank_personal_element_of_delegated_result(self):
+        # _sample's first return element derives from rank: looping on
+        # it diverges, looping on the second (gathered) would not
+        found = hits(
+            self._LEVEL_HALVES + """
+        def _kernel(rank, chunk, addr):
+            mine, gathered = yield from _sample(rank, chunk, addr)
+            while mine:
+                segs, totals = yield from _count(rank, gathered)
+                mine -= 1
+            return totals
+            """,
+            "RL001",
+        )
+        assert len(found) == 1
+        assert "yield from _count" in found[0].message
+
+    def test_fires_on_guarded_delegation_to_unseen_callee(self):
+        # an imported sub-generator cannot be inspected: assumed SPMD,
+        # and its result assumed rank-personal
+        found = hits(
+            """
+            from elsewhere import sub_gen
+
+            def _kernel(rank, chunk):
+                size = yield from sub_gen(chunk)
+                if size:
+                    yield from sub_gen(chunk)
+                return chunk
+            """,
+            "RL001",
+        )
+        assert len(found) == 1
+
+    def test_clean_on_level_loop_over_delegated_halves(self):
+        # the shape of multi_select's whole-recursion kernel: the loop
+        # guard derives from replicated collective results only
+        assert not hits(
+            self._LEVEL_HALVES + """
+        def _kernel(rank, chunk, addr):
+            segs = [chunk]
+            records = []
+            while segs:
+                mine, gathered = yield from _sample(rank, segs, addr)
+                segs, totals = yield from _count(rank, gathered)
+                records.append((mine, totals))
+            return records
+            """,
+            "RL001",
+        )
+
+    def test_clean_on_rank_guarded_plain_generator(self):
+        # delegating to a generator that issues no collective is not a
+        # collective site
+        assert not hits(
+            """
+            def _walk(items):
+                for x in items:
+                    yield x
+
+            def _kernel(rank, chunk):
+                total = yield ("allreduce", 1, "sum")
+                if rank == 0:
+                    yield from _walk(chunk)
+                return total
+            """,
+            "RL001",
+        )
+
+    def test_sees_the_real_multi_select_composition(self):
+        src = (REPO / "src/repro/selection/multi_select.py").read_text()
+        assert "    while segs:\n" in src
+        assert not [f for f in lint_source(src, path="ms.py")
+                    if f.check == "RL001"]
+        broken = src.replace("    while segs:\n", "    while segs[rank:]:\n")
+        found = [f for f in lint_source(broken, path="ms.py")
+                 if f.check == "RL001"]
+        assert len(found) == 2  # both delegated halves of the level
+        assert all("yield from _ms_" in f.message for f in found)
+
     def test_suppression(self):
         found = [
             f
@@ -159,6 +266,25 @@ class TestRL002:
             def run(machine, items):
                 payload = [x for x in {i % 7 for i in items}]
                 return machine.allgather(payload)
+            """,
+            "RL002",
+        )
+        assert len(found) == 1
+
+    def test_fires_on_unordered_iteration_into_delegated_kernel(self):
+        # the arguments of a ``yield from`` become the sub-kernel's
+        # collective payloads
+        found = hits(
+            """
+            def _share(rank, vals):
+                res = yield ("allgather", vals)
+                return res
+
+            def _kernel(rank, chunk):
+                d = {"b": 1, "a": 2}
+                vals = list(d.keys())
+                yield from _share(rank, vals)
+                return chunk
             """,
             "RL002",
         )

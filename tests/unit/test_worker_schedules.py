@@ -1,14 +1,17 @@
-"""Unit tests: the in-worker tree/hypercube exchange schedules.
+"""Unit tests: the in-worker tree/dissemination exchange schedules.
 
-The mp backend's workers route collectives over binomial trees (rooted
-ops, reduction-type ops) and dissemination/hypercube schedules
-(allgather, alltoall) instead of direct O(p^2) exchanges.  These tests
-pin down
+The mp backend's workers route rooted collectives over binomial trees
+and every replicated-result collective (allgather, the reduction-type
+ops, the collectives SPMD kernels yield) plus alltoall over the
+dissemination/hypercube hop sequence instead of direct O(p^2)
+exchanges.  These tests pin down
 
 * the schedule helpers themselves (any ``p``, power of two or not),
 * bit-identical results against the simulated backend at non-power-of-
   two ``p`` (the schedules must degrade gracefully), and
-* the O(p log p) worker message-count bound the refactor exists for.
+* the message counts: O(p log p) in total, and exactly ``ceil(log2 p)``
+  sends per rank -- the depth the alpha-beta model charges -- for every
+  replicated-result collective.
 """
 
 import numpy as np
@@ -24,6 +27,19 @@ from repro.machine.collectives import (
 from repro.machine.cost import log2_ceil
 
 NON_POW2 = [3, 5, 6]
+
+
+def _three_collectives(rank, chunk):
+    """SPMD kernel yielding each replicated-result kind once (module
+    level so it pickles across the pool fork)."""
+    gathered = yield ("allgather", chunk)
+    total = yield ("allreduce", float(chunk[0]), "sum")
+    total2, prefix = yield ("allreduce_exscan", float(chunk[0]), "sum", 0.0)
+    return [float(g[0]) for g in gathered], total, total2, prefix
+
+
+def _first(rank, chunk):
+    return float(chunk[0])
 
 
 class TestScheduleHelpers:
@@ -127,20 +143,56 @@ class TestMessageCounts:
         assert delta < p * (p - 1)            # strictly beats direct
 
     @pytest.mark.parametrize("p", [4, 5, 8])
-    def test_reduction_type_is_tree(self, p):
+    def test_rooted_is_tree_replicated_is_dissemination(self, p):
         with Machine(p=p, seed=6, backend="mp") as m:
             vals = list(range(p))
             m.allreduce(vals)
             for fn, count in [
-                (lambda: m.allreduce(vals), 2 * (p - 1)),
-                (lambda: m.scan(vals), 2 * (p - 1)),
-                (lambda: m.allreduce_exscan(vals), 2 * (p - 1)),
+                (lambda: m.allreduce(vals), p * log2_ceil(p)),
+                (lambda: m.scan(vals), p * log2_ceil(p)),
+                (lambda: m.allreduce_exscan(vals), p * log2_ceil(p)),
                 (lambda: m.broadcast(1, root=0), p - 1),
                 (lambda: m.reduce(vals, root=0), p - 1),
                 (lambda: m.gather(vals, root=0), p - 1),
                 (lambda: m.scatter(vals, root=0), p - 1),
             ]:
                 assert self._delta(m, fn) == count
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 8])
+    def test_replicated_collective_is_log_p_sends_per_rank(self, p):
+        """Every replicated-result collective -- yielded by an SPMD
+        kernel, fused into a resident map, or issued as a legacy
+        command -- costs each rank exactly ``ceil(log2 p)`` sends (one
+        dissemination, not gather-to-root + broadcast), and float sums
+        keep the binomial-tree combination order of sim."""
+        vals = [0.1 * (i + 1) for i in range(p)]
+        pairs = [[i, i + 1] for i in range(p)]
+        cases = [  # (collectives inside, call)
+            (3, lambda m, ref: m.backend.run_spmd(_three_collectives, [ref])[1]),
+            (1, lambda m, ref: m.backend.map_resident(
+                _first, [ref], collect=("allgather",))[1:]),
+            (1, lambda m, ref: m.backend.map_resident(
+                _first, [ref], collect=("allreduce", "sum"))[1:]),
+            (1, lambda m, ref: m.allgather(vals)),
+            (1, lambda m, ref: m.allreduce(vals, op="sum")),
+            (1, lambda m, ref: m.scan(vals, op="sum")),
+            (1, lambda m, ref: m.allreduce_exscan(vals, op="sum")),
+            (1, lambda m, ref: m.reduce_allgather(vals, pairs, op="sum")),
+        ]
+        sim = Machine(p=p, seed=6)
+        with Machine(p=p, seed=6, backend="mp") as real:
+            refs = [
+                m.backend.put_chunks([np.array([v]) for v in vals])
+                for m in (sim, real)
+            ]
+            for n_collectives, call in cases:
+                before = real.backend.worker_message_counts()
+                got = call(real, refs[1])
+                after = real.backend.worker_message_counts()
+                assert got == call(sim, refs[0])
+                assert [a - b for a, b in zip(after, before)] == (
+                    [n_collectives * log2_ceil(p)] * p
+                )
 
     @pytest.mark.parametrize("p", [4, 5, 8])
     def test_alltoall_is_hypercube_routed(self, p):
@@ -151,9 +203,10 @@ class TestMessageCounts:
         assert delta == p * log2_ceil(p)
         assert delta < p * (p - 1) or p <= 3
 
-    def test_selection_round_is_two_tree_exchanges(self):
-        """One SPMD recursion level costs 4(p-1) worker messages (sample
-        union + count reduction, each a tree gather+broadcast)."""
+    def test_selection_is_dissemination_bounded(self):
+        """The whole recursion is one command whose every collective is
+        one dissemination: a level costs at most two of them (sample
+        union + count reduction), the base case one."""
         from repro.machine import DistArray
         from repro.selection import select_kth
 
@@ -163,10 +216,8 @@ class TestMessageCounts:
             before = sum(m.backend.worker_message_counts())
             stats = select_kth(m, data, 1000, return_stats=True)
             delta = sum(m.backend.worker_message_counts()) - before
-        # rounds SPMD levels + initial size allreduce + base-case
-        # gather/broadcast, every one of them O(p log p)
-        per_level = 4 * (p - 1)
-        assert delta <= (stats.rounds + 1) * per_level + 4 * (p - 1)
+        assert stats.rounds > 0
+        assert delta <= (2 * stats.rounds + 1) * p * log2_ceil(p)
         assert delta < stats.rounds * p * (p - 1)  # direct exchange would
 
 

@@ -7,8 +7,9 @@ deadlock, a silent cross-backend parity break, or a use-after-recycle
 ``(p, backend)`` grid point.
 
 ========  ==============================================================
-RL001     rank-dependent control flow around a collective ``yield`` in
-          an SPMD generator kernel (collective-sequence divergence)
+RL001     rank-dependent control flow around a collective ``yield`` --
+          or a ``yield from`` delegation to another SPMD kernel -- in an
+          SPMD generator kernel (collective-sequence divergence)
 RL002     unordered set/dict iteration feeding a collective payload,
           charge log, or kernel return value (order parity hazard)
 RL003     global ``random`` / ``np.random`` use inside a worker kernel
@@ -145,9 +146,60 @@ def spmd_yield_kind(node: ast.AST) -> str | None:
     return None
 
 
-def is_spmd_kernel(func: ast.AST) -> bool:
-    """A function that yields at least one SPMD collective tuple."""
-    return any(spmd_yield_kind(n) for n in own_nodes(func))
+def module_functions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level functions by name: what a ``yield from f(...)`` can
+    be resolved to without leaving the file."""
+    return {
+        n.name: n
+        for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def delegated_call(node: ast.AST) -> ast.Call | None:
+    """The call if ``node`` is ``yield from f(...)``: a sub-generator
+    whose collectives run inline in the caller's sequence."""
+    if isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call):
+        return node.value
+    return None
+
+
+def _callee(call: ast.Call, funcs: dict[str, ast.AST]) -> ast.AST | None:
+    return funcs.get(call.func.id) if isinstance(call.func, ast.Name) else None
+
+
+def collective_site(
+    node: ast.AST, funcs: dict[str, ast.AST], _seen: frozenset = frozenset()
+) -> str | None:
+    """What ``node`` contributes to the rank's collective sequence: the
+    kind of a direct ``yield``, or ``"yield from <f>"`` for a delegation
+    to an SPMD kernel.  A callee defined in another module cannot be
+    inspected and is assumed to be one."""
+    kind = spmd_yield_kind(node)
+    if kind is not None:
+        return kind
+    call = delegated_call(node)
+    if call is None:
+        return None
+    callee = _callee(call, funcs)
+    if callee is None or is_spmd_kernel(callee, funcs, _seen):
+        return f"yield from {_call_name(call)}"
+    return None
+
+
+def is_spmd_kernel(
+    func: ast.AST,
+    funcs: dict[str, ast.AST] | None = None,
+    _seen: frozenset = frozenset(),
+) -> bool:
+    """A function that yields at least one SPMD collective tuple -- or,
+    given the module's functions, delegates to one that does."""
+    if funcs is None:
+        return any(spmd_yield_kind(n) for n in own_nodes(func))
+    if func in _seen:
+        return False
+    seen = _seen | {func}
+    return any(collective_site(n, funcs, seen) for n in own_nodes(func))
 
 
 def is_worker_kernel(func: ast.AST) -> bool:
@@ -184,17 +236,27 @@ def _assign_targets(node: ast.AST) -> list[ast.expr]:
     return []
 
 
-def rank_tainted_names(func: ast.AST) -> set[str]:
+def rank_tainted_names(
+    func: ast.AST,
+    funcs: dict[str, ast.AST] | None = None,
+    seeds: frozenset = frozenset(),
+    _depth: int = 0,
+) -> set[str]:
     """Names whose value depends on the executing rank.
 
-    Seeds: parameters named ``rank``.  Propagates through assignments;
-    a value drawn from a *replicated* collective yield (allgather /
-    allreduce, or the total half of allreduce_exscan) is identical on
-    every rank and therefore UNtaints its target, while rank-personal
-    results (alltoall, sendrecv, the prefix half of allreduce_exscan)
-    taint theirs.
+    Seeds: parameters named ``rank`` (plus ``seeds``, the parameters a
+    delegating caller passed rank-dependent arguments for).  Propagates
+    through assignments; a value drawn from a *replicated* collective
+    yield (allgather / allreduce, or the total half of
+    allreduce_exscan) is identical on every rank and therefore UNtaints
+    its target, while rank-personal results (alltoall, sendrecv, the
+    prefix half of allreduce_exscan) taint theirs.  The result of a
+    ``yield from f(...)`` is what ``f`` returns: with ``funcs`` (the
+    module's functions) the callee's ``return`` expressions are
+    analysed in its own context, element by element; a callee defined
+    elsewhere taints its targets.
     """
-    tainted: set[str] = set()
+    tainted: set[str] = set(seeds)
     args = getattr(func, "args", None)
     if args is not None:
         for a in (
@@ -203,6 +265,12 @@ def rank_tainted_names(func: ast.AST) -> set[str]:
         ):
             if a.arg == "rank":
                 tainted.add(a.arg)
+
+    def taint(expr: ast.AST) -> bool:
+        fresh = names_in(expr) - tainted
+        tainted.update(fresh)
+        return bool(fresh)
+
     for _ in range(8):  # fixpoint; tiny functions converge in 1-2 rounds
         changed = False
         for node in own_nodes(func):
@@ -210,35 +278,34 @@ def rank_tainted_names(func: ast.AST) -> set[str]:
             value = getattr(node, "value", None)
             if not targets or value is None:
                 if isinstance(node, ast.For) and mentions_rank(node.iter, tainted):
-                    for name in names_in(node.target):
-                        if name not in tainted:
-                            tainted.add(name)
-                            changed = True
+                    changed |= taint(node.target)
                 continue
             kind = spmd_yield_kind(value)
             if kind is not None:
                 if kind in _REPLICATED_RESULT:
                     continue  # replicated result: target stays clean
-                if kind == "allreduce_exscan":
-                    # (total, prefix): total replicated, prefix per-rank
-                    for tgt in targets:
-                        if isinstance(tgt, ast.Tuple) and len(tgt.elts) == 2:
-                            for name in names_in(tgt.elts[1]):
-                                if name not in tainted:
-                                    tainted.add(name)
-                                    changed = True
-                        else:
-                            for name in names_in(tgt):
-                                if name not in tainted:
-                                    tainted.add(name)
-                                    changed = True
-                    continue
-                # alltoall / sendrecv rows are rank-personal
                 for tgt in targets:
-                    for name in names_in(tgt):
-                        if name not in tainted:
-                            tainted.add(name)
-                            changed = True
+                    if (
+                        kind == "allreduce_exscan"
+                        and isinstance(tgt, ast.Tuple)
+                        and len(tgt.elts) == 2
+                    ):
+                        # (total, prefix): total replicated, prefix per-rank
+                        tgt = tgt.elts[1]
+                    # alltoall / sendrecv rows are rank-personal
+                    changed |= taint(tgt)
+                continue
+            call = delegated_call(value)
+            if call is not None and funcs is not None:
+                dep = _delegate_taint(call, funcs, tainted, _depth)
+                for tgt in targets:
+                    if isinstance(tgt, ast.Tuple) and len(tgt.elts) == len(dep):
+                        parts = zip(tgt.elts, dep)
+                    else:
+                        parts = [(tgt, any(dep))]
+                    for elt, elt_dep in parts:
+                        if elt_dep:
+                            changed |= taint(elt)
                 continue
             if isinstance(node, ast.AugAssign):
                 dep = mentions_rank(value, tainted) or mentions_rank(
@@ -248,13 +315,47 @@ def rank_tainted_names(func: ast.AST) -> set[str]:
                 dep = mentions_rank(value, tainted)
             if dep:
                 for tgt in targets:
-                    for name in names_in(tgt):
-                        if name not in tainted:
-                            tainted.add(name)
-                            changed = True
+                    changed |= taint(tgt)
         if not changed:
             break
     return tainted
+
+
+def _delegate_taint(
+    call: ast.Call, funcs: dict[str, ast.AST], tainted: set[str], depth: int
+) -> list[bool]:
+    """Rank dependence of what ``yield from <call>`` evaluates to: one
+    flag per element when every ``return`` of the callee is a tuple of
+    the same length, a single flag otherwise."""
+    callee = _callee(call, funcs)
+    if (
+        callee is None
+        or depth >= 4
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or any(kw.arg is None for kw in call.keywords)
+    ):
+        return [True]  # cannot look inside: assume rank-personal
+    params = [a.arg for a in callee.args.posonlyargs + callee.args.args]
+    seeds = {
+        name
+        for name, arg in zip(params, call.args)
+        if mentions_rank(arg, tainted)
+    } | {kw.arg for kw in call.keywords if mentions_rank(kw.value, tainted)}
+    inner = rank_tainted_names(callee, funcs, frozenset(seeds), depth + 1)
+    returns = [
+        n.value
+        for n in own_nodes(callee)
+        if isinstance(n, ast.Return) and n.value is not None
+    ]
+    arities = {
+        len(r.elts) if isinstance(r, ast.Tuple) else None for r in returns
+    }
+    if len(arities) == 1 and None not in arities:
+        return [
+            any(mentions_rank(r.elts[i], inner) for r in returns)
+            for i in range(arities.pop())
+        ]
+    return [any(mentions_rank(r, inner) for r in returns)]
 
 
 def _call_name(call: ast.Call) -> str | None:
@@ -308,12 +409,13 @@ class RankDivergentYield(Check):
 
     def run(self, ctx: FileContext) -> list[Finding]:
         findings: list[Finding] = []
+        funcs = module_functions(ctx.tree)
         for func in iter_functions(ctx.tree):
-            if not is_spmd_kernel(func):
+            if not is_spmd_kernel(func, funcs):
                 continue
-            tainted = rank_tainted_names(func)
+            tainted = rank_tainted_names(func, funcs)
             for node in own_nodes(func):
-                kind = spmd_yield_kind(node)
+                kind = collective_site(node, funcs)
                 if kind is None:
                     continue
                 guard = self._rank_guard(node, func, tainted, ctx.parents)
@@ -459,7 +561,12 @@ class UnorderedIterationFeedsCollective(Check):
                         and _is_log_receiver(fn.value)
                     ):
                         sinks.add(stmt)
-                elif spmd_yield_kind(node) is not None:
+                elif (
+                    spmd_yield_kind(node) is not None
+                    or delegated_call(node) is not None
+                ):
+                    # a delegation's arguments feed the sub-kernel's
+                    # payloads, and its result flows on from there
                     sinks.add(stmt)
                 elif kernel and isinstance(node, ast.Return) and node.value:
                     sinks.add(stmt)
