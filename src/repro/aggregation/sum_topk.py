@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.sampling import weighted_sample_counts
-from ..common.validation import check_probability
-from ..machine import DistArray, Machine
-from ..frequent.dht import take_topk_entries
-from ..common.hashing import make_owner_fn
+from ..common.validation import check_k, check_probability
+from ..frequent.dht import integer_key_dtype, run_count, run_topk
+from ..machine import Machine
+from ..machine.collectives import tree_reduce_order
 
 __all__ = [
     "DistKeyValue",
@@ -75,33 +75,44 @@ class _SumAggState:
         return self.agg, True
 
 
-def _sample_step(rank: int, state: _SumAggState, v_avg: float, addr):
-    """Stages 1-2, resident: aggregate (cached) + value-weighted sample.
+def _aggregate_logged(state: _SumAggState, log: list):
+    """The (cached) aggregation table; building it is charged like the
+    sort behind ``np.unique``."""
+    table, fresh = state.aggregate()
+    ks = int(state.keys.size)
+    log.append(("ops", ks * np.log2(max(ks, 2)) if fresh and ks else 0.0))
+    return table
+
+
+def _sample_units(rank: int, state: _SumAggState, addr, v_avg: float, log: list):
+    """Stages 1-2, where the pairs live: aggregate (cached) + draw each
+    key's value-weighted sample units.
 
     The Bernoulli rounding draws come from this PE's counter-addressed
-    stream (``addr.local(rank)``); only the small sample dict and counts
-    return -- the pairs and the aggregation table stay with the worker.
+    stream (``addr.local(rank)``).  Returns ``(table, realized sample
+    size)``; the pairs and the aggregation table stay with the worker.
     """
-    (uniq, sums), fresh = state.aggregate()
+    uniq, sums = _aggregate_logged(state, log)
+    log.append(("ops", float(uniq.size)))
     if uniq.size == 0:
-        return ({}, 0, 0, fresh)
-    counts = weighted_sample_counts(addr.local(rank), sums, v_avg)
-    nz = counts > 0
-    sample = {int(key): int(c) for key, c in zip(uniq[nz], counts[nz])}
-    return (sample, int(counts.sum()), int(uniq.size), fresh)
+        return (uniq, np.empty(0, dtype=np.int64)), 0
+    units = weighted_sample_counts(addr.local(rank), sums, v_avg)
+    nz = units > 0
+    return (uniq[nz], units[nz]), int(units.sum())
 
 
-def _exact_lookup_step(rank: int, state: _SumAggState, cand_keys: np.ndarray):
-    """EC stage 4, resident: one table lookup per candidate key."""
-    (uniq, sums), fresh = state.aggregate()
-    pos = np.searchsorted(uniq, cand_keys)
-    pos = np.clip(pos, 0, max(uniq.size - 1, 0))
+def _exact_sums_gen(rank: int, state: _SumAggState, keys: np.ndarray, log: list):
+    """EC stage 4, SPMD piece: one aggregation-table lookup per
+    (replicated) candidate key, then one vector-valued reduction."""
+    uniq, sums = _aggregate_logged(state, log)
+    vals = np.zeros(len(keys))
     if uniq.size:
-        hit = uniq[pos] == cand_keys
-        vals = np.where(hit, sums[pos], 0.0)
-    else:
-        vals = np.zeros(len(cand_keys))
-    return (vals, int(uniq.size), fresh)
+        pos = np.clip(np.searchsorted(uniq, keys), 0, uniq.size - 1)
+        vals = np.where(uniq[pos] == keys, sums[pos], 0.0)
+    log.append(("ops", max(1.0, len(keys) * np.log2(max(int(uniq.size), 2)))))
+    totals = yield ("allreduce", vals, "sum")
+    log.append(("allreduce", len(keys)))
+    return totals
 
 
 class DistKeyValue:
@@ -117,13 +128,17 @@ class DistKeyValue:
         if len(keys) != machine.p or len(values) != machine.p:
             raise ValueError("need one keys chunk and one values chunk per PE")
         self.machine = machine
-        self.keys = [np.asarray(c, dtype=np.int64) for c in keys]
+        keys = [np.asarray(c) for c in keys]
+        integer_key_dtype([c.dtype for c in keys if c.size])
+        self.keys = [c.astype(np.int64) for c in keys]
         self.values = [np.asarray(v, dtype=np.float64) for v in values]
         for i, (key_c, val_c) in enumerate(zip(self.keys, self.values)):
             if key_c.shape != val_c.shape:
                 raise ValueError(f"chunk {i}: keys and values differ in length")
-            if np.any(val_c < 0):
-                raise ValueError(f"chunk {i}: sum aggregation needs non-negative values")
+            if not np.all((val_c >= 0) & np.isfinite(val_c)):
+                raise ValueError(
+                    f"chunk {i}: sum aggregation needs finite non-negative values"
+                )
         self._ref = None
 
     def _ensure_ref(self):
@@ -191,36 +206,26 @@ def _safe_v_avg(m_total: float, s: float) -> float:
     return max(m_total / s, float(np.finfo(np.float64).tiny))
 
 
-def _sample_to_dht(machine: Machine, data: DistKeyValue, v_avg: float):
-    """Stages 1-3: aggregate, value-weighted sample, DHT count.
+def _global_mass(machine: Machine, data: DistKeyValue) -> float:
+    """All-reduction of the local value masses.  The chunks are the
+    driver's own, so like the sizes the masses are known here and the
+    reduction is charged without a worker round trip."""
+    machine._meter_allreduce(words=1)
+    return float(tree_reduce_order([float(v.sum()) for v in data.values], "sum"))
 
-    Aggregation and sampling run as a resident callback next to the
-    pairs; the rounding draws are counter-addressed (one draw address
-    per pass), so the sequence is identical on every backend and
-    nothing but the tiny address ships.
+
+def _sample_to_dht(machine: Machine, data: DistKeyValue, v_avg: float):
+    """Stages 1-3 as one worker command: aggregate, value-weighted
+    sample, DHT count.  Returns ``(table_ref, total, realized)``.
+
+    The rounding draws are counter-addressed (one draw address per
+    pass), so the sequence is identical on every backend and nothing
+    but the tiny address ships.
     """
-    p = machine.p
-    addr = machine.draw_addr()
-    _, vals, _ = machine.backend.map_resident(
-        _sample_step,
-        [data._ensure_ref()],
-        n_out=0,
-        args=[(v_avg, addr)] * p,
+    table, total, realized = run_count(
+        machine, data._ensure_ref(), _sample_units, (machine.draw_addr(), v_avg)
     )
-    sample_dicts = []
-    realized = 0
-    for i, (sample, real_i, uniq_size, fresh) in enumerate(vals):
-        if fresh:  # the aggregation table was built in this pass
-            ks = int(data.keys[i].size)
-            if ks:
-                machine.charge_ops_one(i, ks * np.log2(max(ks, 2)))
-        if uniq_size:
-            machine.charge_ops_one(i, uniq_size)
-        sample_dicts.append(sample)
-        realized += real_i
-    owner = make_owner_fn(p)
-    routed = machine.aggregate_exchange(sample_dicts, owner)
-    return routed, realized
+    return table, total, sum(realized)
 
 
 def top_k_sums_pac(
@@ -233,19 +238,22 @@ def top_k_sums_pac(
     sample_size: float | None = None,
 ) -> SumAggResult:
     """(eps, delta)-approximate top-k sums (Theorem 15)."""
-    n = int(machine.allreduce([c.size for c in data.keys], op="sum")[0])
+    check_k(k)
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
         return SumAggResult((), True, 1.0, 0, k, {})
-    local_mass = [float(v.sum()) for v in data.values]
-    m_total = float(machine.allreduce(local_mass, op="sum")[0])
+    m_total = _global_mass(machine, data)
     if m_total == 0.0:
         return SumAggResult((), True, 1.0, 0, k, {"mass": 0.0})
     s = sample_size if sample_size is not None else sum_sample_size(n, machine.p, eps, delta)
     v_avg = _safe_v_avg(m_total, s)
-    routed, realized = _sample_to_dht(machine, data, v_avg)
-    items = take_topk_entries(machine, routed, k)
+    table, total, realized = _sample_to_dht(machine, data, v_avg)
+    keys, units, _, _ = run_topk(machine, [table, data._ensure_ref()], None, k, total)
     return SumAggResult(
-        items=tuple((key, c * v_avg) for key, c in items),
+        items=tuple(
+            (key, float(c * v_avg)) for key, c in zip(keys.tolist(), units.tolist())
+        ),
         exact_sums=False,
         v_avg=v_avg,
         sample_size=realized,
@@ -268,17 +276,20 @@ def top_k_sums_ec(
 
     Unlike frequent-objects EC, no second pass over the raw input is
     needed: the local aggregation tables already hold each key's local
-    sum, so exact global sums are one lookup plus one vector reduction.
+    sum, so exact global sums are one lookup plus one vector reduction
+    -- answered where the pairs live, in the same worker command that
+    selects the candidates.
     """
+    check_k(k)
     p = machine.p
-    n = int(machine.allreduce([c.size for c in data.keys], op="sum")[0])
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
         return SumAggResult((), True, 1.0, 0, k, {})
     if k_star is None:
         comm_opt = (1.0 / eps) * np.sqrt(2.0 * np.log2(p + 1) / p * np.log(max(n, 2) / delta))
         k_star = int(max(k, np.ceil(comm_opt)))
-    local_mass = [float(v.sum()) for v in data.values]
-    m_total = float(machine.allreduce(local_mass, op="sum")[0])
+    m_total = _global_mass(machine, data)
     if m_total == 0.0:
         return SumAggResult((), True, 1.0, 0, k_star, {"mass": 0.0})
     if sample_size is None:
@@ -287,39 +298,21 @@ def top_k_sums_ec(
             16.0, sum_sample_size(n, p, eps, delta) / np.sqrt(max(k_star, 1))
         )
     v_avg = _safe_v_avg(m_total, sample_size)
-    routed, realized = _sample_to_dht(machine, data, v_avg)
-    candidates = take_topk_entries(machine, routed, k_star)
-    if not candidates:
-        return SumAggResult((), True, v_avg, realized, k_star, {})
-    cand_keys = np.array([key for key, _ in candidates], dtype=np.int64)
-
-    # exact sums from the resident aggregation tables (one lookup per
-    # key, answered where the pairs live -- no second input scan)
-    _, lookups, _ = machine.backend.map_resident(
-        _exact_lookup_step,
-        [data._ensure_ref()],
-        n_out=0,
-        args=[(cand_keys,)] * p,
+    table, total, realized = _sample_to_dht(machine, data, v_avg)
+    cand_keys, _, _, exact = run_topk(
+        machine, [table, data._ensure_ref()], None, k_star, total,
+        exact_gen=_exact_sums_gen,
     )
-    per_pe = []
-    for i, (vals, uniq_size, fresh) in enumerate(lookups):
-        if fresh:  # only if the sampling pass never built the table
-            ks = int(data.keys[i].size)
-            if ks:
-                machine.charge_ops_one(i, ks * np.log2(max(ks, 2)))
-        machine.charge_ops_one(i, max(1.0, len(cand_keys) * np.log2(max(uniq_size, 2))))
-        per_pe.append(vals)
-    exact = np.asarray(machine.allreduce(per_pe, op="sum")[0])
-    order = np.lexsort((cand_keys, -exact))
-    top = order[: min(k, len(cand_keys))]
-    items = tuple((int(cand_keys[t]), float(exact[t])) for t in top)
+    if exact is None:  # no sample unit was drawn
+        return SumAggResult((), True, v_avg, realized, k_star, {})
+    top = np.lexsort((cand_keys, -exact))[:k]
     return SumAggResult(
-        items=items,
+        items=tuple((int(cand_keys[t]), float(exact[t])) for t in top),
         exact_sums=True,
         v_avg=v_avg,
         sample_size=realized,
         k_star=int(k_star),
-        info={"mass": m_total, "candidates": len(candidates)},
+        info={"mass": m_total, "candidates": len(cand_keys)},
     )
 
 

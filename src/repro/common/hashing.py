@@ -33,11 +33,20 @@ def splitmix64_array(keys: np.ndarray) -> np.ndarray:
         return kernels.splitmix64_array(x)
 
 
-def key_owner(keys: np.ndarray, p: int) -> np.ndarray:
-    """Home PE of each key in a ``p``-PE distributed hash table."""
+def key_owner(keys: np.ndarray, p: int, salt: int = 0) -> np.ndarray:
+    """Home PE of each key in a ``p``-PE distributed hash table.
+
+    The vectorised form of :func:`make_owner_fn`: equal to it key by
+    key for every integer dtype (negative keys and ``uint64`` keys
+    ``>= 2**63`` hash by their 64-bit two's-complement pattern) and
+    every ``salt``.
+    """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return (splitmix64_array(keys) % np.uint64(p)).astype(np.int64)
+    x = np.asarray(keys).astype(np.uint64)
+    if salt:
+        x = x ^ np.uint64(salt & _MASK)
+    return (splitmix64_array(x) % np.uint64(p)).astype(np.int64)
 
 
 def make_owner_fn(p: int, salt: int = 0):

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-__all__ = ["check_rank", "check_rank_range", "check_positive", "check_probability"]
+__all__ = [
+    "check_k", "check_rank", "check_rank_range", "check_positive", "check_probability",
+]
+
+
+def check_k(k: int) -> int:
+    """Validate an output size ``k >= 1``."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
 
 
 def check_rank(k: int, n: int, what: str = "k") -> int:

@@ -13,6 +13,8 @@ most frequently sampled objects, whose occurrences are then counted
 4. one vector-valued sum-reduction yields exact global counts, from
    which the top-k is read off locally.
 
+Step 1 is one worker command, steps 2-4 a second one.
+
 The communication-optimal candidate count is
 ``k* = max(k, (1/eps) sqrt(2 log(p)/p * ln(n/delta)))`` (Theorem 11),
 bringing the volume down from ``1/eps^2`` to ``1/eps`` -- the regime
@@ -24,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.sampling import ec_sample_rate
+from ..common.validation import check_k
 from ..machine import DistArray, Machine
-from .dht import count_into_dht, take_topk_entries
-from .pac import sample_distributed
+from .dht import array_key_dtype, run_count, run_topk, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_ec", "optimal_k_star", "exact_count_keys"]
@@ -40,41 +42,46 @@ def optimal_k_star(n: int, k: int, p: int, eps: float, delta: float) -> int:
     return int(max(k, np.ceil(comm_opt)))
 
 
-def _count_keys_step(
-    rank: int, chunk: np.ndarray, sorted_keys: np.ndarray, order: np.ndarray
-) -> np.ndarray:
-    """Resident worker callback: count ``sorted_keys`` occurrences in the
-    local chunk, reported in the candidates' original order."""
+def exact_counts_gen(rank: int, chunk: np.ndarray, keys: np.ndarray, log: list):
+    """SPMD piece: exact global counts of the (replicated) ``keys``.
+
+    Every PE scans its full local input once (``O(n/p)``), where the
+    chunk lives; the count vectors are summed by one vector-valued
+    in-worker reduction.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     pos = np.searchsorted(sorted_keys, chunk)
     pos = np.clip(pos, 0, len(sorted_keys) - 1)
     hit = sorted_keys[pos] == chunk
-    counts_sorted = np.bincount(pos[hit], minlength=len(sorted_keys))
-    counts = np.empty(len(sorted_keys), dtype=np.int64)
-    counts[order] = counts_sorted
-    return counts
+    counts = np.empty(len(keys), dtype=np.int64)
+    counts[order] = np.bincount(pos[hit], minlength=len(keys))
+    log.append(("ops", max(1.0, int(chunk.size) * np.log2(max(len(keys), 2)))))
+    totals = yield ("allreduce", counts, "sum")
+    log.append(("allreduce", len(keys)))
+    return totals
+
+
+def _exact_counts_kernel(rank: int, chunk: np.ndarray, keys: np.ndarray):
+    log: list = []
+    totals = yield from exact_counts_gen(rank, chunk, keys, log)
+    return totals if rank == 0 else None, log
 
 
 def exact_count_keys(
     machine: Machine, data: DistArray, keys: np.ndarray
 ) -> np.ndarray:
-    """Exact global counts of ``keys`` (replicated on all PEs).
-
-    Every PE scans its full local input once (``O(n/p)``) -- inside the
-    workers, where the chunks live; only the small candidate-key array
-    travels out and the count vectors travel back, summed by one
-    vector-valued reduction.
-    """
+    """Exact global counts of ``keys`` (replicated on all PEs), as one
+    worker command: only the small candidate-key array travels out and
+    one count vector back."""
     keys = np.asarray(keys)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    per_pe = data.map_values(
-        _count_keys_step, args=[(sorted_keys, order)] * machine.p
+    if keys.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    _, vals = machine.backend.run_spmd(
+        _exact_counts_kernel, [data._ensure_ref()], args=[(keys,)] * machine.p
     )
-    sizes = data.sizes()
-    machine.charge_ops(
-        [max(1.0, int(s) * np.log2(max(len(keys), 2))) for s in sizes]
-    )
-    return np.asarray(machine.allreduce(per_pe, op="sum")[0])
+    machine.replay_charges([log for _, log in vals])
+    return np.asarray(vals[0][0])
 
 
 def top_k_frequent_ec(
@@ -92,9 +99,14 @@ def top_k_frequent_ec(
     With the default ``k_star`` the result is an
     (eps, delta)-approximation whose reported counts are *exact*
     (Lemma 10); only membership of the borderline objects can err.
+    Two worker commands: sample + count, then candidate selection +
+    exact counting of the candidates.
     """
+    check_k(k)
+    dtype = array_key_dtype(data)
     p = machine.p
-    n = int(machine.allreduce([int(s) for s in data.sizes()], op="sum")[0])
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {})
     if k_star is None:
@@ -102,24 +114,22 @@ def top_k_frequent_ec(
     if rho is None:
         rho = ec_sample_rate(n, k_star, eps, delta)
 
-    samples = sample_distributed(machine, data, rho)
-    sample_counts = count_into_dht(machine, samples)
-    candidates, sample_size = take_topk_entries(
-        machine, sample_counts, k_star, piggyback=[int(s.size) for s in samples]
+    source = data._ensure_ref()
+    table, total, sizes = run_count(
+        machine, source, sample_table, (dtype, machine.draw_addr(), rho)
     )
-    if not candidates:
+    cand_keys, _, sample_size, exact = run_topk(
+        machine, [table, source], None, k_star, total,
+        piggyback=sizes, exact_gen=exact_counts_gen,
+    )
+    if exact is None:  # nothing was sampled
         return FrequentResult((), True, rho, sample_size, k_star, {})
-    cand_keys = np.array([key for key, _ in candidates], dtype=np.int64)
-
-    exact = exact_count_keys(machine, data, cand_keys)
-    order = np.lexsort((cand_keys, -exact))
-    top = order[: min(k, len(cand_keys))]
-    items = tuple((int(cand_keys[t]), float(exact[t])) for t in top)
+    top = np.lexsort((cand_keys, -exact))[:k]
     return FrequentResult(
-        items=items,
+        items=tuple((int(cand_keys[t]), float(exact[t])) for t in top),
         exact_counts=True,
         rho=rho,
         sample_size=sample_size,
         k_star=int(k_star),
-        info={"candidates": len(candidates)},
+        info={"candidates": len(cand_keys)},
     )

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..common.validation import check_k
 from ..machine import DistArray, Machine
-from .dht import count_into_dht_resident, take_topk_entries
+from .dht import array_key_dtype, run_count, run_topk, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_exact", "exact_counts_oracle"]
@@ -21,19 +22,23 @@ __all__ = ["top_k_frequent_exact", "exact_counts_oracle"]
 def top_k_frequent_exact(machine: Machine, data: DistArray, k: int) -> FrequentResult:
     """Exact top-k by full counting (rho = 1).
 
-    The local aggregation runs where the chunks live; only the per-PE
-    (key, count) dicts enter the merging hypercube exchange.
+    Two worker commands, as in PAC without the sampling: every key is
+    counted where the chunks live, only (key, count) tables enter the
+    merging hypercube exchange, only the winners return.
     """
-    counts = count_into_dht_resident(machine, data)
-    items = take_topk_entries(machine, counts, k)
-    n = data.global_size
+    check_k(k)
+    source = data._ensure_ref()
+    table, total, _ = run_count(
+        machine, source, sample_table, (array_key_dtype(data), None, 1.0)
+    )
+    keys, counts, _, _ = run_topk(machine, [table, source], None, k, total)
     return FrequentResult(
-        items=tuple((key, float(c)) for key, c in items),
+        items=tuple((key, float(c)) for key, c in zip(keys.tolist(), counts.tolist())),
         exact_counts=True,
         rho=1.0,
-        sample_size=n,
+        sample_size=data.global_size,
         k_star=k,
-        info={"distinct_keys": sum(len(d) for d in counts)},
+        info={"distinct_keys": total},
     )
 
 

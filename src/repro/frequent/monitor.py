@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common.hashing import make_owner_fn
 from ..common.sampling import weighted_sample_counts
 from ..machine import Machine
-from .dht import take_topk_entries
+from .dht import exchange_into_dht, take_topk_entries
 from .result import FrequentResult
 
 __all__ = ["StreamingTopKMonitor"]
@@ -127,30 +126,23 @@ class StreamingTopKMonitor:
         target = max(64.0, 8.0 / self.eps**2 * np.log(2 * self.k / self.delta) / 8)
         target = min(target, float(n))
         v_avg = n / target
-        sample_dicts = []
+        samples = []
         addr = self.machine.draw_addr()  # counter-addressed refresh draws
         for i in range(self.machine.p):
             table = self.tables[i]
-            if not table:
-                sample_dicts.append({})
-                continue
             keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
             vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
             units = weighted_sample_counts(addr.local(i), vals, v_avg)
-            nz = units > 0
-            sample_dicts.append(
-                {int(key): int(u) for key, u in zip(keys[nz], units[nz])}
-            )
             self.machine.charge_ops_one(i, len(table))
-        routed = self.machine.aggregate_exchange(
-            sample_dicts, make_owner_fn(self.machine.p)
-        )
+            drawn = units > 0
+            samples.append((keys[drawn], units[drawn]))
+        routed = exchange_into_dht(self.machine, samples)
         items = take_topk_entries(self.machine, routed, self.k)
         result = FrequentResult(
             items=tuple((key, c * v_avg) for key, c in items),
             exact_counts=v_avg <= 1.0,
             rho=1.0 / v_avg,
-            sample_size=int(sum(sum(d.values()) for d in sample_dicts)),
+            sample_size=int(sum(units.sum() for _, units in samples)),
             k_star=self.k,
             info={"stream": n, "refreshed": True},
         )

@@ -6,7 +6,8 @@ The basic probably-approximately-correct algorithm:
    (Equation 3 fixes ``rho`` so the result is an
    (eps, delta)-approximation);
 2. sample occurrences are counted in the distributed hash table
-   (local aggregation, then the merging hypercube exchange);
+   (local aggregation, then the merging hypercube exchange), where the
+   chunks live -- no sample returns to the driver;
 3. the ``k`` most frequently *sampled* objects are selected with the
    unsorted selection algorithm of Section 4.1 and broadcast;
 4. reported counts are the sample counts scaled by ``1/rho``.
@@ -22,8 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.sampling import pac_sample_rate
+from ..common.validation import check_k
 from ..machine import DistArray, Machine
-from .dht import count_into_dht, take_topk_entries
+from .dht import array_key_dtype, run_count, run_topk, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_pac", "pac_error", "sample_distributed"]
@@ -55,26 +57,33 @@ def top_k_frequent_pac(
     """(eps, delta)-approximate top-k most frequent objects.
 
     ``rho`` overrides the Equation-3 sampling probability (ablations).
+    Two worker commands: sample + count into the hash table, then
+    selection + winner exchange (the global sample size rides the
+    latter's fused reduce+allgather instead of paying its own
+    allreduce).
     """
-    n = int(machine.allreduce([int(s) for s in data.sizes()], op="sum")[0])
+    check_k(k)
+    dtype = array_key_dtype(data)
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), False, 1.0, 0, k, {})
     if rho is None:
         rho = pac_sample_rate(n, k, eps, delta)
-    samples = sample_distributed(machine, data, rho)
-    counts = count_into_dht(machine, samples)
-    # the global sample size rides the winner exchange (fused
-    # reduce+allgather) instead of paying its own allreduce
-    items, sample_size = take_topk_entries(
-        machine, counts, k, piggyback=[int(s.size) for s in samples]
+    source = data._ensure_ref()
+    table, total, sizes = run_count(
+        machine, source, sample_table, (dtype, machine.draw_addr(), rho)
+    )
+    keys, counts, sample_size, _ = run_topk(
+        machine, [table, source], None, k, total, piggyback=sizes
     )
     return FrequentResult(
-        items=tuple((key, c / rho) for key, c in items),
+        items=tuple((key, c / rho) for key, c in zip(keys.tolist(), counts.tolist())),
         exact_counts=rho >= 1.0,
         rho=rho,
         sample_size=sample_size,
         k_star=k,
-        info={"distinct_sampled": sum(len(d) for d in counts)},
+        info={"distinct_sampled": total},
     )
 
 

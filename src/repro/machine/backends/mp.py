@@ -35,9 +35,7 @@ SimBackend` exactly -- reductions gather all contributions and combine
 them in binomial-tree order, scans combine in rank order -- so every
 value collective (and with it all the package's pipelines) is
 bit-identical to the simulated run, including floating-point
-reductions.  The one carve-out is :meth:`Machine.aggregate_exchange`
-with *float* values, whose merge association differs between routing
-paths (integer counts, the package-wide case, stay bit-identical).
+reductions.
 
 Caveats
 -------

@@ -404,16 +404,15 @@ def _collective_signature(req: tuple) -> tuple:
 
     Kind plus whatever shapes the exchange: the reduction op for the
     reducing collectives (named ops compare as strings, callables by
-    their ``__name__``) and the declared sender set for ``sendrecv``.
-    Payload contents stay out -- they legitimately differ per rank.
+    their ``__name__``).  Payload contents stay out -- they legitimately
+    differ per rank, and so does the sender set a ``sendrecv`` declares
+    (a hypercube hop names its partner).
     """
     kind = req[0]
     if kind in ("allreduce", "allreduce_exscan"):
         op = req[2]
         return (kind, op if isinstance(op, str)
                 else getattr(op, "__name__", type(op).__name__))
-    if kind == "sendrecv":
-        return (kind, tuple(sorted(req[2])))
     return (kind,)
 
 

@@ -35,10 +35,7 @@ result values), which is delegated to the machine's backend:
     One OS worker process per PE; payloads physically move between the
     workers, so the same SPMD call sites execute with genuine
     parallelism.  Results are bit-identical to ``"sim"`` (identical
-    combination orders) for every value collective; the one exception
-    is :meth:`Machine.aggregate_exchange` with float values, whose
-    merge association differs between the routing paths (integer
-    counts, the package-wide case, are exactly identical).  The
+    combination orders).  The
     meaningful extra metric is **wall-clock**
     (``machine.backend.wall_time`` and the bench harness's ``wall_s``
     column); modeled cost is still charged so both views stay
@@ -699,24 +696,24 @@ class Machine:
         Returns
         -------
         Per-PE dict holding exactly the keys owned by that PE, with all
-        contributions merged.  Keys are in canonical (sorted) order, so
-        the result is identical no matter which routing path or backend
-        delivered it -- exactly identical for order-insensitive merges
-        (integer counts, the package-wide case); float-valued merges can
-        differ in the last ulp between routing paths because the
-        hypercube path associates additions differently than direct
-        delivery.
+        contributions merged, keys in canonical (sorted) order.  The
+        hypercube walk runs in the driver on every backend (the dicts
+        come from and return to the driver anyway; only the direct
+        delivery off the powers of two is a list-of-p ``alltoall``), so
+        results and modeled cost are backend-independent.  The
+        pipelines proper count where the
+        data lives (:mod:`repro.frequent.dht`, whose rounds are charged
+        through the same :meth:`_meter_dht_round`); this form remains
+        for the dSBF refinement's 1.5-word entries and as their oracle.
         """
         self._check_len(dicts, "aggregate_exchange")
         p = self.p
         if p == 1:
             merged: dict = {}
-            # repro-lint: disable=RL002 -- re-keyed merge; _canonical_dict sorts the result (see docstring: float combines may differ in the last ulp)
             for k, v in dicts[0].items():
                 merged[k] = combine_values(merged[k], v) if k in merged else v
             return [_canonical_dict(merged)]
 
-        # Pre-split each PE's dict by destination
         owner_cache: dict = {}
 
         def _owner(k):
@@ -732,80 +729,55 @@ class Machine:
         if p & (p - 1) != 0:
             return self._aggregate_direct(dicts, _owner, combine_values, words_per_entry)
 
-        # hypercube routing with merge-on-the-way
-        held: list[dict[int, dict]] = []  # held[i][dest] -> dict for dest
+        def merge_into(tgt: dict, bucket: dict) -> None:
+            for k, v in bucket.items():
+                tgt[k] = combine_values(tgt[k], v) if k in tgt else v
+
+        # hypercube routing with merge-on-the-way;
+        # held[i][dest] is the bucket parked at i on its way to dest
+        held: list[dict[int, dict]] = []
         for i in range(p):
             byd: dict[int, dict] = {}
-            # repro-lint: disable=RL002 -- destination split re-keys every entry; bucket order is canonicalized at delivery
             for k, v in dicts[i].items():
-                d = _owner(k)
-                bucket = byd.setdefault(d, {})
-                bucket[k] = combine_values(bucket[k], v) if k in bucket else v
+                byd.setdefault(_owner(k), {})[k] = v
             held.append(byd)
 
-        # A real backend additionally ships the pre-aggregated buckets to
-        # their owners; snapshot them now (copies -- the walk below merges
-        # into these dicts) so the physical delivery reuses the split
-        # instead of re-splitting every entry.
-        wire_matrix = None
-        if self.backend.is_real:
-            wire_matrix = [[None] * p for _ in range(p)]
-            for i in range(p):
-                # repro-lint: disable=RL002 -- snapshot indexed by destination, not order-dependent
-                for d, bucket in held[i].items():
-                    wire_matrix[i][d] = dict(bucket)
-
-        dims = log2_ceil(p)
-        for r in range(dims):
+        for r in range(log2_ceil(p)):
             bit = 1 << r
-            edges = []
-            max_words = 0.0
-            outgoing: list[dict[int, dict]] = [dict() for _ in range(p)]
-            for i in range(p):
-                partner = i ^ bit
-                send: dict[int, dict] = {}
-                n_entries = 0
-                for d in [d for d in held[i] if (d ^ i) & bit]:
-                    bucket = held[i].pop(d)
-                    send[d] = bucket
-                    n_entries += len(bucket)
-                if send:
-                    words = words_per_entry * n_entries
-                    edges.append((i, partner, words))
-                    max_words = max(max_words, words)
-                    # repro-lint: disable=RL002 -- hypercube forward merge re-keys per destination; final dicts are canonicalized (documented last-ulp caveat for float combines)
-                    for d, bucket in send.items():
-                        tgt = outgoing[partner].setdefault(d, {})
-                        # repro-lint: disable=RL002 -- see above
-                        for k, v in bucket.items():
-                            tgt[k] = combine_values(tgt[k], v) if k in tgt else v
-            # merge deliveries into recipients
-            merge_ops = np.zeros(p, dtype=np.float64)
-            for i in range(p):
-                # repro-lint: disable=RL002 -- delivery merge re-keys per destination; final dicts are canonicalized
-                for d, bucket in outgoing[i].items():
-                    tgt = held[i].setdefault(d, {})
-                    # repro-lint: disable=RL002 -- see above
-                    for k, v in bucket.items():
-                        tgt[k] = combine_values(tgt[k], v) if k in tgt else v
-                    # merge work: one hash probe per entry
-                    merge_ops[i] += len(bucket)
-            self.charge_ops(merge_ops)
-            if edges:
-                self.metrics.record_schedule(edges, "dht_exchange")
-            self.clock.sync_collective(self.cost.alpha + self.cost.beta * max_words)
-
-        out = [held[i].get(i, {}) for i in range(p)]
-        if wire_matrix is not None:
-            # The hypercube walk above is the charging model; on a real
-            # backend the (already aggregated) buckets additionally make
-            # the physical trip to their owners through the workers.
-            received = self.backend.alltoall(wire_matrix)
-            out = [
-                self._merge_received(received[j], combine_values)[0]
-                for j in range(p)
+            moving = [
+                {d: held[i].pop(d) for d in [d for d in held[i] if (d ^ i) & bit]}
+                for i in range(p)
             ]
-        return [_canonical_dict(d) for d in out]
+            for i in range(p):
+                for d, bucket in moving[i].items():
+                    merge_into(held[i ^ bit].setdefault(d, {}), bucket)
+            self._meter_dht_round(
+                bit,
+                [sum(len(b) for b in moving[i].values()) for i in range(p)],
+                words_per_entry,
+            )
+        return [_canonical_dict(held[i].get(i, {})) for i in range(p)]
+
+    def _meter_dht_round(
+        self, bit: int, sent: Sequence[int], words_per_entry: float = 2.0
+    ) -> None:
+        """Control plane of one hypercube round of the hash-table
+        exchange: PE ``i`` ships ``sent[i]`` (key, value) entries to PE
+        ``i ^ bit``, which merges them into its table (one probe per
+        entry); only non-empty messages are metered."""
+        entries = np.asarray(sent, dtype=np.float64)
+        partners = np.arange(self.p) ^ bit
+        self.charge_ops(entries[partners])
+        words = words_per_entry * entries
+        edges = [
+            (int(i), int(partners[i]), float(words[i]))
+            for i in np.flatnonzero(entries)
+        ]
+        if edges:
+            self.metrics.record_schedule(edges, "dht_exchange")
+        self.clock.sync_collective(
+            self.cost.alpha + self.cost.beta * float(words.max(initial=0.0))
+        )
 
     def _split_by_owner(self, dicts, owner_fn, combine_values, make_bucket):
         """Per-PE destination matrix: ``matrix[i][d]`` holds PE ``i``'s
@@ -911,7 +883,17 @@ class Machine:
         * ``("broadcast", w, root)`` -- a rooted broadcast of ``w``
           words (replicated entries),
         * ``("gather", w, root)`` -- a tree gather where ``w`` is *this
-          rank's* contribution (per-rank word counts, shared ``root``).
+          rank's* contribution (per-rank word counts, shared ``root``),
+        * ``("reduce_allgather", w, m)`` -- the fused
+          :meth:`reduce_allgather`: this rank's ``w`` gathered words
+          with an ``m``-word reduction accumulator riding every edge
+          (``m`` replicated),
+        * ``("alltoall", row)`` -- a direct personalized exchange;
+          ``row[j]`` is the word count this rank sends to PE ``j``,
+        * ``("dht_round", bit, n)`` -- one hypercube round of the
+          hash-table exchange (:meth:`_meter_dht_round`): this rank
+          ships ``n`` two-word (key, count) entries to PE ``rank ^
+          bit``, which merges them (``bit`` replicated).
 
         Modeled time and metered volume are identical on every backend
         because the log contains only small scalars.
@@ -940,6 +922,18 @@ class Machine:
                 self._meter_gather(
                     [float(logs[i][t][1]) for i in range(self.p)],
                     int(logs[0][t][2]),
+                )
+            elif kind == "reduce_allgather":
+                self._meter_allgather(
+                    words=[float(logs[i][t][1]) for i in range(self.p)],
+                    extra_words=float(logs[0][t][2]),
+                    kind="reduce_allgather",
+                )
+            elif kind == "alltoall":
+                self._meter_alltoall([logs[i][t][1] for i in range(self.p)])
+            elif kind == "dht_round":
+                self._meter_dht_round(
+                    int(logs[0][t][1]), [logs[i][t][2] for i in range(self.p)]
                 )
             else:
                 raise ValueError(f"unknown charge-log entry kind {kind!r}")

@@ -36,9 +36,10 @@ import numpy as np
 
 from ..common.ordering import BOTTOM, TOP
 from ..common.validation import check_rank_range
-from ..machine import Machine
-from .accessors import SortedSequence, as_sorted_seq
-from .sorted_select import ms_select_with_cuts
+from ..machine import DistArray, Machine
+from ..machine.metrics import payload_words
+from .accessors import as_sorted_seq
+from .sorted_select import ms_select_with_cuts, ms_select_with_cuts_gen
 
 __all__ = ["ams_select", "ams_select_batched", "AmsResult"]
 
@@ -95,107 +96,52 @@ def ams_select(
 ) -> AmsResult:
     """Select the k̂ smallest elements with ``k_lo <= k̂ <= k_hi``.
 
+    ``seqs`` is one sorted sequence per PE (arrays or
+    :class:`SortedSequence` adapters, which ride along with the
+    command) or a :class:`~repro.machine.DistArray` of sorted chunks
+    (which stay where they are).  The whole of :func:`ams_select_gen`
+    runs as one worker command.
+
     Expected ``O(log k_hi + alpha log p)`` when
     ``k_hi - k_lo = Omega(k_hi)`` (Theorem 3).  Falls back to exact
-    :func:`~repro.selection.sorted_select.ms_select_with_cuts` (rank
-    ``k_lo``) after ``max_rounds`` unsuccessful estimator rounds, which
-    keeps the worst case terminating without affecting the expectation.
+    multisequence selection (rank ``k_lo``) after ``max_rounds``
+    unsuccessful estimator rounds, which keeps the worst case
+    terminating without affecting the expectation.
     """
-    seqs = [as_sorted_seq(s) for s in seqs]
     p = machine.p
-    if len(seqs) != p:
-        raise ValueError(f"need one sequence per PE (p={p}, got {len(seqs)})")
-    n = int(machine.allreduce([len(s) for s in seqs], op="sum")[0])
-    k_lo, k_hi = check_rank_range(k_lo, k_hi, n)
-
-    # window state: accepted[i] elements of PE i are already committed to
-    # the output; [lo, hi) is the remaining candidate window
-    lo = [0] * p
-    hi = [len(s) for s in seqs]
-    accepted = [0] * p
-    accepted_total = 0
-    cur_lo, cur_hi, cur_n = k_lo, k_hi, n  # relative to remaining windows
-
-    # per-PE estimator draws from one counter-addressed allocation
+    if isinstance(seqs, DistArray):
+        refs, lead, n = [seqs._ensure_ref()], [()] * p, seqs.global_size
+    else:
+        seqs = [as_sorted_seq(s) for s in seqs]
+        if len(seqs) != p:
+            raise ValueError(f"need one sequence per PE (p={p}, got {len(seqs)})")
+        refs, lead, n = [], [(s,) for s in seqs], sum(len(s) for s in seqs)
+    check_rank_range(k_lo, k_hi, n)  # fail driver-side
     addr = machine.draw_addr()
-    gens = [addr.local(i) for i in range(p)]
-
-    for rnd in range(1, max_rounds + 1):
-        v = _draw_pivot(machine, seqs, lo, hi, cur_lo, cur_hi, cur_n, gens)
-        if v is None:  # no PE produced a sample: retry
-            continue
-
-        j = []
-        for i in range(p):
-            le = int(np.clip(seqs[i].count_le(v), lo[i], hi[i])) - lo[i]
-            j.append(le)
-            machine.charge_ops_one(i, np.log2(max(hi[i] - lo[i], 2)))
-        count = int(machine.allreduce(j, op="sum")[0])
-
-        if count < cur_lo:
-            # everything <= v is accepted; recurse above it
-            for i in range(p):
-                accepted[i] += j[i]
-                lo[i] += j[i]
-            accepted_total += count
-            cur_lo -= count
-            cur_hi -= count
-            cur_n -= count
-        elif count > cur_hi:
-            for i in range(p):
-                hi[i] = lo[i] + j[i]
-            cur_n = count
-        else:
-            cuts = tuple(accepted[i] + j[i] for i in range(p))
-            return AmsResult(v, accepted_total + count, cuts, rnd)
-
-    # Safety net: exact selection of rank cur_lo among the remaining windows
-    value, cuts = _exact_fallback(machine, seqs, lo, hi, accepted, cur_lo)
-    return AmsResult(value, accepted_total + cur_lo, cuts, max_rounds, True)
+    _, vals = machine.backend.run_spmd(
+        _ams_kernel, refs,
+        args=[(*lead[i], p, k_lo, k_hi, addr, max_rounds) for i in range(p)],
+    )
+    machine.replay_charges([v[-1] for v in vals])
+    value, k_hat, _, rounds, fallback, _ = vals[0]
+    return AmsResult(value, k_hat, tuple(v[2] for v in vals), rounds, fallback)
 
 
-def _draw_pivot(machine, seqs, lo, hi, cur_lo, cur_hi, cur_n, gens):
-    """One estimator round: geometric deviate per PE + min/max reduction.
+def _ams_kernel(rank: int, seq, p: int, k_lo: int, k_hi: int, addr,
+                max_rounds: int):
+    """:func:`ams_select_gen` as one worker command: the estimator
+    rounds draw from this PE's counter-addressed stream, the exact
+    fallback from the shared one."""
+    log: list = []
+    result = yield from ams_select_gen(
+        rank, p, as_sorted_seq(seq), k_lo, k_hi, addr.local(rank),
+        addr.shared(), log, max_rounds=max_rounds,
+    )
+    return (*result, log)
 
-    ``gens[i]`` is PE ``i``'s counter-addressed stream for this call."""
-    p = machine.p
-    use_min = cur_lo < cur_n - cur_hi
-    if use_min:
-        rho = _min_based_rate(cur_lo, cur_hi)
-        picks = []
-        for i in range(p):
-            size = hi[i] - lo[i]
-            x = int(gens[i].geometric(rho)) if rho < 1.0 else 1
-            picks.append(seqs[i].item(lo[i] + x - 1) if 1 <= x <= size else TOP)
-            machine.charge_ops_one(i, np.log2(max(size, 2)))
-        v = machine.allreduce(picks, op="min")[0]
-        return None if v is TOP else v
-    rho = _max_based_rate(cur_lo, cur_hi, cur_n)
-    picks = []
-    for i in range(p):
-        size = hi[i] - lo[i]
-        x = int(gens[i].geometric(rho)) if rho < 1.0 else 1
-        picks.append(seqs[i].item(hi[i] - x) if 1 <= x <= size else BOTTOM)
-        machine.charge_ops_one(i, np.log2(max(size, 2)))
-    v = machine.allreduce(picks, op="max")[0]
-    return None if v is BOTTOM else v
-
-
-def _exact_fallback(machine, seqs, lo, hi, accepted, k_rel):
-    """Exact rank-``k_rel`` selection on the remaining windows."""
-    windows = [_SeqWindow(seqs[i], lo[i], hi[i]) for i in range(machine.p)]
-    value, rel_cuts = ms_select_with_cuts(machine, windows, k_rel)
-    cuts = tuple(accepted[i] + rel_cuts[i] for i in range(machine.p))
-    return value, cuts
-
-
-# ----------------------------------------------------------------------
-# SPMD generator form (resident execution inside backend workers)
-# ----------------------------------------------------------------------
 
 class _SeqWindow:
-    """Window view of a sorted-sequence adapter (kernel-side helper for
-    the exact fallback of :func:`ams_select_gen`)."""
+    """Window view of a sorted-sequence adapter (for the exact fallbacks)."""
 
     __slots__ = ("seq", "lo", "hi")
 
@@ -213,7 +159,7 @@ class _SeqWindow:
 
 
 def ams_select_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log, *, max_rounds=60):
-    """SPMD generator form of :func:`ams_select` over per-rank views.
+    """:func:`ams_select` over per-rank views, as an SPMD generator.
 
     ``local_rng`` is this rank's stream and ``shared_rng`` the
     replicated one, both derived by the calling kernel from a counter
@@ -222,9 +168,6 @@ def ams_select_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log, *, max_
     collectives, appends charge entries to ``log`` and returns
     ``(value, k_hat, cut, rounds, exact_fallback)``.
     """
-    from ..machine.metrics import payload_words
-    from .sorted_select import ms_select_with_cuts_gen
-
     totals = yield ("allreduce", len(seq), "sum")
     log.append(("allreduce", 1))
     n = int(totals)
@@ -385,5 +328,8 @@ def ams_select_batched(
                 hi[i] = max(lo[i], le)
             cur_n = int(machine.allreduce([hi[i] - lo[i] for i in range(p)], op="sum")[0])
 
-    value, cuts = _exact_fallback(machine, seqs, lo, hi, accepted, cur_lo)
+    # safety net: exact selection of rank cur_lo in the remaining windows
+    windows = [_SeqWindow(seqs[i], lo[i], hi[i]) for i in range(p)]
+    value, rel_cuts = ms_select_with_cuts(machine, windows, cur_lo)
+    cuts = tuple(accepted[i] + rel_cuts[i] for i in range(p))
     return AmsResult(value, accepted_total + cur_lo, cuts, max_rounds, True)

@@ -21,10 +21,10 @@ wire, never index sets or generator state), shares the sample union in
 an in-worker allgather, three-way partitions locally and combines the
 two-word counts in an in-worker all-reduction; the level loop, the
 duplicate-pivot early exit and the residual base case all run in the
-workers.  Only the value and one small record per level return, from
-which the driver replays the cost model in the order a step-by-step
-driver would have charged it -- one driver send per call, modeled cost
-bit-identical on every backend.
+workers.  Only the value and each PE's small charge log return, from
+which the driver replays the cost model (:meth:`Machine.replay_charges`)
+in the order a step-by-step driver would have charged it -- one driver
+send per call, modeled cost bit-identical on every backend.
 
 Expected running time ``O(n/p + beta * min(sqrt(p) log_p n, n/p)
 + alpha * log n)`` (Theorem 1); for constant alpha/beta this is
@@ -57,12 +57,18 @@ class SelectionStats:
     base_case_size: int
 
 
+def default_base_case(p: int) -> int:
+    """Residual size below which the recursion finishes sequentially."""
+    return int(max(64, 4 * np.sqrt(p)))
+
+
 # ----------------------------------------------------------------------
 # Resident worker callbacks (module-level so real backends can ship them)
 # ----------------------------------------------------------------------
 
-def _select_kernel(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
-                   sample_factor: float, base_case: int, max_rounds: int):
+def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
+                   sample_factor: float, base_case: int, max_rounds: int,
+                   log: list):
     """The whole recursion of Algorithm 1, executed where the chunk lives.
 
     SPMD generator.  Per level: draw the Bernoulli(rho) sample *in the
@@ -77,35 +83,37 @@ def _select_kernel(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
     base_case`` (or after ``max_rounds`` levels) the residual elements
     are shared and sorted and rank ``k`` read off.
 
-    Returns ``(value, levels, base_words)``: one ``(local_size, rho,
-    sample_words, sample_total)`` record per level (``sample_total ==
-    0`` flags an empty-sample level, which keeps the slice and retries)
-    and this PE's residual size, or ``None`` after the duplicate-pivot
-    early exit.
+    Every charge a step-by-step driver would make is appended to
+    ``log`` for :meth:`Machine.replay_charges`, in that driver's order.
+    Returns ``(value, rounds, sample_total, base_case_size)``.
     """
-    levels: list[tuple] = []
-    while n > base_case and len(levels) < max_rounds:
+    rounds = sample_total = 0
+    while n > base_case and rounds < max_rounds:
         # Bernoulli sampling at rate sqrt(p)/n on every PE (Theorem 1)
         rho = min(1.0, sample_factor * np.sqrt(p) / n)
         idx = bernoulli_sample_indices(
-            addr.local(rank, draw=len(levels)), int(chunk.size), rho
+            addr.local(rank, draw=rounds), int(chunk.size), rho
         )
+        rounds += 1
         sample = chunk.copy() if idx is None else chunk[idx]
+        log.append(("ops", max(1.0, rho * int(chunk.size))))
         gathered = yield ("allgather", sample)
+        log.append(("allgather", payload_words(sample)))
         nonempty = [s for s in gathered if s.size]
         if not nonempty:
-            levels.append((int(chunk.size), rho, payload_words(sample), 0))
-            continue
+            continue  # empty sample union: keep the slice and retry
         # the "fast inefficient sorting" of Section 2: the replicated
         # union (expected O(sqrt(p)) words per PE) is sorted locally
         union = np.sort(np.concatenate(nonempty))
+        s_total = int(union.size)
+        log.append(("ops", s_total * np.log2(max(s_total, 2))))
+        sample_total += s_total
         lo_p, hi_p = fr_pivots(union, k, n)
         part_lo, part_mid, part_hi = partition3(chunk, lo_p, hi_p)
+        log.append(("ops", float(chunk.size)))
         counts = np.array([part_lo.size, part_mid.size], dtype=np.int64)
         totals = yield ("allreduce", counts, "sum")
-        levels.append(
-            (int(chunk.size), rho, payload_words(sample), int(union.size))
-        )
+        log.append(("allreduce", 2))
         na, nb = int(totals[0]), int(totals[1])
         if na >= k:
             chunk, n = part_lo, na
@@ -113,15 +121,30 @@ def _select_kernel(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
             chunk, k, n = part_hi, k - na - nb, n - na - nb
         elif lo_p == hi_p:
             # rank k falls inside a run of duplicates of the pivot
-            return lo_p.item(), levels, None
+            return lo_p.item(), rounds, sample_total, 0
         else:
             chunk, k, n = part_mid, k - na, nb
     # base case: the data plane shares the residual elements with every
     # PE (one dissemination); the model charges gather + sort on PE 0 +
-    # broadcast, as the driver replays it
+    # broadcast
     gathered = yield ("allgather", chunk)
     rest = np.sort(np.concatenate([c for c in gathered if c.size]))
-    return rest[min(k, rest.size) - 1].item(), levels, int(chunk.size)
+    value = rest[min(k, rest.size) - 1].item()
+    rest_size = int(rest.size)
+    log.append(("gather", int(chunk.size), 0))
+    log.append(
+        ("ops", rest_size * np.log2(max(rest_size, 2)) if rank == 0 else 0.0)
+    )
+    log.append(("broadcast", payload_words(value), 0))
+    return value, rounds, sample_total, rest_size
+
+
+def _select_kernel(rank: int, chunk: np.ndarray, *args):
+    """:func:`select_kth_gen` as one worker command: the selection's
+    result plus this PE's charge log."""
+    log: list = []
+    stats = yield from select_kth_gen(rank, chunk, *args, log)
+    return stats, log
 
 
 def _topk_cut_kernel(rank: int, chunk: np.ndarray, threshold, k: int):
@@ -185,7 +208,7 @@ def select_kth(
     n = data.global_size
     k = check_rank(k, n)
     if base_case is None:
-        base_case = int(max(64, 4 * np.sqrt(p)))
+        base_case = default_base_case(p)
 
     # One all-reduction establishes the global size (the driver tracks
     # the sizes, so it is charged through the meter); afterwards every
@@ -201,31 +224,9 @@ def select_kth(
         [data._ensure_ref()],
         args=[(p, addr, k, n, sample_factor, base_case, max_rounds)] * p,
     )
-    value, levels, base_words = vals[0]
-    # re-play the model from the small returned records, in the same
-    # order a step-by-step driver would have charged it
-    sample_total = 0
-    for level in zip(*(v[1] for v in vals)):  # level[i]: PE i's record
-        sizes = [rec[0] for rec in level]
-        _, rho, _, s_total = level[0]
-        machine.charge_ops([max(1.0, rho * s) for s in sizes])
-        machine._meter_allgather(words=[rec[2] for rec in level])
-        if s_total == 0:
-            continue
-        machine.charge_ops(s_total * np.log2(max(s_total, 2)))
-        sample_total += s_total
-        machine.charge_ops(np.asarray(sizes, dtype=np.float64))
-        machine._meter_allreduce(words=2)
-    rest_size = 0
-    if base_words is not None:
-        # the residual problem: gathered to PE 0, solved, broadcast
-        machine._meter_gather([v[2] for v in vals], root=0)
-        rest_size = sum(v[2] for v in vals)
-        machine.charge_ops_one(0, rest_size * np.log2(max(rest_size, 2)))
-        machine._meter_broadcast(payload_words(value), root=0)
-    if return_stats:
-        return SelectionStats(value, len(levels), sample_total, rest_size)
-    return value
+    machine.replay_charges([log for _, log in vals])
+    stats = SelectionStats(*vals[0][0])
+    return stats if return_stats else stats.value
 
 
 def select_topk_smallest(

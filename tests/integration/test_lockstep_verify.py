@@ -111,3 +111,18 @@ def test_verify_off_by_default():
         assert m.backend.verify is False
     with Machine(p=2, seed=3, backend="mp", verify=True) as m:
         assert m.backend.verify is True
+
+
+@pytest.mark.parametrize("backend", ["mp", "tcp"])
+def test_sendrecv_sender_sets_are_rank_personal(backend):
+    """A sparse exchange names different senders on different ranks;
+    that is its shape, not a divergence (verify=True used to reject
+    every redistribution)."""
+    from repro.machine import DistArray
+    from repro.redistribution import redistribute
+
+    with Machine(p=4, seed=3, backend=backend, verify=True) as m:
+        sizes = [100, 10, 5, 300]
+        data = DistArray(m, [np.arange(n) for n in sizes], resident=True)
+        out, _ = redistribute(m, data)
+        assert int(out.sizes().max()) <= -(-sum(sizes) // 4)

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frequent import count_into_dht, take_topk_entries
+from repro.common.hashing import key_owner, make_owner_fn
+from repro.frequent import count_into_dht, local_key_counts, take_topk_entries
 from repro.machine import Machine
 
 key_chunks = st.lists(
@@ -48,3 +49,44 @@ class TestTopkEntries:
         oracle = sorted(expect.items(), key=lambda t: (-t[1], t[0]))
         assert items == oracle[: len(items)]
         assert len(items) == min(k, len(oracle))
+
+
+def _all_on_one_owner(p, salt, n):
+    """``n`` distinct keys that hash to PE 0."""
+    keys = np.arange(-200, 4000, dtype=np.int64)
+    return keys[key_owner(keys, p, salt) == 0][:n]
+
+
+class TestArrayTableAgainstDictWalk:
+    """The array-backed table that is merged hop by hop in the workers
+    against :meth:`Machine.aggregate_exchange`'s dict walk: the same
+    tables on the same owners at the same modeled cost, on empty PEs,
+    heavy duplicates, every key on one owner, and any ``p``."""
+
+    @given(
+        st.lists(
+            st.lists(st.integers(-40, 40), max_size=80), min_size=1, max_size=8
+        ),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_tables_same_cost(self, chunks, salt, one_owner):
+        p = len(chunks)
+        samples = [np.array(c, dtype=np.int64) for c in chunks]
+        if one_owner:
+            pool = _all_on_one_owner(p, salt, 81)
+            samples = [pool[s + 40] for s in samples]
+        walked, counted = Machine(p=p, seed=8), Machine(p=p, seed=8)
+        local = [local_key_counts(walked, i, s) for i, s in enumerate(samples)]
+        want = walked.aggregate_exchange(local, make_owner_fn(p, salt=salt))
+        got = count_into_dht(counted, samples, salt=salt)
+        assert got == want
+        assert [list(d) for d in got] == [sorted(d) for d in got]
+        if one_owner:
+            assert all(not d for d in got[1:])
+        a, b = walked.report(), counted.report()
+        assert (a.makespan, a.work_time, a.comm_time, a.bottleneck_words,
+                a.bottleneck_startups, a.total_traffic) == (
+                b.makespan, b.work_time, b.comm_time, b.bottleneck_words,
+                b.bottleneck_startups, b.total_traffic)

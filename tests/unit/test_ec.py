@@ -48,6 +48,14 @@ class TestExactCountKeys:
         assert counts[1] == true.get(1, 0)
 
 
+    def test_no_keys(self, machine):
+        """An empty key set used to raise IndexError on every p."""
+        data = zipf_data(machine, 500, universe=64)
+        for keys in ([], np.empty(0, dtype=np.int64)):
+            counts = exact_count_keys(machine, data, keys)
+            assert counts.dtype == np.int64 and counts.size == 0
+
+
 class TestOptimalKStar:
     def test_at_least_k(self):
         assert optimal_k_star(10**6, 32, 64, 1e-3, 1e-4) >= 32

@@ -46,6 +46,19 @@ class TestOwnerFn:
         for i in range(50):
             assert fn(i) == owners[i]
 
+    @pytest.mark.parametrize("keys", [
+        np.array([-1, -5, -2**63, 0, 7, 2**63 - 1], dtype=np.int64),
+        np.array([0, 5, 2**63, 2**63 + 12345, 2**64 - 1], dtype=np.uint64),
+        np.array([-7, 3, -2**31], dtype=np.int32),
+    ], ids=["negative-int64", "uint64-above-2**63", "int32"])
+    @pytest.mark.parametrize("salt", [0, 12345, 0xD5C0, 2**70 + 3])
+    def test_array_form_equals_scalar_form_on_dtype_extremes(self, keys, salt):
+        """Negative and >= 2**63 keys hash by their 64-bit pattern, with
+        every salt, in both forms."""
+        for p in (1, 3, 8):
+            fn = make_owner_fn(p, salt=salt)
+            assert key_owner(keys, p, salt).tolist() == [fn(int(x)) for x in keys]
+
     def test_salt_changes_placement(self):
         a = make_owner_fn(64, salt=0)
         b = make_owner_fn(64, salt=999)

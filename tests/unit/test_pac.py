@@ -7,6 +7,7 @@ from repro.common import zipf_sample
 from repro.frequent import (
     exact_counts_oracle,
     pac_error,
+    top_k_frequent_ec,
     top_k_frequent_exact,
     top_k_frequent_pac,
 )
@@ -104,3 +105,34 @@ class TestPacError:
 
     def test_empty(self):
         assert pac_error([], {}, 3) == 0
+
+
+PIPELINES = [
+    lambda m, d, k: top_k_frequent_pac(m, d, k, rho=1.0),
+    lambda m, d, k: top_k_frequent_ec(m, d, k, eps=0.3, delta=0.1),
+    top_k_frequent_exact,
+]
+
+
+@pytest.mark.parametrize("fn", PIPELINES, ids=["pac", "ec", "exact"])
+class TestArguments:
+    def test_k_checked_up_front(self, machine8, fn):
+        for n in (0, 50):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                fn(machine8, zipf_data(machine8, n), 0)
+
+    def test_float_keys_rejected(self, machine8, fn):
+        """0.5 and 0.9 used to collapse to key 0."""
+        data = DistArray(machine8, [np.array([0.5, 0.9, 0.9])] * 8)
+        with pytest.raises(ValueError, match="integer dtype"):
+            fn(machine8, data, 2)
+
+    @pytest.mark.parametrize("dtype,heavy,light", [
+        (np.uint64, 2**63 + 5, 2**64 - 1),
+        (np.int64, -5, -2**63),
+    ], ids=["uint64-above-2**63", "negative-int64"])
+    def test_dtype_extremes_keep_their_keys(self, machine, fn, dtype, heavy, light):
+        chunk = np.array([heavy] * 7 + [light] * 5 + [3] * 3, dtype=dtype)
+        data = DistArray(machine, [chunk] * machine.p)
+        res = fn(machine, data, 2)
+        assert res.items == ((heavy, 7.0 * machine.p), (light, 5.0 * machine.p))

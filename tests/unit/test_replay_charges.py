@@ -69,6 +69,74 @@ def test_scan_entry_matches_direct_call(p):
     _assert_same_model(direct, replayed)
 
 
+@pytest.mark.parametrize("p", PS)
+def test_reduce_allgather_entry_matches_direct_call(p):
+    direct, replayed = Machine(p=p), Machine(p=p)
+    payloads = [list(range(2 * i + 1)) for i in range(p)]
+    direct.reduce_allgather([7] * p, payloads)
+    replayed.replay_charges(
+        [[("reduce_allgather", payload_words(payloads[i]), 1)] for i in range(p)]
+    )
+    _assert_same_model(direct, replayed)
+
+
+def _buckets(p):
+    """Per-PE key -> count dicts and their split by owner ``key % p``."""
+    rng = np.random.default_rng(p)
+    dicts = [
+        {int(k): int(k) % 7 + 1 for k in rng.choice(400, size=30 + 9 * i, replace=False)}
+        for i in range(p)
+    ]
+    split = [[{k: v for k, v in d.items() if k % p == j} for j in range(p)]
+             for d in dicts]
+    return dicts, split
+
+
+@pytest.mark.parametrize("p", [3, 5, 6])
+def test_alltoall_entries_match_direct_aggregate_exchange(p):
+    """Off the powers of two the hash-table exchange delivers directly:
+    one ``alltoall`` entry (two words per entry sent to each owner) and
+    the owners' merge work."""
+    direct, replayed = Machine(p=p), Machine(p=p)
+    dicts, split = _buckets(p)
+    direct.aggregate_exchange(dicts, lambda k: k % p)
+    replayed.replay_charges([
+        [
+            ("alltoall", tuple(2 * len(b) for b in split[i])),
+            ("ops", sum(len(split[src][i]) for src in range(p))),
+        ]
+        for i in range(p)
+    ])
+    _assert_same_model(direct, replayed)
+    assert replayed.clock.makespan > 0
+
+
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_dht_round_entries_match_aggregate_exchange_walk(p):
+    """One ``dht_round`` entry per hypercube round: the entries this
+    rank hands its partner (merged on the way, so a key that met its
+    twin at an earlier hop counts once)."""
+    direct, replayed = Machine(p=p), Machine(p=p)
+    dicts, split = _buckets(p)
+    direct.aggregate_exchange(dicts, lambda k: k % p)
+    held = [[set(b) for b in split[i]] for i in range(p)]  # [pe][owner]
+    logs = [[] for _ in range(p)]
+    bit = 1
+    while bit < p:
+        leaving = [
+            {j: held[i][j] for j in range(p) if (j ^ i) & bit} for i in range(p)
+        ]
+        for i in range(p):
+            logs[i].append(("dht_round", bit, sum(map(len, leaving[i].values()))))
+            for j, keys in leaving[i].items():
+                held[i ^ bit][j] = held[i ^ bit][j] | keys
+                held[i][j] = set()
+        bit <<= 1
+    replayed.replay_charges(logs)
+    _assert_same_model(direct, replayed)
+    assert replayed.metrics.by_kind["dht_exchange"] > 0
+
+
 @pytest.mark.parametrize("p", [2, 5, 8])
 def test_mixed_log_matches_direct_sequence(p):
     """Interleaved ops + collectives replay in execution order."""

@@ -37,6 +37,18 @@ class TestDistKeyValue:
         with pytest.raises(ValueError, match="non-negative"):
             DistKeyValue(machine8, [np.arange(2)] * 8, [np.array([-1.0, 1.0])] * 8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, machine8, bad):
+        """NaN passes a ``< 0`` check; the pipelines then answered ``()``
+        under RuntimeWarnings."""
+        with pytest.raises(ValueError, match="finite"):
+            DistKeyValue(machine8, [np.arange(2)] * 8, [np.array([1.0, bad])] * 8)
+
+    def test_float_keys_rejected(self, machine8):
+        """0.5 and 0.9 used to collapse to key 0."""
+        with pytest.raises(ValueError, match="integer dtype"):
+            DistKeyValue(machine8, [np.array([0.5, 0.9])] * 8, [np.ones(2)] * 8)
+
     def test_local_aggregate(self, machine8):
         kv = DistKeyValue(
             machine8,
@@ -137,6 +149,13 @@ class TestEcSum:
         res = top_k_sums_ec(machine8, kv, 4, k_star=32)
         assert res.k_star == 32
 
+    def test_negative_keys(self, machine):
+        keys = np.array([-5] * 7 + [-2**63] * 5 + [3] * 3, dtype=np.int64)
+        kv = DistKeyValue(machine, [keys] * machine.p, [np.ones(keys.size)] * machine.p)
+        res = top_k_sums_ec(machine, kv, 2, eps=0.3, delta=0.1)
+        assert res.items == ((-5, 7.0 * machine.p), (-2**63, 5.0 * machine.p))
+        assert top_k_sums_pac(machine, kv, 2, eps=0.3, delta=0.1).keys == (-5, -2**63)
+
     def test_no_second_input_scan_needed(self, machine8):
         """EC-sum answers exact sums from the aggregation tables; the
         communication for it is just the k*-vector reduction."""
@@ -145,3 +164,18 @@ class TestEcSum:
         top_k_sums_ec(machine8, kv, 8, k_star=32)
         # candidate identities + exact count vectors: O(k*) words/PE
         assert machine8.metrics.bottleneck_words < 4000
+
+
+class TestArguments:
+    @pytest.mark.parametrize("fn", [top_k_sums_pac, top_k_sums_ec])
+    def test_k_checked_up_front(self, machine8, fn):
+        """``top_k_sums_ec(k=0)`` used to answer ``()``; empty input
+        must not hide a bad ``k`` either."""
+        for n in (0, 200):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                fn(machine8, kv_data(machine8, n), 0)
+
+    def test_both_variants_return_python_floats(self, machine8):
+        kv = kv_data(machine8, 2000)
+        for fn in (top_k_sums_pac, top_k_sums_ec):
+            assert {type(v) for _, v in fn(machine8, kv, 4, eps=0.05).items} == {float}

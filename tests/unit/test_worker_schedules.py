@@ -194,6 +194,28 @@ class TestMessageCounts:
                     [n_collectives * log2_ceil(p)] * p
                 )
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 8])
+    def test_hash_table_exchange_is_log_p_sends_per_rank(self, p):
+        """Counting into the distributed hash table costs each rank
+        ``ceil(log2 p)`` messages: one ``sendrecv`` hop per hypercube
+        round (entries merge on arrival), or the store-and-forward
+        alltoall when ``p`` is not a power of two -- and nothing else,
+        the (already aggregated) buckets make no second trip."""
+        from repro.frequent import count_into_dht
+
+        rng = np.random.default_rng(p)
+        samples = [rng.integers(0, 200, size=300) for _ in range(p)]
+        sim = Machine(p=p, seed=6)
+        with Machine(p=p, seed=6, backend="mp") as real:
+            real.allreduce(list(range(p)))  # start the pool
+            before = real.backend.worker_message_counts()
+            sends = real.backend.driver_sends
+            got = count_into_dht(real, samples, salt=3)
+            assert real.backend.driver_sends - sends == 1
+            after = real.backend.worker_message_counts()
+        assert got == count_into_dht(sim, samples, salt=3)
+        assert [a - b for a, b in zip(after, before)] == [log2_ceil(p)] * p
+
     @pytest.mark.parametrize("p", [4, 5, 8])
     def test_alltoall_is_hypercube_routed(self, p):
         with Machine(p=p, seed=6, backend="mp") as m:

@@ -77,6 +77,9 @@ ACCEPTED_CHARGE_KINDS = {
     "scan",
     "broadcast",
     "gather",
+    "reduce_allgather",
+    "alltoall",
+    "dht_round",
 }
 
 #: machine/backend collective entry points whose arguments travel
