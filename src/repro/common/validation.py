@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
-    "check_k", "check_rank", "check_rank_range", "check_positive", "check_probability",
+    "as_rank", "check_k", "check_rank", "check_rank_range", "check_positive",
+    "check_probability",
 ]
+
+
+def as_rank(k, what: str = "k") -> int:
+    """``k`` as an ``int`` when it is a whole number: an ``int`` /
+    ``np.integer``, or a float with ``k == int(k)``.  Anything else --
+    2.7, a ``bool``, a string -- names itself in a ``ValueError`` rather
+    than being truncated into some other rank."""
+    whole = isinstance(k, numbers.Integral) or (
+        isinstance(k, numbers.Real) and float(k).is_integer()
+    )
+    if whole and not isinstance(k, bool):
+        return int(k)
+    raise ValueError(f"{what} must be an integer rank, got {k!r}")
 
 
 def check_k(k: int) -> int:
@@ -16,7 +32,7 @@ def check_k(k: int) -> int:
 
 def check_rank(k: int, n: int, what: str = "k") -> int:
     """Validate a selection rank ``1 <= k <= n``."""
-    k = int(k)
+    k = as_rank(k, what)
     if not 1 <= k <= n:
         raise ValueError(f"{what} must satisfy 1 <= {what} <= n={n}, got {k}")
     return k
@@ -24,7 +40,7 @@ def check_rank(k: int, n: int, what: str = "k") -> int:
 
 def check_rank_range(k_lo: int, k_hi: int, n: int) -> tuple[int, int]:
     """Validate a flexible selection range ``1 <= k_lo <= k_hi <= n``."""
-    k_lo, k_hi = int(k_lo), int(k_hi)
+    k_lo, k_hi = as_rank(k_lo, "k_lo"), as_rank(k_hi, "k_hi")
     if not 1 <= k_lo <= k_hi <= n:
         raise ValueError(
             f"flexible rank range must satisfy 1 <= k_lo <= k_hi <= n={n}, "

@@ -21,7 +21,14 @@ from .registry import (
 )
 from .counters import spacesaving_offer
 from .hashing import fingerprint32, splitmix64_array
-from .partition import partition3, topk_count, topk_cut
+from .partition import (
+    compact,
+    partition3,
+    partition_count,
+    partition_take,
+    topk_count,
+    topk_cut,
+)
 from .philox import native_uniforms
 from .sampling import skip_sample_indices, weighted_counts
 from .treap import ArrayTreap, treap_merge
@@ -30,6 +37,7 @@ __all__ = [
     "MODES",
     "ArrayTreap",
     "Kernel",
+    "compact",
     "effective_mode",
     "fingerprint32",
     "get_mode",
@@ -38,6 +46,8 @@ __all__ = [
     "native_uniforms",
     "numba_available",
     "partition3",
+    "partition_count",
+    "partition_take",
     "registered",
     "set_mode",
     "skip_sample_indices",

@@ -116,7 +116,7 @@ def ams_select(
         if len(seqs) != p:
             raise ValueError(f"need one sequence per PE (p={p}, got {len(seqs)})")
         refs, lead, n = [], [(s,) for s in seqs], sum(len(s) for s in seqs)
-    check_rank_range(k_lo, k_hi, n)  # fail driver-side
+    k_lo, k_hi = check_rank_range(k_lo, k_hi, n)  # fail driver-side
     addr = machine.draw_addr()
     _, vals = machine.backend.run_spmd(
         _ams_kernel, refs,

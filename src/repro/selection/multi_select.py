@@ -26,6 +26,14 @@ to its slice and loops over levels in place; one level is two
   counts are replicated -- derives the next level's segment records
   identically on every rank.
 
+A level counts first and copies last: the sample half only *counts* a
+segment's three parts around the pivot pair
+(:func:`~repro.kernels.partition_count`); the count half, once the
+totals say which parts hold a rank, copies those and no other
+(:func:`~repro.kernels.partition_take`; a ``lo == hi`` hit and a
+rank-free part copy nothing).  Theorem 1 charges ``O(n/p)`` per level;
+the wall cost is now one mask pass plus one copy of what survives.
+
 So a call costs one driver send and one result per PE, whatever the
 recursion depth, and each level costs the two ``O(beta m + alpha log
 p)`` collectives Theorem 1 charges.  Only the small per-level records
@@ -43,7 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.sampling import bernoulli_sample_indices
-from ..kernels import partition3
+from ..common.validation import as_rank
+from ..kernels import partition_count, partition_take
 from ..machine import DistArray, Machine
 from .sequential import fr_pivots
 
@@ -73,8 +82,8 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
     subdivides it, so the data-dependent depth never perturbs a later
     caller's draws).  All samples -- and finishing segments' full
     residual content -- ride ONE in-worker allgather; pivots are
-    computed replicated and the local partitions handed to the count
-    half.
+    computed replicated and each split segment's local part counts and
+    marks (not the parts) handed to the count half.
 
     Returns ``(inter, (sample_words, finishes, meta))`` where
     ``finishes`` is the replicated list of resolved ``(global_rank,
@@ -119,8 +128,10 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
         mid_rank = ranks[len(ranks) // 2]
         union = np.sort(np.concatenate(contrib))
         lo_p, hi_p = fr_pivots(union, mid_rank, n)
-        parts = partition3(arr, lo_p, hi_p)
-        inter.append(("split", parts, lo_p, hi_p, ranks, offset, n))
+        counts, masks = partition_count(arr, lo_p, hi_p)
+        inter.append(
+            ("split", arr, counts, masks, lo_p, hi_p, ranks, offset, n)
+        )
         meta.append(("split", int(union.size), int(arr.size), float(rho)))
     return inter, (sample_words, finishes, meta)
 
@@ -130,15 +141,15 @@ def _ms_count_kernel(rank: int, inter: list):
 
     All split segments' two-word part counts share one in-worker
     all-reduction; the replicated totals let every rank derive the next
-    level's segment records identically.  Returns ``(new_segs,
+    level's segment records identically, and only the parts that hold a
+    rank are copied out of their segment.  Returns ``(new_segs,
     found)``: the surviving segments and the replicated ``(global_rank,
     value)`` pairs resolved by an exact pivot hit.
     """
     counts_vec: list[int] = []
     for entry in inter:
         if entry is not None and entry[0] == "split":
-            parts = entry[1]
-            counts_vec.extend([parts[0].size, parts[1].size])
+            counts_vec.extend(entry[2])
     totals = None
     if counts_vec:  # replicated decision: all ranks agree
         totals = yield (
@@ -155,24 +166,30 @@ def _ms_count_kernel(rank: int, inter: list):
             _, arr, ranks, offset, n = entry
             new_segs.append((arr, ranks, offset, n))
             continue
-        _, parts, lo_p, hi_p, ranks, offset, n = entry
+        _, arr, (la, lb), masks, lo_p, hi_p, ranks, offset, n = entry
         na, nb = int(totals[2 * ci]), int(totals[2 * ci + 1])
         ci += 1
         lo_ranks = tuple(k for k in ranks if k <= na)
         mid_ranks = tuple(k - na for k in ranks if na < k <= na + nb)
         hi_ranks = tuple(k - na - nb for k in ranks if k > na + nb)
         if lo_ranks:
-            new_segs.append((parts[0], lo_ranks, offset, na))
+            new_segs.append(
+                (partition_take(arr, masks, 0, la), lo_ranks, offset, na)
+            )
         if mid_ranks:
             if lo_p == hi_p:
                 v = lo_p.item() if hasattr(lo_p, "item") else lo_p
                 for k in mid_ranks:
                     found.append((offset + na + k, v))
             else:
-                new_segs.append((parts[1], mid_ranks, offset + na, nb))
+                new_segs.append(
+                    (partition_take(arr, masks, 1, lb), mid_ranks,
+                     offset + na, nb)
+                )
         if hi_ranks:
             new_segs.append(
-                (parts[2], hi_ranks, offset + na + nb, n - na - nb)
+                (partition_take(arr, masks, 2, arr.size - la - lb),
+                 hi_ranks, offset + na + nb, n - na - nb)
             )
     return new_segs, found
 
@@ -217,7 +234,7 @@ def multi_select(
     resident SPMD command (the slices never leave the backend).
     """
     n = data.global_size
-    ks_sorted = sorted(set(int(k) for k in ks))
+    ks_sorted = sorted({as_rank(k, "rank") for k in ks})
     if not ks_sorted:
         return []
     if ks_sorted[0] < 1 or ks_sorted[-1] > n:

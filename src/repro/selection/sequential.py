@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from ..kernels import compact
+
 __all__ = ["quickselect", "floyd_rivest_select", "kth_smallest", "fr_pivots"]
 
 
@@ -49,15 +51,15 @@ def quickselect(data: np.ndarray, k: int, rng: np.random.Generator | None = None
     while work.size > 64:
         pivot = work[int(rng.integers(work.size))]
         lt = work < pivot
-        n_lt = int(lt.sum())
+        n_lt = np.count_nonzero(lt)
         if k <= n_lt:
-            work = work[lt]
+            work = compact(work, lt, n_lt)
             continue
         eq = work == pivot
-        n_eq = int(eq.sum())
+        n_eq = np.count_nonzero(eq)
         if k <= n_lt + n_eq:
             return pivot.item() if hasattr(pivot, "item") else pivot
-        work = work[~lt & ~eq]
+        work = compact(work, ~(lt | eq), work.size - n_lt - n_eq)
         k -= n_lt + n_eq
     return np.sort(work)[k - 1].item()
 
@@ -104,17 +106,17 @@ def floyd_rivest_select(
         sample = np.sort(work[rng.integers(0, m, size=s)])
         lo_p, hi_p = fr_pivots(sample, k, m)
         below = work < lo_p
-        n_below = int(below.sum())
+        n_below = np.count_nonzero(below)
         mid = (work >= lo_p) & (work <= hi_p)
-        n_mid = int(mid.sum())
+        n_mid = np.count_nonzero(mid)
         if k <= n_below:
-            work = work[below]
+            work = compact(work, below, n_below)
         elif k <= n_below + n_mid:
             if lo_p == hi_p:
                 return lo_p.item() if hasattr(lo_p, "item") else lo_p
-            work = work[mid]
+            work = compact(work, mid, n_mid)
             k -= n_below
         else:
-            work = work[~below & ~mid]
+            work = compact(work, ~(below | mid), m - n_below - n_mid)
             k -= n_below + n_mid
     return np.sort(work)[k - 1].item()

@@ -18,8 +18,11 @@ program).  The slices stay pinned in the backend's workers; each level
 draws its sample *where the data lives* from the counter-addressed rng
 (:mod:`repro.machine.ctrrng` -- only a tiny draw address crosses the
 wire, never index sets or generator state), shares the sample union in
-an in-worker allgather, three-way partitions locally and combines the
-two-word counts in an in-worker all-reduction; the level loop, the
+an in-worker allgather, counts the three parts locally and combines
+the two-word counts in an in-worker all-reduction -- and only then
+copies out the one part that holds rank ``k`` (count first, copy last:
+Theorem 1 charges ``O(n/p)`` per level; the wall cost is now one mask
+pass plus one copy of what survives); the level loop, the
 duplicate-pivot early exit and the residual base case all run in the
 workers.  Only the value and each PE's small charge log return, from
 which the driver replays the cost model (:meth:`Machine.replay_charges`)
@@ -39,7 +42,7 @@ import numpy as np
 
 from ..common.sampling import bernoulli_sample_indices
 from ..common.validation import check_rank
-from ..kernels import partition3, topk_count, topk_cut
+from ..kernels import partition_count, partition_take, topk_count, topk_cut
 from ..machine import DistArray, Machine
 from ..machine.metrics import payload_words
 from .sequential import fr_pivots
@@ -75,12 +78,12 @@ def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
     kernel* from the counter-addressed stream (``addr.local(rank,
     draw=level)`` -- the same bits on every backend, with nothing but
     the tiny address on the wire), share it (in-worker allgather), pick
-    the Floyd-Rivest pivots from the replicated union, three-way
-    partition the local slice, combine the two-word part counts
-    (in-worker allreduce) and continue in the part holding rank ``k``
-    (``k`` and the global size ``n`` are updated from the replicated
-    counts, so every rank takes the same branch).  Once ``n <=
-    base_case`` (or after ``max_rounds`` levels) the residual elements
+    the Floyd-Rivest pivots from the replicated union, count the local
+    slice's three parts, combine the two-word part counts (in-worker
+    allreduce) and continue in the part holding rank ``k``, the only
+    one ever copied (``k`` and the global size ``n`` are updated from
+    the replicated counts, so every rank takes the same branch).  Once
+    ``n <= base_case`` (or after ``max_rounds`` levels) the residual elements
     are shared and sorted and rank ``k`` read off.
 
     Every charge a step-by-step driver would make is appended to
@@ -109,21 +112,23 @@ def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
         log.append(("ops", s_total * np.log2(max(s_total, 2))))
         sample_total += s_total
         lo_p, hi_p = fr_pivots(union, k, n)
-        part_lo, part_mid, part_hi = partition3(chunk, lo_p, hi_p)
+        (la, lb), masks = partition_count(chunk, lo_p, hi_p)
         log.append(("ops", float(chunk.size)))
-        counts = np.array([part_lo.size, part_mid.size], dtype=np.int64)
-        totals = yield ("allreduce", counts, "sum")
+        totals = yield ("allreduce", np.array([la, lb], dtype=np.int64), "sum")
         log.append(("allreduce", 2))
         na, nb = int(totals[0]), int(totals[1])
+        # only now is the part holding rank k copied out
         if na >= k:
-            chunk, n = part_lo, na
+            part, size, n = 0, la, na
         elif na + nb < k:
-            chunk, k, n = part_hi, k - na - nb, n - na - nb
+            part, size = 2, chunk.size - la - lb
+            k, n = k - na - nb, n - na - nb
         elif lo_p == hi_p:
             # rank k falls inside a run of duplicates of the pivot
             return lo_p.item(), rounds, sample_total, 0
         else:
-            chunk, k, n = part_mid, k - na, nb
+            part, size, k, n = 1, lb, k - na, nb
+        chunk = partition_take(chunk, masks, part, size)
     # base case: the data plane shares the residual elements with every
     # PE (one dissemination); the model charges gather + sort on PE 0 +
     # broadcast

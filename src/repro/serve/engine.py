@@ -35,6 +35,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
+from ..common.validation import as_rank
 from ..machine import DistArray, Machine, WorkerFailure
 
 __all__ = ["OverloadedError", "QueryEngine", "QueryError", "default_datasets"]
@@ -288,7 +289,7 @@ class QueryEngine:
                     self._ranks_of(q, self.datasets[name].global_size)
                     rank_groups.setdefault(name, []).append(item)
                 elif op == "frequent":
-                    k = int(q.get("k", 0))
+                    k = as_rank(q.get("k", 0), "frequent k")
                     if k < 1:
                         raise QueryError(f"frequent needs k >= 1, got {k}")
                     freq_groups.setdefault((name, k), []).append(item)
@@ -307,7 +308,7 @@ class QueryEngine:
         if n == 0:
             raise QueryError(f"dataset {q.get('dataset', 'default')!r} is empty")
         if op == "select":
-            k = int(q.get("k", 0))
+            k = as_rank(q.get("k", 0), "select k")
             if not 1 <= k <= n:
                 raise QueryError(f"select needs 1 <= k <= {n}, got {k}")
             return [k]
@@ -317,7 +318,7 @@ class QueryEngine:
                 raise QueryError(f"quantile needs 0 <= q <= 1, got {quant}")
             return [max(1, int(math.ceil(quant * n)))]
         # topk: the k largest, i.e. ranks n-k+1 .. n
-        k = int(q.get("k", 0))
+        k = as_rank(q.get("k", 0), "topk k")
         if not 1 <= k <= n:
             raise QueryError(f"topk needs 1 <= k <= {n}, got {k}")
         return list(range(n - k + 1, n + 1))

@@ -101,6 +101,23 @@ class TestQueryEngine:
         finally:
             engine.close()
 
+    def test_k_must_be_a_whole_number(self):
+        values, _ = _oracle()
+        engine = _engine(window=0.2)
+        try:
+            bad = [
+                engine.submit({"op": "select", "k": 2.7}),
+                engine.submit({"op": "topk", "k": True}),
+                engine.submit({"op": "frequent", "k": "4", "dataset": "keys"}),
+            ]
+            good = engine.submit({"op": "select", "k": 2.0})
+            for f, shown in zip(bad, ("2.7", "True", "'4'")):
+                with pytest.raises(ValueError, match=shown):
+                    f.result(timeout=60)
+            assert good.result(timeout=60) == values[1]
+        finally:
+            engine.close()
+
     def test_mp_backend_pipelines_under_load(self):
         values, _ = _oracle()
         n = values.size

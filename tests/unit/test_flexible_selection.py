@@ -86,6 +86,14 @@ class TestAmsSelect:
         with pytest.raises(ValueError):
             ams_select(machine8, seqs, 1, 100)
 
+    def test_ranks_must_be_whole_numbers(self, machine8, rng):
+        seqs = sorted_chunks(machine8, rng, 10)
+        with pytest.raises(ValueError, match="k_lo.*2.5"):
+            ams_select(machine8, seqs, 2.5, 40)
+        with pytest.raises(ValueError, match="k_hi.*True"):
+            ams_select(machine8, seqs, 1, True)
+        assert 10 <= ams_select(machine8, seqs, 10.0, np.int64(40)).k <= 40
+
     def test_single_pe(self, rng):
         m = Machine(p=1, seed=4)
         seqs = [np.sort(rng.random(1000))]

@@ -15,6 +15,7 @@ from repro.kernels import (
     MODES,
     ArrayTreap,
     Kernel,
+    compact,
     effective_mode,
     fingerprint32,
     get_mode,
@@ -22,6 +23,8 @@ from repro.kernels import (
     native_uniforms,
     numba_available,
     partition3,
+    partition_count,
+    partition_take,
     registered,
     set_mode,
     skip_sample_indices,
@@ -61,7 +64,8 @@ def rng_pair(seq=7):
 class TestRegistry:
     def test_all_hot_loops_registered(self):
         assert set(registered()) == {
-            "partition3", "topk_count", "topk_cut", "treap_merge",
+            "compact", "partition_count", "partition3",
+            "topk_count", "topk_cut", "treap_merge",
             "spacesaving_offer", "fingerprint32", "splitmix64_array",
             "weighted_counts", "skip_sample_indices",
         }
@@ -181,7 +185,7 @@ class TestPhilox:
 # ----------------------------------------------------------------------
 
 class TestTwinParity:
-    def assert_twins_agree(self, k, *args_builders):
+    def assert_twins_agree(self, k, *args_builders, equal_nan=False):
         """Run the reference and the native twin on identically built
         argument tuples and compare every returned array/scalar."""
         want = k.py(*args_builders[0]())
@@ -189,12 +193,63 @@ class TestTwinParity:
         if not isinstance(want, tuple):
             want, got = (want,), (got,)
         for w, g in zip(want, got):
-            assert np.array_equal(np.asarray(w), np.asarray(g))
+            assert np.array_equal(np.asarray(w), np.asarray(g), equal_nan=equal_nan)
 
     def test_partition3(self):
         arr = np.random.default_rng(1).integers(0, 50, 10_000)
-        for lo, hi in [(10, 30), (0, 49), (25, 25), (60, 70), (-5, -1)]:
+        for lo, hi in self.PIVOTS:
             self.assert_twins_agree(partition3, lambda: (arr, lo, hi))
+
+    #: pivot pairs: inside, spanning, equal, above and below the data
+    PIVOTS = [(10, 30), (0, 49), (25, 25), (60, 70), (-5, -1)]
+
+    def test_partition_count_sizes_and_masks(self):
+        arr = np.random.default_rng(1).integers(0, 50, 10_000)
+        for lo, hi in self.PIVOTS:
+            counts, masks = partition_count.py(arr, lo, hi)
+            twin_counts, twin_masks = partition_count.native_fn(arr, lo, hi)
+            assert counts == twin_counts
+            for m, t in zip(masks, twin_masks):
+                assert m.dtype == t.dtype == np.bool_ and np.array_equal(m, t)
+
+    def test_compact_whole_truncated_and_into_out(self):
+        arr = np.random.default_rng(6).integers(0, 50, 10_000)
+        mask = arr < 20
+        hits = int(mask.sum())
+        for size in (hits, hits // 3, 0):
+            self.assert_twins_agree(compact, lambda: (arr, mask, size))
+            assert np.array_equal(compact.py(arr, mask, size), arr[mask][:size])
+        outs = [np.full(hits + 2, -1), np.full(hits + 2, -1)]
+        compact.py(arr, mask, hits, out=outs[0][1:-1])
+        compact.native_fn(arr, mask, hits, out=outs[1][1:-1])
+        assert np.array_equal(outs[0], outs[1]) and outs[0][0] == -1 == outs[0][-1]
+
+    def test_partition_take_every_part_in_both_modes(self):
+        arr = np.random.default_rng(1).integers(0, 50, 10_000)
+        for lo, hi in self.PIVOTS:
+            want = partition3.py(arr, lo, hi)
+            for mode in ("python", "native"):
+                with use_mode(mode):
+                    (n_lo, n_mid), masks = partition_count(arr, lo, hi)
+                    sizes = (n_lo, n_mid, arr.size - n_lo - n_mid)
+                    for part, size in enumerate(sizes):
+                        got = partition_take(arr, masks, part, size)
+                        assert np.array_equal(got, want[part]), (mode, part)
+
+    def test_partition_kernels_keep_nan_in_the_upper_part(self):
+        arr = np.random.default_rng(5).normal(size=2_000)
+        arr[::7] = np.nan
+        nan = float("nan")
+        for lo, hi in [(-0.5, 0.5), (0.0, 0.0), (0.0, nan), (nan, nan), (nan, 0.0)]:
+            self.assert_twins_agree(
+                partition3, lambda: (arr, lo, hi), equal_nan=True
+            )
+            counts, (below, upper) = partition_count.py(arr, lo, hi)
+            twin_counts, twin_masks = partition_count.native_fn(arr, lo, hi)
+            assert counts == twin_counts
+            assert np.array_equal(below, twin_masks[0])
+            assert np.array_equal(upper, twin_masks[1])
+            assert upper[np.isnan(arr)].all() and not (below & upper).any()
 
     def test_topk_count(self):
         arr = np.random.default_rng(2).integers(0, 20, 5_000)

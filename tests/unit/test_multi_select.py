@@ -6,6 +6,7 @@ import pytest
 from repro.machine import DistArray, Machine
 from repro.selection import multi_select, quantiles
 from repro.testing import make_dist, sorted_oracle
+from tests.support.special_floats import special_float_chunks
 
 
 @pytest.fixture
@@ -53,6 +54,28 @@ class TestMultiSelect:
             multi_select(machine8, data, [0])
         with pytest.raises(ValueError):
             multi_select(machine8, data, [81])
+
+    def test_ranks_must_be_whole_numbers(self, machine8, rng):
+        data = make_dist(machine8, rng, 10)
+        with pytest.raises(ValueError, match="2.7"):
+            multi_select(machine8, data, [2.7, 10.2])
+        with pytest.raises(ValueError, match="True"):
+            multi_select(machine8, data, [True])
+        s = sorted_oracle(data)
+        assert multi_select(machine8, data, [np.int64(3), 10.0]) == [s[2], s[9]]
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_inf_and_signed_zero_sort_like_numpy(self, backend, dtype):
+        """NaN ranks last, as in ``np.sort``: it fails both pivot tests
+        and so stays in the upper part at every level."""
+        with Machine(p=3, seed=11, backend=backend) as m:
+            data = DistArray(m, special_float_chunks(3, 1500, 11, dtype))
+            s = sorted_oracle(data)
+            n, finite = s.size, int(np.count_nonzero(~np.isnan(s)))
+            ks = [1, 7, n // 3, finite, finite + 1, n - 1, n]
+            got = np.array(multi_select(m, data, ks), dtype=dtype)
+            assert np.array_equal(got, s[np.array(ks) - 1], equal_nan=True)
 
     def test_skewed_placement(self, machine8, rng):
         chunks = [rng.integers(0, 10**6, 5000)] + [np.empty(0, dtype=np.int64)] * 7

@@ -6,6 +6,7 @@ import pytest
 from repro.machine import DistArray, Machine
 from repro.selection import select_kth, select_topk_largest, select_topk_smallest
 from repro.testing import make_dist, sorted_oracle
+from tests.support.special_floats import special_float_chunks
 
 
 @pytest.fixture
@@ -55,6 +56,26 @@ class TestSelectKth:
         with pytest.raises(ValueError):
             select_kth(machine8, data, 81)
 
+    def test_k_must_be_a_whole_number(self, machine8, rng):
+        data = make_dist(machine8, rng, 10)
+        with pytest.raises(ValueError, match="2.7"):
+            select_kth(machine8, data, 2.7)
+        with pytest.raises(ValueError, match="True"):
+            select_kth(machine8, data, True)
+        s = sorted_oracle(data)
+        assert select_kth(machine8, data, 3.0) == s[2]
+        assert select_kth(machine8, data, np.int32(3)) == s[2]
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_nan_inf_and_signed_zero_sort_like_numpy(self, backend):
+        with Machine(p=3, seed=12, backend=backend) as m:
+            data = DistArray(m, special_float_chunks(3, 1500, 12))
+            s = sorted_oracle(data)
+            n, finite = s.size, int(np.count_nonzero(~np.isnan(s)))
+            for k in (1, 7, n // 3, finite, finite + 1, n):
+                got = select_kth(m, data, k)
+                assert np.array_equal(got, s[k - 1], equal_nan=True), k
+
     def test_stats(self, machine8, rng):
         data = make_dist(machine8, rng, 4000)
         stats = select_kth(machine8, data, 16_000, return_stats=True)
@@ -95,6 +116,26 @@ class TestTopkExtraction:
         sel, thr = select_topk_largest(machine8, data, 123)
         assert sel.global_size == 123
         assert np.array_equal(np.sort(sel.concat()), sorted_oracle(data)[-123:])
+
+    def test_k_must_be_a_whole_number(self, machine8, rng):
+        data = make_dist(machine8, rng, 10)
+        with pytest.raises(ValueError, match="7.5"):
+            select_topk_smallest(machine8, data, 7.5)
+        with pytest.raises(ValueError, match="True"):
+            select_topk_largest(machine8, data, True)
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_nan_inf_and_signed_zero_sort_like_numpy(self, backend):
+        """Up to the last non-NaN rank (a NaN threshold equals nothing,
+        so a cut past it comes back empty -- as it did before)."""
+        with Machine(p=3, seed=13, backend=backend) as m:
+            data = DistArray(m, special_float_chunks(3, 1500, 13))
+            s = sorted_oracle(data)
+            finite = int(np.count_nonzero(~np.isnan(s)))
+            for k in (1, s.size // 3, finite):
+                sel, thr = select_topk_smallest(m, data, k)
+                assert thr == s[k - 1]
+                assert np.array_equal(np.sort(sel.concat()), s[:k])
 
     def test_k_equals_n(self, machine8, rng):
         data = make_dist(machine8, rng, 100)

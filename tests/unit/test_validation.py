@@ -2,12 +2,30 @@
 
 import pytest
 
+import numpy as np
+
 from repro.common.validation import (
+    as_rank,
     check_positive,
     check_probability,
     check_rank,
     check_rank_range,
 )
+
+
+class TestAsRank:
+    def test_whole_numbers_become_ints(self):
+        for k in (5, np.int64(5), np.uint8(5), 5.0, np.float32(5.0)):
+            got = as_rank(k)
+            assert got == 5 and type(got) is int
+
+    @pytest.mark.parametrize(
+        "k", [2.7, True, np.True_, "5", None, float("nan"), float("inf"), 1 + 0j]
+    )
+    def test_anything_else_is_named_not_truncated(self, k):
+        with pytest.raises(ValueError, match="rank 7 must be an integer") as ei:
+            as_rank(k, "rank 7")
+        assert repr(k) in str(ei.value)
 
 
 class TestCheckRank:
@@ -30,6 +48,13 @@ class TestCheckRank:
         with pytest.raises(ValueError, match="kk"):
             check_rank(0, 10, what="kk")
 
+    def test_fraction_and_bool_rejected(self):
+        with pytest.raises(ValueError, match="2.7"):
+            check_rank(2.7, 10)
+        with pytest.raises(ValueError, match="True"):
+            check_rank(True, 10)
+        assert check_rank(3.0, 10) == 3
+
 
 class TestCheckRankRange:
     def test_valid(self):
@@ -45,6 +70,12 @@ class TestCheckRankRange:
     def test_out_of_n(self):
         with pytest.raises(ValueError):
             check_rank_range(1, 11, 10)
+
+    def test_fraction_and_bool_rejected(self):
+        with pytest.raises(ValueError, match="k_lo.*2.5"):
+            check_rank_range(2.5, 5, 10)
+        with pytest.raises(ValueError, match="k_hi.*True"):
+            check_rank_range(1, True, 10)
 
 
 class TestOthers:
