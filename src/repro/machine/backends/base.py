@@ -10,14 +10,21 @@ planes:
 * the **data plane** (computing the per-PE result values of a
   collective) is delegated to a :class:`Backend`.
 
-Backends implement the same list-in/list-out SPMD convention as the
-machine itself: each data-plane method receives one contribution per PE
-and returns one result per PE.  Three backends ship with the package:
+There is one data plane and two dialects of reaching it.  An SPMD step
+(:meth:`Backend.run_spmd`) runs per-PE code where the chunks live and
+``yield``s its collectives; a list-of-p collective
+(:meth:`Backend.collective`) hands over every rank's request at once
+and is the same thing as a step of one yield.  Both resolve through one
+table of kinds, :func:`spmd_collective`.  Writing a backend is four
+methods: ``collective``, ``put_chunks``, ``get_chunks`` and
+``submit_spmd`` (plus ``coalesced`` where frames can be packed).
+Three backends ship with the package:
 
 ``sim`` (:class:`~repro.machine.backends.sim.SimBackend`)
-    Computes results in-process with deterministic combination orders
-    (binomial-tree reductions, linear prefix scans).  The default; all
-    reported *time* is modeled alpha-beta cost.
+    Inherits everything here: results are computed in-process with
+    deterministic combination orders (binomial-tree reductions, linear
+    prefix scans).  The default; all reported *time* is modeled
+    alpha-beta cost.
 
 ``mp`` (:class:`~repro.machine.backends.mp.MultiprocessingBackend`)
     Runs one OS worker process per PE; collectives physically move
@@ -48,10 +55,12 @@ string ops always are.
 
 from __future__ import annotations
 
-import abc
 import contextlib
+import inspect
 import weakref
 from typing import Callable, Sequence
+
+from ..collectives import inclusive_scan, tree_reduce_order
 
 __all__ = ["Backend", "ChunkRef", "LockstepError", "PendingValues"]
 
@@ -59,9 +68,8 @@ __all__ = ["Backend", "ChunkRef", "LockstepError", "PendingValues"]
 class PendingValues:
     """Handle to the per-PE values of a submitted backend command.
 
-    Returned by :meth:`Backend.submit_spmd` /
-    :meth:`Backend.submit_map_resident`.  ``wait()`` blocks until the
-    command completed and returns the values (idempotent; a failed
+    Returned by :meth:`Backend.submit_spmd`.  ``wait()`` blocks until
+    the command completed and returns the values (idempotent; a failed
     command keeps raising on every wait).  Eager backends hand out
     pre-resolved handles, so call sites written against the submit API
     overlap commands where the backend pipelines and degrade to exact
@@ -130,8 +138,9 @@ class ChunkRef:
         return f"ChunkRef(id={self.id}, p={self.p})"
 
 
-class Backend(abc.ABC):
-    """Data-plane executor for the collectives of one :class:`Machine`.
+class Backend:
+    """Data-plane executor for the collectives of one :class:`Machine`,
+    and the in-process implementation of it (``sim`` adds nothing).
 
     Attributes
     ----------
@@ -176,71 +185,18 @@ class Backend(abc.ABC):
         self._next_ref_id: int = 0
 
     # ------------------------------------------------------------------
-    # Value collectives (list-in, list-out; one entry per PE)
+    # Collectives (list-in, list-out; one entry per PE)
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def broadcast(self, value, root: int = 0) -> list:
-        """Every PE receives ``value`` (held by ``root``)."""
+    def collective(self, kind: str, requests: Sequence[tuple]) -> list:
+        """One list-of-p collective; returns one result per PE.
 
-    @abc.abstractmethod
-    def reduce(self, values: Sequence, op, root: int = 0) -> list:
-        """Binomial-tree-order reduction to ``root``; others get ``None``."""
-
-    @abc.abstractmethod
-    def allreduce(self, values: Sequence, op) -> list:
-        """Binomial-tree-order reduction, result replicated on every PE."""
-
-    @abc.abstractmethod
-    def scan(self, values: Sequence, op) -> list:
-        """Inclusive prefix combine in rank order."""
-
-    @abc.abstractmethod
-    def allreduce_exscan(self, values: Sequence, op, initial=0) -> tuple[list, list]:
-        """Fused total + exclusive prefix (one schedule, two outputs).
-
-        Returns ``(totals, prefixes)`` where ``totals[i]`` is the
-        tree-order reduction of all contributions and ``prefixes[i]``
-        is ``op(values[0..i-1])`` (``initial`` on PE 0).
+        ``requests[i]`` is what rank ``i`` would yield from an SPMD
+        kernel for this ``kind`` (the table is :func:`spmd_collective`),
+        so the list-of-p dialect and the kernels share one data plane.
+        In process that is the reference itself; real backends run the
+        requests as a one-yield SPMD step in their workers.
         """
-
-    @abc.abstractmethod
-    def gather(self, values: Sequence, root: int = 0) -> list:
-        """``root`` receives the rank-ordered list; others get ``None``."""
-
-    @abc.abstractmethod
-    def allgather(self, values: Sequence) -> list:
-        """Every PE receives the rank-ordered list of all contributions."""
-
-    @abc.abstractmethod
-    def scatter(self, pieces: Sequence, root: int = 0) -> list:
-        """PE ``i`` receives ``pieces[i]`` (held by ``root``)."""
-
-    @abc.abstractmethod
-    def alltoall(self, matrix: Sequence[Sequence]) -> list[list]:
-        """Personalized exchange: ``out[j][i] == matrix[i][j]``."""
-
-    @abc.abstractmethod
-    def p2p(self, src: int, dst: int, payload):
-        """Move ``payload`` from PE ``src`` to PE ``dst``; returns it."""
-
-    def reduce_allgather(self, values: Sequence, payloads: Sequence, op) -> tuple[list, list]:
-        """Fused ``allreduce(values)`` + ``allgather(payloads)``.
-
-        Returns ``(totals, gathered)``: ``totals[i]`` is the binomial-
-        tree-order reduction of ``values``, ``gathered[i]`` the
-        rank-ordered payload list, both replicated on every PE.  Real
-        backends override this to run one schedule instead of two.
-        """
-        return self.allreduce(values, op), self.allgather(payloads)
-
-    # ------------------------------------------------------------------
-    # Local work
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def map(self, fn: Callable[[int, object], object], items: Sequence) -> list:
-        """Apply ``fn(rank, items[rank])`` on every PE, in parallel where
-        the backend can (falls back to in-process application when ``fn``
-        cannot cross a process boundary)."""
+        return spmd_collective(kind, requests)
 
     # ------------------------------------------------------------------
     # Resident chunks (the SPMD data plane of DistArray)
@@ -275,25 +231,12 @@ class Backend(abc.ABC):
         refs: Sequence[ChunkRef],
         n_out: int = 0,
         args: Sequence[tuple] | None = None,
-        collect: tuple | None = None,
-    ) -> tuple[list[ChunkRef], list, list | None]:
-        """Apply ``fn(rank, *chunks, *args[rank])`` where the chunks live.
-
-        ``fn`` must return ``n_out`` new chunks followed by a small
-        per-PE value (just the value when ``n_out == 0``); the chunks
-        stay resident behind fresh handles and only the values return.
-        ``collect`` optionally fuses a value collective into the same
-        backend round trip: ``("allgather",)`` or ``("allreduce", op)``.
-
-        Returns ``(out_refs, values, collected)`` where ``collected`` is
-        ``None`` without ``collect``, the replicated rank-ordered value
-        list for ``"allgather"``, or the replicated reduction for
-        ``"allreduce"`` (one entry per PE in both cases).
-        """
-        chunk_lists = [self._store[r.id] for r in refs]
-        outs, values = _apply_resident(self.p, fn, chunk_lists, n_out, args)
-        out_refs = [self.put_chunks(chunks) for chunks in outs]
-        return out_refs, values, _collect_values(values, collect, self.p)
+    ) -> tuple[list[ChunkRef], list, None]:
+        """:meth:`run_spmd` spelled with a three-slot return,
+        ``(out_refs, values, None)``, which the frozen ledger benchmark
+        unpacks."""
+        out_refs, values = self.run_spmd(fn, refs, n_out=n_out, args=args)
+        return out_refs, values, None
 
     def run_spmd(
         self,
@@ -302,10 +245,15 @@ class Backend(abc.ABC):
         n_out: int = 0,
         args: Sequence[tuple] | None = None,
     ) -> tuple[list[ChunkRef], list]:
-        """Run a *generator* callback as one SPMD step on every PE.
+        """Run ``fn(rank, *chunks, *args[rank])`` as one SPMD step on
+        every PE, where the chunks live.
 
-        ``fn(rank, *chunks, *args[rank])`` must be a generator that
-        ``yield``s collective requests and receives their results::
+        ``fn`` returns ``n_out`` new chunks followed by a small per-PE
+        value (just the value when ``n_out == 0``); the chunks stay
+        resident behind fresh handles and only the values return.  A
+        generator ``fn`` communicates on the way: it ``yield``s
+        collective requests (the table is :func:`spmd_collective`) and
+        receives their results::
 
             sample = chunk[idx]
             gathered = yield ("allgather", sample)
@@ -315,7 +263,8 @@ class Backend(abc.ABC):
             return part_a, part_b, value        # n_out chunks + a value
 
         Every rank must issue the identical yield sequence (standard
-        SPMD discipline).  Real backends execute the whole step -- local
+        SPMD discipline); a ``fn`` that returns without yielding is a
+        step of zero collectives.  Real backends execute the whole step -- local
         work *and* the embedded collectives -- inside the workers in a
         single command round trip; chunks never leave the workers.  The
         embedded collectives use the same combination orders as the
@@ -325,10 +274,8 @@ class Backend(abc.ABC):
 
         Returns ``(out_refs, values)``.
         """
-        chunk_lists = [self._store[r.id] for r in refs]
-        outs, values = _run_spmd_inprocess(self.p, fn, chunk_lists, n_out, args)
-        out_refs = [self.put_chunks(chunks) for chunks in outs]
-        return out_refs, values
+        out_refs, pending = self.submit_spmd(fn, refs, n_out=n_out, args=args)
+        return out_refs, pending.wait()
 
     def submit_spmd(
         self,
@@ -346,23 +293,10 @@ class Backend(abc.ABC):
         until ``wait()``.  See :class:`PendingValues` for the ordering
         contract overlapped call sites must follow.
         """
-        out_refs, values = self.run_spmd(fn, refs, n_out=n_out, args=args)
+        chunk_lists = [self._store[r.id] for r in refs]
+        outs, values = _run_spmd_inprocess(self.p, fn, chunk_lists, n_out, args)
+        out_refs = [self.put_chunks(chunks) for chunks in outs]
         return out_refs, PendingValues.resolved(values)
-
-    def submit_map_resident(
-        self,
-        fn: Callable,
-        refs: Sequence["ChunkRef"],
-        n_out: int = 0,
-        args: Sequence[tuple] | None = None,
-        collect: tuple | None = None,
-    ) -> tuple[list["ChunkRef"], PendingValues]:
-        """Non-blocking :meth:`map_resident` (same eager default);
-        ``pending.wait()`` returns ``(values, collected)``."""
-        out_refs, values, collected = self.map_resident(
-            fn, refs, n_out=n_out, args=args, collect=collect
-        )
-        return out_refs, PendingValues.resolved((values, collected))
 
     @contextlib.contextmanager
     def coalesced(self):
@@ -418,73 +352,80 @@ class Backend(abc.ABC):
         return f"{type(self).__name__}(p={self.p})"
 
 
-def _apply_resident(
-    p: int, fn: Callable, chunk_lists: Sequence[Sequence], n_out: int,
-    args: Sequence[tuple] | None,
-) -> tuple[list[list], list]:
-    """Driver-side reference semantics of :meth:`Backend.map_resident`:
-    returns ``(out_chunk_lists, values)`` with ``out_chunk_lists[j][i]``
-    the j-th output chunk of PE ``i``.  Shared by the in-process default
-    and by real backends' fallback path for unpicklable callbacks."""
-    outs: list[list] = [[None] * p for _ in range(n_out)]
-    values: list = [None] * p
-    for rank in range(p):
-        ins = [chunks[rank] for chunks in chunk_lists]
-        extra = tuple(args[rank]) if args is not None else ()
-        res = fn(rank, *ins, *extra)
-        if n_out:
-            if not isinstance(res, tuple) or len(res) != n_out + 1:
-                raise ValueError(
-                    f"resident callback must return {n_out} chunks + 1 value, "
-                    f"got {type(res).__name__}"
-                )
-            for j in range(n_out):
-                outs[j][rank] = res[j]
-            values[rank] = res[n_out]
-        else:
-            values[rank] = res
-    return outs, values
+def spmd_collective(kind: str, requests: Sequence[tuple]) -> list:
+    """The collective table: reference data plane of every kind.
 
+    ``requests[i]`` is rank i's request, as an SPMD kernel yields it and
+    as :meth:`Backend.collective` passes it; the result is one entry per
+    rank.  Reductions combine in binomial-tree order and prefixes in
+    rank order, which is what the worker schedules reproduce.  ``op`` is
+    a :data:`~repro.machine.collectives.REDUCTION_OPS` name or a
+    callable; ``root`` / ``src`` / ``dst`` are read from rank 0's
+    request (replicated by SPMD discipline).
 
-def spmd_collective(requests: Sequence[tuple]) -> object:
-    """Reference data plane of one in-step SPMD collective.
-
-    ``requests[i]`` is rank i's yielded tuple; all ranks must agree on
-    the kind.  Returns the (shared) result every rank receives --
-    combination orders match the plain collectives exactly.
+    ======================================  ================================
+    request                                 result at rank i
+    ======================================  ================================
+    ``("broadcast", v, root)``              the root's ``v``
+    ``("reduce", v, op, root)``             the reduction at root, else None
+    ``("allreduce", v, op)``                the reduction
+    ``("scan", v, op)``                     ``op(v_0 .. v_i)``
+    ``("allreduce_exscan", v, op, init)``   ``(reduction, op(v_0 .. v_i-1))``
+    ``("reduce_allgather", v, op, w)``      ``(reduction of v, [w_0, ...])``
+    ``("gather", v, root)``                 ``[v_0, ...]`` at root, else None
+    ``("allgather", v)``                    ``[v_0, ...]``
+    ``("scatter", pieces, root)``           the root's ``pieces[i]``
+    ``("alltoall", row)``                   ``[row_0[i], row_1[i], ...]``
+    ``("sendrecv", row, srcs)``             ``row_j[i]`` for j in ``srcs``
+    ``("p2p", v, src, dst)``                ``src``'s ``v`` at dst, else None
+    ======================================  ================================
     """
-    from ..collectives import inclusive_scan, tree_reduce_order
-
-    kinds = {req[0] for req in requests}
-    if len(kinds) != 1:
-        raise LockstepError(
-            f"SPMD ranks diverged: mixed collectives {sorted(kinds)}"
-        )
-    kind = kinds.pop()
+    p = len(requests)
+    head = requests[0]
+    # the kinds one rank feeds read that rank's request alone: a send
+    # must not cost O(p) in process
+    if kind == "broadcast":
+        return [requests[head[2]][1]] * p
+    if kind == "scatter":
+        return list(requests[head[2]][1])
+    if kind == "p2p":
+        out: list = [None] * p
+        out[head[3]] = requests[head[2]][1]
+        return out
     payloads = [req[1] for req in requests]
-    if kind == "allgather":
-        return [list(payloads)] * len(requests)
+    if kind == "reduce":
+        out = [None] * p
+        out[head[3]] = tree_reduce_order(payloads, head[2])
+        return out
     if kind == "allreduce":
-        return [tree_reduce_order(payloads, requests[0][2])] * len(requests)
+        return [tree_reduce_order(payloads, head[2])] * p
+    if kind == "scan":
+        return inclusive_scan(payloads, head[2])
     if kind == "allreduce_exscan":
-        op, initial = requests[0][2], requests[0][3]
+        op, initial = head[2], head[3]
         total = tree_reduce_order(payloads, op)
         inc = inclusive_scan(payloads, op)
-        return [(total, initial if i == 0 else inc[i - 1]) for i in range(len(requests))]
+        return [(total, initial if i == 0 else inc[i - 1]) for i in range(p)]
+    if kind == "reduce_allgather":
+        total = tree_reduce_order(payloads, head[2])
+        return [(total, [req[3] for req in requests])] * p
+    if kind == "gather":
+        out = [None] * p
+        out[head[2]] = payloads
+        return out
+    if kind == "allgather":
+        return [payloads] * p
     if kind == "alltoall":
-        p = len(requests)
         return [[payloads[i][j] for i in range(p)] for j in range(p)]
     if kind == "sendrecv":
-        # Sparse personalized exchange: rank i yields ("sendrecv", row,
-        # srcs) where row[j] is its payload for j (None = no message)
-        # and srcs lists the ranks it expects messages from (driver-
-        # derived, so real backends can deliver directly in one hop
-        # without a discovery round).  Result: row indexed by source.
-        # The declared srcs must match the non-None row entries exactly
-        # -- a mismatch would silently drop or indefinitely await a
-        # message on a real backend, so the reference path fails loudly.
-        p = len(requests)
-        out: list[list] = []
+        # Sparse personalized exchange: row[j] is this rank's payload
+        # for j (None = no message) and srcs lists the ranks it expects
+        # messages from (driver-derived, so real backends can deliver
+        # directly in one hop without a discovery round).  The declared
+        # srcs must match the non-None row entries exactly -- a mismatch
+        # would silently drop or indefinitely await a message on a real
+        # backend, so the reference path fails loudly.
+        out = []
         for j in range(p):
             declared = set(requests[j][2])
             actual = {i for i in range(p) if i != j and payloads[i][j] is not None}
@@ -504,24 +445,33 @@ def _run_spmd_inprocess(
     p: int, fn: Callable, chunk_lists: Sequence[Sequence], n_out: int,
     args: Sequence[tuple] | None,
 ) -> tuple[list[list], list]:
-    """Drive p SPMD generators in lockstep in the driver process."""
-    gens = []
-    for rank in range(p):
-        ins = [chunks[rank] for chunks in chunk_lists]
-        extra = tuple(args[rank]) if args is not None else ()
-        gens.append(fn(rank, *ins, *extra))
+    """Run one SPMD step in the driver process: call ``fn`` on every
+    rank and drive the ranks that turned out generators in lockstep."""
+    gens: list = [None] * p
     results: list = [None] * p
     requests: list = [None] * p
     done = 0
-    # advance every rank to its first yield
-    for rank, gen in enumerate(gens):
-        try:
-            requests[rank] = gen.send(None)
-        except StopIteration as stop:
-            results[rank] = stop.value
-            done += 1
+    for rank in range(p):
+        ins = [chunks[rank] for chunks in chunk_lists]
+        extra = tuple(args[rank]) if args is not None else ()
+        res = fn(rank, *ins, *extra)
+        if inspect.isgenerator(res):
+            gens[rank] = res
+            try:
+                # advance to the first yield
+                requests[rank] = res.send(None)
+                continue
+            except StopIteration as stop:
+                res = stop.value
+        results[rank] = res
+        done += 1
     while done == 0:
-        shared = spmd_collective(requests)
+        kinds = {req[0] for req in requests}
+        if len(kinds) != 1:
+            raise LockstepError(
+                f"SPMD ranks diverged: mixed collectives {sorted(kinds)}"
+            )
+        shared = spmd_collective(kinds.pop(), requests)
         for rank, gen in enumerate(gens):
             try:
                 requests[rank] = gen.send(shared[rank])
@@ -547,18 +497,3 @@ def _run_spmd_inprocess(
         else:
             values[rank] = res
     return outs, values
-
-
-def _collect_values(values: list, collect: tuple | None, p: int) -> list | None:
-    """Reference semantics of the fused value collective of
-    :meth:`Backend.map_resident` (identical combination orders to the
-    plain collectives, so results stay bit-identical across backends)."""
-    if collect is None:
-        return None
-    from ..collectives import tree_reduce_order
-
-    if collect[0] == "allgather":
-        return [list(values)] * p
-    if collect[0] == "allreduce":
-        return [tree_reduce_order(values, collect[1])] * p
-    raise ValueError(f"unknown collect spec {collect!r}")

@@ -28,10 +28,11 @@ kinds of state live in the workers: **transient collective payloads**
 among themselves, each returns its own result) and **resident chunks**
 (:class:`~repro.machine.dist_array.DistArray` data pinned behind
 :class:`~repro.machine.backends.base.ChunkRef` handles, operated on by
-``map_resident``/``run_spmd`` callbacks next to the data).
+``run_spmd`` steps next to the data).
 
-Combination orders replicate :class:`~repro.machine.backends.sim.
-SimBackend` exactly -- reductions gather all contributions and combine
+Combination orders replicate the in-process reference
+(:func:`~repro.machine.backends.base.spmd_collective`) exactly --
+reductions gather all contributions and combine
 them in binomial-tree order, scans combine in rank order -- so every
 value collective (and with it all the package's pipelines) is
 bit-identical to the simulated run, including floating-point
@@ -41,8 +42,8 @@ Caveats
 -------
 * Payloads, resident callbacks and callable reduction ops must be
   picklable.  The named ops (``"sum"``, ``"min"``, ``"max"``) always
-  are; ``map`` and ``map_resident`` fall back to driver-side execution
-  when the function cannot cross a process boundary.
+  are; an SPMD step falls back to driver-side execution when its
+  callback cannot cross a process boundary.
 * Worker pools are cleaned up by ``close()`` (idempotent), by
   ``Machine``'s context manager, and by an ``atexit`` guard that
   terminates any pool leaked by a crashed driver.

@@ -21,33 +21,37 @@ every pipeline in the package (see
 Protocol
 --------
 The driver issues one command per operation, tagged with a
-monotonically increasing sequence number.  Full-pool commands ride the
-**broadcast command channel**: the driver writes a single frame (spec +
-the per-PE locals map) to rank 0's inbox and the workers fan it out
-along the binomial tree, each forwarding its children their subtree's
-slice of the locals -- O(1) driver sends (:attr:`RuntimeBackend.
-driver_sends`) and exactly ``p - 1`` worker forwards
-(:meth:`RuntimeBackend.command_fanout_counts`) instead of ``p``
-serialized driver writes.  Partial-participant commands (``p2p``) keep
-the direct per-worker path.  Workers exchange peer messages tagged with
+monotonically increasing sequence number.  A worker runs four command
+kinds (:func:`_execute`): ``put`` and ``get`` move a resident chunk,
+``stats`` reads the counters, and ``spmd`` runs per-PE code where the
+chunks live -- a plain callback, a generator kernel that yields
+collectives, or the one-yield kernel a list-of-p collective is issued
+as (:meth:`RuntimeBackend.collective`).  Every command but ``put`` rides
+the **broadcast command channel**: the driver writes a single frame
+(spec + the per-PE locals map) to rank 0's inbox and the workers fan it
+out along the binomial tree, each forwarding its children their
+subtree's slice of the locals -- O(1) driver sends
+(:attr:`RuntimeBackend.driver_sends`) and exactly ``p - 1`` worker
+forwards (:meth:`RuntimeBackend.command_fanout_counts`) instead of ``p``
+serialized driver writes.  Workers exchange peer messages tagged with
 the same sequence number (plus a per-schedule round tag) and stash
 anything that arrives early, so fast workers can run ahead without
-confusing slow ones.  Worker-to-worker exchanges follow logarithmic
-schedules instead of direct O(p^2) delivery:
+confusing slow ones.  A yielded collective becomes a logarithmic
+exchange instead of direct O(p^2) delivery (:func:`_run_collective`,
+the one place a kind meets its schedule):
 
-* rooted collectives (broadcast, reduce, gather, scatter) walk a
-  binomial tree -- ``p - 1`` messages, ``log p`` depth;
-* replicated-result collectives (allgather, allreduce, scan, the fused
-  ``allreduce_exscan``/``reduce_allgather``, the value collective fused
-  into ``map_resident`` and every ``allgather``/``allreduce``/
-  ``allreduce_exscan`` an SPMD kernel yields) share ONE dissemination
+* rooted kinds (broadcast, reduce, gather, scatter) walk a binomial
+  tree -- ``p - 1`` messages, ``log p`` depth;
+* replicated-result kinds (allgather, allreduce, scan, the fused
+  ``allreduce_exscan``/``reduce_allgather``) share ONE dissemination
   (Bruck) schedule -- ``ceil(log2 p)`` rounds on the critical path,
   ``p * ceil(log2 p)`` messages on any ``p``, power of two or not; the
   reducing kinds combine the rank-ordered list locally in binomial-tree
   order, so values stay bit-identical to ``sim``;
 * ``alltoall`` store-and-forwards along the same hop sequence
   (hypercube routing, Leighton Thm 3.24) -- ``p * ceil(log2 p)``
-  messages instead of ``p * (p - 1)``.
+  messages instead of ``p * (p - 1)``;
+* ``sendrecv`` and ``p2p`` payloads travel exactly one hop.
 
 Every worker counts its sends; :meth:`RuntimeBackend.
 worker_message_counts` exposes the totals so tests can assert the
@@ -63,11 +67,11 @@ order, so pipelined ``bcmd`` frames execute in *seq order on every
 worker* even though their results may interleave at the driver (a fast
 worker's seq ``n+1`` result can beat a slow worker's seq ``n``).  The
 driver demultiplexes the shared result channel by seq
-(:meth:`RuntimeBackend._pump`).  Direct per-worker frames (``put``,
-partial-participant ``p2p``) could overtake a tree hop still in
-flight, so they fence -- drain every in-flight command -- before
-issue.  Each command envelope carries the driver's *ack frontier* (the
-highest seq whose results are all collected); shm pools recycle a
+(:meth:`RuntimeBackend._pump`).  The direct per-worker frames of a
+``put`` could overtake a tree hop still in flight, so it fences --
+drains every in-flight command -- before issue.  Each command envelope
+carries the driver's *ack frontier* (the highest seq whose results are
+all collected); shm pools recycle a
 segment only once every block in it is flagged dead by its zero-copy
 consumer *and* the frontier has passed the newest round that allocated
 in it (:meth:`~repro.machine.backends.shm.ShmPool.release_through`) --
@@ -82,6 +86,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import hashlib
+import inspect
 import os
 import pickle
 import queue as queue_mod
@@ -103,8 +108,6 @@ from .base import (
     ChunkRef,
     LockstepError,
     PendingValues,
-    _apply_resident,
-    _collect_values,
     _run_spmd_inprocess,
 )
 
@@ -315,7 +318,7 @@ class Comm:
 
 # -- logarithmic worker schedules --------------------------------------
 
-def _tree_bcast(comm: Comm, root: int, value, tag: int = 0):
+def _tree_bcast(comm: Comm, root: int, value, tag: int):
     """Binomial-tree broadcast: p-1 messages, log p depth."""
     edges = binomial_edges(comm.p, root)
     if comm.rank != root:
@@ -327,7 +330,7 @@ def _tree_bcast(comm: Comm, root: int, value, tag: int = 0):
     return value
 
 
-def _tree_gather(comm: Comm, root: int, local, tag: int = 1):
+def _tree_gather(comm: Comm, root: int, local, tag: int):
     """Binomial-tree gather of subtree bundles; rank-ordered list at
     ``root``, ``None`` elsewhere."""
     bundle = {comm.rank: local}
@@ -340,7 +343,7 @@ def _tree_gather(comm: Comm, root: int, local, tag: int = 1):
     return [bundle[j] for j in range(comm.p)]
 
 
-def _tree_scatter(comm: Comm, root: int, pieces, tag: int = 2):
+def _tree_scatter(comm: Comm, root: int, pieces, tag: int):
     """Binomial-tree scatter: parents forward each child its subtree's
     bundle; returns this PE's piece."""
     edges = binomial_edges(comm.p, root)
@@ -356,7 +359,7 @@ def _tree_scatter(comm: Comm, root: int, pieces, tag: int = 2):
     return bundle[comm.rank]
 
 
-def _bruck_allgather(comm: Comm, myval, tag_base: int = 3) -> list:
+def _bruck_allgather(comm: Comm, myval, tag_base: int) -> list:
     """Dissemination allgather: ceil(log2 p) rounds on any p, one
     message per PE per round; returns the rank-ordered value list.
 
@@ -377,7 +380,7 @@ def _bruck_allgather(comm: Comm, myval, tag_base: int = 3) -> list:
     return [blocks[j] for j in range(p)]
 
 
-def _bruck_alltoall(comm: Comm, row, tag_base: int = 20) -> list:
+def _bruck_alltoall(comm: Comm, row, tag_base: int) -> list:
     """Store-and-forward personalized exchange along the dissemination
     hop sequence: each payload travels the binary decomposition of its
     rank offset, p * ceil(log2 p) messages total."""
@@ -402,18 +405,22 @@ def _bruck_alltoall(comm: Comm, row, tag_base: int = 20) -> list:
 def _collective_signature(req: tuple) -> tuple:
     """Rank-comparable signature of one yielded collective.
 
-    Kind plus whatever shapes the exchange: the reduction op for the
-    reducing collectives (named ops compare as strings, callables by
-    their ``__name__``).  Payload contents stay out -- they legitimately
+    Kind plus whatever shapes the exchange: the reduction op (named ops
+    compare as strings, callables by their ``__name__``) and the root or
+    the sender-receiver pair.  Payloads stay out -- they legitimately
     differ per rank, and so does the sender set a ``sendrecv`` declares
     (a hypercube hop names its partner).
     """
     kind = req[0]
-    if kind in ("allreduce", "allreduce_exscan"):
-        op = req[2]
-        return (kind, op if isinstance(op, str)
-                else getattr(op, "__name__", type(op).__name__))
-    return (kind,)
+    if kind == "sendrecv":
+        return (kind,)
+    # the fourth slot of the fused kinds is a payload (initial / gathered)
+    shape = req[2:3] if kind in ("allreduce_exscan", "reduce_allgather") else req[2:]
+    return (kind, *(
+        x if isinstance(x, (str, int))
+        else getattr(x, "__name__", type(x).__name__)
+        for x in shape
+    ))
 
 
 class _VerifiedValue:
@@ -429,60 +436,84 @@ class _VerifiedValue:
         self.digest = hashlib.sha1(repr(trace).encode()).hexdigest()
 
 
-def _run_spmd_step(comm: Comm, gen, trace: list | None = None):
-    """Drive one SPMD generator inside the worker: every yielded
-    collective becomes a logarithmic exchange with its own tag block
-    (dissemination for the replicated-result kinds, hypercube routing
-    for ``alltoall``, one direct hop for ``sendrecv``).
+def _run_collective(comm: Comm, req: tuple, tag: int):
+    """The worker half of the collective table
+    (:func:`~repro.machine.backends.base.spmd_collective` is the
+    reference): run one request as a logarithmic exchange in the tag
+    block starting at ``tag`` and return this rank's result.  Rooted
+    kinds walk the binomial tree, replicated-result kinds share the
+    dissemination schedule and combine locally in the reference's
+    order, ``alltoall`` routes along the hypercube and ``sendrecv`` /
+    ``p2p`` payloads travel exactly one hop."""
+    kind, rank = req[0], comm.rank
+    if kind == "broadcast":
+        return _tree_bcast(comm, req[2], req[1], tag)
+    if kind == "gather":
+        return _tree_gather(comm, req[2], req[1], tag)
+    if kind == "reduce":
+        recv = _tree_gather(comm, req[3], req[1], tag)
+        return None if recv is None else tree_reduce_order(recv, req[2])
+    if kind == "scatter":
+        return _tree_scatter(comm, req[2], req[1], tag)
+    if kind == "alltoall":
+        return _bruck_alltoall(comm, list(req[1]), tag)
+    if kind == "p2p":
+        src, dst = req[2], req[3]
+        if src == dst:
+            return req[1] if rank == dst else None
+        if rank == src:
+            comm.send(dst, tag, req[1])
+        return comm.recv(src, tag) if rank == dst else None
+    if kind == "sendrecv":
+        # message count = number of non-empty pairs; the expected-sender
+        # lists come from the driver so no discovery round is needed
+        row, srcs = list(req[1]), req[2]
+        for dst, payload in enumerate(row):
+            if dst != rank and payload is not None:
+                comm.send(dst, tag, payload)
+        res = [None] * comm.p
+        res[rank] = row[rank]
+        for src in srcs:
+            if src != rank:
+                res[src] = comm.recv(src, tag)
+        return res
+    if kind == "reduce_allgather":
+        pairs = _bruck_allgather(comm, (req[1], req[3]), tag)
+        total = tree_reduce_order([rv for rv, _ in pairs], req[2])
+        return total, [gv for _, gv in pairs]
+    if kind not in ("allgather", "allreduce", "scan", "allreduce_exscan"):
+        raise ValueError(f"unknown SPMD collective {kind!r}")
+    gathered = _bruck_allgather(comm, req[1], tag)
+    if kind == "allgather":
+        return gathered
+    if kind == "allreduce":
+        return tree_reduce_order(gathered, req[2])
+    if kind == "scan":
+        return inclusive_scan(gathered, req[2])[rank]
+    op, initial = req[2], req[3]
+    total = tree_reduce_order(gathered, op)
+    return total, initial if rank == 0 else inclusive_scan(gathered, op)[rank - 1]
+
+
+def _run_spmd_step(comm: Comm, step, trace: list | None = None):
+    """Finish one SPMD step inside the worker.  ``step`` is what the
+    callback returned: a generator is driven to its end, every yielded
+    collective in its own tag block; anything else already is the result
+    (a step of zero collectives).
 
     With ``trace`` (a list), record each yield's signature so the
     driver can assert lockstep across ranks after the command.
     """
-    tag_base = 100
+    if not inspect.isgenerator(step):
+        return step
+    tag = 100
     try:
-        req = gen.send(None)
+        req = step.send(None)
         while True:
             if trace is not None:
                 trace.append(_collective_signature(req))
-            kind = req[0]
-            if kind == "alltoall":
-                res = _bruck_alltoall(comm, list(req[1]), tag_base)
-                tag_base += 32
-                req = gen.send(res)
-                continue
-            if kind == "sendrecv":
-                # sparse direct exchange: payloads travel exactly one
-                # hop (the plan's p2p schedule), message count = number
-                # of non-empty pairs; the expected-sender lists come
-                # from the driver so no discovery round is needed
-                row, srcs = list(req[1]), req[2]
-                for dst, payload in enumerate(row):
-                    if dst != comm.rank and payload is not None:
-                        comm.send(dst, tag_base, payload)
-                res = [None] * comm.p
-                res[comm.rank] = row[comm.rank]
-                for src in srcs:
-                    if src != comm.rank:
-                        res[src] = comm.recv(src, tag_base)
-                tag_base += 32
-                req = gen.send(res)
-                continue
-            gathered = _bruck_allgather(comm, req[1], tag_base)
-            tag_base += 32
-            if kind == "allgather":
-                res = gathered
-            elif kind == "allreduce":
-                res = tree_reduce_order(gathered, req[2])
-            elif kind == "allreduce_exscan":
-                op, initial = req[2], req[3]
-                total = tree_reduce_order(gathered, op)
-                res = (
-                    total,
-                    initial if comm.rank == 0 else inclusive_scan(gathered, op)[comm.rank - 1],
-                )
-            else:
-                raise ValueError(f"unknown SPMD collective {kind!r}")
-            req = gen.send(res)
+            req = step.send(_run_collective(comm, req, tag))
+            tag += 32
     except StopIteration as stop:
         return stop.value
 
@@ -498,38 +529,12 @@ class WorkerError:
 
 def _execute(comm: Comm, spec, local, store):
     """Run one command on this worker; returns this PE's result."""
-    rank, p = comm.rank, comm.p
     kind = spec[0]
-
-    # -- resident chunk store ------------------------------------------
     if kind == "put":
         store[spec[1]] = local
         return None
     if kind == "get":
         return store[spec[1]]
-    if kind == "mapres":
-        fn = pickle.loads(spec[1])
-        in_ids, out_ids, collect = spec[2], spec[3], spec[4]
-        ins = [store[i] for i in in_ids]
-        extra = tuple(local) if local is not None else ()
-        res = fn(rank, *ins, *extra)
-        if out_ids:
-            if not isinstance(res, tuple) or len(res) != len(out_ids) + 1:
-                raise ValueError(
-                    f"resident callback must return {len(out_ids)} chunks "
-                    f"+ 1 value, got {type(res).__name__}"
-                )
-            for oid, chunk in zip(out_ids, res):
-                store[oid] = chunk
-            value = res[len(out_ids)]
-        else:
-            value = res
-        if collect is None:
-            return value
-        gathered = _bruck_allgather(comm, value, 40)
-        if collect[0] == "allgather":
-            return value, gathered
-        return value, tree_reduce_order(gathered, collect[1])
     if kind == "spmd":
         fn = pickle.loads(spec[1])
         in_ids, out_ids = spec[2], spec[3]
@@ -539,7 +544,7 @@ def _execute(comm: Comm, spec, local, store):
         ins = [store[i] for i in in_ids]
         extra = tuple(local) if local is not None else ()
         trace: list | None = [] if verify else None
-        res = _run_spmd_step(comm, fn(rank, *ins, *extra), trace)
+        res = _run_spmd_step(comm, fn(comm.rank, *ins, *extra), trace)
         if out_ids:
             if not isinstance(res, tuple) or len(res) != len(out_ids) + 1:
                 raise ValueError(
@@ -561,48 +566,6 @@ def _execute(comm: Comm, spec, local, store):
             "resident": len(store),
             "stash": len(comm.stash),
         }
-    if kind == "map":
-        fn = pickle.loads(spec[1])
-        return fn(rank, local)
-
-    # -- collectives ---------------------------------------------------
-    if kind == "bcast":
-        return _tree_bcast(comm, spec[1], local)
-    if kind == "reduce":
-        op, root = spec[1], spec[2]
-        recv = _tree_gather(comm, root, local)
-        return None if recv is None else tree_reduce_order(recv, op)
-    if kind == "allreduce":
-        return tree_reduce_order(_bruck_allgather(comm, local), spec[1])
-    if kind == "scan":
-        return inclusive_scan(_bruck_allgather(comm, local), spec[1])[rank]
-    if kind == "allreduce_exscan":
-        op, initial = spec[1], spec[2]
-        recv = _bruck_allgather(comm, local)
-        total = tree_reduce_order(recv, op)
-        prefix = initial if rank == 0 else inclusive_scan(recv, op)[rank - 1]
-        return total, prefix
-    if kind == "reduce_allgather":
-        op = spec[1]
-        pairs = _bruck_allgather(comm, local)
-        total = tree_reduce_order([rv for rv, _ in pairs], op)
-        return total, [gv for _, gv in pairs]
-    if kind == "gather":
-        return _tree_gather(comm, spec[1], local)
-    if kind == "allgather":
-        return _bruck_allgather(comm, local)
-    if kind == "scatter":
-        return _tree_scatter(comm, spec[1], local)
-    if kind == "alltoall":
-        return _bruck_alltoall(comm, list(local))
-    if kind == "p2p":
-        # pair operation: only src and dst receive this command, so the
-        # rest of the pool keeps working undisturbed
-        src, dst = spec[1], spec[2]
-        if rank == src:
-            comm.send(dst, 0, local)
-            return None
-        return comm.recv(src, 0)
     raise ValueError(f"unknown backend command {kind!r}")
 
 
@@ -752,6 +715,12 @@ def worker_loop(links: WorkerLinks) -> None:
 # Driver side
 # ----------------------------------------------------------------------
 
+def _collective_step(rank: int, *request):
+    """A list-of-p collective as an SPMD step: yield this rank's
+    request, return its result."""
+    return (yield request)
+
+
 class CommandFuture:
     """Driver-side handle to one in-flight command (a single seq).
 
@@ -768,29 +737,26 @@ class CommandFuture:
                  "wire_rx", "shm_rx", "ref_ids", "pending", "poisoned",
                  "_backend")
 
-    def __init__(self, backend: "RuntimeBackend", seq: int, kind: str,
-                 p: int, nranks: int, participants=None):
+    def __init__(self, backend: "RuntimeBackend", seq: int, kind: str, p: int):
         self._backend = backend
         self.seq = seq
         self.kind = kind
         self.out: list = [None] * p
         self.failures: list[tuple[int, str]] = []
-        self.remaining = nranks
+        self.remaining = p
         self.done = False
         self.wire_rx = 0
         self.shm_rx = 0
         #: resident refs this command reads or writes (dependency tracker)
         self.ref_ids: tuple[int, ...] = ()
         #: ranks that have not answered yet (hang attribution)
-        self.pending: set[int] = set(
-            range(p) if participants is None else participants
-        )
+        self.pending: set[int] = set(range(p))
         #: the WorkerFailure that poisoned this still-in-flight future
         #: when the pool broke (re-waits re-raise it)
         self.poisoned: WorkerFailure | None = None
 
     def wait(self) -> list:
-        """Block until every participant answered; returns the per-PE
+        """Block until every rank answered; returns the per-PE
         results (worker failures raise, and keep raising on re-wait)."""
         return self._backend._wait(self)
 
@@ -865,8 +831,8 @@ class RuntimeBackend(Backend):
         self.verify = bool(verify)
         #: maximum commands in flight at once.  ``1`` restores the
         #: strictly serial issue-wait-issue engine; the default keeps a
-        #: small window so :meth:`submit_spmd`/:meth:`submit_map_resident`
-        #: call sites overlap issue with worker execution.
+        #: small window so :meth:`submit_spmd` call sites overlap issue
+        #: with worker execution.
         self.pipeline_depth = max(1, int(pipeline_depth))
         self._seq = 0
         #: ack frontier: highest seq with *every* seq up to it fully
@@ -1091,41 +1057,16 @@ class RuntimeBackend(Backend):
     def _replay_journal(self) -> set[int]:
         """Replay the journal entries a live ref transitively depends on;
         returns the set of ref ids restored worker-side."""
-        # backward pass: mark the entries needed to rebuild live refs.
-        # An entry is needed if it touches any needed id -- inputs count
-        # too, because resident kernels may mutate them in place.
-        needed = set(self._live_ids)
-        keep = [False] * len(self._journal)
-        for i in range(len(self._journal) - 1, -1, -1):
-            entry = self._journal[i]
-            if entry[0] == "put":
-                _, ref_id, _ = entry
-                if ref_id in needed:
-                    keep[i] = True
-            else:
-                _, _, in_ids, out_ids = entry[0], entry[1], entry[2], entry[3]
-                if needed & (set(in_ids) | set(out_ids)):
-                    keep[i] = True
-                    needed.update(in_ids)
+        self._prune_journal()
         restored: set[int] = set()
-        for i, entry in enumerate(self._journal):
-            if not keep[i]:
-                continue
-            kind = entry[0]
-            if kind == "put":
+        for entry in self._journal:
+            if entry[0] == "put":
                 _, ref_id, chunks = entry
                 self._run(("put", ref_id), list(chunks))
                 restored.add(ref_id)
-            elif kind == "mapres":
-                _, blob, in_ids, out_ids, args, collect = entry
-                spec = ("mapres", blob, in_ids, out_ids, collect)
-                self._run(spec, args)
-                restored.update(in_ids)
-                restored.update(out_ids)
             else:  # "spmd"
                 _, blob, in_ids, out_ids, args = entry
-                spec = ("spmd", blob, in_ids, out_ids)
-                self._run(spec, args)
+                self._run(("spmd", blob, in_ids, out_ids), args)
                 restored.update(in_ids)
                 restored.update(out_ids)
         # replay may have re-created refs freed since; free them again
@@ -1143,7 +1084,9 @@ class RuntimeBackend(Backend):
             self._prune_journal()
 
     def _prune_journal(self) -> None:
-        """Drop journal entries no live ref transitively depends on."""
+        """Drop journal entries no live ref transitively depends on.  An
+        entry is needed if it touches any needed id -- inputs count too,
+        because resident kernels may mutate them in place."""
         needed = set(self._live_ids)
         kept: list[tuple] = []
         for entry in reversed(self._journal):
@@ -1379,50 +1322,27 @@ class RuntimeBackend(Backend):
         for ref_id in ids:
             self._ref_seq[ref_id] = fut.seq
 
-    def _submit(
-        self, spec: tuple, locals_per_pe: Sequence, participants=None
-    ) -> CommandFuture:
+    def _submit(self, spec: tuple, locals_per_pe: Sequence) -> CommandFuture:
         """Issue one command without collecting results.
 
-        Only full-pool broadcast-channel commands may overlap: FIFO
-        links and in-order tree forwarding deliver pipelined ``bcmd``
-        frames to every worker in seq order, so execution order equals
-        issue order on each rank.  Direct per-worker frames (``put``,
-        partial-participant ``p2p``) have no such guarantee and fence
-        first.
+        Broadcast-channel commands may overlap: FIFO links and in-order
+        tree forwarding deliver pipelined ``bcmd`` frames to every
+        worker in seq order, so execution order equals issue order on
+        each rank.  The direct per-worker frames of a ``put`` have no
+        such guarantee and fence first.
         """
         self._ensure_started()
         t0 = time.perf_counter()
-        if participants is not None or spec[0] == "put":
+        if spec[0] == "put":
             self._fence()
         else:
             while len(self._inflight) >= self.pipeline_depth:
                 self._wait(next(iter(self._inflight.values())))
-        # Fail fast on unpicklable specs (e.g. a lambda reduction op):
-        # the command would otherwise surface as an opaque worker-side
-        # decode failure or a collective timeout.  Probed before the seq
-        # is consumed -- a burnt seq would stall the ack frontier.
-        try:
-            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise TypeError(
-                f"backend command {spec[0]!r} is not picklable (op/arguments "
-                f"must cross a process boundary; use a named op like 'sum' "
-                f"or a module-level callable): {exc}"
-            ) from None
         self._seq += 1
         seq = self._seq
-        # freed handles piggyback only on full-pool commands -- a partial-
-        # participant command (p2p) would free the slots on two workers
-        # and leak them on the rest
-        if participants is None:
-            free_ids = tuple(self._dead_refs)
-            self._dead_refs.clear()
-        else:
-            free_ids = ()
-        nranks = self.p if participants is None else len(participants)
-        fut = CommandFuture(self, seq, spec[0], self.p, nranks,
-                            participants=participants)
+        free_ids = tuple(self._dead_refs)
+        self._dead_refs.clear()
+        fut = CommandFuture(self, seq, spec[0], self.p)
         self._inflight[seq] = fut
         if len(self._inflight) > self.max_inflight:
             self.max_inflight = len(self._inflight)
@@ -1432,7 +1352,7 @@ class RuntimeBackend(Backend):
         # are the one arg-heavy payload, and tree forwarding would
         # re-serialize each rank's chunk once per edge on its root path
         # (~(log2 p)/2 times on average) for no latency benefit.
-        if participants is None and spec[0] != "put":
+        if spec[0] != "put":
             locals_map = {r: locals_per_pe[r] for r in range(self.p)}
             self._cmd_buf.append((seq, spec, locals_map, free_ids))
             # inside a coalesced block the frame is held back so the
@@ -1444,7 +1364,7 @@ class RuntimeBackend(Backend):
             wire0, shm0 = self._tx["wire_tx"], self._tx["shm_tx"]
             if self._pool is not None:
                 self._pool.begin_round(seq)
-            for rank in (range(self.p) if participants is None else participants):
+            for rank in range(self.p):
                 self._inboxes[rank].put(
                     ("cmd", seq, spec, locals_per_pe[rank], free_ids,
                      self._acked),
@@ -1516,69 +1436,17 @@ class RuntimeBackend(Backend):
             self._coalescing = False
             self._flush_cmds()
 
-    def _run(
-        self, spec: tuple, locals_per_pe: Sequence, participants=None
-    ) -> list:
-        """Issue one command to the participating workers (default: all)
-        and collect their results: submit + wait."""
-        return self._wait(self._submit(spec, locals_per_pe, participants))
+    def _run(self, spec: tuple, locals_per_pe: Sequence) -> list:
+        """Issue one command and collect its results: submit + wait."""
+        return self._wait(self._submit(spec, locals_per_pe))
 
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
-    def broadcast(self, value, root: int = 0) -> list:
-        locals_per_pe = [value if i == root else None for i in range(self.p)]
-        return self._run(("bcast", root), locals_per_pe)
-
-    def reduce(self, values: Sequence, op, root: int = 0) -> list:
-        return self._run(("reduce", op, root), values)
-
-    def allreduce(self, values: Sequence, op) -> list:
-        return self._run(("allreduce", op), values)
-
-    def scan(self, values: Sequence, op) -> list:
-        return self._run(("scan", op), values)
-
-    def allreduce_exscan(self, values: Sequence, op, initial=0) -> tuple[list, list]:
-        pairs = self._run(("allreduce_exscan", op, initial), values)
-        totals = [t for t, _ in pairs]
-        prefixes = [pre for _, pre in pairs]
-        return totals, prefixes
-
-    def reduce_allgather(self, values: Sequence, payloads: Sequence, op) -> tuple[list, list]:
-        pairs = self._run(
-            ("reduce_allgather", op), list(zip(values, payloads))
-        )
-        return [t for t, _ in pairs], [g for _, g in pairs]
-
-    def gather(self, values: Sequence, root: int = 0) -> list:
-        return self._run(("gather", root), values)
-
-    def allgather(self, values: Sequence) -> list:
-        return self._run(("allgather",), values)
-
-    def scatter(self, pieces: Sequence, root: int = 0) -> list:
-        locals_per_pe = [list(pieces) if i == root else None for i in range(self.p)]
-        return self._run(("scatter", root), locals_per_pe)
-
-    def alltoall(self, matrix: Sequence[Sequence]) -> list[list]:
-        return self._run(("alltoall",), [list(row) for row in matrix])
-
-    def p2p(self, src: int, dst: int, payload):
-        if src == dst:
-            return payload
-        locals_per_pe = [payload if i == src else None for i in range(self.p)]
-        out = self._run(("p2p", src, dst), locals_per_pe, participants=(src, dst))
-        return out[dst]
-
-    def map(self, fn: Callable[[int, object], object], items: Sequence) -> list:
-        try:
-            blob = self._blob(fn)
-        except Exception:
-            # closures/lambdas cannot cross the process boundary; degrade
-            # gracefully to in-process application
-            return [fn(i, x) for i, x in enumerate(items)]
-        return self._run(("map", blob), items)
+    def collective(self, kind: str, requests: Sequence[tuple]) -> list:
+        # one command, one in-worker schedule, one result per rank: the
+        # requests ride the command frame as the step's per-PE args
+        return self._submit_step(_collective_step, (), 0, requests)[1].wait()
 
     # ------------------------------------------------------------------
     # Resident chunks
@@ -1651,78 +1519,18 @@ class RuntimeBackend(Backend):
             return self._store[ref.id]
         return self._run(("get", ref.id), [None] * self.p)
 
-    def submit_map_resident(
-        self,
-        fn: Callable,
-        refs: Sequence[ChunkRef],
-        n_out: int = 0,
-        args: Sequence[tuple] | None = None,
-        collect: tuple | None = None,
+    def _submit_step(
+        self, fn: Callable, refs: Sequence[ChunkRef], n_out: int,
+        args: Sequence[tuple] | None,
     ) -> tuple[list[ChunkRef], PendingValues]:
-        """Non-blocking :meth:`map_resident`: the command goes out and
-        stays in flight until ``pending.wait()`` (which returns
-        ``(values, collected)``).  Overlapping call sites must wait
-        their pendings in submit order before consuming values, so
-        charge replay stays in seq order (draws are counter-addressed
-        at build time, so settling order itself is free)."""
+        """Issue one ``spmd`` command (the only way per-PE code reaches
+        the workers)."""
         try:
             blob = self._blob(fn)
         except Exception:
-            # driver-side fallback: fetch, apply, re-pin.  Slow (the
+            # driver-side fallback: fetch, run, re-pin.  Slow (the
             # chunks make a round trip) but correct, and only hit by
             # closures that cannot cross the process boundary.
-            chunk_lists = [self.get_chunks(r) for r in refs]
-            outs, values = _apply_resident(self.p, fn, chunk_lists, n_out, args)
-            out_refs = [self.put_chunks(chunks) for chunks in outs]
-            return out_refs, PendingValues.resolved(
-                (values, _collect_values(values, collect, self.p))
-            )
-        out_refs = [self._new_ref() for _ in range(n_out)]
-        spec = ("mapres", blob, tuple(r.id for r in refs),
-                tuple(r.id for r in out_refs), collect)
-        locals_per_pe = list(args) if args is not None else [None] * self.p
-        self._record(("mapres", blob, spec[2], spec[3],
-                      list(locals_per_pe), collect))
-        fut = self._submit(spec, locals_per_pe)
-        self._track_refs(fut, refs, out_refs)
-
-        def settle():
-            out = self._wait(fut)
-            if collect is None:
-                return out, None
-            return [v for v, _ in out], [c for _, c in out]
-
-        return out_refs, PendingValues(settle)
-
-    def map_resident(
-        self,
-        fn: Callable,
-        refs: Sequence[ChunkRef],
-        n_out: int = 0,
-        args: Sequence[tuple] | None = None,
-        collect: tuple | None = None,
-    ) -> tuple[list[ChunkRef], list, list | None]:
-        out_refs, pending = self.submit_map_resident(
-            fn, refs, n_out=n_out, args=args, collect=collect
-        )
-        values, collected = pending.wait()
-        return out_refs, values, collected
-
-    def submit_spmd(
-        self,
-        fn: Callable,
-        refs: Sequence[ChunkRef],
-        n_out: int = 0,
-        args: Sequence[tuple] | None = None,
-    ) -> tuple[list[ChunkRef], PendingValues]:
-        """Non-blocking :meth:`run_spmd`: returns the output handles
-        immediately while the command executes; ``pending.wait()``
-        yields the per-PE values (lockstep-checked under ``verify``).
-        Same wait-in-submit-order contract as
-        :meth:`submit_map_resident`."""
-        try:
-            blob = self._blob(fn)
-        except Exception:
             chunk_lists = [self.get_chunks(r) for r in refs]
             outs, values = _run_spmd_inprocess(self.p, fn, chunk_lists, n_out, args)
             out_refs = [self.put_chunks(chunks) for chunks in outs]
@@ -1733,7 +1541,8 @@ class RuntimeBackend(Backend):
         if self.verify:
             spec = spec + (True,)
         locals_per_pe = list(args) if args is not None else [None] * self.p
-        self._record(("spmd", blob, spec[2], spec[3], list(locals_per_pe)))
+        if refs or out_refs:  # a step that touches no chunk restores none
+            self._record(("spmd", blob, spec[2], spec[3], locals_per_pe))
         fut = self._submit(spec, locals_per_pe)
         self._track_refs(fut, refs, out_refs)
 
@@ -1745,15 +1554,21 @@ class RuntimeBackend(Backend):
 
         return out_refs, PendingValues(settle)
 
-    def run_spmd(
+    def submit_spmd(
         self,
         fn: Callable,
         refs: Sequence[ChunkRef],
         n_out: int = 0,
         args: Sequence[tuple] | None = None,
-    ) -> tuple[list[ChunkRef], list]:
-        out_refs, pending = self.submit_spmd(fn, refs, n_out=n_out, args=args)
-        return out_refs, pending.wait()
+    ) -> tuple[list[ChunkRef], PendingValues]:
+        """Non-blocking :meth:`run_spmd`: returns the output handles
+        immediately while the command executes; ``pending.wait()``
+        yields the per-PE values (lockstep-checked under ``verify``).
+        Overlapping call sites must wait their pendings in submit order
+        before consuming values, so charge replay stays in seq order
+        (draws are counter-addressed at build time, so settling order
+        itself is free)."""
+        return self._submit_step(fn, refs, n_out, args)
 
     def _check_lockstep(self, values: list, seq: int) -> list:
         """Unwrap ``verify=True`` SPMD results, asserting every rank ran

@@ -1,25 +1,20 @@
 """The in-process simulated data plane (the default backend).
 
-Collectives compute their results directly in the driver process with
-deterministic combination orders:
+Everything is inherited: :class:`~repro.machine.backends.base.Backend`
+resolves collectives through the reference table
+(:func:`~repro.machine.backends.base.spmd_collective` -- reductions in
+binomial-tree order, prefix combines in linear rank order, so
+floating-point rounding is reproducible and matches what the modeled
+tree schedule would produce), keeps resident chunks in a driver-side
+store and drives SPMD steps in lockstep in the driver process.
 
-* reductions combine in binomial-tree order
-  (:func:`repro.machine.collectives.tree_reduce_order`) so that
-  floating-point rounding is reproducible and matches what the modeled
-  tree schedule would produce,
-* prefix combines run in linear rank order
-  (:func:`repro.machine.collectives.inclusive_scan`).
-
-Because nothing leaves the process, results may alias the inputs
-(``broadcast`` returns ``[value] * p``); callers must treat returned
-objects as read-only, exactly as :mod:`repro.machine.comm` documents.
+Because nothing leaves the process, results may alias the inputs (a
+broadcast returns ``[value] * p``); callers must treat returned objects
+as read-only, exactly as :mod:`repro.machine.comm` documents.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-from ..collectives import inclusive_scan, tree_reduce_order
 from .base import Backend
 
 __all__ = ["SimBackend"]
@@ -30,45 +25,3 @@ class SimBackend(Backend):
 
     name = "sim"
     is_real = False
-
-    # ------------------------------------------------------------------
-    def broadcast(self, value, root: int = 0) -> list:
-        return [value] * self.p
-
-    def reduce(self, values: Sequence, op, root: int = 0) -> list:
-        out: list = [None] * self.p
-        out[root] = tree_reduce_order(values, op)
-        return out
-
-    def allreduce(self, values: Sequence, op) -> list:
-        return [tree_reduce_order(values, op)] * self.p
-
-    def scan(self, values: Sequence, op) -> list:
-        return inclusive_scan(values, op)
-
-    def allreduce_exscan(self, values: Sequence, op, initial=0) -> tuple[list, list]:
-        inc = inclusive_scan(values, op)
-        totals = [tree_reduce_order(values, op)] * self.p
-        return totals, [initial] + inc[:-1]
-
-    def gather(self, values: Sequence, root: int = 0) -> list:
-        out: list = [None] * self.p
-        out[root] = list(values)
-        return out
-
-    def allgather(self, values: Sequence) -> list:
-        result = list(values)
-        return [result] * self.p
-
-    def scatter(self, pieces: Sequence, root: int = 0) -> list:
-        return list(pieces)
-
-    def alltoall(self, matrix: Sequence[Sequence]) -> list[list]:
-        p = self.p
-        return [[matrix[i][j] for i in range(p)] for j in range(p)]
-
-    def p2p(self, src: int, dst: int, payload):
-        return payload
-
-    def map(self, fn: Callable[[int, object], object], items: Sequence) -> list:
-        return [fn(i, x) for i, x in enumerate(items)]

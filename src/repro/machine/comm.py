@@ -24,7 +24,9 @@ Execution backends
 Every collective is split into a *control plane* (always executed here:
 schedule metering into :class:`CommMetrics` and analytic alpha-beta cost
 charging into :class:`SimClock`) and a *data plane* (computing the
-result values), which is delegated to the machine's backend:
+result values), which is delegated to the machine's backend as the
+per-PE requests an SPMD kernel would yield
+(:meth:`Backend.collective <repro.machine.backends.Backend.collective>`):
 
 ``backend="sim"`` (default)
     In-process execution with deterministic combination orders.  The
@@ -74,6 +76,8 @@ True
 from __future__ import annotations
 
 import contextlib
+import pickle
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -82,7 +86,7 @@ import numpy as np
 from .backends import Backend, make_backend
 from .clock import SimClock
 from .ctrrng import DrawAddress
-from .collectives import binomial_edges, hypercube_rounds
+from .collectives import REDUCTION_OPS, binomial_edges, hypercube_rounds
 from .cost import CollectiveCost, CostParams, log2_ceil
 from .metrics import CommMetrics, payload_words
 
@@ -189,9 +193,10 @@ class Machine:
         :class:`~repro.machine.backends.Backend` instance built for the
         same ``p``.  See the module docstring for the trade-offs.
     verify:
-        Assert SPMD lockstep: with a real backend, every ``run_spmd``
-        command also ships each PE's collective trace back to the
-        driver, which raises
+        Assert SPMD lockstep: with a real backend, every command that
+        communicates (an SPMD step or a list-of-p collective, which is a
+        step of one yield) also ships each PE's collective trace back to
+        the driver, which raises
         :class:`~repro.machine.backends.LockstepError` naming the
         command and the diverging rank if the sequences differ.  Off by
         default (it adds a small trace payload per result frame).  The
@@ -341,6 +346,48 @@ class Machine:
                 f"(got {len(values)}, machine has p={self.p})"
             )
 
+    def _collective(self, kind: str, payloads: Sequence, *params) -> list:
+        """Data plane of one list-of-p collective: rank ``i`` requests
+        ``(kind, payloads[i], *params)``, as an SPMD kernel would yield
+        it; returns the per-PE results."""
+        return self.backend.collective(
+            kind, list(zip(repeat(kind), payloads, *map(repeat, params))))
+
+    def _collective_from(self, kind: str, holder: int, payload, *params) -> list:
+        """:meth:`_collective` where only ``holder`` contributes a
+        payload (one shared request for everybody else, so a send stays
+        O(1) Python work at any ``p``)."""
+        requests = [(kind, None, *params)] * self.p
+        requests[holder] = (kind, payload, *params)
+        return self.backend.collective(kind, requests)
+
+    def _check_root(self, root: int, what: str) -> None:
+        if not 0 <= root < self.p:
+            raise ValueError(
+                f"{what}: root {root} out of range for a machine with p={self.p}"
+            )
+
+    def _check_op(self, op, what: str) -> None:
+        """Refuse a reduction op before anything is charged or sent: an
+        unknown name, or on a real backend a callable that cannot cross
+        the process boundary (it would fail inside a command frame,
+        after its seq was consumed, and stall the ack frontier)."""
+        if not callable(op):
+            if op not in REDUCTION_OPS:
+                raise ValueError(
+                    f"unknown reduction op {op!r}; expected one of "
+                    f"{sorted(REDUCTION_OPS)}"
+                )
+        elif self.backend.is_real:
+            try:
+                pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                raise TypeError(
+                    f"{what} op is not picklable (it must cross a process "
+                    f"boundary; use a named op like 'sum' or a module-level "
+                    f"callable): {exc}"
+                ) from None
+
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
@@ -354,8 +401,9 @@ class Machine:
 
         Returns a list of length ``p``; entries may alias ``value``.
         """
+        self._check_root(root, "broadcast")
         self._meter_broadcast(payload_words(value), root)
-        return self.backend.broadcast(value, root)
+        return self._collective_from("broadcast", root, value, root)
 
     def _meter_broadcast(self, words: float, root: int = 0) -> None:
         """Control plane of :meth:`broadcast` (schedule + charge only)."""
@@ -368,17 +416,20 @@ class Machine:
     def reduce(self, values: Sequence, op="sum", root: int = 0) -> list:
         """Reduce per-PE contributions to ``root``; other PEs get ``None``."""
         self._check_len(values, "reduce")
+        self._check_root(root, "reduce")
+        self._check_op(op, "reduce")
         m = payload_words(values[root])
         edges = [(d, s, m) for _, s, d in binomial_edges(self.p, root)]
         self.metrics.record_schedule(edges, "reduce")
         self._charge(self.cost.reduce(m, self.p))
-        return self.backend.reduce(values, op, root)
+        return self._collective("reduce", values, op, root)
 
     def allreduce(self, values: Sequence, op="sum") -> list:
         """Reduce per-PE contributions; every PE receives the result."""
         self._check_len(values, "allreduce")
+        self._check_op(op, "allreduce")
         self._meter_allreduce(values)
-        return self.backend.allreduce(values, op)
+        return self._collective("allreduce", values, op)
 
     def _meter_allreduce(
         self, values: Sequence | None = None, *, words: float | None = None
@@ -398,8 +449,9 @@ class Machine:
     def scan(self, values: Sequence, op="sum") -> list:
         """Inclusive prefix combine: PE ``j`` receives ``op(values[0..j])``."""
         self._check_len(values, "scan")
+        self._check_op(op, "scan")
         self._meter_scan(payload_words(values[0]))
-        return self.backend.scan(values, op)
+        return self._collective("scan", values, op)
 
     def _meter_scan(self, words: float) -> None:
         """Control plane of :meth:`scan` (schedule + charge only)."""
@@ -429,8 +481,10 @@ class Machine:
         extraction kernels.
         """
         self._check_len(values, "allreduce_exscan")
+        self._check_op(op, "allreduce_exscan")
         self._meter_allreduce_exscan(payload_words(values[0]))
-        return self.backend.allreduce_exscan(values, op, initial)
+        pairs = self._collective("allreduce_exscan", values, op, initial)
+        return [t for t, _ in pairs], [pre for _, pre in pairs]
 
     def _meter_allreduce_exscan(self, words: float) -> None:
         """Control plane of :meth:`allreduce_exscan` (schedule + charge)."""
@@ -474,17 +528,18 @@ class Machine:
         master-worker pattern of the Naive baseline).
         """
         self._check_len(values, "gather")
+        self._check_root(root, "gather")
+        if mode not in ("tree", "direct"):
+            raise ValueError(f"unknown gather mode {mode!r}")
         sizes = np.array([payload_words(v) for v in values], dtype=np.float64)
-        total = float(sizes.sum() - sizes[root])
         if mode == "tree":
             self._meter_gather(sizes, root)
-        elif mode == "direct":
+        else:
+            total = float(sizes.sum() - sizes[root])
             edges = [(i, root, sizes[i]) for i in range(self.p) if i != root]
             self.metrics.record_schedule(edges, "gather_direct")
             self._charge(self.cost.gather_direct(total, self.p))
-        else:
-            raise ValueError(f"unknown gather mode {mode!r}")
-        return self.backend.gather(values, root)
+        return self._collective("gather", values, root)
 
     def _meter_gather(self, words: Sequence, root: int = 0) -> None:
         """Control plane of tree-mode :meth:`gather` (schedule + charge
@@ -505,7 +560,7 @@ class Machine:
         """All-to-all broadcast (gossiping): every PE gets every piece."""
         self._check_len(values, "allgather")
         self._meter_allgather(values)
-        return self.backend.allgather(values)
+        return self._collective("allgather", values)
 
     def _meter_allgather(
         self,
@@ -562,14 +617,20 @@ class Machine:
         """
         self._check_len(values, "reduce_allgather")
         self._check_len(payloads, "reduce_allgather")
+        self._check_op(op, "reduce_allgather")
         self._meter_allgather(
             payloads, extra_words=payload_words(values[0]), kind="reduce_allgather"
         )
-        return self.backend.reduce_allgather(values, payloads, op)
+        pairs = self.backend.collective(
+            "reduce_allgather",
+            [("reduce_allgather", v, op, w) for v, w in zip(values, payloads)],
+        )
+        return [t for t, _ in pairs], [g for _, g in pairs]
 
     def scatter(self, pieces: Sequence, root: int = 0) -> list:
         """Distribute ``pieces[i]`` from ``root`` to PE ``i``."""
         self._check_len(pieces, "scatter")
+        self._check_root(root, "scatter")
         sizes = np.array([payload_words(v) for v in pieces], dtype=np.float64)
         total = float(sizes.sum() - sizes[root])
         # top-down binomial tree: a parent forwards the payload bundle
@@ -581,7 +642,7 @@ class Machine:
             acc[s] += acc[d]
         self.metrics.record_schedule(reversed(fwd), "scatter")
         self._charge(self.cost.scatter(total, self.p))
-        return self.backend.scatter(pieces, root)
+        return self._collective_from("scatter", root, pieces, root)
 
     # ------------------------------------------------------------------
     # Personalized exchanges
@@ -601,13 +662,14 @@ class Machine:
         for i, row in enumerate(matrix):
             if len(row) != self.p:
                 raise ValueError(f"alltoall row {i} has length {len(row)} != p")
-        out = self.backend.alltoall(matrix)
+        if mode not in ("direct", "hypercube"):
+            raise ValueError(f"unknown alltoall mode {mode!r}")
         sizes = np.array(
             [[payload_words(matrix[i][j]) if i != j else 0 for j in range(self.p)] for i in range(self.p)],
             dtype=np.float64,
         )
         self._meter_alltoall(sizes, mode)
-        return out
+        return self._collective("alltoall", matrix)
 
     def _meter_alltoall(self, sizes: np.ndarray, mode: str = "direct") -> None:
         """Control plane of :meth:`alltoall` (schedule + charge only).
@@ -846,7 +908,8 @@ class Machine:
             if child != parent:
                 self.metrics.record_p2p(child, parent, w, kind)
                 self.clock.charge_p2p(child, parent, self.cost.p2p(w))
-                payload = self.backend.p2p(child, parent, payload)
+                payload = self._collective_from(
+                    "p2p", child, payload, child, parent)[parent]
             merged = merge(acc[parent], payload)
             # merging cost: proportional to the incoming payload
             self.charge_ops_one(parent, max(1.0, w))
@@ -949,7 +1012,7 @@ class Machine:
         if src != dst:
             self.metrics.record_p2p(src, dst, w, kind)
             self.clock.charge_p2p(src, dst, self.cost.p2p(w))
-            payload = self.backend.p2p(src, dst, payload)
+            payload = self._collective_from("p2p", src, payload, src, dst)[dst]
         return payload
 
     # ------------------------------------------------------------------

@@ -6,9 +6,8 @@ this package.  Chunks are pinned behind an opaque
 execution backend -- in worker-process memory for real backends
 (``"mp"``), in a driver-side store for the in-process default
 (``"sim"``).  Per-PE algorithm callbacks therefore execute *where the
-data lives* (:meth:`map_chunks`, :meth:`map_values`, :meth:`map_collect`)
-and only small per-PE values travel (:meth:`map_chunks`,
-:meth:`map_values`, :meth:`map_collect`); full chunks cross the process
+data lives* (:meth:`map_chunks`, :meth:`map_values`) and only small
+per-PE values travel; full chunks cross the process
 boundary exactly twice -- once when the input is pinned and once if the
 driver asks for the result (:attr:`chunks`, :meth:`concat`).  On the
 ``mp`` backend those two crossings ride the zero-copy payload lanes
@@ -17,9 +16,9 @@ see the README's "Transports" section), so pinning and fetching cost one
 memcpy per side instead of an in-band pickle through the pipe.
 
 Cross-PE data flow still goes exclusively through
-:class:`repro.machine.Machine` collectives: the resident map methods
-never communicate by themselves (their optional fused value collective
-is charged through the machine's control plane by the call sites).
+:class:`repro.machine.Machine` collectives or the collectives an SPMD
+kernel yields (:meth:`~repro.machine.backends.base.Backend.run_spmd`):
+the resident map methods never communicate by themselves.
 """
 
 from __future__ import annotations
@@ -160,12 +159,11 @@ class DistArray:
         fn: Callable,
         n_out: int = 0,
         args: Sequence[tuple] | None = None,
-        collect: tuple | None = None,
-    ) -> tuple[list[ChunkRef], list, list | None]:
+    ) -> tuple[list[ChunkRef], list, None]:
         """Raw resident map (no charging -- call sites charge in their
         own order so modeled time is schedule-exact)."""
         return self.machine.backend.map_resident(
-            fn, [self._ensure_ref()], n_out, args, collect
+            fn, [self._ensure_ref()], n_out, args
         )
 
     def _wrap(self, ref: ChunkRef, sizes, dtype=None) -> "DistArray":
@@ -279,31 +277,6 @@ class DistArray:
         call site charges its own op count)."""
         _, values, _ = self._map_resident(fn, n_out=0, args=args)
         return values
-
-    def map_collect(
-        self,
-        fn: Callable,
-        args: Sequence[tuple] | None = None,
-        *,
-        op: str | Callable | None = None,
-    ) -> tuple[list, list]:
-        """Resident map with the value collective fused into the same
-        backend round trip.
-
-        Returns ``(values, collected)``: without ``op`` the collected
-        entry is the rank-ordered value list (allgather semantics), with
-        ``op`` the replicated reduction.  The collective's modeled cost
-        and metering are charged through the machine exactly as if
-        :meth:`Machine.allgather`/:meth:`Machine.allreduce` had been
-        called on ``values``, so both backends report identical models.
-        """
-        collect = ("allgather",) if op is None else ("allreduce", op)
-        _, values, collected = self._map_resident(fn, n_out=0, args=args, collect=collect)
-        if op is None:
-            self.machine._meter_allgather(values)
-        else:
-            self.machine._meter_allreduce(values)
-        return values, collected
 
     def bernoulli_sample_local(self, rho: float) -> list:
         """Per-PE Bernoulli(rho) samples, drawn and extracted where the

@@ -115,7 +115,9 @@ def _insert_step(rank: int, tree: Treap, scores, first_uid):
 
 
 def _peek_step(rank: int, tree: Treap):
-    return tree.min() if len(tree) else TOP
+    local = tree.min() if len(tree) else TOP
+    best = yield ("allreduce", local, "min")
+    return local, best
 
 
 def _delete_min_kernel(rank: int, tree: Treap, k: int, p: int, addr):
@@ -250,7 +252,7 @@ class BulkParallelPQ:
             else:
                 args.append((None, 0))
         self._pending = [[] for _ in range(machine.p)]
-        _, pending = machine.backend.submit_map_resident(
+        _, pending = machine.backend.submit_spmd(
             _insert_step, [self._ref], n_out=0, args=args
         )
         return pending
@@ -273,17 +275,17 @@ class BulkParallelPQ:
 
     def peek_min(self):
         """Globally smallest score without removing it (one reduction,
-        fused into the resident lookup's round trip)."""
+        yielded from the resident lookup's step)."""
         # argument-free lookup: safe to issue while the flush is in
         # flight (same overlapped pattern as delete_min)
         flush = self._flush_submit()
-        _, pending = self.machine.backend.submit_map_resident(
-            _peek_step, [self._ref], n_out=0, collect=("allreduce", "min")
+        _, pending = self.machine.backend.submit_spmd(
+            _peek_step, [self._ref], n_out=0
         )
         self._settle_flush(flush)
-        values, collected = pending.wait()
-        self.machine._meter_allreduce(values)
-        v = collected[0]
+        out = pending.wait()
+        self.machine._meter_allreduce([local for local, _ in out])
+        v = out[0][1]
         if v is TOP:
             raise IndexError("peek_min on empty queue")
         return v[0]

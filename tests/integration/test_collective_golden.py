@@ -1,0 +1,140 @@
+"""Integration: the list-of-p families against a table recorded at the
+parent commit.
+
+sim == mp cannot see drift both share, so the families whose
+collectives are still spelled list-of-p are held to
+``tests/support/collective_golden.json``: values, the modeled-cost tuple
+of ``report()`` and the draw addresses allocated (``Machine._rng_seq``)
+of ``top_k_frequent_naive``, ``top_k_frequent_naive_tree`` (the
+``reduce_tree`` / point-to-point user), ``dta_topk``, ``rdta_topk``,
+``ms_select`` and ``BulkParallelPQ.peek_min`` at p in {1, 2, 3, 4, 8},
+plus the modeled columns of every ``collectives_microbench`` row,
+recorded at 8ec87bb on sim.  Regenerate (``python
+tests/integration/test_collective_golden.py``) only when a result or
+cost change is intended, and from the parent of that change.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.bench.experiments import collectives_microbench
+from repro.frequent import top_k_frequent_naive, top_k_frequent_naive_tree
+from repro.machine import DistArray, Machine
+from repro.pqueue import BulkParallelPQ
+from repro.selection import ms_select
+from repro.topk import SumScore, build_distributed_index, dta_topk, rdta_topk
+
+GOLDEN_PATH = Path(__file__).parents[1] / "support" / "collective_golden.json"
+GOLDEN_SEED = 1919
+PS = (1, 2, 3, 4, 8)
+MODEL_COLS = ("time_s", "work_s", "comm_s", "volume_words", "startups",
+              "traffic_words", "imbalance")
+
+
+def _keys(m):
+    return DistArray.generate(m, lambda r, g: g.integers(0, 256, size=2000))
+
+
+def _frequent(algo):
+    def run(m):
+        res = algo(m, _keys(m), 8, rho=0.3)
+        return [[int(k), float(c)] for k, c in res.items] + [res.sample_size]
+    return run
+
+
+def _indexes(m):
+    rng = np.random.default_rng(53)
+    ids, scores = np.arange(600), rng.random((600, 3))
+    parts = np.array_split(rng.permutation(600), m.p)
+    return build_distributed_index(
+        m, [ids[pt] for pt in parts], [scores[pt] for pt in parts])
+
+
+def _topk(algo):
+    def run(m):
+        res = algo(m, _indexes(m), SumScore(3), 15)
+        return [[int(i), float(s)] for i, s in res.items]
+    return run
+
+
+def _ms_select(m):
+    seqs = [np.sort(g.random(500)) for g in m.rngs]
+    return [float(ms_select(m, seqs, k)) for k in (1, 171, 500 * m.p)]
+
+
+def _peek_min(m):
+    pq = BulkParallelPQ(m)
+    # odd ranks hold nothing: their local minimum is the TOP sentinel
+    pq.insert([g.random(0 if r % 2 else 40) for r, g in enumerate(m.rngs)])
+    first = pq.peek_min()
+    pq.delete_min(7)
+    return [float(first), float(pq.peek_min())]
+
+
+FAMILIES = {
+    "top_k_frequent_naive": _frequent(top_k_frequent_naive),
+    "top_k_frequent_naive_tree": _frequent(top_k_frequent_naive_tree),
+    "dta_topk": _topk(dta_topk),
+    "rdta_topk": _topk(rdta_topk),
+    "ms_select": _ms_select,
+    "peek_min": _peek_min,
+}
+
+
+def _observe(family, p, backend="sim"):
+    with Machine(p=p, seed=GOLDEN_SEED, backend=backend) as m:
+        values = FAMILIES[family](m)
+        r = m.report()
+        model = [r.makespan, r.work_time, r.comm_time, r.bottleneck_words,
+                 r.bottleneck_startups, r.total_traffic, r.imbalance]
+        return {"values": values, "report": model, "rng_seq": m._rng_seq}
+
+
+def _microbench(p, backend="sim"):
+    rows = collectives_microbench(
+        p_list=(p,), payload=16, repeats=2, backend=backend)
+    return {r.algorithm: [r.as_dict()[c] for c in MODEL_COLS] for r in rows}
+
+
+def _cases():
+    return [(f, p) for f in sorted(FAMILIES) for p in PS]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("family,p", _cases())
+def test_equals_the_parent_commit(golden, family, p):
+    # through json, as the table went: tuples and lists compare equal
+    got = json.loads(json.dumps(_observe(family, p)))
+    assert got == golden[f"{family}/{p}"]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_mp_equals_the_parent_commit(golden, family):
+    got = json.loads(json.dumps(_observe(family, 3, backend="mp")))
+    assert got == golden[f"{family}/3"]
+
+
+@pytest.mark.parametrize("p", PS)
+def test_microbench_equals_the_parent_commit(golden, p):
+    assert json.loads(json.dumps(_microbench(p))) == golden[f"microbench/{p}"]
+
+
+def test_microbench_on_mp_equals_the_parent_commit(golden):
+    got = json.loads(json.dumps(_microbench(3, backend="mp")))
+    assert got == golden["microbench/3"]
+
+
+if __name__ == "__main__":
+    table = {f"{f}/{p}": _observe(f, p) for f, p in _cases()}
+    table.update({f"microbench/{p}": _microbench(p) for p in PS})
+    rows = [f" {json.dumps(k)}: {json.dumps(table[k], sort_keys=True)}"
+            for k in sorted(table)]  # one line per row
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+    print(f"recorded {len(table)} rows at {GOLDEN_PATH}")

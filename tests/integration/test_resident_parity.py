@@ -266,7 +266,7 @@ class TestPipelinedParity:
         the driver's demux must still produce serial semantics."""
         with Machine(p=p, seed=54, backend=backend, pipeline_depth=8) as m:
             backend_ = m.backend
-            refs, pend0 = backend_.submit_map_resident(
+            refs, pend0 = backend_.submit_spmd(
                 _make_stress_vals, [], n_out=1, args=[(10,)] * p
             )
             base = [
@@ -278,7 +278,7 @@ class TestPipelinedParity:
                 inc = i + 1
                 delays = [0.002 * ((r + i) % max(p, 2)) for r in range(p)]
                 args = [(delays[r], inc) for r in range(p)]
-                _, pending = backend_.submit_map_resident(
+                _, pending = backend_.submit_spmd(
                     _delayed_bump, [refs[0]], n_out=0, args=args
                 )
                 base = [b + 8 * inc for b in base]
@@ -286,8 +286,7 @@ class TestPipelinedParity:
                 pendings.append(pending)
             pend0.wait()
             for pending, want in zip(pendings, expect):
-                values, _ = pending.wait()
-                assert values == want
+                assert pending.wait() == want
             if p > 1:
                 assert backend_.max_inflight > 1
             final = backend_.get_chunks(refs[0])

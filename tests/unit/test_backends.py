@@ -225,19 +225,22 @@ class TestMpLifecycle:
 class TestBackendMap:
     def test_sim_map(self):
         m = Machine(p=3)
-        out = m.backend.map(lambda i, x: x + i, [10, 20, 30])
+        out = m.backend.run_spmd(
+            lambda i, x: x + i, [], args=[(10,), (20,), (30,)])[1]
         assert out == [10, 21, 32]
 
     def test_mp_map_picklable(self):
         with Machine(p=3, backend="mp") as m:
-            out = m.backend.map(_double, [np.arange(2), np.arange(3), np.arange(4)])
+            out = m.backend.run_spmd(
+                _double, [], args=[(np.arange(n),) for n in (2, 3, 4)])[1]
         for i, c in enumerate(out):
             np.testing.assert_array_equal(c, 2 * np.arange(i + 2))
 
     def test_mp_map_unpicklable_falls_back(self):
         local = 5
         with Machine(p=2, backend="mp") as m:
-            out = m.backend.map(lambda i, x: x + local, [1, 2])
+            out = m.backend.run_spmd(
+                lambda i, x: x + local, [], args=[(1,), (2,)])[1]
         assert out == [6, 7]
 
     def test_dist_array_sort_local_on_mp(self):

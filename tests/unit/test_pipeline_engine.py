@@ -169,12 +169,12 @@ class TestPipelinedEngine:
     def test_depth_caps_inflight_and_results_demux(self):
         with Machine(p=2, backend="mp", pipeline_depth=3) as m:
             backend = m.backend
-            refs, pending0 = backend.submit_map_resident(
+            refs, pending0 = backend.submit_spmd(
                 _make_vals, [], n_out=1, args=[(10,)] * 2
             )
             ref = refs[0]
             pendings = [
-                backend.submit_map_resident(
+                backend.submit_spmd(
                     _bump, [ref], n_out=0, args=[(i + 1,)] * 2
                 )[1]
                 for i in range(6)
@@ -187,19 +187,18 @@ class TestPipelinedEngine:
             expect = [46.0, 86.0]
             for i, pending in enumerate(pendings):
                 expect = [e + 4 * (i + 1) for e in expect]
-                values, _ = pending.wait()
-                assert values == expect
+                assert pending.wait() == expect
             assert backend.max_inflight > 1
             assert backend._inflight == {}
 
     def test_depth_one_serializes(self):
         with Machine(p=2, backend="mp", pipeline_depth=1) as m:
             backend = m.backend
-            refs, _ = backend.submit_map_resident(
+            refs, _ = backend.submit_spmd(
                 _make_vals, [], n_out=1, args=[(1,)] * 2
             )
             for i in range(3):
-                backend.submit_map_resident(
+                backend.submit_spmd(
                     _bump, [refs[0]], n_out=0, args=[(1,)] * 2
                 )
             assert backend.max_inflight == 1
@@ -207,11 +206,11 @@ class TestPipelinedEngine:
     def test_get_chunks_waits_on_inflight_mutator(self):
         with Machine(p=2, backend="mp") as m:
             backend = m.backend
-            refs, _ = backend.submit_map_resident(
+            refs, _ = backend.submit_spmd(
                 _make_vals, [], n_out=1, args=[(10,)] * 2
             )
             for i in range(4):
-                backend.submit_map_resident(
+                backend.submit_spmd(
                     _bump, [refs[0]], n_out=0, args=[(2,)] * 2
                 )
             # read through the sanctioned path without waiting the
@@ -227,10 +226,10 @@ class TestPipelinedEngine:
     def test_direct_frames_fence_the_pipe(self):
         with Machine(p=2, backend="mp") as m:
             backend = m.backend
-            refs, _ = backend.submit_map_resident(
+            refs, _ = backend.submit_spmd(
                 _make_vals, [], n_out=1, args=[(1,)] * 2
             )
-            backend.submit_map_resident(
+            backend.submit_spmd(
                 _bump, [refs[0]], n_out=0, args=[(1,)] * 2
             )
             assert backend._inflight
@@ -240,11 +239,11 @@ class TestPipelinedEngine:
     def test_stash_and_trackers_empty_after_quiesce(self):
         with Machine(p=3, backend="mp") as m:
             backend = m.backend
-            refs, _ = backend.submit_map_resident(
+            refs, _ = backend.submit_spmd(
                 _make_vals, [], n_out=1, args=[(5,)] * 3
             )
             for i in range(5):
-                backend.submit_map_resident(
+                backend.submit_spmd(
                     _bump, [refs[0]], n_out=0, args=[(1,)] * 3
                 )
             stats = backend._run(("stats",), [None] * 3)
@@ -259,7 +258,8 @@ class TestPipelinedEngine:
     def test_ack_frontier_tracks_seq(self):
         with Machine(p=2, backend="mp") as m:
             backend = m.backend
-            backend.allreduce([1, 2], op="sum")
+            backend.collective(
+                "allreduce", [("allreduce", v, "sum") for v in (1, 2)])
             assert backend._acked == backend._seq
 
     def test_make_backend_threads_pipeline_depth(self):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from tools.repro_lint import Config, all_checks, lint_source
-from tools.repro_lint.checks import ACCEPTED_CHARGE_KINDS
+from tools.repro_lint.checks import ACCEPTED_CHARGE_KINDS, SPMD_YIELD_KINDS
 from tools.repro_lint.core import _parse_mini_toml, load_config, main
 
 REPO = Path(__file__).resolve().parents[2]
@@ -93,6 +93,63 @@ class TestRL001:
             """,
             "RL001",
         )
+
+    @pytest.mark.parametrize("request_", [
+        '("broadcast", chunk, 0)',
+        '("reduce_allgather", 1.0, "sum", chunk)',
+    ])
+    def test_clean_on_guard_from_a_replicated_new_kind(self, request_):
+        assert not hits(
+            f"""
+            def _kernel(rank, chunk):
+                got = yield {request_}
+                if got:
+                    yield ("allgather", 1)
+            """,
+            "RL001",
+        )
+
+    @pytest.mark.parametrize("request_", [
+        '("reduce", 1.0, "sum", 0)',
+        '("gather", chunk, 0)',
+        '("scatter", chunk, 0)',
+        '("scan", 1.0, "sum")',
+        '("p2p", chunk, 0, 1)',
+    ])
+    def test_fires_on_guard_from_a_rank_personal_new_kind(self, request_):
+        found = hits(
+            f"""
+            def _kernel(rank, chunk):
+                got = yield {request_}
+                if got:
+                    yield ("allgather", 1)
+            """,
+            "RL001",
+        )
+        assert len(found) == 1
+
+    def test_yield_kinds_pinned_to_the_collective_table(self):
+        """The hardcoded kind set must match both halves of the table --
+        the worker schedules and the in-process reference -- so a kind
+        added to one of them without teaching the linter fails here."""
+        for path, name in [
+            ("src/repro/machine/backends/runtime.py", "_run_collective"),
+            ("src/repro/machine/backends/base.py", "spmd_collective"),
+        ]:
+            tree = ast.parse((REPO / path).read_text(encoding="utf-8"))
+            table = next(
+                n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == name
+            )
+            dispatched = {
+                c.value
+                for n in ast.walk(table)
+                if isinstance(n, ast.Compare)
+                and isinstance(n.left, ast.Name) and n.left.id == "kind"
+                for c in ast.walk(n.comparators[0])
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+            assert dispatched == SPMD_YIELD_KINDS, path
 
     def test_clean_on_unconditional_yields(self):
         assert not hits(

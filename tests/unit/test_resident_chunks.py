@@ -3,7 +3,7 @@
 DistArray chunks are pinned behind opaque handles in the execution
 backend; per-PE callbacks run where the data lives and only small
 values travel.  These tests cover the backend protocol (put/get/free,
-``map_resident`` with fused value collectives, generator ``run_spmd``),
+``map_resident``, ``run_spmd`` with and without yielded collectives),
 the DistArray surface on top of it, the driver fallback for unpicklable
 callbacks, and the lifecycle guarantees (salvage at close, idempotent
 close, atexit guard registration).
@@ -23,6 +23,16 @@ def _chunk_step(rank, chunk):
 
 def _value_step(rank, chunk, offset):
     return int(chunk.sum()) + offset
+
+
+def _gathered_step(rank, chunk, offset):
+    value = _value_step(rank, chunk, offset)
+    return value, (yield ("allgather", value))
+
+
+def _summed_step(rank, chunk, offset):
+    value = _value_step(rank, chunk, offset)
+    return value, (yield ("allreduce", value, "sum"))
 
 
 def _split_step(rank, chunk, pivot):
@@ -87,18 +97,14 @@ class TestBackendResidentProtocol:
             for c in hi:
                 np.testing.assert_array_equal(c, [3, 4, 5])
 
-    def test_map_resident_fused_collect(self, backend):
+    def test_value_and_collective_in_one_step(self, backend):
         with self._machine(backend) as m:
             ref = m.backend.put_chunks([np.full(2, i + 1) for i in range(3)])
-            _, values, gathered = m.backend.map_resident(
-                _value_step, [ref], 0, args=[(0,)] * 3, collect=("allgather",)
-            )
-            assert values == [2, 4, 6]
-            assert gathered == [[2, 4, 6]] * 3
-            _, values, totals = m.backend.map_resident(
-                _value_step, [ref], 0, args=[(0,)] * 3, collect=("allreduce", "sum")
-            )
-            assert totals == [12] * 3
+            _, out = m.backend.run_spmd(_gathered_step, [ref], args=[(0,)] * 3)
+            assert [v for v, _ in out] == [2, 4, 6]
+            assert [g for _, g in out] == [[2, 4, 6]] * 3
+            _, out = m.backend.run_spmd(_summed_step, [ref], args=[(0,)] * 3)
+            assert [t for _, t in out] == [12] * 3
 
     def test_run_spmd_generator(self, backend):
         with self._machine(backend) as m:
@@ -156,12 +162,10 @@ class TestUnpicklableFallback:
         bias = 7  # closure -> unpicklable callback
         with Machine(p=2, seed=12, backend="mp") as m:
             ref = m.backend.put_chunks([np.arange(3), np.arange(3) + 1])
-            out_refs, values, gathered = m.backend.map_resident(
-                lambda rank, c: (int(c.sum()) + bias),
-                [ref], 0, collect=("allgather",),
+            _, values, _ = m.backend.map_resident(
+                lambda rank, c: (int(c.sum()) + bias), [ref], 0
             )
             assert values == [10, 13]
-            assert gathered == [[10, 13]] * 2
 
     def test_mp_run_spmd_falls_back(self):
         scale = 3
@@ -198,10 +202,11 @@ class TestDistArrayResident:
             da = DistArray(m, [np.arange(4), np.arange(4) + 10])
             values = da.map_values(_value_step, args=[(0,), (0,)])
             assert values == [6, 46]
-            raw, collected = da.map_collect(_value_step, args=[(0,), (0,)])
-            assert raw == [6, 46] and collected[0] == [6, 46]
-            raw, totals = da.map_collect(_value_step, args=[(0,), (0,)], op="sum")
-            assert totals[0] == 52
+            ref, args = da._ensure_ref(), [(0,), (0,)]
+            _, out = m.backend.run_spmd(_gathered_step, [ref], args=args)
+            assert [v for v, _ in out] == [6, 46] and out[0][1] == [6, 46]
+            _, out = m.backend.run_spmd(_summed_step, [ref], args=args)
+            assert out[0][1] == 52
 
     def test_sizes_never_fetch(self, backend):
         with Machine(p=2, seed=13, backend=backend) as m:

@@ -249,12 +249,12 @@ class TestThresholdRouting:
             big = np.arange(8000, dtype=np.float64)
             m.broadcast(big)
             m.sync_transport()
-            assert m.metrics.shm_bytes.get("bcast", 0) > 0
+            assert m.metrics.shm_bytes.get("spmd", 0) > 0
             first = dict(m.metrics.shm_bytes)
             m.sync_transport()  # repeated syncs must not double-count
             assert m.metrics.shm_bytes == first
             rep = m.report()
-            assert rep.shm_bytes >= first["bcast"]
+            assert rep.shm_bytes >= first["spmd"]
             assert rep.wire_bytes > 0
 
 

@@ -349,7 +349,8 @@ class TestTcpRegistration:
             bind="127.0.0.1", connect_timeout=1.0,
         )
         with pytest.raises(RuntimeError, match="never registered"):
-            backend.allreduce([1, 2], "sum")
+            backend.collective(
+                "allreduce", [("allreduce", v, "sum") for v in (1, 2)])
         assert backend._listener is None
         assert backend._workers == [] and backend._inboxes == []
         backend.close()  # idempotent after the failed start
@@ -365,7 +366,8 @@ class TestTcpRegistration:
 
         def run():
             try:
-                result["out"] = backend.allreduce([7], "sum")
+                result["out"] = backend.collective(
+                    "allreduce", [("allreduce", 7, "sum")])
             except Exception as exc:  # pragma: no cover - surfaced below
                 result["err"] = exc
 
@@ -401,7 +403,8 @@ class TestTcpRegistration:
         )
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match=r"ranks \[1\] never registered"):
-            backend.allreduce([1, 2], "sum")
+            backend.collective(
+                "allreduce", [("allreduce", v, "sum") for v in (1, 2)])
         assert time.monotonic() - t0 < 30.0  # nowhere near connect_timeout
         backend.close()
 

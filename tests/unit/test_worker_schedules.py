@@ -38,10 +38,6 @@ def _three_collectives(rank, chunk):
     return [float(g[0]) for g in gathered], total, total2, prefix
 
 
-def _first(rank, chunk):
-    return float(chunk[0])
-
-
 class TestScheduleHelpers:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 13])
     def test_bruck_hops_cover_all_offsets(self, p):
@@ -161,18 +157,13 @@ class TestMessageCounts:
     @pytest.mark.parametrize("p", [2, 3, 5, 8])
     def test_replicated_collective_is_log_p_sends_per_rank(self, p):
         """Every replicated-result collective -- yielded by an SPMD
-        kernel, fused into a resident map, or issued as a legacy
-        command -- costs each rank exactly ``ceil(log2 p)`` sends (one
+        kernel or issued list-of-p -- costs each rank exactly ``ceil(log2 p)`` sends (one
         dissemination, not gather-to-root + broadcast), and float sums
         keep the binomial-tree combination order of sim."""
         vals = [0.1 * (i + 1) for i in range(p)]
         pairs = [[i, i + 1] for i in range(p)]
         cases = [  # (collectives inside, call)
             (3, lambda m, ref: m.backend.run_spmd(_three_collectives, [ref])[1]),
-            (1, lambda m, ref: m.backend.map_resident(
-                _first, [ref], collect=("allgather",))[1:]),
-            (1, lambda m, ref: m.backend.map_resident(
-                _first, [ref], collect=("allreduce", "sum"))[1:]),
             (1, lambda m, ref: m.allgather(vals)),
             (1, lambda m, ref: m.allreduce(vals, op="sum")),
             (1, lambda m, ref: m.scan(vals, op="sum")),
@@ -272,12 +263,16 @@ class TestBroadcastCommandChannel:
             # p - 1 tree forwards each
             assert after - base == 2 * (p - 1)
 
-    def test_p2p_keeps_the_direct_path(self):
+    def test_p2p_rides_the_channel_and_costs_one_message(self):
         with Machine(p=4, seed=9, backend="mp") as m:
             m.allreduce([1, 2, 3, 4])
             before = m.backend.driver_sends
+            msgs = m.backend.worker_message_counts()
             assert m.send(0, 2, 17) == 17
-            assert m.backend.driver_sends - before == 2  # src and dst only
+            assert m.backend.worker_message_counts() == [
+                a + b for a, b in zip(msgs, [1, 0, 0, 0])]
+            # the send and the two counter reads: one frame each
+            assert m.backend.driver_sends - before == 3
 
 
 class TestLargePayloads:

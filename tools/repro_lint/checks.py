@@ -53,19 +53,27 @@ import ast
 
 from .core import Check, FileContext, Finding, register_check
 
-# the collectives a worker-side SPMD generator may yield
-# (see runtime._run_spmd_step and base.spmd_collective)
+#: the collectives a worker-side SPMD generator may yield; pinned
+#: against runtime._run_collective and base.spmd_collective by
+#: test_repro_lint.py
 SPMD_YIELD_KINDS = {
     "allgather",
     "allreduce",
     "allreduce_exscan",
     "alltoall",
+    "broadcast",
+    "gather",
+    "p2p",
+    "reduce",
+    "reduce_allgather",
+    "scan",
+    "scatter",
     "sendrecv",
 }
 
 #: collectives whose per-rank result is replicated (identical on every
 #: rank) -- a value derived from one is NOT rank-dependent
-_REPLICATED_RESULT = {"allgather", "allreduce"}
+_REPLICATED_RESULT = {"allgather", "allreduce", "broadcast", "reduce_allgather"}
 
 #: charge-log entry kinds Machine.replay_charges accepts; pinned against
 #: the dispatch in src/repro/machine/comm.py by test_repro_lint.py
@@ -90,8 +98,8 @@ COLLECTIVE_CALL_NAMES = {
     "alltoall",
     "aggregate_exchange",
     "broadcast",
+    "collective",
     "gather",
-    "p2p",
     "reduce",
     "reduce_allgather",
     "reduce_tree",
@@ -295,7 +303,8 @@ def rank_tainted_names(
                     ):
                         # (total, prefix): total replicated, prefix per-rank
                         tgt = tgt.elts[1]
-                    # alltoall / sendrecv rows are rank-personal
+                    # everything else is rank-personal: exchanged rows,
+                    # a prefix, what only the root or receiver holds
                     changed |= taint(tgt)
                 continue
             call = delegated_call(value)
