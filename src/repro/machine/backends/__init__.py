@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .base import Backend, ChunkRef, LockstepError, PendingValues
+from .base import Backend, ChunkRef, LockstepError, PendingValues, PureStep
 from .mp import MultiprocessingBackend
 from .runtime import WorkerFailure
 from .sim import SimBackend
@@ -32,6 +32,7 @@ __all__ = [
     "ChunkRef",
     "LockstepError",
     "PendingValues",
+    "PureStep",
     "SimBackend",
     "MultiprocessingBackend",
     "TcpBackend",

@@ -50,19 +50,21 @@ driver dispatch, and a thin *launcher* per transport (``mp.py``,
 Reduction ``op`` arguments follow :data:`repro.machine.collectives.
 REDUCTION_OPS`: the strings ``"sum"``/``"min"``/``"max"`` or a callable.
 Real backends require ops and payloads to be picklable; the named
-string ops always are.
+string ops always are.  SPMD callbacks need not be: the runtime ships a
+lambda or closure by value (see ``mp.py``'s caveats).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import weakref
 from typing import Callable, Sequence
 
 from ..collectives import inclusive_scan, tree_reduce_order
 
-__all__ = ["Backend", "ChunkRef", "LockstepError", "PendingValues"]
+__all__ = ["Backend", "ChunkRef", "LockstepError", "PendingValues", "PureStep"]
 
 
 class PendingValues:
@@ -114,6 +116,21 @@ class LockstepError(ValueError):
     ``verify=True`` (which compare per-rank collective traces after
     each command).  Subclasses :class:`ValueError` because a divergent
     kernel is a caller bug, not a transport failure.
+    """
+
+
+class PureStep(functools.partial):
+    """An SPMD callback (a :func:`functools.partial`, called like one)
+    whose output chunks are a pure function of the command: no input
+    ref, no state but its per-PE args, and nothing mutates the outputs
+    afterwards (``DistArray.generate`` is the one in the package).
+
+    The type is the promise.  A real backend that sees it keeps the
+    command -- callback blob plus args, a few hundred bytes -- as the
+    *recipe* of the output ref, where it would keep the chunks
+    themselves for driver-born data: a lost pool regenerates the ref,
+    ``close()`` does not fetch it, a read after close re-runs the
+    recipe in process.  In process it is just the callable.
     """
 
 

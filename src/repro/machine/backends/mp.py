@@ -40,10 +40,20 @@ reductions.
 
 Caveats
 -------
-* Payloads, resident callbacks and callable reduction ops must be
-  picklable.  The named ops (``"sum"``, ``"min"``, ``"max"``) always
-  are; an SPMD step falls back to driver-side execution when its
-  callback cannot cross a process boundary.
+* Payloads and callable reduction ops must be picklable; the named ops
+  (``"sum"``, ``"min"``, ``"max"``) always are.  SPMD callbacks
+  (``map_chunks`` / ``map_values`` / ``run_spmd`` /
+  ``DistArray.generate``) may be any plain Python function: what pickle
+  cannot name -- a lambda, a closure, a nested ``def`` -- is shipped by
+  value (code object, defaults, the closure cells' *contents*; globals
+  resolve in the worker's copy of the defining module, which a forked
+  worker inherits and any other worker must be able to import, under
+  the same Python version).  Captured state is therefore copied to each
+  PE, never shared with the driver.  Only a callback that cannot be
+  rebuilt that way (a cell holding a lock, a socket, a generator
+  object; a function whose module is gone) falls back to driver-side
+  execution: every input chunk is fetched, the callback runs ``p``
+  times serially, the outputs are uploaded.
 * Worker pools are cleaned up by ``close()`` (idempotent), by
   ``Machine``'s context manager, and by an ``atexit`` guard that
   terminates any pool leaked by a crashed driver.

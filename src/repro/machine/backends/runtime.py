@@ -26,7 +26,10 @@ kinds (:func:`_execute`): ``put`` and ``get`` move a resident chunk,
 ``stats`` reads the counters, and ``spmd`` runs per-PE code where the
 chunks live -- a plain callback, a generator kernel that yields
 collectives, or the one-yield kernel a list-of-p collective is issued
-as (:meth:`RuntimeBackend.collective`).  Every command but ``put`` rides
+as (:meth:`RuntimeBackend.collective`); the callback may be a lambda or
+a closure, which travels by value (:class:`_CallbackPickler`), and a
+:class:`~repro.machine.backends.base.PureStep` command is kept as the
+recipe of the chunks it made.  Every command but ``put`` rides
 the **broadcast command channel**: the driver writes a single frame
 (spec + the per-PE locals map) to rank 0's inbox and the workers fan it
 out along the binomial tree, each forwarding its children their
@@ -86,11 +89,16 @@ from __future__ import annotations
 import atexit
 import contextlib
 import hashlib
+import importlib
 import inspect
+import io
+import marshal
 import os
 import pickle
 import queue as queue_mod
+import sys
 import time
+import types
 import weakref
 from collections import deque
 from typing import Callable, Sequence
@@ -108,6 +116,7 @@ from .base import (
     ChunkRef,
     LockstepError,
     PendingValues,
+    PureStep,
     _run_spmd_inprocess,
 )
 
@@ -712,6 +721,56 @@ def worker_loop(links: WorkerLinks) -> None:
 
 
 # ----------------------------------------------------------------------
+# Callback shipping (driver pickles, worker rebuilds)
+# ----------------------------------------------------------------------
+
+def _rebuild_function(code: bytes, module: str, name: str, qualname: str,
+                      defaults, kwdefaults, cells: tuple):
+    """Worker half of by-value function shipping: the code object around
+    its defining module's globals, as the worker sees that module."""
+    fn = types.FunctionType(
+        marshal.loads(code), importlib.import_module(module).__dict__,
+        name, defaults, tuple(types.CellType(v) for v in cells),
+    )
+    fn.__qualname__ = qualname
+    fn.__kwdefaults__ = kwdefaults
+    return fn
+
+
+class _CallbackPickler(pickle.Pickler):
+    """Pickles an SPMD callback.  A plain Python function that pickle
+    cannot name -- a lambda, a closure, a nested ``def`` -- goes **by
+    value**: marshalled code object, the name of the module whose
+    globals it runs against, defaults and the closure cells' contents
+    (:func:`_rebuild_function` is the other half).  Cell contents are
+    *copied* to every PE, and globals resolve in the worker's copy of
+    the module.  Anything that cannot be rebuilt that way -- the module
+    is not in ``sys.modules`` or does not own the function's globals, a
+    cell holds something unpicklable -- fails here, in the driver,
+    before a seq is consumed."""
+
+    by_value = False
+
+    def reducer_override(self, obj):
+        if type(obj) is not types.FunctionType:
+            return NotImplemented
+        found = module = sys.modules.get(obj.__module__)
+        try:
+            for part in obj.__qualname__.split("."):
+                found = getattr(found, part)
+        except AttributeError:
+            found = None
+        if found is obj or getattr(module, "__dict__", None) is not obj.__globals__:
+            return NotImplemented  # by reference, or pickle's own refusal
+        self.by_value = True
+        return _rebuild_function, (
+            marshal.dumps(obj.__code__), obj.__module__, obj.__name__,
+            obj.__qualname__, obj.__defaults__, obj.__kwdefaults__,
+            tuple(c.cell_contents for c in obj.__closure__ or ()),
+        )
+
+
+# ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
 
@@ -859,6 +918,11 @@ class RuntimeBackend(Backend):
         self._cmd_buf: list[tuple] = []
         self._coalescing = False
         self._live_ids: set[int] = set()
+        #: ``out ref id -> ("spmd", blob, (), out_ids, args)`` of every
+        #: live ref a :class:`PureStep` produced: the command that made
+        #: the chunks stands in for a driver-side copy of them (kept
+        #: whether or not the journal is on)
+        self._recipes: dict[int, tuple] = {}
         self._fn_blobs: dict[int, tuple[Callable, bytes]] = {}
         #: driver-side shm pool (``None`` for transports without a
         #: shared-memory lane; every payload then rides the wire inline)
@@ -1006,9 +1070,10 @@ class RuntimeBackend(Backend):
         restart rather than a single-rank respawn: terminate what is
         left, reap the old shm segments, fork/register a fresh pool, and
         re-materialize every live ref -- from the driver-side store for
-        driver-born chunks, from the journal replay for worker-computed
-        ones.  Refs that cannot be restored land in ``_lost_ids`` and
-        raise a clear error at their next read.
+        driver-born chunks, from its recipe for generated ones, from the
+        journal replay for worker-computed ones.  Refs that cannot be
+        restored land in ``_lost_ids`` and raise a clear error at their
+        next read.
         """
         if self._closed:
             raise RuntimeError("backend already closed")
@@ -1043,14 +1108,19 @@ class RuntimeBackend(Backend):
         chunks are re-put directly; worker-computed chunks are replayed
         from the journal (bit-identical -- recorded args carry the
         counter-addressed ``DrawAddress`` of any randomness the
-        original issue consumed).  Anything else is lost."""
+        original issue consumed) and generated ones, journal or not,
+        re-run their recipe.  Anything else is lost."""
         replayed = self._replay_journal() if self.journal_enabled else set()
         for ref_id in sorted(self._live_ids):
             if ref_id in replayed:
                 continue
             chunks = self._store.get(ref_id)
+            recipe = self._recipes.get(ref_id)
             if chunks is not None:
                 self._run(("put", ref_id), list(chunks))
+            elif recipe is not None:
+                self._run(recipe[:4], recipe[4])
+                replayed.update(recipe[3])
             else:
                 self._lost_ids.add(ref_id)
 
@@ -1108,7 +1178,7 @@ class RuntimeBackend(Backend):
         recovered from *every* rank become readable; the rest are lost."""
         dead = set(self._dead_ranks())
         want = [rid for rid in sorted(self._live_ids)
-                if rid not in self._store]
+                if rid not in self._store and rid not in self._recipes]
         if not want:
             return
         alive = [r for r in range(self.p) if r not in dead]
@@ -1452,21 +1522,29 @@ class RuntimeBackend(Backend):
     # Resident chunks
     # ------------------------------------------------------------------
     def _blob(self, fn) -> bytes:
-        """Pickle a callback once per identity (hot loops reuse it).
+        """Pickle a callback (:class:`_CallbackPickler`), once per
+        identity where it pickles by reference (hot loops reuse it).
 
         The cache pins the callable itself so its ``id`` cannot be
         recycled by the allocator while the entry is alive.  It is
         LRU-bounded at ``_BLOB_CACHE`` entries so a long-running serve
         pool cycling through distinct callbacks cannot grow it without
         limit (evicting is always safe: the blob bytes of an in-flight
-        command already left with its envelope).
+        command already left with its envelope).  A blob that carries a
+        function by value is rebuilt per call: its closure cells may
+        have been rebound since.
         """
         key = id(fn)
         entry = self._fn_blobs.get(key)
         if entry is not None and entry[0] is fn:
             self._fn_blobs[key] = self._fn_blobs.pop(key)  # LRU touch
             return entry[1]
-        entry = (fn, pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL))
+        buf = io.BytesIO()
+        pickler = _CallbackPickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dump(fn)
+        if pickler.by_value:
+            return buf.getvalue()
+        entry = (fn, buf.getvalue())
         self._fn_blobs[key] = entry
         while len(self._fn_blobs) > self._BLOB_CACHE:
             del self._fn_blobs[next(iter(self._fn_blobs))]
@@ -1483,13 +1561,15 @@ class RuntimeBackend(Backend):
         # send eagerly (and the pool may already be closed)
         self._live_ids.discard(ref_id)
         self._store.pop(ref_id, None)
+        self._recipes.pop(ref_id, None)
         self._dead_refs.append(ref_id)
 
     def _salvage_resident(self) -> None:
         """Pull live worker-resident chunks into the driver store so
-        handles stay readable after the pool shuts down."""
+        handles stay readable after the pool shuts down (a ref with a
+        recipe is readable without: :meth:`get_chunks` regenerates)."""
         for ref_id in sorted(self._live_ids):
-            if ref_id not in self._store:
+            if ref_id not in self._store and ref_id not in self._recipes:
                 self._store[ref_id] = self._run(("get", ref_id), [None] * self.p)
 
     def put_chunks(self, chunks: Sequence) -> ChunkRef:
@@ -1515,7 +1595,14 @@ class RuntimeBackend(Backend):
         # dependency tracker: a pipelined command still producing (or
         # mutating) this ref must land before the driver reads it
         self._wait_ref(ref.id)
-        if ref.id in self._store:  # driver-born or salvaged at close
+        if ref.id not in self._store and self._closed and ref.id in self._recipes:
+            # generated, never fetched, and the workers are gone: run
+            # the recipe here
+            _, blob, _, out_ids, args = self._recipes[ref.id]
+            outs, _ = _run_spmd_inprocess(
+                self.p, pickle.loads(blob), [], len(out_ids), args)
+            self._store.update(zip(out_ids, outs))
+        if ref.id in self._store:  # driver-born, salvaged or regenerated
             return self._store[ref.id]
         return self._run(("get", ref.id), [None] * self.p)
 
@@ -1542,7 +1629,10 @@ class RuntimeBackend(Backend):
             spec = spec + (True,)
         locals_per_pe = list(args) if args is not None else [None] * self.p
         if refs or out_refs:  # a step that touches no chunk restores none
-            self._record(("spmd", blob, spec[2], spec[3], locals_per_pe))
+            entry = ("spmd", blob, spec[2], spec[3], locals_per_pe)
+            if isinstance(fn, PureStep) and not refs:
+                self._recipes.update((r.id, entry) for r in out_refs)
+            self._record(entry)
         fut = self._submit(spec, locals_per_pe)
         self._track_refs(fut, refs, out_refs)
 

@@ -7,13 +7,17 @@ execution backend -- in worker-process memory for real backends
 (``"mp"``), in a driver-side store for the in-process default
 (``"sim"``).  Per-PE algorithm callbacks therefore execute *where the
 data lives* (:meth:`map_chunks`, :meth:`map_values`) and only small
-per-PE values travel; full chunks cross the process
-boundary exactly twice -- once when the input is pinned and once if the
-driver asks for the result (:attr:`chunks`, :meth:`concat`).  On the
-``mp`` backend those two crossings ride the zero-copy payload lanes
-(out-of-band pickling; shared-memory blocks above the size threshold --
-see the README's "Transports" section), so pinning and fetching cost one
-memcpy per side instead of an in-band pickle through the pipe.
+per-PE values travel.  Generated input (:meth:`DistArray.generate`) never
+crosses the process boundary at all: every worker draws its own chunk
+and the driver keeps the command that did it -- a recipe of a few
+hundred bytes -- instead of a copy.  Driver-born input (:meth:`from_global`,
+``DistArray(machine, chunks)``) crosses once, when it is pinned, and any
+array crosses once more if the driver asks for it (:attr:`chunks`,
+:meth:`concat`).  On the ``mp`` backend those crossings ride the
+zero-copy payload lanes (out-of-band pickling; shared-memory blocks
+above the size threshold -- see the README's "Transports" section), so
+pinning and fetching cost one memcpy per side instead of an in-band
+pickle through the pipe.
 
 Cross-PE data flow still goes exclusively through
 :class:`repro.machine.Machine` collectives or the collectives an SPMD
@@ -29,14 +33,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .backends.base import ChunkRef
+from .backends.base import ChunkRef, PureStep
 from .comm import Machine
 
 __all__ = ["DistArray"]
 
 
 # ----------------------------------------------------------------------
-# Module-level resident callbacks (must be picklable for real backends)
+# Resident callbacks
 # ----------------------------------------------------------------------
 
 def _sort_chunk(rank: int, chunk: np.ndarray) -> tuple:
@@ -63,6 +67,25 @@ def _measured(fn: Callable, rank: int, chunk: np.ndarray) -> tuple:
             f"got shape {out.shape} on PE {rank}"
         )
     return (out, (out.size, out.dtype.str))
+
+
+def _generate_chunk(make_chunk: Callable, rank: int, state: dict) -> tuple:
+    """Worker half of :meth:`DistArray.generate`: draw this PE's chunk
+    from a generator resumed at ``state`` (a snapshot of the driver's
+    ``machine.rngs[rank]``) and report shape, dtype and the advanced
+    state, which the driver installs so its streams move exactly as if
+    it had drawn the chunk itself."""
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    chunk = np.asarray(make_chunk(rank, np.random.Generator(bit_generator)))
+    return (chunk, (chunk.shape, chunk.dtype.str, bit_generator.state))
+
+
+def _require_1d(rank: int, shape: tuple) -> None:
+    if len(shape) != 1:
+        raise ValueError(
+            f"chunk {rank} must be one-dimensional, got shape {shape}"
+        )
 
 
 #: wrapped-callback cache: repeated map_chunks with the same fn must
@@ -119,10 +142,7 @@ class DistArray:
                 )
             arr = [np.asarray(c) for c in chunks]
             for i, c in enumerate(arr):
-                if c.ndim != 1:
-                    raise ValueError(
-                        f"chunk {i} must be one-dimensional, got shape {c.shape}"
-                    )
+                _require_1d(i, c.shape)
             self._chunks: list[np.ndarray] | None = arr
             self._sizes = np.array([c.size for c in arr], dtype=np.int64)
             self._dtype = arr[0].dtype
@@ -197,12 +217,41 @@ class DistArray:
     ) -> "DistArray":
         """Build per-PE chunks with each PE's own RNG stream.
 
-        ``make_chunk(rank, rng)`` must return the local chunk for ``rank``.
+        ``make_chunk(rank, rng)`` must return the local chunk for
+        ``rank`` and must be a **pure function of** ``(rank, rng)``: on
+        a real backend it runs in PE ``rank``'s worker, all PEs at once,
+        and the chunk is born where it will be used -- it never visits
+        the driver, which keeps the command (the callback and ``p``
+        generator snapshots) instead of a copy of the data and re-runs
+        it to restore the array after a worker failure or to read it
+        after ``close()``.  State the callback captures is *copied* to
+        each PE, not shared: capture sizes and distribution parameters,
+        draw only from the ``rng`` argument (a driver-side generator
+        captured by a lambda would hand every PE the same draws).
+        ``machine.rngs[rank]`` advances exactly as if the driver had
+        drawn the chunk, so data and every later draw are bit-identical
+        on every backend.  A callback that cannot be rebuilt in a worker
+        (see the ``mp`` backend's caveats) is run in the driver and its
+        chunks are uploaded.
         """
+        if not machine.backend.is_real:
+            return cls(
+                machine,
+                [make_chunk(i, machine.rngs[i]) for i in range(machine.p)],
+            )
+        refs, metas = machine.backend.run_spmd(
+            PureStep(_generate_chunk, make_chunk), [], n_out=1,
+            args=[(g.bit_generator.state,) for g in machine.rngs],
+        )
+        # every stream moves before any shape is judged, as on sim,
+        # which has drawn all p chunks by the time it validates one
+        for g, (_, _, state) in zip(machine.rngs, metas):
+            g.bit_generator.state = state
+        for i, (shape, _, _) in enumerate(metas):
+            _require_1d(i, shape)
         return cls(
-            machine,
-            [make_chunk(i, machine.rngs[i]) for i in range(machine.p)],
-            resident=machine.backend.is_real,
+            machine, ref=refs[0], sizes=[m[0][0] for m in metas],
+            dtype=metas[0][1],
         )
 
     @classmethod
@@ -246,8 +295,11 @@ class DistArray:
 
         On a real backend (``Machine(backend="mp")``) the per-PE
         applications run in the worker processes -- genuinely in
-        parallel, with the chunks staying resident -- provided ``fn`` is
-        picklable; otherwise they fall back to the driver process.
+        parallel, with the chunks staying resident.  Lambdas and
+        closures are shipped by value (what they capture is *copied* to
+        each PE); only an ``fn`` that cannot be rebuilt in a worker --
+        one that captures a lock, say -- falls back to the driver
+        process.
         """
         refs, metas, _ = self._map_resident(_measured_wrapper(fn), n_out=1)
         self.machine.charge_ops(self._sizes.astype(np.float64) * ops_per_elem)

@@ -10,7 +10,8 @@ server through the death:
   (``stats["worker_failures"] >= 1``, ``stats["rebuilds"] >= 1``),
 * every query issued after the rebuild answers correctly, checked
   against the deterministic sim oracle (the stock datasets are
-  driver-held, so recovery restores them without a journal).
+  generated, so recovery re-runs their recipes in the workers: no
+  journal and no ``rebuild`` factory).
 
 Run as ``python -m repro.serve.chaos [--backend mp] [-p 4]``.
 """
@@ -79,8 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     rank = args.kill_rank if args.kill_rank is not None else args.p - 1
-    # dataset staging costs a few puts; default to a seq that lands in
-    # the query stream proper
+    # dataset staging costs two generation commands; default to a seq
+    # that lands in the query stream proper
     seq = args.kill_seq if args.kill_seq is not None else 6
     faults = f"kill@r{rank}:s{seq}"
 

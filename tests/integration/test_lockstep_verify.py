@@ -9,8 +9,11 @@ completes silently with wrong data instead of deadlocking.  With
 both real transports -- while lockstep kernels run unperturbed with
 bit-identical results.
 
-Kernels live at module level so they pickle across the process
-boundary (driver-side fallbacks would bypass the worker-side tracing).
+Kernels live at module level here; a lambda or closure is shipped by
+value and traced just the same
+(``tests/unit/test_resident_chunks.py::TestClosureCallbacks``).  Only a
+callback that cannot be rebuilt in a worker runs driver-side, where the
+in-process lockstep check applies instead.
 """
 
 import numpy as np

@@ -6,6 +6,9 @@ simulated backend (same combination orders), while the control plane
 (modeled cost, metering) charges identically on both.
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -236,12 +239,22 @@ class TestBackendMap:
         for i, c in enumerate(out):
             np.testing.assert_array_equal(c, 2 * np.arange(i + 2))
 
-    def test_mp_map_unpicklable_falls_back(self):
+    def test_mp_map_closure_runs_in_workers(self):
         local = 5
         with Machine(p=2, backend="mp") as m:
             out = m.backend.run_spmd(
-                lambda i, x: x + local, [], args=[(1,), (2,)])[1]
-        assert out == [6, 7]
+                lambda i, x: (os.getpid(), x + local), [],
+                args=[(1,), (2,)])[1]
+        assert [v for _, v in out] == [6, 7]
+        assert os.getpid() not in {pid for pid, _ in out}
+
+    def test_mp_map_unpicklable_falls_back(self):
+        local = threading.Lock()  # a cell no worker can be handed
+        with Machine(p=2, backend="mp") as m:
+            out = m.backend.run_spmd(
+                lambda i, x: (os.getpid(), x + local.locked()), [],
+                args=[(1,), (2,)])[1]
+        assert out == [(os.getpid(), 1), (os.getpid(), 2)]
 
     def test_dist_array_sort_local_on_mp(self):
         from repro.machine import DistArray

@@ -4,10 +4,14 @@ DistArray chunks are pinned behind opaque handles in the execution
 backend; per-PE callbacks run where the data lives and only small
 values travel.  These tests cover the backend protocol (put/get/free,
 ``map_resident``, ``run_spmd`` with and without yielded collectives),
-the DistArray surface on top of it, the driver fallback for unpicklable
-callbacks, and the lifecycle guarantees (salvage at close, idempotent
+the DistArray surface on top of it, by-value shipping of lambdas and
+closures with the driver fallback for what cannot be rebuilt in a
+worker, and the lifecycle guarantees (salvage at close, idempotent
 close, atexit guard registration).
 """
+
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -157,27 +161,104 @@ class TestBackendResidentProtocol:
                 assert ref_id not in m.backend._store
 
 
-class TestUnpicklableFallback:
-    def test_mp_map_resident_falls_back(self):
-        bias = 7  # closure -> unpicklable callback
-        with Machine(p=2, seed=12, backend="mp") as m:
-            ref = m.backend.put_chunks([np.arange(3), np.arange(3) + 1])
-            _, values, _ = m.backend.map_resident(
-                lambda rank, c: (int(c.sum()) + bias), [ref], 0
-            )
-            assert values == [10, 13]
+@pytest.mark.parametrize("backend", ["mp", "tcp"])
+class TestClosureCallbacks:
+    """Lambdas and closures ship by value: they run where the data
+    lives, in one command, and lockstep tracing sees them."""
 
-    def test_mp_run_spmd_falls_back(self):
+    def test_closure_runs_in_the_workers(self, backend):
+        bias = 7
+        with Machine(p=3, seed=12, backend=backend) as m:
+            da = DistArray(m, [np.arange(3) + r for r in range(3)])
+            da.map_values(_value_step, args=[(0,)] * 3)  # pins the chunks
+            sends = m.backend.driver_sends
+            pids = da.map_values(lambda rank, c: (os.getpid(), int(c.sum()) + bias))
+            assert m.backend.driver_sends == sends + 1
+            assert "get" not in m.backend.transport_bytes()
+            assert [v for _, v in pids] == [10, 13, 16]
+            assert len({pid for pid, _ in pids}) == 3
+            assert os.getpid() not in {pid for pid, _ in pids}
+            doubled = da.map_chunks(lambda rank, c: c * 2 + bias)
+            assert "get" not in m.backend.transport_bytes()
+            np.testing.assert_array_equal(doubled.chunks[2], [11, 13, 15])
+
+    def test_closure_generator_kernel(self, backend):
         scale = 3
 
         def kernel(rank, chunk):
             total = yield ("allreduce", rank * scale, "sum")
-            return total
+            return os.getpid(), total
 
-        with Machine(p=2, seed=12, backend="mp") as m:
+        with Machine(p=2, seed=12, backend=backend) as m:
             ref = m.backend.put_chunks([np.arange(2)] * 2)
             _, values = m.backend.run_spmd(kernel, [ref])
+            assert [t for _, t in values] == [3, 3]
+            assert os.getpid() not in {pid for pid, _ in values}
+
+    def test_rebound_cell_is_reshipped(self, backend):
+        """The blob of a by-value callback is not cached: sim reads the
+        cell at call time, and so must the workers."""
+        k = 1
+        fn = lambda rank, c: int(c.sum()) * k  # noqa: E731
+        with Machine(p=2, seed=12, backend=backend) as m:
+            da = DistArray(m, [np.arange(3), np.arange(3) + 1])
+            assert da.map_values(fn) == [3, 6]
+            k = 5
+            assert da.map_values(fn) == [15, 30]
+
+    def test_divergent_closure_is_traced(self, backend):
+        from repro.machine.backends import LockstepError
+
+        odd = 1
+
+        def swapped(rank, chunk):
+            s = float(chunk.sum())
+            if rank == odd:
+                return (yield ("allreduce", s, "sum"))
+            return (yield ("allgather", s))
+
+        with Machine(p=2, seed=12, backend=backend, verify=True) as m:
+            ref = m.backend.put_chunks([np.arange(2)] * 2)
+            with pytest.raises(LockstepError, match=r"rank\(s\) \[1\]"):
+                m.backend.run_spmd(swapped, [ref])
+            assert m.allreduce([1, 2]) == [3, 3]
+
+
+@pytest.mark.parametrize("backend", ["mp", "tcp"])
+class TestUnpicklableFallback:
+    """A callback that cannot be rebuilt in a worker (a cell holding a
+    lock) still runs -- in the driver, decided before a seq is spent."""
+
+    def test_map_resident_falls_back(self, backend):
+        lock = threading.Lock()
+
+        def fn(rank, c):
+            with lock:
+                return (os.getpid(), int(c.sum()) + 7)
+
+        with Machine(p=2, seed=12, backend=backend) as m:
+            ref = m.backend.put_chunks([np.arange(3), np.arange(3) + 1])
+            seq = m.backend._seq
+            _, values, _ = m.backend.map_resident(fn, [ref], 0)
+            assert values == [(os.getpid(), 10), (os.getpid(), 13)]
+            assert m.backend._seq == seq == m.backend._acked
+
+    def test_run_spmd_falls_back(self, backend):
+        lock = threading.Lock()
+
+        def kernel(rank, chunk):
+            with lock:  # not across the yield: in process the ranks interleave
+                mine = rank * 3
+            total = yield ("allreduce", mine, "sum")
+            return (chunk + total, total)
+
+        with Machine(p=2, seed=12, backend=backend) as m:
+            ref = m.backend.put_chunks([np.arange(2)] * 2)
+            refs, values = m.backend.run_spmd(kernel, [ref], n_out=1)
             assert values == [3, 3]
+            np.testing.assert_array_equal(
+                m.backend.get_chunks(refs[0])[1], [3, 4])
+            assert m.allreduce([1, 2]) == [3, 3]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
