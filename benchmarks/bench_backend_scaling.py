@@ -23,16 +23,6 @@ per ``p``:
   experiment, which runs the same large-payload workloads with the
   shared-memory lane on and off and asserts the wire bytes collapse).
 
-The ``kernel_throughput`` experiment times every registered kernel's
-python reference against its native twin (elements/sec at 1M elements
-when numba is importable, tiny interpreted-shim inputs otherwise) and
-the end-to-end ``multi_select`` + bulk-pqueue cycle on the mp pool
-under ``kernels="python"`` vs ``kernels="native"``.  With numba the run
-gates on the partition twin clearing 3x the numpy reference and on the
-end-to-end native win; without numba the rows record interpreted-shim
-numbers and nothing is asserted (the shim exists for bit-identity, not
-speed).
-
 Results are appended-as-written to ``results/BENCH_backend_scaling.json``
 so the perf trajectory accumulates across PRs; each invocation stores
 its rows under a fresh ``runs[]`` entry with the parameters used.
@@ -316,172 +306,6 @@ def _concurrent_query_rows(p, n, clients, per_client, window=0.01):
     return rows
 
 
-def _kernel_throughput_rows(p, n_per_pe, reps):
-    """Per-kernel python-vs-native throughput plus the end-to-end payoff.
-
-    The micro half times each kernel's reference against its twin on
-    identical inputs (fresh counter-addressed generators per call for
-    the RNG consumers, so both modes draw the same stream).  The
-    end-to-end half runs ``multi_select`` and a bulk-pqueue cycle on two
-    live mp pools -- one per kernels mode -- with interleaved reps, and
-    asserts cross-mode bit-identity of the results along the way.
-    """
-    from repro.kernels import (
-        compact,
-        numba_available,
-        partition3,
-        partition_count,
-        set_mode,
-        skip_sample_indices,
-        spacesaving_offer,
-        splitmix64_array,
-        topk_cut,
-        treap_merge,
-        use_mode,
-        weighted_counts,
-    )
-    from repro.machine.ctrrng import philox_generator
-
-    rows = []
-    have_numba = numba_available()
-    # the acceptance bar sits at 1M elements; without numba the twins
-    # run as interpreted python loops, so measure tiny inputs instead
-    # (the numbers then document the shim, not a speedup)
-    n = 1 << 20 if have_numba else 1 << 12
-    rng = np.random.default_rng(101)
-    arr = rng.integers(0, 1 << 20, n)
-    u64 = arr.astype(np.uint64)
-    lo, hi = (int(x) for x in np.percentile(arr, [25, 75]))
-    below = arr < lo
-    n_below = int(np.count_nonzero(below))
-    vals = rng.random(n) * 12.0
-    half = np.sort(rng.random(n // 2))
-    ids = np.arange(n // 2, dtype=np.int64)
-    ss_keys = rng.integers(0, 4096, n).astype(np.int64)
-    ss_counts = np.ones(n, dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
-
-    def fresh_rng():
-        return philox_generator(0xBEEF, 0, 0, 5)
-
-    micro = [
-        # what a selection level runs: one count, then a compaction
-        # per surviving part (here the lower quarter)
-        ("partition_count", partition_count, lambda: (arr, lo, hi)),
-        ("compact", compact, lambda: (arr, below, n_below)),
-        ("partition3", partition3, lambda: (arr, lo, hi)),
-        ("topk_cut", topk_cut, lambda: (arr, hi, 50)),
-        ("splitmix64_array", splitmix64_array, lambda: (u64,)),
-        ("treap_merge", treap_merge,
-         lambda: (half, ids, ids, half, ids, ids)),
-        ("spacesaving_offer", spacesaving_offer,
-         lambda: (empty, empty, 64, 0, ss_keys, ss_counts)),
-        ("weighted_counts", weighted_counts,
-         lambda: (fresh_rng(), vals, 3.0)),
-        ("skip_sample_indices", skip_sample_indices,
-         lambda: (fresh_rng(), n * 64, 1.0 / 64)),
-    ]
-
-    def best_wall(fn, args_fn):
-        fn(*args_fn())  # warm-up: jit compilation on the native path
-        best = float("inf")
-        for _ in range(reps):
-            a = args_fn()
-            t0 = time.perf_counter()
-            fn(*a)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    for name, k, args_fn in micro:
-        py_s = best_wall(k.py, args_fn)
-        nat_s = best_wall(k.native_fn, args_fn)
-        rows.append({
-            "experiment": "kernel_throughput",
-            "algorithm": name,
-            "backend": "native" if have_numba else "interpreted",
-            "p": 1,
-            "elems": n,
-            "python_s": py_s,
-            "native_s": nat_s,
-            "python_eps": n / py_s,
-            "native_eps": n / nat_s,
-            "speedup": py_s / nat_s,
-            "numba": have_numba,
-        })
-
-    # -- end to end: the same selection + pqueue workloads, one mp pool
-    # per kernels mode, reps interleaved so load drift hits both alike
-    modes = ("python", "native")
-    machines, datasets, values = {}, {}, {}
-    ks = None
-    for mode in modes:
-        m = Machine(p=p, seed=103, backend="mp", kernels=mode)
-        machines[mode] = m
-        datasets[mode] = DistArray.generate(
-            m, lambda r, g: g.integers(0, 1 << 20, n_per_pe)
-        )
-        n_glob = datasets[mode].global_size
-        ks = sorted({1, n_glob // 3, n_glob // 2, n_glob})
-    set_mode(None)  # Machine(kernels=...) set the driver-global mode
-    try:
-        sel_walls = {mode: float("inf") for mode in modes}
-        pq_walls = {mode: float("inf") for mode in modes}
-        queues = {}
-        for mode in modes:
-            with use_mode(mode):
-                values[mode] = multi_select(machines[mode], datasets[mode], ks)
-                queues[mode] = BulkParallelPQ(machines[mode])
-        assert values["python"] == values["native"], "kernel modes diverged"
-        for i in range(reps):
-            order = modes if i % 2 == 0 else modes[::-1]
-            for mode in order:
-                m = machines[mode]
-                with use_mode(mode):
-                    t0 = time.perf_counter()
-                    got = multi_select(m, datasets[mode], ks)
-                    sel_walls[mode] = min(
-                        sel_walls[mode], time.perf_counter() - t0
-                    )
-                assert got == values[mode]
-        per_pe = max(64, n_per_pe // 16)
-        for i in range(reps):
-            order = modes if i % 2 == 0 else modes[::-1]
-            for mode in order:
-                q, r = queues[mode], np.random.default_rng(7 + i)
-                batches = [list(r.random(per_pe)) for _ in range(p)]
-                with use_mode(mode):
-                    t0 = time.perf_counter()
-                    q.insert(batches)
-                    q.delete_min(per_pe * p)
-                    pq_walls[mode] = min(
-                        pq_walls[mode], time.perf_counter() - t0
-                    )
-        for mode in modes:
-            rows.append({
-                "experiment": "kernel_throughput",
-                "algorithm": f"multi_select[{mode}]",
-                "backend": "mp",
-                "p": p,
-                "n_per_pe": n_per_pe,
-                "wall_s": sel_walls[mode],
-                "numba": have_numba,
-            })
-            rows.append({
-                "experiment": "kernel_throughput",
-                "algorithm": f"pqueue_cycle[{mode}]",
-                "backend": "mp",
-                "p": p,
-                "n_per_pe": per_pe,
-                "wall_s": pq_walls[mode],
-                "numba": have_numba,
-            })
-    finally:
-        for m in machines.values():
-            m.close()
-        set_mode(None)
-    return rows
-
-
 def _collective_msgs(p_list):
     """Worker message counts per collective (the O(p log p) evidence)
     plus the driver command fan-out (the O(1) evidence)."""
@@ -548,11 +372,6 @@ def main(argv=None) -> int:
         rows += _resident_rows(p_list, n_per_pe, backend)
     rows += _collective_msgs(p_list)
     rows += _transport_rows(max(p_list), args.transport_n)
-    rows += _kernel_throughput_rows(
-        p=8,
-        n_per_pe=1 << 12 if args.quick else 1 << 16,
-        reps=3 if args.quick else 7,
-    )
     serve_p = max(p_list)
     rows += _concurrent_query_rows(
         serve_p,
@@ -594,19 +413,6 @@ def main(argv=None) -> int:
     assert cq["batched"]["fused_commands"] < cq["batched"]["queries"], cq
     if not args.quick:
         assert cq["batched"]["qps"] > cq["serial"]["qps"], cq
-    # native kernels: with numba the compiled partition twin must not
-    # lose to the numpy reference at 1M elements (the ratio is recorded
-    # in each row's ``speedup``, the count and take kernels' too; whether
-    # a twin earns its place is read from there, not gated) and the
-    # end-to-end selection must win at p=8; without numba the rows are
-    # informational only
-    kt = {r["algorithm"]: r for r in rows
-          if r["experiment"] == "kernel_throughput"}
-    if kt["partition3"]["numba"]:
-        assert kt["partition3"]["native_eps"] >= kt["partition3"]["python_eps"], kt["partition3"]
-        assert (kt["multi_select[native]"]["wall_s"]
-                < kt["multi_select[python]"]["wall_s"]), kt
-
     run = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
@@ -628,26 +434,13 @@ def main(argv=None) -> int:
           f"{'time_s':>10s} {'wall_s':>8s} {'msgs':>6s} {'sends':>5s} "
           f"{'wire_B':>10s} {'shm_B':>10s}")
     for r in rows:
-        if r["experiment"] in ("concurrent_queries", "kernel_throughput"):
-            continue  # own summaries below (dedicated columns)
+        if r["experiment"] == "concurrent_queries":
+            continue  # own summary below (dedicated columns)
         print(f"{r['experiment']:26s} {r['algorithm']:24s} {r['backend']:7s} "
               f"{r['p']:3d} {r.get('time_s', float('nan')):10.3e} "
               f"{r.get('wall_s', 0.0):8.4f} {r.get('worker_msgs', ''):>6} "
               f"{r.get('driver_sends', ''):>5} {r.get('wire_bytes', ''):>10} "
               f"{r.get('shm_bytes', ''):>10}")
-    for r in rows:
-        if r["experiment"] != "kernel_throughput":
-            continue
-        if "speedup" in r:
-            print(f"kernel_throughput[{r['algorithm']:20s}] "
-                  f"{r['elems']} elems: python {r['python_eps']:10.3e} e/s, "
-                  f"native {r['native_eps']:10.3e} e/s "
-                  f"({r['speedup']:5.2f}x, "
-                  f"{'compiled' if r['numba'] else 'interpreted'})")
-        else:
-            print(f"kernel_throughput[{r['algorithm']:20s}] p={r['p']} "
-                  f"wall {r['wall_s']:8.4f} s "
-                  f"({'compiled' if r['numba'] else 'interpreted'})")
     for r in rows:
         if r["experiment"] == "concurrent_queries":
             print(f"concurrent_queries[{r['algorithm']:7s}] p={r['p']} "

@@ -26,8 +26,8 @@ def splitmix64(x: int) -> int:
 
 
 def splitmix64_array(keys: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 over an integer key array (dispatches to
-    the :data:`repro.kernels.splitmix64_array` kernel twins)."""
+    """Vectorized splitmix64 over an integer key array (the
+    :func:`repro.kernels.splitmix64_array` kernel)."""
     x = np.asarray(keys).astype(np.uint64)
     with np.errstate(over="ignore"):
         return kernels.splitmix64_array(x)

@@ -80,9 +80,8 @@ def bernoulli_skip_indices(rng: np.random.Generator, n: int, rho: float) -> np.n
 
     This is the paper's ``O(rho * n)`` expected-time formulation: skip
     values follow a geometric distribution with parameter ``rho``,
-    generated by inversion on one uniform per gap
-    (:data:`repro.kernels.skip_sample_indices` -- the python reference
-    and the jitted native twin consume the identical Philox stream).
+    generated by inversion on one uniform per gap, the final
+    overshooting one included (:func:`repro.kernels.skip_sample_indices`).
     """
     if not 0.0 < rho <= 1.0:
         if rho == 0.0:
@@ -118,14 +117,19 @@ def weighted_sample_counts(
     ``E[samples] = v / v_avg`` exactly, and the randomness per key on one
     PE is a single Bernoulli trial (the deviation from the expectation is
     at most 1 per key and PE -- the property Theorem 15's Hoeffding
-    argument needs).
+    argument needs).  Non-finite or negative counts and a ``v_avg``
+    that is not positive and finite raise before anything is drawn.
     """
     values = np.asarray(values, dtype=np.float64)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"sum aggregation requires finite counts, got {bad[0]}")
     if np.any(values < 0):
         raise ValueError("sum aggregation requires non-negative counts")
-    if v_avg <= 0:
-        raise ValueError(f"v_avg must be positive, got {v_avg}")
-    return weighted_counts(rng, values, float(v_avg))
+    v_avg = float(v_avg)
+    if not 0.0 < v_avg < np.inf:
+        raise ValueError(f"v_avg must be positive and finite, got {v_avg}")
+    return weighted_counts(rng, values, v_avg)
 
 
 # ----------------------------------------------------------------------

@@ -27,23 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..common.hashing import make_owner_fn, splitmix64
+from ..common.hashing import make_owner_fn
 from ..kernels import fingerprint32
 from ..machine import DistArray, Machine
 from .dht import local_key_counts, take_topk_entries
 from .result import FrequentResult
 
 __all__ = ["dsbf_top_candidates", "top_k_frequent_ec_dsbf", "DsbfStats"]
-
-_FP_BITS = 32  # fingerprint width; keys are 1 word, fingerprints half
-
-
-def _fingerprint(key: int, salt: int) -> int:
-    """Truncated splitmix64: deliberately small so collisions occur.
-
-    Scalar reference of the :data:`repro.kernels.fingerprint32` kernel
-    (which computes exactly this over int64 key arrays)."""
-    return splitmix64(int(key) ^ salt) & ((1 << _FP_BITS) - 1)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,19 @@
-"""Native-speed worker kernels behind a dispatch registry.
+"""The hot in-worker loops, one numpy body each.
 
-Importing this package registers every kernel (python reference +
-native twin) and exposes the mode controls.  See
-:mod:`repro.kernels.registry` for the dispatch contract and
-:mod:`repro.kernels.philox` for how native RNG-consuming twins stay
-bit-identical to numpy's Philox stream.
+Every kernel here is a plain function: the selection partition and
+top-k cut (:mod:`.partition`), splitmix64 hashing (:mod:`.hashing`),
+Space-Saving offers (:mod:`.counters`), weighted rounding and skip
+sampling (:mod:`.sampling`) and the bulk queue's sorted-array tree with
+its merge (:mod:`.treap`).  The paper's model charges local work as
+operations, so a kernel's body can change wall time and nothing else;
+results and modeled cost are the same on every backend because every
+backend runs the same body.  RNG-consuming kernels draw from the
+generator the caller passes in (built from the command's
+``DrawAddress``) and never construct one.
 """
 
-from .registry import (
-    MODES,
-    Kernel,
-    effective_mode,
-    get_mode,
-    jit,
-    kernel,
-    numba_available,
-    registered,
-    set_mode,
-    use_mode,
-)
+import functools
+
 from .counters import spacesaving_offer
 from .hashing import fingerprint32, splitmix64_array
 from .partition import (
@@ -29,33 +24,39 @@ from .partition import (
     topk_count,
     topk_cut,
 )
-from .philox import native_uniforms
 from .sampling import skip_sample_indices, weighted_counts
 from .treap import ArrayTreap, treap_merge
 
 __all__ = [
-    "MODES",
     "ArrayTreap",
-    "Kernel",
     "compact",
     "effective_mode",
     "fingerprint32",
-    "get_mode",
-    "jit",
-    "kernel",
-    "native_uniforms",
     "numba_available",
     "partition3",
     "partition_count",
     "partition_take",
-    "registered",
-    "set_mode",
     "skip_sample_indices",
     "spacesaving_offer",
     "splitmix64_array",
     "topk_count",
     "topk_cut",
     "treap_merge",
-    "use_mode",
     "weighted_counts",
 ]
+
+
+@functools.lru_cache(maxsize=1)
+def numba_available() -> bool:
+    """Whether numba imports on this host (provenance for benchmark
+    records; nothing in the package compiles)."""
+    try:
+        import numba  # noqa: F401
+    except Exception:
+        return False
+    return True
+
+
+def effective_mode() -> str:
+    """The kernels every backend runs: always ``"python"`` (numpy)."""
+    return "python"

@@ -1,23 +1,20 @@
 """Counter-update kernels: the Space-Saving ``offer`` batch loop.
 
-The python reference replicates CPython dict semantics exactly: the
-eviction victim is the *first key in insertion order* with minimal
-count, removal shifts everything after it left, and a new key appends.
-The native twin runs the identical policy on parallel int64 arrays held
-in insertion order, so both produce the same summary for the same
-offered batch -- bit for bit, including ``max_evicted``.
+The one kernel that stays a Python loop: each offer depends on the
+summary the previous one left.  It replicates CPython dict semantics
+exactly -- the eviction victim is the *first key in insertion order*
+with minimal count, removal shifts everything after it left, and a new
+key appends -- so it equals feeding the same ``(key, count)`` pairs one
+by one through :meth:`repro.frequent.spacesaving.SpaceSaving.offer`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .registry import jit, kernel
-
 __all__ = ["spacesaving_offer"]
 
 
-@kernel("spacesaving_offer")
 def spacesaving_offer(keys, counts, capacity, max_evicted, new_keys,
                       new_counts):
     """Apply ``(new_keys[i], new_counts[i])`` offers to a Space-Saving
@@ -39,55 +36,3 @@ def spacesaving_offer(keys, counts, capacity, max_evicted, new_keys,
     out_keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
     out_counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
     return out_keys, out_counts, max_evicted
-
-
-@jit
-def _ss_offer_core(keys, counts, m, capacity, max_evicted, new_keys,
-                   new_counts):
-    for t in range(new_keys.size):
-        k = new_keys[t]
-        c = new_counts[t]
-        found = -1
-        for i in range(m):
-            if keys[i] == k:
-                found = i
-                break
-        if found >= 0:
-            counts[found] += c
-        elif m < capacity:
-            keys[m] = k
-            counts[m] = c
-            m += 1
-        else:
-            # first key in insertion order with the minimal count --
-            # exactly what min() over a dict picks
-            victim = 0
-            for i in range(1, m):
-                if counts[i] < counts[victim]:
-                    victim = i
-            floor = counts[victim]
-            if floor > max_evicted:
-                max_evicted = floor
-            for i in range(victim, m - 1):
-                keys[i] = keys[i + 1]
-                counts[i] = counts[i + 1]
-            keys[m - 1] = k
-            counts[m - 1] = floor + c
-    return m, max_evicted
-
-
-@spacesaving_offer.native
-def _spacesaving_offer_native(keys, counts, capacity, max_evicted, new_keys,
-                              new_counts):
-    cap = int(capacity)
-    work_keys = np.empty(cap, dtype=np.int64)
-    work_counts = np.empty(cap, dtype=np.int64)
-    m = int(len(keys))
-    work_keys[:m] = keys
-    work_counts[:m] = counts
-    m, max_evicted = _ss_offer_core(
-        work_keys, work_counts, m, cap, int(max_evicted),
-        np.ascontiguousarray(new_keys, dtype=np.int64),
-        np.ascontiguousarray(new_counts, dtype=np.int64),
-    )
-    return work_keys[:m].copy(), work_counts[:m].copy(), int(max_evicted)

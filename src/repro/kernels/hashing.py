@@ -1,16 +1,9 @@
 """Hashing kernels: splitmix64 over arrays (key routing, sketch
-fingerprints).
-
-The python reference is the vectorized numpy pipeline
-``common/hashing.py`` always used; the native twin is a single typed
-pass.  Both rely on uint64 wrap-around and are bit-identical.
-"""
+fingerprints), vectorised numpy on uint64 wrap-around arithmetic."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .registry import jit, kernel
 
 __all__ = ["splitmix64_array", "fingerprint32"]
 
@@ -19,7 +12,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-@kernel("splitmix64_array")
 def splitmix64_array(x):
     """splitmix64 finalizer over a uint64 array."""
     z = x + np.uint64(_GOLDEN)
@@ -28,57 +20,8 @@ def splitmix64_array(x):
     return z ^ (z >> np.uint64(31))
 
 
-@jit
-def _splitmix64_core(x, out):
-    golden = np.uint64(_GOLDEN)
-    mix1 = np.uint64(_MIX1)
-    mix2 = np.uint64(_MIX2)
-    s30 = np.uint64(30)
-    s27 = np.uint64(27)
-    s31 = np.uint64(31)
-    for i in range(x.size):
-        z = x[i] + golden
-        z = (z ^ (z >> s30)) * mix1
-        z = (z ^ (z >> s27)) * mix2
-        out[i] = z ^ (z >> s31)
-
-
-@splitmix64_array.native
-def _splitmix64_array_native(x):
-    out = np.empty(x.size, dtype=np.uint64)
-    _splitmix64_core(x, out)
-    return out
-
-
-@kernel("fingerprint32")
 def fingerprint32(keys, salt):
     """32-bit sketch fingerprints: ``splitmix64(key ^ salt) & 0xFFFFFFFF``
     over an int64 key array (the dsbf per-level hot loop)."""
     z = keys.astype(np.uint64) ^ np.uint64(salt & 0xFFFFFFFFFFFFFFFF)
-    return (splitmix64_array.py(z) & np.uint64(0xFFFFFFFF)).astype(np.int64)
-
-
-@jit
-def _fingerprint32_core(ukeys, salt, out):
-    golden = np.uint64(_GOLDEN)
-    mix1 = np.uint64(_MIX1)
-    mix2 = np.uint64(_MIX2)
-    s30 = np.uint64(30)
-    s27 = np.uint64(27)
-    s31 = np.uint64(31)
-    lo32 = np.uint64(0xFFFFFFFF)
-    for i in range(ukeys.size):
-        z = ukeys[i] ^ salt
-        z = z + golden
-        z = (z ^ (z >> s30)) * mix1
-        z = (z ^ (z >> s27)) * mix2
-        z = z ^ (z >> s31)
-        out[i] = np.int64(z & lo32)
-
-
-@fingerprint32.native
-def _fingerprint32_native(keys, salt):
-    out = np.empty(keys.size, dtype=np.int64)
-    _fingerprint32_core(keys.astype(np.uint64),
-                        np.uint64(salt & 0xFFFFFFFFFFFFFFFF), out)
-    return out
+    return (splitmix64_array(z) & np.uint64(0xFFFFFFFF)).astype(np.int64)

@@ -1,12 +1,13 @@
 """Sampling kernels: weighted rounding counts and Bernoulli skip
 sampling.
 
-Both consume *uniform doubles only*, so the native twins can derive the
-exact Philox stream from the incoming generator's state words
-(:mod:`repro.kernels.philox`) and stay bit-identical to the python
-references drawing ``rng.random(...)``.  Draws that go through numpy's
-non-portable samplers (``binomial``, ``choice``, ``geometric``'s
-ziggurat) are *not* kernelized -- those stay numpy in every mode.
+Both consume *uniform doubles only*, drawn with ``rng.random`` from the
+generator the caller passes in (in a worker, one built from the
+command's ``DrawAddress``): ``weighted_counts`` one block of one uniform
+per value, ``skip_sample_indices`` one uniform per gap including the
+final overshooting one.  Those stream positions are part of the
+contract -- a caller that draws after the kernel sees the same state on
+every backend.
 """
 
 from __future__ import annotations
@@ -15,14 +16,9 @@ import math
 
 import numpy as np
 
-from .philox import U53_INV, _philox_next_block, is_philox, put_state, \
-    state_words
-from .registry import jit, kernel
-
 __all__ = ["weighted_counts", "skip_sample_indices"]
 
 
-@kernel("weighted_counts")
 def weighted_counts(rng, values, v_avg):
     """Randomized-rounding duplicate counts: ``floor(v / v_avg)`` plus a
     Bernoulli extra on the fractional part (one uniform per value)."""
@@ -33,38 +29,6 @@ def weighted_counts(rng, values, v_avg):
     return (base + extra).astype(np.int64)
 
 
-@jit
-def _weighted_counts_core(values, v_avg, k0, k1, c0, c1, c2, c3, buf, pos,
-                          out):
-    s11 = np.uint64(11)
-    for i in range(values.size):
-        if pos >= 4:
-            c0, c1, c2, c3 = _philox_next_block(k0, k1, c0, c1, c2, c3,
-                                                buf, 0)
-            pos = 0
-        u = np.float64(buf[pos] >> s11) * U53_INV
-        pos += 1
-        scaled = values[i] / v_avg
-        base = math.floor(scaled)
-        out[i] = base + (1 if u < scaled - base else 0)
-    return c0, c1, c2, c3, pos
-
-
-@weighted_counts.native
-def _weighted_counts_native(rng, values, v_avg):
-    if not is_philox(rng):
-        return weighted_counts.py(rng, values, v_avg)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    out = np.empty(values.size, dtype=np.int64)
-    k0, k1, c0, c1, c2, c3, buf, pos = state_words(rng)
-    c0, c1, c2, c3, pos = _weighted_counts_core(
-        values, float(v_avg), k0, k1, c0, c1, c2, c3, buf, pos, out
-    )
-    put_state(rng, c0, c1, c2, c3, buf, pos)
-    return out
-
-
-@kernel("skip_sample_indices")
 def skip_sample_indices(rng, n, rho):
     """Bernoulli(rho) sample positions in ``[0, n)`` via geometric gap
     skipping (inversion on one uniform per gap, including the final
@@ -79,37 +43,3 @@ def skip_sample_indices(rng, n, rho):
             break
         out.append(pos)
     return np.array(out, dtype=np.int64)
-
-
-@jit
-def _skip_sample_core(n, log1m, k0, k1, c0, c1, c2, c3, buf, pos, out):
-    s11 = np.uint64(11)
-    count = 0
-    at = -1
-    while True:
-        if pos >= 4:
-            c0, c1, c2, c3 = _philox_next_block(k0, k1, c0, c1, c2, c3,
-                                                buf, 0)
-            pos = 0
-        u = np.float64(buf[pos] >> s11) * U53_INV
-        pos += 1
-        at += int(math.floor(math.log1p(-u) / log1m)) + 1
-        if at >= n:
-            break
-        out[count] = at
-        count += 1
-    return count, c0, c1, c2, c3, pos
-
-
-@skip_sample_indices.native
-def _skip_sample_indices_native(rng, n, rho):
-    if not is_philox(rng):
-        return skip_sample_indices.py(rng, n, rho)
-    n = int(n)
-    out = np.empty(n, dtype=np.int64)
-    k0, k1, c0, c1, c2, c3, buf, pos = state_words(rng)
-    count, c0, c1, c2, c3, pos = _skip_sample_core(
-        n, math.log1p(-rho), k0, k1, c0, c1, c2, c3, buf, pos, out
-    )
-    put_state(rng, c0, c1, c2, c3, buf, pos)
-    return out[:count].copy()

@@ -13,8 +13,7 @@ Bulk insertion is one stable sort of the batch plus one sorted merge
 resolved inside the run of equal scores, and batch extraction is three
 ``tolist()`` calls.
 
-This is the only tree in ``src/``, in every kernels mode (the mode
-selects the merge twin, nothing else).  Having no shape, it draws no
+This is the only tree in ``src/``.  Having no shape, it draws no
 rotation priorities.  A pointer treap with the same operation set is the
 test suite's differential oracle (``tests/support/pointer_treap.py``).
 
@@ -33,12 +32,10 @@ from typing import Iterator
 import numpy as np
 
 from ..common.ordering import BOTTOM, TOP
-from .registry import jit, kernel
 
 __all__ = ["ArrayTreap", "treap_merge"]
 
 
-@kernel("treap_merge")
 def treap_merge(s_a, a_a, b_a, s_b, a_b, b_b):
     """Merge two lex-sorted ``(score, ra, rb)`` key sequences into one
     (stable: on equal keys the first sequence's entries come first).
@@ -70,58 +67,6 @@ def treap_merge(s_a, a_a, b_a, s_b, a_b, b_b):
         return out
 
     return interleave(s_a, s_b), interleave(a_a, a_b), interleave(b_a, b_b)
-
-
-@jit
-def _merge_core(s_a, a_a, b_a, s_b, a_b, b_b, s_o, a_o, b_o):
-    n = s_a.size
-    m = s_b.size
-    i = 0
-    j = 0
-    k = 0
-    while i < n and j < m:
-        # (s, a, b) lexicographic; take from the first run on ties
-        take_a = True
-        if s_a[i] > s_b[j]:
-            take_a = False
-        elif s_a[i] == s_b[j]:
-            if a_a[i] > a_b[j]:
-                take_a = False
-            elif a_a[i] == a_b[j] and b_a[i] > b_b[j]:
-                take_a = False
-        if take_a:
-            s_o[k] = s_a[i]
-            a_o[k] = a_a[i]
-            b_o[k] = b_a[i]
-            i += 1
-        else:
-            s_o[k] = s_b[j]
-            a_o[k] = a_b[j]
-            b_o[k] = b_b[j]
-            j += 1
-        k += 1
-    while i < n:
-        s_o[k] = s_a[i]
-        a_o[k] = a_a[i]
-        b_o[k] = b_a[i]
-        i += 1
-        k += 1
-    while j < m:
-        s_o[k] = s_b[j]
-        a_o[k] = a_b[j]
-        b_o[k] = b_b[j]
-        j += 1
-        k += 1
-
-
-@treap_merge.native
-def _treap_merge_native(s_a, a_a, b_a, s_b, a_b, b_b):
-    total = s_a.size + s_b.size
-    s_o = np.empty(total, dtype=np.float64)
-    a_o = np.empty(total, dtype=np.int64)
-    b_o = np.empty(total, dtype=np.int64)
-    _merge_core(s_a, a_a, b_a, s_b, a_b, b_b, s_o, a_o, b_o)
-    return s_o, a_o, b_o
 
 
 _EMPTY_F8 = np.empty(0, dtype=np.float64)

@@ -62,7 +62,6 @@ def available_backends() -> list[str]:
 def make_backend(
     spec, p: int, verify: bool = False, pipeline_depth: int | None = None,
     command_timeout: float | None = None, faults=None, journal: bool = False,
-    kernels: str | None = None,
 ) -> Backend:
     """Resolve a backend spec: a name, a ``Backend`` instance, or None.
 
@@ -112,18 +111,14 @@ def make_backend(
         kwargs["faults"] = faults
     if journal:
         kwargs["journal"] = True
-    if kernels is not None:
-        kwargs["kernels"] = kernels
     while True:
         try:
             return factory(p, **kwargs)
         except TypeError:
             # factory predates a knob: drop the optional ones in turn
             # (sim-style backends take none of them -- they verify and
-            # serialize by construction and have no processes to lose;
-            # sim also needs no kernels plumbing: its workers share the
-            # driver process, where Machine already set the mode)
-            for knob in ("kernels", "journal", "faults", "command_timeout",
+            # serialize by construction and have no processes to lose)
+            for knob in ("journal", "faults", "command_timeout",
                          "pipeline_depth", "verify"):
                 if knob in kwargs:
                     del kwargs[knob]

@@ -181,15 +181,6 @@ class Backend:
     supports_oob_pickle: bool = False
     supports_shm: bool = False
 
-    @property
-    def supports_native_kernels(self) -> bool:
-        """Whether ``kernels="native"`` runs *compiled* twins here (numba
-        importable).  The mode itself works everywhere -- without numba
-        the native twins execute interpreted, bit-identically."""
-        from ...kernels import numba_available
-
-        return numba_available()
-
     def __init__(self, p: int):
         if p < 1:
             raise ValueError(f"need at least one PE, got p={p}")

@@ -125,14 +125,9 @@ class _PipeLinks(WorkerLinks):
 
 
 def _worker_main(rank, p, inboxes, results, parent_pid, shm_family=None,
-                 shm_threshold=None, faults=None, kernels=None):
+                 shm_threshold=None, faults=None):
     """Entry point of one PE worker (module-level for spawn support):
-    set the kernel mode, build the pipe links + shm pool, then run the
-    shared command loop."""
-    if kernels is not None:
-        from ...kernels import set_mode
-
-        set_mode(kernels)
+    build the pipe links + shm pool, then run the shared command loop."""
     pool = (
         ShmPool(shm_family, f"w{rank}", shm_threshold)
         if shm_family is not None else None
@@ -164,11 +159,10 @@ class MultiprocessingBackend(RuntimeBackend):
         command_timeout: float | None = None,
         faults=None,
         journal: bool = False,
-        kernels: str | None = None,
     ):
         super().__init__(p, verify=verify, pipeline_depth=pipeline_depth,
                          command_timeout=command_timeout, faults=faults,
-                         journal=journal, kernels=kernels)
+                         journal=journal)
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: list = []
         # -- zero-copy payload lane ------------------------------------
@@ -210,8 +204,7 @@ class MultiprocessingBackend(RuntimeBackend):
                 target=_worker_main,
                 args=(rank, self.p, self._inboxes, self._results, os.getpid(),
                       self._shm_family, self._shm_threshold,
-                      self.faults.for_rank(rank) if self.faults else None,
-                      self.kernels_mode),
+                      self.faults.for_rank(rank) if self.faults else None),
                 daemon=True,
                 name=f"repro-pe-{rank}",
             )

@@ -845,12 +845,8 @@ class RuntimeBackend(Backend):
     def __init__(self, p: int, verify: bool = False,
                  pipeline_depth: int = 8,
                  command_timeout: float | None = None,
-                 faults=None, journal: bool = False,
-                 kernels: str | None = None):
+                 faults=None, journal: bool = False):
         super().__init__(p)
-        #: kernel dispatch mode plumbed to every worker process at
-        #: startup (None = workers follow their own REPRO_KERNELS/auto)
-        self.kernels_mode = kernels
         #: per-command deadline: a command whose results have not fully
         #: arrived after this many seconds fails with a structured
         #: :class:`WorkerFailure` (phase ``"hung"``) instead of waiting

@@ -164,18 +164,12 @@ def worker_main(driver_addr: tuple[str, int], rank: int | None = None,
     mesh_port = mesh_listener.getsockname()[1]
     driver = SocketChannel(socket.create_connection(driver_addr, timeout=timeout))
     driver.put(("hello", rank, mesh_port))
-    # config is ("config", rank, p, peers[, faults[, kernels]]); the
-    # trailing slices are optional so externally launched workers of any
-    # vintage can join
+    # config is ("config", rank, p, peers[, faults]); the trailing slot
+    # is optional so externally launched workers of any vintage can join
     tag, rank, p, peers, *rest = driver.get(timeout=timeout)
     if tag != "config":
         raise RuntimeError(f"expected config frame, got {tag!r}")
     faults = rest[0] if rest else None
-    kernels = rest[1] if len(rest) > 1 else None
-    if kernels is not None:
-        from ...kernels import set_mode
-
-        set_mode(kernels)
     peer_chans: dict[int, SocketChannel] = {}
     try:
         # rank i connects to every lower rank and accepts every higher
@@ -231,11 +225,10 @@ class TcpBackend(RuntimeBackend):
         command_timeout: float | None = None,
         faults=None,
         journal: bool = False,
-        kernels: str | None = None,
     ):
         super().__init__(p, verify=verify, pipeline_depth=pipeline_depth,
                          command_timeout=command_timeout, faults=faults,
-                         journal=journal, kernels=kernels)
+                         journal=journal)
         self._hosts = _resolve_hosts(p, hosts)
         self._bind = bind or os.environ.get("REPRO_TCP_BIND")
         self._connect_timeout = connect_timeout
@@ -370,8 +363,7 @@ class TcpBackend(RuntimeBackend):
         for rank in range(self.p):
             chans[rank].put(
                 ("config", rank, self.p, peers,
-                 self.faults.for_rank(rank) if self.faults else None,
-                 self.kernels_mode)
+                 self.faults.for_rank(rank) if self.faults else None)
             )
         for rank in range(self.p):
             ack = chans[rank].get(timeout=self._connect_timeout)

@@ -233,15 +233,6 @@ class Machine:
         states are recorded).  Off by default; without it a broken pool raises cleanly and
         :meth:`recover` can still restore driver-held chunks.  Ignored
         by ``sim``.
-    kernels:
-        Kernel dispatch mode for the hot in-worker loops
-        (:mod:`repro.kernels`): ``"python"`` forces the pure
-        python/numpy references, ``"native"`` the jitted twins,
-        ``"auto"`` picks native exactly when numba is importable.
-        ``None`` (default) defers to the ``REPRO_KERNELS`` environment
-        variable (itself defaulting to ``auto``).  The mode is plumbed
-        to real backends' worker processes; results and modeled costs
-        are bit-identical across modes by contract.
     """
 
     def __init__(
@@ -255,28 +246,13 @@ class Machine:
         command_timeout: float | None = None,
         faults=None,
         journal: bool = False,
-        kernels: str | None = None,
     ):
         if p < 1:
             raise ValueError(f"need at least one PE, got p={p}")
         self.p = int(p)
-        if kernels is not None:
-            from ..kernels import MODES, set_mode
-
-            if kernels not in MODES:
-                raise ValueError(
-                    f"kernels must be one of {MODES}, got {kernels!r}"
-                )
-            # process-global: the driver-side kernels (and the sim
-            # backend's in-process workers) follow the same mode the
-            # real backends plumb to their worker processes
-            set_mode(kernels)
-        #: requested kernel dispatch mode (None = REPRO_KERNELS / auto)
-        self.kernels = kernels
         self.backend: Backend = make_backend(
             backend, self.p, verify=verify, pipeline_depth=pipeline_depth,
             command_timeout=command_timeout, faults=faults, journal=journal,
-            kernels=kernels,
         )
         self.cost = cost if cost is not None else CostParams()
         self.clock = SimClock(self.p)

@@ -13,9 +13,8 @@ The queue keeps one search tree per PE and **never moves elements**:
   selected per-PE prefixes are then split off the trees.
 
 The per-PE tree is :class:`repro.trees.Treap`, a sorted
-structure-of-arrays multiset (:mod:`repro.kernels.treap`), in every
-kernels mode: all the queue observes of its tree depends on the key
-multiset only.  The *modeled* cost is still the paper's search tree --
+structure-of-arrays multiset (:mod:`repro.kernels.treap`): all the
+queue observes of its tree depends on the key multiset only.  The *modeled* cost is still the paper's search tree --
 ``log2 n`` ops per inserted key, :meth:`~repro.trees.Treap.access_cost`
 ``= O(log min(k, n))`` per extracted one -- while the *wall* cost of a
 flush of ``m`` keys into ``n`` is one stable sort of the batch plus an

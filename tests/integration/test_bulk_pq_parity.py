@@ -1,6 +1,5 @@
 """Integration: the bulk priority queue on its one array tree is
-bit-identical on sim and mp under both kernels modes, and ``delete_min``
-charges its size all-reduction without the driver round trip.
+bit-identical on sim, mp and tcp, and ``delete_min`` charges its size all-reduction without the driver round trip.
 
 Scores are drawn from a few quarter steps, so every flush repeats scores
 inside its batch and shares them with the resident tree (the merge's tie
@@ -12,18 +11,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.kernels import set_mode
 from repro.machine import Machine
 from repro.pqueue import BulkParallelPQ
 
 P = 3
-
-
-@pytest.fixture(autouse=True)
-def _reset_mode():
-    """Machine(kernels=...) sets the process-global mode; never leak it."""
-    yield
-    set_mode(None)
 
 
 def model_cost(machine):
@@ -60,11 +51,15 @@ def cycle(machine):
     return trail
 
 
-@pytest.mark.parametrize("kernels", ["python", "native"])
-def test_cycle_sim_vs_mp(kernels):
-    want = cycle(Machine(p=P, seed=41, kernels="python"))
-    assert cycle(Machine(p=P, seed=41, kernels=kernels)) == want
-    with Machine(p=P, seed=41, backend="mp", kernels=kernels) as m:
+def test_cycle_sim_vs_mp():
+    want = cycle(Machine(p=P, seed=41))
+    with Machine(p=P, seed=41, backend="mp") as m:
+        assert cycle(m) == want
+
+
+def test_cycle_sim_vs_tcp():
+    want = cycle(Machine(p=P, seed=41))
+    with Machine(p=P, seed=41, backend="tcp") as m:
         assert cycle(m) == want
 
 

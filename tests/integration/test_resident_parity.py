@@ -3,7 +3,8 @@ backend with unchanged modeled cost.
 
 Covers the subsystems converted to resident-chunk SPMD execution after
 the selection/frequent pipelines: multiselection (and quantiles), data
-redistribution, and both bulk priority queues.  Each test builds a sim
+redistribution, both bulk priority queues, sum aggregation and heavy
+hitters.  Each test builds a sim
 machine and a *real* machine (``mp`` or ``tcp`` -- both run the shared
 worker runtime, over pipes and sockets respectively) from the same
 seed, runs the same workload, and demands identical outputs *and*
@@ -22,6 +23,8 @@ import numpy as np
 import pytest
 
 from repro.aggregation import DistKeyValue, top_k_sums_ec
+from repro.bench.workloads import zipf_keys_workload
+from repro.frequent import heavy_hitters
 from repro.machine import DistArray, Machine
 from repro.pqueue import BulkParallelPQ, RandomAllocPQ
 from repro.redistribution import naive_rebalance, redistribute
@@ -327,3 +330,21 @@ class TestSumAggregationParity:
             assert r_sim.items == r_real.items
             assert r_sim.sample_size == r_real.sample_size
             _assert_model_equal(sim, real)
+
+
+@pytest.mark.parametrize(
+    "backend,depth",
+    [pytest.param(b, d, id=f"{b}-d{d}") for b in ("mp", "tcp") for d in (1, 8)],
+)
+def test_heavy_hitters_matches_sim(backend, depth):
+    """Space-Saving summaries (the batch offer kernel) and their tree
+    reduction: results and modeled cost equal sim at either depth."""
+    def run(machine):
+        keys = zipf_keys_workload(machine, 4_000, universe=1 << 10, s=1.2)
+        machine.reset()
+        return heavy_hitters(machine, keys, 0.05)
+
+    sim = Machine(p=4, seed=77)
+    with Machine(p=4, seed=77, backend=backend, pipeline_depth=depth) as real:
+        assert run(sim) == run(real)
+        _assert_model_equal(sim, real)

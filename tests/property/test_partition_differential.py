@@ -20,15 +20,12 @@ from repro.kernels import (
     partition_count,
     partition_take,
     topk_cut,
-    use_mode,
 )
 from repro.kernels.partition import _SLAB
 from tests.support import partition_oracle as oracle
 
 DTYPES = [np.int64, np.uint64, np.float64, np.float32]
 SLAB_SIZES = [_SLAB - 1, _SLAB, _SLAB + 1, 2 * _SLAB + 17]
-#: the interpreted native loops are too slow past this
-NATIVE_MAX = 64
 
 
 def values(dtype):
@@ -64,8 +61,8 @@ def cases(draw):
 def sample_pivots(lo, hi):
     """Pivots as a sorted sample yields them: NaN sorts last, so a NaN
     ``lo`` has a NaN ``hi``.  (Under a NaN ``lo`` alone the oracle's
-    ``>= lo`` empties the middle part where the native chain, and now
-    both twins, keep ``<= hi`` there; no selection level can ask.)"""
+    ``>= lo`` empties the middle part where the kernels keep ``<= hi``
+    there; no selection level can ask.)"""
     return hi != hi or lo == lo
 
 
@@ -84,14 +81,11 @@ class TestAgainstThreeMaskOracle:
         arr, lo, hi = case
         assume(sample_pivots(lo, hi))
         want = oracle.partition3(arr, lo, hi)
-        for mode in ["python"] + ["native"] * (arr.size <= NATIVE_MAX):
-            with use_mode(mode):
-                (n_lo, n_mid), masks = partition_count(arr, lo, hi)
-                sizes = (n_lo, n_mid, arr.size - n_lo - n_mid)
-                assert sizes == tuple(part.size for part in want)
-                for part, size in enumerate(sizes):
-                    got = partition_take(arr, masks, part, size)
-                    assert same(got, want[part]), (mode, part)
+        (n_lo, n_mid), masks = partition_count(arr, lo, hi)
+        sizes = (n_lo, n_mid, arr.size - n_lo - n_mid)
+        assert sizes == tuple(part.size for part in want)
+        for part, size in enumerate(sizes):
+            assert same(partition_take(arr, masks, part, size), want[part]), part
 
     @given(cases())
     @settings(max_examples=150, deadline=None)
@@ -99,10 +93,8 @@ class TestAgainstThreeMaskOracle:
         arr, lo, hi = case
         assume(sample_pivots(lo, hi))
         want = oracle.partition3(arr, lo, hi)
-        impls = [partition3.py] + [partition3.native_fn] * (arr.size <= NATIVE_MAX)
-        for impl in impls:
-            got = impl(arr, lo, hi)
-            assert all(same(g, w) for g, w in zip(got, want))
+        got = partition3(arr, lo, hi)
+        assert all(same(g, w) for g, w in zip(got, want))
 
     @given(cases(), st.integers(0, 12))
     @example((np.full(2 * _SLAB, 3, dtype=np.int64), np.int64(3), np.int64(3)), _SLAB + 1)
@@ -110,9 +102,7 @@ class TestAgainstThreeMaskOracle:
     def test_topk_cut_is_the_same_cut(self, case, keep_eq):
         arr, threshold, _ = case
         want = oracle.topk_cut(arr, threshold, keep_eq)
-        impls = [topk_cut.py] + [topk_cut.native_fn] * (arr.size <= NATIVE_MAX)
-        for impl in impls:
-            assert same(impl(arr, threshold, keep_eq), want)
+        assert same(topk_cut(arr, threshold, keep_eq), want)
 
     @given(cases())
     @settings(max_examples=100, deadline=None)
@@ -120,10 +110,8 @@ class TestAgainstThreeMaskOracle:
         arr, x, _ = case
         mask = arr <= x
         hits = int(np.count_nonzero(mask))
-        impls = [compact.py] + [compact.native_fn] * (arr.size <= NATIVE_MAX)
-        for impl in impls:
-            assert same(impl(arr, mask, hits), arr[mask])
-            assert same(impl(arr, mask, hits // 2), arr[mask][:hits // 2])
-            out = np.zeros(hits + 2, dtype=arr.dtype)
-            impl(arr, mask, hits, out=out[1:hits + 1])
-            assert same(out[1:hits + 1], arr[mask]) and out[0] == 0 == out[-1]
+        assert same(compact(arr, mask, hits), arr[mask])
+        assert same(compact(arr, mask, hits // 2), arr[mask][:hits // 2])
+        out = np.zeros(hits + 2, dtype=arr.dtype)
+        compact(arr, mask, hits, out=out[1:hits + 1])
+        assert same(out[1:hits + 1], arr[mask]) and out[0] == 0 == out[-1]

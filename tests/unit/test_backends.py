@@ -72,6 +72,15 @@ class TestRegistry:
     def test_make_backend_none_is_sim(self):
         assert isinstance(make_backend(None, 2), SimBackend)
 
+    def test_retired_kernels_keyword_rejected(self):
+        # every backend runs the one numpy body of each kernel: there is
+        # no mode to pick, and the keyword is not silently dropped
+        with pytest.raises(TypeError, match="kernels"):
+            Machine(p=2, backend="mp", kernels="python")
+        with pytest.raises(TypeError, match="kernels"):
+            make_backend("mp", 2, kernels="python")
+        assert not hasattr(SimBackend(2), "supports_native_kernels")
+
 
 @pytest.mark.parametrize("p", PS)
 class TestCollectiveParity:

@@ -1,52 +1,42 @@
-"""Kernel registry + twin bit-identity tests.
+"""Kernel tests: every kernel in :mod:`repro.kernels` against an
+independent oracle.
 
-Every registered kernel has a python reference and a native twin; the
-dispatch contract says swapping modes may change wall-clock time, never
-a result, a modeled cost, or an RNG stream position.  These tests pin
-that contract without numba: the native twins run interpreted through
-the :func:`repro.kernels.jit` shim, which exercises the identical
-arithmetic the compiled path runs.
+A kernel has one numpy body, so there is no second implementation of it
+to agree with; what the tests pin is what callers rely on -- parts,
+cuts and merges equal to plain numpy / ``sorted`` oracles,
+``spacesaving_offer`` equal to the per-key ``SpaceSaving.offer`` policy,
+``fingerprint32`` equal to the scalar fingerprint, and the RNG kernels'
+exact stream positions.
 """
+
+import inspect
+import math
 
 import numpy as np
 import pytest
 
+from repro import kernels
+from repro.common.hashing import splitmix64
+from repro.frequent import SpaceSaving
 from repro.kernels import (
-    MODES,
     ArrayTreap,
-    Kernel,
     compact,
-    effective_mode,
     fingerprint32,
-    get_mode,
-    kernel,
-    native_uniforms,
-    numba_available,
     partition3,
     partition_count,
     partition_take,
-    registered,
-    set_mode,
     skip_sample_indices,
     spacesaving_offer,
     splitmix64_array,
     topk_count,
     topk_cut,
     treap_merge,
-    use_mode,
     weighted_counts,
 )
-from repro.kernels.philox import is_philox, put_state, state_words
 from repro.machine.ctrrng import philox_generator
+from tests.support import partition_oracle as oracle
+from tests.support.fingerprint import fingerprint
 from tests.support.pointer_treap import Treap
-
-
-@pytest.fixture(autouse=True)
-def _reset_mode():
-    """Never leak an explicit mode override across tests."""
-    set_mode(None)
-    yield
-    set_mode(None)
 
 
 def rng_pair(seq=7):
@@ -57,292 +47,256 @@ def rng_pair(seq=7):
     )
 
 
-# ----------------------------------------------------------------------
-# Registry and mode selection
-# ----------------------------------------------------------------------
-
-class TestRegistry:
-    def test_all_hot_loops_registered(self):
-        assert set(registered()) == {
-            "compact", "partition_count", "partition3",
-            "topk_count", "topk_cut", "treap_merge",
-            "spacesaving_offer", "fingerprint32", "splitmix64_array",
-            "weighted_counts", "skip_sample_indices",
-        }
-
-    def test_every_kernel_has_a_native_twin(self):
-        for name, k in registered().items():
-            assert k.has_native, f"kernel {name!r} lacks a native twin"
-
-    def test_set_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "native")
-        assert get_mode() == "native"
-        set_mode("python")
-        assert get_mode() == "python"
-        set_mode(None)
-        assert get_mode() == "native"
-
-    def test_env_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        assert get_mode() == "auto"
-        monkeypatch.setenv("REPRO_KERNELS", "bogus")
-        assert get_mode() == "auto"
-
-    def test_auto_resolves_on_numba_availability(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        expect = "native" if numba_available() else "python"
-        assert effective_mode() == expect
-
-    def test_explicit_modes_resolve_to_themselves(self):
-        for mode in ("python", "native"):
-            with use_mode(mode):
-                assert effective_mode() == mode
-
-    def test_set_mode_rejects_unknown(self):
-        with pytest.raises(ValueError, match="kernels mode"):
-            set_mode("turbo")
-        assert "turbo" not in MODES
-
-    def test_use_mode_restores_on_exit(self):
-        set_mode("python")
-        with use_mode("native"):
-            assert get_mode() == "native"
-        assert get_mode() == "python"
-
-    def test_use_mode_restores_on_error(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        with pytest.raises(RuntimeError):
-            with use_mode("native"):
-                raise RuntimeError("boom")
-        assert get_mode() == "auto"
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="duplicate kernel"):
-            kernel("partition3")(lambda a: a)
-
-    def test_dispatch_picks_the_twin_for_the_mode(self):
-        k = Kernel("probe", lambda: "python")
-        k.native(lambda: "native")
-        with use_mode("python"):
-            assert k() == "python"
-        with use_mode("native"):
-            assert k() == "native"
-
-    def test_dispatch_without_twin_always_runs_python(self):
-        k = Kernel("plain", lambda: "python")
-        assert not k.has_native
-        with use_mode("native"):
-            assert k() == "python"
+def same_parts(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and np.array_equal(g, w, equal_nan=g.dtype.kind == "f")
+        for g, w in zip(got, want)
+    )
 
 
 # ----------------------------------------------------------------------
-# Philox state-word cores
+# What the frozen benchmark imports
 # ----------------------------------------------------------------------
 
-class TestPhilox:
-    def test_native_uniforms_match_numpy_bit_for_bit(self):
-        ref, native = rng_pair()
-        want = ref.random(1000)
-        got = native_uniforms(native, 1000)
-        assert np.array_equal(want, got)
+class TestFixedPoints:
+    #: name -> parameters, as ``benchmarks/ledger/layers.py`` calls them
+    SIGNATURES = {
+        "partition3": ["arr", "lo", "hi"],
+        "topk_count": ["arr", "threshold"],
+        "topk_cut": ["arr", "threshold", "keep_eq"],
+        "splitmix64_array": ["x"],
+        "treap_merge": ["s_a", "a_a", "b_a", "s_b", "a_b", "b_b"],
+        "spacesaving_offer": ["keys", "counts", "capacity", "max_evicted",
+                              "new_keys", "new_counts"],
+        "weighted_counts": ["rng", "values", "v_avg"],
+        "skip_sample_indices": ["rng", "n", "rho"],
+    }
 
-    def test_state_advances_identically(self):
-        ref, native = rng_pair()
-        ref.random(257)
-        native_uniforms(native, 257)
-        assert np.array_equal(ref.random(16), native.random(16))
+    @pytest.mark.parametrize("name", sorted(SIGNATURES))
+    def test_kernel_is_a_plain_function_with_its_signature(self, name):
+        fn = getattr(kernels, name)
+        assert inspect.isfunction(fn)
+        assert list(inspect.signature(fn).parameters) == self.SIGNATURES[name]
 
-    def test_mid_buffer_continuation(self):
-        # 3 draws leave one word in the 4-word block; the native core
-        # must consume it before generating the next block
-        ref, native = rng_pair()
-        ref.random(3)
-        native.random(3)
-        assert np.array_equal(ref.random(10), native_uniforms(native, 10))
-        assert np.array_equal(ref.random(5), native.random(5))
+    def test_array_treap_takes_an_optional_generator(self):
+        assert inspect.isclass(kernels.ArrayTreap)
+        params = inspect.signature(kernels.ArrayTreap).parameters
+        assert list(params) == ["rng"] and params["rng"].default is None
 
-    def test_interleaved_python_and_native_draws(self):
-        ref, native = rng_pair()
-        chunks = [1, 4, 7, 2, 9]
-        for i, n in enumerate(chunks):
-            want = ref.random(n)
-            got = native_uniforms(native, n) if i % 2 else native.random(n)
-            assert np.array_equal(want, got)
-
-    def test_state_words_roundtrip(self):
-        ref, native = rng_pair()
-        k0, k1, c0, c1, c2, c3, buf, pos = state_words(native)
-        put_state(native, c0, c1, c2, c3, buf, pos)
-        assert np.array_equal(ref.random(8), native.random(8))
-
-    def test_is_philox(self):
-        assert is_philox(philox_generator(1, 0, 0, 0))
-        assert not is_philox(np.random.default_rng(0))
+    def test_provenance_probes(self):
+        assert kernels.effective_mode() == "python"
+        assert isinstance(kernels.numba_available(), bool)
 
 
 # ----------------------------------------------------------------------
-# Per-kernel twin bit-identity
+# Partition and top-k cut against the three-mask oracle
 # ----------------------------------------------------------------------
 
-class TestTwinParity:
-    def assert_twins_agree(self, k, *args_builders, equal_nan=False):
-        """Run the reference and the native twin on identically built
-        argument tuples and compare every returned array/scalar."""
-        want = k.py(*args_builders[0]())
-        got = k.native_fn(*args_builders[0]())
-        if not isinstance(want, tuple):
-            want, got = (want,), (got,)
-        for w, g in zip(want, got):
-            assert np.array_equal(np.asarray(w), np.asarray(g), equal_nan=equal_nan)
+class TestPartition:
+    #: pivot pairs: inside, spanning, equal, above and below the data
+    PIVOTS = [(10, 30), (0, 49), (25, 25), (60, 70), (-5, -1)]
 
     def test_partition3(self):
         arr = np.random.default_rng(1).integers(0, 50, 10_000)
         for lo, hi in self.PIVOTS:
-            self.assert_twins_agree(partition3, lambda: (arr, lo, hi))
-
-    #: pivot pairs: inside, spanning, equal, above and below the data
-    PIVOTS = [(10, 30), (0, 49), (25, 25), (60, 70), (-5, -1)]
+            assert same_parts(partition3(arr, lo, hi), oracle.partition3(arr, lo, hi))
 
     def test_partition_count_sizes_and_masks(self):
         arr = np.random.default_rng(1).integers(0, 50, 10_000)
         for lo, hi in self.PIVOTS:
-            counts, masks = partition_count.py(arr, lo, hi)
-            twin_counts, twin_masks = partition_count.native_fn(arr, lo, hi)
-            assert counts == twin_counts
-            for m, t in zip(masks, twin_masks):
-                assert m.dtype == t.dtype == np.bool_ and np.array_equal(m, t)
+            (n_lo, n_mid), (below, upper) = partition_count(arr, lo, hi)
+            want = oracle.partition3(arr, lo, hi)
+            assert (n_lo, n_mid) == (want[0].size, want[1].size)
+            assert below.dtype == upper.dtype == np.bool_
+            assert np.array_equal(below, arr < lo)
+            assert np.array_equal(upper, arr > hi)
 
     def test_compact_whole_truncated_and_into_out(self):
         arr = np.random.default_rng(6).integers(0, 50, 10_000)
         mask = arr < 20
         hits = int(mask.sum())
         for size in (hits, hits // 3, 0):
-            self.assert_twins_agree(compact, lambda: (arr, mask, size))
-            assert np.array_equal(compact.py(arr, mask, size), arr[mask][:size])
-        outs = [np.full(hits + 2, -1), np.full(hits + 2, -1)]
-        compact.py(arr, mask, hits, out=outs[0][1:-1])
-        compact.native_fn(arr, mask, hits, out=outs[1][1:-1])
-        assert np.array_equal(outs[0], outs[1]) and outs[0][0] == -1 == outs[0][-1]
+            assert np.array_equal(compact(arr, mask, size), arr[mask][:size])
+        out = np.full(hits + 2, -1)
+        compact(arr, mask, hits, out=out[1:-1])
+        assert np.array_equal(out[1:-1], arr[mask]) and out[0] == -1 == out[-1]
 
-    def test_partition_take_every_part_in_both_modes(self):
+    def test_partition_take_every_part(self):
         arr = np.random.default_rng(1).integers(0, 50, 10_000)
         for lo, hi in self.PIVOTS:
-            want = partition3.py(arr, lo, hi)
-            for mode in ("python", "native"):
-                with use_mode(mode):
-                    (n_lo, n_mid), masks = partition_count(arr, lo, hi)
-                    sizes = (n_lo, n_mid, arr.size - n_lo - n_mid)
-                    for part, size in enumerate(sizes):
-                        got = partition_take(arr, masks, part, size)
-                        assert np.array_equal(got, want[part]), (mode, part)
+            want = oracle.partition3(arr, lo, hi)
+            (n_lo, n_mid), masks = partition_count(arr, lo, hi)
+            sizes = (n_lo, n_mid, arr.size - n_lo - n_mid)
+            for part, size in enumerate(sizes):
+                assert np.array_equal(partition_take(arr, masks, part, size), want[part])
 
     def test_partition_kernels_keep_nan_in_the_upper_part(self):
         arr = np.random.default_rng(5).normal(size=2_000)
         arr[::7] = np.nan
         nan = float("nan")
-        for lo, hi in [(-0.5, 0.5), (0.0, 0.0), (0.0, nan), (nan, nan), (nan, 0.0)]:
-            self.assert_twins_agree(
-                partition3, lambda: (arr, lo, hi), equal_nan=True
-            )
-            counts, (below, upper) = partition_count.py(arr, lo, hi)
-            twin_counts, twin_masks = partition_count.native_fn(arr, lo, hi)
-            assert counts == twin_counts
-            assert np.array_equal(below, twin_masks[0])
-            assert np.array_equal(upper, twin_masks[1])
+        for lo, hi in [(-0.5, 0.5), (0.0, 0.0), (0.0, nan), (nan, nan)]:
+            assert same_parts(partition3(arr, lo, hi), oracle.partition3(arr, lo, hi))
+            _, (below, upper) = partition_count(arr, lo, hi)
             assert upper[np.isnan(arr)].all() and not (below & upper).any()
 
     def test_topk_count(self):
         arr = np.random.default_rng(2).integers(0, 20, 5_000)
         for t in [0, 7, 19, 25]:
-            self.assert_twins_agree(topk_count, lambda: (arr, t))
+            assert topk_count(arr, t) == (int((arr < t).sum()), int((arr == t).sum()))
 
     def test_topk_cut_including_tie_clipping(self):
         arr = np.random.default_rng(3).integers(0, 20, 5_000)
         n_eq = int((arr == 7).sum())
         for keep in [0, 1, n_eq // 2, n_eq, n_eq + 100]:
-            self.assert_twins_agree(topk_cut, lambda: (arr, 7, keep))
+            assert np.array_equal(topk_cut(arr, 7, keep), oracle.topk_cut(arr, 7, keep))
 
-    def test_treap_merge_stable_on_ties(self):
+    def test_empty_input(self):
+        # a PE whose slice ran dry still takes part in every level
+        arr = np.empty(0, dtype=np.int64)
+        assert same_parts(partition3(arr, 1, 2), (arr, arr, arr))
+        (n_lo, n_mid), (below, upper) = partition_count(arr, 1, 2)
+        assert (n_lo, n_mid) == (0, 0) and below.size == upper.size == 0
+        assert same_parts([compact(arr, below, 0)], [arr])
+        assert topk_count(arr, 1) == (0, 0)
+        assert same_parts([topk_cut(arr, 1, 5)], [arr])
+
+    def test_parts_keep_the_input_dtype(self):
+        base = np.random.default_rng(4).integers(0, 50, 3_000)
+        for dtype in (np.int32, np.int64, np.uint64, np.float32, np.float64):
+            arr = base.astype(dtype)
+            lo, hi = dtype(10), dtype(30)
+            assert same_parts(partition3(arr, lo, hi), oracle.partition3(arr, lo, hi)), dtype
+            assert topk_cut(arr, lo, 3).dtype == dtype
+
+
+# ----------------------------------------------------------------------
+# Merge, counters, hashing
+# ----------------------------------------------------------------------
+
+def merged_keys(cols):
+    return list(zip(*(c.tolist() for c in cols)))
+
+
+class TestTreapMerge:
+    def test_shared_scores_take_the_tie_path(self):
         r = np.random.default_rng(4)
+        s_a = np.sort(r.integers(0, 10, 300).astype(np.float64))
+        s_b = np.sort(r.integers(0, 10, 200).astype(np.float64))
+        a = (s_a, np.zeros(300, dtype=np.int64), np.arange(300, dtype=np.int64))
+        b = (s_b, np.zeros(200, dtype=np.int64), np.arange(200, dtype=np.int64))
+        got = treap_merge(*a, *b)
+        assert [c.dtype for c in got] == [np.float64, np.int64, np.int64]
+        assert merged_keys(got) == sorted(merged_keys(a) + merged_keys(b))
 
-        def run():
-            s_a = np.sort(r.integers(0, 10, 300).astype(np.float64))
-            s_b = np.sort(r.integers(0, 10, 200).astype(np.float64))
-            a_a = np.arange(300, dtype=np.int64)
-            a_b = np.arange(200, dtype=np.int64)
-            return (s_a, a_a, a_a.copy(), s_b, a_b, a_b.copy())
-
-        args = run()
-        self.assert_twins_agree(treap_merge, lambda: args)
-
-    def test_treap_merge_placement_path_without_shared_scores(self):
-        # no score of the second run occurs in the first, so the
-        # reference places by searchsorted instead of lexsorting; the
-        # second run repeats scores inside itself and reaches past both
-        # ends of the first
+    def test_placement_path_without_shared_scores(self):
+        # no score of the second run occurs in the first, so the merge
+        # places by searchsorted instead of lexsorting; the second run
+        # repeats scores inside itself and reaches past both ends of the
+        # first
         s_a = np.arange(0.0, 400.0, 2.0)
         s_b = np.sort(np.repeat(np.arange(-3.0, 405.0, 6.0), 3))
-        a_a = np.zeros(s_a.size, dtype=np.int64)
-        a_b = np.ones(s_b.size, dtype=np.int64)
-        b_a = np.arange(s_a.size, dtype=np.int64)
-        b_b = np.arange(s_b.size, dtype=np.int64)
+        a = (s_a, np.zeros(s_a.size, dtype=np.int64), np.arange(s_a.size, dtype=np.int64))
+        b = (s_b, np.ones(s_b.size, dtype=np.int64), np.arange(s_b.size, dtype=np.int64))
         assert not np.intersect1d(s_a, s_b).size
-        self.assert_twins_agree(treap_merge, lambda: (s_a, a_a, b_a, s_b, a_b, b_b))
-        for empty_side in [(s_a[:0], a_a[:0], b_a[:0], s_b, a_b, b_b),
-                           (s_a, a_a, b_a, s_b[:0], a_b[:0], b_b[:0])]:
-            self.assert_twins_agree(treap_merge, lambda: empty_side)
-        s, a, b = treap_merge.py(s_a, a_a, b_a, s_b, a_b, b_b)
-        keys = list(zip(s.tolist(), a.tolist(), b.tolist()))
-        assert keys == sorted(keys) and len(keys) == s_a.size + s_b.size
+        for x, y in [(a, b), (tuple(c[:0] for c in a), b), (a, tuple(c[:0] for c in b))]:
+            got = treap_merge(*x, *y)
+            assert merged_keys(got) == sorted(merged_keys(x) + merged_keys(y))
 
-    def test_spacesaving_offer_with_evictions(self):
+    def test_both_runs_empty(self):
+        empty = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        got = treap_merge(*empty, *empty)
+        assert [c.dtype for c in got] == [np.float64, np.int64, np.int64]
+        assert all(c.size == 0 for c in got)
+
+
+class TestSpaceSavingOffer:
+    def test_batch_equals_the_per_key_policy_under_evictions(self):
         r = np.random.default_rng(5)
-        new_keys = r.integers(0, 40, 500).astype(np.int64)
-        new_counts = r.integers(1, 9, 500).astype(np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        self.assert_twins_agree(
-            spacesaving_offer,
-            lambda: (empty, empty, 16, 0, new_keys, new_counts),
-        )
+        batch, per_key = SpaceSaving(16), SpaceSaving(16)
+        for _ in range(3):
+            keys = r.integers(0, 40, 500)
+            batch.offer_array(keys)
+            for key, c in zip(*np.unique(keys, return_counts=True)):
+                per_key.offer(int(key), int(c))
+            assert list(batch.counters.items()) == list(per_key.counters.items())
+            assert (batch.n, batch.max_evicted) == (per_key.n, per_key.max_evicted)
+        assert per_key.max_evicted > 0  # evictions happened
 
-    def test_splitmix64_array(self):
-        x = np.random.default_rng(6).integers(
-            0, 2**63, 10_000, dtype=np.int64
-        ).astype(np.uint64)
-        self.assert_twins_agree(splitmix64_array, lambda: (x,))
+    def test_exact_counts_below_capacity(self):
+        keys = np.random.default_rng(6).integers(0, 12, 1_000)
+        summary = SpaceSaving(16)
+        summary.offer_array(keys)
+        uniq, counts = np.unique(keys, return_counts=True)
+        assert dict(summary.counters) == dict(zip(uniq.tolist(), counts.tolist()))
+        assert (summary.n, summary.max_evicted) == (keys.size, 0)
 
-    def test_fingerprint32(self):
-        keys = np.random.default_rng(7).integers(0, 2**62, 10_000)
-        for salt in [0, 0xDEADBEEF, 2**63 + 11]:
-            self.assert_twins_agree(fingerprint32, lambda: (keys, salt))
+    def test_no_offers_return_the_summary_unchanged(self):
+        keys, counts = np.array([5, 2, 9]), np.array([3, 1, 4])
+        none = np.empty(0, dtype=np.int64)
+        out_keys, out_counts, max_evicted = spacesaving_offer(keys, counts, 3, 2, none, none)
+        assert out_keys.tolist() == [5, 2, 9] and out_counts.tolist() == [3, 1, 4]
+        assert out_keys.dtype == out_counts.dtype == np.int64 and max_evicted == 2
 
-    def test_weighted_counts_stream_and_result(self):
+
+class TestHashing:
+    def test_splitmix64_array_known_answers(self):
+        # splitmix64's published first output for state 0, and two more
+        x = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+        assert splitmix64_array(x).tolist() == [
+            0xE220A8397B1DCDAF, 0x910A2DEC89025CC1, 0xE4D971771B652C20,
+        ]
+
+    def test_splitmix64_array_matches_the_scalar_finalizer(self):
+        x = np.random.default_rng(6).integers(0, 2**64, 2_000, dtype=np.uint64)
+        got = splitmix64_array(x)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [splitmix64(int(v)) for v in x]
+
+    def test_fingerprint32_matches_the_scalar_oracle(self):
+        keys = np.random.default_rng(7).integers(-(2**63), 2**63 - 1, 2_000)
+        keys[:4] = [-1, 0, -(2**63), 2**63 - 1]
+        for salt in [0, 0xDEADBEEF, 2**63, 2**63 + 11, 2**64 - 1]:
+            got = fingerprint32(keys, salt)
+            assert got.dtype == np.int64
+            assert got.tolist() == [fingerprint(int(k), salt) for k in keys]
+
+
+# ----------------------------------------------------------------------
+# RNG kernels: results and stream positions
+# ----------------------------------------------------------------------
+
+class TestRngKernels:
+    def test_weighted_counts_draws_one_uniform_per_value(self):
         values = np.random.default_rng(8).random(4_000) * 12.0
-        ref, native = rng_pair()
-        want = weighted_counts.py(ref, values, 3.0)
-        got = weighted_counts.native_fn(native, values, 3.0)
-        assert np.array_equal(want, got)
-        # the native core advanced the generator exactly one uniform
-        # per value, same as the reference
-        assert np.array_equal(ref.random(32), native.random(32))
+        rng, twin = rng_pair()
+        got = weighted_counts(rng, values, 3.0)
+        u = twin.random(values.size)
+        scaled = values / 3.0
+        assert np.array_equal(got, (np.floor(scaled) + (u < scaled - np.floor(scaled))).astype(np.int64))
+        assert np.array_equal(rng.random(32), twin.random(32))
 
-    def test_skip_sample_stream_and_result(self):
-        ref, native = rng_pair(seq=11)
-        want = skip_sample_indices.py(ref, 100_000, 0.01)
-        got = skip_sample_indices.native_fn(native, 100_000, 0.01)
-        assert np.array_equal(want, got)
-        assert np.array_equal(ref.random(32), native.random(32))
+    def test_skip_sample_draws_one_uniform_per_gap_and_one_past_n(self):
+        n, rho = 100_000, 0.01
+        rng, twin = rng_pair(seq=11)
+        got = skip_sample_indices(rng, n, rho)
+        u = twin.random(got.size + 1)
+        at = np.cumsum([math.floor(math.log1p(-x) / math.log1p(-rho)) + 1 for x in u]) - 1
+        assert np.array_equal(got, at[:-1]) and at[-1] >= n
+        assert np.array_equal(rng.random(32), twin.random(32))
 
-    def test_rng_kernels_fall_back_for_non_philox(self):
-        # PCG64 has no exposed counter form; the twin must detect it
-        # and run the python reference rather than corrupt the stream
-        values = np.linspace(0.0, 30.0, 500)
-        want = weighted_counts.py(np.random.default_rng(42), values, 4.0)
-        got = weighted_counts.native_fn(np.random.default_rng(42), values, 4.0)
-        assert np.array_equal(want, got)
-        want = skip_sample_indices.py(np.random.default_rng(43), 5_000, 0.05)
-        got = skip_sample_indices.native_fn(np.random.default_rng(43), 5_000, 0.05)
-        assert np.array_equal(want, got)
+    def test_weighted_counts_on_integral_ratios_ignore_the_draws(self):
+        values = np.array([0.0, 3.0, 6.0, 30.0])
+        rng, twin = rng_pair(seq=12)
+        assert weighted_counts(rng, values, 3.0).tolist() == [0, 1, 2, 10]
+        twin.random(values.size)
+        assert np.array_equal(rng.random(8), twin.random(8))
+
+    def test_skip_sample_over_an_empty_range_draws_one_uniform(self):
+        rng, twin = rng_pair(seq=13)
+        got = skip_sample_indices(rng, 0, 0.5)
+        assert got.dtype == np.int64 and got.size == 0
+        twin.random()
+        assert np.array_equal(rng.random(8), twin.random(8))
 
 
 # ----------------------------------------------------------------------

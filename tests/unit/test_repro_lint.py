@@ -1,4 +1,4 @@
-"""Golden fixtures for the repro-lint checks (RL001 -- RL010).
+"""Golden fixtures for the repro-lint checks (RL001 -- RL009).
 
 Every check has at least one firing case, one non-firing case, and one
 suppression case, so a behavior change in any check breaks a fixture
@@ -970,138 +970,32 @@ class TestRL009:
         assert len(found) == 1
         assert found[0].suppressed
 
-
-# ----------------------------------------------------------------------
-# RL010 -- the kernels-package boundary
-# ----------------------------------------------------------------------
-
-class TestRL010:
-    def test_fires_on_numba_import_outside_kernels(self):
-        found = hits(
-            """
-            import numba
-
-            def fast(a):
-                return numba.njit(lambda x: x + 1)(a)
-            """,
-            "RL010",
-            path="src/repro/selection/unsorted.py",
-        )
-        assert len(found) == 1
-        assert "kernel" in found[0].message
-
-    def test_fires_on_from_numba_import(self):
-        found = hits(
-            """
-            from numba import njit
-
-            @njit
-            def fast(a):
-                return a + 1
-            """,
-            "RL010",
-            path="src/repro/machine/backends/runtime.py",
-        )
-        assert len(found) == 1
-
-    def test_clean_on_numba_import_inside_kernels(self):
-        assert not hits(
-            """
-            def numba_available():
-                try:
-                    import numba  # noqa: F401
-                except ImportError:
-                    return False
-                return True
-            """,
-            "RL010",
-            path="src/repro/kernels/registry.py",
-        )
-
-    def test_fires_on_rng_construction_inside_kernels(self):
+    def test_fires_on_raw_philox_inside_the_kernels_package(self):
+        # a kernel draws from the generator it is handed; keying its own
+        # Philox stream is the same collision hazard there as anywhere
         found = hits(
             """
             import numpy as np
 
-            def weighted_counts_native(rng, values, v_avg):
-                rng2 = np.random.default_rng(12345)
-                return np.floor(values / v_avg) + rng2.random(values.size)
+            def weighted_counts(rng, values, v_avg, seed):
+                own = np.random.Generator(np.random.Philox(key=seed))
+                return np.floor(values / v_avg) + own.random(values.size)
             """,
-            "RL010",
+            "RL009",
             path="src/repro/kernels/sampling.py",
         )
         assert len(found) == 1
-        assert "state_words" in found[0].message
+        assert "ctrrng" in found[0].message
 
-    def test_fires_on_philox_generator_inside_kernels(self):
-        found = hits(
-            """
-            from ..machine.ctrrng import philox_generator
-
-            def native_uniforms(seed, n):
-                return philox_generator(seed, 0, 0).random(n)
-            """,
-            "RL010",
-            path="src/repro/kernels/philox.py",
-        )
-        assert len(found) == 1
-
-    def test_clean_on_state_threading_inside_kernels(self):
-        assert not hits(
-            """
-            import numpy as np
-
-            def native_uniforms(rng, n):
-                key, counter = state_words(rng)
-                out = _uniform_fill(key, counter, n)
-                put_state(rng, key, counter)
-                return out
-            """,
-            "RL010",
-            path="src/repro/kernels/philox.py",
-        )
-
-    def test_clean_on_driver_side_rng_outside_kernels(self):
-        # only the kernels package is barred from minting generators
-        assert not hits(
-            """
-            import numpy as np
-
-            def make_inputs(n):
-                return np.random.default_rng(0).integers(0, 100, n)
-            """,
-            "RL010",
-            path="src/repro/common/sampling.py",
-        )
-
-    def test_suppression(self):
-        found = [
-            f
-            for f in lint(
-                """
-                import numpy as np
-
-                class ArrayTreap:
-                    def __init__(self, rng=None):
-                        self._rng = rng or np.random.default_rng(7)  # repro-lint: disable=RL010 -- standalone default, mirrors Treap
-                """,
-                path="src/repro/kernels/treap.py",
-            )
-            if f.check == "RL010"
-        ]
-        assert len(found) == 1
-        assert found[0].suppressed
-        assert "Treap" in found[0].suppress_reason
-
-    def test_kernels_treap_module_needs_no_waiver(self):
-        """The array tree draws no priorities: the real module mints no
-        generator, so it has no RL010 finding, waived or not."""
-        src = (REPO / "src/repro/kernels/treap.py").read_text(encoding="utf-8")
-        assert not [
-            f
-            for f in lint_source(src, path="src/repro/kernels/treap.py")
-            if f.check == "RL010"
-        ]
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in (REPO / "src/repro/kernels").glob("*.py")
+    ))
+    def test_kernels_package_needs_no_waiver(self, module):
+        """Every kernel draws from the caller's generator: no module of
+        the package has a finding, waived or not."""
+        path = f"src/repro/kernels/{module}"
+        src = (REPO / path).read_text(encoding="utf-8")
+        assert lint_source(src, path=path) == []
 
 
 # ----------------------------------------------------------------------
@@ -1112,7 +1006,7 @@ class TestFramework:
     def test_all_checks_registered(self):
         assert set(all_checks()) >= {
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-            "RL008", "RL009", "RL010",
+            "RL008", "RL009",
         }
 
     def test_syntax_error_reported_as_rl000(self):

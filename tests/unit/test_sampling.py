@@ -94,13 +94,21 @@ class TestWeightedSampleCounts:
         counts = weighted_sample_counts(rng, values, v_avg=2.0)
         assert np.all(np.abs(counts - values / 2.0) <= 1.0)
 
-    def test_rejects_negative_values(self, rng):
-        with pytest.raises(ValueError):
-            weighted_sample_counts(rng, np.array([-1.0]), 1.0)
-
-    def test_rejects_bad_vavg(self, rng):
-        with pytest.raises(ValueError):
-            weighted_sample_counts(rng, np.array([1.0]), 0.0)
+    @pytest.mark.parametrize("values,v_avg,named", [
+        ([1.0, np.nan], 1.0, "nan"),
+        ([2.0, np.inf], 1.0, "inf"),
+        ([-np.inf, 1.0], 1.0, "-inf"),
+        ([1.0], np.nan, "nan"),
+        ([1.0], np.inf, "inf"),
+        ([1.0], 0.0, "0.0"),
+        ([1.0], -2.0, "-2.0"),
+        ([-1.0], 1.0, "non-negative"),
+    ])
+    def test_rejects_before_drawing(self, values, v_avg, named):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        with pytest.raises(ValueError, match=named):
+            weighted_sample_counts(rng, np.array(values), v_avg)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestSampleRates:

@@ -1,4 +1,4 @@
-"""The repro-lint check catalogue (RL001 -- RL010).
+"""The repro-lint check catalogue (RL001 -- RL009).
 
 Every check targets one hand-maintained invariant of the backend
 machinery (see ROADMAP "Architecture notes"); breaking it produces a
@@ -31,12 +31,6 @@ RL009     stateful ``Generator``/``default_rng`` construction inside a
           worker kernel, or a raw ``Philox`` bit generator built outside
           ``machine/ctrrng.py`` (counter-reuse hazard: hand-keyed
           streams can collide with the sanctioned address space)
-RL010     the kernels-package boundary: a direct ``numba`` import
-          outside ``src/repro/kernels/`` (jit must stay behind the
-          dispatch registry so no-numba environments keep working), or
-          an RNG constructed *inside* the package (native twins must
-          derive their stream from the caller's generator state, or
-          python/native modes consume different streams)
 ========  ==============================================================
 
 Adding a check: subclass :class:`~tools.repro_lint.core.Check`, give it
@@ -1146,87 +1140,3 @@ class StatefulRngConstruction(Check):
                 )
         return findings
 
-
-# ----------------------------------------------------------------------
-# RL010 -- the kernels-package boundary
-# ----------------------------------------------------------------------
-
-def _in_kernels_package(path: str) -> bool:
-    """True for files inside the ``repro.kernels`` package."""
-    return "repro/kernels/" in path.replace("\\", "/")
-
-
-@register_check
-class KernelPackageBoundary(Check):
-    id = "RL010"
-    summary = (
-        "direct numba import outside src/repro/kernels/ (jit belongs "
-        "behind the kernel dispatch registry so no-numba environments "
-        "keep working), or an RNG constructed inside the kernels package "
-        "(native twins must derive their stream from the caller's "
-        "generator state, never mint one)"
-    )
-
-    def run(self, ctx: FileContext) -> list[Finding]:
-        if _in_kernels_package(ctx.path):
-            return self._rng_construction_inside(ctx)
-        return self._numba_import_outside(ctx)
-
-    def _numba_import_outside(self, ctx: FileContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
-            mod = None
-            if isinstance(node, ast.Import):
-                mod = next(
-                    (
-                        a.name
-                        for a in node.names
-                        if a.name == "numba" or a.name.startswith("numba.")
-                    ),
-                    None,
-                )
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module == "numba" or (
-                    node.module or ""
-                ).startswith("numba."):
-                    mod = node.module
-            if mod:
-                findings.append(
-                    ctx.finding(
-                        self.id,
-                        node,
-                        f"direct import of {mod!r} outside src/repro/"
-                        f"kernels/; dispatch through the kernel registry "
-                        f"(repro.kernels) instead, so environments without "
-                        f"numba fall back to the python reference and every "
-                        f"jitted loop keeps its bit-identical twin",
-                    )
-                )
-        return findings
-
-    def _rng_construction_inside(self, ctx: FileContext) -> list[Finding]:
-        numpy_aliases, random_aliases, _ = _module_aliases(ctx.tree)
-        from_aliases = _rng_ctor_aliases(ctx.tree)
-        findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _resolved_rng_ctor(
-                node, numpy_aliases, random_aliases, from_aliases
-            )
-            if name is None and _call_name(node) == "philox_generator":
-                name = "philox_generator"
-            if name is None:
-                continue
-            findings.append(
-                ctx.finding(
-                    self.id,
-                    node,
-                    f"{name}(...) constructed inside the kernels package; "
-                    f"a native twin must consume the caller's generator "
-                    f"state (philox.state_words/put_state) so python and "
-                    f"native modes advance the identical stream -- minting "
-                    f"a generator here desynchronizes the modes",
-                )
-            )
-        return findings
