@@ -28,7 +28,10 @@ Expected time ``O(n/p + beta log(p)/eps sqrt(1/p) log(n/delta)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from ..common.validation import check_k, check_probability
 from ..frequent.dht import integer_key_dtype, run_count, run_topk
 from ..machine import Machine
 from ..machine.collectives import tree_reduce_order
+from ..machine.dist_array import generate_resident
 
 __all__ = [
     "DistKeyValue",
@@ -115,49 +119,129 @@ def _exact_sums_gen(rank: int, state: _SumAggState, keys: np.ndarray, log: list)
     return totals
 
 
+class _PairFacts(NamedTuple):
+    """What the driver needs to know about one PE's pairs: enough to run
+    the constructor's checks, plus the PE's value mass."""
+
+    key_dtype: np.dtype | None  # None for an empty key chunk
+    key_shape: tuple
+    value_shape: tuple
+    finite_non_negative: bool
+    mass: float
+
+
+def _pair_facts(keys: np.ndarray, values: np.ndarray) -> _PairFacts:
+    return _PairFacts(
+        keys.dtype if keys.size else None, keys.shape, values.shape,
+        bool(np.all((values >= 0) & np.isfinite(values))), float(values.sum()),
+    )
+
+
+def _check_pairs(facts: list[_PairFacts]) -> None:
+    """The constructor's checks, in its order: one integer dtype over
+    the non-empty key chunks, then chunk by chunk equal lengths and
+    finite non-negative values."""
+    integer_key_dtype([f.key_dtype for f in facts if f.key_dtype is not None])
+    for i, f in enumerate(facts):
+        if f.key_shape != f.value_shape:
+            raise ValueError(f"chunk {i}: keys and values differ in length")
+        if not f.finite_non_negative:
+            raise ValueError(
+                f"chunk {i}: sum aggregation needs finite non-negative values"
+            )
+
+
+def _born_pairs(make_chunk, rank: int, rng) -> tuple:
+    """Worker half of :meth:`DistKeyValue.generate`: draw this PE's
+    pairs, check them, and pin the state the pipelines run on -- or
+    nothing, if a check failed here (the driver raises the constructor's
+    message for the first failing PE and the ref is freed)."""
+    pair = make_chunk(rank, rng)
+    keys, values = np.asarray(pair[0]), np.asarray(pair[1], dtype=np.float64)
+    facts = _pair_facts(keys, values)
+    try:
+        _check_pairs([facts])
+    except ValueError:
+        return None, facts
+    return _SumAggState(keys.astype(np.int64), values), facts
+
+
 class DistKeyValue:
     """Distributed (key, value) pairs: one key chunk + value chunk per PE.
 
-    The chunks are pinned resident in the machine's execution backend on
-    first use; the sum-aggregation pipelines aggregate, sample and look
-    up exact sums *where the pairs live* and only key -> count summaries
-    travel.
+    The chunks are pinned resident in the machine's execution backend --
+    generated ones are born there -- and the sum-aggregation pipelines
+    aggregate, sample and look up exact sums *where the pairs live*;
+    only key -> count summaries travel.  The driver keeps each PE's size
+    and value mass, and fetches the pairs themselves (:attr:`keys`,
+    :attr:`values`) only if asked.
     """
 
     def __init__(self, machine: Machine, keys, values):
         if len(keys) != machine.p or len(values) != machine.p:
             raise ValueError("need one keys chunk and one values chunk per PE")
-        self.machine = machine
         keys = [np.asarray(c) for c in keys]
-        integer_key_dtype([c.dtype for c in keys if c.size])
-        self.keys = [c.astype(np.int64) for c in keys]
-        self.values = [np.asarray(v, dtype=np.float64) for v in values]
-        for i, (key_c, val_c) in enumerate(zip(self.keys, self.values)):
-            if key_c.shape != val_c.shape:
-                raise ValueError(f"chunk {i}: keys and values differ in length")
-            if not np.all((val_c >= 0) & np.isfinite(val_c)):
-                raise ValueError(
-                    f"chunk {i}: sum aggregation needs finite non-negative values"
-                )
+        values = [np.asarray(v, dtype=np.float64) for v in values]
+        self._adopt(machine, [_pair_facts(k, v) for k, v in zip(keys, values)])
+        self._pairs = [(k.astype(np.int64), v) for k, v in zip(keys, values)]
+
+    def _adopt(self, machine: Machine, facts: list[_PairFacts]) -> None:
+        """Check the pairs by their facts and keep what the driver
+        needs of them: sizes and value masses."""
+        _check_pairs(facts)
+        self.machine = machine
+        self._sizes = [math.prod(f.key_shape) for f in facts]
+        self._masses = [f.mass for f in facts]
+        self._pairs: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._ref = None
 
     def _ensure_ref(self):
         """Pin the per-PE state in the backend (no-op if already done)."""
         if self._ref is None:
             self._ref = self.machine.backend.put_chunks(
-                [_SumAggState(k, v) for k, v in zip(self.keys, self.values)]
+                [_SumAggState(k, v) for k, v in self._pairs]
             )
         return self._ref
 
+    def _fetched(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._pairs is None:
+            states = self.machine.backend.get_chunks(self._ref)
+            self._pairs = [(s.keys, s.values) for s in states]
+        return self._pairs
+
+    @property
+    def keys(self) -> list[np.ndarray]:
+        """Per-PE int64 key chunks (fetched once, if born in the workers)."""
+        return [k for k, _ in self._fetched()]
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        """Per-PE float64 value chunks (fetched once, if born in the workers)."""
+        return [v for _, v in self._fetched()]
+
     @classmethod
     def generate(cls, machine: Machine, make_chunk) -> "DistKeyValue":
-        """``make_chunk(rank, rng) -> (keys, values)`` per PE."""
-        pairs = [make_chunk(i, machine.rngs[i]) for i in range(machine.p)]
-        return cls(machine, [p_[0] for p_ in pairs], [p_[1] for p_ in pairs])
+        """``make_chunk(rank, rng) -> (keys, values)`` per PE.
+
+        The contract of :meth:`DistArray.generate`: ``make_chunk`` is a
+        pure function of ``(rank, rng)``; on a real backend it runs in
+        the workers as one command, which the backend keeps as the
+        pairs' recipe, and ``machine.rngs`` moves exactly as on sim.
+        The workers check the pairs; a bad chunk raises the
+        constructor's message.
+        """
+        if not machine.backend.is_real:
+            pairs = [make_chunk(i, machine.rngs[i]) for i in range(machine.p)]
+            return cls(machine, [p_[0] for p_ in pairs], [p_[1] for p_ in pairs])
+        ref, facts = generate_resident(machine, partial(_born_pairs, make_chunk))
+        data = cls.__new__(cls)
+        data._adopt(machine, facts)
+        data._ref = ref
+        return data
 
     @property
     def global_size(self) -> int:
-        return int(sum(c.size for c in self.keys))
+        return int(sum(self._sizes))
 
     def local_aggregate(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """Key -> local-sum aggregation of one PE's pairs (charged)."""
@@ -207,11 +291,11 @@ def _safe_v_avg(m_total: float, s: float) -> float:
 
 
 def _global_mass(machine: Machine, data: DistKeyValue) -> float:
-    """All-reduction of the local value masses.  The chunks are the
-    driver's own, so like the sizes the masses are known here and the
-    reduction is charged without a worker round trip."""
+    """All-reduction of the local value masses.  Each PE's mass came
+    back with its sizes when the pairs were made, so the reduction is
+    charged without a worker round trip."""
     machine._meter_allreduce(words=1)
-    return float(tree_reduce_order([float(v.sum()) for v in data.values], "sum"))
+    return float(tree_reduce_order(data._masses, "sum"))
 
 
 def _sample_to_dht(machine: Machine, data: DistKeyValue, v_avg: float):

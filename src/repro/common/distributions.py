@@ -12,14 +12,29 @@
 * **Gapped** distributions: a configurable frequency gap after rank
   ``k`` (Figure 5), the case where the PEC algorithm of Section 7.3 can
   promise exact results.
+
+Zipf and gapped keys are drawn by inversion: ``size`` uniforms from
+``rng.random`` and, for each, ``np.searchsorted(cdf, u, "right") + 1``.
+That function of ``(cdf, u)`` is the contract -- the draws, and with
+them data, results and modeled cost, are bit-identical to it, and the
+generator is left where ``rng.random(size)`` leaves it.  Both laws
+evaluate it through :func:`repro.kernels.inverse_cdf_sample` over one
+cache of CDFs: a draw of at least ``m`` values (``m`` its CDF's guide
+size) also builds and caches the CDF's guide table (Chen & Asau 1974),
+which starts each value at its bucket and resolves it in four probes
+instead of a cold binary search; smaller draws are plain searches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from ..kernels import guide_size, guide_table, inverse_cdf_sample
+from .validation import is_whole
 
 __all__ = [
     "ZipfDistribution",
@@ -31,13 +46,33 @@ __all__ = [
 ]
 
 
+class _Inversion:
+    """One law's CDF (read-only) and, once a draw was big enough to
+    repay building it, the CDF's guide table."""
+
+    __slots__ = ("cdf", "guide")
+
+    def __init__(self, cdf: np.ndarray):
+        cdf.flags.writeable = False
+        self.cdf = cdf
+        self.guide: np.ndarray | None = None
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.guide is None and size >= guide_size(self.cdf.size):
+            self.guide = guide_table(self.cdf)
+        return inverse_cdf_sample(rng, self.cdf, size, self.guide)
+
+
 @lru_cache(maxsize=64)
-def _zipf_cdf(universe: int, s: float) -> np.ndarray:
-    ranks = np.arange(1, universe + 1, dtype=np.float64)
-    weights = ranks**-s
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    return cdf
+def _inversion(law) -> _Inversion:
+    """The cached sampler of a (frozen, hence hashable) law."""
+    return _Inversion(law.cdf())
+
+
+def _check_universe(universe) -> int:
+    if not is_whole(universe) or universe < 1:
+        raise ValueError(f"universe must be a whole number >= 1, got {universe!r}")
+    return int(universe)
 
 
 def harmonic_number(n: int, s: float) -> float:
@@ -55,16 +90,20 @@ class ZipfDistribution:
     s: float
 
     def __post_init__(self):
-        if self.universe < 1:
-            raise ValueError(f"universe must be >= 1, got {self.universe}")
-        if self.s < 0:
-            raise ValueError(f"exponent must be >= 0, got {self.s}")
+        object.__setattr__(self, "universe", _check_universe(self.universe))
+        if not (math.isfinite(self.s) and self.s >= 0):
+            raise ValueError(f"exponent must be finite and >= 0, got {self.s!r}")
+
+    def cdf(self) -> np.ndarray:
+        """``P[X <= i]`` for ``i in 1..universe``, ending at exactly 1."""
+        ranks = np.arange(1, self.universe + 1, dtype=np.float64)
+        cdf = np.cumsum(ranks**-self.s)
+        cdf /= cdf[-1]
+        return cdf
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` object ids (1-based ranks) by inverse CDF."""
-        cdf = _zipf_cdf(self.universe, self.s)
-        u = rng.random(size)
-        return (np.searchsorted(cdf, u, side="right") + 1).astype(np.int64)
+        return _inversion(self).sample(rng, size)
 
     def expected_count(self, rank: int, n: int) -> float:
         """Expected occurrences of the rank-``rank`` object among ``n`` draws."""
@@ -111,20 +150,26 @@ class GappedSpec:
     gap: float = 4.0
 
     def __post_init__(self):
-        if not 1 <= self.k < self.universe:
-            raise ValueError(f"need 1 <= k < universe, got k={self.k}, universe={self.universe}")
-        if self.gap <= 1.0:
-            raise ValueError(f"gap must exceed 1, got {self.gap}")
+        object.__setattr__(self, "universe", _check_universe(self.universe))
+        if not (is_whole(self.k) and 1 <= self.k < self.universe):
+            raise ValueError(f"need 1 <= k < universe, got k={self.k!r}, universe={self.universe}")
+        object.__setattr__(self, "k", int(self.k))
+        if not (math.isfinite(self.gap) and self.gap > 1.0):
+            raise ValueError(f"gap must be finite and exceed 1, got {self.gap!r}")
 
     def pmf(self) -> np.ndarray:
         w = np.ones(self.universe, dtype=np.float64)
         w[: self.k] = self.gap
         return w / w.sum()
 
+    def cdf(self) -> np.ndarray:
+        """The running sum of :meth:`pmf` (its last entry may miss 1 by
+        an ulp; the sampler does not rely on it)."""
+        return np.cumsum(self.pmf())
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        cdf = np.cumsum(self.pmf())
-        u = rng.random(size)
-        return (np.searchsorted(cdf, u, side="right") + 1).astype(np.int64)
+        """Draw ``size`` object ids (1-based ranks) by inverse CDF."""
+        return _inversion(self).sample(rng, size)
 
 
 def gapped_sample(

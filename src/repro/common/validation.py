@@ -6,19 +6,25 @@ import numbers
 
 __all__ = [
     "as_rank", "check_k", "check_rank", "check_rank_range", "check_positive",
-    "check_probability",
+    "check_probability", "is_whole",
 ]
 
 
-def as_rank(k, what: str = "k") -> int:
-    """``k`` as an ``int`` when it is a whole number: an ``int`` /
-    ``np.integer``, or a float with ``k == int(k)``.  Anything else --
-    2.7, a ``bool``, a string -- names itself in a ``ValueError`` rather
-    than being truncated into some other rank."""
-    whole = isinstance(k, numbers.Integral) or (
-        isinstance(k, numbers.Real) and float(k).is_integer()
+def is_whole(x) -> bool:
+    """Whether ``x`` is a whole number: an ``int`` / ``np.integer``, or
+    a float with ``x == int(x)`` -- not 2.7, NaN, inf, a ``bool`` or a
+    string."""
+    whole = isinstance(x, numbers.Integral) or (
+        isinstance(x, numbers.Real) and float(x).is_integer()
     )
-    if whole and not isinstance(k, bool):
+    return whole and not isinstance(x, bool)
+
+
+def as_rank(k, what: str = "k") -> int:
+    """``k`` as an ``int`` when it is a whole number (:func:`is_whole`).
+    Anything else names itself in a ``ValueError`` rather than being
+    truncated into some other rank."""
+    if is_whole(k):
         return int(k)
     raise ValueError(f"{what} must be an integer rank, got {k!r}")
 

@@ -2,14 +2,14 @@
 
 Every kernel here is a plain function: the selection partition and
 top-k cut (:mod:`.partition`), splitmix64 hashing (:mod:`.hashing`),
-Space-Saving offers (:mod:`.counters`), weighted rounding and skip
-sampling (:mod:`.sampling`) and the bulk queue's sorted-array tree with
-its merge (:mod:`.treap`).  The paper's model charges local work as
-operations, so a kernel's body can change wall time and nothing else;
-results and modeled cost are the same on every backend because every
-backend runs the same body.  RNG-consuming kernels draw from the
-generator the caller passes in (built from the command's
-``DrawAddress``) and never construct one.
+Space-Saving offers (:mod:`.counters`), weighted rounding, skip
+sampling and inverse-CDF draws (:mod:`.sampling`) and the bulk queue's
+sorted-array tree with its merge (:mod:`.treap`).  The paper's model
+charges local work as operations, so a kernel's body can change wall
+time and nothing else; results and modeled cost are the same on every
+backend because every backend runs the same body.  RNG-consuming
+kernels draw from the generator the caller passes in (built from the
+command's ``DrawAddress``) and never construct one.
 """
 
 import functools
@@ -24,7 +24,13 @@ from .partition import (
     topk_count,
     topk_cut,
 )
-from .sampling import skip_sample_indices, weighted_counts
+from .sampling import (
+    guide_size,
+    guide_table,
+    inverse_cdf_sample,
+    skip_sample_indices,
+    weighted_counts,
+)
 from .treap import ArrayTreap, treap_merge
 
 __all__ = [
@@ -32,6 +38,9 @@ __all__ = [
     "compact",
     "effective_mode",
     "fingerprint32",
+    "guide_size",
+    "guide_table",
+    "inverse_cdf_sample",
     "numba_available",
     "partition3",
     "partition_count",

@@ -36,7 +36,7 @@ import numpy as np
 from .backends.base import ChunkRef, PureStep
 from .comm import Machine
 
-__all__ = ["DistArray"]
+__all__ = ["DistArray", "generate_resident"]
 
 
 # ----------------------------------------------------------------------
@@ -69,16 +69,41 @@ def _measured(fn: Callable, rank: int, chunk: np.ndarray) -> tuple:
     return (out, (out.size, out.dtype.str))
 
 
-def _generate_chunk(make_chunk: Callable, rank: int, state: dict) -> tuple:
-    """Worker half of :meth:`DistArray.generate`: draw this PE's chunk
-    from a generator resumed at ``state`` (a snapshot of the driver's
-    ``machine.rngs[rank]``) and report shape, dtype and the advanced
-    state, which the driver installs so its streams move exactly as if
-    it had drawn the chunk itself."""
+def _generate_step(step: Callable, rank: int, state: dict) -> tuple:
+    """Worker half of :func:`generate_resident`: run ``step`` on a
+    generator resumed at ``state`` (a snapshot of the driver's
+    ``machine.rngs[rank]``) and return its chunk, its meta and the
+    advanced state, which the driver installs so its streams move
+    exactly as if it had drawn the chunk itself."""
     bit_generator = getattr(np.random, state["bit_generator"])()
     bit_generator.state = state
-    chunk = np.asarray(make_chunk(rank, np.random.Generator(bit_generator)))
-    return (chunk, (chunk.shape, chunk.dtype.str, bit_generator.state))
+    chunk, meta = step(rank, np.random.Generator(bit_generator))
+    return (chunk, (meta, bit_generator.state))
+
+
+def _shaped_chunk(make_chunk: Callable, rank: int, rng) -> tuple:
+    chunk = np.asarray(make_chunk(rank, rng))
+    return chunk, (chunk.shape, chunk.dtype.str)
+
+
+def generate_resident(machine: Machine, step: Callable) -> tuple[ChunkRef, list]:
+    """Run ``step(rank, rng) -> (chunk, meta)`` on every PE of a real
+    backend as ONE ``spmd`` command, each PE drawing from a snapshot of
+    ``machine.rngs[rank]``; returns the chunks' ref and the per-PE metas.
+
+    ``step`` must be a pure function of ``(rank, rng)``: the command is
+    a :class:`PureStep`, so the backend keeps it as the ref's recipe
+    instead of the chunks.  Every stream is advanced before this
+    returns, so a caller that then refuses a meta has moved the streams
+    as far as sim, which draws all ``p`` chunks before it checks one.
+    """
+    refs, metas = machine.backend.run_spmd(
+        PureStep(_generate_step, step), [], n_out=1,
+        args=[(g.bit_generator.state,) for g in machine.rngs],
+    )
+    for g, (_, state) in zip(machine.rngs, metas):
+        g.bit_generator.state = state
+    return refs[0], [meta for meta, _ in metas]
 
 
 def _require_1d(rank: int, shape: tuple) -> None:
@@ -239,18 +264,11 @@ class DistArray:
                 machine,
                 [make_chunk(i, machine.rngs[i]) for i in range(machine.p)],
             )
-        refs, metas = machine.backend.run_spmd(
-            PureStep(_generate_chunk, make_chunk), [], n_out=1,
-            args=[(g.bit_generator.state,) for g in machine.rngs],
-        )
-        # every stream moves before any shape is judged, as on sim,
-        # which has drawn all p chunks by the time it validates one
-        for g, (_, _, state) in zip(machine.rngs, metas):
-            g.bit_generator.state = state
-        for i, (shape, _, _) in enumerate(metas):
+        ref, metas = generate_resident(machine, partial(_shaped_chunk, make_chunk))
+        for i, (shape, _) in enumerate(metas):
             _require_1d(i, shape)
         return cls(
-            machine, ref=refs[0], sizes=[m[0][0] for m in metas],
+            machine, ref=ref, sizes=[shape[0] for shape, _ in metas],
             dtype=metas[0][1],
         )
 

@@ -1,12 +1,14 @@
-"""Integration: ``DistArray.generate`` runs where the data lives.
+"""Integration: ``DistArray.generate`` and ``DistKeyValue.generate`` run
+where the data lives.
 
 On a real backend generation is ONE ``spmd`` command: every worker
 draws its own chunk from a snapshot of ``machine.rngs[rank]`` and the
 driver installs the advanced generator states, so chunks, sizes, dtype
 and every later draw from the input streams equal the sim twin's.  The
 driver keeps the command (the *recipe*) instead of the data: no
-``_store`` entry, nothing fetched at ``close()``, the array regenerated
-by ``recover()`` -- journal or not -- and by a read after close.
+``_store`` entry, nothing fetched at ``close()``, the data regenerated
+by ``recover()`` -- journal or not -- and by a read after close.  Pairs
+are checked in the workers; a bad one raises the constructor's message.
 """
 
 import gc
@@ -17,6 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation import (
+    DistKeyValue,
+    exact_sums_oracle,
+    top_k_sums_ec,
+    top_k_sums_pac,
+)
+from repro.aggregation.sum_topk import _global_mass
+from repro.common import zipf_sample
 from repro.machine import DistArray, FaultPlan, Machine, WorkerFailure
 
 REAL = ["mp", "tcp"]
@@ -179,6 +189,127 @@ def test_close_fetches_nothing_and_reads_after_close_regenerate(backend):
     assert set(m.backend._store) == {doubled._ref.id}
     _assert_same_arrays(got, want)
     np.testing.assert_array_equal(doubled.concat(), 2 * want[0].concat())
+
+
+# ----------------------------------------------------------------------
+# DistKeyValue.generate: pairs born in the workers
+# ----------------------------------------------------------------------
+
+def _make_pairs(sizes):
+    return lambda rank, g: (zipf_sample(g, sizes[rank], universe=64, s=1.1),
+                            g.exponential(10.0, size=sizes[rank]))
+
+
+def _model(machine):
+    r = machine.report()
+    return (r.makespan, r.work_time, r.comm_time, r.bottleneck_words,
+            r.bottleneck_startups, r.total_traffic, r.imbalance)
+
+
+def _sum_script(machine, sizes):
+    """Generate pairs, then everything the driver learns from them."""
+    kv = DistKeyValue.generate(machine, _make_pairs(sizes))
+    states = [g.bit_generator.state for g in machine.rngs]
+    machine.reset()
+    mass = _global_mass(machine, kv)
+    pac = top_k_sums_pac(machine, kv, 3, eps=0.1, delta=1e-2)
+    ec = top_k_sums_ec(machine, kv, 3, eps=0.1, delta=1e-2)
+    return kv, (states, mass, pac, ec, _model(machine), machine._rng_seq)
+
+
+def _assert_same_pairs(got, want):
+    assert got.global_size == want.global_size
+    for a, b in ((got.keys, want.keys), (got.values, want.values)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]).flatmap(
+    lambda p: st.lists(st.integers(0, 60), min_size=p, max_size=p)),
+    st.integers(0, 2**31))
+def test_generated_pairs_and_sums_equal_sim(sizes, seed):
+    p = len(sizes)
+    with Machine(p=p, seed=seed) as sim:
+        want_kv, want = _sum_script(sim, sizes)
+    for backend in REAL:
+        with Machine(p=p, seed=seed, backend=backend) as m:
+            kv, got = _sum_script(m, sizes)
+            assert kv._ref.id in m.backend._recipes
+            assert kv._ref.id not in m.backend._store
+            assert kv._pairs is None  # nothing fetched by the pipelines
+            _assert_same_pairs(kv, want_kv)
+        assert got == want
+
+
+@pytest.mark.parametrize("backend", REAL)
+@pytest.mark.parametrize("bad_rank, bad", [
+    (1, lambda k, v: (k, np.where(np.arange(v.size) == 2, np.nan, v))),
+    (2, lambda k, v: (k + 0.5, v)),
+    (1, lambda k, v: (np.array(list("abcde")), v)),  # no int64 cast exists
+    (0, lambda k, v: (k, v[:-1])),
+])
+def test_a_bad_chunk_is_refused_with_the_constructors_message(backend, bad_rank, bad):
+    def make(rank, g):
+        pair = (g.integers(0, 9, size=5), g.random(5))
+        return bad(*pair) if rank == bad_rank else pair
+
+    with Machine(p=3, seed=6) as sim:
+        with pytest.raises(ValueError) as want:
+            DistKeyValue.generate(sim, make)
+        want_states = [g.bit_generator.state for g in sim.rngs]
+    with Machine(p=3, seed=6, backend=backend) as m:
+        m.allreduce([1, 2, 3])
+        resident = [s["resident"] for s in m.backend._run(("stats",), [None] * 3)]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            DistKeyValue.generate(m, make)
+        assert [g.bit_generator.state for g in m.rngs] == want_states
+        gc.collect()
+        m.allreduce([1, 2, 3])  # frees ride the next command's envelope
+        after = [s["resident"] for s in m.backend._run(("stats",), [None] * 3)]
+        assert after == resident
+        assert not m.backend._recipes
+        ok = DistKeyValue.generate(m, _make_pairs([4, 0, 2]))
+        assert ok.global_size == 6
+
+
+@pytest.mark.parametrize("backend", REAL)
+def test_recovery_regenerates_pairs_without_the_journal(backend):
+    with Machine(p=2, seed=31) as sim:
+        want_kv = DistKeyValue.generate(sim, _make_pairs([40, 25]))
+        sim.reset()
+        want = top_k_sums_ec(sim, want_kv, 3, eps=0.1, delta=1e-2)
+        want_model = _model(sim)
+    machine = Machine(p=2, seed=31, backend=backend, journal=False,
+                      faults=FaultPlan().kill(1, seq=2), command_timeout=15)
+    try:
+        kv = DistKeyValue.generate(machine, _make_pairs([40, 25]))  # seq 1
+        with pytest.raises(WorkerFailure):
+            machine.allreduce([1.0, 2.0])  # seq 2 dies
+            machine.allreduce([1.0, 2.0])
+        machine.recover()
+        assert not machine.backend._lost_ids
+        assert kv._ref.id not in machine.backend._store
+        machine.reset()
+        assert top_k_sums_ec(machine, kv, 3, eps=0.1, delta=1e-2) == want
+        assert _model(machine) == want_model
+        _assert_same_pairs(kv, want_kv)
+    finally:
+        machine.close()
+
+
+@pytest.mark.parametrize("backend", REAL)
+def test_pairs_read_after_close_regenerate(backend):
+    with Machine(p=3, seed=32) as sim:
+        want = DistKeyValue.generate(sim, _make_pairs([7, 0, 9]))
+    with Machine(p=3, seed=32, backend=backend) as m:
+        got = DistKeyValue.generate(m, _make_pairs([7, 0, 9]))
+        sends = m.backend.driver_sends
+    assert m.backend.driver_sends == sends  # close fetched nothing
+    _assert_same_pairs(got, want)
+    assert exact_sums_oracle(got) == exact_sums_oracle(want)
 
 
 def test_recipes_of_dropped_arrays_are_pruned():

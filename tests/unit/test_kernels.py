@@ -6,7 +6,8 @@ to agree with; what the tests pin is what callers rely on -- parts,
 cuts and merges equal to plain numpy / ``sorted`` oracles,
 ``spacesaving_offer`` equal to the per-key ``SpaceSaving.offer`` policy,
 ``fingerprint32`` equal to the scalar fingerprint, and the RNG kernels'
-exact stream positions.
+exact stream positions (the inverse-CDF kernel's values are held to
+``searchsorted`` in ``tests/property/test_inverse_cdf_differential.py``).
 """
 
 import inspect
@@ -22,6 +23,8 @@ from repro.kernels import (
     ArrayTreap,
     compact,
     fingerprint32,
+    guide_table,
+    inverse_cdf_sample,
     partition3,
     partition_count,
     partition_take,
@@ -45,6 +48,13 @@ def rng_pair(seq=7):
         philox_generator(0xC0FFEE, 0, 3, seq),
         philox_generator(0xC0FFEE, 0, 3, seq),
     )
+
+
+def same_state(a, b):
+    """Bit-generator states equal (Philox's hold arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
 
 
 def same_parts(got, want):
@@ -297,6 +307,20 @@ class TestRngKernels:
         assert got.dtype == np.int64 and got.size == 0
         twin.random()
         assert np.array_equal(rng.random(8), twin.random(8))
+
+    @pytest.mark.parametrize("guided", [False, True])
+    @pytest.mark.parametrize("size", [0, 1, 3 * (1 << 16) + 5])
+    def test_inverse_cdf_draws_leave_the_stream_where_one_block_does(self, guided, size):
+        """Slabbed draws end where ``rng.random(size)`` ends, on a
+        counter-addressed stream and on PCG64 alike."""
+        cdf = np.cumsum(np.arange(1, 1001, dtype=np.float64) ** -1.1)
+        cdf /= cdf[-1]
+        guide = guide_table(cdf) if guided else None
+        for rng, twin in (rng_pair(seq=14), (np.random.default_rng(14), np.random.default_rng(14))):
+            got = inverse_cdf_sample(rng, cdf, size, guide)
+            want = np.searchsorted(cdf, twin.random(size), side="right") + 1
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert same_state(rng.bit_generator.state, twin.bit_generator.state)
 
 
 # ----------------------------------------------------------------------
