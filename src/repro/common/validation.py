@@ -6,7 +6,7 @@ import numbers
 
 __all__ = [
     "as_rank", "check_k", "check_rank", "check_rank_range", "check_positive",
-    "check_probability", "is_whole",
+    "check_probability", "is_fraction", "is_whole",
 ]
 
 
@@ -18,6 +18,13 @@ def is_whole(x) -> bool:
         isinstance(x, numbers.Real) and float(x).is_integer()
     )
     return whole and not isinstance(x, bool)
+
+
+def is_fraction(q) -> bool:
+    """Whether ``q`` is a real number in ``[0, 1]`` -- not NaN, a
+    ``bool`` or a string (``True`` would otherwise read as 1.0)."""
+    return (isinstance(q, numbers.Real) and not isinstance(q, bool)
+            and 0.0 <= q <= 1.0)
 
 
 def as_rank(k, what: str = "k") -> int:

@@ -25,7 +25,19 @@ out-of-band ``PickleBuffer``\\ s elided and ``meta`` describes each
 buffer: either ``(0, nbytes)`` -- the raw bytes follow inline in the
 frame -- or ``(1, name, offset, nbytes)`` -- the bytes sit in a
 shared-memory block (:mod:`repro.machine.backends.shm`) and only this
-descriptor crosses the wire.  The sender never concatenates: header,
+descriptor crosses the wire.  A frame with no buffer has an empty
+``meta`` (``meta_len`` 0) and the spec fills the rest of it.
+
+Small arrays never become buffers (the *small-array lane*): an exact
+``np.ndarray`` of a bool / int / uint / float dtype that is C-contiguous
+and smaller than ``SMALL_MAX`` bytes -- and than the sender pool's shm
+threshold -- rides *in-band* as ``(bytes, dtype.str, shape)`` and
+decodes into a writable array owning a private ``bytearray``.  A buffer
+slot (meta entry, extra view, slice and copy at decode) costs more than
+the bytes of a two-element sample; the lane works the same on pipes
+and sockets.  Every other array keeps the buffer path.
+
+The sender never concatenates: header,
 spec and buffer views go out through scatter-gather ``os.writev``
 (:func:`write_views`), skipping zero-length views (``os.writev``
 reports 0 bytes for them, which the advance loop would spin on
@@ -48,6 +60,7 @@ freedom the worker mesh relies on).
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import queue as queue_mod
@@ -55,6 +68,8 @@ import select
 import socket as socket_mod
 import time
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "ALIAS_MIN",
@@ -64,6 +79,7 @@ __all__ = [
     "MultiInbox",
     "NO_FRAME",
     "PipeChannel",
+    "SMALL_MAX",
     "SocketChannel",
     "encode_frame",
     "write_views",
@@ -78,6 +94,12 @@ DIRECT_RX_MIN = 1 << 16
 #: multi-megabyte frame alive)
 ALIAS_MIN = 1 << 12
 
+#: plain numeric arrays smaller than this many bytes ride inside the
+#: pickle stream instead of as an out-of-band buffer (the decoder
+#: copies buffers this small anyway, see ``ALIAS_MIN``; in-band it
+#: skips the buffer's meta entry, view and slice)
+SMALL_MAX = 1 << 12
+
 #: compact the shared read buffer once this many bytes are consumed
 COMPACT_MIN = 1 << 16
 
@@ -88,6 +110,27 @@ NO_FRAME = object()
 # ----------------------------------------------------------------------
 # Encoding (producer side)
 # ----------------------------------------------------------------------
+
+def _small_array(data: bytes, dtype: str, shape: tuple) -> np.ndarray:
+    """Rebuild an in-band array as a writable array owning its bytes."""
+    return np.frombuffer(bytearray(data), dtype=dtype).reshape(shape)
+
+
+class _FramePickler(pickle.Pickler):
+    """Protocol-5 pickler whose small plain arrays ride in-band: an
+    exact ``np.ndarray`` of a bool / int / uint / float dtype, C-ordered
+    and smaller than ``limit`` bytes, travels as its raw bytes plus
+    ``dtype.str`` and shape.  Every other object takes pickle's own
+    path, so larger arrays stay out-of-band buffers."""
+
+    __slots__ = ("limit",)
+
+    def reducer_override(self, obj):
+        if (type(obj) is np.ndarray and obj.dtype.kind in "biuf"
+                and obj.nbytes < self.limit and obj.flags.c_contiguous):
+            return _small_array, (obj.tobytes(), obj.dtype.str, obj.shape)
+        return NotImplemented
+
 
 def encode_frame(obj, pool=None) -> tuple[list[memoryview], int, int]:
     """Encode ``obj`` into scatter-gather views ready for ``writev``.
@@ -110,8 +153,14 @@ def encode_frame(obj, pool=None) -> tuple[list[memoryview], int, int]:
         bufs.append(pb)
         return False
 
-    spec = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL,
-                        buffer_callback=_keep_oob)
+    out = io.BytesIO()
+    pickler = _FramePickler(out, pickle.HIGHEST_PROTOCOL,
+                            buffer_callback=_keep_oob)
+    # an array the pool would share keeps the shm lane
+    threshold = pool.threshold if pool is not None else None
+    pickler.limit = SMALL_MAX if threshold is None else min(SMALL_MAX, threshold)
+    pickler.dump(obj)
+    spec = out.getbuffer()
     bufspecs: list[tuple] = []
     tail: list[memoryview] = []
     inline_bytes = 0
@@ -128,8 +177,9 @@ def encode_frame(obj, pool=None) -> tuple[list[memoryview], int, int]:
             # (lane, segment, data offset, nbytes, release-flag offset)
             bufspecs.append((1, desc[0], desc[1], nbytes, desc[2]))
             shm_bytes += nbytes
+    # a frame without buffers (small arrays ride in-band) has no meta
     meta = pickle.dumps((len(spec), tuple(bufspecs)),
-                        protocol=pickle.HIGHEST_PROTOCOL)
+                        protocol=pickle.HIGHEST_PROTOCOL) if bufs else b""
     frame_len = 8 + len(meta) + len(spec) + inline_bytes
     head = frame_len.to_bytes(8, "little") + len(meta).to_bytes(8, "little") + meta
     # drop empty views (zero-length buffers): os.writev reports 0
@@ -258,7 +308,9 @@ class FrameDecoder:
         """Reassemble one frame body (everything after the length
         prefix) into its object, materializing buffer descriptors."""
         meta_len = int.from_bytes(body[:8], "little")
-        spec_len, bufspecs = pickle.loads(body[8:8 + meta_len])
+        # a frame without buffers has no meta: the rest is the spec
+        spec_len, bufspecs = (pickle.loads(body[8:8 + meta_len]) if meta_len
+                              else (len(body) - 8, ()))
         off = 8 + meta_len
         spec = body[off:off + spec_len]
         off += spec_len

@@ -48,6 +48,23 @@ class SimClock:
         self.t += dt
         self.work_time += dt
 
+    def charge_local_rows(self, rows) -> None:
+        """Advance clocks by a ``(J, p)`` array of local-work rows.
+
+        Bit-identical to ``J`` :meth:`charge_local` calls, one per row in
+        order: ``np.add.accumulate`` down ``[t; rows]`` performs the same
+        sequential adds.  A negative entry raises before any clock moves.
+        """
+        dt = np.asarray(rows, dtype=np.float64)
+        if dt.ndim != 2 or dt.shape[1] != self.p:
+            raise ValueError(
+                f"local work rows must have shape (J, {self.p}), got {dt.shape}"
+            )
+        if (dt < 0).any():
+            raise ValueError("negative local work duration")
+        self.t[:] = np.add.accumulate(np.vstack([self.t, dt]))[-1]
+        self.work_time[:] = np.add.accumulate(np.vstack([self.work_time, dt]))[-1]
+
     def charge_local_one(self, rank: int, seconds: float) -> None:
         """Advance a single PE's clock by ``seconds`` of local work."""
         if seconds < 0:

@@ -306,6 +306,15 @@ class Machine:
         """
         self.clock.charge_local(np.asarray(ops, dtype=np.float64) * self.cost.time_per_op)
 
+    def charge_ops_rows(self, rows) -> None:
+        """Charge a sequence of :meth:`charge_ops` arguments (each a
+        scalar or a length-``p`` vector) with one clock update,
+        bit-identical to charging them one by one in order."""
+        ops = np.empty((len(rows), self.p), dtype=np.float64)
+        for j, row in enumerate(rows):
+            ops[j] = row
+        self.clock.charge_local_rows(ops * self.cost.time_per_op)
+
     def charge_ops_one(self, rank: int, ops: float) -> None:
         self.clock.charge_local_one(rank, float(ops) * self.cost.time_per_op)
 

@@ -20,7 +20,8 @@ to its slice and loops over levels in place; one level is two
   :mod:`repro.machine.ctrrng` -- the driver ships a tiny draw address,
   never index arrays or generator state) and fuses every segment's
   sample (plus finishing segments' residual content) into one
-  in-worker allgather;
+  in-worker allgather of ONE packed message per rank -- an array plus a
+  list of segment sizes, however many segments are active;
 * the **partition-count half** fuses all split segments' two-word part
   counts into one in-worker all-reduction and -- because the reduced
   counts are replicated -- derives the next level's segment records
@@ -48,10 +49,12 @@ histogram boundaries of a distributed vector).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..common.sampling import bernoulli_sample_indices
-from ..common.validation import as_rank
+from ..common.validation import as_rank, is_fraction
 from ..kernels import partition_count, partition_take
 from ..machine import DistArray, Machine
 from .sequential import fr_pivots
@@ -81,9 +84,11 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
     (the whole multiselection owns one draw sequence; the level index
     subdivides it, so the data-dependent depth never perturbs a later
     caller's draws).  All samples -- and finishing segments' full
-    residual content -- ride ONE in-worker allgather; pivots are
-    computed replicated and each split segment's local part counts and
-    marks (not the parts) handed to the count half.
+    residual content -- ride ONE in-worker allgather as one packed
+    message per rank: their concatenation in segment order plus the
+    list of their sizes, which the receivers cut back into views.
+    Pivots are computed replicated and each split segment's local part
+    counts and marks (not the parts) handed to the count half.
 
     Returns ``(inter, (sample_words, finishes, meta))`` where
     ``finishes`` is the replicated list of resolved ``(global_rank,
@@ -102,15 +107,18 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
             rho = min(1.0, np.sqrt(p) / n)
             idx = bernoulli_sample_indices(gen, int(arr.size), rho)
             plans.append(("split", rho))
-            samples.append(arr.copy() if idx is None else arr[idx])
-    sample_words = int(sum(s.size for s in samples))
-    gathered = yield ("allgather", samples)
+            samples.append(arr if idx is None else arr[idx])
+    sizes = [int(s.size) for s in samples]
+    packed = np.concatenate(samples)
+    gathered = yield ("allgather", (packed, sizes))
+    # each rank's packed message, cut back into per-segment views
+    bounds = [(g, [0, *itertools.accumulate(gs)]) for g, gs in gathered]
 
     inter: list = []
     finishes: list[tuple] = []
     meta: list[tuple] = []
     for s, (arr, ranks, offset, n) in enumerate(segs):
-        contrib = [g[s] for g in gathered if g[s].size]
+        contrib = [g[b[s]:b[s + 1]] for g, b in bounds if b[s + 1] > b[s]]
         kind, rho = plans[s]
         if kind == "finish":
             rest = np.sort(np.concatenate(contrib)) if contrib else arr[:0]
@@ -133,7 +141,7 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
             ("split", arr, counts, masks, lo_p, hi_p, ranks, offset, n)
         )
         meta.append(("split", int(union.size), int(arr.size), float(rho)))
-    return inter, (sample_words, finishes, meta)
+    return inter, (int(packed.size), finishes, meta)
 
 
 def _ms_count_kernel(rank: int, inter: list):
@@ -257,33 +265,27 @@ def multi_select(
         args=[(p, addr, tuple(ks_sorted), n, base_case, max_depth)] * p,
     )
     # re-play the model from the small returned records, level by level
-    # in the order a step-by-step driver would have charged it
+    # in the order a step-by-step driver would have charged it: a
+    # level's local work is one row per charge, charged in one call
     for records in zip(*per_pe):  # records[i]: PE i's (sampled, found)
         svals = [sampled for sampled, _ in records]
         _, finishes, meta0 = svals[0]
         machine._meter_allgather(words=[v[0] for v in svals])
+        rows: list = []
         n_split = 0
         for s, m in enumerate(meta0):
             if m[0] == "finish":
                 rest_size = m[1]
-                machine.charge_ops(
-                    max(1, rest_size) * np.log2(max(rest_size, 2))
-                )
+                rows.append(max(1, rest_size) * np.log2(max(rest_size, 2)))
                 continue
-            rho = m[-1]
-            machine.charge_ops(
-                [max(1.0, rho * svals[i][2][s][-2]) for i in range(p)]
-            )
+            local = np.array([v[2][s][-2] for v in svals], dtype=np.float64)
+            rows.append(np.maximum(1.0, m[-1] * local))  # the sample draw
             if m[0] == "split":
                 usize = m[1]
                 n_split += 1
-                machine.charge_ops(usize * np.log2(max(usize, 2)))
-                machine.charge_ops(
-                    np.array(
-                        [svals[i][2][s][-2] for i in range(p)],
-                        dtype=np.float64,
-                    )
-                )
+                rows.append(usize * np.log2(max(usize, 2)))  # union sort
+                rows.append(local)  # the partition pass
+        machine.charge_ops_rows(rows)
         if n_split:
             machine._meter_allreduce(words=2 * n_split)
         out.update(finishes)
@@ -303,8 +305,9 @@ def quantiles(machine: Machine, data: DistArray, qs) -> list:
     if n == 0:
         raise ValueError("quantiles of an empty array")
     qs = list(qs)
-    if any(not 0.0 <= q <= 1.0 for q in qs):
-        raise ValueError(f"quantiles must lie in [0, 1], got {qs}")
+    for q in qs:
+        if not is_fraction(q):
+            raise ValueError(f"quantiles must be numbers in [0, 1], got {q!r}")
     ranks = [max(1, int(np.ceil(q * n))) for q in qs]
     ordered = multi_select(machine, data, ranks)
     by_rank = dict(zip(sorted(set(ranks)), ordered))

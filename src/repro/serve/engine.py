@@ -14,8 +14,10 @@ query (``select``, ``quantile``, ``topk``) of a batch that targets the
 same dataset contributes its target ranks to one ``multi_select`` call,
 which resolves them all with a single shared recursion -- one fused
 sample allgather and one fused count reduction per level instead of one
-per query.  ``frequent`` queries on the same dataset deduplicate to a
-single exact counting pass per distinct ``k``.
+per query.  ``frequent`` queries on one dataset share a single exact
+counting pass at the batch's largest ``k``; each is answered with the
+prefix its own ``k`` asks for (the order -- count descending, key
+ascending -- is total, so a smaller top-k is a prefix of a larger one).
 
 Supported query dicts (``dataset`` defaults to ``"default"``)::
 
@@ -35,7 +37,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from ..common.validation import as_rank
+from ..common.validation import as_rank, is_fraction
 from ..machine import DistArray, Machine, WorkerFailure
 
 __all__ = ["OverloadedError", "QueryEngine", "QueryError", "default_datasets"]
@@ -271,7 +273,7 @@ class QueryEngine:
         """Group a batch by (dataset, fusion class) and run each group
         as one fused call; per-query failures stay on their future."""
         rank_groups: dict[str, list[_Pending]] = {}
-        freq_groups: dict[tuple[str, int], list[_Pending]] = {}
+        freq_groups: dict[str, list[tuple[int, _Pending]]] = {}
         for item in batch:
             if self._expired(item):
                 continue
@@ -292,15 +294,15 @@ class QueryEngine:
                     k = as_rank(q.get("k", 0), "frequent k")
                     if k < 1:
                         raise QueryError(f"frequent needs k >= 1, got {k}")
-                    freq_groups.setdefault((name, k), []).append(item)
+                    freq_groups.setdefault(name, []).append((k, item))
                 else:
                     raise QueryError(f"unknown op {op!r}")
             except Exception as exc:
                 item.future.set_exception(exc)
         for name, items in rank_groups.items():
             self._run_rank_group(name, items)
-        for (name, k), items in freq_groups.items():
-            self._run_frequent_group(name, k, items)
+        for name, items in freq_groups.items():
+            self._run_frequent_group(name, items)
 
     def _ranks_of(self, q: dict, n: int) -> list[int]:
         """Target ranks (1-based, ascending) of one rank query."""
@@ -313,10 +315,10 @@ class QueryEngine:
                 raise QueryError(f"select needs 1 <= k <= {n}, got {k}")
             return [k]
         if op == "quantile":
-            quant = float(q.get("q", -1.0))
-            if not 0.0 <= quant <= 1.0:
-                raise QueryError(f"quantile needs 0 <= q <= 1, got {quant}")
-            return [max(1, int(math.ceil(quant * n)))]
+            quant = q.get("q", -1.0)
+            if not is_fraction(quant):
+                raise QueryError(f"quantile needs a number 0 <= q <= 1, got {quant!r}")
+            return [max(1, int(math.ceil(float(quant) * n)))]
         # topk: the k largest, i.e. ranks n-k+1 .. n
         k = as_rank(q.get("k", 0), "topk k")
         if not 1 <= k <= n:
@@ -378,19 +380,24 @@ class QueryEngine:
             else:
                 item.future.set_result(got[0])
 
-    def _run_frequent_group(self, name: str, k: int, items: list[_Pending]) -> None:
-        """ONE exact counting pass shared by every duplicate query."""
+    def _run_frequent_group(self, name: str,
+                            items: list[tuple[int, _Pending]]) -> None:
+        """ONE exact counting pass at the largest ``k`` shared by every
+        frequent query on the dataset.  The result order (count desc,
+        key asc) is total, so a smaller ``k``'s answer is a prefix."""
         from ..frequent import top_k_frequent_exact
 
         data = self.datasets[name]
         try:
-            res = top_k_frequent_exact(self.machine, data, k)
+            res = top_k_frequent_exact(
+                self.machine, data, max(k for k, _ in items)
+            )
         except Exception as exc:
-            for item in items:
+            for _, item in items:
                 item.future.set_exception(exc)
             self._after_backend_failure(exc)
             return
         self.stats["fused_commands"] += 1
         payload = [[int(key), float(c)] for key, c in res.items]
-        for item in items:
-            item.future.set_result(payload)
+        for k, item in items:
+            item.future.set_result(payload[:k])

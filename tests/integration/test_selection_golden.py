@@ -93,11 +93,21 @@ def test_equals_the_parent_commit(golden, algo, kind, p):
     assert got == golden[f"{algo}/{kind}/{p}"]
 
 
+def _check_real_backend(golden, algo, backend):
+    for kind in KINDS:
+        got = json.loads(json.dumps(_observe(algo, kind, 3, backend=backend)))
+        assert got == golden[f"{algo}/{kind}/3"], kind
+
+
 @pytest.mark.parametrize("algo", sorted(ALGOS))
 def test_mp_equals_the_parent_commit(golden, algo):
-    for kind in KINDS:
-        got = json.loads(json.dumps(_observe(algo, kind, 3, backend="mp")))
-        assert got == golden[f"{algo}/{kind}/3"], kind
+    _check_real_backend(golden, algo, "mp")
+
+
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+def test_tcp_equals_the_parent_commit(golden, algo):
+    # sockets carry small arrays in-band too
+    _check_real_backend(golden, algo, "tcp")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.machine import Machine
-from repro.serve import QueryEngine, ServeClient, default_datasets
+from repro.machine import DistArray, Machine
+from repro.serve import QueryEngine, QueryError, ServeClient, default_datasets
 from repro.serve.server import serve_forever
 
 
@@ -81,6 +81,75 @@ class TestQueryEngine:
             got = [f.result(timeout=60) for f in futures]
             assert got == [want] * 3
             assert engine.stats["fused_commands"] == 1
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("backend", ["sim", "mp", "tcp"])
+    def test_frequent_queries_share_one_pass_per_dataset(self, backend):
+        """Frequent queries on one dataset at different ``k`` make one
+        counting pass at the largest ``k``; each answer is the prefix a
+        lone exact call returns -- across a tie at the k = 4 cut and for
+        a ``k`` above the number of distinct keys."""
+        from repro.frequent import top_k_frequent_exact
+
+        # counts 9, 8, 7, then 6 / 6 / 6 tied across the k = 4 cut,
+        # then 3 for six more keys: 12 distinct keys in all
+        counts = {10: 9, 11: 8, 12: 7, 13: 6, 14: 6, 15: 6}
+        counts.update({k: 3 for k in range(16, 22)})
+        keys = np.repeat(list(counts), list(counts.values())).astype(np.int64)
+        keys = np.random.default_rng(4).permutation(keys)
+        ks = [4, 8, 16, 8]
+        with Machine(p=4, seed=5) as m:
+            want = {
+                k: [[int(key), float(c)] for key, c in
+                    top_k_frequent_exact(m, DistArray.from_global(m, keys), k).items]
+                for k in set(ks)
+            }
+        assert [row[0] for row in want[4]] == [10, 11, 12, 13]
+        assert len(want[16]) == len(counts)
+
+        machine = Machine(p=4, seed=5, backend=backend)
+        engine = QueryEngine(
+            machine, {"keys": DistArray.from_global(machine, keys)},
+            batch_window=0.2,
+        )
+        real = backend != "sim"
+        try:
+            # the first query also makes the keys resident
+            assert engine.query(op="frequent", k=4, dataset="keys") == want[4]
+            sends = machine.backend.driver_sends if real else 0
+            assert engine.query(op="frequent", k=16, dataset="keys") == want[16]
+            lone_sends = machine.backend.driver_sends - sends if real else 0
+            stats = dict(engine.stats)
+            futures = [
+                engine.submit({"op": "frequent", "k": k, "dataset": "keys"})
+                for k in ks
+            ]
+            got = [f.result(timeout=120) for f in futures]
+            assert got == [want[k] for k in ks]
+            assert engine.stats["batches"] == stats["batches"] + 1
+            assert engine.stats["fused_commands"] == stats["fused_commands"] + 1
+            if real:
+                assert lone_sends > 0
+                assert machine.backend.driver_sends - sends == 2 * lone_sends
+        finally:
+            engine.close()
+
+    def test_quantile_q_must_be_a_number(self):
+        values, _ = _oracle()
+        n = values.size
+        engine = _engine(window=0.2)
+        try:
+            bad = [
+                engine.submit({"op": "quantile", "q": "0.5"}),
+                engine.submit({"op": "quantile", "q": True}),
+                engine.submit({"op": "quantile", "q": None}),
+            ]
+            good = engine.submit({"op": "quantile", "q": 0.5})
+            for f, shown in zip(bad, ("'0.5'", "True", "None")):
+                with pytest.raises(QueryError, match=shown):
+                    f.result(timeout=60)
+            assert good.result(timeout=60) == values[n // 2 - 1]
         finally:
             engine.close()
 

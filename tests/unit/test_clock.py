@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.machine import Machine
 from repro.machine.clock import SimClock
 
 
@@ -27,6 +30,49 @@ class TestLocalCharging:
         c.charge_local_one(2, 5.0)
         assert c.t[2] == pytest.approx(5.0)
         assert c.t[0] == 0.0
+
+
+#: non-negative durations from 0 and the subnormals up to 1e300
+_durations = st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True)
+
+
+class TestChargeRows:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 8), j=st.integers(0, 50))
+    def test_rows_equal_sequential_charges_bit_for_bit(self, data, p, j):
+        start = data.draw(st.lists(_durations, min_size=p, max_size=p))
+        rows = data.draw(st.lists(
+            st.lists(_durations, min_size=p, max_size=p), min_size=j, max_size=j
+        ))
+        one, batch = SimClock(p), SimClock(p)
+        for c in (one, batch):
+            c.charge_local(start)
+        for row in rows:
+            one.charge_local(row)
+        batch.charge_local_rows(np.array(rows, dtype=np.float64).reshape(j, p))
+        assert one.t.tobytes() == batch.t.tobytes()
+        assert one.work_time.tobytes() == batch.work_time.tobytes()
+
+    def test_negative_row_moves_no_clock(self):
+        c = SimClock(3)
+        c.charge_local([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="negative"):
+            c.charge_local_rows([[1.0, 1.0, 1.0], [0.0, -1e-300, 0.0]])
+        assert c.t.tolist() == [1.0, 2.0, 3.0]
+        assert c.work_time.tolist() == [1.0, 2.0, 3.0]
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            SimClock(3).charge_local_rows([[1.0, 1.0]])
+
+    def test_machine_rows_mix_scalars_and_vectors(self):
+        rows = [3.0, [1.0, 2.0, 0.5, 7.0], np.log2(37.0) * 37, np.arange(4.0)]
+        one, batch = Machine(p=4), Machine(p=4)
+        for row in rows:
+            one.charge_ops(row)
+        batch.charge_ops_rows(rows)
+        assert one.clock.t.tobytes() == batch.clock.t.tobytes()
+        assert one.clock.work_time.tobytes() == batch.clock.work_time.tobytes()
 
 
 class TestCollectiveSync:

@@ -106,6 +106,44 @@ class TestMultiSelect:
         assert shared < independent
 
 
+class TestPackedLevelMessage:
+    @pytest.mark.parametrize("n_ranks", [1, 6, 26])
+    def test_allgather_request_is_one_array_plus_sizes(self, monkeypatch, n_ranks):
+        """However many segments a level holds, each rank's sample
+        allgather carries one packed array and one list of ints."""
+        from repro.machine.backends import base
+
+        requests_seen: list = []
+        reference = base.spmd_collective
+
+        def spy(kind, requests):
+            if kind == "allgather":
+                requests_seen.append(list(requests))
+            return reference(kind, requests)
+
+        monkeypatch.setattr(base, "spmd_collective", spy)
+        m = Machine(p=4, seed=17)
+        data = make_dist(m, np.random.default_rng(3), 3000)
+        s = sorted_oracle(data)
+        ks = sorted({int(k) for k in np.linspace(1, s.size, n_ranks)})
+        assert len(ks) == n_ranks
+        assert multi_select(m, data, ks) == [s[k - 1] for k in ks]
+        assert requests_seen
+        most = 0
+        for requests in requests_seen:
+            widths = set()
+            for kind, payload in requests:
+                packed, sizes = payload
+                assert type(packed) is np.ndarray and packed.ndim == 1
+                assert type(sizes) is list
+                assert all(type(size) is int for size in sizes)
+                assert sum(sizes) == packed.size
+                widths.add(len(sizes))
+            assert len(widths) == 1  # one size per segment, on every rank
+            most = max(most, widths.pop())
+        assert (most > 1) == (n_ranks > 1)
+
+
 class TestQuantiles:
     def test_median(self, machine8, rng):
         data = make_dist(machine8, rng, 1000)
@@ -128,6 +166,17 @@ class TestQuantiles:
         data = make_dist(machine8, rng, 10)
         with pytest.raises(ValueError):
             quantiles(machine8, data, [1.5])
+
+    @pytest.mark.parametrize("q, shown", [
+        ("0.5", "'0.5'"), (True, "True"), (False, "False"), (np.True_, "True"),
+        (float("nan"), "nan"),
+    ])
+    def test_q_must_be_a_number(self, machine8, rng, q, shown):
+        """``True`` must not read as 1.0 (rank n), nor a string as its
+        number."""
+        data = make_dist(machine8, rng, 10)
+        with pytest.raises(ValueError, match=shown):
+            quantiles(machine8, data, [0.25, q])
 
     def test_empty_data(self, machine8):
         data = DistArray(machine8, [np.empty(0)] * 8)

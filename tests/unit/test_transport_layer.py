@@ -16,6 +16,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.machine.backends.transport import (
     ALIAS_MIN,
@@ -24,6 +27,7 @@ from repro.machine.backends.transport import (
     MultiInbox,
     NO_FRAME,
     PipeChannel,
+    SMALL_MAX,
     SocketChannel,
     encode_frame,
     write_views,
@@ -60,24 +64,39 @@ class TestEncodeFrame:
         """A zero-size array must not contribute an empty view --
         ``os.writev`` reports 0 bytes for those and the advance loop
         would spin forever."""
-        obj = ("tag", np.empty(0, dtype=np.float64), np.arange(3))
+        # complex arrays stay out-of-band buffers at any size
+        obj = ("tag", np.empty(0, dtype=np.complex128), np.arange(3))
         views, _, _ = encode_frame(obj)
         assert all(len(v) > 0 for v in views)
         dec = FrameDecoder()
         out = dec._decode(memoryview(_flatten(views))[8:], None, True)
         assert out[0] == "tag"
-        assert out[1].size == 0 and out[1].dtype == np.float64
+        assert out[1].size == 0 and out[1].dtype == np.complex128
+        np.testing.assert_array_equal(out[2], np.arange(3))
+
+    def test_frame_without_buffers_has_no_meta(self):
+        obj = ("msg", 7, np.arange(3))  # the array rides in-band
+        views, frame_len, _ = encode_frame(obj)
+        raw = _flatten(views)
+        assert int.from_bytes(raw[8:16], "little") == 0
+        assert len(raw) == 8 + frame_len
+        out = FrameDecoder()._decode(memoryview(raw)[8:], None, True)
+        assert out[:2] == ("msg", 7)
         np.testing.assert_array_equal(out[2], np.arange(3))
 
     def test_shm_descriptor_without_pool_fails_loudly(self):
         """A descriptor frame arriving on a pool-less channel (e.g. a
         socket) must raise, not silently decode garbage."""
         class FakePool:
+            threshold = 1  # shares every buffer it is offered
+
             def share(self, view):
                 return ("segname", 64, 0)
 
-        views, _, shm_bytes = encode_frame(np.arange(64), pool=FakePool())
-        assert shm_bytes == 64 * 8
+        # above the small-array lane, so the array is a buffer at all
+        arr = np.arange(SMALL_MAX // 8 + 1, dtype=np.int64)
+        views, _, shm_bytes = encode_frame(arr, pool=FakePool())
+        assert shm_bytes == arr.nbytes
         dec = FrameDecoder()
         with pytest.raises(RuntimeError, match="no pool attached"):
             dec._decode(memoryview(_flatten(views))[8:], None, True)
@@ -88,6 +107,99 @@ class TestEncodeFrame:
         dec = FrameDecoder()
         out = dec._decode(memoryview(_flatten(views))[8:], None, True)
         np.testing.assert_array_equal(out, arr)
+
+
+# ----------------------------------------------------------------------
+# The small-array lane
+# ----------------------------------------------------------------------
+
+PLAIN_DTYPES = ["bool", "int8", "int16", "int32", "int64", "uint8", "uint16",
+                "uint32", "uint64", "float16", "float32", "float64"]
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass (must keep pickle's own path)."""
+
+
+def _lane_roundtrip(obj, pool=None):
+    """Decode ``obj``'s frame; also return its out-of-band buffer count
+    and whether the spec used the small-array lane."""
+    raw = _flatten(encode_frame(obj, pool)[0])
+    meta_len = int.from_bytes(raw[8:16], "little")
+    n_buffers = len(pickle.loads(raw[16:16 + meta_len])[1]) if meta_len else 0
+    out = FrameDecoder()._decode(memoryview(raw)[8:], None, True)
+    return out, n_buffers, b"_small_array" in raw
+
+
+def _same_array(a, b) -> bool:
+    return (type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestSmallArrayLane:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dtype=st.sampled_from(PLAIN_DTYPES),
+        swapped=st.booleans(),
+        shape=st.sampled_from([(), (0,), (1,), (7,), (0, 3), (2, 3), (3, 5)]),
+        wrap=st.sampled_from(["bare", "list", "tuple", "dict"]),
+        data=st.data(),
+    )
+    def test_plain_arrays_roundtrip_writable(self, dtype, swapped, shape, wrap, data):
+        dt = np.dtype(dtype)
+        if swapped:
+            dt = dt.newbyteorder()
+        arr = data.draw(hnp.arrays(dt, shape))
+        obj = {"bare": arr, "list": [1, arr, "x"], "tuple": (arr, 2.5),
+               "dict": {"a": arr, "b": None}}[wrap]
+        out, n_buffers, lane = _lane_roundtrip(obj)
+        got = {"bare": lambda o: o, "list": lambda o: o[1],
+               "tuple": lambda o: o[0], "dict": lambda o: o["a"]}[wrap](out)
+        assert _same_array(got, arr)
+        assert got.flags.writeable
+        assert lane and n_buffers == 0
+
+    @pytest.mark.parametrize("nbytes, lane", [
+        (SMALL_MAX - 1, True), (SMALL_MAX, False), (SMALL_MAX + 1, False),
+    ])
+    def test_size_limit(self, nbytes, lane):
+        arr = np.arange(nbytes, dtype=np.uint8)
+        out, n_buffers, used = _lane_roundtrip([arr, arr[:3].copy()])
+        assert _same_array(out[0], arr) and out[0].flags.writeable
+        assert used  # the 3-byte array always rides in-band
+        assert n_buffers == (0 if lane else 1)
+
+    def test_pool_threshold_caps_the_lane(self):
+        """An array the pool would share keeps the shm lane."""
+        class FakePool:
+            threshold = 64
+
+            def share(self, view):
+                return ("segname", 0, 0)
+
+        views, _, shm_bytes = encode_frame(
+            (np.zeros(7), np.zeros(8)), pool=FakePool()
+        )
+        assert shm_bytes == 64
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(20.0).reshape(4, 5)[:, ::2],                # non-contiguous
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),      # F-ordered
+        np.array([1, "a", None], dtype=object),               # object
+        np.zeros(3, dtype=[("k", "<i8"), ("v", "<f4")]),      # structured
+        np.arange(3).astype("datetime64[s]"),                 # datetime
+        np.arange(3.0) + 1j,                                  # complex
+        np.arange(4.0).view(_Tagged),                         # subclass
+    ])
+    def test_other_arrays_keep_pickles_path(self, arr):
+        # what plain protocol-5 pickling makes out-of-band
+        plain: list = []
+        pickle.dumps(arr, protocol=5, buffer_callback=plain.append)
+        out, n_buffers, lane = _lane_roundtrip(arr)
+        assert type(out) is type(arr) and out.dtype == arr.dtype
+        assert out.shape == arr.shape
+        assert out.tolist() == arr.tolist()
+        assert not lane and n_buffers == len(plain)
 
 
 # ----------------------------------------------------------------------
