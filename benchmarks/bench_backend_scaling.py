@@ -237,15 +237,15 @@ def _mixed_query(tid: int, i: int, n: int) -> dict:
 
 def _concurrent_query_rows(p, n, clients, per_client, window=0.01):
     """The ``repro serve`` story: N closed-loop clients against one
-    resident mp pool, serial (batch_window=0, pipeline_depth=1 -- every
-    query runs alone, strictly submit-then-wait) vs batched (admission
-    window fuses concurrent rank queries into one multi_select).
-    Records throughput and latency percentiles."""
+    resident mp pool, serial (batch_window=0 -- every query is its own
+    batch) vs batched (admission window fuses concurrent rank queries
+    into one multi_select).  Records throughput and latency
+    percentiles."""
     from repro.serve import QueryEngine, default_datasets
 
     rows = []
-    for algorithm, bw, depth in (("serial", 0.0, 1), ("batched", window, None)):
-        machine = Machine(p=p, seed=81, backend="mp", pipeline_depth=depth)
+    for algorithm, bw in (("serial", 0.0), ("batched", window)):
+        machine = Machine(p=p, seed=81, backend="mp")
         engine = QueryEngine(
             machine, default_datasets(machine, n), batch_window=bw
         )

@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "query fusion)")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="max queries fused per batch")
-    serve.add_argument("--pipeline-depth", type=int, default=None,
-                       help="max SPMD commands in flight (1 = serial issue)")
     serve.add_argument("--command-timeout", type=float, default=None,
                        help="per-command deadline in seconds before a "
                        "non-answering pool raises WorkerFailure")
@@ -215,7 +213,6 @@ def _cmd_serve(args) -> int:
 
     machine = Machine(
         p=args.p, seed=args.seed, backend=args.backend,
-        pipeline_depth=args.pipeline_depth,
         command_timeout=args.command_timeout,
         faults=args.faults, journal=args.journal,
     )

@@ -60,7 +60,7 @@ def available_backends() -> list[str]:
 
 
 def make_backend(
-    spec, p: int, verify: bool = False, pipeline_depth: int | None = None,
+    spec, p: int, verify: bool = False,
     command_timeout: float | None = None, faults=None, journal: bool = False,
 ) -> Backend:
     """Resolve a backend spec: a name, a ``Backend`` instance, or None.
@@ -70,13 +70,12 @@ def make_backend(
 
     ``verify=True`` asks the backend to assert SPMD lockstep (every PE
     issuing the identical collective sequence, see
-    :class:`LockstepError`).  ``pipeline_depth`` bounds how many
-    commands the backend keeps in flight at once (``1`` forces serial
-    issue).  ``command_timeout`` is the per-command deadline before a
-    non-answering pool raises :class:`WorkerFailure`; ``faults``
-    installs a deterministic :class:`~repro.machine.faults.FaultPlan`
-    (or spec string); ``journal=True`` records chunk provenance for
-    automatic pool recovery.  Backends whose factory does not take one
+    :class:`LockstepError`).  ``command_timeout`` is the per-command
+    deadline before a non-answering pool raises :class:`WorkerFailure`;
+    ``faults`` installs a deterministic
+    :class:`~repro.machine.faults.FaultPlan` (or spec string);
+    ``journal=True`` records chunk provenance for automatic pool
+    recovery.  Backends whose factory does not take one
     of these keywords -- notably ``sim``, which has no processes to
     lose -- are built without it.
     """
@@ -89,8 +88,6 @@ def make_backend(
             )
         if verify and hasattr(spec, "verify"):
             spec.verify = True
-        if pipeline_depth is not None and hasattr(spec, "pipeline_depth"):
-            spec.pipeline_depth = max(1, int(pipeline_depth))
         if command_timeout is not None and hasattr(spec, "command_timeout"):
             spec.command_timeout = float(command_timeout)
         return spec
@@ -103,8 +100,6 @@ def make_backend(
     kwargs: dict = {}
     if verify:
         kwargs["verify"] = True
-    if pipeline_depth is not None:
-        kwargs["pipeline_depth"] = max(1, int(pipeline_depth))
     if command_timeout is not None:
         kwargs["command_timeout"] = float(command_timeout)
     if faults is not None:
@@ -118,8 +113,7 @@ def make_backend(
             # factory predates a knob: drop the optional ones in turn
             # (sim-style backends take none of them -- they verify and
             # serialize by construction and have no processes to lose)
-            for knob in ("journal", "faults", "command_timeout",
-                         "pipeline_depth", "verify"):
+            for knob in ("journal", "faults", "command_timeout", "verify"):
                 if knob in kwargs:
                     del kwargs[knob]
                     break

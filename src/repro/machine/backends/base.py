@@ -17,8 +17,9 @@ There is one data plane and two dialects of reaching it.  An SPMD step
 and is the same thing as a step of one yield.  Both resolve through one
 table of kinds, :func:`spmd_collective`.  Writing a backend is four
 methods: ``collective``, ``put_chunks``, ``get_chunks`` and
-``submit_spmd`` (plus ``coalesced`` where frames can be packed).
-Three backends ship with the package:
+``submit_spmd``.  Every backend runs one command at a time: a call
+returns once its command completed.  Three backends ship with the
+package:
 
 ``sim`` (:class:`~repro.machine.backends.sim.SimBackend`)
     Inherits everything here: results are computed in-process with
@@ -68,20 +69,12 @@ __all__ = ["Backend", "ChunkRef", "LockstepError", "PendingValues", "PureStep"]
 
 
 class PendingValues:
-    """Handle to the per-PE values of a submitted backend command.
+    """Handle to the per-PE values of a backend command.
 
-    Returned by :meth:`Backend.submit_spmd`.  ``wait()`` blocks until
-    the command completed and returns the values (idempotent; a failed
-    command keeps raising on every wait).  Eager backends hand out
-    pre-resolved handles, so call sites written against the submit API
-    overlap commands where the backend pipelines and degrade to exact
-    serial execution where it does not.
-
-    Contract for overlapped call sites: wait handles in **submit
-    order** before consuming their values, so charge-log replay
-    observes the same order as serial execution (the bit-identity
-    guarantee across backends; draws are counter-addressed at command
-    build, so randomness is settle-order-free by construction).
+    Returned by :meth:`Backend.submit_spmd`, already resolved: every
+    backend runs a command to completion before it returns.  ``wait()``
+    returns the values (idempotent; a thunk-built handle runs its thunk
+    once).
     """
 
     __slots__ = ("_thunk", "_values")
@@ -92,7 +85,7 @@ class PendingValues:
 
     @classmethod
     def resolved(cls, values) -> "PendingValues":
-        """A handle whose command already completed (eager backends)."""
+        """A handle whose command already completed."""
         pending = cls(None)
         pending._values = values
         return pending
@@ -292,14 +285,10 @@ class Backend:
         n_out: int = 0,
         args: Sequence[tuple] | None = None,
     ) -> tuple[list["ChunkRef"], PendingValues]:
-        """Non-blocking :meth:`run_spmd`: returns ``(out_refs, pending)``
-        with ``pending.wait()`` yielding the per-PE values.
-
-        The default executes eagerly and returns a resolved handle --
-        in-process backends have no issue/execution overlap to expose;
-        pipelined backends override this to keep the command in flight
-        until ``wait()``.  See :class:`PendingValues` for the ordering
-        contract overlapped call sites must follow.
+        """:meth:`run_spmd` returning ``(out_refs, pending)``, where
+        ``pending`` is a resolved :class:`PendingValues` of the per-PE
+        values: the command has completed when this returns.  The one
+        method a backend overrides to run SPMD steps elsewhere.
         """
         chunk_lists = [self._store[r.id] for r in refs]
         outs, values = _run_spmd_inprocess(self.p, fn, chunk_lists, n_out, args)
@@ -308,12 +297,9 @@ class Backend:
 
     @contextlib.contextmanager
     def coalesced(self):
-        """Hint: the commands submitted inside this block are issued
-        back-to-back with no intervening wait, so a pipelined backend
-        may pack them into a single command frame (one fan-out, one
-        worker wake for the whole batch).  Semantics are unchanged --
-        commands still execute in issue order on every rank -- so the
-        in-process default is a no-op."""
+        """A no-op block, kept because the frozen ledger benchmark
+        enters it: commands run one at a time, so there is nothing to
+        pack."""
         yield
 
     # ------------------------------------------------------------------

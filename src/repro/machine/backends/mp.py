@@ -155,14 +155,12 @@ class MultiprocessingBackend(RuntimeBackend):
         start_method: str | None = None,
         shm_threshold: int | None | object = _UNSET,
         verify: bool = False,
-        pipeline_depth: int = 8,
         command_timeout: float | None = None,
         faults=None,
         journal: bool = False,
     ):
-        super().__init__(p, verify=verify, pipeline_depth=pipeline_depth,
-                         command_timeout=command_timeout, faults=faults,
-                         journal=journal)
+        super().__init__(p, verify=verify, command_timeout=command_timeout,
+                         faults=faults, journal=journal)
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: list = []
         # -- zero-copy payload lane ------------------------------------

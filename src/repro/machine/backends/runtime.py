@@ -60,34 +60,23 @@ Every worker counts its sends; :meth:`RuntimeBackend.
 worker_message_counts` exposes the totals so tests can assert the
 O(p log p) bound.
 
-Pipelined issue
----------------
-The driver may keep several broadcast-channel commands in flight at
-once (:meth:`RuntimeBackend._submit` / :class:`CommandFuture`, up to
-``pipeline_depth``).  This is safe for exactly the tree-forwarded
-commands: links are FIFO and every rank forwards frames in arrival
-order, so pipelined ``bcmd`` frames execute in *seq order on every
-worker* even though their results may interleave at the driver (a fast
-worker's seq ``n+1`` result can beat a slow worker's seq ``n``).  The
-driver demultiplexes the shared result channel by seq
-(:meth:`RuntimeBackend._pump`).  The direct per-worker frames of a
-``put`` could overtake a tree hop still in flight, so it fences --
-drains every in-flight command -- before issue.  Each command envelope
-carries the driver's *ack frontier* (the highest seq whose results are
-all collected); shm pools recycle a
-segment only once every block in it is flagged dead by its zero-copy
-consumer *and* the frontier has passed the newest round that allocated
-in it (:meth:`~repro.machine.backends.shm.ShmPool.release_through`) --
-under pipelining the arrival of a newer command proves nothing about
-an older round's blocks, and with in-place consumption even a settled
-command's blocks may outlive it (resident chunks decoded straight out
-of the segment).
+One command in flight
+---------------------
+The driver issues a command and collects every rank's result before it
+issues the next (:meth:`RuntimeBackend._run`), so a result for any seq
+but the current one is a protocol error.  Each command envelope
+carries the driver's *ack frontier* (the last seq whose results it
+collected); shm pools recycle a segment only once every block in it is
+flagged dead by its zero-copy consumer *and* the frontier has passed
+the newest round that allocated in it
+(:meth:`~repro.machine.backends.shm.ShmPool.release_through`) -- with
+in-place consumption a collected command's blocks may outlive it
+(resident chunks decoded straight out of the segment).
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import hashlib
 import importlib
 import inspect
@@ -122,7 +111,6 @@ from .base import (
 
 __all__ = [
     "Comm",
-    "CommandFuture",
     "LockstepError",
     "PendingValues",
     "RuntimeBackend",
@@ -619,35 +607,6 @@ def worker_loop(links: WorkerLinks) -> None:
                 _, mseq, mtag, msrc, payload = item
                 stash[(mseq, mtag, msrc)] = payload
                 continue
-            if item[0] == "bcmds":
-                # coalesced frame: several back-to-back commands packed
-                # into one fan-out.  Forward the whole batch to each
-                # child once, then unpack into the per-command loop --
-                # head entry now, the rest ahead of anything queued
-                # behind this frame (they carry lower seqs).
-                entries = item[1]
-                if pool is not None:
-                    pool.release_through(entries[0][5])
-                    # forward blocks are tagged with the *newest*
-                    # batched seq: a grandchild may decode the tail
-                    # entries long after the head ones are acked
-                    pool.begin_round(entries[-1][1])
-                for child in tree_children:
-                    sub_entries = [
-                        ("bcmd", seq, spec,
-                         {r: lm[r] for r in subtree_of[child] if r in lm},
-                         free_ids, acked)
-                        for _, seq, spec, lm, free_ids, acked in entries
-                    ]
-                    links.send(child, ("bcmds", sub_entries),
-                               drain=comm.drain)
-                    comm.counters["cmd_fwd"] += len(entries)
-                converted = [
-                    ("cmd", seq, spec, lm.get(rank), free_ids, acked)
-                    for _, seq, spec, lm, free_ids, acked in entries
-                ]
-                backlog.extendleft(reversed(converted[1:]))
-                item = converted[0]
             if item[0] == "bcmd":
                 # forward first (children must not wait on our execution),
                 # pruned to each child's subtree (a rank's local still hops
@@ -656,9 +615,7 @@ def worker_loop(links: WorkerLinks) -> None:
                 _, seq, spec, locals_map, free_ids, acked = item
                 if pool is not None:
                     # recycle what the consumers' release flags allow,
-                    # bounded by the driver's ack frontier; under
-                    # pipelined issue a newer seq alone proves nothing
-                    # (the driver may not have collected yet)
+                    # bounded by the driver's ack frontier
                     pool.release_through(acked)
                     pool.begin_round(seq)
                 for child in tree_children:
@@ -676,9 +633,8 @@ def worker_loop(links: WorkerLinks) -> None:
             if stash:
                 # commands execute in seq order, so a stashed message
                 # addressed to an older seq can only be the leftover of a
-                # failed collective -- evict it.  This bounds the stash to
-                # live seqs under pipelined issue (run-ahead peers' newer
-                # messages stay put).
+                # failed collective -- evict it (messages of this seq from
+                # peers that started it first stay put).
                 for key in [k for k in stash if k[0] < seq]:
                     del stash[key]
             if spec[0] == "stop":
@@ -780,46 +736,6 @@ def _collective_step(rank: int, *request):
     return (yield request)
 
 
-class CommandFuture:
-    """Driver-side handle to one in-flight command (a single seq).
-
-    Created by :meth:`RuntimeBackend._submit`; resolved by the seq-
-    demultiplexing completion loop (:meth:`RuntimeBackend._pump`).
-    Futures may *complete* in any order -- a fast worker's seq ``n+1``
-    result can arrive before a slow worker's seq ``n`` -- but because
-    workers execute commands in seq order and each worker's result
-    channel is FIFO, a resolved future implies every lower seq is
-    resolved too.
-    """
-
-    __slots__ = ("seq", "kind", "out", "failures", "remaining", "done",
-                 "wire_rx", "shm_rx", "ref_ids", "pending", "poisoned",
-                 "_backend")
-
-    def __init__(self, backend: "RuntimeBackend", seq: int, kind: str, p: int):
-        self._backend = backend
-        self.seq = seq
-        self.kind = kind
-        self.out: list = [None] * p
-        self.failures: list[tuple[int, str]] = []
-        self.remaining = p
-        self.done = False
-        self.wire_rx = 0
-        self.shm_rx = 0
-        #: resident refs this command reads or writes (dependency tracker)
-        self.ref_ids: tuple[int, ...] = ()
-        #: ranks that have not answered yet (hang attribution)
-        self.pending: set[int] = set(range(p))
-        #: the WorkerFailure that poisoned this still-in-flight future
-        #: when the pool broke (re-waits re-raise it)
-        self.poisoned: WorkerFailure | None = None
-
-    def wait(self) -> list:
-        """Block until every rank answered; returns the per-PE
-        results (worker failures raise, and keep raising on re-wait)."""
-        return self._backend._wait(self)
-
-
 class RuntimeBackend(Backend):
     """Shared driver half of the worker runtime.
 
@@ -842,8 +758,11 @@ class RuntimeBackend(Backend):
     #: pinned callback pickles kept for reuse (LRU bound of ``_blob``)
     _BLOB_CACHE = 256
 
+    #: commands in flight at once: always one (the ledger benchmark
+    #: reads the attribute)
+    max_inflight = 1
+
     def __init__(self, p: int, verify: bool = False,
-                 pipeline_depth: int = 8,
                  command_timeout: float | None = None,
                  faults=None, journal: bool = False):
         super().__init__(p)
@@ -884,35 +803,16 @@ class RuntimeBackend(Backend):
         #: :class:`LockstepError` on divergence.  Off by default -- it
         #: adds a per-command trace payload to every result frame.
         self.verify = bool(verify)
-        #: maximum commands in flight at once.  ``1`` restores the
-        #: strictly serial issue-wait-issue engine; the default keeps a
-        #: small window so :meth:`submit_spmd` call sites overlap issue
-        #: with worker execution.
-        self.pipeline_depth = max(1, int(pipeline_depth))
         self._seq = 0
-        #: ack frontier: highest seq with *every* seq up to it fully
-        #: collected; piggybacked on command envelopes for the workers'
-        #: shm round recycling
+        #: ack frontier: the last seq whose results were all collected;
+        #: piggybacked on command envelopes for the workers' shm round
+        #: recycling
         self._acked = 0
-        self._done_seqs: set[int] = set()
-        #: in-flight commands by seq (insertion order == seq order)
-        self._inflight: dict[int, CommandFuture] = {}
-        #: in-flight writer of each resident ref id -- the driver-side
-        #: dependency tracker; reads go through :meth:`_wait_ref`
-        self._ref_seq: dict[int, int] = {}
-        #: high-water mark of concurrently in-flight commands (proof of
-        #: real overlap for the benchmarks and parity tests)
-        self.max_inflight = 0
         self._inboxes: list = []
         self._results = None
         self._started = False
         self._closed = False
         self._dead_refs: list[int] = []
-        #: broadcast commands built but not yet framed (non-empty only
-        #: inside a :meth:`coalesced` block): ``(seq, spec, locals_map,
-        #: free_ids)`` tuples that the next flush packs into one frame
-        self._cmd_buf: list[tuple] = []
-        self._coalescing = False
         self._live_ids: set[int] = set()
         #: ``out ref id -> ("spmd", blob, (), out_ids, args)`` of every
         #: live ref a :class:`PureStep` produced: the command that made
@@ -1005,8 +905,8 @@ class RuntimeBackend(Backend):
         Live resident chunks are salvaged into the driver-side store
         first, so a ``DistArray`` result stays readable after its
         machine's context exits.  A broken pool (post-failure) skips the
-        fence/stop handshake -- it would block on dead workers -- and
-        goes straight to best-effort salvage plus teardown.
+        stop handshake -- it would block on dead workers -- and goes
+        straight to best-effort salvage plus teardown.
         """
         if self._closed:
             return
@@ -1020,14 +920,10 @@ class RuntimeBackend(Backend):
             return
         if self._started:
             try:
-                # collect every in-flight command first: a worker still
-                # blocked writing an unharvested result must not meet a
-                # stop frame (and salvage reads require the frontier)
-                self._fence()
                 self._salvage_resident()
             except WorkerFailure:
-                # the pool died under the close fence: fall through to
-                # the broken-pool path below
+                # the pool died under the salvage: fall through to the
+                # broken-pool path below
                 pass
             except Exception:  # pragma: no cover - dead-pool cleanup path
                 pass
@@ -1084,9 +980,6 @@ class RuntimeBackend(Backend):
             # fresh pool, fresh protocol state: seqs restart at 0
             self._seq = 0
             self._acked = 0
-            self._done_seqs.clear()
-            self._inflight.clear()
-            self._ref_seq.clear()
             self._failure = None
             # injected faults must not re-fire on the respawned pool
             # (seqs restart, so the same plan would kill it again)
@@ -1224,287 +1117,127 @@ class RuntimeBackend(Backend):
             pass
 
     # ------------------------------------------------------------------
-    # Driver-side dispatch: pipelined submit / demultiplexed completion
+    # Driver-side dispatch: one command in flight
     # ------------------------------------------------------------------
-    def _pump(self, timeout: float | None) -> None:
-        """Receive ONE result frame and demultiplex it onto its command's
-        future by seq.  Completion may be out of issue order across
-        workers; receive-side transport bytes are attributed to the seq
-        that actually arrived."""
-        wire0, shm0 = self._results.wire_rx, self._results.shm_rx
-        rank, rseq, value = self._results.get(timeout=timeout, pool=self._pool)
-        fut = self._inflight.get(rseq)
-        if fut is None:  # pragma: no cover - protocol violation
-            raise RuntimeError(
-                f"backend protocol error: result for unknown seq {rseq}"
-            )
-        fut.wire_rx += self._results.wire_rx - wire0
-        fut.shm_rx += self._results.shm_rx - shm0
-        if isinstance(value, WorkerError):
-            fut.failures.append((rank, value.message))
-        else:
-            fut.out[rank] = value
-        fut.pending.discard(rank)
-        fut.remaining -= 1
-        if fut.remaining == 0:
-            self._finish(fut)
-
-    def _finish(self, fut: CommandFuture) -> None:
-        """Resolve one future: book its transport bytes, release its
-        dependency-tracker entries, and advance the ack frontier."""
-        fut.done = True
-        del self._inflight[fut.seq]
-        tb = self._transport.setdefault(fut.kind, {"wire": 0, "shm": 0})
-        tb["wire"] += fut.wire_rx
-        tb["shm"] += fut.shm_rx
-        for ref_id in fut.ref_ids:
-            if self._ref_seq.get(ref_id) == fut.seq:
-                del self._ref_seq[ref_id]
-        self._done_seqs.add(fut.seq)
-        while self._acked + 1 in self._done_seqs:
-            self._done_seqs.discard(self._acked + 1)
-            self._acked += 1
-        if self._pool is not None:
-            # recycle the segments whose blocks the workers flagged
-            # dead, up to the collected-results frontier
-            self._pool.release_through(self._acked)
-
-    def _drain_results(self) -> None:
-        """Demultiplex whatever already sits in the result inbox (called
-        while a command send waits on a full channel -- a worker blocked
-        writing a large result would otherwise hold the driver and
-        worker in a two-party cycle)."""
-        while True:
-            try:
-                self._pump(timeout=0)
-            except queue_mod.Empty:
-                return
-
-    def _declare_failure(self, fut: CommandFuture, phase: str,
+    def _declare_failure(self, seq: int, phase: str,
                          ranks: Sequence[int], detail: str = "") -> None:
         """Convert a detected worker death / hang into a structured
-        :class:`WorkerFailure`: mark the pool broken, poison every
-        in-flight future (the whole seq window -- workers execute in seq
-        order, so nothing behind the failure can complete), and raise."""
+        :class:`WorkerFailure`: mark the pool broken and raise."""
         ranks = tuple(ranks)
-        failure = WorkerFailure(
+        self._failure = WorkerFailure(
             rank=ranks[0] if ranks else None,
-            seq=fut.seq, phase=phase, detail=detail, ranks=ranks,
+            seq=seq, phase=phase, detail=detail, ranks=ranks,
         )
-        self._failure = failure
-        for f in list(self._inflight.values()):
-            f.done = True
-            f.poisoned = failure
-        self._inflight.clear()
-        raise failure
+        raise self._failure
 
-    def _wait(self, fut: CommandFuture) -> list:
-        """Completion loop of one command: pump the shared result inbox
-        (any seq) until this future resolves, then surface its failures.
-        Waiting a future implicitly resolves every lower seq first.
+    def _send(self, seq: int, spec: tuple, locals_per_pe: Sequence) -> None:
+        """Frame command ``seq``.  Broadcast command channel: one driver
+        send regardless of p; rank 0 fans the frame out along the
+        binomial tree.  Chunk uploads (``put``) keep the direct path --
+        their per-PE locals are the one arg-heavy payload, and tree
+        forwarding would re-serialize each rank's chunk once per edge on
+        its root path (~(log2 p)/2 times on average) for no latency
+        benefit."""
+        free_ids = tuple(self._dead_refs)
+        self._dead_refs.clear()
+        wire0, shm0 = self._tx["wire_tx"], self._tx["shm_tx"]
+        if self._pool is not None:
+            self._pool.begin_round(seq)
+        if spec[0] == "put":
+            frames = [
+                (self._inboxes[rank], ("cmd", seq, spec, locals_per_pe[rank],
+                                       free_ids, self._acked))
+                for rank in range(self.p)
+            ]
+        else:
+            locals_map = {r: locals_per_pe[r] for r in range(self.p)}
+            frames = [(self._inboxes[0], ("bcmd", seq, spec, locals_map,
+                                          free_ids, self._acked))]
+        for inbox, frame in frames:
+            inbox.put(frame, pool=self._pool, counters=self._tx)
+            self.driver_sends += 1
+        tb = self._transport.setdefault(spec[0], {"wire": 0, "shm": 0})
+        tb["wire"] += self._tx["wire_tx"] - wire0
+        tb["shm"] += self._tx["shm_tx"] - shm0
 
-        The loop doubles as the failure detector: between short pump
+    def _collect(self, seq: int, kind: str) -> list:
+        """Collect every rank's result of command ``seq`` and advance
+        the ack frontier to it; worker errors raise.
+
+        The loop doubles as the failure detector: between short receive
         slices it probes worker liveness (a dead process surfaces within
         ``_PROBE_INTERVAL`` seconds as phase ``"dead"``) and enforces
         the per-command deadline (``command_timeout`` -> phase
         ``"hung"``).  Either way the caller gets a structured
         :class:`WorkerFailure`, never an indefinite block."""
-        if fut.poisoned is not None:
-            raise fut.poisoned
-        if self._cmd_buf:
-            # a wait inside a coalesced block: whatever is buffered must
-            # hit the wire now or this future can never resolve
-            self._flush_cmds()
-        if not fut.done:
-            t0 = time.perf_counter()
-            deadline = t0 + self.command_timeout
-            while not fut.done:
-                try:
-                    self._pump(timeout=_PROBE_INTERVAL)
-                    continue
-                except queue_mod.Empty:
-                    pass
-                except WorkerFailure:
-                    raise
-                except Exception as exc:
-                    # EOF, a dead socket, a corrupted frame, a bogus shm
-                    # descriptor: transport-level loss of a worker
-                    self.wall_time += time.perf_counter() - t0
-                    dead = self._dead_ranks()
-                    # the death that corrupted the stream may not be
-                    # reapable yet (the garbage arrives before the exit
-                    # is visible); give attribution a moment
-                    for _ in range(20):
-                        if dead:
-                            break
-                        time.sleep(0.05)
-                        dead = self._dead_ranks()
-                    self._declare_failure(fut, "dead", dead, detail=repr(exc))
+        out: list = [None] * self.p
+        failures: list[tuple[int, str]] = []
+        pending = set(range(self.p))
+        wire0, shm0 = self._results.wire_rx, self._results.shm_rx
+        deadline = time.perf_counter() + self.command_timeout
+        while pending:
+            try:
+                rank, rseq, value = self._results.get(
+                    timeout=_PROBE_INTERVAL, pool=self._pool)
+            except queue_mod.Empty:
+                pass
+            except Exception as exc:
+                # EOF, a dead socket, a corrupted frame, a bogus shm
+                # descriptor: transport-level loss of a worker
                 dead = self._dead_ranks()
-                if dead:
-                    self.wall_time += time.perf_counter() - t0
-                    self._declare_failure(fut, "dead", dead)
-                if time.perf_counter() >= deadline:
-                    self.wall_time += time.perf_counter() - t0
-                    oldest = next(iter(self._inflight.values()), fut)
-                    self._declare_failure(
-                        fut, "hung", sorted(oldest.pending),
-                        detail=f"no result within command_timeout="
-                               f"{self.command_timeout:.0f}s",
+                # the death that corrupted the stream may not be
+                # reapable yet (the garbage arrives before the exit is
+                # visible); give attribution a moment
+                for _ in range(20):
+                    if dead:
+                        break
+                    time.sleep(0.05)
+                    dead = self._dead_ranks()
+                self._declare_failure(seq, "dead", dead, detail=repr(exc))
+            else:
+                if rseq != seq:
+                    raise RuntimeError(
+                        f"backend protocol error: result for seq {rseq} "
+                        f"while collecting seq {seq}"
                     )
-            self.wall_time += time.perf_counter() - t0
-        if fut.poisoned is not None:
-            raise fut.poisoned
-        if fut.failures:
-            detail = "; ".join(
-                f"worker {r} failed: {m}" for r, m in fut.failures
-            )
-            raise RuntimeError(detail)
-        return fut.out
-
-    def _fence(self) -> None:
-        """Wait out every in-flight command, oldest first.  Required
-        before any frame that bypasses the broadcast tree (it could
-        overtake a tree hop) and before driver reads of worker state."""
-        while self._inflight:
-            self._wait(next(iter(self._inflight.values())))
-
-    def _wait_ref(self, ref_id: int) -> None:
-        """Dependency tracker: block until the in-flight command that
-        reads or writes ``ref_id`` (if any) completed, so driver-side
-        chunk reads never observe state a pipelined command is still
-        producing -- and a failed producer surfaces at the read."""
-        seq = self._ref_seq.get(ref_id)
-        if seq is not None:
-            fut = self._inflight.get(seq)
-            if fut is not None:
-                self._wait(fut)
-
-    def _track_refs(self, fut: CommandFuture, refs, out_refs) -> None:
-        # input chunks count as written too: resident kernels may mutate
-        # them in place (the bulk PQ's trees do)
-        ids = tuple(r.id for r in refs) + tuple(r.id for r in out_refs)
-        fut.ref_ids = ids
-        for ref_id in ids:
-            self._ref_seq[ref_id] = fut.seq
-
-    def _submit(self, spec: tuple, locals_per_pe: Sequence) -> CommandFuture:
-        """Issue one command without collecting results.
-
-        Broadcast-channel commands may overlap: FIFO links and in-order
-        tree forwarding deliver pipelined ``bcmd`` frames to every
-        worker in seq order, so execution order equals issue order on
-        each rank.  The direct per-worker frames of a ``put`` have no
-        such guarantee and fence first.
-        """
-        self._ensure_started()
-        t0 = time.perf_counter()
-        if spec[0] == "put":
-            self._fence()
-        else:
-            while len(self._inflight) >= self.pipeline_depth:
-                self._wait(next(iter(self._inflight.values())))
-        self._seq += 1
-        seq = self._seq
-        free_ids = tuple(self._dead_refs)
-        self._dead_refs.clear()
-        fut = CommandFuture(self, seq, spec[0], self.p)
-        self._inflight[seq] = fut
-        if len(self._inflight) > self.max_inflight:
-            self.max_inflight = len(self._inflight)
-        # broadcast command channel: one driver send regardless of p;
-        # rank 0 fans the frame out along the binomial tree.  Chunk
-        # uploads ("put") keep the direct path -- their per-PE locals
-        # are the one arg-heavy payload, and tree forwarding would
-        # re-serialize each rank's chunk once per edge on its root path
-        # (~(log2 p)/2 times on average) for no latency benefit.
-        if spec[0] != "put":
-            locals_map = {r: locals_per_pe[r] for r in range(self.p)}
-            self._cmd_buf.append((seq, spec, locals_map, free_ids))
-            # inside a coalesced block the frame is held back so the
-            # next back-to-back submit can ride the same fan-out;
-            # everywhere else framing stays immediate
-            if not self._coalescing or len(self._cmd_buf) >= self.pipeline_depth:
-                self._flush_cmds()
-        else:
-            wire0, shm0 = self._tx["wire_tx"], self._tx["shm_tx"]
-            if self._pool is not None:
-                self._pool.begin_round(seq)
-            for rank in range(self.p):
-                self._inboxes[rank].put(
-                    ("cmd", seq, spec, locals_per_pe[rank], free_ids,
-                     self._acked),
-                    drain=self._drain_results, pool=self._pool,
-                    counters=self._tx,
+                if isinstance(value, WorkerError):
+                    failures.append((rank, value.message))
+                else:
+                    out[rank] = value
+                pending.discard(rank)
+                continue
+            dead = self._dead_ranks()
+            if dead:
+                self._declare_failure(seq, "dead", dead)
+            if time.perf_counter() >= deadline:
+                self._declare_failure(
+                    seq, "hung", sorted(pending),
+                    detail=f"no result within command_timeout="
+                           f"{self.command_timeout:.0f}s",
                 )
-                self.driver_sends += 1
-            tb = self._transport.setdefault(spec[0], {"wire": 0, "shm": 0})
-            tb["wire"] += self._tx["wire_tx"] - wire0
-            tb["shm"] += self._tx["shm_tx"] - shm0
-        self.wall_time += time.perf_counter() - t0
-        return fut
-
-    def _flush_cmds(self) -> None:
-        """Frame and send the buffered broadcast command(s).
-
-        One buffered command goes out as a plain ``bcmd`` (the steady
-        state); two or more -- queued back-to-back inside a
-        :meth:`coalesced` block -- pack into a single ``bcmds`` frame,
-        so the whole batch costs one driver send, one tree fan-out and
-        one wake per worker.  That makes pipelined issue *cheaper* per
-        command than serial issue, not merely overlapped."""
-        buf = self._cmd_buf
-        if not buf:
-            return
-        self._cmd_buf = []
-        wire0, shm0 = self._tx["wire_tx"], self._tx["shm_tx"]
-        if self._pool is not None:
-            # blocks shared for this frame must outlive the *newest*
-            # batched command's ack (a child may decode the frame's tail
-            # entries well after the head ones settle)
-            self._pool.begin_round(buf[-1][0])
-        if len(buf) == 1:
-            seq, spec, locals_map, free_ids = buf[0]
-            frame = ("bcmd", seq, spec, locals_map, free_ids, self._acked)
-            kind = spec[0]
-        else:
-            frame = ("bcmds", [
-                ("bcmd", seq, spec, locals_map, free_ids, self._acked)
-                for seq, spec, locals_map, free_ids in buf
-            ])
-            kind = "bcmds"
-        self._inboxes[0].put(
-            frame, drain=self._drain_results, pool=self._pool,
-            counters=self._tx,
-        )
-        self.driver_sends += 1
         tb = self._transport.setdefault(kind, {"wire": 0, "shm": 0})
-        tb["wire"] += self._tx["wire_tx"] - wire0
-        tb["shm"] += self._tx["shm_tx"] - shm0
-
-    @contextlib.contextmanager
-    def coalesced(self):
-        """Pack the broadcast commands submitted inside this block into
-        as few command frames as possible (capped at ``pipeline_depth``
-        commands per frame).  Execution order and results are identical
-        -- workers unpack a batch into the same per-command loop -- so
-        call sites opt in purely as a transport optimization where they
-        know two submits run back to back with no driver work between
-        (e.g. the bulk queue's insertion flush and the ``deleteMin*``
-        kernel right behind it)."""
-        if self._coalescing or self.pipeline_depth <= 1:
-            yield
-            return
-        self._coalescing = True
-        try:
-            yield
-        finally:
-            self._coalescing = False
-            self._flush_cmds()
+        tb["wire"] += self._results.wire_rx - wire0
+        tb["shm"] += self._results.shm_rx - shm0
+        self._acked = seq
+        if self._pool is not None:
+            # recycle the segments whose blocks the workers flagged
+            # dead, up to the collected-results frontier
+            self._pool.release_through(seq)
+        if failures:
+            raise RuntimeError("; ".join(
+                f"worker {r} failed: {m}" for r, m in failures))
+        return out
 
     def _run(self, spec: tuple, locals_per_pe: Sequence) -> list:
-        """Issue one command and collect its results: submit + wait."""
-        return self._wait(self._submit(spec, locals_per_pe))
+        """Issue one command and collect its results."""
+        self._ensure_started()
+        t0 = time.perf_counter()
+        try:
+            self._seq += 1
+            self._send(self._seq, spec, locals_per_pe)
+            return self._collect(self._seq, spec[0])
+        finally:
+            self.wall_time += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # Collectives
@@ -1512,7 +1245,7 @@ class RuntimeBackend(Backend):
     def collective(self, kind: str, requests: Sequence[tuple]) -> list:
         # one command, one in-worker schedule, one result per rank: the
         # requests ride the command frame as the step's per-PE args
-        return self._submit_step(_collective_step, (), 0, requests)[1].wait()
+        return self._spmd(_collective_step, (), 0, requests)[1]
 
     # ------------------------------------------------------------------
     # Resident chunks
@@ -1525,8 +1258,8 @@ class RuntimeBackend(Backend):
         recycled by the allocator while the entry is alive.  It is
         LRU-bounded at ``_BLOB_CACHE`` entries so a long-running serve
         pool cycling through distinct callbacks cannot grow it without
-        limit (evicting is always safe: the blob bytes of an in-flight
-        command already left with its envelope).  A blob that carries a
+        limit (evicting is always safe: a command's blob bytes leave
+        with its envelope).  A blob that carries a
         function by value is rebuilt per call: its closure cells may
         have been rebound since.
         """
@@ -1588,9 +1321,6 @@ class RuntimeBackend(Backend):
                 f"Machine(..., journal=True) to make worker-computed "
                 f"chunks recoverable)"
             )
-        # dependency tracker: a pipelined command still producing (or
-        # mutating) this ref must land before the driver reads it
-        self._wait_ref(ref.id)
         if ref.id not in self._store and self._closed and ref.id in self._recipes:
             # generated, never fetched, and the workers are gone: run
             # the recipe here
@@ -1602,12 +1332,12 @@ class RuntimeBackend(Backend):
             return self._store[ref.id]
         return self._run(("get", ref.id), [None] * self.p)
 
-    def _submit_step(
+    def _spmd(
         self, fn: Callable, refs: Sequence[ChunkRef], n_out: int,
         args: Sequence[tuple] | None,
-    ) -> tuple[list[ChunkRef], PendingValues]:
-        """Issue one ``spmd`` command (the only way per-PE code reaches
-        the workers)."""
+    ) -> tuple[list[ChunkRef], list]:
+        """Run one ``spmd`` command (the only way per-PE code reaches
+        the workers); returns the output handles and per-PE values."""
         try:
             blob = self._blob(fn)
         except Exception:
@@ -1616,8 +1346,7 @@ class RuntimeBackend(Backend):
             # closures that cannot cross the process boundary.
             chunk_lists = [self.get_chunks(r) for r in refs]
             outs, values = _run_spmd_inprocess(self.p, fn, chunk_lists, n_out, args)
-            out_refs = [self.put_chunks(chunks) for chunks in outs]
-            return out_refs, PendingValues.resolved(values)
+            return [self.put_chunks(chunks) for chunks in outs], values
         out_refs = [self._new_ref() for _ in range(n_out)]
         spec = ("spmd", blob, tuple(r.id for r in refs),
                 tuple(r.id for r in out_refs))
@@ -1629,16 +1358,10 @@ class RuntimeBackend(Backend):
             if isinstance(fn, PureStep) and not refs:
                 self._recipes.update((r.id, entry) for r in out_refs)
             self._record(entry)
-        fut = self._submit(spec, locals_per_pe)
-        self._track_refs(fut, refs, out_refs)
-
-        def settle():
-            values = self._wait(fut)
-            if self.verify:
-                values = self._check_lockstep(values, fut.seq)
-            return values
-
-        return out_refs, PendingValues(settle)
+        values = self._run(spec, locals_per_pe)
+        if self.verify:
+            values = self._check_lockstep(values, self._seq)
+        return out_refs, values
 
     def submit_spmd(
         self,
@@ -1647,14 +1370,11 @@ class RuntimeBackend(Backend):
         n_out: int = 0,
         args: Sequence[tuple] | None = None,
     ) -> tuple[list[ChunkRef], PendingValues]:
-        """Non-blocking :meth:`run_spmd`: returns the output handles
-        immediately while the command executes; ``pending.wait()``
-        yields the per-PE values (lockstep-checked under ``verify``).
-        Overlapping call sites must wait their pendings in submit order
-        before consuming values, so charge replay stays in seq order
-        (draws are counter-addressed at build time, so settling order
-        itself is free)."""
-        return self._submit_step(fn, refs, n_out, args)
+        """Run one SPMD command to completion and return its output
+        handles with the per-PE values as a resolved
+        :class:`PendingValues` (lockstep-checked under ``verify``)."""
+        out_refs, values = self._spmd(fn, refs, n_out, args)
+        return out_refs, PendingValues.resolved(values)
 
     def _check_lockstep(self, values: list, seq: int) -> list:
         """Unwrap ``verify=True`` SPMD results, asserting every rank ran

@@ -30,11 +30,11 @@ segment itself, holding an 8-byte *release flag*:
   dies, the finalizer writes the flag through the still-open mapping;
 * the owner recycles a segment (:meth:`ShmPool.release_through`) only
   once **every** block in it is flagged *and* the runtime's ack
-  frontier -- the highest command seq whose results the driver fully
-  collected, piggybacked on every command envelope -- has passed the
-  newest round that allocated in it.  The frontier gate is the leak
-  backstop: flags are authoritative for liveness, the frontier bounds
-  how early a round may be reclaimed under pipelined issue.
+  frontier -- the last command seq whose results the driver collected,
+  piggybacked on every command envelope -- has passed the newest round
+  that allocated in it.  The frontier gate is the leak backstop: flags
+  are authoritative for liveness, the frontier bounds how early a round
+  may be reclaimed.
 
 Every block has exactly one consumer: the driver addresses each frame
 to a single worker (tree fan-out re-encodes per hop on the forwarding
@@ -42,7 +42,7 @@ worker's own pool), so one flag per block suffices -- no refcounts.
 
 Segments are bump-allocated; recycling is wholesale per segment, so a
 long-lived view pins only its own segment (fresh shares go to new
-segments) and footprint stays bounded by the pipeline depth plus
+segments) and footprint stays bounded by the command in flight plus
 whatever the receivers genuinely keep alive.  Segments of *other*
 pools are attached lazily and cached (:meth:`ShmPool.materialize`), so
 a recycled segment is never re-mmapped.
@@ -258,11 +258,8 @@ class ShmPool:
         seg.shm.buf[data_off:data_off + nbytes] = view
         seg.used = data_off + nbytes
         seg.pending.append(flag_off)
-        # max, not assignment: a coalesced command frame tags its blocks
-        # with the newest batched seq, then the batch's entries execute
-        # under their own (older) rounds -- the high-water mark must not
-        # regress, or blocks still referenced by unexecuted batched
-        # commands would be recycled early
+        # max, not assignment: the high-water mark must never regress,
+        # or a block of a newer round could be recycled early
         seg.high_round = max(seg.high_round, self._round)
         self.bytes_shared += nbytes
         return seg.shm.name, data_off, flag_off
@@ -307,9 +304,9 @@ class ShmPool:
         their consumers and whose newest allocating round is ``<=
         acked`` (the caller's ack frontier).  Flags are authoritative --
         a receiver may legitimately hold a zero-copy view long after its
-        command settled -- and the frontier is the pipelining backstop:
-        a block is never reclaimed before the driver has collected the
-        results of the round that shared it."""
+        command settled -- and the frontier is the backstop: a block is
+        never reclaimed before the driver has collected the results of
+        the round that shared it."""
         for seg in self._segments:
             if not seg.used:
                 continue

@@ -221,14 +221,12 @@ class TcpBackend(RuntimeBackend):
         register_timeout: float | None = None,
         start_method: str | None = None,
         verify: bool = False,
-        pipeline_depth: int = 8,
         command_timeout: float | None = None,
         faults=None,
         journal: bool = False,
     ):
-        super().__init__(p, verify=verify, pipeline_depth=pipeline_depth,
-                         command_timeout=command_timeout, faults=faults,
-                         journal=journal)
+        super().__init__(p, verify=verify, command_timeout=command_timeout,
+                         faults=faults, journal=journal)
         self._hosts = _resolve_hosts(p, hosts)
         self._bind = bind or os.environ.get("REPRO_TCP_BIND")
         self._connect_timeout = connect_timeout

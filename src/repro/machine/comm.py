@@ -202,16 +202,6 @@ class Machine:
         default (it adds a small trace payload per result frame).  The
         ``sim`` backend verifies by construction -- its data plane sees
         every rank's yield -- so the flag is a no-op there.
-    pipeline_depth:
-        Maximum number of SPMD commands a real backend keeps in flight
-        at once (``1`` forces serial issue; ``None`` keeps the
-        backend's default, currently 8).  Results and modeled costs
-        (charge replay) settle in issue order, so every pipelined run
-        is bit-identical to the serial one; randomness is addressed by
-        counters (:mod:`repro.machine.ctrrng`), not shipped state, so
-        rng consumption never gates settling and commands interleave
-        freely.  The ``sim`` backend executes synchronously and
-        ignores the knob.
     command_timeout:
         Per-command deadline in seconds for real backends (default
         120).  A command whose results have not fully arrived by then
@@ -242,7 +232,6 @@ class Machine:
         seed: int = 0xC0FFEE,
         backend: str | Backend = "sim",
         verify: bool = False,
-        pipeline_depth: int | None = None,
         command_timeout: float | None = None,
         faults=None,
         journal: bool = False,
@@ -251,8 +240,8 @@ class Machine:
             raise ValueError(f"need at least one PE, got p={p}")
         self.p = int(p)
         self.backend: Backend = make_backend(
-            backend, self.p, verify=verify, pipeline_depth=pipeline_depth,
-            command_timeout=command_timeout, faults=faults, journal=journal,
+            backend, self.p, verify=verify, command_timeout=command_timeout,
+            faults=faults, journal=journal,
         )
         self.cost = cost if cost is not None else CostParams()
         self.clock = SimClock(self.p)
@@ -284,13 +273,12 @@ class Machine:
         """Allocate the next counter-addressed draw sequence.
 
         Called at command-build time, in issue order, so the allocated
-        addresses are identical on every backend and at every
-        ``pipeline_depth``.  The returned
-        :class:`~repro.machine.ctrrng.DrawAddress` is a tiny picklable
-        ``(seed, seq)`` pair: ship it in command args and materialise
-        generators where the data lives (``addr.local(rank)`` /
-        ``addr.shared()``).  No state ever returns -- consuming a draw
-        does not gate command settling.
+        addresses are identical on every backend and in a journal
+        replay.  The returned :class:`~repro.machine.ctrrng.DrawAddress`
+        is a tiny picklable ``(seed, seq)`` pair: ship it in command
+        args and materialise generators where the data lives
+        (``addr.local(rank)`` / ``addr.shared()``).  No generator state
+        ever returns to the driver.
         """
         seq = self._rng_seq
         self._rng_seq += 1

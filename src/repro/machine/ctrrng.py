@@ -10,18 +10,16 @@ pass-through), every draw a kernel makes is *addressed* by
 
 where ``seq`` is a small integer the driver allocates at command-build
 time (:meth:`repro.machine.Machine.draw_addr`), in issue order, so the
-address stream is identical on every backend and at every
-``pipeline_depth``.  A Philox-4x64 bit generator keyed this way is
-*stateless* end to end:
+address stream is identical on every backend.  A Philox-4x64 bit
+generator keyed this way is *stateless* end to end:
 
 * nothing crosses the wire but the tiny ``(seed, seq)`` address -- the
   journal records addresses, not generator states;
-* no stream is fast-forwarded in the driver after a command settles --
-  rng consumption no longer gates settling, so pipelined commands and
-  fused serve batches interleave freely;
-* any command's draws are computable from its address alone,
-  independent of completion order (kill/recover replays the same
-  addresses and gets the same bits).
+* no stream is fast-forwarded in the driver after a command completes,
+  so a whole recursion draws level after level inside one command and
+  fused serve batches draw what their queries would alone;
+* any command's draws are computable from its address alone
+  (kill/recover replays the same addresses and gets the same bits).
 
 Layout: the Philox key packs ``seed`` in word 0 and
 ``(stream_id << 32) | rank`` in word 1; the 256-bit counter carries

@@ -22,16 +22,16 @@ flush of ``m`` keys into ``n`` is one stable sort of the batch plus an
 
 Execution is resident: the trees live in the execution backend's
 worker memory behind a :class:`~repro.machine.backends.base.ChunkRef`
-handle.  Insertions are buffered driver-side (as arrays) and flushed as
-one resident callback; a ``deleteMin*`` is a single generator SPMD step
-(:meth:`Backend.run_spmd`) in which the whole multisequence-selection
-recursion -- pivot draws, rank counts, tie granting and the final tree
-split -- executes next to the trees.  All randomness (pivot and
-estimator draws) is counter-addressed (:mod:`repro.machine.ctrrng`):
-each command ships a tiny draw address and the kernels derive identical
-streams in place, so backends stay bit-identical with no generator
-state on the wire -- which is also why every ``deleteMin*`` can enter
-the pipe right behind an in-flight insertion flush.  Only the extracted
+handle.  Insertions are buffered driver-side (as arrays) and ride the
+next query's command as extra per-PE args; ``peek_min`` and each
+``deleteMin*`` are a single generator SPMD step
+(:meth:`Backend.run_spmd`) that first inserts the batch into its tree,
+then runs the whole multisequence-selection recursion -- pivot draws,
+rank counts, tie granting and the final tree split -- next to the
+trees.  All randomness (pivot and estimator draws) is counter-addressed
+(:mod:`repro.machine.ctrrng`): each command ships a tiny draw address
+and the kernels derive identical streams in place, so backends stay
+bit-identical with no generator state on the wire.  Only the extracted
 batches and a small charge log (replayed through
 :meth:`Machine.replay_charges`) return to the driver.
 
@@ -106,24 +106,30 @@ def _insert_step(rank: int, tree: Treap, scores, first_uid):
 
     ``scores`` arrives as a binary float array (cheap on the wire) with
     uids reconstructed from ``first_uid`` -- buffered insertions number
-    their uids contiguously per PE.
+    their uids contiguously per PE.  Every query kernel below calls it
+    first, so a query carries the flush in its own command.
     """
     if scores is not None:
         tree.insert_batch(scores, rank, int(first_uid))
     return None
 
 
-def _peek_step(rank: int, tree: Treap):
+def _peek_step(rank: int, tree: Treap, scores, first_uid):
+    _insert_step(rank, tree, scores, first_uid)
     local = tree.min() if len(tree) else TOP
     best = yield ("allreduce", local, "min")
     return local, best
 
 
-def _delete_min_kernel(rank: int, tree: Treap, k: int, p: int, addr):
-    """``deleteMin`` as ONE SPMD step: exact multisequence selection on
-    the resident trees (Theorem 5's ``O(alpha log^2 kp)`` recursion runs
-    entirely in-worker), tie-grant, tree split, batch extraction.  The
-    replicated pivot stream is derived in place from ``addr``."""
+def _delete_min_kernel(
+    rank: int, tree: Treap, scores, first_uid, k: int, p: int, addr
+):
+    """``deleteMin`` as ONE SPMD step: flush, exact multisequence
+    selection on the resident trees (Theorem 5's ``O(alpha log^2 kp)``
+    recursion runs entirely in-worker), tie-grant, tree split, batch
+    extraction.  The replicated pivot stream is derived in place from
+    ``addr``."""
+    _insert_step(rank, tree, scores, first_uid)
     log: list = []
     value, cut, _ = yield from ms_select_with_cuts_gen(
         rank, p, tree, k, addr.shared(), log
@@ -138,12 +144,14 @@ def _delete_min_kernel(rank: int, tree: Treap, k: int, p: int, addr):
 
 
 def _delete_flex_kernel(
-    rank: int, tree: Treap, k_lo: int, k_hi: int, p: int, addr
+    rank: int, tree: Treap, scores, first_uid, k_lo: int, k_hi: int, p: int,
+    addr,
 ):
-    """``deleteMin*`` with flexible batch size, resident: ``amsSelect``'s
-    estimator rounds draw from this PE's counter-addressed stream
-    (``addr.local(rank)``) and the shared stream only if the exact
-    fallback fires."""
+    """``deleteMin*`` with flexible batch size, resident: flush, then
+    ``amsSelect``'s estimator rounds draw from this PE's
+    counter-addressed stream (``addr.local(rank)``) and the shared
+    stream only if the exact fallback fires."""
+    _insert_step(rank, tree, scores, first_uid)
     log: list = []
     value, k_hat, cut, rounds, _ = yield from ams_select_gen(
         rank, p, tree, k_lo, k_hi, addr.local(rank), addr.shared(), log
@@ -176,7 +184,7 @@ class BulkParallelPQ:
 
     # ------------------------------------------------------------------
     # Insertion: local, communication-free (buffered driver-side and
-    # flushed as one resident callback before the next tree query)
+    # inserted by the next tree query's own kernel)
     # ------------------------------------------------------------------
     def insert(self, per_pe_scores) -> None:
         """``insert*``: bulk-insert scores, each batch into its own PE.
@@ -225,23 +233,18 @@ class BulkParallelPQ:
             self._sizes[rank] = n + m
         return first
 
-    def _flush_submit(self):
-        """Ship buffered insertions into the resident trees without
-        waiting (one backend round trip for any number of buffered
-        batches).  Returns a handle for :meth:`_settle_flush`, or
-        ``None`` when nothing was buffered.  While the flush is in
-        flight a *later* command may already be submitted -- workers
-        execute commands in seq order; settling in submit order is
-        still required by the :class:`PendingValues` contract (charge
-        replay order)."""
-        if not any(self._pending):
-            return None
+    def _take_pending(self) -> list[tuple]:
+        """Empty the insertion buffer into per-PE ``(scores, first_uid)``
+        args (``(None, 0)`` where a PE buffered nothing), which the next
+        command's kernel inserts before it does anything else.
+
+        A batch takes one draw address of its own, before the address
+        of the query that carries it: the flush draws nothing, but the
+        address stream -- hence every later pivot and the modeled cost
+        -- stays the one the golden tables pin."""
         machine = self.machine
-        # the flush draws nothing, but every command takes its draw
-        # address in issue order: skipping this one would shift the
-        # address -- hence every pivot and the modeled cost -- of each
-        # deleteMin* that follows
-        machine.draw_addr()
+        if any(self._pending):
+            machine.draw_addr()
         args = []
         for i in range(machine.p):
             parts = self._pending[i]
@@ -251,19 +254,14 @@ class BulkParallelPQ:
             else:
                 args.append((None, 0))
         self._pending = [[] for _ in range(machine.p)]
-        _, pending = machine.backend.submit_spmd(
-            _insert_step, [self._ref], n_out=0, args=args
-        )
-        return pending
-
-    def _settle_flush(self, pending) -> None:
-        """Collect an in-flight flush (settle in submit order)."""
-        if pending is None:
-            return
-        pending.wait()
+        return args
 
     def _flush(self) -> None:
-        self._settle_flush(self._flush_submit())
+        """Insert the buffered batches on their own (one command)."""
+        if any(self._pending):
+            self.machine.backend.run_spmd(
+                _insert_step, [self._ref], args=self._take_pending()
+            )
 
     # ------------------------------------------------------------------
     # Queries
@@ -274,15 +272,10 @@ class BulkParallelPQ:
 
     def peek_min(self):
         """Globally smallest score without removing it (one reduction,
-        yielded from the resident lookup's step)."""
-        # argument-free lookup: safe to issue while the flush is in
-        # flight (same overlapped pattern as delete_min)
-        flush = self._flush_submit()
-        _, pending = self.machine.backend.submit_spmd(
-            _peek_step, [self._ref], n_out=0
+        yielded from the resident lookup's step, which flushes first)."""
+        _, out = self.machine.backend.run_spmd(
+            _peek_step, [self._ref], args=self._take_pending()
         )
-        self._settle_flush(flush)
-        out = pending.wait()
         self.machine._meter_allreduce([local for local, _ in out])
         v = out[0][1]
         if v is TOP:
@@ -318,19 +311,12 @@ class BulkParallelPQ:
         machine._meter_allreduce(words=1)
         if not 1 <= k <= total:
             raise ValueError(f"k must satisfy 1 <= k <= {total}, got {k}")
-        # overlapped issue: every draw is counter-addressed, so the
-        # deleteMin command enters the pipe right behind the flush
-        # (workers execute in seq order) instead of stalling on the
-        # flush's round trip -- and both submits ride one command frame
-        with machine.backend.coalesced():
-            flush = self._flush_submit()
-            addr = machine.draw_addr()
-            _, pending = machine.backend.submit_spmd(
-                _delete_min_kernel, [self._ref], n_out=0,
-                args=[(k, p, addr)] * p,
-            )
-        self._settle_flush(flush)  # settle in submit order
-        vals = pending.wait()
+        flush = self._take_pending()
+        addr = machine.draw_addr()
+        _, vals = machine.backend.run_spmd(
+            _delete_min_kernel, [self._ref],
+            args=[(*flush[i], k, p, addr) for i in range(p)],
+        )
         machine.replay_charges([v["log"] for v in vals])
         return self._finish(vals, k, vals[0]["value"], rounds=0)
 
@@ -343,19 +329,12 @@ class BulkParallelPQ:
         check_rank_range(k_lo, k_hi, sum(self._sizes))  # fail driver-side
         machine = self.machine
         p = machine.p
-        # counter addressing freed this path to overlap too: amsSelect's
-        # args are just a draw address (the estimator streams no longer
-        # depend on how far the flush advanced any generator), so the
-        # kernel pipelines right behind the in-flight flush
-        with machine.backend.coalesced():
-            flush = self._flush_submit()
-            addr = machine.draw_addr()
-            _, pending = machine.backend.submit_spmd(
-                _delete_flex_kernel, [self._ref], n_out=0,
-                args=[(k_lo, k_hi, p, addr)] * p,
-            )
-        self._settle_flush(flush)  # settle in submit order
-        vals = pending.wait()
+        flush = self._take_pending()
+        addr = machine.draw_addr()
+        _, vals = machine.backend.run_spmd(
+            _delete_flex_kernel, [self._ref],
+            args=[(*flush[i], k_lo, k_hi, p, addr) for i in range(p)],
+        )
         machine.replay_charges([v["log"] for v in vals])
         return self._finish(vals, vals[0]["k"], vals[0]["value"], vals[0]["rounds"])
 

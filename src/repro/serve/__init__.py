@@ -18,8 +18,8 @@ long-lived query server:
   (used by CI).
 
 The engine thread is the only place the machine is touched, so the
-backend's pipelined command engine sees a single well-ordered issue
-stream even under concurrent clients.
+backend sees one command at a time, in one well-ordered issue stream,
+even under concurrent clients.
 """
 
 from .client import ServeClient

@@ -83,6 +83,56 @@ def delete_min_through_total_size(pq, k):
     return res
 
 
+QUERIES = {
+    "peek_min": lambda pq: pq.peek_min(),
+    "delete_min": lambda pq: pq.delete_min(150),
+    "delete_min_flexible": lambda pq: pq.delete_min_flexible(100, 220),
+}
+
+
+@pytest.mark.parametrize("backend", ["mp", "tcp"])
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_query_carries_the_buffered_flush_in_one_command(backend, query):
+    """A query over buffered insertions is ONE driver send: the kernel
+    inserts the batch into its tree before it selects.  Results, the
+    modeled cost and the draw addresses equal sim's."""
+    def run(machine):
+        pq, r = filled(machine)
+        pq.peek_min()  # the fill is resident; buffer a fresh batch
+        pq.insert([r.integers(0, 40, 60) / 4.0 for _ in range(machine.p)])
+        machine.reset()
+        sends = getattr(machine.backend, "driver_sends", 0)
+        out = QUERIES[query](pq)
+        sent = getattr(machine.backend, "driver_sends", 0) - sends
+        return sent, (out, model_cost(machine), machine._rng_seq,
+                      pq.local_sizes(), [t.to_list() for t in pq.trees])
+
+    _, want = run(Machine(p=P, seed=42))
+    with Machine(p=P, seed=42, backend=backend) as m:
+        sent, got = run(m)
+    assert sent == 1
+    assert got == want
+
+
+@pytest.mark.parametrize("backend", ["mp", "tcp"])
+def test_reading_the_trees_flushes_on_its_own(backend):
+    """``trees`` with insertions buffered: one flush command (taking
+    one draw address) and one fetch, and the trees equal sim's."""
+    def run(machine):
+        pq, _ = filled(machine)
+        seq = machine._rng_seq
+        sends = getattr(machine.backend, "driver_sends", 0)
+        trees = [t.to_list() for t in pq.trees]
+        sent = getattr(machine.backend, "driver_sends", 0) - sends
+        return sent, (trees, machine._rng_seq - seq, pq.local_sizes())
+
+    _, want = run(Machine(p=P, seed=48))
+    with Machine(p=P, seed=48, backend=backend) as m:
+        sent, got = run(m)
+    assert sent == 2
+    assert got == want and want[1] == 1
+
+
 class TestDeleteMinSizeReduction:
     def test_charges_what_the_total_size_path_charged(self):
         runs = []

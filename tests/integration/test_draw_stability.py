@@ -4,11 +4,10 @@ schedule (the acceptance bar of the stateless-RNG conversion).
 With draws addressed by ``(seed, stream, rank, seq, draw)`` instead of
 shipped generator state (:mod:`repro.machine.ctrrng`), nothing about
 *when* or *where* a command executes may change what it draws.  Three
-schedule perturbations are locked in here:
+perturbations are locked in here:
 
-* **pipeline depth** -- depth 8 overlaps command issue and settles
-  results out of order; every rng-consuming algorithm must return the
-  exact bits of the serial depth-1 run;
+* **where** -- every rng-consuming algorithm returns on mp and tcp the
+  exact bits the in-process sim backend draws;
 * **serve fusion** -- a fused query batch (one ``multi_select`` for
   many rank queries) must answer exactly what the same queries answer
   one at a time;
@@ -57,27 +56,14 @@ def _rng_workload(machine, seed):
     return out
 
 
-class TestDepthStability:
+class TestBackendStability:
+    @pytest.mark.parametrize("backend", ["mp", "tcp"])
     @pytest.mark.parametrize("p", [2, 4])
-    def test_bit_identical_across_pipeline_depths(self, p):
-        """Overlapped issue (depth 8, coalesced frames, out-of-order
-        settling) draws the same bits as serial issue (depth 1)."""
-        serial = Machine(p=p, seed=61, backend="mp", pipeline_depth=1)
-        piped = Machine(p=p, seed=61, backend="mp", pipeline_depth=8)
-        with serial, piped:
-            out_serial = _rng_workload(serial, seed=37)
-            out_piped = _rng_workload(piped, seed=37)
-            assert out_serial == out_piped
-            assert serial.backend.max_inflight == 1
-            if p > 1:
-                assert piped.backend.max_inflight > 1
-
-    @pytest.mark.parametrize("depth", [1, 8])
-    def test_real_backend_matches_sim_at_every_depth(self, depth):
+    def test_real_backend_matches_sim(self, backend, p):
         """The address stream is issue-ordered, so the in-process sim
-        (which never overlaps) is the oracle for every depth."""
-        sim = Machine(p=4, seed=62)
-        real = Machine(p=4, seed=62, backend="mp", pipeline_depth=depth)
+        is the oracle of every backend."""
+        sim = Machine(p=p, seed=62)
+        real = Machine(p=p, seed=62, backend=backend)
         with real:
             assert _rng_workload(sim, seed=41) == _rng_workload(real, seed=41)
         sim.close()

@@ -1,11 +1,11 @@
 """Integration: a selection call is ONE worker command.
 
 ``multi_select`` and ``select_kth`` run their whole recursion -- level
-loop, early exits, base case -- inside a single ``submit_spmd`` command,
+loop, early exits, base case -- inside a single ``spmd`` command,
 and the driver replays the cost model from the per-level records the
 command returns.  These tests pin the shape (driver sends per call) and
 re-assert everything the per-level-command form guaranteed: results and
-modeled cost equal to sim at every pipeline depth, lockstep verification
+modeled cost equal to sim, lockstep verification
 over the long collective trace, structured failure when a worker dies
 inside the command, and bit-identical journal replay.
 """
@@ -39,11 +39,14 @@ def _model(machine):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("depth", [1, 8])
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
 class TestOneCommand:
-    def test_multi_select_is_one_command(self, backend, depth):
+    """``verify=True`` ships each rank's trace with its result: still
+    one command, the same values and the same model."""
+
+    def test_multi_select_is_one_command(self, backend, verify):
         sim = Machine(p=P, seed=71)
-        real = Machine(p=P, seed=71, backend=backend, pipeline_depth=depth)
+        real = Machine(p=P, seed=71, backend=backend, verify=verify)
         with real:
             d_sim, d_real = _data(sim), _data(real)
             ks = _ranks(d_sim.global_size)
@@ -57,9 +60,9 @@ class TestOneCommand:
             assert _model(real) == _model(sim)
             assert real._rng_seq == sim._rng_seq == 1
 
-    def test_select_kth_is_one_command_and_topk_two(self, backend, depth):
+    def test_select_kth_is_one_command_and_topk_two(self, backend, verify):
         sim = Machine(p=P, seed=72)
-        real = Machine(p=P, seed=72, backend=backend, pipeline_depth=depth)
+        real = Machine(p=P, seed=72, backend=backend, verify=verify)
         with real:
             d_sim, d_real = _data(sim), _data(real)
             k = d_sim.global_size // 3

@@ -205,8 +205,8 @@ class TestTopkCutParity:
 
 
 # ----------------------------------------------------------------------
-# Pipelined issue (depth > 1): bit-identity, cost parity, out-of-order
-# completion, and lockstep verification under overlap
+# Queue + selection mix, rank-skewed completion, and lockstep
+# verification
 # ----------------------------------------------------------------------
 
 def _make_stress_vals(rank: int, base):
@@ -215,16 +215,16 @@ def _make_stress_vals(rank: int, base):
 
 
 def _delayed_bump(rank: int, vals, delay, inc):
-    """In-place mutation behind a rank-skewed delay: completion order
-    across ranks differs from issue order, but seq order must hold."""
+    """In-place mutation behind a rank-skewed delay: results reach the
+    driver in a rank order that differs from command to command."""
     time.sleep(delay)
     vals += inc
     return float(vals.sum())
 
 
 def _pq_mixed_workload(machine, seed):
-    """Exercises every overlapped call site: flush+deleteMin,
-    flush+peek, wrap+level-1 of multi_select."""
+    """Every query that carries a flush (peek_min, delete_min) and a
+    multi_select."""
     rng = np.random.default_rng(seed)
     p = machine.p
     q = BulkParallelPQ(machine)
@@ -240,71 +240,68 @@ def _pq_mixed_workload(machine, seed):
 
 
 @pytest.mark.parametrize("backend,p", GRID)
-class TestPipelinedParity:
-    def test_pipelined_matches_serial_bit_identical(self, backend, p):
-        """depth > 1 changes wall-clock interleaving only: results AND
-        modeled cost stay bit-identical with depth = 1."""
-        serial = Machine(p=p, seed=52, backend=backend, pipeline_depth=1)
-        piped = Machine(p=p, seed=52, backend=backend, pipeline_depth=8)
-        with serial, piped:
-            serial.reset(), piped.reset()
-            out_serial = _pq_mixed_workload(serial, seed=23)
-            out_piped = _pq_mixed_workload(piped, seed=23)
-            assert out_serial == out_piped
-            assert serial.backend.max_inflight == 1
-            assert piped.backend.max_inflight > 1
-            _assert_model_equal(serial, piped)
-
-    def test_pipelined_matches_sim(self, backend, p):
+class TestQueueMixParity:
+    def test_mixed_workload_matches_sim(self, backend, p):
         sim, real = _machines(backend, p, seed=53)
         with real:
-            assert real.backend.pipeline_depth > 1  # default overlaps
             sim.reset(), real.reset()
             assert _pq_mixed_workload(sim, 29) == _pq_mixed_workload(real, 29)
             _assert_model_equal(sim, real)
 
-    def test_out_of_order_completion_stress(self, backend, p):
-        """Rank-skewed delays force cross-rank result interleaving
-        while several commands are in flight; per-worker seq order and
-        the driver's demux must still produce serial semantics."""
-        with Machine(p=p, seed=54, backend=backend, pipeline_depth=8) as m:
+    def test_rank_skewed_completion(self, backend, p):
+        """Rank-skewed delays make results arrive in a different rank
+        order per command; each command must still see the state every
+        earlier one left."""
+        with Machine(p=p, seed=54, backend=backend) as m:
             backend_ = m.backend
-            refs, pend0 = backend_.submit_spmd(
+            refs, _ = backend_.run_spmd(
                 _make_stress_vals, [], n_out=1, args=[(10,)] * p
             )
             base = [
                 float(np.sum(np.arange(8) + 10 * (r + 1))) for r in range(p)
             ]
-            pendings = []
-            expect = []
             for i in range(6):
                 inc = i + 1
                 delays = [0.002 * ((r + i) % max(p, 2)) for r in range(p)]
                 args = [(delays[r], inc) for r in range(p)]
-                _, pending = backend_.submit_spmd(
+                _, values = backend_.run_spmd(
                     _delayed_bump, [refs[0]], n_out=0, args=args
                 )
                 base = [b + 8 * inc for b in base]
-                expect.append(list(base))
-                pendings.append(pending)
-            pend0.wait()
-            for pending, want in zip(pendings, expect):
-                assert pending.wait() == want
-            if p > 1:
-                assert backend_.max_inflight > 1
+                assert values == base
             final = backend_.get_chunks(refs[0])
             for r in range(p):
                 np.testing.assert_array_equal(
                     final[r], np.arange(8, dtype=np.float64) + 10 * (r + 1) + 21
                 )
 
-    def test_verify_lockstep_under_pipelining(self, backend, p):
-        """verify=True collects per-rank collective traces; the checks
-        must attach to the right command when several are in flight."""
-        plain = Machine(p=p, seed=55, backend=backend, pipeline_depth=8)
-        checked = Machine(
-            p=p, seed=55, backend=backend, verify=True, pipeline_depth=8
-        )
+    def test_flush_from_some_pes_rides_the_query(self, backend, p):
+        """Batches buffered on some PEs only: the others' flush args are
+        empty, and every query still equals sim in values, sizes, model
+        and draw addresses."""
+        def run(machine):
+            q = BulkParallelPQ(machine)
+            rng = np.random.default_rng(57)
+            q.insert([list(rng.random(30)) for _ in range(machine.p)])
+            outs = [q.peek_min()]
+            for rank in range(0, machine.p, 2):
+                q.insert_local(rank, rng.random(7) - 0.5)
+            outs.append(q.delete_min_flexible(2, 3 * machine.p))
+            q.insert_local(machine.p - 1, [-1.0, 2.0])
+            outs.append(q.peek_min())
+            outs.append(q.delete_min(machine.p))
+            return outs, q.local_sizes(), machine._rng_seq
+
+        sim, real = _machines(backend, p, seed=56)
+        with real:
+            assert run(sim) == run(real)
+            _assert_model_equal(sim, real)
+
+    def test_verify_lockstep(self, backend, p):
+        """verify=True collects per-rank collective traces of every
+        command; checking them changes no result and no cost."""
+        plain = Machine(p=p, seed=55, backend=backend)
+        checked = Machine(p=p, seed=55, backend=backend, verify=True)
         with plain, checked:
             plain.reset(), checked.reset()
             assert _pq_mixed_workload(plain, 31) == _pq_mixed_workload(checked, 31)
@@ -332,19 +329,18 @@ class TestSumAggregationParity:
             _assert_model_equal(sim, real)
 
 
-@pytest.mark.parametrize(
-    "backend,depth",
-    [pytest.param(b, d, id=f"{b}-d{d}") for b in ("mp", "tcp") for d in (1, 8)],
-)
-def test_heavy_hitters_matches_sim(backend, depth):
+@pytest.mark.parametrize("backend", ["mp", "tcp"])
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+def test_heavy_hitters_matches_sim(backend, verify):
     """Space-Saving summaries (the batch offer kernel) and their tree
-    reduction: results and modeled cost equal sim at either depth."""
+    reduction: results and modeled cost equal sim, lockstep-checked or
+    not."""
     def run(machine):
         keys = zipf_keys_workload(machine, 4_000, universe=1 << 10, s=1.2)
         machine.reset()
         return heavy_hitters(machine, keys, 0.05)
 
     sim = Machine(p=4, seed=77)
-    with Machine(p=4, seed=77, backend=backend, pipeline_depth=depth) as real:
+    with Machine(p=4, seed=77, backend=backend, verify=verify) as real:
         assert run(sim) == run(real)
         _assert_model_equal(sim, real)

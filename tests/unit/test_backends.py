@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.machine import (
     Machine,
     MultiprocessingBackend,
@@ -19,6 +20,7 @@ from repro.machine import (
     available_backends,
     make_backend,
 )
+from repro.machine.backends import TcpBackend
 
 PS = [1, 2, 4]
 
@@ -80,6 +82,22 @@ class TestRegistry:
         with pytest.raises(TypeError, match="kernels"):
             make_backend("mp", 2, kernels="python")
         assert not hasattr(SimBackend(2), "supports_native_kernels")
+
+    def test_retired_pipeline_depth_rejected(self, capsys):
+        # one command in flight on every backend: there is no depth to
+        # pick, and the keyword is not silently dropped
+        for build in (
+            lambda: Machine(p=2, backend="mp", pipeline_depth=4),
+            lambda: make_backend("mp", 2, pipeline_depth=4),
+            lambda: MultiprocessingBackend(2, pipeline_depth=4),
+            lambda: TcpBackend(2, pipeline_depth=4),
+        ):
+            with pytest.raises(TypeError, match="pipeline_depth"):
+                build()
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--pipeline-depth", "4"])
+        assert exc.value.code == 2
+        assert "--pipeline-depth" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", PS)

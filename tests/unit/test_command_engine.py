@@ -1,22 +1,21 @@
-"""Unit tests for the pipelined command engine's bounded resources.
+"""Unit tests for the driver's command engine: one command in flight.
 
-Under overlapped issue (PRs before this one ran strictly
-submit-then-wait) three driver/worker-side stores could in principle
-grow with the number of in-flight or historical commands.  These tests
-pin the bounds:
+A backend call returns once its command completed, so three stores stay
+bounded by construction and are pinned here:
 
-* the worker ``Comm`` stash (early frames of run-ahead peers) drains to
-  empty once the engine quiesces -- stale keys of older seqs are
-  evicted when a newer command starts;
+* the worker ``Comm`` stash (early frames of peers that started a
+  command first) drains to empty once the command completes -- stale
+  keys of older seqs are evicted when a newer command starts;
 * the driver ``_blob`` cache is LRU-bounded at ``_BLOB_CACHE``;
 * the driver/worker shm pools recycle by consumer release flags gated
   on the ack frontier: :meth:`ShmPool.release_through` recycles a
   segment only once every block in it is flagged dead and nothing
   newer than the frontier has allocated in it.
 
-Plus the engine mechanics themselves: futures resolve out of
-completion order, ``pipeline_depth`` caps in-flight commands, direct
-frames fence, and :class:`PendingValues` settles idempotently.
+Plus the engine mechanics themselves: ``submit_spmd`` returns resolved
+values, the ack frontier is the last seq collected, a result for any
+other seq is a protocol error, and :class:`PendingValues` settles
+idempotently.
 """
 
 import functools
@@ -25,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.machine import Machine
-from repro.machine.backends import MultiprocessingBackend, make_backend
+from repro.machine.backends import MultiprocessingBackend
 from repro.machine.backends.base import PendingValues
 from repro.machine.backends.shm import ShmPool, new_token, pool_family
 
@@ -45,6 +44,12 @@ def _bump(rank: int, vals, inc):
 
 def _noop(rank: int, tag):
     return tag
+
+
+def _fail_on(rank: int, bad):
+    if rank == bad:
+        raise ValueError("boom")
+    return rank
 
 
 # ----------------------------------------------------------------------
@@ -165,45 +170,53 @@ class TestBlobCacheBound:
 # Engine mechanics on a live mp pool
 # ----------------------------------------------------------------------
 
-class TestPipelinedEngine:
-    def test_depth_caps_inflight_and_results_demux(self):
-        with Machine(p=2, backend="mp", pipeline_depth=3) as m:
+class _Results:
+    """Stand-in result channel that hands out canned frames."""
+
+    wire_rx = shm_rx = 0
+
+    def __init__(self, frames):
+        self.frames = list(frames)
+
+    def get(self, timeout=None, pool=None):
+        return self.frames.pop(0)
+
+
+class TestCommandEngine:
+    def test_submit_returns_resolved_values_in_issue_order(self):
+        with Machine(p=2, backend="mp") as m:
             backend = m.backend
             refs, pending0 = backend.submit_spmd(
                 _make_vals, [], n_out=1, args=[(10,)] * 2
             )
-            ref = refs[0]
-            pendings = [
-                backend.submit_spmd(
-                    _bump, [ref], n_out=0, args=[(i + 1,)] * 2
-                )[1]
-                for i in range(6)
-            ]
-            assert len(backend._inflight) <= backend.pipeline_depth
-            assert backend.max_inflight <= backend.pipeline_depth
-            pending0.wait()
-            # per-rank expected sums after each in-place bump, in seq
-            # order: base sums 10+{0..3}=46 / 20+{0..3}=86, +4*inc each
+            assert pending0.done
+            # per-rank sums after each in-place bump: base sums
+            # 10+{0..3}=46 / 20+{0..3}=86, +4*inc each
             expect = [46.0, 86.0]
-            for i, pending in enumerate(pendings):
+            for i in range(4):
+                _, pending = backend.submit_spmd(
+                    _bump, [refs[0]], n_out=0, args=[(i + 1,)] * 2
+                )
+                assert pending.done
                 expect = [e + 4 * (i + 1) for e in expect]
                 assert pending.wait() == expect
-            assert backend.max_inflight > 1
-            assert backend._inflight == {}
-
-    def test_depth_one_serializes(self):
-        with Machine(p=2, backend="mp", pipeline_depth=1) as m:
-            backend = m.backend
-            refs, _ = backend.submit_spmd(
-                _make_vals, [], n_out=1, args=[(1,)] * 2
-            )
-            for i in range(3):
-                backend.submit_spmd(
-                    _bump, [refs[0]], n_out=0, args=[(1,)] * 2
-                )
+                assert backend._acked == backend._seq
             assert backend.max_inflight == 1
 
-    def test_get_chunks_waits_on_inflight_mutator(self):
+    def test_coalesced_block_is_a_no_op(self):
+        with Machine(p=2, backend="mp") as m:
+            backend = m.backend
+            sends = backend.driver_sends
+            with backend.coalesced():
+                pendings = [
+                    backend.submit_spmd(_noop, [], args=[(i,)] * 2)[1]
+                    for i in range(3)
+                ]
+                assert all(p.done for p in pendings)
+            assert [p.wait() for p in pendings] == [[0, 0], [1, 1], [2, 2]]
+            assert backend.driver_sends - sends == 3
+
+    def test_get_chunks_reads_the_mutated_state(self):
         with Machine(p=2, backend="mp") as m:
             backend = m.backend
             refs, _ = backend.submit_spmd(
@@ -213,8 +226,6 @@ class TestPipelinedEngine:
                 backend.submit_spmd(
                     _bump, [refs[0]], n_out=0, args=[(2,)] * 2
                 )
-            # read through the sanctioned path without waiting the
-            # pendings: the dependency tracker must settle the mutators
             chunks = backend.get_chunks(refs[0])
             np.testing.assert_array_equal(
                 chunks[0], np.arange(4, dtype=np.float64) + 10 + 8
@@ -223,20 +234,7 @@ class TestPipelinedEngine:
                 chunks[1], np.arange(4, dtype=np.float64) + 20 + 8
             )
 
-    def test_direct_frames_fence_the_pipe(self):
-        with Machine(p=2, backend="mp") as m:
-            backend = m.backend
-            refs, _ = backend.submit_spmd(
-                _make_vals, [], n_out=1, args=[(1,)] * 2
-            )
-            backend.submit_spmd(
-                _bump, [refs[0]], n_out=0, args=[(1,)] * 2
-            )
-            assert backend._inflight
-            backend.put_chunks([np.zeros(2), np.ones(2)])  # direct path
-            assert backend._inflight == {}
-
-    def test_stash_and_trackers_empty_after_quiesce(self):
+    def test_stash_empty_and_frontier_at_seq(self):
         with Machine(p=3, backend="mp") as m:
             backend = m.backend
             refs, _ = backend.submit_spmd(
@@ -248,12 +246,7 @@ class TestPipelinedEngine:
                 )
             stats = backend._run(("stats",), [None] * 3)
             assert [s["stash"] for s in stats] == [0, 0, 0]
-            # the stats round trip itself fenced nothing -- but by the
-            # ordered-completion lemma its results imply all earlier
-            # seqs resolved, so the trackers must be empty now
-            assert backend._inflight == {}
-            assert backend._ref_seq == {}
-            assert backend._done_seqs == set()
+            assert backend._acked == backend._seq
 
     def test_ack_frontier_tracks_seq(self):
         with Machine(p=2, backend="mp") as m:
@@ -261,16 +254,27 @@ class TestPipelinedEngine:
             backend.collective(
                 "allreduce", [("allreduce", v, "sum") for v in (1, 2)])
             assert backend._acked == backend._seq
+            backend.put_chunks([np.zeros(2), np.ones(2)])  # direct frames
+            assert backend._acked == backend._seq
 
-    def test_make_backend_threads_pipeline_depth(self):
-        backend = make_backend("mp", 2, pipeline_depth=4)
+    def test_worker_error_is_collected_and_the_pool_stays_usable(self):
+        """A kernel that raises on one rank fails its command once every
+        rank answered; the frontier still advances and the next command
+        runs on the same pool."""
+        with Machine(p=2, backend="mp") as m:
+            backend = m.backend
+            with pytest.raises(RuntimeError, match="worker 1 failed"):
+                backend.run_spmd(_fail_on, [], args=[(1,)] * 2)
+            assert backend._acked == backend._seq
+            assert not backend.broken
+            assert backend.run_spmd(_noop, [], args=[(7,)] * 2)[1] == [7, 7]
+
+    def test_result_for_another_seq_is_a_protocol_error(self):
+        backend = MultiprocessingBackend(2)  # never started
         try:
-            assert backend.pipeline_depth == 4
+            backend._results = _Results([(0, 4, "ok"), (1, 5, "stray")])
+            with pytest.raises(RuntimeError, match="protocol error"):
+                backend._collect(4, "spmd")
         finally:
+            backend._results = None
             backend.close()
-        sim = make_backend("sim", 2, pipeline_depth=4)  # knob ignored
-        assert not sim.is_real
-
-    def test_machine_knob_reaches_backend(self):
-        with Machine(p=2, backend="mp", pipeline_depth=2) as m:
-            assert m.backend.pipeline_depth == 2

@@ -421,11 +421,11 @@ class TestSegmentLifecycle:
             for a, b in zip(keep, got):
                 np.testing.assert_array_equal(a, b)
 
-    def test_pipelined_rounds_recycle_driver_segments(self):
+    def test_many_rounds_recycle_driver_segments(self):
         """Release flags + the ack frontier keep the driver pool's
-        footprint bounded across many pipelined rounds."""
+        footprint bounded across many rounds."""
         with Machine(p=2, seed=11, backend=MultiprocessingBackend(
-                2, shm_threshold=TINY, pipeline_depth=4)) as m:
+                2, shm_threshold=TINY)) as m:
             big = np.arange(1 << 17, dtype=np.float64)  # 1 MiB payload
             for i in range(12):
                 out = m.broadcast(big * i)

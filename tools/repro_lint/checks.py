@@ -1,4 +1,4 @@
-"""The repro-lint check catalogue (RL001 -- RL009).
+"""The repro-lint check catalogue (RL001 -- RL009; RL007 is retired).
 
 Every check targets one hand-maintained invariant of the backend
 machinery (see ROADMAP "Architecture notes"); breaking it produces a
@@ -20,9 +20,6 @@ RL005     transport-decoded ``memoryview``/buffer stored beyond the
           command round (use-after-recycle once the pool recycles)
 RL006     shm / out-of-band transport features used without consulting
           the backend capability flags
-RL007     driver-side read of a backend's resident chunk store
-          (``<backend>._store``) bypassing the pipelined dependency
-          tracker (stale or mid-mutation data under overlapped issue)
 RL008     zero-argument blocking ``.get()`` / ``.recv()`` -- an
           unbounded wait that turns a dead peer into a hang instead of
           a :class:`WorkerFailure` (pass a timeout / byte count and
@@ -948,45 +945,6 @@ class CapabilityUnchecked(Check):
                             f"in [tool.repro-lint]",
                         )
                     )
-        return findings
-
-
-# ----------------------------------------------------------------------
-# RL007 -- resident store reads that bypass the dependency tracker
-# ----------------------------------------------------------------------
-
-@register_check
-class ResidentStoreBypass(Check):
-    id = "RL007"
-    summary = (
-        "driver-side read of a backend's resident chunk store "
-        "(<backend>._store) bypasses the pipelined dependency tracker; "
-        "under overlapped issue the chunk may be stale or mid-mutation -- "
-        "go through get_chunks()/DistArray.chunks, which wait for "
-        "in-flight commands touching the ref"
-    )
-
-    def run(self, ctx: FileContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Attribute) and node.attr == "_store"):
-                continue
-            base = node.value
-            # self._store inside a backend implementation IS the
-            # sanctioned path (its accessors hold the tracker's
-            # invariants); anything else reaches across the boundary
-            if isinstance(base, ast.Name) and base.id in ("self", "cls"):
-                continue
-            findings.append(
-                ctx.finding(
-                    self.id,
-                    node,
-                    "resident chunk store accessed from outside the "
-                    "backend; use get_chunks()/DistArray.chunks (they "
-                    "fence in-flight commands that touch the chunk) "
-                    "instead of raw ._store",
-                )
-            )
         return findings
 
 
