@@ -225,15 +225,18 @@ class DistKeyValue:
 
         The contract of :meth:`DistArray.generate`: ``make_chunk`` is a
         pure function of ``(rank, rng)``; on a real backend it runs in
-        the workers as one command, which the backend keeps as the
-        pairs' recipe, and ``machine.rngs`` moves exactly as on sim.
-        The workers check the pairs; a bad chunk raises the
-        constructor's message.
+        the workers as one command, which the backend records as the
+        pairs' lineage, and ``machine.rngs`` moves exactly as on sim.
+        The pipelines cache an aggregation table in the state they pin,
+        so the state is not immutable: the commands that read it are
+        recorded too.  The workers check the pairs; a bad chunk raises
+        the constructor's message.
         """
         if not machine.backend.is_real:
             pairs = [make_chunk(i, machine.rngs[i]) for i in range(machine.p)]
             return cls(machine, [p_[0] for p_ in pairs], [p_[1] for p_ in pairs])
-        ref, facts = generate_resident(machine, partial(_born_pairs, make_chunk))
+        ref, facts = generate_resident(
+            machine, partial(_born_pairs, make_chunk), immutable=False)
         data = cls.__new__(cls)
         data._adopt(machine, facts)
         data._ref = ref

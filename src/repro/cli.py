@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--command-timeout", type=float, default=None,
                        help="per-command deadline in seconds before a "
                        "non-answering pool raises WorkerFailure")
-    serve.add_argument("--journal", action="store_true",
-                       help="record chunk provenance so a broken pool is "
-                       "rebuilt automatically (bit-identical restore)")
     serve.add_argument("--faults", default=None,
                        help="deterministic fault plan, e.g. 'kill@r1:s3' "
                        "(testing; also read from REPRO_FAULTS)")
@@ -214,7 +211,7 @@ def _cmd_serve(args) -> int:
     machine = Machine(
         p=args.p, seed=args.seed, backend=args.backend,
         command_timeout=args.command_timeout,
-        faults=args.faults, journal=args.journal,
+        faults=args.faults,
     )
     datasets = default_datasets(machine, args.dataset_size)
     engine = QueryEngine(

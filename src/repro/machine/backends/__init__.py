@@ -61,7 +61,7 @@ def available_backends() -> list[str]:
 
 def make_backend(
     spec, p: int, verify: bool = False,
-    command_timeout: float | None = None, faults=None, journal: bool = False,
+    command_timeout: float | None = None, faults=None,
 ) -> Backend:
     """Resolve a backend spec: a name, a ``Backend`` instance, or None.
 
@@ -73,9 +73,8 @@ def make_backend(
     :class:`LockstepError`).  ``command_timeout`` is the per-command
     deadline before a non-answering pool raises :class:`WorkerFailure`;
     ``faults`` installs a deterministic
-    :class:`~repro.machine.faults.FaultPlan` (or spec string);
-    ``journal=True`` records chunk provenance for automatic pool
-    recovery.  Backends whose factory does not take one
+    :class:`~repro.machine.faults.FaultPlan` (or spec string).
+    Backends whose factory does not take one
     of these keywords -- notably ``sim``, which has no processes to
     lose -- are built without it.
     """
@@ -104,8 +103,6 @@ def make_backend(
         kwargs["command_timeout"] = float(command_timeout)
     if faults is not None:
         kwargs["faults"] = faults
-    if journal:
-        kwargs["journal"] = True
     while True:
         try:
             return factory(p, **kwargs)
@@ -113,7 +110,7 @@ def make_backend(
             # factory predates a knob: drop the optional ones in turn
             # (sim-style backends take none of them -- they verify and
             # serialize by construction and have no processes to lose)
-            for knob in ("journal", "faults", "command_timeout", "verify"):
+            for knob in ("faults", "command_timeout", "verify"):
                 if knob in kwargs:
                     del kwargs[knob]
                     break

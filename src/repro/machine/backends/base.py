@@ -118,12 +118,13 @@ class PureStep(functools.partial):
     ref, no state but its per-PE args, and nothing mutates the outputs
     afterwards (``DistArray.generate`` is the one in the package).
 
-    The type is the promise.  A real backend that sees it keeps the
-    command -- callback blob plus args, a few hundred bytes -- as the
-    *recipe* of the output ref, where it would keep the chunks
-    themselves for driver-born data: a lost pool regenerates the ref,
-    ``close()`` does not fetch it, a read after close re-runs the
-    recipe in process.  In process it is just the callable.
+    The type is the promise.  A real backend records the command --
+    callback blob plus args, a few hundred bytes -- as the output's
+    whole lineage: a lost pool regenerates the ref and a read after
+    close re-runs it in process.  Because the outputs are immutable,
+    the promise also ends their lineage there: a later command that
+    only reads them records nothing.  In process it is just the
+    callable.
     """
 
 
@@ -332,8 +333,9 @@ class Backend:
         """Release backend resources (worker processes, queues).
 
         The driver-side resident store is deliberately left intact so
-        results remain readable after close (real backends salvage
-        their live worker-resident chunks into it before shutdown).
+        results remain readable after close (real backends fetch
+        nothing: a read after close replays the ref's lineage in
+        process).
         """
 
     def __enter__(self) -> "Backend":

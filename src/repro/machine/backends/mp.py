@@ -157,10 +157,9 @@ class MultiprocessingBackend(RuntimeBackend):
         verify: bool = False,
         command_timeout: float | None = None,
         faults=None,
-        journal: bool = False,
     ):
         super().__init__(p, verify=verify, command_timeout=command_timeout,
-                         faults=faults, journal=journal)
+                         faults=faults)
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: list = []
         # -- zero-copy payload lane ------------------------------------

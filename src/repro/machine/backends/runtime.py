@@ -27,12 +27,10 @@ kinds (:func:`_execute`): ``put`` and ``get`` move a resident chunk,
 chunks live -- a plain callback, a generator kernel that yields
 collectives, or the one-yield kernel a list-of-p collective is issued
 as (:meth:`RuntimeBackend.collective`); the callback may be a lambda or
-a closure, which travels by value (:class:`_CallbackPickler`), and a
-:class:`~repro.machine.backends.base.PureStep` command is kept as the
-recipe of the chunks it made.  Every command but ``put`` rides
-the **broadcast command channel**: the driver writes a single frame
-(spec + the per-PE locals map) to rank 0's inbox and the workers fan it
-out along the binomial tree, each forwarding its children their
+a closure, which travels by value (:class:`_CallbackPickler`).  Every
+command but ``put`` rides the **broadcast command channel**: the
+driver writes a single frame (spec + the per-PE locals map) to rank
+0's inbox and the workers fan it out along the binomial tree, each forwarding its children their
 subtree's slice of the locals -- O(1) driver sends
 (:attr:`RuntimeBackend.driver_sends`) and exactly ``p - 1`` worker
 forwards (:meth:`RuntimeBackend.command_fanout_counts`) instead of ``p``
@@ -72,11 +70,29 @@ the newest round that allocated in it
 (:meth:`~repro.machine.backends.shm.ShmPool.release_through`) -- with
 in-place consumption a collected command's blocks may outlive it
 (resident chunks decoded straight out of the segment).
+
+One recovery model: lineage
+---------------------------
+The driver keeps one table, always on (:attr:`RuntimeBackend._lineage`).
+It records every ``put``, every command that produces a ref, and every
+command that takes a *mutable* ref as an input; the outputs of a
+:class:`~repro.machine.backends.base.PureStep` are immutable, so a
+read-only command over generated data records nothing.  Draws are
+addressed by ``(seed, seq, rank, draw)``, so re-running an entry gives
+the same bits without any generator state.  The table keeps only what
+live refs depend on, and a checkpoint bounds it: once a live ref has
+been the input of ``_LINEAGE_ENTRIES`` commands, or of
+``_LINEAGE_BYTES`` bytes of args, since its birth or its last snapshot,
+one ``get`` fetches an owned copy and a ``put`` entry ends the ref's
+lineage.  :meth:`RuntimeBackend.recover` (run by the next command after
+a :class:`WorkerFailure`) replays it on a fresh pool; a read after
+``close()`` replays it in process.
 """
 
 from __future__ import annotations
 
 import atexit
+import copy
 import hashlib
 import importlib
 import inspect
@@ -129,6 +145,17 @@ _LIVENESS_INTERVAL = 5.0
 
 #: how often the blocked driver probes worker liveness while waiting
 _PROBE_INTERVAL = 0.25
+
+#: lineage bound: a live mutable ref whose lineage would hold more than
+#: this many entries (its birth or last snapshot, plus every command
+#: that took it as an input since) is snapshotted instead
+_LINEAGE_ENTRIES = 64
+
+#: lineage bound in bytes: a live mutable ref is also snapshotted once
+#: the commands that took it as an input since its birth or last
+#: snapshot carried more than this many bytes of args; the table is
+#: pruned whenever this many bytes were recorded since the last prune
+_LINEAGE_BYTES = 4 << 20
 
 #: pools that still own live worker processes (for the atexit guard)
 _LIVE_POOLS: "weakref.WeakSet[RuntimeBackend]" = weakref.WeakSet()
@@ -740,9 +767,9 @@ class RuntimeBackend(Backend):
     """Shared driver half of the worker runtime.
 
     Owns command sequencing, the broadcast command channel, result
-    collection, resident ``ChunkRef`` bookkeeping, close-time salvage
-    and transport byte accounting.  Launcher subclasses provide the
-    transport and lifecycle through four hooks:
+    collection, resident ``ChunkRef`` bookkeeping, the lineage table
+    recovery replays and transport byte accounting.  Launcher
+    subclasses provide the transport and lifecycle through four hooks:
 
     * ``_start_pool()`` -- start the workers and set ``self._inboxes``
       (one frame channel per rank, ``put``-capable) and
@@ -764,7 +791,7 @@ class RuntimeBackend(Backend):
 
     def __init__(self, p: int, verify: bool = False,
                  command_timeout: float | None = None,
-                 faults=None, journal: bool = False):
+                 faults=None):
         super().__init__(p)
         #: per-command deadline: a command whose results have not fully
         #: arrived after this many seconds fails with a structured
@@ -784,15 +811,25 @@ class RuntimeBackend(Backend):
         #: installed fault plan (dropped on the first recovery so an
         #: injected death cannot re-fire on the respawned pool)
         self.faults = faults
-        # -- chunk journal / recovery -----------------------------------
-        #: opt-in driver-side provenance journal: every ``put`` and every
-        #: resident/SPMD command is recorded so a lost pool can be
-        #: rebuilt bit-identically (:meth:`recover`).  Also enables
-        #: automatic recovery on the next command after a failure.
-        self.journal_enabled = bool(journal)
-        self._journal: list[tuple] = []
-        #: refs that could not be restored after a worker failure
-        self._lost_ids: set[int] = set()
+        # -- lineage / recovery -----------------------------------------
+        #: the driver-side lineage table, in issue order: every ``put``
+        #: as ``("put", id, chunks, nbytes)`` and every command that
+        #: made a ref or took a mutable one as an input as ``("spmd",
+        #: blob, in_ids, out_ids, args, mutable_in_ids, nbytes)``.  Args
+        #: carry counter-based draw addresses, so a replay is
+        #: bit-identical (:meth:`recover`); :meth:`_prune` keeps what
+        #: live refs depend on and :meth:`_snapshot` cuts it.
+        self._lineage: list[tuple] = []
+        #: ``[entries, bytes]`` recorded since the last prune
+        self._unpruned = [0, 0]
+        #: live refs a :class:`PureStep` made: immutable, so commands
+        #: that only read them record nothing
+        self._pure: set[int] = set()
+        #: live mutable ref -> ``[entries, bytes]`` of the commands that
+        #: took it as an input since its birth or last snapshot
+        self._since: dict[int, list[int]] = {}
+        #: frame bytes of the last command sent
+        self._sent_bytes = 0
         #: the failure that broke the pool (None = healthy)
         self._failure: WorkerFailure | None = None
         self._recovering = False
@@ -814,11 +851,6 @@ class RuntimeBackend(Backend):
         self._closed = False
         self._dead_refs: list[int] = []
         self._live_ids: set[int] = set()
-        #: ``out ref id -> ("spmd", blob, (), out_ids, args)`` of every
-        #: live ref a :class:`PureStep` produced: the command that made
-        #: the chunks stands in for a driver-side copy of them (kept
-        #: whether or not the journal is on)
-        self._recipes: dict[int, tuple] = {}
         self._fn_blobs: dict[int, tuple[Callable, bytes]] = {}
         #: driver-side shm pool (``None`` for transports without a
         #: shared-memory lane; every payload then rides the wire inline)
@@ -875,16 +907,9 @@ class RuntimeBackend(Backend):
         if self._closed:
             raise RuntimeError("backend already closed")
         if self._failure is not None and not self._recovering:
-            # auto-recovery: with the journal on, the next command after
-            # a failure transparently restarts and restores the pool
-            if self.journal_enabled:
-                self.recover()
-            else:
-                raise RuntimeError(
-                    "worker pool is broken (journal off -- enable "
-                    "Machine(..., journal=True) for automatic recovery, "
-                    "or call recover() explicitly)"
-                ) from self._failure
+            # the next command after a failure restarts and restores the
+            # pool first
+            self.recover()
         if self._started:
             return
         self._start_pool()
@@ -902,41 +927,21 @@ class RuntimeBackend(Backend):
     def close(self) -> None:
         """Shut the worker pool down; safe to call any number of times.
 
-        Live resident chunks are salvaged into the driver-side store
-        first, so a ``DistArray`` result stays readable after its
-        machine's context exits.  A broken pool (post-failure) skips the
-        stop handshake -- it would block on dead workers -- and goes
-        straight to best-effort salvage plus teardown.
+        Sends ``stop`` and nothing else: no chunk is fetched.  A
+        ``DistArray`` result stays readable after its machine's context
+        exits because a read after close replays the ref's lineage in
+        process (:meth:`get_chunks`).  A broken pool (post-failure)
+        skips the stop handshake -- it would block on dead workers.
         """
         if self._closed:
             return
-        if self._started and self._failure is not None:
-            self._closed = True
-            _LIVE_POOLS.discard(self)
-            try:
-                self._salvage_broken()
-            finally:
-                self._teardown()
-            return
-        if self._started:
-            try:
-                self._salvage_resident()
-            except WorkerFailure:
-                # the pool died under the salvage: fall through to the
-                # broken-pool path below
-                pass
-            except Exception:  # pragma: no cover - dead-pool cleanup path
-                pass
         self._closed = True
         _LIVE_POOLS.discard(self)
         if not self._started:
             self._teardown_idle()
             return
         if self._failure is not None:
-            try:
-                self._salvage_broken()
-            finally:
-                self._teardown()
+            self._teardown()
             return
         try:
             self._seq += 1
@@ -955,17 +960,19 @@ class RuntimeBackend(Backend):
     # Recovery: pool restart + chunk restore
     # ------------------------------------------------------------------
     def recover(self) -> None:
-        """Restart the broken pool and restore its resident chunks.
+        """Restart the pool and restore every live ref, broken or not.
 
         The transport meshes (inherited pipe ends on mp, rank-ordered
         sockets on tcp) are fixed at launch, so recovery is a full pool
         restart rather than a single-rank respawn: terminate what is
         left, reap the old shm segments, fork/register a fresh pool, and
-        re-materialize every live ref -- from the driver-side store for
-        driver-born chunks, from its recipe for generated ones, from the
-        journal replay for worker-computed ones.  Refs that cannot be
-        restored land in ``_lost_ids`` and raise a clear error at their
-        next read.
+        re-materialize every live ref from one of two sources -- the
+        driver-side ``_store`` (a driver-born ref no command has taken
+        as an input since its upload is re-put) or its lineage (replayed
+        in issue order from its birth or last snapshot; args carry
+        counter-based draw addresses, so the chunks come back
+        bit-identical).  The next command after a
+        :class:`WorkerFailure` calls this itself.
         """
         if self._closed:
             raise RuntimeError("backend already closed")
@@ -973,7 +980,6 @@ class RuntimeBackend(Backend):
             return
         self._recovering = True
         try:
-            failure = self._failure
             if self._started:
                 self._teardown()
             self._reset_for_restart()
@@ -986,129 +992,77 @@ class RuntimeBackend(Backend):
             self.faults = None
             self._started = False
             self._ensure_started()
-            if failure is not None:
-                self._restore_live_refs()
+            self._restore_live_refs()
             self.recoveries += 1
         finally:
             self._recovering = False
 
     def _restore_live_refs(self) -> None:
-        """Re-materialize every live ref on the fresh pool: driver-held
-        chunks are re-put directly; worker-computed chunks are replayed
-        from the journal (bit-identical -- recorded args carry the
-        counter-addressed ``DrawAddress`` of any randomness the
-        original issue consumed) and generated ones, journal or not,
-        re-run their recipe.  Anything else is lost."""
-        replayed = self._replay_journal() if self.journal_enabled else set()
-        for ref_id in sorted(self._live_ids):
-            if ref_id in replayed:
-                continue
-            chunks = self._store.get(ref_id)
-            recipe = self._recipes.get(ref_id)
-            if chunks is not None:
-                self._run(("put", ref_id), list(chunks))
-            elif recipe is not None:
-                self._run(recipe[:4], recipe[4])
-                replayed.update(recipe[3])
-            else:
-                self._lost_ids.add(ref_id)
-
-    def _replay_journal(self) -> set[int]:
-        """Replay the journal entries a live ref transitively depends on;
-        returns the set of ref ids restored worker-side."""
-        self._prune_journal()
+        """Re-materialize every live ref on the fresh pool: re-put the
+        ``_store`` aliases, then replay the lineage of everything else."""
+        aliased = self._live_ids & self._store.keys()
+        for ref_id in sorted(aliased):
+            self._run(("put", ref_id), list(self._store[ref_id]))
         restored: set[int] = set()
-        for entry in self._journal:
+        for entry in self._lineage_of(self._live_ids - aliased):
             if entry[0] == "put":
-                _, ref_id, chunks = entry
-                self._run(("put", ref_id), list(chunks))
-                restored.add(ref_id)
-            else:  # "spmd"
-                _, blob, in_ids, out_ids, args = entry
+                self._run(("put", entry[1]), list(entry[2]))
+                restored.add(entry[1])
+            else:
+                _, blob, in_ids, out_ids, args = entry[:5]
                 self._run(("spmd", blob, in_ids, out_ids), args)
-                restored.update(in_ids)
-                restored.update(out_ids)
-        # replay may have re-created refs freed since; free them again
-        dead = restored - self._live_ids
-        if dead:
-            self._dead_refs.extend(sorted(dead))
-        return restored & self._live_ids
+                restored.update(in_ids, out_ids)
+        # the replay re-created intermediates freed since; free them again
+        self._dead_refs.extend(sorted(restored - self._live_ids))
 
-    def _record(self, entry: tuple) -> None:
-        """Append one provenance entry (suppressed during replay)."""
-        if not self.journal_enabled or self._recovering:
-            return
-        self._journal.append(entry)
-        if len(self._journal) % 256 == 0:
-            self._prune_journal()
-
-    def _prune_journal(self) -> None:
-        """Drop journal entries no live ref transitively depends on.  An
-        entry is needed if it touches any needed id -- inputs count too,
-        because resident kernels may mutate them in place."""
-        needed = set(self._live_ids)
+    def _lineage_of(self, ids) -> list[tuple]:
+        """The lineage entries the refs ``ids`` depend on, in issue
+        order.  An entry is needed if it made a needed ref or took one
+        as a mutable input (a kernel may change it in place); its inputs
+        are then needed too.  A ``put`` starts its ref's lineage, so
+        nothing before it is needed for that ref."""
+        needed = set(ids)
         kept: list[tuple] = []
-        for entry in reversed(self._journal):
+        for entry in reversed(self._lineage):
             if entry[0] == "put":
                 if entry[1] in needed:
                     kept.append(entry)
-            else:
-                in_ids, out_ids = entry[2], entry[3]
-                if needed & (set(in_ids) | set(out_ids)):
-                    kept.append(entry)
-                    needed.update(in_ids)
+                    needed.discard(entry[1])
+            elif needed.intersection(entry[3]) or needed.intersection(entry[5]):
+                kept.append(entry)
+                needed.update(entry[2])
         kept.reverse()
-        self._journal = kept
+        return kept
 
-    def _salvage_broken(self) -> None:
-        """Best-effort chunk salvage from a broken pool: ask each
-        surviving rank directly (short timeout, direct frames -- the
-        broadcast tree may route through the dead rank).  Only refs
-        recovered from *every* rank become readable; the rest are lost."""
-        dead = set(self._dead_ranks())
-        want = [rid for rid in sorted(self._live_ids)
-                if rid not in self._store and rid not in self._recipes]
-        if not want:
-            return
-        alive = [r for r in range(self.p) if r not in dead]
-        salvaged: dict[int, list] = {rid: [None] * self.p for rid in want}
-        got: dict[int, set[int]] = {rid: set() for rid in want}
+    def _record(self, entry: tuple) -> None:
+        """Append one lineage entry; prune every 256 entries or
+        ``_LINEAGE_BYTES`` recorded bytes."""
+        self._lineage.append(entry)
+        self._unpruned[0] += 1
+        self._unpruned[1] += entry[-1]
+        if self._unpruned[0] >= 256 or self._unpruned[1] > _LINEAGE_BYTES:
+            self._prune()
+
+    def _prune(self) -> None:
+        """Drop the entries no live ref depends on."""
+        self._lineage = self._lineage_of(self._live_ids)
+        self._unpruned = [0, 0]
+
+    def _snapshot(self, ref_id: int) -> None:
+        """Cut a live ref's lineage: fetch an owned copy of its chunks
+        (not aliasing any shm segment) and record it as a ``put``.  A
+        pool that fails under the fetch is left broken for the next
+        command to recover; the command that triggered this is already
+        recorded, so nothing is lost."""
+        rx0 = self._results.wire_rx + self._results.shm_rx
         try:
-            for rid in want:
-                self._seq += 1
-                for rank in alive:
-                    self._inboxes[rank].put(
-                        ("cmd", self._seq, ("get", rid), None, (),
-                         self._acked)
-                    )
-            deadline = time.monotonic() + 5.0
-            expect = len(want) * len(alive)
-            seen = 0
-            while seen < expect and time.monotonic() < deadline:
-                try:
-                    rank, rseq, value = self._results.get(
-                        timeout=0.25, pool=self._pool
-                    )
-                except queue_mod.Empty:
-                    continue
-                for rid, fut_seq in zip(
-                    want, range(self._seq - len(want) + 1, self._seq + 1)
-                ):
-                    if rseq == fut_seq:
-                        if not isinstance(value, WorkerError):
-                            salvaged[rid][rank] = value
-                            got[rid].add(rank)
-                        seen += 1
-                        break
-        except Exception:  # pragma: no cover - salvage is best-effort
-            pass
-        for rid in want:
-            # partial rows are useless: a chunked structure with a hole
-            # would silently mis-answer, so only full covers count
-            if got[rid] == set(range(self.p)):
-                self._store[rid] = salvaged[rid]
-            else:
-                self._lost_ids.add(rid)
+            chunks = copy.deepcopy(self._run(("get", ref_id), [None] * self.p))
+        except WorkerFailure:
+            return
+        nbytes = self._results.wire_rx + self._results.shm_rx - rx0
+        self._lineage.append(("put", ref_id, chunks, nbytes))
+        del self._since[ref_id]
+        self._prune()
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety
         try:
@@ -1130,8 +1084,9 @@ class RuntimeBackend(Backend):
         )
         raise self._failure
 
-    def _send(self, seq: int, spec: tuple, locals_per_pe: Sequence) -> None:
-        """Frame command ``seq``.  Broadcast command channel: one driver
+    def _send(self, seq: int, spec: tuple, locals_per_pe: Sequence) -> int:
+        """Frame command ``seq``; returns the bytes its frames carried
+        (wire plus shm).  Broadcast command channel: one driver
         send regardless of p; rank 0 fans the frame out along the
         binomial tree.  Chunk uploads (``put``) keep the direct path --
         their per-PE locals are the one arg-heavy payload, and tree
@@ -1159,6 +1114,7 @@ class RuntimeBackend(Backend):
         tb = self._transport.setdefault(spec[0], {"wire": 0, "shm": 0})
         tb["wire"] += self._tx["wire_tx"] - wire0
         tb["shm"] += self._tx["shm_tx"] - shm0
+        return self._tx["wire_tx"] - wire0 + self._tx["shm_tx"] - shm0
 
     def _collect(self, seq: int, kind: str) -> list:
         """Collect every rank's result of command ``seq`` and advance
@@ -1234,7 +1190,7 @@ class RuntimeBackend(Backend):
         t0 = time.perf_counter()
         try:
             self._seq += 1
-            self._send(self._seq, spec, locals_per_pe)
+            self._sent_bytes = self._send(self._seq, spec, locals_per_pe)
             return self._collect(self._seq, spec[0])
         finally:
             self.wall_time += time.perf_counter() - t0
@@ -1290,47 +1246,47 @@ class RuntimeBackend(Backend):
         # send eagerly (and the pool may already be closed)
         self._live_ids.discard(ref_id)
         self._store.pop(ref_id, None)
-        self._recipes.pop(ref_id, None)
+        self._pure.discard(ref_id)
+        self._since.pop(ref_id, None)
         self._dead_refs.append(ref_id)
-
-    def _salvage_resident(self) -> None:
-        """Pull live worker-resident chunks into the driver store so
-        handles stay readable after the pool shuts down (a ref with a
-        recipe is readable without: :meth:`get_chunks` regenerates)."""
-        for ref_id in sorted(self._live_ids):
-            if ref_id not in self._store and ref_id not in self._recipes:
-                self._store[ref_id] = self._run(("get", ref_id), [None] * self.p)
 
     def put_chunks(self, chunks: Sequence) -> ChunkRef:
         if len(chunks) != self.p:
             raise ValueError(f"need one chunk per PE, got {len(chunks)} for p={self.p}")
         ref = self._new_ref()
-        self._run(("put", ref.id), list(chunks))
-        # keep an alias to the driver-born objects (read-only convention):
-        # get_chunks then never re-fetches them and close() never pays to
-        # salvage data the driver already holds
-        self._store[ref.id] = list(chunks)
-        self._record(("put", ref.id, list(chunks)))
+        chunks = list(chunks)
+        self._run(("put", ref.id), chunks)
+        # keep an alias to the driver-born objects (read-only convention)
+        # until a command takes the ref as an input: get_chunks then
+        # never re-fetches them
+        self._store[ref.id] = chunks
+        self._record(("put", ref.id, chunks, self._sent_bytes))
         return ref
 
     def get_chunks(self, ref: ChunkRef) -> list:
-        if ref.id in self._lost_ids:
-            raise RuntimeError(
-                f"resident chunks of ref {ref.id} were lost in a worker "
-                f"failure and could not be salvaged or replayed (enable "
-                f"Machine(..., journal=True) to make worker-computed "
-                f"chunks recoverable)"
-            )
-        if ref.id not in self._store and self._closed and ref.id in self._recipes:
-            # generated, never fetched, and the workers are gone: run
-            # the recipe here
-            _, blob, _, out_ids, args = self._recipes[ref.id]
-            outs, _ = _run_spmd_inprocess(
-                self.p, pickle.loads(blob), [], len(out_ids), args)
-            self._store.update(zip(out_ids, outs))
-        if ref.id in self._store:  # driver-born, salvaged or regenerated
+        if ref.id in self._store:  # driver-born, or replayed after close
+            return self._store[ref.id]
+        if self._closed:
+            # the workers are gone: replay the ref's lineage here
+            self._store[ref.id] = self._replay_here(ref.id)
             return self._store[ref.id]
         return self._run(("get", ref.id), [None] * self.p)
+
+    def _replay_here(self, ref_id: int) -> list:
+        """Run a ref's lineage in process.  Recorded uploads are copied
+        first: a kernel that mutates its input must not change the
+        lineage another ref's replay starts from."""
+        local: dict[int, list] = {}
+        for entry in self._lineage_of((ref_id,)):
+            if entry[0] == "put":
+                local[entry[1]] = copy.deepcopy(entry[2])
+            else:
+                _, blob, in_ids, out_ids, args = entry[:5]
+                outs, _ = _run_spmd_inprocess(
+                    self.p, pickle.loads(blob), [local[i] for i in in_ids],
+                    len(out_ids), [() if a is None else a for a in args])
+                local.update(zip(out_ids, outs))
+        return local[ref_id]
 
     def _spmd(
         self, fn: Callable, refs: Sequence[ChunkRef], n_out: int,
@@ -1348,19 +1304,35 @@ class RuntimeBackend(Backend):
             outs, values = _run_spmd_inprocess(self.p, fn, chunk_lists, n_out, args)
             return [self.put_chunks(chunks) for chunks in outs], values
         out_refs = [self._new_ref() for _ in range(n_out)]
-        spec = ("spmd", blob, tuple(r.id for r in refs),
-                tuple(r.id for r in out_refs))
+        in_ids = tuple(r.id for r in refs)
+        out_ids = tuple(r.id for r in out_refs)
+        spec = ("spmd", blob, in_ids, out_ids)
         if self.verify:
             spec = spec + (True,)
         locals_per_pe = list(args) if args is not None else [None] * self.p
-        if refs or out_refs:  # a step that touches no chunk restores none
-            entry = ("spmd", blob, spec[2], spec[3], locals_per_pe)
-            if isinstance(fn, PureStep) and not refs:
-                self._recipes.update((r.id, entry) for r in out_refs)
-            self._record(entry)
+        for ref_id in in_ids:
+            # the kernel may mutate its inputs in place: a driver-born
+            # ref's alias ends here, later reads go to the workers or
+            # to lineage
+            self._store.pop(ref_id, None)
         values = self._run(spec, locals_per_pe)
+        seq = self._seq  # a snapshot below issues a command of its own
+        # a PureStep's outputs are immutable: reading them records nothing
+        mutable = tuple(i for i in in_ids if i not in self._pure)
+        if out_ids or mutable:
+            nbytes = self._sent_bytes
+            self._record(("spmd", blob, in_ids, out_ids, locals_per_pe,
+                          mutable, nbytes))
+            if isinstance(fn, PureStep):
+                self._pure.update(out_ids)
+            for ref_id in mutable:
+                since = self._since.setdefault(ref_id, [0, 0])
+                since[0] += 1
+                since[1] += nbytes
+                if since[0] >= _LINEAGE_ENTRIES or since[1] > _LINEAGE_BYTES:
+                    self._snapshot(ref_id)
         if self.verify:
-            values = self._check_lockstep(values, self._seq)
+            values = self._check_lockstep(values, seq)
         return out_refs, values
 
     def submit_spmd(

@@ -223,10 +223,9 @@ class TcpBackend(RuntimeBackend):
         verify: bool = False,
         command_timeout: float | None = None,
         faults=None,
-        journal: bool = False,
     ):
         super().__init__(p, verify=verify, command_timeout=command_timeout,
-                         faults=faults, journal=journal)
+                         faults=faults)
         self._hosts = _resolve_hosts(p, hosts)
         self._bind = bind or os.environ.get("REPRO_TCP_BIND")
         self._connect_timeout = connect_timeout

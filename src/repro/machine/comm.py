@@ -214,15 +214,11 @@ class Machine:
         :class:`~repro.machine.faults.FaultPlan` or its spec string
         (e.g. ``"kill@r1:s3"``); the ``REPRO_FAULTS`` environment
         variable installs one globally.  Ignored by ``sim``.
-    journal:
-        Record chunk provenance (uploads and resident/SPMD commands) on
-        the driver so a pool lost to a worker failure is rebuilt
-        automatically on the next command -- restored chunks are
-        bit-identical (command args carry counter-based draw addresses,
-        so replay re-derives the exact same randomness; no generator
-        states are recorded).  Off by default; without it a broken pool raises cleanly and
-        :meth:`recover` can still restore driver-held chunks.  Ignored
-        by ``sim``.
+
+    Recovery needs no option: a real backend always records the lineage
+    of its resident chunks, so the next command after a
+    :class:`~repro.machine.backends.WorkerFailure` restarts the pool and
+    restores every live ref bit-identically (:meth:`recover`).
     """
 
     def __init__(
@@ -234,14 +230,13 @@ class Machine:
         verify: bool = False,
         command_timeout: float | None = None,
         faults=None,
-        journal: bool = False,
     ):
         if p < 1:
             raise ValueError(f"need at least one PE, got p={p}")
         self.p = int(p)
         self.backend: Backend = make_backend(
             backend, self.p, verify=verify, command_timeout=command_timeout,
-            faults=faults, journal=journal,
+            faults=faults,
         )
         self.cost = cost if cost is not None else CostParams()
         self.clock = SimClock(self.p)
@@ -273,7 +268,7 @@ class Machine:
         """Allocate the next counter-addressed draw sequence.
 
         Called at command-build time, in issue order, so the allocated
-        addresses are identical on every backend and in a journal
+        addresses are identical on every backend and in a lineage
         replay.  The returned :class:`~repro.machine.ctrrng.DrawAddress`
         is a tiny picklable ``(seed, seq)`` pair: ship it in command
         args and materialise generators where the data lives
@@ -1056,11 +1051,13 @@ class Machine:
         self.backend.close()
 
     def recover(self) -> None:
-        """Restart a worker pool broken by a
-        :class:`~repro.machine.backends.WorkerFailure` and restore its
-        resident chunks (driver-held chunks always; worker-computed
-        chunks when ``journal=True``).  No-op on backends without a
-        pool (``sim``)."""
+        """Restart the worker pool -- broken by a
+        :class:`~repro.machine.backends.WorkerFailure` or not -- and
+        restore every live resident ref from one of two sources: the
+        driver-side ``_store`` (driver-born chunks no command has taken
+        as an input since) or its lineage, replayed bit-identically.
+        The next command after a failure does this by itself.  No-op on
+        backends without a pool (``sim``)."""
         recover = getattr(self.backend, "recover", None)
         if recover is not None:
             recover()

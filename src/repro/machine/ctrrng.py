@@ -14,7 +14,7 @@ address stream is identical on every backend.  A Philox-4x64 bit
 generator keyed this way is *stateless* end to end:
 
 * nothing crosses the wire but the tiny ``(seed, seq)`` address -- the
-  journal records addresses, not generator states;
+  lineage records addresses, not generator states;
 * no stream is fast-forwarded in the driver after a command completes,
   so a whole recursion draws level after level inside one command and
   fused serve batches draw what their queries would alone;

@@ -86,19 +86,25 @@ def _shaped_chunk(make_chunk: Callable, rank: int, rng) -> tuple:
     return chunk, (chunk.shape, chunk.dtype.str)
 
 
-def generate_resident(machine: Machine, step: Callable) -> tuple[ChunkRef, list]:
+def generate_resident(
+    machine: Machine, step: Callable, immutable: bool = True,
+) -> tuple[ChunkRef, list]:
     """Run ``step(rank, rng) -> (chunk, meta)`` on every PE of a real
     backend as ONE ``spmd`` command, each PE drawing from a snapshot of
     ``machine.rngs[rank]``; returns the chunks' ref and the per-PE metas.
 
-    ``step`` must be a pure function of ``(rank, rng)``: the command is
-    a :class:`PureStep`, so the backend keeps it as the ref's recipe
-    instead of the chunks.  Every stream is advanced before this
+    ``step`` must be a pure function of ``(rank, rng)``, so the command
+    is the ref's whole lineage: the backend records it instead of the
+    chunks.  ``immutable`` says that nothing changes the chunks later
+    (the command is then a :class:`PureStep`, and commands that only
+    read them record nothing); pass ``False`` for a state the kernels
+    update in place.  Every stream is advanced before this
     returns, so a caller that then refuses a meta has moved the streams
     as far as sim, which draws all ``p`` chunks before it checks one.
     """
+    wrap = PureStep if immutable else partial
     refs, metas = machine.backend.run_spmd(
-        PureStep(_generate_step, step), [], n_out=1,
+        wrap(_generate_step, step), [], n_out=1,
         args=[(g.bit_generator.state,) for g in machine.rngs],
     )
     for g, (_, state) in zip(machine.rngs, metas):

@@ -9,11 +9,11 @@ server through the death:
 * the engine performs exactly one pool rebuild
   (``stats["worker_failures"] >= 1``, ``stats["rebuilds"] >= 1``),
 * every query issued after the rebuild answers correctly, checked
-  against the deterministic sim oracle (the stock datasets are
-  generated, so recovery re-runs their recipes in the workers: no
-  journal and no ``rebuild`` factory).
+  against the deterministic sim oracle (recovery replays the stock
+  datasets' lineage -- their generating commands -- in the workers;
+  there is no option to turn on).
 
-Run as ``python -m repro.serve.chaos [--backend mp] [-p 4]``.
+Run as ``python -m repro.serve.chaos [--backend mp|tcp] [-p 4]``.
 """
 
 from __future__ import annotations

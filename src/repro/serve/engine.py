@@ -111,11 +111,10 @@ class QueryEngine:
         Seconds a query may spend queued + batched before the engine
         expires it with a ``QueryError`` (``None`` disables; a query
         dict's own ``"deadline"`` key overrides per query).
-    rebuild:
-        Optional zero-arg factory returning ``(machine, datasets)``,
-        used to rebuild the engine when a broken pool cannot be
-        recovered in place (e.g. lost worker-computed datasets with the
-        journal off).
+
+    A worker failure fails only the batch it hit; the engine then
+    recovers the pool in place (:meth:`Machine.recover` replays every
+    dataset's lineage), so later queries answer as before.
     """
 
     def __init__(
@@ -127,7 +126,6 @@ class QueryEngine:
         max_batch: int = 64,
         max_queue: int = 1024,
         query_deadline: float | None = None,
-        rebuild=None,
     ):
         self.machine = machine
         self.datasets = dict(datasets)
@@ -137,7 +135,6 @@ class QueryEngine:
         self.query_deadline = (
             float(query_deadline) if query_deadline else None
         )
-        self._rebuild = rebuild
         self.stats = {"queries": 0, "batches": 0, "fused_commands": 0,
                       "max_batch_size": 0, "worker_failures": 0,
                       "rebuilds": 0, "overloads": 0, "expired": 0}
@@ -327,30 +324,17 @@ class QueryEngine:
 
     def _after_backend_failure(self, exc: Exception) -> None:
         """Failure isolation: a worker failure fails only the batch it
-        hit, costs one engine rebuild, and subsequent queries succeed on
-        the recovered pool."""
+        hit and costs one pool rebuild (if that fails too, the next
+        command tries again), so subsequent queries succeed on the
+        recovered pool."""
         if not (isinstance(exc, WorkerFailure)
                 or getattr(self.machine.backend, "broken", False)):
             return
         self.stats["worker_failures"] += 1
         try:
             self.machine.recover()
-            self.stats["rebuilds"] += 1
-            return
         except Exception:
-            pass
-        if self._rebuild is None:
             return
-        try:
-            machine, datasets = self._rebuild()
-        except Exception:  # pragma: no cover - rebuild factory broken
-            return
-        old, self.machine = self.machine, machine
-        self.datasets = dict(datasets)
-        try:
-            old.close()
-        except Exception:  # pragma: no cover - dead-pool cleanup
-            pass
         self.stats["rebuilds"] += 1
 
     def _run_rank_group(self, name: str, items: list[_Pending]) -> None:

@@ -11,8 +11,8 @@ perturbations are locked in here:
 * **serve fusion** -- a fused query batch (one ``multi_select`` for
   many rank queries) must answer exactly what the same queries answer
   one at a time;
-* **kill/recover** -- a journal replay re-runs kernels from recorded
-  draw *addresses* (no generator state is journaled); the restored
+* **kill/recover** -- a lineage replay re-runs kernels from recorded
+  draw *addresses* (no generator state is recorded); the restored
   resident state and everything computed after recovery must match a
   machine that never failed.
 """
@@ -104,7 +104,7 @@ class TestServeFusionStability:
 class TestRecoveryStability:
     def _phase_a(self, machine, seed):
         """Resident rng-consuming state: the queue's pivot streams derive
-        from journaled draw addresses (the flushes take theirs too)."""
+        from recorded draw addresses (the flushes take theirs too)."""
         q = BulkParallelPQ(machine)
         rng = np.random.default_rng(seed)
         for _ in range(2):
@@ -119,8 +119,8 @@ class TestRecoveryStability:
                 q.delete_min_flexible(2, 2 * machine.p)]
 
     def test_journal_recovery_replays_identical_draws(self):
-        """Kill a worker between algorithm calls; the journal replay
-        reconstructs the trees from the journaled flushes alone, and
+        """Kill a worker between algorithm calls; the lineage replay
+        reconstructs the trees from the recorded flushes alone, and
         post-recovery draws continue the exact fault-free stream."""
         # calibrate where the kill lands: the drive phase right after
         # phase A (allreduces allocate no draw seqs, so a retry there
@@ -133,7 +133,7 @@ class TestRecoveryStability:
         q_o, first_o = self._phase_a(oracle, seed=5)
 
         faulty = Machine(
-            p=2, seed=88, backend="mp", journal=True,
+            p=2, seed=88, backend="mp",
             faults=FaultPlan().kill(1, seq=kill_seq),
             command_timeout=10,
         )
@@ -143,7 +143,7 @@ class TestRecoveryStability:
             with pytest.raises(WorkerFailure):
                 for _ in range(3):
                     faulty.allreduce([1.0, 1.0], op="sum")
-            # journal on: the next command auto-recovers and replays
+            # the next command auto-recovers and replays
             # every live ref's provenance (addresses, not rng states)
             assert faulty.allreduce([1.0, 1.0], op="sum") == [2.0, 2.0]
             assert faulty.backend.recoveries == 1

@@ -3,10 +3,9 @@
 The acceptance matrix of the fault-tolerance layer: every injected
 worker death surfaces as a structured
 :class:`~repro.machine.WorkerFailure` (never a hang -- detection is
-bounded by ``command_timeout``), a broken pool either refuses cleanly
-(journal off) or restores itself bit-identically (journal on /
-driver-born chunks), and the serve engine keeps answering through one
-injected death.
+bounded by ``command_timeout``), the next command restores a broken
+pool bit-identically from ``_store`` and lineage, and the serve engine
+keeps answering through one injected death.
 """
 
 import time
@@ -141,21 +140,34 @@ class TestDetectionModes:
 # ----------------------------------------------------------------------
 
 class TestRecovery:
-    def test_broken_pool_without_journal_fails_clean_then_recovers(self):
+    def test_next_command_after_a_failure_auto_recovers(self):
+        chunks = [np.arange(16, dtype=np.float64) * (r + 1) for r in range(2)]
+        with Machine(p=2, seed=13, backend="sim") as sim:
+            (out_s,), _, _ = sim.backend.map_resident(
+                _bump, [sim.backend.put_chunks(chunks)], n_out=1,
+                args=[(0.5,)] * 2,
+            )
+            want = [c.copy() for c in sim.backend.get_chunks(out_s)]
         machine = Machine(
             p=2, seed=13, backend="mp",
-            faults=FaultPlan().kill(1, seq=2),
+            faults=FaultPlan().kill(1, seq=3),
             command_timeout=10,
         )
         try:
+            ref = machine.backend.put_chunks(chunks)              # seq 1
+            (out,), _, _ = machine.backend.map_resident(          # seq 2
+                _bump, [ref], n_out=1, args=[(0.5,)] * 2,
+            )
             with pytest.raises(WorkerFailure):
-                _drive(machine, rounds=3)
-            # journal off: further use refuses with a pointer at the knob
-            with pytest.raises(RuntimeError, match="journal"):
-                machine.allreduce([1.0, 1.0], op="sum")
-            machine.recover()
+                _drive(machine, rounds=3)                         # seq 3
+            assert machine.backend.broken
+            # no option, no explicit call: the next command restarts the
+            # pool and replays the worker-computed chunks' lineage
+            assert machine.allreduce([1.0, 1.0], op="sum") == [2.0, 2.0]
             assert not machine.backend.broken
             assert machine.backend.recoveries == 1
+            for got, exp in zip(machine.backend.get_chunks(out), want):
+                np.testing.assert_array_equal(got, exp)
             # the recovered pool is fault-free: the same seqs run clean
             assert _drive(machine, rounds=3) == [3.0 * 2] * 2
         finally:
@@ -176,7 +188,7 @@ class TestRecovery:
         want = sim.backend.get_chunks(out_s)
 
         machine = Machine(
-            p=2, seed=21, backend=backend, journal=True,
+            p=2, seed=21, backend=backend,
             faults=FaultPlan().kill(0, seq=4),
             command_timeout=10,
         )
@@ -191,8 +203,8 @@ class TestRecovery:
                 np.testing.assert_array_equal(got, exp)
             with pytest.raises(WorkerFailure):
                 _drive(machine, rounds=1)                           # seq 4
-            # journal on: the next command auto-recovers the pool and
-            # replays the provenance of every live ref
+            # the next command auto-recovers the pool and replays the
+            # lineage of every live ref
             assert machine.allreduce([1.0, 1.0], op="sum") == [2.0, 2.0]
             assert backend_.recoveries == 1
             after = backend_.get_chunks(out)

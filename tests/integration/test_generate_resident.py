@@ -5,9 +5,9 @@ On a real backend generation is ONE ``spmd`` command: every worker
 draws its own chunk from a snapshot of ``machine.rngs[rank]`` and the
 driver installs the advanced generator states, so chunks, sizes, dtype
 and every later draw from the input streams equal the sim twin's.  The
-driver keeps the command (the *recipe*) instead of the data: no
-``_store`` entry, nothing fetched at ``close()``, the data regenerated
-by ``recover()`` -- journal or not -- and by a read after close.  Pairs
+driver records the command as the ref's whole lineage instead of the
+data: no ``_store`` entry, nothing fetched at ``close()``, the data
+regenerated by ``recover()`` and by a read after close.  Pairs
 are checked in the workers; a bad one raises the constructor's message.
 """
 
@@ -106,7 +106,8 @@ def test_two_dimensional_chunk_is_refused_like_sim(backend):
         m.allreduce([1, 2, 3])  # frees ride the next command's envelope
         after = [s["resident"] for s in m.backend._run(("stats",), [None] * 3)]
         assert after == resident
-        assert not m.backend._recipes
+        m.backend._prune()
+        assert not m.backend._lineage and not m.backend._pure
         ok = DistArray.generate(m, lambda rank, g: g.random(4))
         assert ok.global_size == 12
 
@@ -137,7 +138,7 @@ def test_serve_datasets_on_mp_equal_the_sim_rebuild():
 
 
 # ----------------------------------------------------------------------
-# Recipes: recovery and lifecycle
+# Lineage: recovery and lifecycle
 # ----------------------------------------------------------------------
 
 def _two_arrays(machine):
@@ -148,27 +149,26 @@ def _two_arrays(machine):
 
 
 @pytest.mark.parametrize("backend", REAL)
-@pytest.mark.parametrize("journal", [False, True])
-def test_recovery_regenerates_from_snapshots(backend, journal):
-    """The recipe of A must hold the generator states A started from:
+def test_recovery_regenerates_from_snapshots(backend):
+    """The lineage of A must hold the generator states A started from:
     recorded live, the replay after B (and after the direct draws) would
     regenerate A from wherever the streams stand now."""
     with Machine(p=2, seed=99) as sim:
         want_a, want_b, want_draws = _two_arrays(sim)
     machine = Machine(
-        p=2, seed=99, backend=backend, journal=journal,
+        p=2, seed=99, backend=backend,
         faults=FaultPlan().kill(1, seq=3), command_timeout=15,
     )
     try:
         a, b, draws = _two_arrays(machine)  # seqs 1 and 2
         assert draws == want_draws
-        generations = [e for e in machine.backend._journal if e[0] == "spmd"]
-        assert len(generations) == (2 if journal else 0)
+        generations = [e for e in machine.backend._lineage if e[0] == "spmd"]
+        assert len(generations) == 2
         with pytest.raises(WorkerFailure):
             machine.allreduce([1.0, 2.0])  # seq 3 dies
             machine.allreduce([1.0, 2.0])
         machine.recover()
-        assert not machine.backend._lost_ids
+        assert machine.backend.recoveries == 1
         assert not machine.backend._store
         _assert_same_arrays([a, b], [want_a, want_b])
         assert machine.allreduce([1.0, 2.0]) == [3.0, 3.0]
@@ -183,12 +183,14 @@ def test_close_fetches_nothing_and_reads_after_close_regenerate(backend):
     with Machine(p=2, seed=8, backend=backend) as m:
         got = _two_arrays(m)[:2]
         doubled = got[0].map_chunks(lambda r, c: c * 2)
-        sends = m.backend.driver_sends
-    # the one fetch at close is the worker-computed array's salvage
-    assert m.backend.driver_sends == sends + 1
-    assert set(m.backend._store) == {doubled._ref.id}
-    _assert_same_arrays(got, want)
+        sends, seq = m.backend.driver_sends, m.backend._seq
+    # close sent ``stop`` (one seq, outside driver_sends) and nothing else
+    assert m.backend.driver_sends == sends
+    assert m.backend._seq == seq + 1
+    assert not m.backend._store
+    # the worker-computed array, read after close, replays its lineage
     np.testing.assert_array_equal(doubled.concat(), 2 * want[0].concat())
+    _assert_same_arrays(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +239,13 @@ def test_generated_pairs_and_sums_equal_sim(sizes, seed):
     for backend in REAL:
         with Machine(p=p, seed=seed, backend=backend) as m:
             kv, got = _sum_script(m, sizes)
-            assert kv._ref.id in m.backend._recipes
+            # the pipelines cache an aggregation table in the pairs'
+            # state: its lineage is the birth plus every command on it
+            assert kv._ref.id not in m.backend._pure
+            m.backend._prune()  # the pipelines' tables are gone
+            birth, *reads = m.backend._lineage
+            assert birth[3] == (kv._ref.id,)
+            assert all(kv._ref.id in e[5] for e in reads)
             assert kv._ref.id not in m.backend._store
             assert kv._pairs is None  # nothing fetched by the pipelines
             _assert_same_pairs(kv, want_kv)
@@ -270,7 +278,8 @@ def test_a_bad_chunk_is_refused_with_the_constructors_message(backend, bad_rank,
         m.allreduce([1, 2, 3])  # frees ride the next command's envelope
         after = [s["resident"] for s in m.backend._run(("stats",), [None] * 3)]
         assert after == resident
-        assert not m.backend._recipes
+        m.backend._prune()
+        assert not m.backend._lineage and not m.backend._pure
         ok = DistKeyValue.generate(m, _make_pairs([4, 0, 2]))
         assert ok.global_size == 6
 
@@ -282,7 +291,7 @@ def test_recovery_regenerates_pairs_without_the_journal(backend):
         sim.reset()
         want = top_k_sums_ec(sim, want_kv, 3, eps=0.1, delta=1e-2)
         want_model = _model(sim)
-    machine = Machine(p=2, seed=31, backend=backend, journal=False,
+    machine = Machine(p=2, seed=31, backend=backend,
                       faults=FaultPlan().kill(1, seq=2), command_timeout=15)
     try:
         kv = DistKeyValue.generate(machine, _make_pairs([40, 25]))  # seq 1
@@ -290,7 +299,7 @@ def test_recovery_regenerates_pairs_without_the_journal(backend):
             machine.allreduce([1.0, 2.0])  # seq 2 dies
             machine.allreduce([1.0, 2.0])
         machine.recover()
-        assert not machine.backend._lost_ids
+        assert machine.backend.recoveries == 1
         assert kv._ref.id not in machine.backend._store
         machine.reset()
         assert top_k_sums_ec(machine, kv, 3, eps=0.1, delta=1e-2) == want
@@ -313,12 +322,12 @@ def test_pairs_read_after_close_regenerate(backend):
 
 
 def test_recipes_of_dropped_arrays_are_pruned():
-    with Machine(p=2, seed=8, backend="mp", journal=True) as m:
+    with Machine(p=2, seed=8, backend="mp") as m:
         keep = DistArray.generate(m, lambda r, g: g.random(2))
         for _ in range(10_000):
             DistArray.generate(m, lambda r, g: g.random(2))
-        assert set(m.backend._recipes) == {keep._ref.id}
-        assert len(m.backend._journal) <= 256  # pruned as it grows
-        m.backend._prune_journal()
-        assert len(m.backend._journal) == 1
+        assert m.backend._pure == {keep._ref.id}
+        assert len(m.backend._lineage) <= 256  # pruned as it grows
+        m.backend._prune()
+        assert [e[3] for e in m.backend._lineage] == [(keep._ref.id,)]
         assert len(m.backend._fn_blobs) <= m.backend._BLOB_CACHE

@@ -7,7 +7,7 @@ command returns.  These tests pin the shape (driver sends per call) and
 re-assert everything the per-level-command form guaranteed: results and
 modeled cost equal to sim, lockstep verification
 over the long collective trace, structured failure when a worker dies
-inside the command, and bit-identical journal replay.
+inside the command, and bit-identical lineage replay.
 """
 
 import numpy as np
@@ -106,7 +106,7 @@ class TestOneCommandRobustness:
         """A worker dying inside the one command -- before it enters the
         recursion (its peers block in the first collective) or after it
         ran all of it (its peers finished, its result never comes) -- is
-        a structured WorkerFailure, and the journal rebuilds the
+        a structured WorkerFailure, and the lineage rebuilds the
         worker-computed chunks of an earlier one-command selection
         bit-identically."""
         def phase_a(machine):
@@ -124,7 +124,7 @@ class TestOneCommandRobustness:
         oracle.draw_addr()  # the failed call below allocates one address
 
         faulty = Machine(
-            p=2, seed=74, backend=backend, journal=True,
+            p=2, seed=74, backend=backend,
             faults=FaultPlan().kill(1, seq=kill_seq, phase=phase),
             command_timeout=10,
         )
@@ -135,7 +135,7 @@ class TestOneCommandRobustness:
                 multi_select(faulty, d_f, ks)
             assert ei.value.phase == "dead" and ei.value.rank == 1
             assert ei.value.seq == kill_seq
-            # journal on: the retry auto-recovers the pool first
+            # the retry auto-recovers the pool first
             oracle.reset(), faulty.reset()
             assert multi_select(faulty, d_f, ks) == multi_select(oracle, d_o, ks)
             assert faulty.backend.recoveries == 1

@@ -10,7 +10,7 @@ from the charge logs the commands return.  These tests pin the shape
 and the whole model, equality of the model with
 the parent commit's driver-side walk (a golden table: sim == mp cannot
 see drift both share), lockstep verification over the long collective
-trace, and bit-identical journal replay.
+trace, and bit-identical lineage replay.
 """
 
 import numpy as np
@@ -213,8 +213,8 @@ def test_lockstep_verification_covers_both_commands(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_death_between_the_two_commands_then_journal_replay(backend):
     """The table command one left resident is worker-computed state: a
-    worker dying in command two is a structured WorkerFailure, and with
-    ``journal=True`` the retry rebuilds the pool and answers exactly as
+    worker dying in command two is a structured WorkerFailure, and the
+    retry rebuilds the pool from lineage and answers exactly as
     an undisturbed machine does -- for every pipeline."""
     with Machine(p=2, seed=84, backend=backend) as scratch:
         data = _keys(scratch)
@@ -223,7 +223,7 @@ def test_death_between_the_two_commands_then_journal_replay(backend):
 
     oracle = Machine(p=2, seed=84)
     faulty = Machine(
-        p=2, seed=84, backend=backend, journal=True,
+        p=2, seed=84, backend=backend,
         faults=FaultPlan().kill(1, seq=kill_seq, phase="before"),
         command_timeout=10,
     )

@@ -99,6 +99,27 @@ class TestRegistry:
         assert exc.value.code == 2
         assert "--pipeline-depth" in capsys.readouterr().err
 
+    def test_retired_journal_and_rebuild_rejected(self, capsys):
+        # lineage is always recorded and the next command after a
+        # failure recovers: there is no journal to switch on and no
+        # rebuild factory to hand the serve engine
+        from repro.serve import QueryEngine
+
+        for build in (
+            lambda: Machine(p=2, backend="mp", journal=True),
+            lambda: make_backend("mp", 2, journal=True),
+            lambda: MultiprocessingBackend(2, journal=True),
+            lambda: TcpBackend(2, journal=True),
+        ):
+            with pytest.raises(TypeError, match="journal"):
+                build()
+        with pytest.raises(TypeError, match="rebuild"):
+            QueryEngine(Machine(p=2), {}, rebuild=lambda: None)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--journal"])
+        assert exc.value.code == 2
+        assert "--journal" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("p", PS)
 class TestCollectiveParity:

@@ -6,7 +6,7 @@ values travel.  These tests cover the backend protocol (put/get/free,
 ``map_resident``, ``run_spmd`` with and without yielded collectives),
 the DistArray surface on top of it, by-value shipping of lambdas and
 closures with the driver fallback for what cannot be rebuilt in a
-worker, and the lifecycle guarantees (salvage at close, idempotent
+worker, and the lifecycle guarantees (reads after close, idempotent
 close, atexit guard registration).
 """
 
@@ -317,7 +317,7 @@ class TestLifecycle:
         with Machine(p=2, seed=15, backend="mp") as m:
             da = DistArray(m, [np.array([3, 1, 2]), np.array([9, 7, 8])])
             out = da.sort_local()
-        # the worker pool is gone; salvage must keep the handle readable
+        # the worker pool is gone; the ref's lineage replays in process
         np.testing.assert_array_equal(out.chunks[0], [1, 2, 3])
         np.testing.assert_array_equal(out.chunks[1], [7, 8, 9])
 
