@@ -6,6 +6,11 @@
   input (Algorithm 9, Thm 16),
 * :func:`ams_select` / :func:`ams_select_batched` -- flexible output
   size (Algorithm 2, Thms 3-4),
+
+  each of these four runs its SPMD generator (``*_gen``, which the bulk
+  priority queue also runs inside its own commands) as one worker
+  command over a list of sorted sequences or a resident
+  :class:`~repro.machine.DistArray` of sorted chunks,
 * :func:`kth_smallest` et al. -- sequential substrates.
 """
 

@@ -35,15 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.ordering import BOTTOM, TOP
-from ..common.validation import check_rank_range
-from ..machine import DistArray, Machine
+from ..common.validation import check_rank_range, is_whole
+from ..machine import Machine
 from ..machine.metrics import payload_words
 from .accessors import as_sorted_seq
-from .sorted_select import ms_select_with_cuts, ms_select_with_cuts_gen
+from .sorted_select import ms_select_with_cuts_gen, run_sorted
 
 __all__ = ["ams_select", "ams_select_batched", "AmsResult"]
-
-_POS_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -108,34 +106,30 @@ def ams_select(
     unsuccessful estimator rounds, which keeps the worst case
     terminating without affecting the expectation.
     """
-    p = machine.p
-    if isinstance(seqs, DistArray):
-        refs, lead, n = [seqs._ensure_ref()], [()] * p, seqs.global_size
-    else:
-        seqs = [as_sorted_seq(s) for s in seqs]
-        if len(seqs) != p:
-            raise ValueError(f"need one sequence per PE (p={p}, got {len(seqs)})")
-        refs, lead, n = [], [(s,) for s in seqs], sum(len(s) for s in seqs)
-    k_lo, k_hi = check_rank_range(k_lo, k_hi, n)  # fail driver-side
-    addr = machine.draw_addr()
-    _, vals = machine.backend.run_spmd(
-        _ams_kernel, refs,
-        args=[(*lead[i], p, k_lo, k_hi, addr, max_rounds) for i in range(p)],
+    return _flexible(machine, seqs, ams_select_gen, k_lo, k_hi,
+                     {"max_rounds": max_rounds})
+
+
+def _flexible(machine: Machine, seqs, gen, k_lo, k_hi, options: dict) -> AmsResult:
+    """Run the flexible selection generator ``gen`` (keywords
+    ``options``) as one worker command."""
+    vals = run_sorted(
+        machine, seqs, _flexible_kernel,
+        lambda n: (gen, *check_rank_range(k_lo, k_hi, n), options),
     )
-    machine.replay_charges([v[-1] for v in vals])
-    value, k_hat, _, rounds, fallback, _ = vals[0]
+    value, k_hat, _, rounds, fallback = vals[0]
     return AmsResult(value, k_hat, tuple(v[2] for v in vals), rounds, fallback)
 
 
-def _ams_kernel(rank: int, seq, p: int, k_lo: int, k_hi: int, addr,
-                max_rounds: int):
-    """:func:`ams_select_gen` as one worker command: the estimator
-    rounds draw from this PE's counter-addressed stream, the exact
-    fallback from the shared one."""
+def _flexible_kernel(rank: int, seq, p: int, addr, gen, k_lo: int,
+                     k_hi: int, options: dict):
+    """``gen`` as one worker command: the estimator rounds draw from
+    this PE's counter-addressed stream, the exact fallback from the
+    shared one."""
     log: list = []
-    result = yield from ams_select_gen(
+    result = yield from gen(
         rank, p, as_sorted_seq(seq), k_lo, k_hi, addr.local(rank),
-        addr.shared(), log, max_rounds=max_rounds,
+        addr.shared(), log, **options,
     )
     return (*result, log)
 
@@ -243,93 +237,103 @@ def ams_select_batched(
     min-reduction and a single vector-valued sum-reduction per round, so
     a round costs ``O(d log k + beta d + alpha log p)`` and succeeds with
     constant probability already for ``k_hi - k_lo = Omega(k_hi / d)``.
+    ``seqs`` is as for :func:`ams_select`; the whole of
+    :func:`ams_select_batched_gen` runs as one worker command.
     """
-    if d < 1:
-        raise ValueError(f"need at least one trial, got d={d}")
-    seqs = [as_sorted_seq(s) for s in seqs]
-    p = machine.p
-    if len(seqs) != p:
-        raise ValueError(f"need one sequence per PE (p={p}, got {len(seqs)})")
-    n = int(machine.allreduce([len(s) for s in seqs], op="sum")[0])
-    k_lo, k_hi = check_rank_range(k_lo, k_hi, n)
+    if not is_whole(d) or d < 1:
+        raise ValueError(f"need a whole number d >= 1 of trials, got d={d!r}")
+    return _flexible(machine, seqs, ams_select_batched_gen, k_lo, k_hi,
+                     {"d": int(d), "max_rounds": max_rounds})
 
-    lo = [0] * p
-    hi = [len(s) for s in seqs]
-    accepted = [0] * p
+
+def _key_dtype(seq) -> np.dtype:
+    """dtype of ``seq``'s keys: its array's, else its first element's
+    (float64 for an empty adapter)."""
+    arr = getattr(seq, "arr", None)
+    if arr is not None:
+        return arr.dtype
+    return np.asarray(seq.item(0)).dtype if len(seq) else np.dtype(np.float64)
+
+
+def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log,
+                           *, d=8, max_rounds=40):
+    """:func:`ams_select_batched` over per-rank views, as an SPMD
+    generator.
+
+    Streams, charge log and result ``(value, k_hat, cut, rounds,
+    exact_fallback)`` are as for :func:`ams_select_gen`.  The ``d``
+    picks stay in the keys' dtype, so the threshold is an input
+    element; a trial without a pick holds the dtype's maximum (``+inf``
+    for floats).
+    """
+    totals = yield ("allreduce", len(seq), "sum")
+    log.append(("allreduce", 1))
+    n = int(totals)
+    k_lo, k_hi = check_rank_range(k_lo, k_hi, n)
+    dtype = _key_dtype(seq)
+    floats = dtype.kind == "f"
+    no_pick = np.inf if floats else np.iinfo(dtype).max
+
+    lo, hi = 0, len(seq)
+    accepted = 0
     accepted_total = 0
     cur_lo, cur_hi, cur_n = k_lo, k_hi, n
-    # per-PE trial draws from one counter-addressed allocation
-    addr = machine.draw_addr()
-    gens = [addr.local(i) for i in range(p)]
 
     for rnd in range(1, max_rounds + 1):
+        # d estimator trials: d geometric deviates, one vector min-reduction
         rho = _min_based_rate(cur_lo, cur_hi)
-        picks = np.full((p, d), _POS_INF)
-        for i in range(p):
-            size = hi[i] - lo[i]
-            if size <= 0:
-                continue
-            xs = (
-                gens[i].geometric(rho, size=d)
-                if rho < 1.0
-                else np.ones(d, dtype=np.int64)
-            )
+        size = hi - lo
+        picks = np.full(d, no_pick, dtype=dtype)
+        if size > 0:
+            xs = (local_rng.geometric(rho, size=d) if rho < 1.0
+                  else np.ones(d, dtype=np.int64))
             valid = xs <= size
-            if valid.any():
-                idx = lo[i] + xs[valid].astype(np.int64) - 1
-                vals = np.array([seqs[i].item(int(t)) for t in idx], dtype=np.float64)
-                picks[i, valid] = vals
-            machine.charge_ops_one(i, d * np.log2(max(size, 2)))
-        pivots = machine.allreduce([picks[i] for i in range(p)], op="min")[0]
-        finite = np.isfinite(pivots)
-        if not finite.any():
+            picks[valid] = [seq.item(int(x)) for x in lo + xs[valid] - 1]
+        log.append(("ops", d * np.log2(max(size, 2)) if size > 0 else 0.0))
+        pivots = yield ("allreduce", picks, "min")
+        log.append(("allreduce", d))
+        found = np.isfinite(pivots) if floats else pivots != no_pick
+        if not found.any():
             continue
 
-        counts_local = np.zeros((p, d), dtype=np.int64)
-        for i in range(p):
-            for t in range(d):
-                if not finite[t]:
-                    continue
-                le = int(np.clip(seqs[i].count_le(pivots[t]), lo[i], hi[i])) - lo[i]
-                counts_local[i, t] = le
-            machine.charge_ops_one(i, d * np.log2(max(hi[i] - lo[i], 2)))
-        counts = machine.allreduce([counts_local[i] for i in range(p)], op="sum")[0]
+        local = np.zeros(d, dtype=np.int64)
+        for t in np.flatnonzero(found):
+            local[t] = int(np.clip(seq.count_le(pivots[t]), lo, hi)) - lo
+        log.append(("ops", d * np.log2(max(size, 2))))
+        counts = yield ("allreduce", local, "sum")
+        log.append(("allreduce", d))
 
-        ok = finite & (counts >= cur_lo) & (counts <= cur_hi)
+        ok = found & (counts >= cur_lo) & (counts <= cur_hi)
         if ok.any():
             t = int(np.flatnonzero(ok)[0])
-            v = float(pivots[t])
-            cuts = tuple(accepted[i] + int(counts_local[i, t]) for i in range(p))
-            return AmsResult(v, accepted_total + int(counts[t]), cuts, rnd)
+            return (pivots[t], accepted_total + int(counts[t]),
+                    accepted + int(local[t]), rnd, False)
 
         # recurse between the largest underestimate and the smallest
         # overestimate among the d failed trials
-        under = finite & (counts < cur_lo)
-        over = finite & (counts > cur_hi)
+        under = found & (counts < cur_lo)
+        over = found & (counts > cur_hi)
         if under.any():
             t = int(np.argmax(np.where(under, counts, -1)))
             c = int(counts[t])
-            for i in range(p):
-                accepted[i] += int(counts_local[i, t])
-                lo[i] += int(counts_local[i, t])
+            accepted += int(local[t])
+            lo += int(local[t])
             accepted_total += c
             cur_lo -= c
             cur_hi -= c
             cur_n -= c
         if over.any():
-            masked = np.where(over, counts, np.iinfo(np.int64).max)
-            t = int(np.argmin(masked))
-            # window cuts for the over-pivot are recomputed against the
-            # (possibly just advanced) lo, since counts_local predate the
+            t = int(np.argmin(np.where(over, counts, np.iinfo(np.int64).max)))
+            # the window cut for the over-pivot is recomputed against the
+            # (possibly just advanced) lo, since ``local`` predates the
             # acceptance step above
-            v_over = pivots[t]
-            for i in range(p):
-                le = int(np.clip(seqs[i].count_le(v_over), lo[i], len(seqs[i])))
-                hi[i] = max(lo[i], le)
-            cur_n = int(machine.allreduce([hi[i] - lo[i] for i in range(p)], op="sum")[0])
+            le = int(np.clip(seq.count_le(pivots[t]), lo, len(seq)))
+            hi = max(lo, le)
+            cur_n = int((yield ("allreduce", hi - lo, "sum")))
+            log.append(("allreduce", 1))
 
     # safety net: exact selection of rank cur_lo in the remaining windows
-    windows = [_SeqWindow(seqs[i], lo[i], hi[i]) for i in range(p)]
-    value, rel_cuts = ms_select_with_cuts(machine, windows, cur_lo)
-    cuts = tuple(accepted[i] + rel_cuts[i] for i in range(p))
-    return AmsResult(value, accepted_total + cur_lo, cuts, max_rounds, True)
+    value, rel_cut, _ = yield from ms_select_with_cuts_gen(
+        rank, p, _SeqWindow(seq, lo, hi), cur_lo, shared_rng, log
+    )
+    return value, accepted_total + cur_lo, accepted + rel_cut, max_rounds, True

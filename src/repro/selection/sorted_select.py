@@ -23,7 +23,8 @@ import numpy as np
 
 from ..common.ordering import TOP
 from ..common.validation import check_rank
-from ..machine import Machine
+from ..machine import DistArray, Machine
+from ..machine.metrics import payload_words
 from .accessors import SortedSequence, as_sorted_seq
 
 __all__ = ["ms_select", "ms_select_with_cuts", "MsSelectStats"]
@@ -38,6 +39,42 @@ class MsSelectStats:
     comm_rounds: int
 
 
+def run_sorted(machine: Machine, seqs, kernel, check) -> list[tuple]:
+    """Run a sorted-input selection as ONE worker command.
+
+    ``seqs`` is one sorted sequence per PE: arrays or
+    :class:`SortedSequence` adapters, which ride along with the command
+    (adapters must pickle on real backends), or a
+    :class:`~repro.machine.DistArray` of sorted chunks, which stays
+    where it is.  ``check(n)`` validates the caller's ranks against the
+    global size ``n`` and returns the kernel's trailing arguments; a
+    refused call is neither charged, sent nor drawn for.  The one
+    command runs ``kernel(rank, seq, p, addr, *args)`` on every PE under
+    one fresh draw address; each kernel returns its result followed by
+    its charge log, which the driver replays.  Returns the per-PE
+    results without the logs.
+    """
+    p = machine.p
+    resident = isinstance(seqs, DistArray)
+    if resident:
+        n = seqs.global_size
+    else:
+        seqs = [as_sorted_seq(s) for s in seqs]
+        if len(seqs) != p:
+            raise ValueError(f"need one sequence per PE (p={p}, got {len(seqs)})")
+        n = sum(len(s) for s in seqs)
+    args = check(n)
+    refs = [seqs._ensure_ref()] if resident else []
+    addr = machine.draw_addr()
+    _, vals = machine.backend.run_spmd(
+        kernel, refs,
+        args=[((p,) if resident else (seqs[i], p)) + (addr, *args)
+              for i in range(p)],
+    )
+    machine.replay_charges([v[-1] for v in vals])
+    return [v[:-1] for v in vals]
+
+
 def ms_select(
     machine: Machine,
     seqs,
@@ -49,88 +86,60 @@ def ms_select(
 ):
     """Globally k-th smallest element of ``p`` locally sorted sequences.
 
+    The whole of :func:`ms_select_gen` runs as one worker command.
+
     Parameters
     ----------
     seqs:
-        One :class:`SortedSequence` (or ascending ``np.ndarray``) per PE.
+        One :class:`SortedSequence` (or ascending ``np.ndarray``) per
+        PE, which rides along with the command (adapters must pickle on
+        real backends), or a :class:`~repro.machine.DistArray` of sorted
+        chunks, which stays where it is.
     k:
         Target rank, 1-based.
     base_case:
-        Remaining window size below which PE 0 finishes sequentially.
+        Remaining window size below which the PEs finish sequentially
+        on the gathered windows.
     """
-    seqs = [as_sorted_seq(s) for s in seqs]
-    if len(seqs) != machine.p:
-        raise ValueError(f"need one sequence per PE (p={machine.p}, got {len(seqs)})")
-    n = int(machine.allreduce([len(s) for s in seqs], op="sum")[0])
-    k = check_rank(k, n)
+    value, rounds, comm_rounds = run_sorted(
+        machine, seqs, _exact_kernel,
+        lambda n: (ms_select_gen, check_rank(k, n), base_case, max_rounds),
+    )[0]
+    return MsSelectStats(value, rounds, comm_rounds) if return_stats else value
 
-    # windows of global candidate ranks per PE; restrict to first k
-    lo = [0] * machine.p
-    hi = [min(len(s), k) for s in seqs]
-    rounds = 0
-    comm_rounds = 1  # the size all-reduce above
-    # replicated pivot draws from one counter-addressed stream per call
-    shared = machine.draw_addr().shared()
 
-    while True:
-        sizes = [hi[i] - lo[i] for i in range(machine.p)]
-        total = sum(sizes)  # driver-side mirror of the tracked windows
-        if total <= max(base_case, 1) or rounds >= max_rounds:
-            value = _sorted_base_case(machine, seqs, lo, hi, k)
-            comm_rounds += 2
-            if return_stats:
-                return MsSelectStats(value, rounds, comm_rounds)
-            return value
+def ms_select_with_cuts(
+    machine: Machine, seqs, k: int, *, base_case: int = 64,
+    max_rounds: int = 200,
+) -> tuple[object, list[int]]:
+    """k-th smallest plus exact per-PE selection counts.
 
-        # ------------------------------------------------------------
-        # Pivot: the g-th element of the remaining windows, g uniform.
-        # The draw is replicated (counter-addressed shared stream); the
-        # prefix sum over window sizes identifies the owner PE, which
-        # broadcasts v.
-        # ------------------------------------------------------------
-        g = int(shared.integers(total))
-        offsets = machine.exscan(sizes, op="sum")
-        candidates = []
-        for i in range(machine.p):
-            if offsets[i] <= g < offsets[i] + sizes[i]:
-                v_local = seqs[i].item(lo[i] + (g - offsets[i]))
-                machine.charge_ops_one(i, np.log2(max(sizes[i], 2)))
-                candidates.append(v_local)
-            else:
-                candidates.append(TOP)
-        v = machine.allreduce(candidates, op="min")[0]
-        comm_rounds += 2
+    Returns ``(value, cuts)`` where ``cuts[i]`` is the number of elements
+    PE ``i`` contributes to the global k smallest; ``sum(cuts) == k``
+    exactly (duplicate threshold elements are granted in PE order via a
+    prefix sum, as in Section 4's output convention).  ``seqs`` is as
+    for :func:`ms_select`; :func:`ms_select_with_cuts_gen` runs as one
+    worker command.
+    """
+    vals = run_sorted(
+        machine, seqs, _exact_kernel,
+        lambda n: (ms_select_with_cuts_gen, check_rank(k, n), base_case,
+                   max_rounds),
+    )
+    return vals[0][0], [v[1] for v in vals]
 
-        # ------------------------------------------------------------
-        # Binary-search split of every window at v: j = #(< v), e = #(== v)
-        # ------------------------------------------------------------
-        j = np.zeros(machine.p, dtype=np.int64)
-        e = np.zeros(machine.p, dtype=np.int64)
-        for i in range(machine.p):
-            le = int(np.clip(seqs[i].count_le(v), lo[i], hi[i])) - lo[i]
-            # count strictly-below via <=-count of the predecessor probe:
-            # for floats we can search with side='left' semantics through
-            # count_le on a slightly smaller probe; do it exactly instead:
-            lt = _count_lt(seqs[i], v, lo[i], hi[i])
-            j[i] = lt
-            e[i] = le - lt
-            machine.charge_ops_one(i, np.log2(max(sizes[i], 2)))
-        counts = machine.allreduce(
-            [np.array([j[i], e[i]], dtype=np.int64) for i in range(machine.p)], op="sum"
-        )[0]
-        n_lt, n_eq = int(counts[0]), int(counts[1])
-        comm_rounds += 1
 
-        if n_lt >= k:
-            hi = [lo[i] + int(j[i]) for i in range(machine.p)]
-        elif n_lt + n_eq >= k:
-            if return_stats:
-                return MsSelectStats(v, rounds + 1, comm_rounds)
-            return v
-        else:
-            lo = [lo[i] + int(j[i] + e[i]) for i in range(machine.p)]
-            k -= n_lt + n_eq
-        rounds += 1
+def _exact_kernel(rank: int, seq, p: int, addr, gen, k: int, base_case: int,
+                  max_rounds: int):
+    """The exact selection generator ``gen`` as one worker command,
+    pivots drawn from the shared stream; its result is followed by the
+    number of collectives it ran."""
+    log: list = []
+    result = yield from gen(
+        rank, p, as_sorted_seq(seq), k, addr.shared(), log,
+        base_case=base_case, max_rounds=max_rounds,
+    )
+    return (*result, sum(entry[0] != "ops" for entry in log), log)
 
 
 def _count_lt(seq: SortedSequence, v, lo: int, hi: int) -> int:
@@ -149,39 +158,18 @@ def _count_lt(seq: SortedSequence, v, lo: int, hi: int) -> int:
     return a - lo
 
 
-def _sorted_base_case(machine: Machine, seqs, lo, hi, k: int):
-    """Gather the residual windows on PE 0 and finish sequentially.
-
-    Implemented over Python lists so it also works for tuple-valued keys
-    (the bulk priority queue selects over ``(score, uid)`` pairs).
-    """
-    windows = []
-    for i in range(machine.p):
-        w = [seqs[i].item(x) for x in range(lo[i], hi[i])]
-        windows.append(w)
-        machine.charge_ops_one(i, max(1, hi[i] - lo[i]))
-    gathered = machine.gather(windows, root=0)[0]
-    rest = sorted(x for w in gathered for x in w)
-    machine.charge_ops_one(0, len(rest) * np.log2(max(len(rest), 2)))
-    value = rest[min(k, len(rest)) - 1]
-    value = value.item() if hasattr(value, "item") else value
-    return machine.broadcast(value, root=0)[0]
-
-
 # ----------------------------------------------------------------------
-# SPMD generator form (resident execution inside backend workers)
+# SPMD generator form: the one implementation
 # ----------------------------------------------------------------------
 #
-# The bulk priority queues keep their search trees resident in the
-# execution backend; their rank selection therefore runs *where the
-# trees live* as one generator SPMD step (``Backend.run_spmd``).  The
-# generators below mirror the driver algorithms above collective for
-# collective, but each rank sees only its own sequence; embedded
-# collectives are ``yield``ed, randomness comes from counter-addressed
-# streams the calling kernel derives in place
-# (:mod:`repro.machine.ctrrng` -- no state crosses the wire), and every
-# charge the driver version would have made is appended to ``log`` for
-# :meth:`Machine.replay_charges`.
+# Each rank sees only its own sequence.  Embedded collectives are
+# ``yield``ed, randomness comes from counter-addressed streams the
+# calling kernel derives in place (:mod:`repro.machine.ctrrng` -- no
+# state crosses the wire), and every charge is appended to ``log`` for
+# :meth:`Machine.replay_charges`.  The public selectors above run them
+# as one worker command each (:func:`run_sorted`); the bulk priority
+# queues run them by ``yield from`` inside their own commands, where
+# their trees live.
 
 def ms_select_gen(rank, p, seq, k, shared_rng, log, *, base_case=64, max_rounds=200):
     """SPMD generator: globally k-th smallest over per-rank sorted views.
@@ -192,8 +180,6 @@ def ms_select_gen(rank, p, seq, k, shared_rng, log, *, base_case=64, max_rounds=
     the identical stream).  Yields SPMD collectives and returns
     ``(value, rounds)``.
     """
-    from ..machine.metrics import payload_words
-
     totals = yield ("allreduce", len(seq), "sum")
     log.append(("allreduce", 1))
     n = int(totals)
@@ -249,8 +235,8 @@ def ms_select_gen(rank, p, seq, k, shared_rng, log, *, base_case=64, max_rounds=
 def ms_select_with_cuts_gen(rank, p, seq, k, shared_rng, log, **kwargs):
     """SPMD generator: k-th smallest plus this rank's exact cut.
 
-    Mirrors :func:`ms_select_with_cuts` -- the tie quota is granted in
-    PE order through one fused in-worker ``allreduce_exscan``.  Returns
+    The tie quota is granted in PE order through one fused in-worker
+    ``allreduce_exscan``.  Returns
     ``(value, cut, rounds)`` with ``sum(cut) == k`` across ranks.
     """
     value, rounds = yield from ms_select_gen(
@@ -270,32 +256,3 @@ def ms_select_with_cuts_gen(rank, p, seq, k, shared_rng, log, **kwargs):
     quota = k - int(totals[0])
     keep_eq = int(np.clip(quota - int(prefix[1]), 0, eq))
     return value, n_lt + keep_eq, rounds
-
-
-def ms_select_with_cuts(
-    machine: Machine, seqs, k: int, **kwargs
-) -> tuple[object, list[int]]:
-    """k-th smallest plus exact per-PE selection counts.
-
-    Returns ``(value, cuts)`` where ``cuts[i]`` is the number of elements
-    PE ``i`` contributes to the global k smallest; ``sum(cuts) == k``
-    exactly (duplicate thresshold elements are granted in PE order via a
-    prefix sum, as in Section 4's output convention).
-    """
-    seqs = [as_sorted_seq(s) for s in seqs]
-    value = ms_select(machine, seqs, k, **kwargs)
-    lt = []
-    eq = []
-    for i in range(machine.p):
-        n_le = seqs[i].count_le(value)
-        n_lt = _count_lt(seqs[i], value, 0, len(seqs[i]))
-        lt.append(n_lt)
-        eq.append(n_le - n_lt)
-        machine.charge_ops_one(i, np.log2(max(len(seqs[i]), 2)))
-    # fused: strict-below total and tie prefix share one schedule
-    quota, eq_before = machine.tie_grant_prefix(lt, eq, k)
-    cuts = []
-    for i in range(machine.p):
-        keep_eq = int(np.clip(quota - eq_before[i], 0, eq[i]))
-        cuts.append(lt[i] + keep_eq)
-    return value, cuts

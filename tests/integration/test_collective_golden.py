@@ -1,15 +1,15 @@
-"""Integration: the list-of-p families against a table recorded at the
-parent commit.
+"""Integration: the list-of-p families and the sorted-input selectors
+against a table recorded at the parent commit.
 
-sim == mp cannot see drift both share, so the families whose
-collectives are still spelled list-of-p are held to
+sim == mp cannot see drift both share, so these families are held to
 ``tests/support/collective_golden.json``: values, the modeled-cost tuple
 of ``report()`` and the draw addresses allocated (``Machine._rng_seq``)
 of ``top_k_frequent_naive``, ``top_k_frequent_naive_tree`` (the
 ``reduce_tree`` / point-to-point user), ``dta_topk``, ``rdta_topk``,
-``ms_select`` and ``BulkParallelPQ.peek_min`` at p in {1, 2, 3, 4, 8},
-plus the modeled columns of every ``collectives_microbench`` row,
-recorded at 8ec87bb on sim.  Regenerate (``python
+``ms_select``, ``ams_select_batched`` and ``BulkParallelPQ.peek_min`` at
+p in {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
+modeled columns of every ``collectives_microbench`` row, first recorded
+at 8ec87bb on sim.  Regenerate (``python
 tests/integration/test_collective_golden.py``) only when a result or
 cost change is intended, and from the parent of that change.
 """
@@ -24,7 +24,7 @@ from repro.bench.experiments import collectives_microbench
 from repro.frequent import top_k_frequent_naive, top_k_frequent_naive_tree
 from repro.machine import DistArray, Machine
 from repro.pqueue import BulkParallelPQ
-from repro.selection import ms_select
+from repro.selection import ams_select_batched, ms_select
 from repro.topk import SumScore, build_distributed_index, dta_topk, rdta_topk
 
 GOLDEN_PATH = Path(__file__).parents[1] / "support" / "collective_golden.json"
@@ -65,6 +65,14 @@ def _ms_select(m):
     return [float(ms_select(m, seqs, k)) for k in (1, 171, 500 * m.p)]
 
 
+def _ams_select_batched(m):
+    # narrow enough for several rounds, wide enough that no fallback fires
+    seqs = [np.sort(g.random(500)) for g in m.rngs]
+    res = ams_select_batched(m, seqs, 150 * m.p, 155 * m.p, d=8)
+    assert not res.exact_fallback
+    return [float(res.value), res.k, list(res.cuts), res.rounds]
+
+
 def _peek_min(m):
     pq = BulkParallelPQ(m)
     # odd ranks hold nothing: their local minimum is the TOP sentinel
@@ -80,6 +88,7 @@ FAMILIES = {
     "dta_topk": _topk(dta_topk),
     "rdta_topk": _topk(rdta_topk),
     "ms_select": _ms_select,
+    "ams_select_batched": _ams_select_batched,
     "peek_min": _peek_min,
 }
 
@@ -118,6 +127,12 @@ def test_equals_the_parent_commit(golden, family, p):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_mp_equals_the_parent_commit(golden, family):
     got = json.loads(json.dumps(_observe(family, 3, backend="mp")))
+    assert got == golden[f"{family}/3"]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_tcp_equals_the_parent_commit(golden, family):
+    got = json.loads(json.dumps(_observe(family, 3, backend="tcp")))
     assert got == golden[f"{family}/3"]
 
 

@@ -1,9 +1,10 @@
 """Integration: a selection call is ONE worker command.
 
 ``multi_select`` and ``select_kth`` run their whole recursion -- level
-loop, early exits, base case -- inside a single ``spmd`` command,
-and the driver replays the cost model from the per-level records the
-command returns.  These tests pin the shape (driver sends per call) and
+loop, early exits, base case -- inside a single ``spmd`` command, and so
+do the sorted-input selectors ``ms_select``, ``ms_select_with_cuts`` and
+``ams_select_batched`` (their generator forms); the driver replays the
+cost model from the records the command returns.  These tests pin the shape (driver sends per call) and
 re-assert everything the per-level-command form guaranteed: results and
 modeled cost equal to sim, lockstep verification
 over the long collective trace, structured failure when a worker dies
@@ -13,8 +14,15 @@ inside the command, and bit-identical lineage replay.
 import numpy as np
 import pytest
 
-from repro.machine import FaultPlan, Machine, WorkerFailure
-from repro.selection import multi_select, select_kth, select_topk_smallest
+from repro.machine import DistArray, FaultPlan, Machine, WorkerFailure
+from repro.selection import (
+    ams_select_batched,
+    ms_select,
+    ms_select_with_cuts,
+    multi_select,
+    select_kth,
+    select_topk_smallest,
+)
 from repro.testing import make_dist, sorted_oracle
 
 BACKENDS = ["mp", "tcp"]
@@ -36,6 +44,20 @@ def _model(machine):
     r = machine.report()
     return (r.makespan, r.work_time, r.comm_time, r.bottleneck_words,
             r.bottleneck_startups, r.total_traffic, r.imbalance)
+
+
+def _sorted(p, seed=23):
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.random(N_PER_PE)) for _ in range(p)]
+
+
+#: the sorted-input selectors, each at ranks a few estimator rounds need
+SORTED_SELECTORS = {
+    "ms_select": lambda m, s, n: ms_select(m, s, n // 3),
+    "ms_select_with_cuts": lambda m, s, n: ms_select_with_cuts(m, s, n // 5),
+    "ams_select_batched": lambda m, s, n: ams_select_batched(
+        m, s, n // 4, n // 4 + n // 200, d=8),
+}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -80,6 +102,86 @@ class TestOneCommand:
             assert _model(real) == _model(sim)
             for a, b in zip(sel_real.chunks, sel_sim.chunks):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name", sorted(SORTED_SELECTORS))
+    def test_sorted_selector_is_one_command(self, backend, verify, name):
+        call = SORTED_SELECTORS[name]
+        sim = Machine(p=P, seed=75)
+        real = Machine(p=P, seed=75, backend=backend, verify=verify)
+        with real:
+            seqs = _sorted(P)
+            n = P * N_PER_PE
+            sends = real.backend.driver_sends
+            got = call(real, seqs, n)
+            assert real.backend.driver_sends - sends == 1
+            assert got == call(sim, seqs, n)
+            assert _model(real) == _model(sim)
+            assert real._rng_seq == sim._rng_seq == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(SORTED_SELECTORS))
+def test_sorted_selector_over_resident_chunks(backend, name):
+    """A DistArray of sorted chunks stays where it is: one send, no
+    fetch, and the answer, model and draws of the list form."""
+    call = SORTED_SELECTORS[name]
+    seqs = _sorted(P, seed=29)
+    n = P * N_PER_PE
+    listed = Machine(p=P, seed=76)
+    want = call(listed, seqs, n)
+    with Machine(p=P, seed=76, backend=backend) as real:
+        data = DistArray(real, seqs, resident=True)
+        real.reset()
+        sends = real.backend.driver_sends
+        assert call(real, data, n) == want
+        assert real.backend.driver_sends - sends == 1
+        assert _model(real) == _model(listed)
+        assert real._rng_seq == listed._rng_seq
+
+
+#: calls every sorted-input selector must refuse with its own
+#: ValueError before anything is charged, sent or drawn
+REFUSALS = {
+    "ms_select k=0": lambda m, s, n: ms_select(m, s, 0),
+    "ms_select k=n+1": lambda m, s, n: ms_select(m, s, n + 1),
+    "ms_select k=2.5": lambda m, s, n: ms_select(m, s, 2.5),
+    "cuts k=0": lambda m, s, n: ms_select_with_cuts(m, s, 0),
+    "cuts k=n+1": lambda m, s, n: ms_select_with_cuts(m, s, n + 1),
+    "batched k_lo>k_hi": lambda m, s, n: ams_select_batched(m, s, 9, 5),
+    "batched k_hi>n": lambda m, s, n: ams_select_batched(m, s, 1, n + 1),
+    "batched d=0": lambda m, s, n: ams_select_batched(m, s, 1, 5, d=0),
+    "batched d=True": lambda m, s, n: ams_select_batched(m, s, 1, 5, d=True),
+    "batched d=2.5": lambda m, s, n: ams_select_batched(m, s, 1, 5, d=2.5),
+}
+
+
+@pytest.mark.parametrize("backend", ["sim"] + BACKENDS)
+@pytest.mark.parametrize("resident", [False, True], ids=["list", "resident"])
+def test_refused_calls_leave_no_trace(backend, resident):
+    with Machine(p=P, seed=77, backend=backend) as m:
+        seqs = _sorted(P)
+        n = P * N_PER_PE
+        data = DistArray(m, seqs, resident=True) if resident else seqs
+        before = (_model(m), m._rng_seq, getattr(m.backend, "driver_sends", 0))
+        for name, call in REFUSALS.items():
+            with pytest.raises(ValueError):
+                call(m, data, n)
+            after = (_model(m), m._rng_seq, getattr(m.backend, "driver_sends", 0))
+            assert after == before, name
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+def test_batched_threshold_is_an_input_element(backend):
+    """int64 keys above 2**53 are not floats: the threshold is the
+    element itself, in the input's dtype."""
+    seqs = [2**60 + np.array([1, 300, 600], dtype=np.int64),
+            2**60 + np.array([900, 1200], dtype=np.int64)]
+    with Machine(p=2, seed=78, backend=backend) as m:
+        res = ams_select_batched(m, seqs, 2, 3)
+        assert type(res.value) is np.int64
+        assert res.value in np.concatenate(seqs)
+        kth = np.sort(np.concatenate(seqs))[res.k - 1]
+        assert res.value == kth and sum(res.cuts) == res.k
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
