@@ -36,8 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ..common.sampling import weighted_sample_counts
-from ..common.validation import check_k, check_probability
-from ..frequent.dht import integer_key_dtype, run_count, run_topk
+from ..common.validation import (
+    check_finite_positive, check_k, check_k_star, check_probability,
+)
+from ..frequent.dht import integer_key_dtype, run_pipeline
 from ..machine import Machine
 from ..machine.collectives import tree_reduce_order
 from ..machine.dist_array import generate_resident
@@ -301,20 +303,6 @@ def _global_mass(machine: Machine, data: DistKeyValue) -> float:
     return float(tree_reduce_order(data._masses, "sum"))
 
 
-def _sample_to_dht(machine: Machine, data: DistKeyValue, v_avg: float):
-    """Stages 1-3 as one worker command: aggregate, value-weighted
-    sample, DHT count.  Returns ``(table_ref, total, realized)``.
-
-    The rounding draws are counter-addressed (one draw address per
-    pass), so the sequence is identical on every backend and nothing
-    but the tiny address ships.
-    """
-    table, total, realized = run_count(
-        machine, data._ensure_ref(), _sample_units, (machine.draw_addr(), v_avg)
-    )
-    return table, total, sum(realized)
-
-
 def top_k_sums_pac(
     machine: Machine,
     data: DistKeyValue,
@@ -326,6 +314,8 @@ def top_k_sums_pac(
 ) -> SumAggResult:
     """(eps, delta)-approximate top-k sums (Theorem 15)."""
     check_k(k)
+    if sample_size is not None:
+        check_finite_positive(sample_size, "sample_size")
     n = data.global_size
     machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
@@ -335,15 +325,16 @@ def top_k_sums_pac(
         return SumAggResult((), True, 1.0, 0, k, {"mass": 0.0})
     s = sample_size if sample_size is not None else sum_sample_size(n, machine.p, eps, delta)
     v_avg = _safe_v_avg(m_total, s)
-    table, total, realized = _sample_to_dht(machine, data, v_avg)
-    keys, units, _, _ = run_topk(machine, [table, data._ensure_ref()], None, k, total)
+    (_, keys, units, _, _), sizes = run_pipeline(
+        machine, data._ensure_ref(), _sample_units, (machine.draw_addr(), v_avg), k
+    )
     return SumAggResult(
         items=tuple(
             (key, float(c * v_avg)) for key, c in zip(keys.tolist(), units.tolist())
         ),
         exact_sums=False,
         v_avg=v_avg,
-        sample_size=realized,
+        sample_size=sum(sizes),
         k_star=k,
         info={"mass": m_total, "target_sample": s},
     )
@@ -364,10 +355,13 @@ def top_k_sums_ec(
     Unlike frequent-objects EC, no second pass over the raw input is
     needed: the local aggregation tables already hold each key's local
     sum, so exact global sums are one lookup plus one vector reduction
-    -- answered where the pairs live, in the same worker command that
-    selects the candidates.
+    -- answered where the pairs live, in the one worker command that
+    samples, counts and selects the candidates.
     """
     check_k(k)
+    k_star = None if k_star is None else check_k_star(k_star, k)
+    if sample_size is not None:
+        check_finite_positive(sample_size, "sample_size")
     p = machine.p
     n = data.global_size
     machine._meter_allreduce(words=1)  # the driver tracks the sizes
@@ -385,11 +379,11 @@ def top_k_sums_ec(
             16.0, sum_sample_size(n, p, eps, delta) / np.sqrt(max(k_star, 1))
         )
     v_avg = _safe_v_avg(m_total, sample_size)
-    table, total, realized = _sample_to_dht(machine, data, v_avg)
-    cand_keys, _, _, exact = run_topk(
-        machine, [table, data._ensure_ref()], None, k_star, total,
-        exact_gen=_exact_sums_gen,
+    (_, cand_keys, _, _, exact), sizes = run_pipeline(
+        machine, data._ensure_ref(), _sample_units, (machine.draw_addr(), v_avg),
+        k_star, exact_gen=_exact_sums_gen,
     )
+    realized = sum(sizes)
     if exact is None:  # no sample unit was drawn
         return SumAggResult((), True, v_avg, realized, k_star, {})
     top = np.lexsort((cand_keys, -exact))[:k]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 __all__ = [
-    "as_rank", "check_k", "check_rank", "check_rank_range", "check_positive",
-    "check_probability", "is_fraction", "is_whole",
+    "as_rank", "check_finite_positive", "check_k", "check_k_star", "check_rank",
+    "check_rank_range", "check_positive", "check_probability", "check_rate",
+    "is_fraction", "is_whole",
 ]
 
 
@@ -43,6 +45,14 @@ def check_k(k: int) -> int:
     return k
 
 
+def check_k_star(k_star, k: int) -> int:
+    """Validate a candidate count: a whole number ``k_star >= k``."""
+    k_star = as_rank(k_star, "k_star")
+    if k_star < k:
+        raise ValueError(f"k_star must be >= k={k}, got {k_star}")
+    return k_star
+
+
 def check_rank(k: int, n: int, what: str = "k") -> int:
     """Validate a selection rank ``1 <= k <= n``."""
     k = as_rank(k, what)
@@ -65,6 +75,23 @@ def check_rank_range(k_lo: int, k_hi: int, n: int) -> tuple[int, int]:
 def check_positive(x, what: str):
     if x <= 0:
         raise ValueError(f"{what} must be positive, got {x}")
+    return x
+
+
+def check_rate(x, what: str):
+    """Validate a sampling rate: a real number in ``(0, 1]`` -- not NaN,
+    a ``bool`` or a string."""
+    if not (is_fraction(x) and x > 0.0):
+        raise ValueError(f"{what} must be a sampling rate in (0, 1], got {x!r}")
+    return x
+
+
+def check_finite_positive(x, what: str):
+    """Validate a real number ``0 < x < inf`` -- not NaN, a ``bool`` or
+    a string."""
+    if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and 0.0 < x < math.inf):
+        raise ValueError(f"{what} must be finite and positive, got {x!r}")
     return x
 
 

@@ -26,11 +26,13 @@ collectives, appends to ``log`` every charge a step-by-step driver
 would make (:meth:`Machine.replay_charges` replays them, so modeled
 cost is identical on every backend) and composes by ``yield from``.
 The pipelines (``pac``, ``ec``, ``exact``, ``aggregation.sum_topk``)
-string the pieces into two worker commands -- :func:`run_count`, then
-:func:`run_topk` on the table the first left resident.  The selection
-draws only when more than ``k`` entries exist, and the driver must know
-that before it builds the second command (draw addresses are allocated
-at command-build time); that is why there are two.
+string the pieces into ONE worker command, :func:`run_pipeline`:
+sample, exchange, the all-reduction that gives every PE the table's
+size, selection, winner exchange and the optional exact pass, the
+table never leaving the kernel.  The selection draws only when more
+than ``k`` entries exist, which the driver learns only from the
+command's answer: it allocates the draw address at build time and
+gives it back when the command reports that it did not select.
 :func:`count_into_dht`, :func:`count_into_dht_resident`,
 :func:`exchange_into_dht` and :func:`take_topk_entries` run the same
 pieces for callers that hold samples or per-PE dicts in the driver.
@@ -57,8 +59,7 @@ __all__ = [
     "local_key_counts",
     "array_key_dtype",
     "integer_key_dtype",
-    "run_count",
-    "run_topk",
+    "run_pipeline",
     "sample_table",
 ]
 
@@ -155,8 +156,9 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
     nominates its ``k`` smallest tie keys -- a superset of the eventual
     quota, which never exceeds ``k``, so the granted set is unchanged),
     saving one ``alpha log p`` schedule per call.  ``total`` is the
-    global entry count; if it is at most ``k``, every entry wins and
-    nothing is drawn (``addr`` may be ``None``).
+    global entry count, which the caller has already computed and
+    charged (it is not charged again here); if it is at most ``k``,
+    every entry wins and nothing is drawn (``addr`` may be ``None``).
 
     ``piggyback`` optionally is this PE's integer (the pipelines' local
     sample size) whose global sum is fused into the winner all-gather.
@@ -165,7 +167,6 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
     """
     keys, counts = table
     if total > k:
-        log.append(("allreduce", 1))  # the selection's global size
         value, *_ = yield from select_kth_gen(
             rank, -counts, p, addr, k, total, 1.0, default_base_case(p), 64, log
         )
@@ -220,78 +221,74 @@ def _count_kernel(rank: int, keys: np.ndarray, counts, p: int, dtype, salt: int)
     return table, log
 
 
-def _count_cmd(rank: int, source, p: int, sample_fn, *sample_args):
-    """Command one of a pipeline: ``sample_fn(rank, source, *sample_args,
-    log)`` builds this PE's ``(table, info)`` next to the data; the
-    owners' tables stay resident, ``(total, info, log)`` return."""
+def _pipeline_cmd(rank: int, source, p: int, sample_fn, sample_args: tuple,
+                  k: int, addr, piggyback: bool, exact_gen):
+    """One pipeline call, where the data lives: ``sample_fn(rank,
+    source, *sample_args, log)`` builds this PE's ``(table, info)``, the
+    exchange leaves every entry with its key's owner, one all-reduction
+    gives every PE the table's size, and if any entry exists the top
+    ``k`` are selected (drawing from ``addr`` only if more than ``k``
+    exist) and, with ``exact_gen(rank, source, keys, log)``, counted
+    exactly.  With ``piggyback`` the global sum of the ``info``s (the
+    local sample sizes) rides the winner exchange.
+
+    Every PE returns ``(answer, info, log)``; the replicated ``answer``
+    ``(total, keys, counts, info_total, exact)`` only from PE 0.
+    """
     log: list = []
     table, info = sample_fn(rank, source, *sample_args, log)
     table = yield from exchange_gen(rank, p, table, 0, log)
     total = yield ("allreduce", int(table[0].size), "sum")
+    total = int(total)
     log.append(("allreduce", 1))
-    return table, (int(total), info, log)
+    keys = counts = np.empty(0, dtype=np.int64)
+    pb_total = exact = None
+    if total:
+        keys, counts, pb_total = yield from topk_entries_gen(
+            rank, p, table, k, total, addr, info if piggyback else None, log
+        )
+        if exact_gen is not None:
+            exact = yield from exact_gen(rank, source, keys, log)
+    elif piggyback:
+        pb_total = yield ("allreduce", info, "sum")
+        log.append(("allreduce", 1))
+    answer = (total, keys, counts, pb_total, exact) if rank == 0 else None
+    return answer, info, log
 
 
-def _topk_cmd(rank: int, table: Table, source, p: int, k: int, total: int,
-              addr, piggyback, exact_gen):
-    """Command two of a pipeline: the top ``k`` entries and, with
-    ``exact_gen(rank, source, keys, log)``, the exact global value of
-    each from the data.  The replicated answer returns from PE 0."""
+def _topk_cmd(rank: int, table: Table, p: int, k: int, total: int, addr, piggyback):
+    """:func:`topk_entries_gen` over a table that rode the command; the
+    replicated answer returns from PE 0."""
     log: list = []
-    keys, counts, pb_total = yield from topk_entries_gen(
-        rank, p, table, k, total, addr, piggyback, log
-    )
-    exact = None
-    if exact_gen is not None:
-        exact = yield from exact_gen(rank, source, keys, log)
-    answer = (keys, counts, pb_total, exact) if rank == 0 else None
-    return answer, log
+    answer = yield from topk_entries_gen(rank, p, table, k, total, addr, piggyback, log)
+    return answer if rank == 0 else None, log
 
 
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
 
-def run_count(machine: Machine, source_ref, sample_fn, sample_args: tuple):
-    """Issue :func:`_count_cmd`, replay its charges.  Returns
-    ``(table_ref, total, infos)``."""
-    p = machine.p
-    refs, vals = machine.backend.run_spmd(
-        _count_cmd, [source_ref], n_out=1,
-        args=[(p, sample_fn, *sample_args)] * p,
-    )
-    machine.replay_charges([log for _, _, log in vals])
-    return refs[0], vals[0][0], [info for _, info, _ in vals]
+def run_pipeline(machine: Machine, source_ref, sample_fn, sample_args: tuple,
+                 k: int, *, piggyback: bool = False, exact_gen=None):
+    """Issue :func:`_pipeline_cmd` over the resident ``source_ref`` and
+    replay its charges.  Returns ``((total, keys, counts, info_total,
+    exact), infos)``, ``infos[i]`` being PE ``i``'s ``info``.
 
-
-def run_topk(machine: Machine, refs: list, lead, k: int, total: int,
-             piggyback=None, exact_gen=None):
-    """Issue :func:`_topk_cmd` and replay its charges.  The table and
-    the source are resident (``refs``) or ride the command (``refs``
-    empty, ``lead[i]`` is PE ``i``'s ``(table, source)``).
-
-    Returns ``(keys, counts, piggyback_total, exact)``; with no entry
-    anywhere nothing is issued (``piggyback`` is then summed here, its
-    all-reduction charged).  The selection's draw address is allocated
-    only when more than ``k`` entries exist.
+    The selection's draw address is allocated here and given back when
+    the command reports at most ``k`` entries (nothing was drawn), so
+    a call takes it exactly when it selects; a failed command keeps it.
     """
     p = machine.p
-    if total == 0:
-        pb_total = None
-        if piggyback is not None:
-            machine._meter_allreduce(words=1)
-            pb_total = int(sum(piggyback))
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, pb_total, None
-    addr = machine.draw_addr() if total > k else None
-    lead = lead if lead is not None else [()] * p
-    pb = piggyback if piggyback is not None else [None] * p
+    addr = machine.draw_addr()
     _, vals = machine.backend.run_spmd(
-        _topk_cmd, refs,
-        args=[(*lead[i], p, k, total, addr, pb[i], exact_gen) for i in range(p)],
+        _pipeline_cmd, [source_ref],
+        args=[(p, sample_fn, sample_args, k, addr, piggyback, exact_gen)] * p,
     )
-    machine.replay_charges([log for _, log in vals])
-    return vals[0][0]
+    machine.replay_charges([log for _, _, log in vals])
+    answer = vals[0][0]
+    if answer[0] <= k:
+        machine.give_back_addr(addr)
+    return answer, [info for _, info, _ in vals]
 
 
 def array_key_dtype(data: DistArray) -> np.dtype:
@@ -301,8 +298,7 @@ def array_key_dtype(data: DistArray) -> np.dtype:
 
 def _run_count_kernel(machine: Machine, refs: list, lead, dtype, salt: int):
     """Issue :func:`_count_kernel` (keys resident, or riding along with
-    their counts, as in :func:`run_topk`); the owners' tables return as
-    dicts."""
+    their counts); the owners' tables return as dicts."""
     p = machine.p
     if len(lead) != p:
         raise ValueError(f"need one entry per PE, got {len(lead)} for p={p}")
@@ -377,21 +373,24 @@ def take_topk_entries(
     check_k(k)
     total = sum(len(d) for d in dicts)
     machine._meter_allreduce(words=1)
+    if total == 0:
+        if piggyback is None:
+            return []
+        machine._meter_allreduce(words=1)
+        return [], int(sum(piggyback))
     entries = [sorted(d.items()) for d in dicts]
     largest = max((e[-1][0] for e in entries if e), default=0)
     dtype = np.uint64 if largest > np.iinfo(np.int64).max else np.int64
-    lead = [
-        (
-            (
-                np.fromiter((key for key, _ in e), dtype=dtype, count=len(e)),
-                np.fromiter((c for _, c in e), dtype=np.int64, count=len(e)),
-            ),
-            None,
-        )
-        for e in entries
-    ]
-    keys, counts, pb_total, _ = run_topk(
-        machine, [], lead, k, total, piggyback=piggyback
+    p = machine.p
+    addr = machine.draw_addr() if total > k else None
+    pb = piggyback if piggyback is not None else [None] * p
+    tables = [(np.fromiter((key for key, _ in e), dtype=dtype, count=len(e)),
+               np.fromiter((c for _, c in e), dtype=np.int64, count=len(e)))
+              for e in entries]
+    _, vals = machine.backend.run_spmd(
+        _topk_cmd, [], args=[(tables[i], p, k, total, addr, pb[i]) for i in range(p)]
     )
+    machine.replay_charges([log for _, log in vals])
+    keys, counts, pb_total = vals[0][0]
     items = list(zip(keys.tolist(), counts.tolist()))
     return items if piggyback is None else (items, pb_total)

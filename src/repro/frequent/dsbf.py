@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.hashing import make_owner_fn
+from ..common.validation import check_k_star, check_rate
 from ..kernels import fingerprint32
 from ..machine import DistArray, Machine
 from .dht import local_key_counts, take_topk_entries
@@ -157,6 +158,9 @@ def top_k_frequent_ec_dsbf(
     from .ec import exact_count_keys, optimal_k_star
     from .pac import sample_distributed
 
+    k_star = None if k_star is None else check_k_star(k_star, k)
+    if rho is not None:
+        check_rate(rho, "rho")
     p = machine.p
     n = int(machine.allreduce([int(s) for s in data.sizes()], op="sum")[0])
     if n == 0:

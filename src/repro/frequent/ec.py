@@ -13,7 +13,7 @@ most frequently sampled objects, whose occurrences are then counted
 4. one vector-valued sum-reduction yields exact global counts, from
    which the top-k is read off locally.
 
-Step 1 is one worker command, steps 2-4 a second one.
+All four steps are one worker command.
 
 The communication-optimal candidate count is
 ``k* = max(k, (1/eps) sqrt(2 log(p)/p * ln(n/delta)))`` (Theorem 11),
@@ -26,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.sampling import ec_sample_rate
-from ..common.validation import check_k
+from ..common.validation import check_k, check_k_star, check_rate
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, run_count, run_topk, sample_table
+from .dht import array_key_dtype, run_pipeline, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_ec", "optimal_k_star", "exact_count_keys"]
@@ -99,10 +99,13 @@ def top_k_frequent_ec(
     With the default ``k_star`` the result is an
     (eps, delta)-approximation whose reported counts are *exact*
     (Lemma 10); only membership of the borderline objects can err.
-    Two worker commands: sample + count, then candidate selection +
-    exact counting of the candidates.
+    One worker command: sample, count, select the candidates and count
+    them exactly.
     """
     check_k(k)
+    k_star = None if k_star is None else check_k_star(k_star, k)
+    if rho is not None:
+        check_rate(rho, "rho")
     dtype = array_key_dtype(data)
     p = machine.p
     n = data.global_size
@@ -114,13 +117,10 @@ def top_k_frequent_ec(
     if rho is None:
         rho = ec_sample_rate(n, k_star, eps, delta)
 
-    source = data._ensure_ref()
-    table, total, sizes = run_count(
-        machine, source, sample_table, (dtype, machine.draw_addr(), rho)
-    )
-    cand_keys, _, sample_size, exact = run_topk(
-        machine, [table, source], None, k_star, total,
-        piggyback=sizes, exact_gen=exact_counts_gen,
+    (_, cand_keys, _, sample_size, exact), _ = run_pipeline(
+        machine, data._ensure_ref(), sample_table,
+        (dtype, machine.draw_addr(), rho), k_star,
+        piggyback=True, exact_gen=exact_counts_gen,
     )
     if exact is None:  # nothing was sampled
         return FrequentResult((), True, rho, sample_size, k_star, {})

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..common.validation import check_k
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, run_count, run_topk, sample_table
+from .dht import array_key_dtype, run_pipeline, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_exact", "exact_counts_oracle"]
@@ -22,16 +22,15 @@ __all__ = ["top_k_frequent_exact", "exact_counts_oracle"]
 def top_k_frequent_exact(machine: Machine, data: DistArray, k: int) -> FrequentResult:
     """Exact top-k by full counting (rho = 1).
 
-    Two worker commands, as in PAC without the sampling: every key is
+    One worker command, as in PAC without the sampling: every key is
     counted where the chunks live, only (key, count) tables enter the
     merging hypercube exchange, only the winners return.
     """
     check_k(k)
-    source = data._ensure_ref()
-    table, total, _ = run_count(
-        machine, source, sample_table, (array_key_dtype(data), None, 1.0)
+    (total, keys, counts, _, _), _ = run_pipeline(
+        machine, data._ensure_ref(), sample_table,
+        (array_key_dtype(data), None, 1.0), k,
     )
-    keys, counts, _, _ = run_topk(machine, [table, source], None, k, total)
     return FrequentResult(
         items=tuple((key, float(c)) for key, c in zip(keys.tolist(), counts.tolist())),
         exact_counts=True,

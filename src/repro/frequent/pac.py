@@ -23,9 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.sampling import pac_sample_rate
-from ..common.validation import check_k
+from ..common.validation import check_k, check_rate
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, run_count, run_topk, sample_table
+from .dht import array_key_dtype, run_pipeline, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_pac", "pac_error", "sample_distributed"]
@@ -57,12 +57,14 @@ def top_k_frequent_pac(
     """(eps, delta)-approximate top-k most frequent objects.
 
     ``rho`` overrides the Equation-3 sampling probability (ablations).
-    Two worker commands: sample + count into the hash table, then
-    selection + winner exchange (the global sample size rides the
-    latter's fused reduce+allgather instead of paying its own
+    One worker command: sample, count into the hash table, select and
+    exchange the winners (the global sample size rides the winner
+    exchange's fused reduce+allgather instead of paying its own
     allreduce).
     """
     check_k(k)
+    if rho is not None:
+        check_rate(rho, "rho")
     dtype = array_key_dtype(data)
     n = data.global_size
     machine._meter_allreduce(words=1)  # the driver tracks the sizes
@@ -70,12 +72,9 @@ def top_k_frequent_pac(
         return FrequentResult((), False, 1.0, 0, k, {})
     if rho is None:
         rho = pac_sample_rate(n, k, eps, delta)
-    source = data._ensure_ref()
-    table, total, sizes = run_count(
-        machine, source, sample_table, (dtype, machine.draw_addr(), rho)
-    )
-    keys, counts, sample_size, _ = run_topk(
-        machine, [table, source], None, k, total, piggyback=sizes
+    (total, keys, counts, sample_size, _), _ = run_pipeline(
+        machine, data._ensure_ref(), sample_table,
+        (dtype, machine.draw_addr(), rho), k, piggyback=True,
     )
     return FrequentResult(
         items=tuple((key, c / rho) for key, c in zip(keys.tolist(), counts.tolist())),

@@ -279,6 +279,15 @@ class Machine:
         self._rng_seq += 1
         return DrawAddress(self.seed, seq)
 
+    def give_back_addr(self, addr: DrawAddress) -> None:
+        """Un-allocate ``addr``, the last address :meth:`draw_addr`
+        returned: a command that draws only if its own data say so
+        ships an address and, when it reports that it did not draw,
+        gives it back, so the next call draws from it instead."""
+        if addr != DrawAddress(self.seed, self._rng_seq - 1):
+            raise ValueError(f"{addr} is not the last allocated draw address")
+        self._rng_seq -= 1
+
     # ------------------------------------------------------------------
     # Local work
     # ------------------------------------------------------------------

@@ -1,0 +1,377 @@
+"""Integration: frequent objects, sum aggregation and ``ams_select``
+are one worker command each.
+
+``top_k_frequent_{pac,ec,exact}`` and ``top_k_sums_{pac,ec}`` sample,
+count into the array-backed hash table, take its size, select, exchange
+the winners and count them exactly in one command; the driver replays
+the cost model from the charge logs it returns.  These tests pin the
+shape (one driver send per call), equality with sim of results, draw
+addresses and the whole model, the model and draw addresses against a
+golden table (sim == mp cannot see drift both share), the charge log
+against the collectives the workers actually yield, refused overrides,
+lockstep verification over the long collective trace, and bit-identical
+lineage replay.
+"""
+
+import numpy as np
+import pytest
+
+from repro.aggregation import DistKeyValue, top_k_sums_ec, top_k_sums_pac
+from repro.common import zipf_sample
+from repro.frequent import (
+    top_k_frequent_ec,
+    top_k_frequent_ec_dsbf,
+    top_k_frequent_exact,
+    top_k_frequent_pac,
+)
+from repro.machine import DistArray, FaultPlan, Machine, WorkerFailure
+from repro.machine.backends import base
+from repro.selection import ams_select
+
+BACKENDS = ["mp", "tcp"]
+N = 4000
+
+
+def _keys(machine):
+    data = DistArray.generate(
+        machine, lambda r, g: zipf_sample(g, N, universe=1 << 10, s=1.1))
+    data._ensure_ref()  # upload now, so send counts see only the call
+    return data
+
+
+def _kv(machine):
+    kv = DistKeyValue.generate(
+        machine, lambda r, g: (zipf_sample(g, N, universe=1 << 10, s=1.1),
+                               g.exponential(10.0, size=N)))
+    kv._ensure_ref()
+    return kv
+
+
+def _seqs(machine):
+    return [np.sort(g.random(2000)) for g in machine.rngs]
+
+
+#: name -> (input builder, call).  ``*_sel`` force more entries than
+#: ``k`` (the selection draws), the plain EC forms stay below it.
+CASES = {
+    "pac": (_keys, lambda m, d: top_k_frequent_pac(m, d, 8, rho=0.3)),
+    "pac_rho1": (_keys, lambda m, d: top_k_frequent_pac(m, d, 8, rho=1.0)),
+    "ec": (_keys, lambda m, d: top_k_frequent_ec(m, d, 8, eps=0.05, delta=1e-3)),
+    "ec_sel": (_keys, lambda m, d: top_k_frequent_ec(
+        m, d, 8, eps=0.05, delta=1e-3, k_star=12)),
+    "exact": (_keys, lambda m, d: top_k_frequent_exact(m, d, 8)),
+    "sums_pac": (_kv, lambda m, d: top_k_sums_pac(m, d, 8, eps=0.05, delta=1e-3)),
+    "sums_ec": (_kv, lambda m, d: top_k_sums_ec(m, d, 8, eps=0.05, delta=1e-3)),
+    "sums_ec_sel": (_kv, lambda m, d: top_k_sums_ec(
+        m, d, 8, eps=0.05, delta=1e-3, k_star=12)),
+    "ams": (_seqs, lambda m, d: ams_select(m, d, 300, 450)),
+}
+GOLDEN_SEED = 1502
+
+#: case -> p -> (bottleneck_words, bottleneck_startups, makespan, draw
+#: addresses allocated) with ``Machine(p, seed=GOLDEN_SEED)`` on sim.
+#: The draw addresses are those of the driver-side dict walk (fc993c7)
+#: and of the two-command form; the model is the one-command form's,
+#: which charges the table size's all-reduction once instead of twice
+#: whenever the call selects (one word and one start-up per tree level
+#: fewer).
+GOLDEN = {
+    "ams": {
+        1: (0.0, 0, 2.3027767486515122e-07, 1),
+        2: (13.0, 13, 1.975201359525231e-05, 1),
+        3: (26.0, 26, 3.9243902481537964e-05, 1),
+        4: (24.0, 24, 3.622244325559046e-05, 1),
+        8: (21.0, 21, 3.1653876266865475e-05, 1),
+    },
+    "ec": {
+        1: (0.0, 0, 5.130960488289789e-05, 1),
+        2: (190.0, 5, 5.8247362693994724e-05, 1),
+        3: (340.0, 10, 6.516580608629989e-05, 1),
+        4: (302.0, 10, 6.483643453333407e-05, 1),
+        8: (516.0, 27, 9.676511336159436e-05, 2),
+    },
+    "ec_sel": {
+        1: (0.0, 0, 5.3610010845781857e-05, 2),
+        2: (222.0, 11, 5.799636632957648e-05, 2),
+        3: (301.0, 18, 6.732860426383025e-05, 2),
+        4: (299.0, 18, 6.540850579865541e-05, 2),
+        8: (309.0, 27, 7.803235483025673e-05, 2),
+    },
+    "exact": {
+        1: (0.0, 0, 9.960101309168409e-05, 1),
+        2: (641.0, 16, 0.0001256043516090534, 1),
+        3: (868.0, 28, 0.0001456438722960211, 1),
+        4: (1075.0, 32, 0.00015129568072610523, 1),
+        8: (1316.0, 33, 0.00015410823820241355, 1),
+    },
+    "pac": {
+        1: (0.0, 0, 3.047921693949829e-05, 2),
+        2: (335.0, 10, 4.722417569562899e-05, 2),
+        3: (469.0, 24, 7.023100714487585e-05, 2),
+        4: (597.0, 20, 6.390768171676047e-05, 2),
+        8: (819.0, 48, 0.00010823963622044718, 2),
+    },
+    "pac_rho1": {
+        1: (0.0, 0, 0.00010668658405230104, 2),
+        2: (652.0, 10, 0.00012480572069877837, 2),
+        3: (865.0, 20, 0.00014148120028745548, 2),
+        4: (1084.0, 38, 0.00016829829714264008, 2),
+        8: (1323.0, 48, 0.0001846060935582456, 2),
+    },
+    "sums_ec": {
+        1: (0.0, 0, 9.719885664962133e-05, 1),
+        2: (42.0, 6, 0.0001063645748427047, 1),
+        3: (82.0, 12, 0.00011543680158475908, 1),
+        4: (94.0, 12, 0.00011554765506886787, 1),
+        8: (177.0, 18, 0.0001248536354835004, 1),
+    },
+    "sums_ec_sel": {
+        1: (0.0, 0, 9.74329264709596e-05, 2),
+        2: (77.0, 8, 0.00011126508454080923, 2),
+        3: (116.0, 16, 0.00012484593427867962, 2),
+        4: (122.0, 16, 0.0001248375342786796, 2),
+        8: (165.0, 24, 0.00013881917199998407, 2),
+    },
+    "sums_pac": {
+        1: (0.0, 0, 9.771500007273152e-05, 2),
+        2: (72.0, 9, 0.00011249710135235297, 2),
+        3: (110.0, 18, 0.00012761439558566897, 2),
+        4: (124.0, 18, 0.0001277106877130332, 2),
+        8: (156.0, 27, 0.00014292873304620106, 2),
+    },
+}
+
+
+#: p -> (draw addresses allocated after each call, bottleneck_words,
+#: bottleneck_startups, makespan) of ``ec`` (which selects only at
+#: p = 8), ``pac`` and ``sums_ec`` on one machine.  The addresses were
+#: recorded at the parent commit, where a call that did not select never
+#: allocated the selection's address; the model is the one-command form's.
+SEQUENCE_GOLDEN = {
+    1: ((1, 3, 4), 0.0, 0, 0.0001790476604875864),
+    2: ((1, 3, 4), 583.0, 21, 0.0002119180968832173),
+    3: ((1, 3, 4), 901.0, 42, 0.00024529722619052167),
+    4: ((1, 3, 4), 999.0, 46, 0.00025086873834720885),
+    8: ((2, 4, 5), 1394.0, 75, 0.0003012446942326564),
+}
+
+
+def _model(machine):
+    r = machine.report()
+    return (r.makespan, r.work_time, r.comm_time, r.bottleneck_words,
+            r.bottleneck_startups, r.total_traffic, r.imbalance)
+
+
+def _run(machine, name):
+    build, call = CASES[name]
+    data = build(machine)
+    machine.reset()
+    return call(machine, data)
+
+
+def _sends(machine):
+    return getattr(machine.backend, "driver_sends", 0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_model_and_draws_equal_the_golden_table(name):
+    for p, want in GOLDEN[name].items():
+        m = Machine(p=p, seed=GOLDEN_SEED)
+        _run(m, name)
+        r = m.report()
+        got = (r.bottleneck_words, r.bottleneck_startups, r.makespan, m._rng_seq)
+        assert got == want, (name, p)
+
+
+def test_a_call_that_does_not_select_gives_its_address_back():
+    """The selection's address is allocated with the command and given
+    back when the table holds at most ``k`` entries: the next call draws
+    from it, exactly as when the address was allocated only on need."""
+    for p, want in SEQUENCE_GOLDEN.items():
+        m = Machine(p=p, seed=GOLDEN_SEED)
+        keys, kv = _keys(m), _kv(m)
+        m.reset()
+        seqs = []
+        for name, data in (("ec", keys), ("pac", keys), ("sums_ec", kv)):
+            CASES[name][1](m, data)
+            seqs.append(m._rng_seq)
+        r = m.report()
+        got = (tuple(seqs), r.bottleneck_words, r.bottleneck_startups, r.makespan)
+        assert got == want, p
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_command_and_equal_to_sim(backend, verify, name):
+    """Lockstep checking rides the result frames: it adds no command
+    and changes no result, model or draw address."""
+    sim = Machine(p=4, seed=81)
+    with Machine(p=4, seed=81, backend=backend, verify=verify) as real:
+        build, call = CASES[name]
+        d_sim, d_real = build(sim), build(real)
+        sim.reset(), real.reset()
+        sends = _sends(real)
+        got = call(real, d_real)
+        assert _sends(real) - sends == 1
+        assert got == call(sim, d_sim)
+        assert _model(real) == _model(sim)
+        assert real._rng_seq == sim._rng_seq
+
+
+#: how a charge log spells the collectives a worker yields: the tie
+#: nomination and the winner exchange are allgathers charged as the
+#: fused reduce+allgather, a hash-table round is a sendrecv hop, and the
+#: selection's base case is one allgather charged as gather + broadcast
+CHARGED_AS = {"reduce_allgather": "allgather", "dht_round": "sendrecv"}
+
+
+def _charged_collectives(log):
+    kinds = [entry[0] for entry in log if entry[0] != "ops"]
+    out, i = [], 0
+    while i < len(kinds):
+        if kinds[i:i + 2] == ["gather", "broadcast"]:
+            out.append("allgather")
+            i += 2
+        else:
+            out.append(CHARGED_AS.get(kinds[i], kinds[i]))
+            i += 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"ams"}))
+def test_charge_log_matches_the_executed_schedule(monkeypatch, name, p):
+    """The collectives a call replays are the ones its workers yield
+    (sim's in-process runner executes every yield through
+    ``spmd_collective``), the table size's all-reduction among them
+    exactly once: no charge without an execution."""
+    m = Machine(p=p, seed=85)
+    build, call = CASES[name]
+    data = build(m)
+    yielded, replayed = [], []
+    real_collective, real_replay = base.spmd_collective, m.replay_charges
+
+    def collective(kind, requests):
+        yielded.append((kind, requests[0][1]))
+        return real_collective(kind, requests)
+
+    def replay(logs):
+        replayed.extend(logs[0])
+        real_replay(logs)
+
+    monkeypatch.setattr(base, "spmd_collective", collective)
+    monkeypatch.setattr(m, "replay_charges", replay)
+    call(m, data)
+    assert _charged_collectives(replayed) == [kind for kind, _ in yielded]
+    sizes = [payload for kind, payload in yielded
+             if kind == "allreduce" and np.ndim(payload) == 0]
+    assert len(sizes) == 1
+
+
+#: override -> (input builder, call, message): each must be refused in
+#: the driver before anything is charged, sent or drawn
+REFUSALS = {
+    "pac rho=1.5": (_keys, lambda m, d: top_k_frequent_pac(m, d, 4, rho=1.5), "rho"),
+    "pac rho=0": (_keys, lambda m, d: top_k_frequent_pac(m, d, 4, rho=0.0), "rho"),
+    "pac rho=nan": (_keys, lambda m, d: top_k_frequent_pac(
+        m, d, 4, rho=float("nan")), "rho"),
+    "ec rho=1.5": (_keys, lambda m, d: top_k_frequent_ec(m, d, 4, rho=1.5), "rho"),
+    "ec k_star<k": (_keys, lambda m, d: top_k_frequent_ec(m, d, 4, k_star=2), "k_star"),
+    "ec k_star=2.5": (_keys, lambda m, d: top_k_frequent_ec(
+        m, d, 4, k_star=2.5), "k_star"),
+    "dsbf k_star<k": (_keys, lambda m, d: top_k_frequent_ec_dsbf(
+        m, d, 4, k_star=3), "k_star"),
+    "dsbf rho=0": (_keys, lambda m, d: top_k_frequent_ec_dsbf(m, d, 4, rho=0.0), "rho"),
+    "sums_ec k_star=0": (_kv, lambda m, d: top_k_sums_ec(m, d, 4, k_star=0), "k_star"),
+    "sums_ec k_star<k": (_kv, lambda m, d: top_k_sums_ec(m, d, 4, k_star=2), "k_star"),
+    "sums_ec sample_size=nan": (_kv, lambda m, d: top_k_sums_ec(
+        m, d, 4, sample_size=float("nan")), "sample_size"),
+    "sums_pac sample_size=-5": (_kv, lambda m, d: top_k_sums_pac(
+        m, d, 4, sample_size=-5), "sample_size"),
+    "sums_pac sample_size=0": (_kv, lambda m, d: top_k_sums_pac(
+        m, d, 4, sample_size=0), "sample_size"),
+    "sums_pac sample_size=inf": (_kv, lambda m, d: top_k_sums_pac(
+        m, d, 4, sample_size=float("inf")), "sample_size"),
+}
+
+
+@pytest.mark.parametrize("backend", ["sim"] + BACKENDS)
+def test_refused_overrides_leave_no_trace(backend):
+    with Machine(p=4, seed=86, backend=backend) as m:
+        inputs = {_keys: _keys(m), _kv: _kv(m)}
+        before = (_model(m), m._rng_seq, _sends(m))
+        for name, (build, call, what) in REFUSALS.items():
+            with pytest.raises(ValueError, match=f"^{what} must"):
+                call(m, inputs[build])
+            assert (_model(m), m._rng_seq, _sends(m)) == before, name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_ams_select_over_resident_sorted_chunks(backend):
+    """A DistArray of sorted chunks stays where it is: same answer, same
+    model and same draws as the list form, nothing but the ranks ships."""
+    sim = Machine(p=4, seed=82)
+    with Machine(p=4, seed=82, backend=backend) as real:
+        data = DistArray(real, _seqs(real), resident=True)
+        want = ams_select(sim, _seqs(sim), 700, 1100)
+        sends = real.backend.driver_sends
+        got = ams_select(real, data, 700, 1100)
+        assert real.backend.driver_sends - sends == 1
+        assert got == want and sum(got.cuts) == got.k
+        assert _model(real) == _model(sim)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_lockstep_verification_covers_the_one_command(backend):
+    """verify=True compares every rank's collective trace: the hash
+    table's sendrecv hops, the size, the selection's levels, the winner
+    exchange."""
+    for name in ("pac", "ec_sel", "sums_ec_sel", "ams"):
+        plain = Machine(p=4, seed=83, backend=backend)
+        checked = Machine(p=4, seed=83, backend=backend, verify=True)
+        with plain, checked:
+            before = checked.backend.worker_message_counts()[0]
+            got = _run(checked, name)
+            sent = checked.backend.worker_message_counts()[0] - before
+            assert got == _run(plain, name)
+            assert _model(checked) == _model(plain)
+            assert sent >= 2 * 3  # log2(4) sends per collective
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_death_in_the_one_command_then_lineage_replay(backend):
+    """A worker dying in a pipeline's one command is a structured
+    WorkerFailure that keeps the selection's address (as a failed second
+    command did), and the retry rebuilds the pool from lineage and
+    answers exactly as an undisturbed machine does -- for every
+    pipeline."""
+    with Machine(p=2, seed=84, backend=backend) as scratch:
+        data = _keys(scratch)
+        top_k_frequent_pac(scratch, data, 8, rho=0.3)
+        kill_seq = scratch.backend._seq  # that call's one command
+
+    oracle = Machine(p=2, seed=84)
+    faulty = Machine(
+        p=2, seed=84, backend=backend,
+        faults=FaultPlan().kill(1, seq=kill_seq, phase="before"),
+        command_timeout=10,
+    )
+    try:
+        d_o, d_f = _keys(oracle), _keys(faulty)
+        with pytest.raises(WorkerFailure) as ei:
+            top_k_frequent_pac(faulty, d_f, 8, rho=0.3)
+        assert ei.value.phase == "dead" and ei.value.seq == kill_seq
+        top_k_frequent_pac(oracle, d_o, 8, rho=0.3)
+        assert faulty._rng_seq == oracle._rng_seq  # both addresses taken
+        oracle.reset(), faulty.reset()
+        assert (top_k_frequent_pac(faulty, d_f, 8, rho=0.3)
+                == top_k_frequent_pac(oracle, d_o, 8, rho=0.3))
+        assert faulty.backend.recoveries == 1
+        for name in sorted(CASES):
+            build, call = CASES[name]
+            assert call(faulty, build(faulty)) == call(oracle, build(oracle)), name
+        assert _model(faulty) == _model(oracle)
+    finally:
+        faulty.close()
+        oracle.close()

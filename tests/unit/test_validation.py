@@ -6,10 +6,13 @@ import numpy as np
 
 from repro.common.validation import (
     as_rank,
+    check_finite_positive,
+    check_k_star,
     check_positive,
     check_probability,
     check_rank,
     check_rank_range,
+    check_rate,
 )
 
 
@@ -92,3 +95,30 @@ class TestOthers:
         assert check_probability(0.0, "p", open_left=False) == 0.0
         with pytest.raises(ValueError):
             check_probability(1.1, "p")
+
+
+class TestOverrides:
+    """The sampling pipelines' overrides, refused before any charge."""
+
+    def test_check_rate(self):
+        assert check_rate(0.3, "rho") == 0.3
+        assert check_rate(1, "rho") == 1
+        assert check_rate(np.float32(0.5), "rho") == np.float32(0.5)
+        for bad in (0.0, -0.1, 1.5, float("nan"), float("inf"), True, "0.5"):
+            with pytest.raises(ValueError, match="^rho must be a sampling rate"):
+                check_rate(bad, "rho")
+
+    def test_check_k_star(self):
+        assert check_k_star(12, 8) == 12
+        assert check_k_star(8.0, 8) == 8
+        assert type(check_k_star(np.int64(9), 8)) is int
+        for bad in (7, 0, -3, 9.5, float("nan"), True, "12"):
+            with pytest.raises(ValueError, match="^k_star must"):
+                check_k_star(bad, 8)
+
+    def test_check_finite_positive(self):
+        assert check_finite_positive(16.0, "s") == 16.0
+        assert check_finite_positive(1e-300, "s") == 1e-300
+        for bad in (0, -5, float("nan"), float("inf"), True, "3"):
+            with pytest.raises(ValueError, match="^s must be finite and positive"):
+                check_finite_positive(bad, "s")
