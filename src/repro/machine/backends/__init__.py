@@ -60,23 +60,21 @@ def available_backends() -> list[str]:
 
 
 def make_backend(
-    spec, p: int, verify: bool = False,
-    command_timeout: float | None = None, faults=None,
+    spec, p: int, command_timeout: float | None = None, faults=None,
 ) -> Backend:
     """Resolve a backend spec: a name, a ``Backend`` instance, or None.
 
     Instances are checked for a matching PE count; names are looked up
     in the registry (``None`` means the default ``"sim"``).
 
-    ``verify=True`` asks the backend to assert SPMD lockstep (every PE
-    issuing the identical collective sequence, see
-    :class:`LockstepError`).  ``command_timeout`` is the per-command
-    deadline before a non-answering pool raises :class:`WorkerFailure`;
-    ``faults`` installs a deterministic
-    :class:`~repro.machine.faults.FaultPlan` (or spec string).
-    Backends whose factory does not take one
-    of these keywords -- notably ``sim``, which has no processes to
-    lose -- are built without it.
+    ``command_timeout`` is the per-command deadline before a
+    non-answering pool raises :class:`WorkerFailure`; ``faults``
+    installs a deterministic :class:`~repro.machine.faults.FaultPlan`
+    (or spec string).  Only factories whose ``is_real`` is true get
+    them; any other factory -- notably ``sim``, which has no processes
+    to lose -- is called with ``p`` alone.  Every backend checks SPMD
+    lockstep (see :class:`LockstepError`); there is nothing to switch
+    on.
     """
     if spec is None:
         spec = SimBackend.name
@@ -85,8 +83,6 @@ def make_backend(
             raise ValueError(
                 f"backend was built for p={spec.p}, machine has p={p}"
             )
-        if verify and hasattr(spec, "verify"):
-            spec.verify = True
         if command_timeout is not None and hasattr(spec, "command_timeout"):
             spec.command_timeout = float(command_timeout)
         return spec
@@ -96,23 +92,6 @@ def make_backend(
         raise ValueError(
             f"unknown backend {spec!r}; available: {available_backends()}"
         ) from None
-    kwargs: dict = {}
-    if verify:
-        kwargs["verify"] = True
-    if command_timeout is not None:
-        kwargs["command_timeout"] = float(command_timeout)
-    if faults is not None:
-        kwargs["faults"] = faults
-    while True:
-        try:
-            return factory(p, **kwargs)
-        except TypeError:
-            # factory predates a knob: drop the optional ones in turn
-            # (sim-style backends take none of them -- they verify and
-            # serialize by construction and have no processes to lose)
-            for knob in ("faults", "command_timeout", "verify"):
-                if knob in kwargs:
-                    del kwargs[knob]
-                    break
-            else:
-                raise
+    if not getattr(factory, "is_real", False):
+        return factory(p)
+    return factory(p, command_timeout=command_timeout, faults=faults)

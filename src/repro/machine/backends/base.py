@@ -104,11 +104,13 @@ class PendingValues:
 class LockstepError(ValueError):
     """SPMD ranks diverged from the lockstep collective sequence.
 
-    Raised by the sim data plane (which drives every rank's generator
-    and sees all yields at once) and by real backends running with
-    ``verify=True`` (which compare per-rank collective traces after
-    each command).  Subclasses :class:`ValueError` because a divergent
-    kernel is a caller bug, not a transport failure.
+    Every backend checks every SPMD step: the sim data plane compares
+    the ranks' yields at each collective, real backends compare the
+    per-rank collective traces each command returns with its values.
+    Two ranks agree when their yields have the same
+    :func:`_collective_signature`.  Subclasses :class:`ValueError`
+    because a divergent kernel is a caller bug, not a transport
+    failure.
     """
 
 
@@ -437,14 +439,62 @@ def spmd_collective(kind: str, requests: Sequence[tuple]) -> list:
     raise ValueError(f"unknown SPMD collective {kind!r}")
 
 
+def _collective_signature(req: tuple) -> tuple:
+    """Rank-comparable signature of one yielded collective.
+
+    Kind plus whatever shapes the exchange: the reduction op (named ops
+    compare as strings, callables by their ``__name__``) and the root or
+    the sender-receiver pair.  Payloads stay out -- they legitimately
+    differ per rank, and so does the sender set a ``sendrecv`` declares
+    (a hypercube hop names its partner).
+    """
+    kind = req[0]
+    if kind == "sendrecv":
+        return (kind,)
+    # the fourth slot of the fused kinds is a payload (initial / gathered)
+    shape = req[2:3] if kind in ("allreduce_exscan", "reduce_allgather") else req[2:]
+    return (kind, *(
+        x if isinstance(x, (str, int))
+        else getattr(x, "__name__", type(x).__name__)
+        for x in shape
+    ))
+
+
+def _check_lockstep(traces: Sequence[Sequence[tuple]], where: str) -> None:
+    """Raise :class:`LockstepError` unless every rank's collective trace
+    (its :func:`_collective_signature` per yield, in order) equals rank
+    0's; the message names ``where`` (the command), the diverging ranks
+    and the first collective at which the first of them differs."""
+    ref = traces[0]
+    bad = [r for r in range(1, len(traces)) if traces[r] != ref]
+    if not bad:
+        return
+    rank = bad[0]
+    trace = traces[rank]
+    step = next(
+        (i for i, (x, y) in enumerate(zip(ref, trace)) if x != y),
+        min(len(ref), len(trace)),
+    )
+    mine = trace[step] if step < len(trace) else "<kernel returned>"
+    theirs = ref[step] if step < len(ref) else "<kernel returned>"
+    raise LockstepError(
+        f"SPMD lockstep violation in {where}: rank(s) {bad} diverged "
+        f"from rank 0; first divergence at collective #{step}: rank "
+        f"{rank} issued {mine} where rank 0 issued {theirs}"
+    )
+
+
 def _run_spmd_inprocess(
     p: int, fn: Callable, chunk_lists: Sequence[Sequence], n_out: int,
     args: Sequence[tuple] | None,
 ) -> tuple[list[list], list]:
     """Run one SPMD step in the driver process: call ``fn`` on every
-    rank and drive the ranks that turned out generators in lockstep."""
+    rank and drive the ranks that turned out generators in lockstep,
+    checking at every collective that all ranks yielded the same
+    signature (:func:`_check_lockstep`)."""
     gens: list = [None] * p
     results: list = [None] * p
+    # each rank's pending yield; None once it returned
     requests: list = [None] * p
     done = 0
     for rank in range(p):
@@ -461,23 +511,26 @@ def _run_spmd_inprocess(
                 res = stop.value
         results[rank] = res
         done += 1
+    # the signatures every rank has yielded so far
+    agreed: list[tuple] = []
     while done == 0:
-        kinds = {req[0] for req in requests}
-        if len(kinds) != 1:
-            raise LockstepError(
-                f"SPMD ranks diverged: mixed collectives {sorted(kinds)}"
-            )
-        shared = spmd_collective(kinds.pop(), requests)
+        sigs = [_collective_signature(req) for req in requests]
+        if sigs.count(sigs[0]) != p:
+            _check_lockstep([agreed + [sig] for sig in sigs], "an in-process SPMD step")
+        agreed.append(sigs[0])
+        shared = spmd_collective(sigs[0][0], requests)
         for rank, gen in enumerate(gens):
             try:
                 requests[rank] = gen.send(shared[rank])
             except StopIteration as stop:
+                requests[rank] = None
                 results[rank] = stop.value
                 done += 1
     if done != p:
-        raise LockstepError(
-            "SPMD ranks diverged: some returned while others yielded"
-        )
+        _check_lockstep([
+            agreed if req is None else agreed + [_collective_signature(req)]
+            for req in requests
+        ], "an in-process SPMD step")
     outs: list[list] = [[None] * p for _ in range(n_out)]
     values: list = [None] * p
     for rank, res in enumerate(results):

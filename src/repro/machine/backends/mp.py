@@ -154,12 +154,10 @@ class MultiprocessingBackend(RuntimeBackend):
         *,
         start_method: str | None = None,
         shm_threshold: int | None | object = _UNSET,
-        verify: bool = False,
         command_timeout: float | None = None,
         faults=None,
     ):
-        super().__init__(p, verify=verify, command_timeout=command_timeout,
-                         faults=faults)
+        super().__init__(p, command_timeout=command_timeout, faults=faults)
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: list = []
         # -- zero-copy payload lane ------------------------------------

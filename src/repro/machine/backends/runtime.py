@@ -71,6 +71,13 @@ the newest round that allocated in it
 in-place consumption a collected command's blocks may outlive it
 (resident chunks decoded straight out of the segment).
 
+Every ``spmd`` result is a pair: the rank's value and its collective
+trace (one :func:`~repro.machine.backends.base._collective_signature`
+per yield).  The driver compares the p traces as the command settles
+(:meth:`RuntimeBackend._settle`) and raises
+:class:`~repro.machine.backends.base.LockstepError` if they differ; a
+divergence that completed on the wire leaves the pool usable.
+
 One recovery model: lineage
 ---------------------------
 The driver keeps one table, always on (:attr:`RuntimeBackend._lineage`).
@@ -93,7 +100,6 @@ from __future__ import annotations
 
 import atexit
 import copy
-import hashlib
 import importlib
 import inspect
 import io
@@ -122,6 +128,8 @@ from .base import (
     LockstepError,
     PendingValues,
     PureStep,
+    _check_lockstep,
+    _collective_signature,
     _run_spmd_inprocess,
 )
 
@@ -426,40 +434,6 @@ def _bruck_alltoall(comm: Comm, row, tag_base: int) -> list:
     return [delivered[j] for j in range(p)]
 
 
-def _collective_signature(req: tuple) -> tuple:
-    """Rank-comparable signature of one yielded collective.
-
-    Kind plus whatever shapes the exchange: the reduction op (named ops
-    compare as strings, callables by their ``__name__``) and the root or
-    the sender-receiver pair.  Payloads stay out -- they legitimately
-    differ per rank, and so does the sender set a ``sendrecv`` declares
-    (a hypercube hop names its partner).
-    """
-    kind = req[0]
-    if kind == "sendrecv":
-        return (kind,)
-    # the fourth slot of the fused kinds is a payload (initial / gathered)
-    shape = req[2:3] if kind in ("allreduce_exscan", "reduce_allgather") else req[2:]
-    return (kind, *(
-        x if isinstance(x, (str, int))
-        else getattr(x, "__name__", type(x).__name__)
-        for x in shape
-    ))
-
-
-class _VerifiedValue:
-    """Worker result of a ``verify=True`` SPMD command: the kernel's
-    value plus this rank's collective trace and its digest (module-level
-    so it pickles across the transport)."""
-
-    def __init__(self, value, trace: tuple):
-        self.value = value
-        self.trace = trace
-        # content digest rather than hash(): stable across worker
-        # processes regardless of PYTHONHASHSEED
-        self.digest = hashlib.sha1(repr(trace).encode()).hexdigest()
-
-
 def _run_collective(comm: Comm, req: tuple, tag: int):
     """The worker half of the collective table
     (:func:`~repro.machine.backends.base.spmd_collective` is the
@@ -519,14 +493,14 @@ def _run_collective(comm: Comm, req: tuple, tag: int):
     return total, initial if rank == 0 else inclusive_scan(gathered, op)[rank - 1]
 
 
-def _run_spmd_step(comm: Comm, step, trace: list | None = None):
+def _run_spmd_step(comm: Comm, step, trace: list):
     """Finish one SPMD step inside the worker.  ``step`` is what the
     callback returned: a generator is driven to its end, every yielded
     collective in its own tag block; anything else already is the result
     (a step of zero collectives).
 
-    With ``trace`` (a list), record each yield's signature so the
-    driver can assert lockstep across ranks after the command.
+    Each yield's signature is appended to ``trace`` so the driver can
+    assert lockstep across ranks after the command.
     """
     if not inspect.isgenerator(step):
         return step
@@ -534,8 +508,7 @@ def _run_spmd_step(comm: Comm, step, trace: list | None = None):
     try:
         req = step.send(None)
         while True:
-            if trace is not None:
-                trace.append(_collective_signature(req))
+            trace.append(_collective_signature(req))
             req = step.send(_run_collective(comm, req, tag))
             tag += 32
     except StopIteration as stop:
@@ -552,7 +525,8 @@ class WorkerError:
 
 
 def _execute(comm: Comm, spec, local, store):
-    """Run one command on this worker; returns this PE's result."""
+    """Run one command on this worker; returns this PE's result (for
+    ``spmd``, the pair of its value and its collective trace)."""
     kind = spec[0]
     if kind == "put":
         store[spec[1]] = local
@@ -562,12 +536,9 @@ def _execute(comm: Comm, spec, local, store):
     if kind == "spmd":
         fn = pickle.loads(spec[1])
         in_ids, out_ids = spec[2], spec[3]
-        # specs from pre-verify drivers are 4-tuples; treat them as
-        # verify-off rather than indexing past the end
-        verify = len(spec) > 4 and bool(spec[4])
         ins = [store[i] for i in in_ids]
         extra = tuple(local) if local is not None else ()
-        trace: list | None = [] if verify else None
+        trace: list = []
         res = _run_spmd_step(comm, fn(comm.rank, *ins, *extra), trace)
         if out_ids:
             if not isinstance(res, tuple) or len(res) != len(out_ids) + 1:
@@ -578,9 +549,7 @@ def _execute(comm: Comm, spec, local, store):
             for oid, chunk in zip(out_ids, res):
                 store[oid] = chunk
             res = res[len(out_ids)]
-        if verify:
-            return _VerifiedValue(res, tuple(trace))
-        return res
+        return res, tuple(trace)
     if kind == "stats":
         return {
             "msgs": comm.counters["msgs"],
@@ -789,8 +758,7 @@ class RuntimeBackend(Backend):
     #: reads the attribute)
     max_inflight = 1
 
-    def __init__(self, p: int, verify: bool = False,
-                 command_timeout: float | None = None,
+    def __init__(self, p: int, command_timeout: float | None = None,
                  faults=None):
         super().__init__(p)
         #: per-command deadline: a command whose results have not fully
@@ -802,12 +770,17 @@ class RuntimeBackend(Backend):
             float(command_timeout) if command_timeout else _TIMEOUT
         )
         # -- deterministic fault injection ------------------------------
+        from ..faults import FaultPlan
+
         if faults is None:
             faults = os.environ.get("REPRO_FAULTS") or None
         if isinstance(faults, str):
-            from ..faults import FaultPlan
-
             faults = FaultPlan.parse(faults)
+        elif faults is not None and not isinstance(faults, FaultPlan):
+            raise TypeError(
+                "faults must be None, a spec string or a FaultPlan, got "
+                f"{type(faults).__name__}"
+            )
         #: installed fault plan (dropped on the first recovery so an
         #: injected death cannot re-fire on the respawned pool)
         self.faults = faults
@@ -835,11 +808,6 @@ class RuntimeBackend(Backend):
         self._recovering = False
         #: completed pool recoveries (restart + restore)
         self.recoveries = 0
-        #: lockstep verification: when set, every SPMD command also
-        #: collects each rank's collective trace and the driver raises
-        #: :class:`LockstepError` on divergence.  Off by default -- it
-        #: adds a per-command trace payload to every result frame.
-        self.verify = bool(verify)
         self._seq = 0
         #: ack frontier: the last seq whose results were all collected;
         #: piggybacked on command envelopes for the workers' shm round
@@ -1010,7 +978,8 @@ class RuntimeBackend(Backend):
                 restored.add(entry[1])
             else:
                 _, blob, in_ids, out_ids, args = entry[:5]
-                self._run(("spmd", blob, in_ids, out_ids), args)
+                self._settle(self._run(("spmd", blob, in_ids, out_ids), args),
+                             self._seq)
                 restored.update(in_ids, out_ids)
         # the replay re-created intermediates freed since; free them again
         self._dead_refs.extend(sorted(restored - self._live_ids))
@@ -1307,15 +1276,13 @@ class RuntimeBackend(Backend):
         in_ids = tuple(r.id for r in refs)
         out_ids = tuple(r.id for r in out_refs)
         spec = ("spmd", blob, in_ids, out_ids)
-        if self.verify:
-            spec = spec + (True,)
         locals_per_pe = list(args) if args is not None else [None] * self.p
         for ref_id in in_ids:
             # the kernel may mutate its inputs in place: a driver-born
             # ref's alias ends here, later reads go to the workers or
             # to lineage
             self._store.pop(ref_id, None)
-        values = self._run(spec, locals_per_pe)
+        results = self._run(spec, locals_per_pe)
         seq = self._seq  # a snapshot below issues a command of its own
         # a PureStep's outputs are immutable: reading them records nothing
         mutable = tuple(i for i in in_ids if i not in self._pure)
@@ -1331,9 +1298,7 @@ class RuntimeBackend(Backend):
                 since[1] += nbytes
                 if since[0] >= _LINEAGE_ENTRIES or since[1] > _LINEAGE_BYTES:
                     self._snapshot(ref_id)
-        if self.verify:
-            values = self._check_lockstep(values, seq)
-        return out_refs, values
+        return out_refs, self._settle(results, seq)
 
     def submit_spmd(
         self,
@@ -1344,38 +1309,16 @@ class RuntimeBackend(Backend):
     ) -> tuple[list[ChunkRef], PendingValues]:
         """Run one SPMD command to completion and return its output
         handles with the per-PE values as a resolved
-        :class:`PendingValues` (lockstep-checked under ``verify``)."""
+        :class:`PendingValues`."""
         out_refs, values = self._spmd(fn, refs, n_out, args)
         return out_refs, PendingValues.resolved(values)
 
-    def _check_lockstep(self, values: list, seq: int) -> list:
-        """Unwrap ``verify=True`` SPMD results, asserting every rank ran
-        the same collective sequence (digest compare; traces are only
-        walked to build the diagnostic)."""
-        wrapped = [v for v in values if isinstance(v, _VerifiedValue)]
-        if len(wrapped) != self.p:  # pragma: no cover - protocol violation
-            raise RuntimeError(
-                "backend protocol error: verify=True SPMD command returned "
-                f"{len(wrapped)}/{self.p} traced results"
-            )
-        ref = wrapped[0]
-        bad = [r for r in range(1, self.p) if wrapped[r].digest != ref.digest]
-        if bad:
-            rank = bad[0]
-            a, b = ref.trace, wrapped[rank].trace
-            step = next(
-                (i for i, (x, y) in enumerate(zip(a, b)) if x != y),
-                min(len(a), len(b)),
-            )
-            mine = b[step] if step < len(b) else "<kernel returned>"
-            theirs = a[step] if step < len(a) else "<kernel returned>"
-            raise LockstepError(
-                f"SPMD lockstep violation in command seq {seq}: rank(s) "
-                f"{bad} diverged from rank 0; first divergence at "
-                f"collective #{step}: rank {rank} issued {mine} where "
-                f"rank 0 issued {theirs}"
-            )
-        return [v.value for v in wrapped]
+    def _settle(self, results: list, seq: int) -> list:
+        """The per-PE values of the settled ``spmd`` command ``seq``
+        (every rank returned ``(value, trace)``), after asserting that
+        every rank ran the same collective sequence."""
+        _check_lockstep([trace for _, trace in results], f"command seq {seq}")
+        return [value for value, _ in results]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -220,12 +220,10 @@ class TcpBackend(RuntimeBackend):
         connect_timeout: float = _DEFAULT_CONNECT_TIMEOUT,
         register_timeout: float | None = None,
         start_method: str | None = None,
-        verify: bool = False,
         command_timeout: float | None = None,
         faults=None,
     ):
-        super().__init__(p, verify=verify, command_timeout=command_timeout,
-                         faults=faults)
+        super().__init__(p, command_timeout=command_timeout, faults=faults)
         self._hosts = _resolve_hosts(p, hosts)
         self._bind = bind or os.environ.get("REPRO_TCP_BIND")
         self._connect_timeout = connect_timeout

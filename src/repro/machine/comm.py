@@ -192,16 +192,6 @@ class Machine:
         Execution backend: a name (``"sim"``, ``"mp"``) or a
         :class:`~repro.machine.backends.Backend` instance built for the
         same ``p``.  See the module docstring for the trade-offs.
-    verify:
-        Assert SPMD lockstep: with a real backend, every command that
-        communicates (an SPMD step or a list-of-p collective, which is a
-        step of one yield) also ships each PE's collective trace back to
-        the driver, which raises
-        :class:`~repro.machine.backends.LockstepError` naming the
-        command and the diverging rank if the sequences differ.  Off by
-        default (it adds a small trace payload per result frame).  The
-        ``sim`` backend verifies by construction -- its data plane sees
-        every rank's yield -- so the flag is a no-op there.
     command_timeout:
         Per-command deadline in seconds for real backends (default
         120).  A command whose results have not fully arrived by then
@@ -215,8 +205,13 @@ class Machine:
         (e.g. ``"kill@r1:s3"``); the ``REPRO_FAULTS`` environment
         variable installs one globally.  Ignored by ``sim``.
 
-    Recovery needs no option: a real backend always records the lineage
-    of its resident chunks, so the next command after a
+    Lockstep needs no option: every backend checks that all PEs of an
+    SPMD step (or of a list-of-p collective, a step of one yield) issue
+    the same collective sequence, and raises
+    :class:`~repro.machine.backends.LockstepError` naming the command
+    and the diverging rank if they do not.  Recovery needs none either:
+    a real backend always records the lineage of its resident chunks,
+    so the next command after a
     :class:`~repro.machine.backends.WorkerFailure` restarts the pool and
     restores every live ref bit-identically (:meth:`recover`).
     """
@@ -227,7 +222,6 @@ class Machine:
         cost: CostParams | None = None,
         seed: int = 0xC0FFEE,
         backend: str | Backend = "sim",
-        verify: bool = False,
         command_timeout: float | None = None,
         faults=None,
     ):
@@ -235,8 +229,7 @@ class Machine:
             raise ValueError(f"need at least one PE, got p={p}")
         self.p = int(p)
         self.backend: Backend = make_backend(
-            backend, self.p, verify=verify, command_timeout=command_timeout,
-            faults=faults,
+            backend, self.p, command_timeout=command_timeout, faults=faults,
         )
         self.cost = cost if cost is not None else CostParams()
         self.clock = SimClock(self.p)

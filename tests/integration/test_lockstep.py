@@ -1,12 +1,13 @@
-"""Integration: verify=True catches rank-divergent SPMD kernels.
+"""Integration: every backend catches rank-divergent SPMD kernels.
 
-The dangerous divergence class is a *kind swap*: allgather, allreduce
-and allreduce_exscan all ride the same tree exchange inside the worker
-runtime, so a kernel that yields different kinds on different ranks
-completes silently with wrong data instead of deadlocking.  With
-``Machine(..., verify=True)`` the driver must instead raise a
-:class:`LockstepError` naming the command and the diverging rank -- on
-both real transports -- while lockstep kernels run unperturbed with
+The dangerous divergence classes are a *kind swap* and an *op swap*:
+allgather, allreduce and allreduce_exscan all ride the same tree
+exchange inside the worker runtime, so a kernel that yields different
+kinds or reduction ops on different ranks completes silently with wrong
+data instead of deadlocking.  On a default ``Machine`` the driver must
+instead raise a :class:`LockstepError` naming the command and the
+diverging rank -- on both real transports and on sim, which also
+catches a root swap -- while lockstep kernels run unperturbed with
 bit-identical results.
 
 Kernels live at module level here; a lambda or closure is shipped by
@@ -52,6 +53,19 @@ def op_swapped_kernel(rank, chunk):
     return (chunk, total)
 
 
+def root_swapped_kernel(rank, chunk):
+    root = 1 if rank == 1 else 0  # repro-lint: disable=RL001 -- deliberately divergent fixture
+    got = yield ("gather", float(chunk.sum()), root)
+    return (chunk, got)
+
+
+def early_return_kernel(rank, chunk):
+    yield ("allreduce", 1.0, "sum")
+    if rank != 2:  # repro-lint: disable=RL001 -- deliberately divergent fixture
+        yield ("allgather", 1)
+    return (chunk, None)
+
+
 def _chunks(p):
     return [np.arange(5, dtype=np.int64) + r for r in range(p)]
 
@@ -60,7 +74,7 @@ def _chunks(p):
 def test_divergent_kernel_raises_with_diagnostic(backend, p):
     if p < 2:
         pytest.skip("divergence needs a second rank")
-    with Machine(p=p, seed=3, backend=backend, verify=True) as m:
+    with Machine(p=p, seed=3, backend=backend) as m:
         ref = m.backend.put_chunks(_chunks(p))
         with pytest.raises(LockstepError) as exc:
             m.backend.run_spmd(kind_swapped_kernel, [ref], n_out=1)
@@ -78,53 +92,56 @@ def test_divergent_kernel_raises_with_diagnostic(backend, p):
 def test_op_divergence_is_caught_too(backend, p):
     if p < 2:
         pytest.skip("divergence needs a second rank")
-    with Machine(p=p, seed=3, backend=backend, verify=True) as m:
+    with Machine(p=p, seed=3, backend=backend) as m:
         ref = m.backend.put_chunks(_chunks(p))
         with pytest.raises(LockstepError, match="rank 1 issued"):
             m.backend.run_spmd(op_swapped_kernel, [ref], n_out=1)
+        _, values = m.backend.run_spmd(lockstep_kernel, [ref], n_out=1)
+        assert all(v == values[0] for v in values)
 
 
 @pytest.mark.parametrize("backend,p", GRID)
 def test_lockstep_kernel_unperturbed(backend, p):
-    """verify=True must not change results: compare against sim."""
+    """The check must not change results: compare against sim."""
     with Machine(p=p, seed=3) as sim:
         ref = sim.backend.put_chunks(_chunks(p))
         _, expected = sim.backend.run_spmd(lockstep_kernel, [ref], n_out=1)
-    with Machine(p=p, seed=3, backend=backend, verify=True) as m:
+    with Machine(p=p, seed=3, backend=backend) as m:
         ref = m.backend.put_chunks(_chunks(p))
         out_refs, values = m.backend.run_spmd(lockstep_kernel, [ref], n_out=1)
         assert values == expected
-        # output chunks were stored despite the verify wrapper
+        # output chunks were stored although the results carry traces
         chunks = m.backend.get_chunks(out_refs[0])
         for r, c in enumerate(chunks):
             np.testing.assert_array_equal(c, _chunks(p)[r])
 
 
-def test_sim_raises_lockstep_error_by_construction():
-    """The sim data plane needs no verify flag: it sees every rank's
-    yield and raises the same exception type."""
+@pytest.mark.parametrize("kernel,diagnostic", [
+    (kind_swapped_kernel, "rank(s) [1] diverged from rank 0; first "
+     "divergence at collective #0: rank 1 issued ('allreduce', 'sum')"),
+    (op_swapped_kernel, "collective #0: rank 1 issued ('allreduce', 'max')"),
+    (root_swapped_kernel, "collective #0: rank 1 issued ('gather', 1)"),
+    (early_return_kernel, "rank(s) [2] diverged from rank 0; first "
+     "divergence at collective #1: rank 2 issued <kernel returned>"),
+])
+def test_sim_raises_at_the_diverging_collective(kernel, diagnostic):
+    """The sim data plane sees every rank's yield and compares their
+    signatures -- kind, op and root -- at each collective."""
     with Machine(p=4, seed=3) as m:
         ref = m.backend.put_chunks(_chunks(4))
-        with pytest.raises(LockstepError, match="diverged"):
-            m.backend.run_spmd(kind_swapped_kernel, [ref], n_out=1)
-
-
-def test_verify_off_by_default():
-    with Machine(p=2, seed=3, backend="mp") as m:
-        assert m.backend.verify is False
-    with Machine(p=2, seed=3, backend="mp", verify=True) as m:
-        assert m.backend.verify is True
+        with pytest.raises(LockstepError, match="diverged") as exc:
+            m.backend.run_spmd(kernel, [ref], n_out=1)
+        assert diagnostic in str(exc.value)
 
 
 @pytest.mark.parametrize("backend", ["mp", "tcp"])
 def test_sendrecv_sender_sets_are_rank_personal(backend):
     """A sparse exchange names different senders on different ranks;
-    that is its shape, not a divergence (verify=True used to reject
-    every redistribution)."""
+    that is its shape, not a divergence."""
     from repro.machine import DistArray
     from repro.redistribution import redistribute
 
-    with Machine(p=4, seed=3, backend=backend, verify=True) as m:
+    with Machine(p=4, seed=3, backend=backend) as m:
         sizes = [100, 10, 5, 300]
         data = DistArray(m, [np.arange(n) for n in sizes], resident=True)
         out, _ = redistribute(m, data)

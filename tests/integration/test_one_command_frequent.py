@@ -201,13 +201,12 @@ def test_a_call_that_does_not_select_gives_its_address_back():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_one_command_and_equal_to_sim(backend, verify, name):
+def test_one_command_and_equal_to_sim(backend, name):
     """Lockstep checking rides the result frames: it adds no command
     and changes no result, model or draw address."""
     sim = Machine(p=4, seed=81)
-    with Machine(p=4, seed=81, backend=backend, verify=verify) as real:
+    with Machine(p=4, seed=81, backend=backend) as real:
         build, call = CASES[name]
         d_sim, d_real = build(sim), build(real)
         sim.reset(), real.reset()
@@ -324,18 +323,18 @@ def test_ams_select_over_resident_sorted_chunks(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lockstep_verification_covers_the_one_command(backend):
-    """verify=True compares every rank's collective trace: the hash
+    """The driver compares every rank's collective trace: the hash
     table's sendrecv hops, the size, the selection's levels, the winner
-    exchange."""
+    exchange -- and the check changes no result and no model."""
     for name in ("pac", "ec_sel", "sums_ec_sel", "ams"):
-        plain = Machine(p=4, seed=83, backend=backend)
-        checked = Machine(p=4, seed=83, backend=backend, verify=True)
-        with plain, checked:
-            before = checked.backend.worker_message_counts()[0]
-            got = _run(checked, name)
-            sent = checked.backend.worker_message_counts()[0] - before
-            assert got == _run(plain, name)
-            assert _model(checked) == _model(plain)
+        sim = Machine(p=4, seed=83)
+        real = Machine(p=4, seed=83, backend=backend)
+        with real:
+            before = real.backend.worker_message_counts()[0]
+            got = _run(real, name)
+            sent = real.backend.worker_message_counts()[0] - before
+            assert got == _run(sim, name)
+            assert _model(real) == _model(sim)
             assert sent >= 2 * 3  # log2(4) sends per collective
 
 

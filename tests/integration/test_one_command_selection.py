@@ -61,14 +61,13 @@ SORTED_SELECTORS = {
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
 class TestOneCommand:
-    """``verify=True`` ships each rank's trace with its result: still
-    one command, the same values and the same model."""
+    """Each rank's collective trace rides its result frame: still one
+    command, the same values and the same model."""
 
-    def test_multi_select_is_one_command(self, backend, verify):
+    def test_multi_select_is_one_command(self, backend):
         sim = Machine(p=P, seed=71)
-        real = Machine(p=P, seed=71, backend=backend, verify=verify)
+        real = Machine(p=P, seed=71, backend=backend)
         with real:
             d_sim, d_real = _data(sim), _data(real)
             ks = _ranks(d_sim.global_size)
@@ -82,9 +81,9 @@ class TestOneCommand:
             assert _model(real) == _model(sim)
             assert real._rng_seq == sim._rng_seq == 1
 
-    def test_select_kth_is_one_command_and_topk_two(self, backend, verify):
+    def test_select_kth_is_one_command_and_topk_two(self, backend):
         sim = Machine(p=P, seed=72)
-        real = Machine(p=P, seed=72, backend=backend, verify=verify)
+        real = Machine(p=P, seed=72, backend=backend)
         with real:
             d_sim, d_real = _data(sim), _data(real)
             k = d_sim.global_size // 3
@@ -104,10 +103,10 @@ class TestOneCommand:
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("name", sorted(SORTED_SELECTORS))
-    def test_sorted_selector_is_one_command(self, backend, verify, name):
+    def test_sorted_selector_is_one_command(self, backend, name):
         call = SORTED_SELECTORS[name]
         sim = Machine(p=P, seed=75)
-        real = Machine(p=P, seed=75, backend=backend, verify=verify)
+        real = Machine(p=P, seed=75, backend=backend)
         with real:
             seqs = _sorted(P)
             n = P * N_PER_PE
@@ -187,19 +186,20 @@ def test_batched_threshold_is_an_input_element(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestOneCommandRobustness:
     def test_lockstep_verification_covers_the_whole_recursion(self, backend):
-        """verify=True compares every rank's collective trace of the
-        command -- two collectives per level, all levels in one trace."""
-        plain = Machine(p=P, seed=73, backend=backend)
-        checked = Machine(p=P, seed=73, backend=backend, verify=True)
-        with plain, checked:
-            d_plain, d_checked = _data(plain), _data(checked)
-            ks = _ranks(d_plain.global_size)
-            plain.reset(), checked.reset()
-            before = checked.backend.worker_message_counts()[0]
-            got = multi_select(checked, d_checked, ks)
-            sent = checked.backend.worker_message_counts()[0] - before
-            assert got == multi_select(plain, d_plain, ks)
-            assert _model(checked) == _model(plain)
+        """The driver compares every rank's collective trace of the
+        command -- two collectives per level, all levels in one trace --
+        and the check changes no result and no model."""
+        sim = Machine(p=P, seed=73)
+        real = Machine(p=P, seed=73, backend=backend)
+        with real:
+            d_sim, d_real = _data(sim), _data(real)
+            ks = _ranks(d_sim.global_size)
+            sim.reset(), real.reset()
+            before = real.backend.worker_message_counts()[0]
+            got = multi_select(real, d_real, ks)
+            sent = real.backend.worker_message_counts()[0] - before
+            assert got == multi_select(sim, d_sim, ks)
+            assert _model(real) == _model(sim)
             # rank 0 sends log2(P) = 2 messages per collective
             assert sent // 2 >= 10
 

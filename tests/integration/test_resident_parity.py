@@ -297,16 +297,6 @@ class TestQueueMixParity:
             assert run(sim) == run(real)
             _assert_model_equal(sim, real)
 
-    def test_verify_lockstep(self, backend, p):
-        """verify=True collects per-rank collective traces of every
-        command; checking them changes no result and no cost."""
-        plain = Machine(p=p, seed=55, backend=backend)
-        checked = Machine(p=p, seed=55, backend=backend, verify=True)
-        with plain, checked:
-            plain.reset(), checked.reset()
-            assert _pq_mixed_workload(plain, 31) == _pq_mixed_workload(checked, 31)
-            _assert_model_equal(plain, checked)
-
 
 @pytest.mark.parametrize(
     "backend,p",
@@ -330,17 +320,15 @@ class TestSumAggregationParity:
 
 
 @pytest.mark.parametrize("backend", ["mp", "tcp"])
-@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
-def test_heavy_hitters_matches_sim(backend, verify):
+def test_heavy_hitters_matches_sim(backend):
     """Space-Saving summaries (the batch offer kernel) and their tree
-    reduction: results and modeled cost equal sim, lockstep-checked or
-    not."""
+    reduction: results and modeled cost equal sim."""
     def run(machine):
         keys = zipf_keys_workload(machine, 4_000, universe=1 << 10, s=1.2)
         machine.reset()
         return heavy_hitters(machine, keys, 0.05)
 
     sim = Machine(p=4, seed=77)
-    with Machine(p=4, seed=77, backend=backend, verify=verify) as real:
+    with Machine(p=4, seed=77, backend=backend) as real:
         assert run(sim) == run(real)
         _assert_model_equal(sim, real)

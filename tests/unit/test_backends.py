@@ -120,6 +120,54 @@ class TestRegistry:
         assert exc.value.code == 2
         assert "--journal" in capsys.readouterr().err
 
+    def test_retired_verify_rejected(self):
+        # every backend checks lockstep on every command: there is no
+        # check to switch on, and the keyword is not silently dropped
+        for build in (
+            lambda: Machine(p=2, backend="mp", verify=True),
+            lambda: make_backend("mp", 2, verify=True),
+            lambda: MultiprocessingBackend(2, verify=True),
+            lambda: TcpBackend(2, verify=True),
+        ):
+            with pytest.raises(TypeError, match="verify"):
+                build()
+
+    @pytest.mark.parametrize("backend", ["mp", "tcp"])
+    @pytest.mark.parametrize("faults", [42, ["kill@r1:s3"]], ids=["int", "list"])
+    def test_wrong_typed_faults_rejected_at_construction(self, backend, faults):
+        for build in (
+            lambda: Machine(p=2, backend=backend, faults=faults),
+            lambda: make_backend(backend, 2, faults=faults),
+        ):
+            with pytest.raises(TypeError, match="faults"):
+                build()
+
+    def test_make_backend_passes_knobs_to_real_factories_only(self):
+        from repro.machine.backends import _REGISTRY, register_backend
+        from repro.machine.faults import FaultPlan
+
+        calls = []
+
+        def real_factory(p, command_timeout=None, faults=None):
+            calls.append((command_timeout, faults))
+            raise TypeError("a bug inside the factory")
+
+        real_factory.is_real = True
+        register_backend("broken-real", real_factory)
+        register_backend("plain", lambda p: SimBackend(p))
+        try:
+            plan = FaultPlan().kill(1, seq=3)
+            # the factory's own TypeError surfaces; no retry drops a knob
+            with pytest.raises(TypeError, match="a bug inside the factory"):
+                make_backend("broken-real", 2, command_timeout=5, faults=plan)
+            assert calls == [(5, plan)]
+            # a factory that is not real gets p alone
+            be = make_backend("plain", 2, command_timeout=5, faults=plan)
+            assert isinstance(be, SimBackend) and be.p == 2
+        finally:
+            _REGISTRY.pop("broken-real")
+            _REGISTRY.pop("plain")
+
 
 @pytest.mark.parametrize("p", PS)
 class TestCollectiveParity:

@@ -5,7 +5,7 @@ in-process reference, ``_run_collective`` the worker schedule -- and is
 reachable three ways: list-of-p through :class:`Machine`, yielded from
 an SPMD kernel, and the reference called directly.  For every kind, p
 in {1, 2, 3, 5, 8} and every root / sender-receiver pair the three must
-agree on sim, mp and tcp (once under ``verify=True``), and on real
+agree on sim, mp and tcp (every backend checking lockstep), and on real
 backends each costs every rank exactly the messages recorded at 8ec87bb
 in ``tests/support/collective_msgs.json`` (``python
 tests/unit/test_collective_table.py`` rewrites it through the list-of-p
@@ -150,15 +150,15 @@ def _key(kind, p, target):
 
 
 MACHINES = [
-    pytest.param((backend, p, False), id=f"{backend}-p{p}")
+    pytest.param((backend, p), id=f"{backend}-p{p}")
     for backend in ("sim", "mp", "tcp") for p in PS
-] + [pytest.param(("mp", 3, True), id="mp-p3-verify")]
+]
 
 
 @pytest.fixture(scope="module", params=MACHINES)
 def machine(request):
-    backend, p, verify = request.param
-    with Machine(p=p, seed=1, backend=backend, verify=verify) as m:
+    backend, p = request.param
+    with Machine(p=p, seed=1, backend=backend) as m:
         yield m
 
 
@@ -200,13 +200,14 @@ def test_mixed_kinds_raise_on_sim(first, rest):
             m.backend.run_spmd(_mixed_step, [], args=[(first, rest)] * 3)
 
 
-# swaps that share a wire pattern complete silently without verify=True
+# swaps that share a wire pattern would complete silently unless the
+# driver compared the ranks' traces
 @pytest.mark.parametrize("first,rest", [
     (("scan", 1.0, "sum"), ("allreduce", 1.0, "sum")),
     (("gather", 1.0, 0), ("reduce", 1.0, "sum", 0)),
 ])
-def test_mixed_kinds_raise_under_verify(first, rest):
-    with Machine(p=3, seed=1, backend="mp", verify=True) as m:
+def test_mixed_kinds_raise_on_mp(first, rest):
+    with Machine(p=3, seed=1, backend="mp") as m:
         with pytest.raises(LockstepError, match="rank 1 issued"):
             m.backend.run_spmd(_mixed_step, [], args=[(first, rest)] * 3)
         assert m.allreduce([1, 2, 3]) == [6, 6, 6]  # the pool survives

@@ -217,7 +217,7 @@ class TestClosureCallbacks:
                 return (yield ("allreduce", s, "sum"))
             return (yield ("allgather", s))
 
-        with Machine(p=2, seed=12, backend=backend, verify=True) as m:
+        with Machine(p=2, seed=12, backend=backend) as m:
             ref = m.backend.put_chunks([np.arange(2)] * 2)
             with pytest.raises(LockstepError, match=r"rank\(s\) \[1\]"):
                 m.backend.run_spmd(swapped, [ref])
