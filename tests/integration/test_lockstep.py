@@ -22,6 +22,7 @@ import pytest
 
 from repro.machine import Machine
 from repro.machine.backends import LockstepError
+from repro.machine.backends.base import _collective_signature
 
 GRID = [
     pytest.param("mp", 4, id="mp-p4"),
@@ -146,3 +147,79 @@ def test_sendrecv_sender_sets_are_rank_personal(backend):
         data = DistArray(m, [np.arange(n) for n in sizes], resident=True)
         out, _ = redistribute(m, data)
         assert int(out.sizes().max()) <= -(-sum(sizes) // 4)
+
+
+def one_collective(rank, req):
+    return (yield req)
+
+
+# op swaps keep the wire pattern of the exchange, so they complete on
+# the real transports; only the traces tell them apart
+OP_SWAPS = {
+    "reduce": (("reduce", 2.0, "sum", 0), ("reduce", 2.0, "max", 0)),
+    "allreduce": (("allreduce", 2.0, "sum"), ("allreduce", 2.0, "min")),
+    "scan": (("scan", 2.0, "sum"), ("scan", 2.0, "max")),
+    "allreduce_exscan": (("allreduce_exscan", 2.0, "sum", 0.0),
+                         ("allreduce_exscan", 2.0, "max", 0.0)),
+    "reduce_allgather": (("reduce_allgather", 2.0, "sum", 1),
+                         ("reduce_allgather", 2.0, "max", 1)),
+}
+
+
+@pytest.fixture(scope="module", params=["mp", "tcp"])
+def pool(request):
+    with Machine(p=3, seed=3, backend=request.param, command_timeout=30) as m:
+        yield m
+
+
+@pytest.mark.parametrize("kind", sorted(OP_SWAPS))
+def test_op_swap_of_every_reducing_kind_is_caught(pool, kind):
+    good, bad = OP_SWAPS[kind]
+    with pytest.raises(LockstepError) as exc:
+        pool.backend.run_spmd(one_collective, [], args=[(good,), (bad,), (good,)])
+    msg = str(exc.value)
+    assert "seq" in msg and "rank(s) [1]" in msg
+    assert msg.endswith(
+        f"collective #0: rank 1 issued {_collective_signature(bad)} "
+        f"where rank 0 issued {_collective_signature(good)}"
+    )
+    # the same collective in lockstep runs normally on the same pool
+    values = pool.backend.run_spmd(one_collective, [], args=[(good,)] * 3)[1]
+    with Machine(p=3, seed=3) as sim:
+        assert values == sim.backend.run_spmd(one_collective, [], args=[(good,)] * 3)[1]
+
+
+def _resident(m):
+    ref = m.backend.put_chunks(_chunks(m.p))
+    out_refs, values = m.backend.run_spmd(lockstep_kernel, [ref], n_out=1)
+    return out_refs[0], values
+
+
+@pytest.mark.parametrize("backend", ["mp", "tcp"])
+def test_recovery_replay_is_checked(backend, monkeypatch):
+    """A recovery replays the lineage of the live refs; every replayed
+    command's traces go through the same check as the first run."""
+    from repro.machine import FaultPlan, WorkerFailure
+    from repro.machine.backends import runtime
+
+    with Machine(p=2, seed=3, backend=backend) as scratch:
+        _resident(scratch)
+        kill_seq = scratch.backend._seq + 1  # the allreduce below
+    with Machine(p=2, seed=3, backend=backend, command_timeout=10,
+                 faults=FaultPlan().kill(1, seq=kill_seq)) as m:
+        out, values = _resident(m)
+        with pytest.raises(WorkerFailure):
+            m.allreduce([1.0, 1.0])
+        checked = []
+        check = runtime._check_lockstep
+
+        def spy(traces, where):
+            checked.append((where, m.backend._recovering))
+            return check(traces, where)
+
+        monkeypatch.setattr(runtime, "_check_lockstep", spy)
+        m.recover()
+        assert checked and all(recovering for _, recovering in checked)
+        for r, c in enumerate(m.backend.get_chunks(out)):
+            np.testing.assert_array_equal(c, _chunks(2)[r])
+        assert m.backend.run_spmd(lockstep_kernel, [out], n_out=1)[1] == values

@@ -248,6 +248,34 @@ class TestQueueMixParity:
             assert _pq_mixed_workload(sim, 29) == _pq_mixed_workload(real, 29)
             _assert_model_equal(sim, real)
 
+    def test_every_command_is_lockstep_checked(self, backend, p, monkeypatch):
+        """Each spmd command's per-rank traces are compared as it
+        settles; the check changes no result and no cost."""
+        from repro.machine.backends import runtime
+
+        sim, real = _machines(backend, p, seed=55)
+        with real:
+            sim.reset(), real.reset()
+            sent, checked = [], []
+            run, check = real.backend._run, runtime._check_lockstep
+
+            def spy_run(spec, locals_per_pe):
+                out = run(spec, locals_per_pe)
+                if spec[0] == "spmd":
+                    sent.append(f"command seq {real.backend._seq}")
+                return out
+
+            def spy_check(traces, where):
+                assert len(traces) == p
+                checked.append(where)
+                return check(traces, where)
+
+            monkeypatch.setattr(real.backend, "_run", spy_run)
+            monkeypatch.setattr(runtime, "_check_lockstep", spy_check)
+            assert _pq_mixed_workload(real, 31) == _pq_mixed_workload(sim, 31)
+            assert sent and checked == sent
+            _assert_model_equal(sim, real)
+
     def test_rank_skewed_completion(self, backend, p):
         """Rank-skewed delays make results arrive in a different rank
         order per command; each command must still see the state every
