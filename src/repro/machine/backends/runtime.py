@@ -100,6 +100,7 @@ from __future__ import annotations
 
 import atexit
 import copy
+import functools
 import importlib
 import inspect
 import io
@@ -150,6 +151,9 @@ _TIMEOUT = 120.0
 
 #: how often a blocked worker re-checks driver liveness while waiting
 _LIVENESS_INTERVAL = 5.0
+
+#: "no stashed message" marker of :meth:`Comm.recv`
+_NOTHING = object()
 
 #: how often the blocked driver probes worker liveness while waiting
 _PROBE_INTERVAL = 0.25
@@ -322,18 +326,23 @@ class Comm:
 
     def recv(self, src: int, tag: int):
         key = (self.seq, tag, src)
-        if key in self.stash:
-            return self.stash.pop(key)
+        payload = self.stash.pop(key, _NOTHING)
+        if payload is not _NOTHING:
+            return payload
         # wait in liveness-interval slices rather than one long block, so
         # a worker stuck mid-collective still notices a vanished driver
-        # within one cycle (and a dead peer within the overall bound)
-        deadline = time.monotonic() + _TIMEOUT
+        # within one cycle (and a dead peer within the overall bound);
+        # the bound is computed once a slice has blocked
+        deadline = None
         while True:
             try:
                 item = self.links.recv(timeout=_LIVENESS_INTERVAL)
             except queue_mod.Empty:
                 self.links.check_parent()
-                if time.monotonic() >= deadline:
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + _TIMEOUT - _LIVENESS_INTERVAL
+                if now >= deadline:
                     raise TimeoutError(
                         f"rank {self.rank}: no message from peer {src} "
                         f"(seq {self.seq}, tag {tag}) within {_TIMEOUT:.0f}s"
@@ -401,15 +410,31 @@ def _bruck_allgather(comm: Comm, myval, tag_base: int) -> list:
     combination order of the sim backend while the critical path is
     ``ceil(log2 p)`` hops (a gather-to-root + broadcast pays twice
     that)."""
-    rank, p = comm.rank, comm.p
-    blocks = {rank: myval}
-    for tag, hop in enumerate(bruck_hops(p)):
-        dst = (rank + hop) % p
-        src = (rank - hop) % p
-        send = bruck_send_blocks(p, rank, hop, list(blocks))
-        comm.send(dst, tag_base + tag, {b: blocks[b] for b in send})
-        blocks.update(comm.recv(src, tag_base + tag))
-    return [blocks[j] for j in range(p)]
+    blocks = {comm.rank: myval}
+    for tag, (dst, src, send) in enumerate(_bruck_plan(comm.p, comm.rank),
+                                           tag_base):
+        comm.send(dst, tag, {b: blocks[b] for b in send})
+        blocks.update(comm.recv(src, tag))
+    return [blocks[j] for j in range(comm.p)]
+
+
+@functools.lru_cache(maxsize=None)
+def _bruck_plan(p: int, rank: int) -> tuple:
+    """``rank``'s rounds of the dissemination allgather, built once per
+    ``(p, rank)``: ``(dst, src, send)`` per round, ``send`` the ranks
+    whose blocks go to ``dst``, in the order the held-block dict lists
+    them.  The schedule is rotation-symmetric, so rank 0's rounds --
+    :func:`bruck_send_blocks` over its held blocks, which grow by the
+    sender's list shifted by the hop -- rotated by ``rank`` are every
+    rank's."""
+    held = [0]
+    plan = []
+    for hop in bruck_hops(p):
+        send = bruck_send_blocks(p, 0, hop, held)
+        held += [(b - hop) % p for b in send]
+        plan.append(((rank + hop) % p, (rank - hop) % p,
+                     tuple((rank + b) % p for b in send)))
+    return tuple(plan)
 
 
 def _bruck_alltoall(comm: Comm, row, tag_base: int) -> list:

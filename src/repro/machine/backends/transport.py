@@ -60,13 +60,15 @@ freedom the worker mesh relies on).
 
 from __future__ import annotations
 
-import io
+import copyreg
 import os
 import pickle
 import queue as queue_mod
 import select
 import socket as socket_mod
+import struct
 import time
+import types
 from typing import Callable
 
 import numpy as np
@@ -111,25 +113,80 @@ NO_FRAME = object()
 # Encoding (producer side)
 # ----------------------------------------------------------------------
 
+#: ``dtype.str`` -> dtype of the small arrays decoded so far
+_DTYPES: dict[str, np.dtype] = {}
+
+
 def _small_array(data: bytes, dtype: str, shape: tuple) -> np.ndarray:
     """Rebuild an in-band array as a writable array owning its bytes."""
-    return np.frombuffer(bytearray(data), dtype=dtype).reshape(shape)
+    try:
+        dt = _DTYPES[dtype]
+    except KeyError:
+        dt = _DTYPES[dtype] = np.dtype(dtype)
+    arr = np.frombuffer(bytearray(data), dtype=dt)
+    return arr if len(shape) == 1 else arr.reshape(shape)
 
 
-class _FramePickler(pickle.Pickler):
-    """Protocol-5 pickler whose small plain arrays ride in-band: an
-    exact ``np.ndarray`` of a bool / int / uint / float dtype, C-ordered
-    and smaller than ``limit`` bytes, travels as its raw bytes plus
-    ``dtype.str`` and shape.  Every other object takes pickle's own
-    path, so larger arrays stay out-of-band buffers."""
+#: one frame header: ``frame_len`` (everything after these 8 bytes) and
+#: ``meta_len``, parsed and packed in one call
+_HEAD = struct.Struct("<QQ")
 
-    __slots__ = ("limit",)
+#: at most this many views per ``os.writev`` call (Linux ``IOV_MAX``)
+_IOV_MAX = 1024
 
-    def reducer_override(self, obj):
-        if (type(obj) is np.ndarray and obj.dtype.kind in "biuf"
-                and obj.nbytes < self.limit and obj.flags.c_contiguous):
+#: bytes asked for per ``os.read`` of the shared read buffer; a shorter
+#: read means the stream held no more for now
+_READ_MAX = 1 << 16
+
+
+class _Encoder:
+    """One reusable protocol-5 pickler and the sinks it writes into.
+
+    The pickler is built once: its output lands in ``parts`` (what
+    pickle writes, normally one piece per dump), out-of-band buffers in
+    ``bufs``, and the small-array lane is an ``np.ndarray`` entry of its
+    dispatch table (a copy of :data:`copyreg.dispatch_table`), so no
+    Python hook runs for any other object.  An exact ``np.ndarray`` of a
+    bool / int / uint / float dtype, C-ordered and smaller than
+    ``limit`` bytes, travels as its raw bytes plus ``dtype.str`` and
+    shape; every other array takes numpy's own protocol-5 reduction, so
+    larger arrays stay out-of-band buffers.  The spec bytes are those a
+    fresh pickler would write: the memo is cleared after every dump.
+    """
+
+    __slots__ = ("parts", "bufs", "limit", "pickler", "table_len")
+
+    def __init__(self):
+        self.parts: list = []
+        self.bufs: list[pickle.PickleBuffer] = []
+        self.limit = SMALL_MAX
+        self.table_len = len(copyreg.dispatch_table)
+        sink = types.SimpleNamespace(write=self.parts.append)
+        self.pickler = pickle.Pickler(sink, pickle.HIGHEST_PROTOCOL,
+                                      buffer_callback=self._keep_oob)
+        self.pickler.dispatch_table = {**copyreg.dispatch_table,
+                                       np.ndarray: self._reduce_array}
+
+    def _keep_oob(self, pb: pickle.PickleBuffer):
+        # pickle's convention: a falsy return takes the buffer
+        # out-of-band, a truthy one serializes it in-band
+        try:
+            pb.raw()
+        except BufferError:  # non-contiguous: let pickle copy in-band
+            return True
+        self.bufs.append(pb)
+        return False
+
+    def _reduce_array(self, obj: np.ndarray):
+        if (obj.dtype.kind in "biuf" and obj.nbytes < self.limit
+                and obj.flags.c_contiguous):
             return _small_array, (obj.tobytes(), obj.dtype.str, obj.shape)
-        return NotImplemented
+        return obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+
+
+#: idle encoders (a list's pop / append are atomic, so threads and
+#: re-entrant calls each take their own)
+_IDLE: list[_Encoder] = []
 
 
 def encode_frame(obj, pool=None) -> tuple[list[memoryview], int, int]:
@@ -140,32 +197,38 @@ def encode_frame(obj, pool=None) -> tuple[list[memoryview], int, int]:
     buffer inline.  Returns ``(views, frame_len, shm_bytes)`` where
     ``frame_len`` excludes the 8-byte length prefix and ``shm_bytes``
     counts payload bytes that left the wire for a segment.
+
+    A *small* frame -- one without out-of-band buffers, which is every
+    in-worker collective message -- is one dump and one view: header
+    and spec in a single bytes object.
     """
-    bufs: list[pickle.PickleBuffer] = []
-
-    def _keep_oob(pb: pickle.PickleBuffer):
-        # pickle's convention: a falsy return takes the buffer
-        # out-of-band, a truthy one serializes it in-band
-        try:
-            pb.raw()
-        except BufferError:  # non-contiguous: let pickle copy in-band
-            return True
-        bufs.append(pb)
-        return False
-
-    out = io.BytesIO()
-    pickler = _FramePickler(out, pickle.HIGHEST_PROTOCOL,
-                            buffer_callback=_keep_oob)
+    try:
+        enc = _IDLE.pop()
+    except IndexError:
+        enc = _Encoder()
+    else:
+        if enc.table_len != len(copyreg.dispatch_table):
+            enc = _Encoder()  # a reducer was registered since
     # an array the pool would share keeps the shm lane
     threshold = pool.threshold if pool is not None else None
-    pickler.limit = SMALL_MAX if threshold is None else min(SMALL_MAX, threshold)
-    pickler.dump(obj)
-    spec = out.getbuffer()
+    enc.limit = SMALL_MAX if threshold is None else min(SMALL_MAX, threshold)
+    parts, bufs = enc.parts, enc.bufs
+    enc.pickler.dump(obj)  # raising drops the half-used encoder
+    enc.pickler.clear_memo()
+    spec = b"".join(parts)  # one part comes back as itself
+    parts.clear()
+    if not bufs:
+        _IDLE.append(enc)
+        frame_len = 8 + len(spec)
+        return [memoryview(_HEAD.pack(frame_len, 0) + spec)], frame_len, 0
+    pbs = bufs[:]
+    bufs.clear()
+    _IDLE.append(enc)
     bufspecs: list[tuple] = []
     tail: list[memoryview] = []
     inline_bytes = 0
     shm_bytes = 0
-    for pb in bufs:
+    for pb in pbs:
         raw = pb.raw()
         nbytes = raw.nbytes
         desc = pool.share(raw) if pool is not None else None
@@ -177,11 +240,10 @@ def encode_frame(obj, pool=None) -> tuple[list[memoryview], int, int]:
             # (lane, segment, data offset, nbytes, release-flag offset)
             bufspecs.append((1, desc[0], desc[1], nbytes, desc[2]))
             shm_bytes += nbytes
-    # a frame without buffers (small arrays ride in-band) has no meta
     meta = pickle.dumps((len(spec), tuple(bufspecs)),
-                        protocol=pickle.HIGHEST_PROTOCOL) if bufs else b""
+                        protocol=pickle.HIGHEST_PROTOCOL)
     frame_len = 8 + len(meta) + len(spec) + inline_bytes
-    head = frame_len.to_bytes(8, "little") + len(meta).to_bytes(8, "little") + meta
+    head = _HEAD.pack(frame_len, len(meta)) + meta
     # drop empty views (zero-length buffers): os.writev reports 0
     # bytes for them, which the advance loop would spin on forever
     views = [v for v in [memoryview(head), memoryview(spec), *tail] if len(v)]
@@ -190,13 +252,20 @@ def encode_frame(obj, pool=None) -> tuple[list[memoryview], int, int]:
 
 def write_views(fd: int, views: list[memoryview],
                 drain: Callable | None = None) -> None:
-    """Write the views to a non-blocking ``fd``, handling short writes,
-    ``EINTR`` and full buffers (``drain()`` is invoked while waiting so
-    the caller can keep consuming its own inbox)."""
+    """Write the views to ``fd`` (made non-blocking here), handling
+    short writes, ``EINTR`` and full buffers (``drain()`` is invoked
+    while waiting so the caller can keep consuming its own inbox)."""
     os.set_blocking(fd, False)
-    while views:
+    _write_all(fd, list(views), drain)
+
+
+def _write_all(fd: int, views: list, drain: Callable | None) -> None:
+    """:func:`write_views` on an fd already non-blocking (channels set
+    theirs once); consumes ``views``."""
+    while True:
         try:
-            written = os.writev(fd, views[:1024])
+            written = os.writev(
+                fd, views if len(views) <= _IOV_MAX else views[:_IOV_MAX])
         except InterruptedError:  # EINTR: retry the call itself
             continue
         except BlockingIOError:
@@ -210,8 +279,26 @@ def write_views(fd: int, views: list[memoryview],
                 written -= len(v)
                 views.pop(0)
             else:
-                views[0] = v[written:]
+                views[0] = memoryview(v)[written:]
                 written = 0
+        if not views:
+            return
+
+
+def _remaining(timeout: float | None,
+               deadline: float | None) -> tuple[float, float | None]:
+    """How long a receive may now block, and its deadline, which starts
+    (``timeout`` from now) at the first wait that blocks; raises
+    ``queue.Empty`` once the deadline has passed.  No deadline waits in
+    1 s slices."""
+    if timeout is None:
+        return 1.0, None
+    now = time.monotonic()
+    if deadline is None:
+        deadline = now + timeout
+    if deadline <= now:
+        raise queue_mod.Empty
+    return deadline - now, deadline
 
 
 def _wait(fd: int, timeout: float, write: bool = False) -> None:
@@ -231,28 +318,33 @@ def _wait(fd: int, timeout: float, write: bool = False) -> None:
 class FrameDecoder:
     """Reassembles length-prefixed frames out of one byte stream.
 
-    Stateful and fd-agnostic: :meth:`fill` drains whatever the given
-    non-blocking fd holds into the read buffer (partial frames stay
-    buffered; frames of at least ``DIRECT_RX_MIN`` bytes switch to a
-    dedicated buffer the decoded arrays later own), :meth:`pop` decodes
-    the next complete frame or returns :data:`NO_FRAME`.  The shared
+    Stateful and fd-agnostic: :meth:`fill` drains whatever the given fd
+    holds into the read buffer (partial frames stay buffered; frames of
+    at least ``DIRECT_RX_MIN`` bytes switch to a dedicated buffer the
+    decoded arrays later own), :meth:`pop` decodes the next complete
+    frame or returns :data:`NO_FRAME`.  The first :meth:`fill` on an fd
+    makes it non-blocking; later ones trust it stays so.  The shared
     read buffer compacts amortizedly (``COMPACT_MIN``) instead of being
     ``del``-shifted per frame.
     """
 
-    __slots__ = ("_rbuf", "_roff", "_direct", "wire_rx", "shm_rx")
+    __slots__ = ("_rbuf", "_roff", "_direct", "_nbfd", "wire_rx", "shm_rx")
 
     def __init__(self):
         self._rbuf = bytearray()
         self._roff = 0           # consumed prefix of _rbuf
         self._direct = None      # [bytearray, filled] of an in-flight big frame
+        self._nbfd = -1          # the fd fill() last made non-blocking
         #: consumer-side byte counters
         self.wire_rx = 0
         self.shm_rx = 0
 
     def fill(self, fd: int) -> bool:
-        """Read whatever ``fd`` holds; returns True if bytes arrived."""
-        os.set_blocking(fd, False)
+        """Read what ``fd`` holds; returns True if bytes arrived.  A read
+        shorter than asked for ends the fill: the stream held no more."""
+        if fd != self._nbfd:
+            os.set_blocking(fd, False)
+            self._nbfd = fd
         got = False
         while True:
             direct = self._direct
@@ -273,7 +365,7 @@ class FrameDecoder:
                 got = True
                 continue
             try:
-                piece = os.read(fd, 1 << 16)
+                piece = os.read(fd, _READ_MAX)
             except InterruptedError:  # EINTR: retry
                 continue
             except BlockingIOError:
@@ -281,11 +373,13 @@ class FrameDecoder:
             if not piece:
                 raise EOFError("channel closed by peer")
             self._rbuf += piece
+            if len(piece) < _READ_MAX:
+                # pop() moves a large frame to the direct buffer
+                return True
             got = True
             # a large frame header may just have landed: switch the
             # remainder of that frame to the dedicated direct buffer
-            if self._maybe_go_direct():
-                continue
+            self._maybe_go_direct()
 
     def _maybe_go_direct(self) -> bool:
         """If the buffer starts with a large, incomplete frame, move its
@@ -351,26 +445,36 @@ class FrameDecoder:
             # the decoded arrays alias (and keep alive) the dedicated
             # frame buffer -- no further copy
             return self._decode(memoryview(frame), pool, copy_buffers=False)
-        self._maybe_go_direct()
-        if self._direct is not None:
-            return self.pop(pool)
-        avail = len(self._rbuf) - self._roff
-        if avail < 8:
+        rbuf, off = self._rbuf, self._roff
+        size = len(rbuf)
+        if size - off < 16:
             return NO_FRAME
-        n = int.from_bytes(self._rbuf[self._roff:self._roff + 8], "little")
-        if avail < 8 + n:
+        n, meta_len = _HEAD.unpack_from(rbuf, off)
+        end = off + 8 + n
+        if size < end:
+            if n >= DIRECT_RX_MIN:
+                self._maybe_go_direct()
             return NO_FRAME
-        body = memoryview(self._rbuf)[self._roff + 8:self._roff + 8 + n]
+        view = memoryview(rbuf)
         try:
-            # copy_buffers: decoded objects must not alias the shared
-            # read buffer (compaction would corrupt them)
-            obj = self._decode(body, pool, copy_buffers=True)
+            if meta_len:
+                # copy_buffers: decoded objects must not alias the
+                # shared read buffer (compaction would corrupt them)
+                obj = self._decode(view[off + 8:end], pool, copy_buffers=True)
+            else:
+                # a small frame: the rest is the spec, nothing aliases it
+                obj = pickle.loads(view[off + 16:end])
+                self.wire_rx += 8 + n
         finally:
-            body.release()
-        self._roff += 8 + n
-        if self._roff >= COMPACT_MIN:
-            del self._rbuf[:self._roff]
+            view.release()
+        if end == size:
+            rbuf.clear()
             self._roff = 0
+        elif end >= COMPACT_MIN:
+            del rbuf[:end]
+            self._roff = 0
+        else:
+            self._roff = end
         return obj
 
 
@@ -405,6 +509,25 @@ class PipeChannel:
         self._reader, self._writer = ctx.Pipe(duplex=False)
         self._wlock = ctx.Lock()
         self._dec = FrameDecoder()
+        self._bind_fds()
+
+    def _bind_fds(self) -> None:
+        # the writer end made non-blocking once: the flag lives on the
+        # open file description, which every forked holder shares (the
+        # decoder switches the reader end at its first fill)
+        self._rfd = self._reader.fileno()
+        self._wfd = self._writer.fileno()
+        os.set_blocking(self._wfd, False)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_rfd"], state["_wfd"]
+        return state
+
+    def __setstate__(self, state):
+        # a spawned holder gets its ends under other fd numbers
+        self.__dict__.update(state)
+        self._bind_fds()
 
     @property
     def wire_rx(self) -> int:
@@ -425,7 +548,7 @@ class PipeChannel:
             if drain is not None:
                 drain()
         try:
-            write_views(self._writer.fileno(), views, drain)
+            _write_all(self._wfd, views, drain)
         finally:
             self._wlock.release()
         if counters is not None:
@@ -434,27 +557,24 @@ class PipeChannel:
 
     # -- consumer side (single reader) ---------------------------------
     def get(self, timeout: float | None = None, pool=None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        fd = self._reader.fileno()
+        dec, fd = self._dec, self._rfd
+        deadline = None
         while True:
-            obj = self._dec.pop(pool)
+            obj = dec.pop(pool)
             if obj is not NO_FRAME:
                 return obj
             try:
-                filled = self._dec.fill(fd)
+                filled = dec.fill(fd)
             except EOFError:
                 # the peer's final frame and its EOF can land in one
                 # fill: surface buffered frames before reporting EOF
-                obj = self._dec.pop(pool)
+                obj = dec.pop(pool)
                 if obj is NO_FRAME:
                     raise
                 return obj
-            if filled:
-                continue
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise queue_mod.Empty
-            _wait(fd, remaining if remaining is not None else 1.0)
+            if not filled:
+                remaining, deadline = _remaining(timeout, deadline)
+                _wait(fd, remaining)
 
     # -- lifecycle (mirrors the mp.Queue calls the pool makes) ---------
     def close_writer(self) -> None:
@@ -464,6 +584,7 @@ class PipeChannel:
             self._writer.close()
         except OSError:  # pragma: no cover - already closed
             pass
+        self._wfd = -1  # a later put fails (EBADF), never hits a reused fd
 
     def close(self) -> None:
         try:
@@ -471,6 +592,7 @@ class PipeChannel:
             self._writer.close()
         except OSError:  # pragma: no cover - already closed
             pass
+        self._rfd = self._wfd = -1
 
     def cancel_join_thread(self) -> None:  # no feeder thread to join
         pass
@@ -494,6 +616,7 @@ class SocketChannel:
         except OSError:  # pragma: no cover - e.g. AF_UNIX socketpair
             pass
         self._dec = FrameDecoder()
+        self._nb = False  # the fd made non-blocking by a put yet
 
     @property
     def wire_rx(self) -> int:
@@ -510,7 +633,11 @@ class SocketChannel:
     def put(self, obj, drain: Callable | None = None, pool=None,
             counters: dict | None = None) -> None:
         views, frame_len, shm_bytes = encode_frame(obj, pool)
-        write_views(self._sock.fileno(), views, drain)
+        fd = self._sock.fileno()
+        if not self._nb:
+            os.set_blocking(fd, False)
+            self._nb = True
+        _write_all(fd, views, drain)
         if counters is not None:
             counters["wire_tx"] += 8 + frame_len
             counters["shm_tx"] += shm_bytes
@@ -523,7 +650,7 @@ class SocketChannel:
         return self._dec.pop(pool)
 
     def get(self, timeout: float | None = None, pool=None):
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None
         while True:
             obj = self._dec.pop(pool)
             if obj is not NO_FRAME:
@@ -537,12 +664,9 @@ class SocketChannel:
                 if obj is NO_FRAME:
                     raise
                 return obj
-            if filled:
-                continue
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise queue_mod.Empty
-            _wait(self._sock.fileno(), remaining if remaining is not None else 1.0)
+            if not filled:
+                remaining, deadline = _remaining(timeout, deadline)
+                _wait(self._sock.fileno(), remaining)
 
     # -- lifecycle -------------------------------------------------------
     def shutdown(self) -> None:
@@ -601,7 +725,7 @@ class MultiInbox:
         chan.close()
 
     def get(self, timeout: float | None = None, pool=None):
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None
         while True:
             moved = False
             for fd in list(self._chans):
@@ -625,14 +749,11 @@ class MultiInbox:
                     self._drop(fd)
             if moved:
                 continue
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise queue_mod.Empty
+            remaining, deadline = _remaining(timeout, deadline)
             if not self._chans:
                 raise EOFError("every source channel closed")
             try:
-                select.select(list(self._chans), [], [],
-                              remaining if remaining is not None else 1.0)
+                select.select(list(self._chans), [], [], remaining)
             except InterruptedError:  # EINTR: loop re-waits
                 pass
 

@@ -76,6 +76,7 @@ True
 from __future__ import annotations
 
 import contextlib
+import functools
 import pickle
 from itertools import repeat
 from dataclasses import dataclass, field
@@ -88,7 +89,7 @@ from .clock import SimClock
 from .ctrrng import DrawAddress
 from .collectives import REDUCTION_OPS, binomial_edges, hypercube_rounds
 from .cost import CollectiveCost, CostParams, log2_ceil
-from .metrics import CommMetrics, payload_words
+from .metrics import CommMetrics, Edges, payload_words
 
 __all__ = ["Machine", "MachineReport", "PhaseStats"]
 
@@ -174,6 +175,54 @@ class MachineReport:
             "wire_bytes": self.wire_bytes,
             "shm_bytes": self.shm_bytes,
         }
+
+
+def _index(values) -> np.ndarray:
+    """A read-only index array: cached schedules are shared by every
+    meter call."""
+    arr = np.array(values, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
+def _concat(parts: list) -> np.ndarray:
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+@functools.lru_cache(maxsize=None)
+def _schedule(kind: str, p: int, root: int = 0) -> tuple[Edges, tuple]:
+    """A metered schedule, built once per ``(kind, p, root)``: its
+    :class:`~repro.machine.metrics.Edges` in the order the meter records
+    them, plus the rounds a meter whose words depend on the payload
+    walks (``(parents, children)`` index arrays for ``"gather"``,
+    partner pairs ``(i, j)`` for ``"allgather"``)."""
+    if kind == "broadcast":
+        return Edges.of([(s, d) for _, s, d in binomial_edges(p, root)], p), ()
+    if kind == "allreduce":  # reduce, then broadcast over the same tree
+        tree = binomial_edges(p, 0)
+        return Edges.of([(d, s) for _, s, d in tree]
+                        + [(s, d) for _, s, d in tree], p), ()
+    if kind == "hypercube":  # scan and the fused allreduce_exscan
+        return Edges.of([e for rnd in hypercube_rounds(p) for e in rnd], p), ()
+    if kind == "gather":
+        # bottom-up: the tree's edges in reverse, round by round (one
+        # round's parents and children are disjoint)
+        rev = list(reversed(binomial_edges(p, root)))
+        rounds = []
+        for r in sorted({e[0] for e in rev}, reverse=True):
+            es = [e for e in rev if e[0] == r]
+            rounds.append((_index([s for _, s, _ in es]),
+                           _index([d for _, _, d in es])))
+        return Edges.of([(d, s) for _, s, d in rev], p), tuple(rounds)
+    if kind == "allgather":  # recursive doubling, both directions
+        hc = hypercube_rounds(p)
+        rounds = tuple((_index([i for i, _ in rnd]), _index([j for _, j in rnd]))
+                       for rnd in hc)
+        return Edges.of([e for rnd in hc for i, j in rnd
+                         for e in ((i, j), (j, i))], p), rounds
+    raise ValueError(f"no cached schedule for {kind!r}")
 
 
 class Machine:
@@ -291,15 +340,6 @@ class Machine:
         """
         self.clock.charge_local(np.asarray(ops, dtype=np.float64) * self.cost.time_per_op)
 
-    def charge_ops_rows(self, rows) -> None:
-        """Charge a sequence of :meth:`charge_ops` arguments (each a
-        scalar or a length-``p`` vector) with one clock update,
-        bit-identical to charging them one by one in order."""
-        ops = np.empty((len(rows), self.p), dtype=np.float64)
-        for j, row in enumerate(rows):
-            ops[j] = row
-        self.clock.charge_local_rows(ops * self.cost.time_per_op)
-
     def charge_ops_one(self, rank: int, ops: float) -> None:
         self.clock.charge_local_one(rank, float(ops) * self.cost.time_per_op)
 
@@ -378,9 +418,8 @@ class Machine:
     def _meter_broadcast(self, words: float, root: int = 0) -> None:
         """Control plane of :meth:`broadcast` (schedule + charge only)."""
         m = float(words)
-        self.metrics.record_schedule(
-            ((s, d, m) for _, s, d in binomial_edges(self.p, root)), "broadcast"
-        )
+        edges, _ = _schedule("broadcast", self.p, root)
+        self.metrics.record_edges(edges, np.full(edges.src.size, m), "broadcast")
         self._charge(self.cost.broadcast(m, self.p))
 
     def reduce(self, values: Sequence, op="sum", root: int = 0) -> list:
@@ -410,10 +449,8 @@ class Machine:
         themselves stayed inside the workers (SPMD steps).
         """
         m = float(words) if words is not None else payload_words(values[0])
-        # reduce followed by broadcast over the same tree
-        edges = [(d, s, m) for _, s, d in binomial_edges(self.p, 0)]
-        edges += [(s, d, m) for _, s, d in binomial_edges(self.p, 0)]
-        self.metrics.record_schedule(edges, "allreduce")
+        edges, _ = _schedule("allreduce", self.p)
+        self.metrics.record_edges(edges, np.full(edges.src.size, m), "allreduce")
         self._charge(self.cost.allreduce(m, self.p))
 
     def scan(self, values: Sequence, op="sum") -> list:
@@ -426,8 +463,8 @@ class Machine:
     def _meter_scan(self, words: float) -> None:
         """Control plane of :meth:`scan` (schedule + charge only)."""
         m = float(words)
-        pairs = [(s, d, m) for rnd in hypercube_rounds(self.p) for s, d in rnd]
-        self.metrics.record_schedule(pairs, "scan")
+        edges, _ = _schedule("hypercube", self.p)
+        self.metrics.record_edges(edges, np.full(edges.src.size, m), "scan")
         self._charge(self.cost.scan(m, self.p))
 
     def exscan(self, values: Sequence, op="sum", initial=0) -> list:
@@ -459,10 +496,9 @@ class Machine:
     def _meter_allreduce_exscan(self, words: float) -> None:
         """Control plane of :meth:`allreduce_exscan` (schedule + charge)."""
         m = float(words)
-        pairs = [
-            (s, d, 2 * m) for rnd in hypercube_rounds(self.p) for s, d in rnd
-        ]
-        self.metrics.record_schedule(pairs, "allreduce_exscan")
+        edges, _ = _schedule("hypercube", self.p)
+        self.metrics.record_edges(
+            edges, np.full(edges.src.size, 2 * m), "allreduce_exscan")
         self._charge(self.cost.allreduce_exscan(m, self.p))
 
     def tie_grant_prefix(
@@ -518,12 +554,13 @@ class Machine:
         sizes = np.asarray(words, dtype=np.float64)
         total = float(sizes.sum() - sizes[root])
         # accumulate subtree payloads bottom-up along the binomial tree
+        edges, rounds = _schedule("gather", self.p, root)
         acc = sizes.copy()
-        edges = []
-        for _, s, d in reversed(binomial_edges(self.p, root)):
-            edges.append((d, s, acc[d]))
-            acc[s] += acc[d]
-        self.metrics.record_schedule(edges, "gather")
+        sent = []
+        for parents, children in rounds:
+            sent.append(acc[children])
+            acc[parents] += sent[-1]
+        self.metrics.record_edges(edges, _concat(sent), "gather")
         self._charge(self.cost.gather(total, self.p))
 
     def allgather(self, values: Sequence) -> list:
@@ -553,22 +590,22 @@ class Machine:
             sizes = np.array([payload_words(v) for v in values], dtype=np.float64)
         # recursive-doubling schedule: in round r partners exchange the
         # blocks accumulated so far
+        edges, rounds = _schedule("allgather", self.p)
         acc = sizes.copy()
-        edges = []
-        for rnd in hypercube_rounds(self.p):
-            nxt = acc.copy()
-            for i, j in rnd:
-                edges.append((i, j, acc[i] + extra_words))
-                edges.append((j, i, acc[j] + extra_words))
-                nxt[i] = nxt[j] = acc[i] + acc[j]
-            acc = nxt
-        self.metrics.record_schedule(edges, kind)
+        sent = []
+        for i, j in rounds:
+            w = np.empty(2 * i.size)
+            w[0::2] = acc[i] + extra_words
+            w[1::2] = acc[j] + extra_words
+            sent.append(w)
+            acc[i] = acc[j] = acc[i] + acc[j]
+        self.metrics.record_edges(edges, _concat(sent), kind)
+        # sizes.mean(), without its Python-level wrapper
+        mean = float(np.add.reduce(sizes)) / sizes.size
         if extra_words:
-            self._charge(
-                self.cost.reduce_allgather(extra_words, float(sizes.mean()), self.p)
-            )
+            self._charge(self.cost.reduce_allgather(extra_words, mean, self.p))
         else:
-            self._charge(self.cost.allgather(float(sizes.mean()), self.p))
+            self._charge(self.cost.allgather(mean, self.p))
 
     def reduce_allgather(
         self, values: Sequence, payloads: Sequence, op="sum"
@@ -932,14 +969,24 @@ class Machine:
         because the log contains only small scalars.
         """
         self._check_len(logs, "replay_charges")
-        length = len(logs[0])
+        head = logs[0]
+        length = len(head)
         if any(len(entries) != length for entries in logs):
             raise ValueError("charge logs diverged across ranks")
-        for t in range(length):
-            kind = logs[0][t][0]
+        t = 0
+        while t < length:
+            kind = head[t][0]
             if kind == "ops":
-                self.charge_ops([float(logs[i][t][1]) for i in range(self.p)])
-            elif kind == "allgather":
+                # a run of local work is one clock update
+                end = t + 1
+                while end < length and head[end][0] == "ops":
+                    end += 1
+                ops = np.array([[e[1] for e in entries[t:end]] for entries in logs],
+                               dtype=np.float64)
+                self.clock.charge_local_rows(ops.T * self.cost.time_per_op)
+                t = end
+                continue
+            if kind == "allgather":
                 self._meter_allgather(
                     words=[float(logs[i][t][1]) for i in range(self.p)]
                 )
@@ -970,6 +1017,7 @@ class Machine:
                 )
             else:
                 raise ValueError(f"unknown charge-log entry kind {kind!r}")
+            t += 1
 
     # ------------------------------------------------------------------
     # Point-to-point

@@ -39,6 +39,7 @@ __all__ = [
     "STREAM_LOCAL",
     "STREAM_SHARED",
     "philox_generator",
+    "readdress",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -52,6 +53,14 @@ STREAM_LOCAL = 0
 STREAM_SHARED = 1
 
 
+def _key(seed: int, stream_id: int, rank: int) -> tuple[int, int]:
+    return seed & _MASK64, ((stream_id & _MASK32) << 32) | (rank & _MASK32)
+
+
+def _counter(seq: int, draw: int) -> tuple[int, int, int, int]:
+    return 0, 0, draw & _MASK64, seq & _MASK64
+
+
 def philox_generator(
     seed: int, stream_id: int, rank: int, seq: int, draw: int = 0
 ) -> np.random.Generator:
@@ -62,16 +71,38 @@ def philox_generator(
     fast-forwarded.  ``draw`` subdivides one ``seq`` when a kernel needs
     several independent handles per rank.
     """
-    key = np.array(
-        [
-            seed & _MASK64,
-            ((stream_id & _MASK32) << 32) | (rank & _MASK32),
-        ],
-        dtype=np.uint64,
-    )
-    counter = np.array([0, 0, draw & _MASK64, seq & _MASK64], dtype=np.uint64)
+    key = np.array(_key(seed, stream_id, rank), dtype=np.uint64)
+    counter = np.array(_counter(seq, draw), dtype=np.uint64)
     bg = np.random.Philox(key=key, counter=counter)  # repro-lint: disable=RL009 -- the one sanctioned Philox construction site
     return np.random.Generator(bg)
+
+
+def readdress(
+    gen: np.random.Generator, seed: int, stream_id: int, rank: int,
+    seq: int, draw: int = 0,
+) -> np.random.Generator:
+    """Move ``gen``, a handle :func:`philox_generator` made, to address
+    ``(seed, stream_id, rank, seq, draw)`` and return it.
+
+    The one sanctioned way to re-address a handle: it then draws exactly
+    what a fresh ``philox_generator`` at that address draws, whatever it
+    drew before -- key and counter are set, and the 4-word output buffer
+    and the spare 32-bit half-word are emptied.  The Generator itself
+    caches only set-up that is a function of a distribution's own
+    parameters (the binomial's, keyed by ``(n, p)``).  A tenth of the
+    cost of a new handle, so a level loop builds one handle per command
+    and moves it each level.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _counter(seq, draw),
+                  "key": _key(seed, stream_id, rank)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 class DrawAddress(NamedTuple):
@@ -89,9 +120,14 @@ class DrawAddress(NamedTuple):
     seed: int
     seq: int
 
-    def local(self, rank: int, draw: int = 0) -> np.random.Generator:
-        """This PE's stream for this address."""
-        return philox_generator(self.seed, STREAM_LOCAL, rank, self.seq, draw)
+    def local(self, rank: int, draw: int = 0,
+              reuse: np.random.Generator | None = None) -> np.random.Generator:
+        """This PE's stream for this address; ``reuse``, a handle an
+        earlier call returned, is moved here (:func:`readdress`) instead
+        of a new one being built."""
+        if reuse is None:
+            return philox_generator(self.seed, STREAM_LOCAL, rank, self.seq, draw)
+        return readdress(reuse, self.seed, STREAM_LOCAL, rank, self.seq, draw)
 
     def shared(self, draw: int = 0) -> np.random.Generator:
         """The machine-wide shared stream for this address (identical on

@@ -37,11 +37,11 @@ the wall cost is now one mask pass plus one copy of what survives.
 
 So a call costs one driver send and one result per PE, whatever the
 recursion depth, and each level costs the two ``O(beta m + alpha log
-p)`` collectives Theorem 1 charges.  Only the small per-level records
-(sample word counts, finished values, charge metadata) return; the
-driver replays the cost model from them level by level, in the order a
-step-by-step driver would have charged it, so the modeled cost is
-bit-identical on every backend.
+p)`` collectives Theorem 1 charges.  Only the results and each PE's
+charge log return (its sample words, local work and count words, in
+the order a step-by-step driver would have charged them); the driver
+replays the log in one :meth:`~repro.machine.Machine.replay_charges`
+call, so the modeled cost is bit-identical on every backend.
 
 :func:`quantiles` exposes the everyday use case (percentiles /
 histogram boundaries of a distributed vector).
@@ -75,84 +75,90 @@ __all__ = ["multi_select", "quantiles"]
 # lockstep without a driver round trip).
 
 
-def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
-                      base_case: int, force: bool):
+def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
+                      force: bool, log: list):
     """Sample-extract half of one recursion level.
 
-    Draws each split segment's Bernoulli sample indices in place with
-    the counter-addressed generator ``addr.local(rank, draw=level)``
-    (the whole multiselection owns one draw sequence; the level index
-    subdivides it, so the data-dependent depth never perturbs a later
-    caller's draws).  All samples -- and finishing segments' full
-    residual content -- ride ONE in-worker allgather as one packed
-    message per rank: their concatenation in segment order plus the
-    list of their sizes, which the receivers cut back into views.
-    Pivots are computed replicated and each split segment's local part
-    counts and marks (not the parts) handed to the count half.
+    Draws each split segment's Bernoulli sample indices in place from
+    ``gen``, the command's handle at the level's address
+    ``addr.local(rank, draw=level)`` (the whole multiselection owns one
+    draw sequence; the level index subdivides it, so the data-dependent
+    depth never perturbs a later caller's draws).  All samples -- and
+    finishing segments' full residual content -- ride ONE in-worker
+    allgather as one packed message per rank: their concatenation in
+    segment order plus the list of their sizes, which the receivers cut
+    back into views.  Pivots are computed replicated and each split
+    segment's local part counts and marks (not the parts) handed to the
+    count half.
 
-    Returns ``(inter, (sample_words, finishes, meta))`` where
-    ``finishes`` is the replicated list of resolved ``(global_rank,
-    value)`` pairs and ``meta`` carries one charge record per segment:
-    ``("finish", rest_size)`` / ``("empty", local_size, rho)`` /
-    ``("split", union_size, local_size, rho)``.
+    Appends the level's sample-half charges to ``log`` in the order a
+    step-by-step driver charged them: the allgather, then per segment
+    its finishing sort, or its sample draw (plus, for a split, the
+    union sort and the partition pass) -- as Python floats, which
+    pickle as 9 bytes where a NumPy scalar takes a reduce call.  Returns ``(inter, finishes)``
+    where ``finishes`` is the replicated list of resolved
+    ``(global_rank, value)`` pairs.
     """
-    gen = addr.local(rank, draw=level)
-    plans: list[tuple] = []
+    plans: list = []
     samples: list[np.ndarray] = []
     for arr, ranks, offset, n in segs:
         if n <= base_case or force:
-            plans.append(("finish", None))
+            plans.append(None)
             samples.append(arr)  # residual content is small by now
         else:
             rho = min(1.0, np.sqrt(p) / n)
             idx = bernoulli_sample_indices(gen, int(arr.size), rho)
-            plans.append(("split", rho))
+            plans.append(rho)
             samples.append(arr if idx is None else arr[idx])
     sizes = [int(s.size) for s in samples]
     packed = np.concatenate(samples)
     gathered = yield ("allgather", (packed, sizes))
+    log.append(("allgather", int(packed.size)))
     # each rank's packed message, cut back into per-segment views
     bounds = [(g, [0, *itertools.accumulate(gs)]) for g, gs in gathered]
 
     inter: list = []
     finishes: list[tuple] = []
-    meta: list[tuple] = []
     for s, (arr, ranks, offset, n) in enumerate(segs):
         contrib = [g[b[s]:b[s + 1]] for g, b in bounds if b[s + 1] > b[s]]
-        kind, rho = plans[s]
-        if kind == "finish":
+        rho = plans[s]
+        if rho is None:
             rest = np.sort(np.concatenate(contrib)) if contrib else arr[:0]
             for k in ranks:
                 finishes.append(
                     (offset + k, rest[min(k, rest.size) - 1].item())
                 )
             inter.append(None)
-            meta.append(("finish", int(rest.size)))
+            rest_size = int(rest.size)
+            log.append(("ops", float(max(1, rest_size) * np.log2(max(rest_size, 2)))))
             continue
+        log.append(("ops", float(max(1.0, rho * arr.size))))  # the draw
         if not contrib:  # empty sample union: retry the segment
             inter.append(("retry", arr, ranks, offset, n))
-            meta.append(("empty", int(arr.size), float(rho)))
             continue
         mid_rank = ranks[len(ranks) // 2]
         union = np.sort(np.concatenate(contrib))
+        usize = int(union.size)
+        log.append(("ops", float(usize * np.log2(max(usize, 2)))))  # union sort
+        log.append(("ops", float(arr.size)))  # the partition pass
         lo_p, hi_p = fr_pivots(union, mid_rank, n)
         counts, masks = partition_count(arr, lo_p, hi_p)
         inter.append(
             ("split", arr, counts, masks, lo_p, hi_p, ranks, offset, n)
         )
-        meta.append(("split", int(union.size), int(arr.size), float(rho)))
-    return inter, (int(packed.size), finishes, meta)
+    return inter, finishes
 
 
-def _ms_count_kernel(rank: int, inter: list):
+def _ms_count_kernel(rank: int, inter: list, log: list):
     """Partition-count half of one recursion level.
 
     All split segments' two-word part counts share one in-worker
-    all-reduction; the replicated totals let every rank derive the next
-    level's segment records identically, and only the parts that hold a
-    rank are copied out of their segment.  Returns ``(new_segs,
-    found)``: the surviving segments and the replicated ``(global_rank,
-    value)`` pairs resolved by an exact pivot hit.
+    all-reduction (appended to ``log``); the replicated totals let
+    every rank derive the next level's segment records identically, and
+    only the parts that hold a rank are copied out of their segment.
+    Returns ``(new_segs, found)``: the surviving segments and the
+    replicated ``(global_rank, value)`` pairs resolved by an exact pivot
+    hit.
     """
     counts_vec: list[int] = []
     for entry in inter:
@@ -163,6 +169,7 @@ def _ms_count_kernel(rank: int, inter: list):
         totals = yield (
             "allreduce", np.asarray(counts_vec, dtype=np.int64), "sum"
         )
+        log.append(("allreduce", len(counts_vec)))
 
     new_segs: list = []
     found: list[tuple] = []
@@ -208,20 +215,26 @@ def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, ks: tuple,
 
     Loops the two level halves until no segment survives (``segs`` has
     the same shape on every rank, so the loop is lockstep); level
-    ``max_depth`` forces every remaining segment to finish.  Returns one
-    ``((sample_words, finishes, meta), found)`` record per level for the
-    driver's charge replay.
+    ``max_depth`` forces every remaining segment to finish.  One draw
+    handle serves the command, moved to each level's address.  Returns
+    the replicated ``{global_rank: value}`` results and this PE's charge
+    log for :meth:`Machine.replay_charges`.
     """
     segs = [(np.asarray(chunk), ks, 0, n_total)]
-    records: list[tuple] = []
+    out: dict = {}
+    log: list = []
+    gen = None
+    level = 0
     while segs:
-        level = len(records) + 1
-        inter, sampled = yield from _ms_sample_kernel(
-            rank, segs, p, addr, level, base_case, level >= max_depth
+        level += 1
+        gen = addr.local(rank, draw=level, reuse=gen)
+        inter, finishes = yield from _ms_sample_kernel(
+            rank, segs, p, gen, base_case, level >= max_depth, log
         )
-        segs, found = yield from _ms_count_kernel(rank, inter)
-        records.append((sampled, found))
-    return records
+        segs, found = yield from _ms_count_kernel(rank, inter, log)
+        out.update(finishes)
+        out.update(found)
+    return out, log
 
 
 def multi_select(
@@ -251,7 +264,6 @@ def multi_select(
     if base_case is None:
         base_case = int(max(64, 4 * np.sqrt(p)))
 
-    out: dict[int, object] = {}
     # The root size falls out of the driver-tracked sizes (the one-word
     # all-reduction the algorithm needs is charged through the meter).
     machine._meter_allreduce(words=1)
@@ -259,38 +271,15 @@ def multi_select(
     # it by draw index, so the data-dependent recursion depth never
     # perturbs any later caller's draws.
     addr = machine.draw_addr()
-    _, per_pe = machine.backend.run_spmd(
+    _, vals = machine.backend.run_spmd(
         _ms_kernel,
         [data._ensure_ref()],
         args=[(p, addr, tuple(ks_sorted), n, base_case, max_depth)] * p,
     )
-    # re-play the model from the small returned records, level by level
-    # in the order a step-by-step driver would have charged it: a
-    # level's local work is one row per charge, charged in one call
-    for records in zip(*per_pe):  # records[i]: PE i's (sampled, found)
-        svals = [sampled for sampled, _ in records]
-        _, finishes, meta0 = svals[0]
-        machine._meter_allgather(words=[v[0] for v in svals])
-        rows: list = []
-        n_split = 0
-        for s, m in enumerate(meta0):
-            if m[0] == "finish":
-                rest_size = m[1]
-                rows.append(max(1, rest_size) * np.log2(max(rest_size, 2)))
-                continue
-            local = np.array([v[2][s][-2] for v in svals], dtype=np.float64)
-            rows.append(np.maximum(1.0, m[-1] * local))  # the sample draw
-            if m[0] == "split":
-                usize = m[1]
-                n_split += 1
-                rows.append(usize * np.log2(max(usize, 2)))  # union sort
-                rows.append(local)  # the partition pass
-        machine.charge_ops_rows(rows)
-        if n_split:
-            machine._meter_allreduce(words=2 * n_split)
-        out.update(finishes)
-        out.update(records[0][1])  # found (replicated)
-
+    # re-play the model from the PEs' charge logs, in the order a
+    # step-by-step driver would have charged it
+    machine.replay_charges([log for _, log in vals])
+    out = vals[0][0]
     return [out[k] for k in ks_sorted]
 
 

@@ -70,7 +70,11 @@ class TestChargeRows:
         one, batch = Machine(p=4), Machine(p=4)
         for row in rows:
             one.charge_ops(row)
-        batch.charge_ops_rows(rows)
+        # a run of "ops" entries in a charge log is one clock update
+        batch.replay_charges([
+            [("ops", float(np.broadcast_to(row, 4)[i])) for row in rows]
+            for i in range(4)
+        ])
         assert one.clock.t.tobytes() == batch.clock.t.tobytes()
         assert one.clock.work_time.tobytes() == batch.clock.work_time.tobytes()
 

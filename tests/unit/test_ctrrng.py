@@ -10,6 +10,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import Machine
 from repro.machine.ctrrng import (
@@ -17,6 +19,7 @@ from repro.machine.ctrrng import (
     STREAM_SHARED,
     DrawAddress,
     philox_generator,
+    readdress,
 )
 
 ADDR = DrawAddress(seed=0xC0FFEE, seq=5)
@@ -106,3 +109,79 @@ def test_only_the_last_address_can_be_given_back():
         m.give_back_addr(DrawAddress(8, second.seq))  # another machine's seed
     m.give_back_addr(second)
     assert m.draw_addr() == second and m._rng_seq == 2
+
+
+# ----------------------------------------------------------------------
+# Re-addressing a handle
+# ----------------------------------------------------------------------
+
+_ADDRESS = st.tuples(
+    st.integers(min_value=0, max_value=2**64 - 1),       # seed
+    st.sampled_from([STREAM_LOCAL, STREAM_SHARED]),      # stream
+    st.integers(min_value=0, max_value=2**32 - 1),       # rank
+    st.integers(min_value=0, max_value=2**64 - 1),       # seq
+    st.integers(min_value=0, max_value=2**64 - 1),       # draw
+)
+
+
+def _dirty(gen: np.random.Generator, n: int, p: float) -> None:
+    """Leave ``gen`` mid-stream: the Generator's binomial set-up cached
+    for ``(n, p)``, Philox's 4-word output buffer half used and a spare
+    32-bit half-word held (``has_uint32``)."""
+    gen.binomial(n, p)
+    while gen.bit_generator.state["buffer_pos"] != 1:
+        gen.random()
+    gen.integers(0, 2**32, dtype=np.uint32)
+    state = gen.bit_generator.state
+    assert state["buffer_pos"] == 2 and state["has_uint32"] == 1
+
+
+def _draws(gen: np.random.Generator, method: str):
+    if method == "random":
+        return gen.random(6)
+    if method == "integers":
+        return np.concatenate([gen.integers(0, 1000, size=3),
+                               gen.integers(0, 2**32, size=3, dtype=np.uint32)])
+    if method == "binomial":
+        # BTPE (n p >= 30) uses the cached set-up; inversion does not
+        return np.concatenate([gen.binomial(500, 0.3, size=3),
+                               gen.binomial(7, 0.2, size=3)])
+    return np.concatenate([gen.choice(50, size=4, replace=False),
+                           gen.choice(10, size=4, p=np.full(10, 0.1))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    before=_ADDRESS,
+    after=_ADDRESS,
+    method=st.sampled_from(["random", "integers", "binomial", "choice"]),
+    cached=st.sampled_from([(1000, 0.4), (500, 0.3), (60, 0.9)]),
+)
+def test_a_readdressed_handle_draws_what_a_fresh_one_draws(
+        before, after, method, cached):
+    gen = philox_generator(*before)
+    _dirty(gen, *cached)
+    moved = readdress(gen, *after)
+    assert moved is gen
+    fresh = philox_generator(*after)
+    assert np.array_equal(_draws(gen, method), _draws(fresh, method))
+    # and the two handles stay in step afterwards
+    assert np.array_equal(gen.random(4), fresh.random(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(0, 63), draws=st.lists(st.integers(0, 40), min_size=1,
+                                                max_size=6))
+def test_local_reuse_moves_one_handle_through_the_levels(rank, draws):
+    """A level loop's pattern: one handle, moved to each level's draw."""
+    gen = None
+    for draw in draws:
+        gen = ADDR.local(rank, draw=draw, reuse=gen)
+        _dirty(gen, 1000, 0.4)
+        gen = ADDR.local(rank, draw=draw, reuse=gen)
+        assert np.array_equal(gen.random(5), ADDR.local(rank, draw=draw).random(5))
+
+
+def test_readdress_refuses_a_handle_of_another_bit_generator():
+    with pytest.raises(ValueError):
+        readdress(np.random.default_rng(0), 7, STREAM_LOCAL, 0, 1)

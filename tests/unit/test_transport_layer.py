@@ -391,6 +391,100 @@ class TestPipeChannel:
 
 
 # ----------------------------------------------------------------------
+# Byte accounting and the decoder's own non-blocking switch
+# ----------------------------------------------------------------------
+
+class _DictPool:
+    """A stand-in shm pool: buffers of at least ``threshold`` bytes are
+    'shared' into a dict under a fixed name (so the descriptor, and with
+    it the frame, has a fixed size) and materialized back out of it."""
+
+    threshold = 1 << 16
+
+    def __init__(self):
+        self.segs = {}
+
+    def share(self, view):
+        if view.nbytes < self.threshold:
+            return None
+        self.segs["seg-0"] = bytes(view)
+        return ("seg-0", 0, 64)
+
+    def materialize(self, name, offset, nbytes, flag_off=None):
+        return bytearray(self.segs[name][offset:offset + nbytes])
+
+
+def _channel_pair(kind):
+    if kind == "pipe":
+        chan = PipeChannel(multiprocessing.get_context())
+        return chan, chan
+    return _sock_pair()
+
+
+class TestByteAccounting:
+    @pytest.mark.parametrize("kind", ["pipe", "socket"])
+    def test_a_mixed_frame_keeps_its_exact_byte_counts(self, kind):
+        """One frame with all three lanes: a small array in-band, an
+        8 KiB buffer out-of-band inline and a 128 KiB one as a shm
+        descriptor.  The counts are the ones recorded before the
+        encoder was reused and the small-frame decode path was split
+        off; they must not move."""
+        small = np.arange(8, dtype=np.int64)
+        inline = np.arange(1024, dtype=np.int64)        # > SMALL_MAX
+        shared = np.arange(16384, dtype=np.int64)      # >= the pool threshold
+        tx, rx = _channel_pair(kind)
+        pool = _DictPool()
+        counters = {"wire_tx": 0, "shm_tx": 0}
+        tx.put(("mix", 7, small, inline, shared), pool=pool, counters=counters)
+        out = rx.get(timeout=5.0, pool=pool)
+        assert out[:2] == ("mix", 7)
+        for got, want in zip(out[2:], (small, inline, shared)):
+            np.testing.assert_array_equal(got, want)
+        assert counters == {"wire_tx": 8536, "shm_tx": 131072}
+        assert (rx.wire_rx, rx.shm_rx) == (8536, 131072)
+        # a small frame (every in-worker collective message) likewise
+        tx.put(("msg", 5, 100, 1, {0: (np.array([3, 1]), [2])}),
+               counters=counters)
+        assert rx.get(timeout=5.0)[:4] == ("msg", 5, 100, 1)
+        assert counters["wire_tx"] == rx.wire_rx == 8536 + 140
+
+    def test_fill_makes_a_blocking_fd_nonblocking_itself(self):
+        """The decoder's first fill on a fresh blocking pipe returns once
+        the available bytes are read (a decoder that trusted its channel
+        to have switched the fd would block in the second read).  The
+        wait is bounded: a regression fails here instead of hanging."""
+        raw = _flatten(encode_frame(("probe", np.arange(96)))[0])
+        rfd, wfd = os.pipe()
+        try:
+            assert os.get_blocking(rfd)
+            os.write(wfd, raw)
+            dec = FrameDecoder()
+            done = {}
+            reader = threading.Thread(
+                target=lambda: done.setdefault("filled", dec.fill(rfd)),
+                daemon=True)
+            reader.start()
+            reader.join(timeout=5.0)
+            if reader.is_alive():  # unblock the stuck read, then fail
+                os.close(wfd)
+                wfd = -1
+                reader.join(timeout=5.0)
+                pytest.fail("FrameDecoder.fill blocked on a blocking fd")
+            assert done["filled"] is True
+            assert not os.get_blocking(rfd)
+            out = dec.pop()
+            assert out[0] == "probe"
+            np.testing.assert_array_equal(out[1], np.arange(96))
+            # nothing more: a second fill reports no bytes, immediately
+            assert dec.fill(rfd) is False
+            assert dec.pop() is NO_FRAME
+        finally:
+            os.close(rfd)
+            if wfd >= 0:
+                os.close(wfd)
+
+
+# ----------------------------------------------------------------------
 # MultiInbox
 # ----------------------------------------------------------------------
 

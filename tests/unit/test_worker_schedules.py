@@ -24,6 +24,7 @@ from repro.machine.collectives import (
     bruck_hops,
     bruck_send_blocks,
 )
+from repro.machine.backends.runtime import _bruck_plan
 from repro.machine.cost import log2_ceil
 
 NON_POW2 = [3, 5, 6]
@@ -60,11 +61,10 @@ class TestScheduleHelpers:
             assert dst not in sends
             assert all(b in held for b in sends)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
-    @pytest.mark.parametrize("root", [0, 1])
+    @pytest.mark.parametrize("root, p", [
+        (root, p) for root in (0, 1) for p in (1, 2, 3, 5, 8) if root < p
+    ])
     def test_binomial_subtrees_partition_the_machine(self, p, root):
-        if root >= p:
-            pytest.skip("root out of range")
         subtrees = binomial_subtrees(p, root)
         assert sorted(subtrees[root]) == list(range(p))
         children: dict[int, list[int]] = {i: [] for i in range(p)}
@@ -79,6 +79,24 @@ class TestScheduleHelpers:
                 expected.add(c)
                 stack.extend(children[c])
             assert set(members) == expected
+
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 13, 16, 33])
+    def test_bruck_plan_is_the_round_by_round_walk(self, p):
+        """The per-(p, rank) plans equal the walk they replace: every
+        rank's held-block dict grown round by round, each round's sends
+        from ``bruck_send_blocks`` over it, in its order."""
+        held = {r: {r: None} for r in range(p)}
+        for rnd, hop in enumerate(bruck_hops(p)):
+            sends = {r: bruck_send_blocks(p, r, hop, list(held[r]))
+                     for r in range(p)}
+            for r in range(p):
+                assert _bruck_plan(p, r)[rnd] == (
+                    (r + hop) % p, (r - hop) % p, tuple(sends[r]))
+            for r in range(p):
+                held[r].update(dict.fromkeys(sends[(r - hop) % p]))
+        assert all(sorted(h) == list(range(p)) for h in held.values())
+        assert all(len(_bruck_plan(p, r)) == log2_ceil(p) for r in range(p))
 
 
 @pytest.mark.parametrize("p", NON_POW2)
