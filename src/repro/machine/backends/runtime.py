@@ -152,9 +152,6 @@ _TIMEOUT = 120.0
 #: how often a blocked worker re-checks driver liveness while waiting
 _LIVENESS_INTERVAL = 5.0
 
-#: "no stashed message" marker of :meth:`Comm.recv`
-_NOTHING = object()
-
 #: how often the blocked driver probes worker liveness while waiting
 _PROBE_INTERVAL = 0.25
 
@@ -326,23 +323,18 @@ class Comm:
 
     def recv(self, src: int, tag: int):
         key = (self.seq, tag, src)
-        payload = self.stash.pop(key, _NOTHING)
-        if payload is not _NOTHING:
-            return payload
+        if key in self.stash:
+            return self.stash.pop(key)
         # wait in liveness-interval slices rather than one long block, so
         # a worker stuck mid-collective still notices a vanished driver
-        # within one cycle (and a dead peer within the overall bound);
-        # the bound is computed once a slice has blocked
-        deadline = None
+        # within one cycle (and a dead peer within the overall bound)
+        deadline = time.monotonic() + _TIMEOUT
         while True:
             try:
                 item = self.links.recv(timeout=_LIVENESS_INTERVAL)
             except queue_mod.Empty:
                 self.links.check_parent()
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + _TIMEOUT - _LIVENESS_INTERVAL
-                if now >= deadline:
+                if time.monotonic() >= deadline:
                     raise TimeoutError(
                         f"rank {self.rank}: no message from peer {src} "
                         f"(seq {self.seq}, tag {tag}) within {_TIMEOUT:.0f}s"

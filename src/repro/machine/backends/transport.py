@@ -113,26 +113,14 @@ NO_FRAME = object()
 # Encoding (producer side)
 # ----------------------------------------------------------------------
 
-#: ``dtype.str`` -> dtype of the small arrays decoded so far
-_DTYPES: dict[str, np.dtype] = {}
-
-
 def _small_array(data: bytes, dtype: str, shape: tuple) -> np.ndarray:
     """Rebuild an in-band array as a writable array owning its bytes."""
-    try:
-        dt = _DTYPES[dtype]
-    except KeyError:
-        dt = _DTYPES[dtype] = np.dtype(dtype)
-    arr = np.frombuffer(bytearray(data), dtype=dt)
-    return arr if len(shape) == 1 else arr.reshape(shape)
+    return np.frombuffer(bytearray(data), dtype=dtype).reshape(shape)
 
 
 #: one frame header: ``frame_len`` (everything after these 8 bytes) and
 #: ``meta_len``, parsed and packed in one call
 _HEAD = struct.Struct("<QQ")
-
-#: at most this many views per ``os.writev`` call (Linux ``IOV_MAX``)
-_IOV_MAX = 1024
 
 #: bytes asked for per ``os.read`` of the shared read buffer; a shorter
 #: read means the stream held no more for now
@@ -252,20 +240,13 @@ def encode_frame(obj, pool=None) -> tuple[list[memoryview], int, int]:
 
 def write_views(fd: int, views: list[memoryview],
                 drain: Callable | None = None) -> None:
-    """Write the views to ``fd`` (made non-blocking here), handling
-    short writes, ``EINTR`` and full buffers (``drain()`` is invoked
-    while waiting so the caller can keep consuming its own inbox)."""
+    """Write the views to a non-blocking ``fd``, handling short writes,
+    ``EINTR`` and full buffers (``drain()`` is invoked while waiting so
+    the caller can keep consuming its own inbox)."""
     os.set_blocking(fd, False)
-    _write_all(fd, list(views), drain)
-
-
-def _write_all(fd: int, views: list, drain: Callable | None) -> None:
-    """:func:`write_views` on an fd already non-blocking (channels set
-    theirs once); consumes ``views``."""
-    while True:
+    while views:
         try:
-            written = os.writev(
-                fd, views if len(views) <= _IOV_MAX else views[:_IOV_MAX])
+            written = os.writev(fd, views[:1024])
         except InterruptedError:  # EINTR: retry the call itself
             continue
         except BlockingIOError:
@@ -279,26 +260,8 @@ def _write_all(fd: int, views: list, drain: Callable | None) -> None:
                 written -= len(v)
                 views.pop(0)
             else:
-                views[0] = memoryview(v)[written:]
+                views[0] = v[written:]
                 written = 0
-        if not views:
-            return
-
-
-def _remaining(timeout: float | None,
-               deadline: float | None) -> tuple[float, float | None]:
-    """How long a receive may now block, and its deadline, which starts
-    (``timeout`` from now) at the first wait that blocks; raises
-    ``queue.Empty`` once the deadline has passed.  No deadline waits in
-    1 s slices."""
-    if timeout is None:
-        return 1.0, None
-    now = time.monotonic()
-    if deadline is None:
-        deadline = now + timeout
-    if deadline <= now:
-        raise queue_mod.Empty
-    return deadline - now, deadline
 
 
 def _wait(fd: int, timeout: float, write: bool = False) -> None:
@@ -318,23 +281,21 @@ def _wait(fd: int, timeout: float, write: bool = False) -> None:
 class FrameDecoder:
     """Reassembles length-prefixed frames out of one byte stream.
 
-    Stateful and fd-agnostic: :meth:`fill` drains whatever the given fd
-    holds into the read buffer (partial frames stay buffered; frames of
-    at least ``DIRECT_RX_MIN`` bytes switch to a dedicated buffer the
-    decoded arrays later own), :meth:`pop` decodes the next complete
-    frame or returns :data:`NO_FRAME`.  The first :meth:`fill` on an fd
-    makes it non-blocking; later ones trust it stays so.  The shared
+    Stateful and fd-agnostic: :meth:`fill` drains whatever the given
+    non-blocking fd holds into the read buffer (partial frames stay
+    buffered; frames of at least ``DIRECT_RX_MIN`` bytes switch to a
+    dedicated buffer the decoded arrays later own), :meth:`pop` decodes
+    the next complete frame or returns :data:`NO_FRAME`.  The shared
     read buffer compacts amortizedly (``COMPACT_MIN``) instead of being
     ``del``-shifted per frame.
     """
 
-    __slots__ = ("_rbuf", "_roff", "_direct", "_nbfd", "wire_rx", "shm_rx")
+    __slots__ = ("_rbuf", "_roff", "_direct", "wire_rx", "shm_rx")
 
     def __init__(self):
         self._rbuf = bytearray()
         self._roff = 0           # consumed prefix of _rbuf
         self._direct = None      # [bytearray, filled] of an in-flight big frame
-        self._nbfd = -1          # the fd fill() last made non-blocking
         #: consumer-side byte counters
         self.wire_rx = 0
         self.shm_rx = 0
@@ -342,9 +303,7 @@ class FrameDecoder:
     def fill(self, fd: int) -> bool:
         """Read what ``fd`` holds; returns True if bytes arrived.  A read
         shorter than asked for ends the fill: the stream held no more."""
-        if fd != self._nbfd:
-            os.set_blocking(fd, False)
-            self._nbfd = fd
+        os.set_blocking(fd, False)
         got = False
         while True:
             direct = self._direct
@@ -509,25 +468,6 @@ class PipeChannel:
         self._reader, self._writer = ctx.Pipe(duplex=False)
         self._wlock = ctx.Lock()
         self._dec = FrameDecoder()
-        self._bind_fds()
-
-    def _bind_fds(self) -> None:
-        # the writer end made non-blocking once: the flag lives on the
-        # open file description, which every forked holder shares (the
-        # decoder switches the reader end at its first fill)
-        self._rfd = self._reader.fileno()
-        self._wfd = self._writer.fileno()
-        os.set_blocking(self._wfd, False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_rfd"], state["_wfd"]
-        return state
-
-    def __setstate__(self, state):
-        # a spawned holder gets its ends under other fd numbers
-        self.__dict__.update(state)
-        self._bind_fds()
 
     @property
     def wire_rx(self) -> int:
@@ -548,7 +488,7 @@ class PipeChannel:
             if drain is not None:
                 drain()
         try:
-            _write_all(self._wfd, views, drain)
+            write_views(self._writer.fileno(), views, drain)
         finally:
             self._wlock.release()
         if counters is not None:
@@ -557,24 +497,27 @@ class PipeChannel:
 
     # -- consumer side (single reader) ---------------------------------
     def get(self, timeout: float | None = None, pool=None):
-        dec, fd = self._dec, self._rfd
-        deadline = None
+        deadline = None if timeout is None else time.monotonic() + timeout
+        fd = self._reader.fileno()
         while True:
-            obj = dec.pop(pool)
+            obj = self._dec.pop(pool)
             if obj is not NO_FRAME:
                 return obj
             try:
-                filled = dec.fill(fd)
+                filled = self._dec.fill(fd)
             except EOFError:
                 # the peer's final frame and its EOF can land in one
                 # fill: surface buffered frames before reporting EOF
-                obj = dec.pop(pool)
+                obj = self._dec.pop(pool)
                 if obj is NO_FRAME:
                     raise
                 return obj
-            if not filled:
-                remaining, deadline = _remaining(timeout, deadline)
-                _wait(fd, remaining)
+            if filled:
+                continue
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise queue_mod.Empty
+            _wait(fd, remaining if remaining is not None else 1.0)
 
     # -- lifecycle (mirrors the mp.Queue calls the pool makes) ---------
     def close_writer(self) -> None:
@@ -584,7 +527,6 @@ class PipeChannel:
             self._writer.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        self._wfd = -1  # a later put fails (EBADF), never hits a reused fd
 
     def close(self) -> None:
         try:
@@ -592,7 +534,6 @@ class PipeChannel:
             self._writer.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        self._rfd = self._wfd = -1
 
     def cancel_join_thread(self) -> None:  # no feeder thread to join
         pass
@@ -616,7 +557,6 @@ class SocketChannel:
         except OSError:  # pragma: no cover - e.g. AF_UNIX socketpair
             pass
         self._dec = FrameDecoder()
-        self._nb = False  # the fd made non-blocking by a put yet
 
     @property
     def wire_rx(self) -> int:
@@ -633,11 +573,7 @@ class SocketChannel:
     def put(self, obj, drain: Callable | None = None, pool=None,
             counters: dict | None = None) -> None:
         views, frame_len, shm_bytes = encode_frame(obj, pool)
-        fd = self._sock.fileno()
-        if not self._nb:
-            os.set_blocking(fd, False)
-            self._nb = True
-        _write_all(fd, views, drain)
+        write_views(self._sock.fileno(), views, drain)
         if counters is not None:
             counters["wire_tx"] += 8 + frame_len
             counters["shm_tx"] += shm_bytes
@@ -650,7 +586,7 @@ class SocketChannel:
         return self._dec.pop(pool)
 
     def get(self, timeout: float | None = None, pool=None):
-        deadline = None
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             obj = self._dec.pop(pool)
             if obj is not NO_FRAME:
@@ -664,9 +600,12 @@ class SocketChannel:
                 if obj is NO_FRAME:
                     raise
                 return obj
-            if not filled:
-                remaining, deadline = _remaining(timeout, deadline)
-                _wait(self._sock.fileno(), remaining)
+            if filled:
+                continue
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise queue_mod.Empty
+            _wait(self._sock.fileno(), remaining if remaining is not None else 1.0)
 
     # -- lifecycle -------------------------------------------------------
     def shutdown(self) -> None:
@@ -725,7 +664,7 @@ class MultiInbox:
         chan.close()
 
     def get(self, timeout: float | None = None, pool=None):
-        deadline = None
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             moved = False
             for fd in list(self._chans):
@@ -749,11 +688,14 @@ class MultiInbox:
                     self._drop(fd)
             if moved:
                 continue
-            remaining, deadline = _remaining(timeout, deadline)
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise queue_mod.Empty
             if not self._chans:
                 raise EOFError("every source channel closed")
             try:
-                select.select(list(self._chans), [], [], remaining)
+                select.select(list(self._chans), [], [],
+                              remaining if remaining is not None else 1.0)
             except InterruptedError:  # EINTR: loop re-waits
                 pass
 

@@ -62,14 +62,8 @@ class SimClock:
             )
         if (dt < 0).any():
             raise ValueError("negative local work duration")
-        # both clocks in one accumulate: acc[0] holds (t, work_time)
-        acc = np.empty((len(dt) + 1, 2, self.p))
-        acc[0, 0] = self.t
-        acc[0, 1] = self.work_time
-        acc[1:] = dt[:, None, :]
-        np.add.accumulate(acc, axis=0, out=acc)
-        self.t[:] = acc[-1, 0]
-        self.work_time[:] = acc[-1, 1]
+        self.t[:] = np.add.accumulate(np.vstack([self.t, dt]))[-1]
+        self.work_time[:] = np.add.accumulate(np.vstack([self.work_time, dt]))[-1]
 
     def charge_local_one(self, rank: int, seconds: float) -> None:
         """Advance a single PE's clock by ``seconds`` of local work."""

@@ -76,7 +76,6 @@ True
 from __future__ import annotations
 
 import contextlib
-import functools
 import pickle
 from itertools import repeat
 from dataclasses import dataclass, field
@@ -89,7 +88,7 @@ from .clock import SimClock
 from .ctrrng import DrawAddress
 from .collectives import REDUCTION_OPS, binomial_edges, hypercube_rounds
 from .cost import CollectiveCost, CostParams, log2_ceil
-from .metrics import CommMetrics, Edges, payload_words
+from .metrics import CommMetrics, payload_words
 
 __all__ = ["Machine", "MachineReport", "PhaseStats"]
 
@@ -175,54 +174,6 @@ class MachineReport:
             "wire_bytes": self.wire_bytes,
             "shm_bytes": self.shm_bytes,
         }
-
-
-def _index(values) -> np.ndarray:
-    """A read-only index array: cached schedules are shared by every
-    meter call."""
-    arr = np.array(values, dtype=np.intp)
-    arr.flags.writeable = False
-    return arr
-
-
-def _concat(parts: list) -> np.ndarray:
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-@functools.lru_cache(maxsize=None)
-def _schedule(kind: str, p: int, root: int = 0) -> tuple[Edges, tuple]:
-    """A metered schedule, built once per ``(kind, p, root)``: its
-    :class:`~repro.machine.metrics.Edges` in the order the meter records
-    them, plus the rounds a meter whose words depend on the payload
-    walks (``(parents, children)`` index arrays for ``"gather"``,
-    partner pairs ``(i, j)`` for ``"allgather"``)."""
-    if kind == "broadcast":
-        return Edges.of([(s, d) for _, s, d in binomial_edges(p, root)], p), ()
-    if kind == "allreduce":  # reduce, then broadcast over the same tree
-        tree = binomial_edges(p, 0)
-        return Edges.of([(d, s) for _, s, d in tree]
-                        + [(s, d) for _, s, d in tree], p), ()
-    if kind == "hypercube":  # scan and the fused allreduce_exscan
-        return Edges.of([e for rnd in hypercube_rounds(p) for e in rnd], p), ()
-    if kind == "gather":
-        # bottom-up: the tree's edges in reverse, round by round (one
-        # round's parents and children are disjoint)
-        rev = list(reversed(binomial_edges(p, root)))
-        rounds = []
-        for r in sorted({e[0] for e in rev}, reverse=True):
-            es = [e for e in rev if e[0] == r]
-            rounds.append((_index([s for _, s, _ in es]),
-                           _index([d for _, _, d in es])))
-        return Edges.of([(d, s) for _, s, d in rev], p), tuple(rounds)
-    if kind == "allgather":  # recursive doubling, both directions
-        hc = hypercube_rounds(p)
-        rounds = tuple((_index([i for i, _ in rnd]), _index([j for _, j in rnd]))
-                       for rnd in hc)
-        return Edges.of([e for rnd in hc for i, j in rnd
-                         for e in ((i, j), (j, i))], p), rounds
-    raise ValueError(f"no cached schedule for {kind!r}")
 
 
 class Machine:
@@ -418,8 +369,9 @@ class Machine:
     def _meter_broadcast(self, words: float, root: int = 0) -> None:
         """Control plane of :meth:`broadcast` (schedule + charge only)."""
         m = float(words)
-        edges, _ = _schedule("broadcast", self.p, root)
-        self.metrics.record_edges(edges, np.full(edges.src.size, m), "broadcast")
+        self.metrics.record_schedule(
+            ((s, d, m) for _, s, d in binomial_edges(self.p, root)), "broadcast"
+        )
         self._charge(self.cost.broadcast(m, self.p))
 
     def reduce(self, values: Sequence, op="sum", root: int = 0) -> list:
@@ -449,8 +401,10 @@ class Machine:
         themselves stayed inside the workers (SPMD steps).
         """
         m = float(words) if words is not None else payload_words(values[0])
-        edges, _ = _schedule("allreduce", self.p)
-        self.metrics.record_edges(edges, np.full(edges.src.size, m), "allreduce")
+        # reduce followed by broadcast over the same tree
+        edges = [(d, s, m) for _, s, d in binomial_edges(self.p, 0)]
+        edges += [(s, d, m) for _, s, d in binomial_edges(self.p, 0)]
+        self.metrics.record_schedule(edges, "allreduce")
         self._charge(self.cost.allreduce(m, self.p))
 
     def scan(self, values: Sequence, op="sum") -> list:
@@ -463,8 +417,8 @@ class Machine:
     def _meter_scan(self, words: float) -> None:
         """Control plane of :meth:`scan` (schedule + charge only)."""
         m = float(words)
-        edges, _ = _schedule("hypercube", self.p)
-        self.metrics.record_edges(edges, np.full(edges.src.size, m), "scan")
+        pairs = [(s, d, m) for rnd in hypercube_rounds(self.p) for s, d in rnd]
+        self.metrics.record_schedule(pairs, "scan")
         self._charge(self.cost.scan(m, self.p))
 
     def exscan(self, values: Sequence, op="sum", initial=0) -> list:
@@ -496,9 +450,10 @@ class Machine:
     def _meter_allreduce_exscan(self, words: float) -> None:
         """Control plane of :meth:`allreduce_exscan` (schedule + charge)."""
         m = float(words)
-        edges, _ = _schedule("hypercube", self.p)
-        self.metrics.record_edges(
-            edges, np.full(edges.src.size, 2 * m), "allreduce_exscan")
+        pairs = [
+            (s, d, 2 * m) for rnd in hypercube_rounds(self.p) for s, d in rnd
+        ]
+        self.metrics.record_schedule(pairs, "allreduce_exscan")
         self._charge(self.cost.allreduce_exscan(m, self.p))
 
     def tie_grant_prefix(
@@ -554,13 +509,12 @@ class Machine:
         sizes = np.asarray(words, dtype=np.float64)
         total = float(sizes.sum() - sizes[root])
         # accumulate subtree payloads bottom-up along the binomial tree
-        edges, rounds = _schedule("gather", self.p, root)
         acc = sizes.copy()
-        sent = []
-        for parents, children in rounds:
-            sent.append(acc[children])
-            acc[parents] += sent[-1]
-        self.metrics.record_edges(edges, _concat(sent), "gather")
+        edges = []
+        for _, s, d in reversed(binomial_edges(self.p, root)):
+            edges.append((d, s, acc[d]))
+            acc[s] += acc[d]
+        self.metrics.record_schedule(edges, "gather")
         self._charge(self.cost.gather(total, self.p))
 
     def allgather(self, values: Sequence) -> list:
@@ -590,22 +544,22 @@ class Machine:
             sizes = np.array([payload_words(v) for v in values], dtype=np.float64)
         # recursive-doubling schedule: in round r partners exchange the
         # blocks accumulated so far
-        edges, rounds = _schedule("allgather", self.p)
         acc = sizes.copy()
-        sent = []
-        for i, j in rounds:
-            w = np.empty(2 * i.size)
-            w[0::2] = acc[i] + extra_words
-            w[1::2] = acc[j] + extra_words
-            sent.append(w)
-            acc[i] = acc[j] = acc[i] + acc[j]
-        self.metrics.record_edges(edges, _concat(sent), kind)
-        # sizes.mean(), without its Python-level wrapper
-        mean = float(np.add.reduce(sizes)) / sizes.size
+        edges = []
+        for rnd in hypercube_rounds(self.p):
+            nxt = acc.copy()
+            for i, j in rnd:
+                edges.append((i, j, acc[i] + extra_words))
+                edges.append((j, i, acc[j] + extra_words))
+                nxt[i] = nxt[j] = acc[i] + acc[j]
+            acc = nxt
+        self.metrics.record_schedule(edges, kind)
         if extra_words:
-            self._charge(self.cost.reduce_allgather(extra_words, mean, self.p))
+            self._charge(
+                self.cost.reduce_allgather(extra_words, float(sizes.mean()), self.p)
+            )
         else:
-            self._charge(self.cost.allgather(mean, self.p))
+            self._charge(self.cost.allgather(float(sizes.mean()), self.p))
 
     def reduce_allgather(
         self, values: Sequence, payloads: Sequence, op="sum"

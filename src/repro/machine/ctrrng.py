@@ -120,14 +120,9 @@ class DrawAddress(NamedTuple):
     seed: int
     seq: int
 
-    def local(self, rank: int, draw: int = 0,
-              reuse: np.random.Generator | None = None) -> np.random.Generator:
-        """This PE's stream for this address; ``reuse``, a handle an
-        earlier call returned, is moved here (:func:`readdress`) instead
-        of a new one being built."""
-        if reuse is None:
-            return philox_generator(self.seed, STREAM_LOCAL, rank, self.seq, draw)
-        return readdress(reuse, self.seed, STREAM_LOCAL, rank, self.seq, draw)
+    def local(self, rank: int, draw: int = 0) -> np.random.Generator:
+        """This PE's stream for this address."""
+        return philox_generator(self.seed, STREAM_LOCAL, rank, self.seq, draw)
 
     def shared(self, draw: int = 0) -> np.random.Generator:
         """The machine-wide shared stream for this address (identical on

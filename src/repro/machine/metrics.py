@@ -19,12 +19,11 @@ independently of the time model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CommMetrics", "Edges", "MetricsSnapshot", "payload_words"]
+__all__ = ["CommMetrics", "MetricsSnapshot", "payload_words"]
 
 
 def payload_words(obj) -> int:
@@ -51,31 +50,6 @@ def payload_words(obj) -> int:
     if hasattr(obj, "comm_words"):
         return int(obj.comm_words())
     raise TypeError(f"cannot size payload of type {type(obj)!r}")
-
-
-class Edges(NamedTuple):
-    """A schedule's messages as index arrays, in schedule order, plus
-    each PE's message counts (built once per schedule and ``p``)."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    n_sent: np.ndarray
-    n_recv: np.ndarray
-    #: every PE sends (receives) at most once: one fancy-index add is
-    #: then the whole ordered sum
-    once: bool
-
-    @classmethod
-    def of(cls, pairs, p: int) -> "Edges":
-        """From ``(src, dst)`` pairs without self-edges."""
-        arr = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-        src, dst = arr[:, 0].copy(), arr[:, 1].copy()
-        n_sent = np.bincount(src, minlength=p).astype(np.int64)
-        n_recv = np.bincount(dst, minlength=p).astype(np.int64)
-        once = bool(n_sent.max(initial=0) <= 1 and n_recv.max(initial=0) <= 1)
-        for arr in (src, dst, n_sent, n_recv):
-            arr.flags.writeable = False  # shared by every caller
-        return cls(src, dst, n_sent, n_recv, once)
 
 
 @dataclass(frozen=True)
@@ -188,23 +162,6 @@ class CommMetrics:
             self.msgs_sent[src] += 1
             self.msgs_recv[dst] += 1
             total += words
-        self.charge(kind, total)
-
-    def record_edges(self, edges: "Edges", words: np.ndarray, kind: str) -> None:
-        """:meth:`record_schedule` of a schedule given as arrays:
-        ``words[e]`` machine words travel ``edges.src[e] -> edges.dst[e]``
-        (no self-edges).  Bit-identical to the per-message loop: every
-        PE's counters take their adds in edge order (``np.add.at`` is
-        unbuffered) and the total is the sequential sum."""
-        if edges.once:
-            self.words_sent[edges.src] += words
-            self.words_recv[edges.dst] += words
-        else:
-            np.add.at(self.words_sent, edges.src, words)
-            np.add.at(self.words_recv, edges.dst, words)
-        self.msgs_sent += edges.n_sent
-        self.msgs_recv += edges.n_recv
-        total = float(np.add.accumulate(words)[-1]) if words.size else 0.0
         self.charge(kind, total)
 
     # ------------------------------------------------------------------

@@ -57,6 +57,7 @@ from ..common.sampling import bernoulli_sample_indices
 from ..common.validation import as_rank, is_fraction
 from ..kernels import partition_count, partition_take
 from ..machine import DistArray, Machine
+from ..machine.ctrrng import STREAM_LOCAL, readdress
 from .sequential import fr_pivots
 
 __all__ = ["multi_select", "quantiles"]
@@ -217,24 +218,25 @@ def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, ks: tuple,
     the same shape on every rank, so the loop is lockstep); level
     ``max_depth`` forces every remaining segment to finish.  One draw
     handle serves the command, moved to each level's address.  Returns
-    the replicated ``{global_rank: value}`` results and this PE's charge
-    log for :meth:`Machine.replay_charges`.
+    the ``{global_rank: value}`` results (replicated, so only rank 0
+    sends them back) and this PE's charge log for
+    :meth:`Machine.replay_charges`.
     """
     segs = [(np.asarray(chunk), ks, 0, n_total)]
     out: dict = {}
     log: list = []
-    gen = None
+    gen = addr.local(rank)
     level = 0
     while segs:
         level += 1
-        gen = addr.local(rank, draw=level, reuse=gen)
+        readdress(gen, addr.seed, STREAM_LOCAL, rank, addr.seq, level)
         inter, finishes = yield from _ms_sample_kernel(
             rank, segs, p, gen, base_case, level >= max_depth, log
         )
         segs, found = yield from _ms_count_kernel(rank, inter, log)
         out.update(finishes)
         out.update(found)
-    return out, log
+    return (out if rank == 0 else None), log
 
 
 def multi_select(

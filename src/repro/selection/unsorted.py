@@ -44,6 +44,7 @@ from ..common.sampling import bernoulli_sample_indices
 from ..common.validation import check_rank
 from ..kernels import partition_count, partition_take, topk_count, topk_cut
 from ..machine import DistArray, Machine
+from ..machine.ctrrng import STREAM_LOCAL, readdress
 from ..machine.metrics import payload_words
 from .sequential import fr_pivots
 
@@ -91,11 +92,11 @@ def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
     Returns ``(value, rounds, sample_total, base_case_size)``.
     """
     rounds = sample_total = 0
-    gen = None  # one handle per command, re-addressed every level
+    gen = addr.local(rank)  # one handle per command, moved every level
     while n > base_case and rounds < max_rounds:
         # Bernoulli sampling at rate sqrt(p)/n on every PE (Theorem 1)
         rho = min(1.0, sample_factor * np.sqrt(p) / n)
-        gen = addr.local(rank, draw=rounds, reuse=gen)
+        readdress(gen, addr.seed, STREAM_LOCAL, rank, addr.seq, rounds)
         idx = bernoulli_sample_indices(gen, int(chunk.size), rho)
         rounds += 1
         sample = chunk.copy() if idx is None else chunk[idx]

@@ -172,13 +172,13 @@ def test_a_readdressed_handle_draws_what_a_fresh_one_draws(
 @settings(max_examples=40, deadline=None)
 @given(rank=st.integers(0, 63), draws=st.lists(st.integers(0, 40), min_size=1,
                                                 max_size=6))
-def test_local_reuse_moves_one_handle_through_the_levels(rank, draws):
+def test_one_handle_moved_through_the_levels(rank, draws):
     """A level loop's pattern: one handle, moved to each level's draw."""
-    gen = None
+    gen = ADDR.local(rank)
     for draw in draws:
-        gen = ADDR.local(rank, draw=draw, reuse=gen)
+        readdress(gen, ADDR.seed, STREAM_LOCAL, rank, ADDR.seq, draw)
         _dirty(gen, 1000, 0.4)
-        gen = ADDR.local(rank, draw=draw, reuse=gen)
+        readdress(gen, ADDR.seed, STREAM_LOCAL, rank, ADDR.seq, draw)
         assert np.array_equal(gen.random(5), ADDR.local(rank, draw=draw).random(5))
 
 
