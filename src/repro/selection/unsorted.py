@@ -100,7 +100,7 @@ def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
         idx = bernoulli_sample_indices(gen, int(chunk.size), rho)
         rounds += 1
         sample = chunk.copy() if idx is None else chunk[idx]
-        log.append(("ops", float(max(1.0, rho * int(chunk.size)))))
+        log.append(("ops", max(1.0, rho * int(chunk.size))))
         gathered = yield ("allgather", sample)
         log.append(("allgather", payload_words(sample)))
         nonempty = [s for s in gathered if s.size]
@@ -110,7 +110,7 @@ def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
         # union (expected O(sqrt(p)) words per PE) is sorted locally
         union = np.sort(np.concatenate(nonempty))
         s_total = int(union.size)
-        log.append(("ops", float(s_total * np.log2(max(s_total, 2)))))
+        log.append(("ops", s_total * np.log2(max(s_total, 2))))
         sample_total += s_total
         lo_p, hi_p = fr_pivots(union, k, n)
         (la, lb), masks = partition_count(chunk, lo_p, hi_p)
@@ -139,7 +139,7 @@ def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
     rest_size = int(rest.size)
     log.append(("gather", int(chunk.size), 0))
     log.append(
-        ("ops", float(rest_size * np.log2(max(rest_size, 2))) if rank == 0 else 0.0)
+        ("ops", rest_size * np.log2(max(rest_size, 2)) if rank == 0 else 0.0)
     )
     log.append(("broadcast", payload_words(value), 0))
     return value, rounds, sample_total, rest_size
