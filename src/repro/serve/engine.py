@@ -30,6 +30,7 @@ Supported query dicts (``dataset`` defaults to ``"default"``)::
 from __future__ import annotations
 
 import math
+import numbers
 import queue
 import threading
 import time
@@ -199,7 +200,14 @@ class QueryEngine:
             self.stats["max_batch_size"] = max(
                 self.stats["max_batch_size"], len(batch)
             )
-            self._execute(batch)
+            try:
+                self._execute(batch)
+            except Exception as exc:
+                # a bug in one batch must not kill the engine thread:
+                # fail what it left unanswered and keep serving
+                for item in batch:
+                    if not item.future.done():
+                        item.future.set_exception(exc)
         # engine shutting down: fail whatever is still queued
         while True:
             try:
@@ -253,11 +261,18 @@ class QueryEngine:
 
     def _expired(self, item: _Pending) -> bool:
         """Expire a query past its deadline (the dict's ``"deadline"``
-        key overrides the engine default) before paying to run it."""
-        limit = item.query.get("deadline", self.query_deadline)
-        if limit is None:
-            return False
-        if time.monotonic() - item.t0 <= float(limit):
+        key overrides the engine default) before paying to run it.  A
+        deadline that is not a number ``>= 0`` raises ``QueryError``."""
+        if "deadline" not in item.query:
+            limit = self.query_deadline
+        else:
+            limit = item.query["deadline"]
+            if not (isinstance(limit, numbers.Real)
+                    and not isinstance(limit, bool) and limit >= 0):
+                raise QueryError(
+                    f"deadline must be a number of seconds >= 0, got {limit!r}"
+                )
+        if limit is None or time.monotonic() - item.t0 <= limit:
             return False
         self.stats["expired"] += 1
         item.future.set_exception(QueryError(
@@ -272,9 +287,11 @@ class QueryEngine:
         rank_groups: dict[str, list[_Pending]] = {}
         freq_groups: dict[str, list[tuple[int, _Pending]]] = {}
         for item in batch:
-            if self._expired(item):
-                continue
+            if not item.future.set_running_or_notify_cancel():
+                continue  # cancelled by its client while it queued
             try:
+                if self._expired(item):
+                    continue
                 q = item.query
                 op = q.get("op")
                 name = q.get("dataset", "default")

@@ -29,6 +29,29 @@ from .engine import QueryEngine
 __all__ = ["serve_forever"]
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next request line (``b""`` at end of stream).  A line longer
+    than the reader's limit (64 KiB) is discarded whole, through its
+    newline, and raises ``ValueError``, so the next read starts at the
+    next request."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # an unterminated last line, or b"" at EOF
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break  # the stream ended inside the line
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+    raise ValueError("request line longer than the 64 KiB limit")
+
+
 async def _serve(engine: QueryEngine, host: str, port: int,
                  ready_cb=None) -> None:
     stop = asyncio.Event()
@@ -55,13 +78,17 @@ async def _serve(engine: QueryEngine, host: str, port: int,
         tasks: set[asyncio.Task] = set()
         try:
             while not stop.is_set():
-                line = await reader.readline()
-                if not line:
-                    break
                 try:
+                    line = await _read_line(reader)
+                    if not line:
+                        break
                     req = json.loads(line)
                     if not isinstance(req, dict):
                         raise ValueError("request must be a JSON object")
+                except RecursionError:
+                    await reply({"id": None, "ok": False,
+                                 "error": "request nested too deeply"})
+                    continue
                 except ValueError as exc:
                     await reply({"id": None, "ok": False, "error": str(exc)})
                     continue

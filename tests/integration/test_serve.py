@@ -213,6 +213,27 @@ class TestQueryEngine:
             engine.submit({"op": "select", "k": 1}).result(timeout=10)
 
 
+def _start_server(engine):
+    """Run ``serve_forever`` on an ephemeral port in a background
+    thread; returns ``(thread, port)``."""
+    port_box: list[int] = []
+    ready = threading.Event()
+
+    def ready_cb(port):
+        port_box.append(port)
+        ready.set()
+
+    server = threading.Thread(
+        target=serve_forever,
+        args=(engine, "127.0.0.1", 0),
+        kwargs={"ready_cb": ready_cb},
+        daemon=True,
+    )
+    server.start()
+    assert ready.wait(timeout=60)
+    return server, port_box[0]
+
+
 class TestServeServer:
     def test_tcp_round_trip_with_concurrent_clients(self):
         values, _ = _oracle(p=2, n=1000)
@@ -221,22 +242,7 @@ class TestServeServer:
         engine = QueryEngine(
             machine, default_datasets(machine, 1000), batch_window=0.1
         )
-        port_box: list[int] = []
-        ready = threading.Event()
-
-        def ready_cb(port):
-            port_box.append(port)
-            ready.set()
-
-        server = threading.Thread(
-            target=serve_forever,
-            args=(engine, "127.0.0.1", 0),
-            kwargs={"ready_cb": ready_cb},
-            daemon=True,
-        )
-        server.start()
-        assert ready.wait(timeout=60)
-        port = port_box[0]
+        server, port = _start_server(engine)
 
         results = {}
 
@@ -269,6 +275,41 @@ class TestServeServer:
         server.join(timeout=60)
         assert not server.is_alive()
         assert engine.machine.backend.closed
+
+    def test_unreadable_lines_get_an_error_and_the_connection_stays_open(self):
+        """A line over the reader's 64 KiB limit (its newline inside the
+        first buffered read or far beyond it) and a line nested deeper
+        than ``json.loads`` recurses each get a structured error on a
+        live connection, and the next request on it answers."""
+        import json
+        import socket
+
+        machine = Machine(p=2, seed=99)
+        engine = QueryEngine(machine, default_datasets(machine, 1000))
+        server, port = _start_server(engine)
+        bad_lines = [
+            (b'{"op": "' + b"x" * (70 << 10) + b'"}', "64 KiB"),
+            (b'{"op": "' + b"x" * (1 << 20) + b'"}', "64 KiB"),
+            (b"[" * 30000 + b"]" * 30000, "nested too deeply"),
+        ]
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock, \
+                    sock.makefile("rwb") as stream:
+                for line, why in bad_lines:
+                    stream.write(line + b"\n")
+                    stream.write(b'{"id": 7, "op": "ping"}\n')
+                    stream.flush()
+                    error = json.loads(stream.readline())
+                    assert error["id"] is None and error["ok"] is False
+                    assert why in error["error"]
+                    assert json.loads(stream.readline()) == {
+                        "id": 7, "ok": True, "result": "pong"}
+                stream.write(b'{"op": "shutdown"}\n')
+                stream.flush()
+                assert json.loads(stream.readline())["result"] == "bye"
+        finally:
+            server.join(timeout=60)
+        assert not server.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +362,60 @@ class TestServeHardening:
             assert engine.stats["expired"] == 1
             # a generous deadline does not interfere
             assert engine.query(op="select", k=1, deadline=60.0) == values[0]
+        finally:
+            engine.close()
+
+    def test_bad_deadline_fails_only_its_own_query(self):
+        """A query's own ``deadline`` must be a number >= 0: anything
+        else fails that query with ``QueryError`` and the engine thread
+        keeps answering."""
+        values, _ = _oracle()
+        engine = _engine(window=0.0)
+        try:
+            for bad in ("abc", [1], True, float("nan"), -1):
+                fut = engine.submit({"op": "select", "k": 1, "deadline": bad})
+                with pytest.raises(QueryError, match="deadline must be"):
+                    fut.result(timeout=60)
+                assert engine._thread.is_alive()
+                good = engine.submit({"op": "select", "k": 2})
+                assert good.result(timeout=60) == values[1]
+        finally:
+            engine.close()
+
+    def test_cancelled_query_is_skipped(self):
+        """A query its client cancelled while it queued is dropped; the
+        rest of its batch answers and the engine keeps running."""
+        values, _ = _oracle()
+        engine = _engine(window=0.2)
+        try:
+            dropped = engine.submit({"op": "select", "k": 1})
+            assert dropped.cancel()
+            kept = engine.submit({"op": "select", "k": 3})
+            assert kept.result(timeout=60) == values[2]
+            assert engine._thread.is_alive()
+        finally:
+            engine.close()
+
+    def test_engine_survives_a_failing_batch(self, monkeypatch):
+        """Whatever escapes one batch fails that batch's queries, not
+        the engine thread."""
+        values, _ = _oracle()
+        engine = _engine(window=0.0)
+        real = engine._run_rank_group
+        calls = []
+
+        def flaky(name, items):
+            calls.append(name)
+            if len(calls) == 1:
+                raise RuntimeError("injected")
+            real(name, items)
+
+        monkeypatch.setattr(engine, "_run_rank_group", flaky)
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.submit({"op": "select", "k": 1}).result(timeout=60)
+            assert engine._thread.is_alive()
+            assert engine.submit({"op": "select", "k": 1}).result(timeout=60) == values[0]
         finally:
             engine.close()
 

@@ -433,6 +433,97 @@ class TestSegmentLifecycle:
             assert len(m.backend._pool._segments) <= 3
         assert segment_names(m.backend._shm_family) == []
 
+    def test_share_prefaults_each_fresh_page_once(self, monkeypatch):
+        """A block populates exactly the page-aligned range from its
+        segment's mark to its own end; later blocks populate only pages
+        past the mark, a recycled segment none, and the mark stops at
+        the segment's capacity."""
+        from repro.machine.backends import shm as shm_mod
+        from repro.machine.backends.shm import _PAGE, _SEGMENT_MIN
+
+        calls = []
+        real = shm_mod._prefault
+
+        def recording(shm, start, stop):
+            calls.append((shm.name, start, stop))
+            real(shm, start, stop)
+
+        monkeypatch.setattr(shm_mod, "_prefault", recording)
+        pool = ShmPool(pool_family(new_token()), "d", threshold=64)
+        try:
+            payload = os.urandom(5000)
+            name, off, foff = pool.share(memoryview(payload))
+            seg = pool._segments[0]
+            assert (foff, off) == (0, 64)
+            assert calls == [(name, 0, 2 * _PAGE)]  # covers bytes 0..5064
+            assert seg.populated == 2 * _PAGE
+            # the next block starts inside the populated second page:
+            # only the pages past the mark up to its end are populated
+            _, off2, foff2 = pool.share(memoryview(payload))
+            end2 = off2 + len(payload)
+            assert foff2 < 2 * _PAGE < end2 <= 3 * _PAGE
+            assert calls[1:] == [(name, 2 * _PAGE, 3 * _PAGE)]
+            # a block that ends below the mark populates nothing
+            pool.share(memoryview(payload[:100]))
+            assert len(calls) == 2
+            # a recycled segment reuses its populated pages as they are
+            pool.release_round()
+            assert pool.share(memoryview(payload))[0] == name
+            assert pool.share(memoryview(payload))[0] == name
+            assert len(calls) == 2
+            # a segment sized to one odd block: the mark stops at its
+            # capacity, not at the page boundary past it
+            big = memoryview(bytearray(_SEGMENT_MIN + 1))
+            big_name = pool.share(big)[0]
+            big_seg = next(s for s in pool._segments if s.shm.name == big_name)
+            assert big_seg.capacity % _PAGE != 0
+            assert calls[2:] == [(big_name, 0, big_seg.capacity)]
+            for seg in pool._segments:
+                assert seg.used <= seg.populated <= seg.capacity
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("advice", [None, 0x7FFF],
+                             ids=["not-linux", "refused"])
+    def test_share_falls_back_when_prefault_is_unavailable(self, monkeypatch,
+                                                           advice):
+        """Without the advice (another platform) or when the kernel
+        refuses it (an unknown advice value raises ``OSError``), the copy
+        faults its pages in itself and the consumer reads identical
+        bytes."""
+        from repro.machine.backends import shm as shm_mod
+
+        monkeypatch.setattr(shm_mod, "_MADV_POPULATE_WRITE", advice)
+        pool = ShmPool(pool_family(new_token()), "d", threshold=64)
+        try:
+            payload = os.urandom(3 << 20)
+            name, off, foff = pool.share(memoryview(payload))
+            if advice is not None:
+                with pytest.raises(OSError):
+                    pool._segments[0].shm._mmap.madvise(advice, 0, 4096)
+            block = pool.materialize(name, off, len(payload), foff)
+            assert bytes(block) == payload
+            del block
+        finally:
+            pool.close()
+
+    def test_prefaulted_round_trip_keeps_bytes_and_counts(self):
+        """A 5 MiB put -> get round trip on a real pool is
+        byte-identical, and each direction counts exactly its payload on
+        the shm lane (the figures before the prefault existed)."""
+        nbytes = 5 << 20
+        big = np.random.default_rng(3).integers(
+            0, 1 << 62, size=nbytes // 8, dtype=np.int64)
+        with MultiprocessingBackend(2) as backend:
+            got = _roundtrip(backend, [big, big[:10].copy()])
+            assert got[0].tobytes() == big.tobytes()
+            assert got[1].tobytes() == big[:10].tobytes()
+            tb = backend.transport_bytes()
+            assert tb["put"]["shm"] == nbytes  # driver shm_tx
+            assert tb["get"]["shm"] == nbytes  # driver shm_rx
+            worker_tx = backend.worker_transport_counts()
+            assert [w["shm_tx"] for w in worker_tx] == [nbytes, 0]
+
     @_observable
     def test_machine_close_reaps(self):
         m = Machine(p=2, seed=7, backend=MultiprocessingBackend(
@@ -441,3 +532,51 @@ class TestSegmentLifecycle:
         _roundtrip(m.backend, [np.arange(20000.0), np.arange(20000.0) * 2])
         m.close()
         assert segment_names(family) == []
+
+
+# ----------------------------------------------------------------------
+# Soak: the shm lane stays bounded over many cycles on one pool
+# ----------------------------------------------------------------------
+
+def _driver_rss_mib() -> float:
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise AssertionError("no VmRSS line")  # pragma: no cover
+
+
+class TestShmSoak:
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm")
+                        or not os.path.exists("/proc/self/status"),
+                        reason="/dev/shm or /proc not observable")
+    def test_upload_redistribute_fetch_cycles_stay_bounded(self):
+        """200 cycles of upload -> ``redistribute`` -> fetch on ~1 MiB
+        chunks, every result dropped before the next cycle: once warm,
+        the pool family's segment count and the driver's RSS stay flat,
+        and ``close()`` leaves no segment behind."""
+        from repro import redistribution
+        from repro.machine import DistArray
+
+        rng = np.random.default_rng(17)
+        chunks = [rng.integers(0, 1 << 62, size=n, dtype=np.int64)
+                  for n in (3 << 16, 1 << 16)]  # 1.5 MiB + 0.5 MiB
+        total = sum(c.size for c in chunks)
+        segments, rss = {}, {}
+        with Machine(p=2, seed=17, backend="mp") as m:
+            family = m.backend._shm_family
+            for cycle in range(1, 201):
+                data = DistArray(m, chunks, resident=True)
+                out, stats = redistribution.redistribute(m, data)
+                got = out.chunks
+                assert stats.moved == chunks[0].size - total // 2
+                assert [g.size for g in got] == [total // 2] * 2
+                del data, out, got
+                if cycle >= 20 and cycle % 20 == 0:
+                    segments[cycle] = len(segment_names(family))
+                    rss[cycle] = _driver_rss_mib()
+        assert segment_names(family) == []
+        assert segments[200] <= segments[20], segments
+        # one leaked cycle per cycle would add ~2 MiB each time
+        assert max(rss.values()) - rss[20] < 8.0, rss
+
