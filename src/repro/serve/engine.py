@@ -261,18 +261,18 @@ class QueryEngine:
 
     def _expired(self, item: _Pending) -> bool:
         """Expire a query past its deadline (the dict's ``"deadline"``
-        key overrides the engine default) before paying to run it.  A
-        deadline that is not a number ``>= 0`` raises ``QueryError``."""
-        if "deadline" not in item.query:
-            limit = self.query_deadline
-        else:
-            limit = item.query["deadline"]
-            if not (isinstance(limit, numbers.Real)
-                    and not isinstance(limit, bool) and limit >= 0):
-                raise QueryError(
-                    f"deadline must be a number of seconds >= 0, got {limit!r}"
-                )
-        if limit is None or time.monotonic() - item.t0 <= limit:
+        key overrides the engine default; ``None`` means none) before
+        paying to run it.  Any other deadline that is not a number
+        ``>= 0`` raises ``QueryError``."""
+        limit = item.query.get("deadline", self.query_deadline)
+        if limit is None:
+            return False
+        if not (isinstance(limit, numbers.Real)
+                and not isinstance(limit, bool) and limit >= 0):
+            raise QueryError(
+                f"deadline must be a number of seconds >= 0, got {limit!r}"
+            )
+        if time.monotonic() - item.t0 <= limit:
             return False
         self.stats["expired"] += 1
         item.future.set_exception(QueryError(

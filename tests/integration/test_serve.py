@@ -360,8 +360,9 @@ class TestServeHardening:
                     {"op": "select", "k": 1, "deadline": 0.0}
                 ).result(timeout=60)
             assert engine.stats["expired"] == 1
-            # a generous deadline does not interfere
+            # a generous deadline does not interfere, and null means none
             assert engine.query(op="select", k=1, deadline=60.0) == values[0]
+            assert engine.query(op="select", k=1, deadline=None) == values[0]
         finally:
             engine.close()
 
