@@ -5,9 +5,11 @@ sim == mp cannot see drift both share, so these families are held to
 ``tests/support/collective_golden.json``: values, the modeled-cost tuple
 of ``report()`` and the draw addresses allocated (``Machine._rng_seq``)
 of ``top_k_frequent_naive``, ``top_k_frequent_naive_tree`` (the
-``reduce_tree`` / point-to-point user), ``dta_topk``, ``rdta_topk``,
-``ms_select``, ``ams_select_batched`` and ``BulkParallelPQ.peek_min`` at
-p in {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
+``reduce_tree`` / point-to-point user), ``top_k_frequent_ec_dsbf``
+(recorded at 1ad72a8, while its exchange was still a driver-side dict
+walk), ``dta_topk``, ``rdta_topk``, ``ms_select``,
+``ams_select_batched`` and ``BulkParallelPQ.peek_min`` at p in
+{1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
 modeled columns of every ``collectives_microbench`` row, first recorded
 at 8ec87bb on sim.  Regenerate (``python
 tests/integration/test_collective_golden.py``) only when a result or
@@ -21,7 +23,11 @@ import numpy as np
 import pytest
 
 from repro.bench.experiments import collectives_microbench
-from repro.frequent import top_k_frequent_naive, top_k_frequent_naive_tree
+from repro.frequent import (
+    top_k_frequent_ec_dsbf,
+    top_k_frequent_naive,
+    top_k_frequent_naive_tree,
+)
 from repro.machine import DistArray, Machine
 from repro.pqueue import BulkParallelPQ
 from repro.selection import ams_select_batched, ms_select
@@ -85,6 +91,7 @@ def _peek_min(m):
 FAMILIES = {
     "top_k_frequent_naive": _frequent(top_k_frequent_naive),
     "top_k_frequent_naive_tree": _frequent(top_k_frequent_naive_tree),
+    "top_k_frequent_ec_dsbf": _frequent(top_k_frequent_ec_dsbf),
     "dta_topk": _topk(dta_topk),
     "rdta_topk": _topk(rdta_topk),
     "ms_select": _ms_select,
