@@ -609,12 +609,6 @@ def collectives_microbench(
                 [[v[i] for _ in range(m.p)] for i in range(m.p)], mode="hypercube"
             )
         ),
-        "aggregate_exchange": bench(
-            lambda m, v: m.aggregate_exchange(
-                [{int(j): 1 for j in range(i, i + 32)} for i in range(m.p)],
-                owner=lambda key: key % m.p,
-            )
-        ),
     }
     return weak_scaling(
         "collectives", algos, p_list, payload, make, seed=seed, backend=backend

@@ -33,13 +33,17 @@ table never leaving the kernel.  The selection draws only when more
 than ``k`` entries exist, which the driver learns only from the
 command's answer: it allocates the draw address at build time and
 gives it back when the command reports that it did not select.
-:func:`count_into_dht`, :func:`count_into_dht_resident`,
-:func:`exchange_into_dht` and :func:`take_topk_entries` run the same
-pieces for callers that hold samples or per-PE dicts in the driver.
+:func:`count_into_dht`, :func:`exchange_into_dht` and
+:func:`take_topk_entries` run the same pieces for callers that hold
+samples or per-PE tables in the driver: ``pec``, ``adaptive``, the
+streaming monitor, and dSBF, whose fingerprint entries are 1.5 words
+wide instead of 2 (``width``; Section 7.4).  This is the package's one
+hash-table exchange.
 """
 
 from __future__ import annotations
 
+from math import ceil
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +57,6 @@ from ..selection.unsorted import default_base_case, select_kth_gen
 
 __all__ = [
     "count_into_dht",
-    "count_into_dht_resident",
     "exchange_into_dht",
     "take_topk_entries",
     "local_key_counts",
@@ -112,20 +115,23 @@ def merge_tables(parts: Sequence[Table]) -> Table:
     return keys[first], np.add.reduceat(counts, first)
 
 
-def exchange_gen(rank: int, p: int, table: Table, salt: int, log: list):
+def exchange_gen(rank: int, p: int, table: Table, salt: int, log: list,
+                 width: float = 2.0):
     """Step 2: route every entry to its key's home PE, merging equal
     keys at every hop.  Returns the entries this PE owns.
 
     ``ceil(log2 p)`` rounds; in round ``r`` a PE hands its partner
     across bit ``r`` the entries whose owner lies on the partner's side.
     When ``p`` is not a power of two a PE may lack a partner, so entries
-    travel straight to their owners instead.
+    travel straight to their owners instead.  ``width`` is the wire
+    size of one entry in words: 2.0 for a (key, count) pair, 1.5 for
+    the half-word fingerprints of the dSBF refinement (Section 7.4).
     """
     if p & (p - 1):
         keys, counts = table
         owner = key_owner(keys, p, salt)
         row = [(keys[mine], counts[mine]) for mine in (owner == d for d in range(p))]
-        log.append(("alltoall", tuple(2 * int(part[0].size) for part in row)))
+        log.append(("alltoall", tuple(ceil(width * part[0].size) for part in row)))
         received = yield ("alltoall", row)
         log.append(("ops", sum(int(part[0].size) for part in received)))
         return merge_tables(received)
@@ -135,7 +141,7 @@ def exchange_gen(rank: int, p: int, table: Table, salt: int, log: list):
         leaving = ((key_owner(keys, p, salt) ^ rank) & bit) != 0
         row: list = [None] * p
         row[rank ^ bit] = (keys[leaving], counts[leaving])
-        log.append(("dht_round", bit, int(leaving.sum())))
+        log.append(("dht_round", bit, int(leaving.sum()), width))
         received = yield ("sendrecv", row, (rank ^ bit,))
         table = merge_tables(
             [(keys[~leaving], counts[~leaving]), received[rank ^ bit]]
@@ -211,13 +217,14 @@ def sample_table(rank: int, chunk: np.ndarray, dtype, addr, rho: float, log: lis
 # Worker commands (module-level so real backends can ship them)
 # ----------------------------------------------------------------------
 
-def _count_kernel(rank: int, keys: np.ndarray, counts, p: int, dtype, salt: int):
+def _count_kernel(rank: int, keys: np.ndarray, counts, p: int, dtype, salt: int,
+                  width: float):
     """Count ``keys`` (``counts`` of each, if they are aggregated
     already) into the distributed table; returns this PE's part."""
     log: list = []
     keys = keys.astype(dtype, copy=False)
     table = local_table(keys, log) if counts is None else (keys, counts)
-    table = yield from exchange_gen(rank, p, table, salt, log)
+    table = yield from exchange_gen(rank, p, table, salt, log, width)
     return table, log
 
 
@@ -296,14 +303,14 @@ def array_key_dtype(data: DistArray) -> np.dtype:
     return integer_key_dtype([data.dtype] if data.global_size else [])
 
 
-def _run_count_kernel(machine: Machine, refs: list, lead, dtype, salt: int):
-    """Issue :func:`_count_kernel` (keys resident, or riding along with
-    their counts); the owners' tables return as dicts."""
+def _run_count_kernel(machine: Machine, lead, dtype, salt: int, width: float = 2.0):
+    """Issue :func:`_count_kernel` over keys riding along (with their
+    counts, if aggregated already); the owners' tables return as dicts."""
     p = machine.p
     if len(lead) != p:
         raise ValueError(f"need one entry per PE, got {len(lead)} for p={p}")
     _, vals = machine.backend.run_spmd(
-        _count_kernel, refs, args=[(*lead[i], p, dtype, salt) for i in range(p)]
+        _count_kernel, [], args=[(*lead[i], p, dtype, salt, width) for i in range(p)]
     )
     machine.replay_charges([log for _, log in vals])
     return _as_dicts([table for table, _ in vals])
@@ -328,32 +335,22 @@ def count_into_dht(
     """
     samples = [np.asarray(s) for s in samples_per_pe]
     dtype = integer_key_dtype([s.dtype for s in samples if s.size])
-    return _run_count_kernel(machine, [], [(s, None) for s in samples], dtype, salt)
-
-
-def count_into_dht_resident(
-    machine: Machine, data: DistArray, salt: int = 0
-) -> list[dict[int, int]]:
-    """:func:`count_into_dht` over a full distributed array: the raw
-    chunks never move, only the owners' tables return to the driver."""
-    return _run_count_kernel(
-        machine, [data._ensure_ref()], [(None,)] * machine.p,
-        array_key_dtype(data), salt,
-    )
+    return _run_count_kernel(machine, [(s, None) for s in samples], dtype, salt)
 
 
 def exchange_into_dht(
-    machine: Machine, tables: Sequence[Table], salt: int = 0
+    machine: Machine, tables: Sequence[Table], salt: int = 0, width: float = 2.0
 ) -> list[dict[int, int]]:
     """:func:`count_into_dht` for keys that are aggregated already:
     ``tables[i]`` holds PE ``i``'s distinct keys (in any order) and the
-    count of each."""
+    count of each.  One entry costs ``width`` words on the wire
+    (:func:`exchange_gen`)."""
     lead = []
     for keys, counts in tables:
         order = np.argsort(keys)
         lead.append((np.asarray(keys)[order], np.asarray(counts, dtype=np.int64)[order]))
     dtype = integer_key_dtype([keys.dtype for keys, _ in lead if keys.size])
-    return _run_count_kernel(machine, [], lead, dtype, salt)
+    return _run_count_kernel(machine, lead, dtype, salt, width)
 
 
 def take_topk_entries(

@@ -6,7 +6,10 @@ table.  The paper's refinement replaces keys by *hash fingerprints*
 than the key, cutting the insertion volume roughly in half for one-word
 keys and more for fat keys.  The price is collisions:
 
-1. count fingerprints in the DHT (merge-on-the-way, as usual);
+1. count fingerprints in the DHT (merge-on-the-way, as usual): each
+   PE's (fingerprint, count) table goes through the package's one
+   hash-table exchange, :func:`~repro.frequent.dht.exchange_into_dht`,
+   at 1.5 words per entry instead of 2;
 2. select the fingerprints of rank ``<= k* + kappa`` (a safety margin
    ``kappa`` absorbs collided fingerprints);
 3. resolve the selected fingerprints back to keys: every PE looks up
@@ -27,11 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..common.hashing import make_owner_fn
 from ..common.validation import check_k_star, check_rate
 from ..kernels import fingerprint32
 from ..machine import DistArray, Machine
-from .dht import local_key_counts, take_topk_entries
+from .dht import (
+    array_key_dtype,
+    exchange_into_dht,
+    integer_key_dtype,
+    local_table,
+    merge_tables,
+    take_topk_entries,
+)
 from .result import FrequentResult
 
 __all__ = ["dsbf_top_candidates", "top_k_frequent_ec_dsbf", "DsbfStats"]
@@ -66,34 +75,24 @@ def dsbf_top_candidates(
     """
     if k_star < 1:
         raise ValueError(f"k_star must be >= 1, got {k_star}")
-    p = machine.p
-    # local aggregation once: key -> local sample count
-    local = [
-        local_key_counts(machine, i, np.asarray(s)) for i, s in enumerate(samples_per_pe)
-    ]
-    # fingerprinted view: fp -> summed local count (collisions merge
-    # here); fingerprints are computed in one batched kernel pass per PE
-    fp_local = []
-    fp_of_key: dict[int, int] = {}
-    for i in range(p):
-        d: dict[int, int] = {}
-        items = sorted(local[i].items())
-        if items:
-            keys = np.fromiter(
-                (k for k, _ in items), dtype=np.int64, count=len(items)
-            )
-            fps = fingerprint32(keys, salt)
-            for (key, c), fp in zip(items, fps):
-                fp = int(fp)
-                fp_of_key[key] = fp
-                d[fp] = d.get(fp, 0) + c
-        fp_local.append(d)
-        machine.charge_ops_one(i, max(1, len(local[i])))
+    samples = [np.asarray(s) for s in samples_per_pe]
+    dtype = integer_key_dtype([s.dtype for s in samples if s.size])
+    # local aggregation once: (keys, local sample counts, fingerprints)
+    # per PE, the fingerprints from one batched kernel pass; the
+    # fingerprinted table sums the counts of colliding keys
+    local, fp_tables = [], []
+    for i, s in enumerate(samples):
+        log: list = []
+        keys, counts = local_table(s.astype(dtype, copy=False), log)
+        machine.charge_ops_one(i, log[0][1])
+        fps = fingerprint32(keys, salt)
+        local.append((keys, counts, fps))
+        fp_tables.append(merge_tables([(fps, counts)]))
+        machine.charge_ops_one(i, max(1, int(keys.size)))
 
-    owner = make_owner_fn(p, salt=salt + 1)
     # fingerprints are half a word: 1.5 words per (fp, count) entry on
     # the wire instead of the 2.0 of (key, count) pairs
-    routed = machine.aggregate_exchange(fp_local, owner, words_per_entry=1.5)
+    routed = exchange_into_dht(machine, fp_tables, salt=salt + 1, width=1.5)
 
     kappa = kappa0 if kappa0 is not None else max(8, k_star // 4)
     rounds = 0
@@ -113,23 +112,17 @@ def dsbf_top_candidates(
         # resolve: each PE reports (key, local count) for its local keys
         # whose fingerprint was selected; identities are all-gathered
         # (this is the "request the keys" step of Section 7.4)
-        fp_set = set(int(f) for f in selected_fps)
         reveals = []
-        for i in range(p):
-            mine = {
-                key: c for key, c in local[i].items() if fp_of_key[key] in fp_set
-            }
-            machine.charge_ops_one(i, max(1, len(local[i])))
-            reveals.append(mine)
-        gathered = machine.allgather(reveals)[0]
-        exact: dict[int, int] = {}
-        for piece in gathered:
-            for key, c in sorted(piece.items()):
-                exact[key] = exact.get(key, 0) + c
-        collisions = max(0, len(exact) - len(head))
-        if len(exact) >= k_star or exhausted or rounds >= max_rounds:
-            items = sorted(exact.items(), key=lambda t: (-t[1], t[0]))[:k_star]
-            flat = (not exhausted) and len(exact) < k_star and rounds >= max_rounds
+        for i, (keys, counts, fps) in enumerate(local):
+            hit = np.isin(fps, selected_fps)
+            machine.charge_ops_one(i, max(1, int(keys.size)))
+            reveals.append((keys[hit], counts[hit]))
+        keys, counts = merge_tables(machine.allgather(reveals)[0])
+        collisions = max(0, int(keys.size) - len(head))
+        if keys.size >= k_star or exhausted or rounds >= max_rounds:
+            top = np.lexsort((keys, -counts))[:k_star]
+            items = list(zip(keys[top].tolist(), counts[top].tolist()))
+            flat = (not exhausted) and keys.size < k_star and rounds >= max_rounds
             stats = DsbfStats(kappa, rounds, collisions, flat)
             if piggyback is None:
                 return items, stats
@@ -176,7 +169,7 @@ def top_k_frequent_ec_dsbf(
     )
     if not candidates:
         return FrequentResult((), True, rho, sample_size, k_star, {})
-    cand_keys = np.array([key for key, _ in candidates], dtype=np.int64)
+    cand_keys = np.array([key for key, _ in candidates], dtype=array_key_dtype(data))
     exact = exact_count_keys(machine, data, cand_keys)
     order = np.lexsort((cand_keys, -exact))
     top = order[: min(k, len(cand_keys))]

@@ -93,34 +93,6 @@ from .metrics import CommMetrics, payload_words
 __all__ = ["Machine", "MachineReport", "PhaseStats"]
 
 
-def _canonical_dict(d: dict) -> dict:
-    """Rebuild ``d`` with keys in sorted order (fall back to the given
-    order for unsortable key types), so merged dicts are identical no
-    matter which routing path produced them."""
-    try:
-        return dict(sorted(d.items()))
-    except TypeError:
-        return d
-
-
-class _WireDict(dict):
-    """Wire-format (key, value) bucket; sized by ``words_per_entry``.
-
-    Must live at module level so real backends can pickle it across the
-    process boundary.
-    """
-
-    def __init__(self, words_per_entry: float = 2.0, items=()):
-        super().__init__(items)
-        self.words_per_entry = words_per_entry
-
-    def comm_words(self) -> int:
-        return int(np.ceil(self.words_per_entry * len(self)))
-
-    def __reduce__(self):
-        return (_WireDict, (self.words_per_entry, tuple(self.items())))
-
-
 @dataclass(frozen=True)
 class PhaseStats:
     """Metrics accumulated while a named :meth:`Machine.phase` was open."""
@@ -686,112 +658,16 @@ class Machine:
                 self.metrics.record_schedule(edges, kind)
             self.clock.sync_collective(self.cost.alpha + self.cost.beta * float(moved.max(initial=0.0)))
 
-    def aggregate_exchange(
-        self,
-        dicts: Sequence[dict],
-        owner: Callable[[object], int],
-        combine_values: Callable = lambda a, b: a + b,
-        *,
-        words_per_entry: float = 2.0,
-    ) -> list[dict]:
-        """Route key->value maps to their owner PEs, merging on the way.
-
-        This is the distributed-hash-table insertion primitive of
-        Section 7: counts are communicated along a hypercube in
-        ``ceil(log2 p)`` rounds, and colliding keys are merged
-        (``combine_values``) at every intermediate hop, so each PE
-        receives at most one aggregated message per round.  For ``p``
-        not a power of two the exchange falls back to direct delivery.
-
-        Parameters
-        ----------
-        dicts:
-            Per-PE mapping of key to value (e.g. sample counts).
-        owner:
-            Function mapping a key to its home PE in ``0..p-1``.
-        combine_values:
-            Merge function for values of equal keys (default: sum).
-        words_per_entry:
-            Wire size of one (key, value) entry; the default 2.0 charges
-            one word each.  The dSBF refinement (Section 7.4) ships
-            half-word fingerprints instead of keys and passes 1.5.
-
-        Returns
-        -------
-        Per-PE dict holding exactly the keys owned by that PE, with all
-        contributions merged, keys in canonical (sorted) order.  The
-        hypercube walk runs in the driver on every backend (the dicts
-        come from and return to the driver anyway; only the direct
-        delivery off the powers of two is a list-of-p ``alltoall``), so
-        results and modeled cost are backend-independent.  The
-        pipelines proper count where the
-        data lives (:mod:`repro.frequent.dht`, whose rounds are charged
-        through the same :meth:`_meter_dht_round`); this form remains
-        for the dSBF refinement's 1.5-word entries and as their oracle.
-        """
-        self._check_len(dicts, "aggregate_exchange")
-        p = self.p
-        if p == 1:
-            merged: dict = {}
-            for k, v in dicts[0].items():
-                merged[k] = combine_values(merged[k], v) if k in merged else v
-            return [_canonical_dict(merged)]
-
-        owner_cache: dict = {}
-
-        def _owner(k):
-            try:
-                return owner_cache[k]
-            except KeyError:
-                o = owner(k)
-                if not (0 <= o < p):
-                    raise ValueError(f"owner({k!r}) = {o} out of range 0..{p - 1}")
-                owner_cache[k] = o
-                return o
-
-        if p & (p - 1) != 0:
-            return self._aggregate_direct(dicts, _owner, combine_values, words_per_entry)
-
-        def merge_into(tgt: dict, bucket: dict) -> None:
-            for k, v in bucket.items():
-                tgt[k] = combine_values(tgt[k], v) if k in tgt else v
-
-        # hypercube routing with merge-on-the-way;
-        # held[i][dest] is the bucket parked at i on its way to dest
-        held: list[dict[int, dict]] = []
-        for i in range(p):
-            byd: dict[int, dict] = {}
-            for k, v in dicts[i].items():
-                byd.setdefault(_owner(k), {})[k] = v
-            held.append(byd)
-
-        for r in range(log2_ceil(p)):
-            bit = 1 << r
-            moving = [
-                {d: held[i].pop(d) for d in [d for d in held[i] if (d ^ i) & bit]}
-                for i in range(p)
-            ]
-            for i in range(p):
-                for d, bucket in moving[i].items():
-                    merge_into(held[i ^ bit].setdefault(d, {}), bucket)
-            self._meter_dht_round(
-                bit,
-                [sum(len(b) for b in moving[i].values()) for i in range(p)],
-                words_per_entry,
-            )
-        return [_canonical_dict(held[i].get(i, {})) for i in range(p)]
-
-    def _meter_dht_round(
-        self, bit: int, sent: Sequence[int], words_per_entry: float = 2.0
-    ) -> None:
+    def _meter_dht_round(self, bit: int, sent: Sequence[int], width: float) -> None:
         """Control plane of one hypercube round of the hash-table
-        exchange: PE ``i`` ships ``sent[i]`` (key, value) entries to PE
+        exchange (:func:`repro.frequent.dht.exchange_gen`): PE ``i``
+        ships ``sent[i]`` entries of ``width`` words each to PE
         ``i ^ bit``, which merges them into its table (one probe per
         entry); only non-empty messages are metered."""
         entries = np.asarray(sent, dtype=np.float64)
         partners = np.arange(self.p) ^ bit
         self.charge_ops(entries[partners])
-        words = words_per_entry * entries
+        words = width * entries
         edges = [
             (int(i), int(partners[i]), float(words[i]))
             for i in np.flatnonzero(entries)
@@ -801,49 +677,6 @@ class Machine:
         self.clock.sync_collective(
             self.cost.alpha + self.cost.beta * float(words.max(initial=0.0))
         )
-
-    def _split_by_owner(self, dicts, owner_fn, combine_values, make_bucket):
-        """Per-PE destination matrix: ``matrix[i][d]`` holds PE ``i``'s
-        locally pre-aggregated (key, value) bucket for owner ``d``."""
-        p = self.p
-        matrix: list[list] = [[None] * p for _ in range(p)]
-        for i in range(p):
-            for k, v in dicts[i].items():
-                d = owner_fn(k)
-                bucket = matrix[i][d]
-                if bucket is None:
-                    bucket = matrix[i][d] = make_bucket()
-                bucket[k] = combine_values(bucket[k], v) if k in bucket else v
-        return matrix
-
-    @staticmethod
-    def _merge_received(received_row, combine_values) -> tuple[dict, int]:
-        """Merge one owner's received buckets in rank order; returns the
-        merged dict plus the number of entries processed."""
-        merged: dict = {}
-        n_entries = 0
-        for piece in received_row:
-            if piece is None:
-                continue
-            for k, v in piece.items():
-                merged[k] = combine_values(merged[k], v) if k in merged else v
-            n_entries += len(piece)
-        return merged, n_entries
-
-    def _aggregate_direct(
-        self, dicts, owner_fn, combine_values, words_per_entry: float = 2.0
-    ) -> list[dict]:
-        """Direct-delivery fallback of :meth:`aggregate_exchange`."""
-        matrix = self._split_by_owner(
-            dicts, owner_fn, combine_values, lambda: _WireDict(words_per_entry)
-        )
-        received = self.alltoall(matrix, mode="direct")
-        out = []
-        for j in range(self.p):
-            merged, n_entries = self._merge_received(received[j], combine_values)
-            self.charge_ops_one(j, n_entries)
-            out.append(_canonical_dict(merged))
-        return out
 
     def reduce_tree(
         self,
@@ -914,10 +747,11 @@ class Machine:
           (``m`` replicated),
         * ``("alltoall", row)`` -- a direct personalized exchange;
           ``row[j]`` is the word count this rank sends to PE ``j``,
-        * ``("dht_round", bit, n)`` -- one hypercube round of the
-          hash-table exchange (:meth:`_meter_dht_round`): this rank
-          ships ``n`` two-word (key, count) entries to PE ``rank ^
-          bit``, which merges them (``bit`` replicated).
+        * ``("dht_round", bit, n, width)`` -- one hypercube round of
+          the hash-table exchange (:meth:`_meter_dht_round`): this rank
+          ships ``n`` entries of ``width`` words each to PE
+          ``rank ^ bit``, which merges them (``bit`` and ``width``
+          replicated).
 
         Modeled time and metered volume are identical on every backend
         because the log contains only small scalars.
@@ -967,7 +801,9 @@ class Machine:
                 self._meter_alltoall([logs[i][t][1] for i in range(self.p)])
             elif kind == "dht_round":
                 self._meter_dht_round(
-                    int(logs[0][t][1]), [logs[i][t][2] for i in range(self.p)]
+                    int(logs[0][t][1]),
+                    [logs[i][t][2] for i in range(self.p)],
+                    float(logs[0][t][3]),
                 )
             else:
                 raise ValueError(f"unknown charge-log entry kind {kind!r}")

@@ -4,6 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.hashing import key_owner
+from repro.frequent.dht import exchange_into_dht
 from repro.machine import Machine
 
 pe_values = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=16)
@@ -66,7 +68,7 @@ class TestDataMovement:
         st.lists(st.tuples(st.integers(0, 30), st.integers(1, 9)), max_size=40),
     )
     @settings(max_examples=50, deadline=None)
-    def test_aggregate_exchange_conserves_counts(self, p, pairs):
+    def test_exchange_into_dht_conserves_counts(self, p, pairs):
         m = Machine(p=p, seed=4)
         dicts = [dict() for _ in range(p)]
         for idx, (key, c) in enumerate(pairs):
@@ -76,11 +78,13 @@ class TestDataMovement:
         for d in dicts:
             for key, c in d.items():
                 expected[key] = expected.get(key, 0) + c
-        routed = m.aggregate_exchange(dicts, lambda key: key % p)
+        tables = [(np.array(list(d), dtype=np.int64),
+                   np.array(list(d.values()), dtype=np.int64)) for d in dicts]
+        routed = exchange_into_dht(m, tables)
         got: dict = {}
         for pe, d in enumerate(routed):
             for key, c in d.items():
-                assert key % p == pe
+                assert key_owner(np.array([key]), p)[0] == pe
                 got[key] = got.get(key, 0) + c
         assert got == expected
 

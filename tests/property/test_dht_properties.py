@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.common.hashing import key_owner, make_owner_fn
 from repro.frequent import count_into_dht, local_key_counts, take_topk_entries
+from repro.frequent.dht import exchange_into_dht
 from repro.machine import Machine
+from tests.support.dict_walk import dict_walk
 
 key_chunks = st.lists(
     st.lists(st.integers(0, 40), max_size=80),
@@ -51,6 +53,11 @@ class TestTopkEntries:
         assert len(items) == min(k, len(oracle))
 
 
+def _table(counts: dict):
+    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    return keys, np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+
+
 def _all_on_one_owner(p, salt, n):
     """``n`` distinct keys that hash to PE 0."""
     keys = np.arange(-200, 4000, dtype=np.int64)
@@ -59,9 +66,10 @@ def _all_on_one_owner(p, salt, n):
 
 class TestArrayTableAgainstDictWalk:
     """The array-backed table that is merged hop by hop in the workers
-    against :meth:`Machine.aggregate_exchange`'s dict walk: the same
+    against the dict walk of ``tests/support/dict_walk.py``: the same
     tables on the same owners at the same modeled cost, on empty PEs,
-    heavy duplicates, every key on one owner, and any ``p``."""
+    heavy duplicates, every key on one owner, any ``p`` and both entry
+    widths (2.0 for (key, count) pairs, 1.5 for dSBF's fingerprints)."""
 
     @given(
         st.lists(
@@ -69,9 +77,10 @@ class TestArrayTableAgainstDictWalk:
         ),
         st.integers(0, 3),
         st.booleans(),
+        st.sampled_from([2.0, 1.5]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_same_tables_same_cost(self, chunks, salt, one_owner):
+    def test_same_tables_same_cost(self, chunks, salt, one_owner, width):
         p = len(chunks)
         samples = [np.array(c, dtype=np.int64) for c in chunks]
         if one_owner:
@@ -79,8 +88,13 @@ class TestArrayTableAgainstDictWalk:
             samples = [pool[s + 40] for s in samples]
         walked, counted = Machine(p=p, seed=8), Machine(p=p, seed=8)
         local = [local_key_counts(walked, i, s) for i, s in enumerate(samples)]
-        want = walked.aggregate_exchange(local, make_owner_fn(p, salt=salt))
-        got = count_into_dht(counted, samples, salt=salt)
+        want = dict_walk(walked, local, make_owner_fn(p, salt=salt), width)
+        if width == 2.0:
+            got = count_into_dht(counted, samples, salt=salt)
+        else:
+            tables = [_table(local_key_counts(counted, i, s))
+                      for i, s in enumerate(samples)]
+            got = exchange_into_dht(counted, tables, salt=salt, width=width)
         assert got == want
         assert [list(d) for d in got] == [sorted(d) for d in got]
         if one_owner:

@@ -56,11 +56,12 @@ def _entry(draw, p: int) -> list[tuple]:
         return [(kind, w, m) for w in draw(per_rank)]
     if kind == "alltoall":
         return [(kind, row) for row in draw(st.lists(per_rank, min_size=p, max_size=p))]
-    # dht_round: a hypercube bit below p, entries per rank
+    # dht_round: a hypercube bit below p, entries per rank, their width
     bit = 1 << draw(st.integers(min_value=0, max_value=p.bit_length() - 2))
     counts = draw(st.lists(st.integers(min_value=0, max_value=10**4),
                            min_size=p, max_size=p))
-    return [(kind, bit, n) for n in counts]
+    width = draw(st.sampled_from([2.0, 1.5]))
+    return [(kind, bit, n, width) for n in counts]
 
 
 @st.composite

@@ -1,0 +1,45 @@
+"""A dict walk of the hash-table exchange: the test oracle of
+:func:`repro.frequent.dht.exchange_gen`.
+
+Per-PE ``{key: count}`` dicts are routed to ``owner(key)`` in the
+driver, one plain dict per PE, and charged through ``Machine``'s own
+meters: on a power-of-two ``p`` a hypercube walk whose round ``r``
+hands every entry whose owner differs in bit ``r`` to the partner
+across it, merging equal keys on arrival (one ``_meter_dht_round`` per
+round); otherwise direct delivery (one ``_meter_alltoall`` of
+``ceil(width * n)`` words per destination) and the owners' merge work.
+"""
+
+from math import ceil
+
+
+def dict_walk(machine, dicts, owner, width: float = 2.0) -> list[dict]:
+    """Route ``dicts[i]`` (PE ``i``'s counts) to their owners, summing
+    equal keys; returns one key-sorted dict per PE."""
+    p = machine.p
+    if p & (p - 1):
+        split = [[{} for _ in range(p)] for _ in range(p)]  # [src][dst]
+        for i, d in enumerate(dicts):
+            for key, c in d.items():
+                split[i][owner(key)][key] = c
+        machine._meter_alltoall(
+            [[ceil(width * len(b)) for b in row] for row in split])
+        held = [{} for _ in range(p)]
+        for j in range(p):
+            for i in range(p):
+                for key, c in split[i][j].items():
+                    held[j][key] = held[j].get(key, 0) + c
+            machine.charge_ops_one(j, sum(len(split[i][j]) for i in range(p)))
+    else:
+        held = [dict(d) for d in dicts]
+        bit = 1
+        while bit < p:
+            leaving = [{key: c for key, c in held[i].items() if (owner(key) ^ i) & bit}
+                       for i in range(p)]
+            machine._meter_dht_round(bit, [len(out) for out in leaving], width)
+            for i, out in enumerate(leaving):
+                for key, c in out.items():
+                    del held[i][key]
+                    held[i ^ bit][key] = held[i ^ bit].get(key, 0) + c
+            bit <<= 1
+    return [dict(sorted(d.items())) for d in held]

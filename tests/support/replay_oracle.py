@@ -120,11 +120,11 @@ def _alltoall(machine, rows) -> None:
                                   msgs, bottleneck))
 
 
-def _dht_round(machine, bit: int, sent, words_per_entry: float = 2.0) -> None:
+def _dht_round(machine, bit: int, sent, width: float) -> None:
     entries = np.asarray(sent, dtype=np.float64)
     partners = np.arange(machine.p) ^ bit
     _ops(machine, entries[partners])
-    words = words_per_entry * entries
+    words = width * entries
     edges = [(int(i), int(partners[i]), float(words[i]))
              for i in np.flatnonzero(entries)]
     if edges:
@@ -168,6 +168,6 @@ def replay_reference(machine, logs) -> None:
             _alltoall(machine, [logs[i][t][1] for i in range(p)])
         elif kind == "dht_round":
             _dht_round(machine, int(logs[0][t][1]),
-                       [logs[i][t][2] for i in range(p)])
+                       [logs[i][t][2] for i in range(p)], float(logs[0][t][3]))
         else:
             raise ValueError(f"unknown charge-log entry kind {kind!r}")

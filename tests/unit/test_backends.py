@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser
+from repro.frequent.dht import exchange_into_dht
 from repro.machine import (
     Machine,
     MultiprocessingBackend,
@@ -244,14 +245,17 @@ class TestCollectiveParity:
                 sim.send(0, p - 1, payload), real.send(0, p - 1, payload)
             )
 
-    def test_aggregate_exchange(self, p):
+    def test_exchange_into_dht(self, p):
         sim, real = _pair(p)
-        dicts = [{10 * i + j: j + 1 for j in range(4)} for i in range(p)]
+        tables = [(np.arange(10 * i, 10 * i + 4), np.arange(1, 5)) for i in range(p)]
         with real:
             _assert_same(
-                sim.aggregate_exchange(dicts, owner=lambda k: k % p),
-                real.aggregate_exchange(dicts, owner=lambda k: k % p),
+                exchange_into_dht(sim, tables, width=1.5),
+                exchange_into_dht(real, tables, width=1.5),
             )
+        assert sim.clock.makespan == real.clock.makespan
+        assert sim.metrics.bottleneck_words == real.metrics.bottleneck_words
+        assert sim.metrics.total_traffic == real.metrics.total_traffic
 
     def test_reduce_tree(self, p):
         def merge(a, b):

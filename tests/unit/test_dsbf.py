@@ -1,9 +1,12 @@
 """Unit tests: dSBF fingerprint counting (repro.frequent.dsbf)."""
 
+from math import ceil
+
 import numpy as np
 import pytest
 
 from repro.common import zipf_sample
+from repro.common.hashing import key_owner
 from repro.frequent import (
     dsbf_top_candidates,
     exact_counts_oracle,
@@ -11,6 +14,7 @@ from repro.frequent import (
     top_k_frequent_ec,
     top_k_frequent_ec_dsbf,
 )
+from repro.kernels import fingerprint32
 from repro.machine import DistArray, Machine
 
 
@@ -104,3 +108,20 @@ class TestEcDsbf:
         res = top_k_frequent_ec_dsbf(machine8, data, 8, eps=1e-2, delta=1e-3, k_star=32)
         assert "dsbf_rounds" in res.info
         assert res.info["dsbf_rounds"] >= 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_exchange_charges_one_and_a_half_words_per_entry(p):
+    """Off the powers of two the fingerprint tables travel straight to
+    their owners: ``ceil(1.5 n)`` words for the ``n`` (fingerprint,
+    count) entries a PE sends to each other PE."""
+    salt = 0xD5BF
+    rng = np.random.default_rng(p)
+    samples = [rng.integers(0, 300, 400 + 50 * i) for i in range(p)]
+    m = Machine(p=p, seed=5)
+    dsbf_top_candidates(m, samples, 8, salt=salt)
+    want = 0
+    for i, s in enumerate(samples):
+        owners = key_owner(np.unique(fingerprint32(np.unique(s), salt)), p, salt + 1)
+        want += sum(ceil(1.5 * np.count_nonzero(owners == j)) for j in range(p) if j != i)
+    assert m.metrics.by_kind["alltoall"] == want

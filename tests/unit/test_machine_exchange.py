@@ -1,9 +1,11 @@
-"""Unit tests: personalized exchanges (alltoall, aggregate_exchange,
-reduce_tree, point-to-point send)."""
+"""Unit tests: personalized exchanges (alltoall, the hash-table
+exchange, reduce_tree, point-to-point send)."""
 
 import numpy as np
 import pytest
 
+from repro.common.hashing import key_owner
+from repro.frequent.dht import exchange_into_dht
 from repro.machine import Machine
 
 
@@ -40,7 +42,17 @@ class TestAlltoall:
             machine8.alltoall([[None] * 8 for _ in range(8)], mode="warp")
 
 
-class TestAggregateExchange:
+def _tables(dicts):
+    return [
+        (np.fromiter(d, dtype=np.int64, count=len(d)),
+         np.fromiter(d.values(), dtype=np.int64, count=len(d)))
+        for d in dicts
+    ]
+
+
+class TestExchangeIntoDht:
+    """The hash-table exchange over tables held in the driver."""
+
     def _total(self, dicts):
         out = {}
         for d in dicts:
@@ -51,37 +63,50 @@ class TestAggregateExchange:
     def test_counts_conserved(self, machine):
         p = machine.p
         dicts = [{j: i + j for j in range(10)} for i in range(p)]
-        owner = lambda key: key % p
-        routed = machine.aggregate_exchange(dicts, owner)
+        routed = exchange_into_dht(machine, _tables(dicts))
         assert self._total(routed) == self._total(dicts)
 
     def test_keys_land_at_owner(self, machine):
         p = machine.p
         dicts = [{j: 1 for j in range(16)} for _ in range(p)]
-        owner = lambda key: (key * 7) % p
-        routed = machine.aggregate_exchange(dicts, owner)
+        routed = exchange_into_dht(machine, _tables(dicts), salt=7)
         for pe, d in enumerate(routed):
-            for key in d:
-                assert owner(key) == pe
+            keys = np.array(list(d), dtype=np.int64)
+            assert (key_owner(keys, p, 7) == pe).all()
 
     def test_odd_p_fallback(self, odd_machine):
         p = odd_machine.p
         dicts = [{j: 1 for j in range(8)} for _ in range(p)]
-        routed = odd_machine.aggregate_exchange(dicts, lambda key: key % p)
+        routed = exchange_into_dht(odd_machine, _tables(dicts))
         assert self._total(routed) == {j: p for j in range(8)}
 
-    def test_custom_combiner(self, machine8):
-        dicts = [{0: i} for i in range(8)]
-        routed = machine8.aggregate_exchange(dicts, lambda key: 0, combine_values=max)
-        assert routed[0][0] == 7
+    @pytest.mark.parametrize("width", [2.0, 1.5])
+    def test_direct_delivery_charges_width_words_per_entry(self, width):
+        p = 3
+        dicts = [{j: 1 for j in range(7 * i, 7 * i + 13)} for i in range(p)]
+        m = Machine(p=p, seed=0)
+        exchange_into_dht(m, _tables(dicts), width=width)
+        owners = [key_owner(np.array(list(d)), p) for d in dicts]
+        want = sum(np.ceil(width * np.count_nonzero(owners[i] == j))
+                   for i in range(p) for j in range(p) if i != j)
+        assert m.metrics.total_traffic == want
 
-    def test_out_of_range_owner_rejected(self, machine8):
-        with pytest.raises(ValueError, match="out of range"):
-            machine8.aggregate_exchange([{1: 1}] + [{}] * 7, lambda key: 99)
+    def test_hypercube_charges_width_words_per_entry(self):
+        dicts = [{j: 1 for j in range(7 * i, 7 * i + 13)} for i in range(8)]
+        traffic = []
+        for width in (2.0, 1.5):
+            m = Machine(p=8, seed=0)
+            exchange_into_dht(m, _tables(dicts), width=width)
+            traffic.append(m.metrics.total_traffic)
+        assert traffic[1] == 0.75 * traffic[0] > 0
+
+    def test_one_table_per_pe_required(self, machine8):
+        with pytest.raises(ValueError, match="one entry per PE"):
+            exchange_into_dht(machine8, _tables([{1: 1}] * 7))
 
     def test_single_pe_shortcut(self):
         m = Machine(p=1, seed=0)
-        out = m.aggregate_exchange([{1: 2, 3: 4}], lambda key: 0)
+        out = exchange_into_dht(m, _tables([{3: 4, 1: 2}]))
         assert out == [{1: 2, 3: 4}]
         assert m.metrics.total_traffic == 0
 
@@ -92,7 +117,7 @@ class TestAggregateExchange:
         p = 16
         m = Machine(p=p, seed=3)
         dicts = [{j: 1 for j in range(32)} for _ in range(p)]  # all PEs same keys
-        m.aggregate_exchange(dicts, lambda key: key % p)
+        exchange_into_dht(m, _tables(dicts))
         raw_pairs = p * 32 * 2
         assert m.metrics.bottleneck_words < raw_pairs / 2
 

@@ -8,11 +8,14 @@ supported entry kind, including the gather/broadcast/scan entries that
 let rooted driver algorithms move into single SPMD commands.
 """
 
+from math import ceil
+
 import numpy as np
 import pytest
 
 from repro.machine import Machine
 from repro.machine.metrics import payload_words
+from tests.support.dict_walk import dict_walk
 
 PS = [1, 2, 4, 5, 8]
 
@@ -92,17 +95,18 @@ def _buckets(p):
     return dicts, split
 
 
+@pytest.mark.parametrize("width", [2.0, 1.5])
 @pytest.mark.parametrize("p", [3, 5, 6])
-def test_alltoall_entries_match_direct_aggregate_exchange(p):
+def test_alltoall_entries_match_direct_dict_walk(p, width):
     """Off the powers of two the hash-table exchange delivers directly:
-    one ``alltoall`` entry (two words per entry sent to each owner) and
-    the owners' merge work."""
+    one ``alltoall`` entry (``ceil(width * n)`` words for the ``n``
+    entries sent to each owner) and the owners' merge work."""
     direct, replayed = Machine(p=p), Machine(p=p)
     dicts, split = _buckets(p)
-    direct.aggregate_exchange(dicts, lambda k: k % p)
+    dict_walk(direct, dicts, lambda k: k % p, width)
     replayed.replay_charges([
         [
-            ("alltoall", tuple(2 * len(b) for b in split[i])),
+            ("alltoall", tuple(ceil(width * len(b)) for b in split[i])),
             ("ops", sum(len(split[src][i]) for src in range(p))),
         ]
         for i in range(p)
@@ -111,14 +115,15 @@ def test_alltoall_entries_match_direct_aggregate_exchange(p):
     assert replayed.clock.makespan > 0
 
 
+@pytest.mark.parametrize("width", [2.0, 1.5])
 @pytest.mark.parametrize("p", [2, 4, 8])
-def test_dht_round_entries_match_aggregate_exchange_walk(p):
+def test_dht_round_entries_match_dict_walk(p, width):
     """One ``dht_round`` entry per hypercube round: the entries this
     rank hands its partner (merged on the way, so a key that met its
-    twin at an earlier hop counts once)."""
+    twin at an earlier hop counts once) and their width."""
     direct, replayed = Machine(p=p), Machine(p=p)
     dicts, split = _buckets(p)
-    direct.aggregate_exchange(dicts, lambda k: k % p)
+    dict_walk(direct, dicts, lambda k: k % p, width)
     held = [[set(b) for b in split[i]] for i in range(p)]  # [pe][owner]
     logs = [[] for _ in range(p)]
     bit = 1
@@ -127,7 +132,8 @@ def test_dht_round_entries_match_aggregate_exchange_walk(p):
             {j: held[i][j] for j in range(p) if (j ^ i) & bit} for i in range(p)
         ]
         for i in range(p):
-            logs[i].append(("dht_round", bit, sum(map(len, leaving[i].values()))))
+            logs[i].append(
+                ("dht_round", bit, sum(map(len, leaving[i].values())), width))
             for j, keys in leaving[i].items():
                 held[i ^ bit][j] = held[i ^ bit][j] | keys
                 held[i][j] = set()
