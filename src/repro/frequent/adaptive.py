@@ -23,7 +23,7 @@ import numpy as np
 
 from ..common.sampling import pac_sample_rate
 from ..machine import DistArray, Machine
-from .dht import count_into_dht, take_topk_entries
+from .dht import array_key_dtype, count_into_dht, take_topk_entries
 from .ec import exact_count_keys
 from .pac import sample_distributed
 from .result import FrequentResult
@@ -95,7 +95,7 @@ def top_k_frequent_adaptive(
     # ---- stage 2: exact counting of probe candidates ------------------
     k_star = max(k, k_star_factor * k)
     candidates = take_topk_entries(machine, counts, k_star)
-    cand_keys = np.array([key for key, _ in candidates], dtype=np.int64)
+    cand_keys = np.array([key for key, _ in candidates], dtype=array_key_dtype(data))
     exact = exact_count_keys(machine, data, cand_keys)
     order = np.lexsort((cand_keys, -exact))
     top = order[: min(k, len(cand_keys))]

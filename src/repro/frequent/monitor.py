@@ -6,8 +6,9 @@ volume over our one-shot algorithm."  This module provides that
 one-shot-amortized monitor:
 
 * every PE folds its arriving stream batches into a **local count
-  table** (pure local work, zero communication -- the owner-computes
-  rule);
+  table** -- the hash table's ``(keys, counts)`` array pair of
+  :mod:`repro.frequent.dht` (pure local work, zero communication -- the
+  owner-computes rule);
 * a query samples the *aggregated local counts* with the Section 8
   value-weighted sampler (a key with local count v yields ~v/v_avg
   sample units), so query cost matches the one-shot PAC/sum algorithm
@@ -25,7 +26,14 @@ import numpy as np
 
 from ..common.sampling import weighted_sample_counts
 from ..machine import Machine
-from .dht import exchange_into_dht, take_topk_entries
+from .dht import (
+    Table,
+    exchange_into_dht,
+    integer_key_dtype,
+    local_table,
+    merge_tables,
+    take_topk_entries,
+)
 from .result import FrequentResult
 
 __all__ = ["StreamingTopKMonitor"]
@@ -66,8 +74,10 @@ class StreamingTopKMonitor:
         self.eps = eps
         self.delta = delta
         self.refresh_fraction = refresh_fraction
-        #: per-PE key -> count tables (the only persistent stream state)
-        self.tables: list[dict[int, int]] = [dict() for _ in range(machine.p)]
+        #: per-PE ``(keys, counts)`` tables, keys ascending and in the
+        #: stream's own integer dtype (the only persistent stream state)
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        self.tables: list[Table] = [empty] * machine.p
         self._local_total = [0] * machine.p
         self._n_at_last_query = 0
         self._cached: FrequentResult | None = None
@@ -91,15 +101,16 @@ class StreamingTopKMonitor:
             batch = np.asarray(batch)
             if batch.size == 0:
                 continue
-            uniq, counts = np.unique(batch, return_counts=True)
-            table = self.tables[i]
-            for key, c in zip(uniq, counts):
-                key = int(key)
-                table[key] = table.get(key, 0) + int(c)
-            self._local_total[i] += int(batch.size)
-            self.machine.charge_ops_one(
-                i, batch.size * np.log2(max(batch.size, 2))
+            keys, counts = self.tables[i]
+            dtype = integer_key_dtype(
+                [keys.dtype, batch.dtype] if keys.size else [batch.dtype]
             )
+            log: list = []
+            fresh = local_table(batch.astype(dtype, copy=False), log)
+            held = (keys.astype(dtype, copy=False), counts)
+            self.tables[i] = merge_tables([held, fresh])
+            self._local_total[i] += int(batch.size)
+            self.machine.charge_ops_one(i, log[0][1])
 
     # ------------------------------------------------------------------
     @property
@@ -128,12 +139,11 @@ class StreamingTopKMonitor:
         v_avg = n / target
         samples = []
         addr = self.machine.draw_addr()  # counter-addressed refresh draws
-        for i in range(self.machine.p):
-            table = self.tables[i]
-            keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-            vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
-            units = weighted_sample_counts(addr.local(i), vals, v_avg)
-            self.machine.charge_ops_one(i, len(table))
+        for i, (keys, counts) in enumerate(self.tables):
+            units = weighted_sample_counts(
+                addr.local(i), counts.astype(np.float64), v_avg
+            )
+            self.machine.charge_ops_one(i, int(keys.size))
             drawn = units > 0
             samples.append((keys[drawn], units[drawn]))
         routed = exchange_into_dht(self.machine, samples)

@@ -29,7 +29,7 @@ import numpy as np
 from ..common.distributions import harmonic_number
 from ..common.sampling import pac_sample_rate
 from ..machine import DistArray, Machine
-from .dht import count_into_dht, take_topk_entries
+from .dht import array_key_dtype, count_into_dht, take_topk_entries
 from .ec import exact_count_keys, top_k_frequent_ec
 from .pac import sample_distributed
 from .result import FrequentResult
@@ -120,7 +120,7 @@ def top_k_frequent_pec(
 
     # ---- stage 2: exact counting of the k* candidates ----------------
     candidates = take_topk_entries(machine, sample_counts, k_star)
-    cand_keys = np.array([key for key, _ in candidates], dtype=np.int64)
+    cand_keys = np.array([key for key, _ in candidates], dtype=array_key_dtype(data))
     exact = exact_count_keys(machine, data, cand_keys)
     order = np.lexsort((cand_keys, -exact))
     top = order[: min(k, len(cand_keys))]
@@ -168,7 +168,7 @@ def top_k_frequent_pec_zipf(
     )
     if not candidates:
         return FrequentResult((), True, rho, sample_size, k_star, {})
-    cand_keys = np.array([key for key, _ in candidates], dtype=np.int64)
+    cand_keys = np.array([key for key, _ in candidates], dtype=array_key_dtype(data))
     exact = exact_count_keys(machine, data, cand_keys)
     order = np.lexsort((cand_keys, -exact))
     top = order[: min(k, len(cand_keys))]

@@ -10,16 +10,19 @@ from repro.bench.workloads import (
     zipf_keys_workload,
 )
 from repro.frequent import (
+    StreamingTopKMonitor,
     exact_counts_oracle,
     pac_error,
+    top_k_frequent_adaptive,
     top_k_frequent_ec,
+    top_k_frequent_ec_dsbf,
     top_k_frequent_exact,
     top_k_frequent_naive,
     top_k_frequent_naive_tree,
     top_k_frequent_pac,
     top_k_frequent_pec,
 )
-from repro.machine import Machine
+from repro.machine import DistArray, Machine
 
 
 K = 16
@@ -117,3 +120,41 @@ class TestCommunicationOrdering:
             fn(m, data, K, rho=0.5)
             vols[name] = m.metrics.bottleneck_words
         assert vols["naive"] > vols["tree"] > vols["pac"]
+
+
+def _monitor(m, data, k):
+    mon = StreamingTopKMonitor(m, k, eps=0.05, delta=0.1)
+    mon.ingest(data.chunks)
+    return mon.top_k()
+
+
+#: every family over int64 keys; PEC-zipf is left out (its universe is
+#: the Zipf ranks)
+FAMILIES = {
+    "pac": lambda m, d, k: top_k_frequent_pac(m, d, k, rho=0.5),
+    "ec": lambda m, d, k: top_k_frequent_ec(m, d, k, eps=0.05, delta=0.1),
+    "exact": top_k_frequent_exact,
+    "naive": lambda m, d, k: top_k_frequent_naive(m, d, k, rho=0.5),
+    "naive_tree": lambda m, d, k: top_k_frequent_naive_tree(m, d, k, rho=0.5),
+    "pec": lambda m, d, k: top_k_frequent_pec(m, d, k, delta=0.1),
+    "adaptive": lambda m, d, k: top_k_frequent_adaptive(m, d, k, eps=0.05, delta=0.1),
+    "dsbf": lambda m, d, k: top_k_frequent_ec_dsbf(m, d, k, eps=0.05, delta=0.1),
+    "monitor": _monitor,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_uint64_keys_above_2_63_shift_the_answer(family):
+    """Keys ``2**63 + j`` as uint64 give the int64 answer over ``j``
+    shifted by ``2**63``: the keys keep their dtype end to end."""
+    rng = np.random.default_rng(63)
+    keys = np.repeat(np.arange(30), np.arange(30, 0, -1) * 4)
+    chunks = np.array_split(rng.permutation(keys), 4)
+    answers = []
+    for shift, dtype in ((0, np.int64), (2**63, np.uint64)):
+        m = Machine(p=4, seed=21)
+        data = DistArray(m, [c.astype(dtype) + dtype(shift) for c in chunks])
+        answers.append(FAMILIES[family](m, data, 5).items)
+    plain, shifted = answers
+    assert len(plain) == 5
+    assert shifted == tuple((key + 2**63, c) for key, c in plain)

@@ -65,8 +65,8 @@ class TestStreamingMonitor:
         res = mon.top_k(force=True)
         # oracle from the tables themselves
         true: dict = {}
-        for t in mon.tables:
-            for key, c in t.items():
+        for keys, counts in mon.tables:
+            for key, c in zip(keys.tolist(), counts.tolist()):
                 true[key] = true.get(key, 0) + c
         assert pac_error(res.keys, true, 8) <= 2e-2 * res.info["stream"]
 
