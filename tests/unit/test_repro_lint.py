@@ -347,6 +347,31 @@ class TestRL002:
         )
         assert len(found) == 1
 
+    @pytest.mark.parametrize(
+        "name", ["count_into_dht", "exchange_into_dht", "take_topk_entries"]
+    )
+    def test_fires_on_dict_view_into_hash_table_call(self, name):
+        # the hash-table calls carry per-PE payloads into one command,
+        # whether spelled f(machine, ...) or machine.f(...)
+        for call in (f"{name}(machine, tables)", f"machine.{name}(tables)"):
+            found = hits(
+                f"""
+                def run(machine, counts):
+                    tables = [list(d.items()) for d in counts]
+                    return {call}
+                """,
+                "RL002",
+            )
+            assert len(found) == 1, call
+        assert not hits(
+            f"""
+            def run(machine, counts):
+                tables = [sorted(d.items()) for d in counts]
+                return {name}(machine, tables)
+            """,
+            "RL002",
+        )
+
     def test_clean_when_sorted(self):
         assert not hits(
             """

@@ -81,15 +81,18 @@ ACCEPTED_CHARGE_KINDS = {
     "dht_round",
 }
 
-#: machine/backend collective entry points whose arguments travel
+#: machine/backend collective entry points whose arguments travel, and
+#: the hash-table calls of repro.frequent.dht that carry per-PE
+#: payloads into one command (called as ``m.f(...)`` or ``f(m, ...)``)
 COLLECTIVE_CALL_NAMES = {
     "allgather",
     "allreduce",
     "allreduce_exscan",
     "alltoall",
-    "aggregate_exchange",
     "broadcast",
     "collective",
+    "count_into_dht",
+    "exchange_into_dht",
     "gather",
     "reduce",
     "reduce_allgather",
@@ -97,6 +100,7 @@ COLLECTIVE_CALL_NAMES = {
     "scan",
     "scatter",
     "send",
+    "take_topk_entries",
 }
 
 #: wrapping any expression in one of these makes iteration order moot
@@ -553,10 +557,7 @@ class UnorderedIterationFeedsCollective(Check):
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     fn = node.func
-                    if (
-                        isinstance(fn, ast.Attribute)
-                        and fn.attr in COLLECTIVE_CALL_NAMES
-                    ):
+                    if _call_name(node) in COLLECTIVE_CALL_NAMES:
                         sinks.add(stmt)
                     elif (
                         isinstance(fn, ast.Attribute)
