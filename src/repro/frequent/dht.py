@@ -303,7 +303,7 @@ def array_key_dtype(data: DistArray) -> np.dtype:
     return integer_key_dtype([data.dtype] if data.global_size else [])
 
 
-def _run_count_kernel(machine: Machine, lead, dtype, salt: int, width: float = 2.0):
+def _run_count_kernel(machine: Machine, lead, dtype, salt: int, width: float):
     """Issue :func:`_count_kernel` over keys riding along (with their
     counts, if aggregated already); the owners' tables return as dicts."""
     p = machine.p
@@ -335,7 +335,7 @@ def count_into_dht(
     """
     samples = [np.asarray(s) for s in samples_per_pe]
     dtype = integer_key_dtype([s.dtype for s in samples if s.size])
-    return _run_count_kernel(machine, [(s, None) for s in samples], dtype, salt)
+    return _run_count_kernel(machine, [(s, None) for s in samples], dtype, salt, 2.0)
 
 
 def exchange_into_dht(
