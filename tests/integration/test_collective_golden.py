@@ -7,7 +7,11 @@ of ``report()`` and the draw addresses allocated (``Machine._rng_seq``)
 of ``top_k_frequent_naive``, ``top_k_frequent_naive_tree`` (the
 ``reduce_tree`` / point-to-point user), ``top_k_frequent_ec_dsbf``
 (recorded at 1ad72a8, while its exchange was still a driver-side dict
-walk), ``dta_topk``, ``rdta_topk``, ``ms_select``,
+walk), PEC (gap found and capped), PEC-Zipf (``universe`` given and
+probed), adaptive (stop and escalate), ``dsbf_top_candidates`` with
+retry rounds and the streaming monitor over two refreshes (recorded at
+63af6e3, while they were still several driver commands each),
+``dta_topk``, ``rdta_topk``, ``ms_select``,
 ``ams_select_batched`` and ``BulkParallelPQ.peek_min`` at p in
 {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
 modeled columns of every ``collectives_microbench`` row, first recorded
@@ -23,10 +27,16 @@ import numpy as np
 import pytest
 
 from repro.bench.experiments import collectives_microbench
+from repro.common import zipf_sample
 from repro.frequent import (
+    StreamingTopKMonitor,
+    dsbf_top_candidates,
+    top_k_frequent_adaptive,
     top_k_frequent_ec_dsbf,
     top_k_frequent_naive,
     top_k_frequent_naive_tree,
+    top_k_frequent_pec,
+    top_k_frequent_pec_zipf,
 )
 from repro.machine import DistArray, Machine
 from repro.pqueue import BulkParallelPQ
@@ -49,6 +59,40 @@ def _frequent(algo):
         res = algo(m, _keys(m), 8, rho=0.3)
         return [[int(k), float(c)] for k, c in res.items] + [res.sample_size]
     return run
+
+
+def _heavy(m):
+    # eight keys carry 60% of the mass: a gap after rank 8
+    return DistArray.generate(m, lambda r, g: np.where(
+        g.random(2000) < 0.6, g.integers(0, 8, 2000), g.integers(8, 4000, 2000)))
+
+
+def _zipf(m):
+    return DistArray.generate(
+        m, lambda r, g: zipf_sample(g, 2000, universe=1024, s=1.0))
+
+
+def _result(res):
+    info = {key: v.item() if hasattr(v, "item") else v for key, v in res.info.items()}
+    return ([[int(k), float(c)] for k, c in res.items]
+            + [res.sample_size, res.k_star, float(res.rho), info])
+
+
+def _dsbf_retry(m):
+    # a negative initial margin resolves too few keys: every round retries
+    samples = [g.integers(0, 400, 300) for g in m.rngs]
+    cands, stats = dsbf_top_candidates(m, samples, 24, kappa0=-1)
+    return [[int(k), int(c)] for k, c in cands] + [
+        stats.kappa, stats.rounds, stats.collisions, stats.flat_suspected]
+
+
+def _monitor(m):
+    mon = StreamingTopKMonitor(m, k=4, eps=0.05, delta=1e-3)
+    out = []
+    for _ in range(2):  # the stream doubles: the second query refreshes
+        mon.ingest([zipf_sample(g, 1000, universe=256, s=1.1) for g in m.rngs])
+        out.append(_result(mon.top_k()))
+    return out + [mon.refreshes, mon.cache_hits]
 
 
 def _indexes(m):
@@ -92,6 +136,20 @@ FAMILIES = {
     "top_k_frequent_naive": _frequent(top_k_frequent_naive),
     "top_k_frequent_naive_tree": _frequent(top_k_frequent_naive_tree),
     "top_k_frequent_ec_dsbf": _frequent(top_k_frequent_ec_dsbf),
+    "top_k_frequent_pec_gap": lambda m: _result(
+        top_k_frequent_pec(m, _heavy(m), 8, eps0=0.2)),
+    "top_k_frequent_pec_capped": lambda m: _result(
+        top_k_frequent_pec(m, _keys(m), 4, eps0=0.2)),
+    "top_k_frequent_pec_zipf_universe": lambda m: _result(
+        top_k_frequent_pec_zipf(m, _zipf(m), 4, universe=1024)),
+    "top_k_frequent_pec_zipf_probed": lambda m: _result(
+        top_k_frequent_pec_zipf(m, _zipf(m), 4)),
+    "top_k_frequent_adaptive_stop": lambda m: _result(
+        top_k_frequent_adaptive(m, _heavy(m), 8, eps=0.2, probe_eps=0.2)),
+    "top_k_frequent_adaptive_escalate": lambda m: _result(
+        top_k_frequent_adaptive(m, _keys(m), 4, eps=0.2, probe_eps=0.2)),
+    "dsbf_top_candidates_retry": _dsbf_retry,
+    "streaming_monitor": _monitor,
     "dta_topk": _topk(dta_topk),
     "rdta_topk": _topk(rdta_topk),
     "ms_select": _ms_select,
