@@ -1,9 +1,9 @@
 """Top-k most frequent objects (Section 7, incl. the 7.4 refinements)."""
 
 from .adaptive import top_k_frequent_adaptive
-from .dht import count_into_dht, local_key_counts, take_topk_entries
+from .dht import local_key_counts
 from .dsbf import DsbfStats, dsbf_top_candidates, top_k_frequent_ec_dsbf
-from .ec import exact_count_keys, optimal_k_star, top_k_frequent_ec
+from .ec import optimal_k_star, top_k_frequent_ec
 from .exact import exact_counts_oracle, top_k_frequent_exact
 from .monitor import StreamingTopKMonitor
 from .naive import top_k_frequent_naive, top_k_frequent_naive_tree
@@ -17,17 +17,14 @@ __all__ = [
     "FrequentResult",
     "SpaceSaving",
     "StreamingTopKMonitor",
-    "count_into_dht",
     "dsbf_top_candidates",
     "estimate_k_star",
-    "exact_count_keys",
     "exact_counts_oracle",
     "heavy_hitters",
     "local_key_counts",
     "optimal_k_star",
     "pac_error",
     "sample_distributed",
-    "take_topk_entries",
     "top_k_frequent_adaptive",
     "top_k_frequent_ec",
     "top_k_frequent_ec_dsbf",

@@ -15,6 +15,10 @@ The confidence test uses the same Chernoff fluctuations as Lemma 12:
 sample counts concentrate within ``sqrt(2 s ln(1/delta))`` of their
 expectations, so a gap of twice that between ranks k and k+1 certifies
 the split.
+
+Both stages are one worker command: every PE takes the decision from
+the same replicated probe head, and on escalation selects the ``k*``
+candidates from the table it already holds.
 """
 
 from __future__ import annotations
@@ -23,24 +27,51 @@ import numpy as np
 
 from ..common.sampling import pac_sample_rate
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, count_into_dht, take_topk_entries
-from .ec import exact_count_keys
-from .pac import sample_distributed
+from .dht import (
+    array_key_dtype, count_gen, local_table, run_pipeline, sample_keys, topk_entries_gen,
+)
+from .ec import exact_counts_gen, exact_items
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_adaptive"]
 
 
-def _confident_split(head: list[tuple[int, int]], k: int, delta: float) -> bool:
-    """Is the probe's rank-k/rank-(k+1) gap beyond both fluctuations?"""
+def _confident_split(head: list[int], k: int, delta: float) -> bool:
+    """Is the probe's rank-k/rank-(k+1) gap beyond both fluctuations?
+    ``head`` holds the largest sample counts, descending."""
     if len(head) <= k:
         return True  # fewer distinct keys than k: nothing can displace
-    s_k = head[k - 1][1]
-    s_next = head[k][1]
+    s_k = head[k - 1]
+    s_next = head[k]
     fluct = np.sqrt(2.0 * max(s_k, 1.0) * np.log(1.0 / delta)) + np.sqrt(
         2.0 * max(s_next, 1.0) * np.log(1.0 / delta)
     )
     return (s_k - s_next) > fluct
+
+
+def _adaptive_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
+                  dtype, sample_addr, rho0: float, fine_enough: bool, k: int,
+                  k_star: int, delta: float):
+    """Probe, count, select the top ``k + 1``; stop if the split is
+    confident and the probe ``fine_enough``, else select the ``k_star``
+    candidates from the same table and count them exactly.  Returns
+    ``(escalated, confident, keys, counts, probe size)``: the probe's
+    sample counts of the top ``k`` when it stops, the candidates' exact
+    counts when it escalates."""
+    sample = sample_keys(rank, chunk, sample_addr, rho0, log)
+    probe_size = int((yield ("allreduce", int(sample.size), "sum")))
+    log.append(("allreduce", 1))
+    table = local_table(sample.astype(dtype, copy=False), log)
+    table, total = yield from count_gen(rank, p, table, log)
+    keys, counts, _ = yield from topk_entries_gen(
+        rank, p, table, k + 1, total, addrs, None, log)
+    confident = _confident_split(counts.tolist(), k, delta)
+    if confident and fine_enough:
+        return (False, confident, keys[:k], counts[:k], probe_size), None
+    keys, _, _ = yield from topk_entries_gen(
+        rank, p, table, k_star, total, addrs, None, log)
+    exact = yield from exact_counts_gen(rank, chunk, keys, log)
+    return (True, confident, keys, exact, probe_size), None
 
 
 def top_k_frequent_adaptive(
@@ -67,44 +98,33 @@ def top_k_frequent_adaptive(
     whether the exact-counting pass ran, ``info['confident']`` whether
     the probe alone certified the answer.
     """
-    n = int(machine.allreduce([c.size for c in data.chunks], op="sum")[0])
+    dtype = array_key_dtype(data)
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {"escalated": False})
-
-    # ---- stage 1: probe ------------------------------------------------
     rho0 = pac_sample_rate(n, k, probe_eps, delta)
-    samples = sample_distributed(machine, data, rho0)
-    probe_size = int(machine.allreduce([s.size for s in samples], op="sum")[0])
-    counts = count_into_dht(machine, samples)
-    head = take_topk_entries(machine, counts, k + 1)
-
-    if _confident_split(head, k, delta) and rho0 >= pac_sample_rate(
-        n, k, eps, delta
-    ):
-        # the probe is both confident and already fine enough for eps
-        items = tuple((key, c / rho0) for key, c in head[:k])
+    # the probe is already fine enough for eps
+    fine_enough = rho0 >= pac_sample_rate(n, k, eps, delta)
+    k_star = max(k, k_star_factor * k)
+    (escalated, confident, keys, counts, probe_size), _ = run_pipeline(
+        machine, data._ensure_ref(), _adaptive_gen,
+        (dtype, machine.draw_addr(), rho0, fine_enough, k, k_star, delta), n_addrs=2,
+    )
+    if not escalated:
         return FrequentResult(
-            items=items,
+            items=tuple((key, c / rho0) for key, c in zip(keys.tolist(), counts.tolist())),
             exact_counts=rho0 >= 1.0,
             rho=rho0,
             sample_size=probe_size,
             k_star=k,
             info={"escalated": False, "confident": True},
         )
-
-    # ---- stage 2: exact counting of probe candidates ------------------
-    k_star = max(k, k_star_factor * k)
-    candidates = take_topk_entries(machine, counts, k_star)
-    cand_keys = np.array([key for key, _ in candidates], dtype=array_key_dtype(data))
-    exact = exact_count_keys(machine, data, cand_keys)
-    order = np.lexsort((cand_keys, -exact))
-    top = order[: min(k, len(cand_keys))]
-    items = tuple((int(cand_keys[t]), float(exact[t])) for t in top)
     return FrequentResult(
-        items=items,
+        items=exact_items(keys, counts, k) if counts is not None else (),
         exact_counts=True,
         rho=rho0,
         sample_size=probe_size,
         k_star=int(k_star),
-        info={"escalated": True, "confident": _confident_split(head, k, delta)},
+        info={"escalated": True, "confident": confident},
     )

@@ -25,20 +25,19 @@ Everything here is an SPMD generator *piece*: it yields in-worker
 collectives, appends to ``log`` every charge a step-by-step driver
 would make (:meth:`Machine.replay_charges` replays them, so modeled
 cost is identical on every backend) and composes by ``yield from``.
-The pipelines (``pac``, ``ec``, ``exact``, ``aggregation.sum_topk``)
-string the pieces into ONE worker command, :func:`run_pipeline`:
-sample, exchange, the all-reduction that gives every PE the table's
-size, selection, winner exchange and the optional exact pass, the
-table never leaving the kernel.  The selection draws only when more
-than ``k`` entries exist, which the driver learns only from the
-command's answer: it allocates the draw address at build time and
-gives it back when the command reports that it did not select.
-:func:`count_into_dht`, :func:`exchange_into_dht` and
-:func:`take_topk_entries` run the same pieces for callers that hold
-samples or per-PE tables in the driver: ``pec``, ``adaptive``, the
-streaming monitor, and dSBF, whose fingerprint entries are 1.5 words
-wide instead of 2 (``width``; Section 7.4).  This is the package's one
-hash-table exchange.
+Every frequent-objects family but the naive baselines strings the
+pieces into ONE worker command sent by :func:`run_pipeline`: sample,
+exchange, the all-reduction that gives every PE the table's size, then
+its own middle step -- one selection and an optional exact pass (:func:`pipeline_gen`:
+PAC, EC, exact, the sum pipelines and the streaming monitor), PEC's
+gap estimate, adaptive's stop-or-escalate test or dSBF's fingerprint
+resolution, whose entries are 1.5 words wide instead of 2 (``width``;
+Section 7.4).  Every rank takes those decisions from the same
+replicated values, and the table never leaves the kernel.  A selection
+draws only when more than ``k`` entries exist, which the driver learns
+only from the command's answer: it allocates the call's draw addresses
+at build time and gives back those the command reports unused.  This
+is the package's one hash-table exchange.
 """
 
 from __future__ import annotations
@@ -50,19 +49,17 @@ import numpy as np
 
 from ..common.hashing import key_owner
 from ..common.sampling import bernoulli_sample
-from ..common.validation import check_k
 from ..machine import DistArray, Machine
 from ..machine.cost import log2_ceil
 from ..selection.unsorted import default_base_case, select_kth_gen
 
 __all__ = [
-    "count_into_dht",
-    "exchange_into_dht",
-    "take_topk_entries",
     "local_key_counts",
     "array_key_dtype",
     "integer_key_dtype",
+    "pipeline_gen",
     "run_pipeline",
+    "sample_keys",
     "sample_table",
 ]
 
@@ -80,10 +77,6 @@ def integer_key_dtype(dtypes) -> np.dtype:
     if dtype.kind not in "iu":
         raise ValueError(f"keys must have an integer dtype, got {dtype}")
     return dtype
-
-
-def _as_dicts(tables: Sequence[Table]) -> list[dict[int, int]]:
-    return [dict(zip(keys.tolist(), counts.tolist())) for keys, counts in tables]
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +143,7 @@ def exchange_gen(rank: int, p: int, table: Table, salt: int, log: list,
 
 
 def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
-                     addr, piggyback, log: list):
+                     addrs: list, piggyback, log: list):
     """The ``k`` entries with the largest counts, replicated on all PEs.
 
     Runs distributed unsorted selection (Algorithm 1, drawing from
@@ -163,18 +156,28 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
     quota, which never exceeds ``k``, so the granted set is unchanged),
     saving one ``alpha log p`` schedule per call.  ``total`` is the
     global entry count, which the caller has already computed and
-    charged (it is not charged again here); if it is at most ``k``,
-    every entry wins and nothing is drawn (``addr`` may be ``None``).
+    charged (:func:`count_gen`; it is not charged again here).  The
+    selection draws from the first of the command's unused draw
+    addresses ``addrs``, which it removes; if ``total`` is at most
+    ``k``, every entry wins and nothing is drawn.
 
     ``piggyback`` optionally is this PE's integer (the pipelines' local
-    sample size) whose global sum is fused into the winner all-gather.
-    Returns ``(keys, counts, piggyback_total)``, entries ordered by
-    (count desc, key asc).
+    sample size) whose global sum is fused into the winner all-gather
+    (an empty table selects nothing, and the sum takes an all-reduction
+    of its own).  Returns ``(keys, counts, piggyback_total)``, entries
+    ordered by (count desc, key asc).
     """
+    if not total:
+        pb_total = None
+        if piggyback is not None:
+            pb_total = int((yield ("allreduce", piggyback, "sum")))
+            log.append(("allreduce", 1))
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, pb_total
     keys, counts = table
     if total > k:
         value, *_ = yield from select_kth_gen(
-            rank, -counts, p, addr, k, total, 1.0, default_base_case(p), 64, log
+            rank, -counts, p, addrs.pop(0), k, total, 1.0, default_base_case(p), 64, log
         )
         thr = -int(value)  # k-th largest count
         above, tied = counts > thr, counts == thr
@@ -201,101 +204,99 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
     return keys[order], counts[order], pb_total
 
 
-def sample_table(rank: int, chunk: np.ndarray, dtype, addr, rho: float, log: list):
+def count_gen(rank: int, p: int, table: Table, log: list, salt: int = 0,
+              width: float = 2.0):
+    """Step 2 and the one all-reduction that gives every PE the table's
+    size: returns ``(owned entries, global entry count)``."""
+    table = yield from exchange_gen(rank, p, table, salt, log, width)
+    total = yield ("allreduce", int(table[0].size), "sum")
+    log.append(("allreduce", 1))
+    return table, int(total)
+
+
+def sample_keys(rank: int, chunk: np.ndarray, addr, rho: float, log: list):
     """This PE's Bernoulli(``rho``) sample, drawn from its
-    counter-addressed stream and counted where the chunk lives (the
-    paper's ``O(rho n/p)`` expected sampling work is charged); without
-    ``addr`` every key counts.  Returns ``(table, sample size)``."""
-    keys = chunk
-    if addr is not None:
-        log.append(("ops", max(1.0, rho * int(chunk.size))))
-        keys = bernoulli_sample(addr.local(rank), chunk, rho)
+    counter-addressed stream where the chunk lives (the paper's
+    ``O(rho n/p)`` expected sampling work is charged); without ``addr``
+    every key."""
+    if addr is None:
+        return chunk
+    log.append(("ops", max(1.0, rho * int(chunk.size))))
+    return bernoulli_sample(addr.local(rank), chunk, rho)
+
+
+def sample_table(rank: int, chunk: np.ndarray, dtype, addr, rho: float, log: list):
+    """:func:`sample_keys` counted into this PE's table.  Returns
+    ``(table, sample size)``."""
+    keys = sample_keys(rank, chunk, addr, rho, log)
     return local_table(keys.astype(dtype, copy=False), log), int(keys.size)
 
 
-# ----------------------------------------------------------------------
-# Worker commands (module-level so real backends can ship them)
-# ----------------------------------------------------------------------
+def pipeline_gen(rank: int, p: int, source, addrs: list, log: list, sample_fn,
+                 sample_args: tuple, k: int, piggyback: bool = False,
+                 exact_gen=None):
+    """The common pipeline: ``sample_fn(rank, source, *sample_args,
+    log)`` builds this PE's ``(table, info)``, the exchange leaves every
+    entry with its key's owner, and if any entry exists the top ``k``
+    are selected and, with ``exact_gen(rank, source, keys, log)``,
+    counted exactly.  With ``piggyback`` the global sum of the
+    ``info``s (the local sample sizes) rides the winner exchange.
 
-def _count_kernel(rank: int, keys: np.ndarray, counts, p: int, dtype, salt: int,
-                  width: float):
-    """Count ``keys`` (``counts`` of each, if they are aggregated
-    already) into the distributed table; returns this PE's part."""
-    log: list = []
-    keys = keys.astype(dtype, copy=False)
-    table = local_table(keys, log) if counts is None else (keys, counts)
-    table = yield from exchange_gen(rank, p, table, salt, log, width)
-    return table, log
-
-
-def _pipeline_cmd(rank: int, source, p: int, sample_fn, sample_args: tuple,
-                  k: int, addr, piggyback: bool, exact_gen):
-    """One pipeline call, where the data lives: ``sample_fn(rank,
-    source, *sample_args, log)`` builds this PE's ``(table, info)``, the
-    exchange leaves every entry with its key's owner, one all-reduction
-    gives every PE the table's size, and if any entry exists the top
-    ``k`` are selected (drawing from ``addr`` only if more than ``k``
-    exist) and, with ``exact_gen(rank, source, keys, log)``, counted
-    exactly.  With ``piggyback`` the global sum of the ``info``s (the
-    local sample sizes) rides the winner exchange.
-
-    Every PE returns ``(answer, info, log)``; the replicated ``answer``
-    ``(total, keys, counts, info_total, exact)`` only from PE 0.
+    Returns ``((total, keys, counts, info_total, exact), info)``.
     """
-    log: list = []
     table, info = sample_fn(rank, source, *sample_args, log)
-    table = yield from exchange_gen(rank, p, table, 0, log)
-    total = yield ("allreduce", int(table[0].size), "sum")
-    total = int(total)
-    log.append(("allreduce", 1))
-    keys = counts = np.empty(0, dtype=np.int64)
-    pb_total = exact = None
-    if total:
-        keys, counts, pb_total = yield from topk_entries_gen(
-            rank, p, table, k, total, addr, info if piggyback else None, log
-        )
-        if exact_gen is not None:
-            exact = yield from exact_gen(rank, source, keys, log)
-    elif piggyback:
-        pb_total = yield ("allreduce", info, "sum")
-        log.append(("allreduce", 1))
-    answer = (total, keys, counts, pb_total, exact) if rank == 0 else None
-    return answer, info, log
+    table, total = yield from count_gen(rank, p, table, log)
+    keys, counts, pb_total = yield from topk_entries_gen(
+        rank, p, table, k, total, addrs, info if piggyback else None, log
+    )
+    exact = None
+    if total and exact_gen is not None:
+        exact = yield from exact_gen(rank, source, keys, log)
+    return (total, keys, counts, pb_total, exact), info
 
 
-def _topk_cmd(rank: int, table: Table, p: int, k: int, total: int, addr, piggyback):
-    """:func:`topk_entries_gen` over a table that rode the command; the
-    replicated answer returns from PE 0."""
+# ----------------------------------------------------------------------
+# The one command path
+# ----------------------------------------------------------------------
+
+def _pipeline_cmd(rank: int, source, p: int, kernel, args: tuple, addrs: list):
+    """One call, where the data lives: ``kernel(rank, p, source,
+    unused, log, *args)`` returns ``(answer, info)``; every PE returns
+    ``(answer, info, addresses used, log)``, the replicated answer only
+    from PE 0."""
     log: list = []
-    answer = yield from topk_entries_gen(rank, p, table, k, total, addr, piggyback, log)
-    return answer if rank == 0 else None, log
+    unused = list(addrs)
+    answer, info = yield from kernel(rank, p, source, unused, log, *args)
+    return answer if rank == 0 else None, info, len(addrs) - len(unused), log
 
 
-# ----------------------------------------------------------------------
-# Driver side
-# ----------------------------------------------------------------------
+def run_pipeline(machine: Machine, source, kernel, args: tuple, n_addrs: int = 1):
+    """Send ``kernel`` (a generator composed of the pieces above) as ONE
+    worker command and replay its charges.  ``source`` is a resident
+    ref or a list with one value per PE, which rides the command.
+    Returns ``(answer, infos)``, ``infos[i]`` being PE ``i``'s ``info``.
 
-def run_pipeline(machine: Machine, source_ref, sample_fn, sample_args: tuple,
-                 k: int, *, piggyback: bool = False, exact_gen=None):
-    """Issue :func:`_pipeline_cmd` over the resident ``source_ref`` and
-    replay its charges.  Returns ``((total, keys, counts, info_total,
-    exact), infos)``, ``infos[i]`` being PE ``i``'s ``info``.
-
-    The selection's draw address is allocated here and given back when
-    the command reports at most ``k`` entries (nothing was drawn), so
-    a call takes it exactly when it selects; a failed command keeps it.
+    The call's ``n_addrs`` selection draw addresses are allocated here,
+    in call order; a selection that draws takes the first unused one
+    (:func:`topk_entries_gen`), and those the command reports unused are given
+    back, last first, so a call takes exactly the addresses it draws
+    from.  A failed command keeps them all.
     """
     p = machine.p
-    addr = machine.draw_addr()
-    _, vals = machine.backend.run_spmd(
-        _pipeline_cmd, [source_ref],
-        args=[(p, sample_fn, sample_args, k, addr, piggyback, exact_gen)] * p,
-    )
-    machine.replay_charges([log for _, _, log in vals])
-    answer = vals[0][0]
-    if answer[0] <= k:
+    addrs = [machine.draw_addr() for _ in range(n_addrs)]
+    common = (p, kernel, args, addrs)
+    if isinstance(source, list):
+        if len(source) != p:
+            raise ValueError(f"need one entry per PE, got {len(source)} for p={p}")
+        refs, per_pe = [], [(part, *common) for part in source]
+    else:
+        refs, per_pe = [source], [common] * p
+    _, vals = machine.backend.run_spmd(_pipeline_cmd, refs, args=per_pe)
+    machine.replay_charges([log for *_, log in vals])
+    answer, _, used, _ = vals[0]
+    for addr in reversed(addrs[used:]):
         machine.give_back_addr(addr)
-    return answer, [info for _, info, _ in vals]
+    return answer, [info for _, info, _, _ in vals]
 
 
 def array_key_dtype(data: DistArray) -> np.dtype:
@@ -303,91 +304,9 @@ def array_key_dtype(data: DistArray) -> np.dtype:
     return integer_key_dtype([data.dtype] if data.global_size else [])
 
 
-def _run_count_kernel(machine: Machine, lead, dtype, salt: int, width: float):
-    """Issue :func:`_count_kernel` over keys riding along (with their
-    counts, if aggregated already); the owners' tables return as dicts."""
-    p = machine.p
-    if len(lead) != p:
-        raise ValueError(f"need one entry per PE, got {len(lead)} for p={p}")
-    _, vals = machine.backend.run_spmd(
-        _count_kernel, [], args=[(*lead[i], p, dtype, salt, width) for i in range(p)]
-    )
-    machine.replay_charges([log for _, log in vals])
-    return _as_dicts([table for table, _ in vals])
-
-
 def local_key_counts(machine: Machine, rank: int, keys: np.ndarray) -> dict[int, int]:
     """Aggregate one PE's keys into a ``{key: count}`` dict (charged)."""
     log: list = []
-    table = local_table(np.asarray(keys), log)
+    keys, counts = local_table(np.asarray(keys), log)
     machine.charge_ops_one(rank, log[0][1])
-    return _as_dicts([table])[0]
-
-
-def count_into_dht(
-    machine: Machine, samples_per_pe: list[np.ndarray], salt: int = 0
-) -> list[dict[int, int]]:
-    """Count sampled keys into the distributed hash table.
-
-    Returns one dict per PE holding exactly the (key, total sample
-    count) pairs owned by that PE, in ascending key order.  The samples
-    ride along with the one command that counts them.
-    """
-    samples = [np.asarray(s) for s in samples_per_pe]
-    dtype = integer_key_dtype([s.dtype for s in samples if s.size])
-    return _run_count_kernel(machine, [(s, None) for s in samples], dtype, salt, 2.0)
-
-
-def exchange_into_dht(
-    machine: Machine, tables: Sequence[Table], salt: int = 0, width: float = 2.0
-) -> list[dict[int, int]]:
-    """:func:`count_into_dht` for keys that are aggregated already:
-    ``tables[i]`` holds PE ``i``'s distinct keys (in any order) and the
-    count of each.  One entry costs ``width`` words on the wire
-    (:func:`exchange_gen`)."""
-    lead = []
-    for keys, counts in tables:
-        order = np.argsort(keys)
-        lead.append((np.asarray(keys)[order], np.asarray(counts, dtype=np.int64)[order]))
-    dtype = integer_key_dtype([keys.dtype for keys, _ in lead if keys.size])
-    return _run_count_kernel(machine, lead, dtype, salt, width)
-
-
-def take_topk_entries(
-    machine: Machine, dicts: list[dict[int, int]], k: int, piggyback=None
-):
-    """The ``k`` entries with the largest counts, replicated on all PEs
-    (:func:`topk_entries_gen` over per-PE dicts held in the driver).
-
-    If fewer than ``k`` entries exist, all are returned.  Output is a
-    list of ``(key, count)`` sorted by (count desc, key asc).
-
-    ``piggyback`` optionally supplies per-PE integers (the pipelines'
-    local sample sizes) whose global sum is fused into the final winner
-    all-gather; the return value is then ``(items, piggyback_total)``
-    instead of bare ``items``.
-    """
-    check_k(k)
-    total = sum(len(d) for d in dicts)
-    machine._meter_allreduce(words=1)
-    if total == 0:
-        if piggyback is None:
-            return []
-        machine._meter_allreduce(words=1)
-        return [], int(sum(piggyback))
-    entries = [sorted(d.items()) for d in dicts]
-    largest = max((e[-1][0] for e in entries if e), default=0)
-    dtype = np.uint64 if largest > np.iinfo(np.int64).max else np.int64
-    p = machine.p
-    addr = machine.draw_addr() if total > k else None
-    pb = piggyback if piggyback is not None else [None] * p
-    tables = [(np.fromiter((key for key, _ in e), dtype=dtype, count=len(e)),
-               np.fromiter((c for _, c in e), dtype=np.int64, count=len(e)))
-              for e in entries]
-    _, vals = machine.backend.run_spmd(
-        _topk_cmd, [], args=[(tables[i], p, k, total, addr, pb[i]) for i in range(p)]
-    )
-    machine.replay_charges([log for _, log in vals])
-    keys, counts, pb_total = vals[0][0]
-    items = list(zip(keys.tolist(), counts.tolist()))
-    return items if piggyback is None else (items, pb_total)
+    return dict(zip(keys.tolist(), counts.tolist()))

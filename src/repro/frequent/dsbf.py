@@ -8,8 +8,8 @@ keys and more for fat keys.  The price is collisions:
 
 1. count fingerprints in the DHT (merge-on-the-way, as usual): each
    PE's (fingerprint, count) table goes through the package's one
-   hash-table exchange, :func:`~repro.frequent.dht.exchange_into_dht`,
-   at 1.5 words per entry instead of 2;
+   hash-table exchange, :func:`~repro.frequent.dht.exchange_gen`, at
+   1.5 words per entry instead of 2;
 2. select the fingerprints of rank ``<= k* + kappa`` (a safety margin
    ``kappa`` absorbs collided fingerprints);
 3. resolve the selected fingerprints back to keys: every PE looks up
@@ -22,6 +22,10 @@ keys and more for fat keys.  The price is collisions:
 The paper observes that if frequent fingerprints are *dominated* by
 collisions, the distribution is flat and extra counting would not help
 -- mirrored here by the bounded retry with a flat-distribution flag.
+
+All four steps (and EC's exact pass) are one worker command: the
+fingerprint table is counted once, and every PE runs the same retry
+loop over the replicated selections and reveals.
 """
 
 from __future__ import annotations
@@ -30,20 +34,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..common.validation import check_k_star, check_rate
+from ..common.sampling import ec_sample_rate
+from ..common.validation import check_k, check_k_star, check_rate
 from ..kernels import fingerprint32
 from ..machine import DistArray, Machine
 from .dht import (
     array_key_dtype,
-    exchange_into_dht,
+    count_gen,
     integer_key_dtype,
     local_table,
     merge_tables,
-    take_topk_entries,
+    run_pipeline,
+    sample_keys,
+    topk_entries_gen,
 )
+from .ec import exact_counts_gen, exact_items, optimal_k_star
 from .result import FrequentResult
 
 __all__ = ["dsbf_top_candidates", "top_k_frequent_ec_dsbf", "DsbfStats"]
+
+#: fingerprint salt and resolution-round bound of the defaults
+SALT = 0xD5BF
+MAX_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -56,78 +68,85 @@ class DsbfStats:
     flat_suspected: bool
 
 
+def _dsbf_gen(rank: int, p: int, source, addrs: list, log: list, sample_addr,
+              rho: float, dtype, k_star: int, kappa: int, salt: int, max_rounds: int):
+    """The ``k_star`` most frequently sampled keys, through fingerprints.
+
+    With ``sample_addr`` (EC with dSBF) ``source`` is this PE's chunk:
+    its Bernoulli(``rho``) sample is nominated from, the sample size
+    rides the first head extraction and the candidates are counted
+    exactly.  Without, ``source`` is this PE's sample.  Returns
+    ``(keys, sample counts, exact counts, stats, sample size)``,
+    replicated.
+    """
+    sample = sample_keys(rank, source, sample_addr, rho, log)
+    piggyback = None if sample_addr is None else int(sample.size)
+    # local aggregation once; the fingerprinted table sums the counts
+    # of colliding keys
+    keys, counts = local_table(sample.astype(dtype, copy=False), log)
+    fps = fingerprint32(keys, salt)
+    log.append(("ops", max(1, int(keys.size))))
+    # fingerprints are half a word: 1.5 words per (fp, count) entry on
+    # the wire instead of the 2.0 of (key, count) pairs
+    table, total = yield from count_gen(
+        rank, p, merge_tables([(fps, counts)]), log, salt + 1, 1.5)
+    rounds, size = 0, None
+    while True:
+        rounds += 1
+        head, _, pb = yield from topk_entries_gen(
+            rank, p, table, k_star + kappa, total, addrs, piggyback, log)
+        if rounds == 1:
+            size, piggyback = pb, None
+        # fewer fingerprints exist than requested: resolution will
+        # reveal every sampled key, no retry can add more
+        exhausted = head.size < k_star + kappa
+        # resolve: each PE reveals (key, local count) for its local keys
+        # whose fingerprint was selected (the "request the keys" step
+        # of Section 7.4)
+        hit = np.isin(fps, head)
+        log.append(("ops", max(1, int(keys.size))))
+        gathered = yield ("allgather", (keys[hit], counts[hit]))
+        log.append(("allgather", 2 * int(hit.sum())))
+        found, found_counts = merge_tables(gathered)
+        if found.size >= k_star or exhausted or rounds >= max_rounds:
+            break
+        kappa *= 2
+    flat = (not exhausted) and found.size < k_star and rounds >= max_rounds
+    stats = DsbfStats(kappa, rounds, max(0, int(found.size) - int(head.size)), flat)
+    top = np.lexsort((found, -found_counts))[:k_star]
+    exact = None
+    if sample_addr is not None:
+        exact = yield from exact_counts_gen(rank, source, found[top], log)
+    return (found[top], found_counts[top], exact, stats, size), None
+
+
 def dsbf_top_candidates(
     machine: Machine,
     samples_per_pe: list[np.ndarray],
     k_star: int,
     *,
     kappa0: int | None = None,
-    salt: int = 0xD5BF,
-    max_rounds: int = 4,
-    piggyback=None,
+    salt: int = SALT,
+    max_rounds: int = MAX_ROUNDS,
 ):
     """The ``k_star`` most frequently sampled keys, via fingerprints.
 
     Returns ``(candidates, stats)`` where candidates are (key, sample
     count) pairs replicated on all PEs, at most ``k_star`` of them.
-    With ``piggyback`` (per-PE sample sizes), the sum is fused into the
-    first head extraction and a third return entry carries the total.
+    The samples ride the one worker command.
     """
     if k_star < 1:
         raise ValueError(f"k_star must be >= 1, got {k_star}")
+    kappa = kappa0 if kappa0 is not None else max(8, k_star // 4)
+    # a negative margin must leave every round a fingerprint to select
+    check_k(k_star + min(kappa, kappa * 2 ** (max(max_rounds, 1) - 1)))
     samples = [np.asarray(s) for s in samples_per_pe]
     dtype = integer_key_dtype([s.dtype for s in samples if s.size])
-    # local aggregation once: (keys, local sample counts, fingerprints)
-    # per PE, the fingerprints from one batched kernel pass; the
-    # fingerprinted table sums the counts of colliding keys
-    local, fp_tables = [], []
-    for i, s in enumerate(samples):
-        log: list = []
-        keys, counts = local_table(s.astype(dtype, copy=False), log)
-        machine.charge_ops_one(i, log[0][1])
-        fps = fingerprint32(keys, salt)
-        local.append((keys, counts, fps))
-        fp_tables.append(merge_tables([(fps, counts)]))
-        machine.charge_ops_one(i, max(1, int(keys.size)))
-
-    # fingerprints are half a word: 1.5 words per (fp, count) entry on
-    # the wire instead of the 2.0 of (key, count) pairs
-    routed = exchange_into_dht(machine, fp_tables, salt=salt + 1, width=1.5)
-
-    kappa = kappa0 if kappa0 is not None else max(8, k_star // 4)
-    rounds = 0
-    pb_total = None
-    while True:
-        rounds += 1
-        if piggyback is not None and pb_total is None:
-            head, pb_total = take_topk_entries(
-                machine, routed, k_star + kappa, piggyback=piggyback
-            )
-        else:
-            head = take_topk_entries(machine, routed, k_star + kappa)
-        # fewer fingerprints exist than requested: resolution will
-        # reveal every sampled key, no retry can add more
-        exhausted = len(head) < k_star + kappa
-        selected_fps = np.array([fp for fp, _ in head], dtype=np.int64)
-        # resolve: each PE reports (key, local count) for its local keys
-        # whose fingerprint was selected; identities are all-gathered
-        # (this is the "request the keys" step of Section 7.4)
-        reveals = []
-        for i, (keys, counts, fps) in enumerate(local):
-            hit = np.isin(fps, selected_fps)
-            machine.charge_ops_one(i, max(1, int(keys.size)))
-            reveals.append((keys[hit], counts[hit]))
-        keys, counts = merge_tables(machine.allgather(reveals)[0])
-        collisions = max(0, int(keys.size) - len(head))
-        if keys.size >= k_star or exhausted or rounds >= max_rounds:
-            top = np.lexsort((keys, -counts))[:k_star]
-            items = list(zip(keys[top].tolist(), counts[top].tolist()))
-            flat = (not exhausted) and keys.size < k_star and rounds >= max_rounds
-            stats = DsbfStats(kappa, rounds, collisions, flat)
-            if piggyback is None:
-                return items, stats
-            return items, stats, pb_total
-        kappa *= 2
+    (keys, counts, _, stats, _), _ = run_pipeline(
+        machine, samples, _dsbf_gen,
+        (None, 1.0, dtype, k_star, kappa, salt, max_rounds), n_addrs=max(max_rounds, 1),
+    )
+    return list(zip(keys.tolist(), counts.tolist())), stats
 
 
 def top_k_frequent_ec_dsbf(
@@ -145,37 +164,29 @@ def top_k_frequent_ec_dsbf(
     Identical guarantees to :func:`~repro.frequent.ec.top_k_frequent_ec`
     (the exact-counting pass is unchanged); only the sample-counting
     volume shrinks, since fingerprints+counts travel instead of
-    keys+counts.
+    keys+counts.  One worker command.
     """
-    from ..common.sampling import ec_sample_rate
-    from .ec import exact_count_keys, optimal_k_star
-    from .pac import sample_distributed
-
     k_star = None if k_star is None else check_k_star(k_star, k)
     if rho is not None:
         check_rate(rho, "rho")
-    p = machine.p
-    n = int(machine.allreduce([int(s) for s in data.sizes()], op="sum")[0])
+    dtype = array_key_dtype(data)
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {})
     if k_star is None:
-        k_star = optimal_k_star(n, k, p, eps, delta)
+        k_star = optimal_k_star(n, k, machine.p, eps, delta)
     if rho is None:
         rho = ec_sample_rate(n, k_star, eps, delta)
-
-    samples = sample_distributed(machine, data, rho)
-    candidates, stats, sample_size = dsbf_top_candidates(
-        machine, samples, k_star, piggyback=[int(s.size) for s in samples]
+    (cand_keys, _, exact, stats, sample_size), _ = run_pipeline(
+        machine, data._ensure_ref(), _dsbf_gen,
+        (machine.draw_addr(), rho, dtype, k_star, max(8, k_star // 4), SALT,
+         MAX_ROUNDS), n_addrs=MAX_ROUNDS,
     )
-    if not candidates:
+    if exact is None:
         return FrequentResult((), True, rho, sample_size, k_star, {})
-    cand_keys = np.array([key for key, _ in candidates], dtype=array_key_dtype(data))
-    exact = exact_count_keys(machine, data, cand_keys)
-    order = np.lexsort((cand_keys, -exact))
-    top = order[: min(k, len(cand_keys))]
-    items = tuple((int(cand_keys[t]), float(exact[t])) for t in top)
     return FrequentResult(
-        items=items,
+        items=exact_items(cand_keys, exact, k),
         exact_counts=True,
         rho=rho,
         sample_size=sample_size,

@@ -28,10 +28,10 @@ import numpy as np
 from ..common.sampling import ec_sample_rate
 from ..common.validation import check_k, check_k_star, check_rate
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, run_pipeline, sample_table
+from .dht import array_key_dtype, pipeline_gen, run_pipeline, sample_table
 from .result import FrequentResult
 
-__all__ = ["top_k_frequent_ec", "optimal_k_star", "exact_count_keys"]
+__all__ = ["top_k_frequent_ec", "optimal_k_star"]
 
 
 def optimal_k_star(n: int, k: int, p: int, eps: float, delta: float) -> int:
@@ -47,8 +47,10 @@ def exact_counts_gen(rank: int, chunk: np.ndarray, keys: np.ndarray, log: list):
 
     Every PE scans its full local input once (``O(n/p)``), where the
     chunk lives; the count vectors are summed by one vector-valued
-    in-worker reduction.
+    in-worker reduction.  Without keys nothing is counted (``None``).
     """
+    if not len(keys):
+        return None
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     pos = np.searchsorted(sorted_keys, chunk)
@@ -62,26 +64,11 @@ def exact_counts_gen(rank: int, chunk: np.ndarray, keys: np.ndarray, log: list):
     return totals
 
 
-def _exact_counts_kernel(rank: int, chunk: np.ndarray, keys: np.ndarray):
-    log: list = []
-    totals = yield from exact_counts_gen(rank, chunk, keys, log)
-    return totals if rank == 0 else None, log
-
-
-def exact_count_keys(
-    machine: Machine, data: DistArray, keys: np.ndarray
-) -> np.ndarray:
-    """Exact global counts of ``keys`` (replicated on all PEs), as one
-    worker command: only the small candidate-key array travels out and
-    one count vector back."""
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    _, vals = machine.backend.run_spmd(
-        _exact_counts_kernel, [data._ensure_ref()], args=[(keys,)] * machine.p
-    )
-    machine.replay_charges([log for _, log in vals])
-    return np.asarray(vals[0][0])
+def exact_items(keys: np.ndarray, exact: np.ndarray, k: int) -> tuple:
+    """The top ``k`` of exactly counted candidates as ``(key, count)``
+    items, by (count desc, key asc)."""
+    top = np.lexsort((keys, -exact))[:k]
+    return tuple((int(keys[t]), float(exact[t])) for t in top)
 
 
 def top_k_frequent_ec(
@@ -118,15 +105,14 @@ def top_k_frequent_ec(
         rho = ec_sample_rate(n, k_star, eps, delta)
 
     (_, cand_keys, _, sample_size, exact), _ = run_pipeline(
-        machine, data._ensure_ref(), sample_table,
-        (dtype, machine.draw_addr(), rho), k_star,
-        piggyback=True, exact_gen=exact_counts_gen,
+        machine, data._ensure_ref(), pipeline_gen,
+        (sample_table, (dtype, machine.draw_addr(), rho), k_star, True,
+         exact_counts_gen),
     )
     if exact is None:  # nothing was sampled
         return FrequentResult((), True, rho, sample_size, k_star, {})
-    top = np.lexsort((cand_keys, -exact))[:k]
     return FrequentResult(
-        items=tuple((int(cand_keys[t]), float(exact[t])) for t in top),
+        items=exact_items(cand_keys, exact, k),
         exact_counts=True,
         rho=rho,
         sample_size=sample_size,

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..common.validation import check_k
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, run_pipeline, sample_table
+from .dht import array_key_dtype, pipeline_gen, run_pipeline, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_exact", "exact_counts_oracle"]
@@ -28,8 +28,8 @@ def top_k_frequent_exact(machine: Machine, data: DistArray, k: int) -> FrequentR
     """
     check_k(k)
     (total, keys, counts, _, _), _ = run_pipeline(
-        machine, data._ensure_ref(), sample_table,
-        (array_key_dtype(data), None, 1.0), k,
+        machine, data._ensure_ref(), pipeline_gen,
+        (sample_table, (array_key_dtype(data), None, 1.0), k),
     )
     return FrequentResult(
         items=tuple((key, float(c)) for key, c in zip(keys.tolist(), counts.tolist())),

@@ -18,6 +18,12 @@ one-shot-amortized monitor:
   cached top-k is still an (eps', delta)-approximation with
   ``eps' = eps + refresh_fraction``, since at most that fraction of
   mass arrived unobserved).
+
+A refresh is one worker command: the tables ride it, and sampling,
+counting and selection run in the workers.  The stream length is
+tracked where the batches arrive, so a cached answer costs no command.
+The only persistent state is the local tables (compare the distributed
+top-k data structure of Biermeier et al., arXiv 1709.07259).
 """
 
 from __future__ import annotations
@@ -28,15 +34,28 @@ from ..common.sampling import weighted_sample_counts
 from ..machine import Machine
 from .dht import (
     Table,
-    exchange_into_dht,
     integer_key_dtype,
     local_table,
     merge_tables,
-    take_topk_entries,
+    pipeline_gen,
+    run_pipeline,
 )
 from .result import FrequentResult
 
 __all__ = ["StreamingTopKMonitor"]
+
+
+def _sample_counts(rank: int, table: Table, dtype, addr, v_avg: float, log: list):
+    """The Section 8.1 sampler over one PE's stream counts (unit values
+    = the counts): returns the ``(keys, sample units)`` table of the
+    keys drawn at least once and the PE's sample size."""
+    keys, counts = table
+    units = weighted_sample_counts(addr.local(rank), counts.astype(np.float64), v_avg)
+    log.append(("ops", int(keys.size)))
+    drawn = units > 0
+    sampled = (keys[drawn].astype(dtype, copy=False),
+               units[drawn].astype(np.int64, copy=False))
+    return sampled, int(units.sum())
 
 
 class StreamingTopKMonitor:
@@ -115,8 +134,10 @@ class StreamingTopKMonitor:
     # ------------------------------------------------------------------
     @property
     def total_items(self) -> int:
-        """Global stream length so far (one all-reduction)."""
-        return int(self.machine.allreduce(self._local_total, op="sum")[0])
+        """Global stream length so far (one all-reduction, charged; each
+        PE's count is known where its batches arrived)."""
+        self.machine._meter_allreduce(words=1)
+        return sum(self._local_total)
 
     def top_k(self, *, force: bool = False) -> FrequentResult:
         """Current top-k (cached unless the stream grew enough)."""
@@ -137,22 +158,17 @@ class StreamingTopKMonitor:
         target = max(64.0, 8.0 / self.eps**2 * np.log(2 * self.k / self.delta) / 8)
         target = min(target, float(n))
         v_avg = n / target
-        samples = []
-        addr = self.machine.draw_addr()  # counter-addressed refresh draws
-        for i, (keys, counts) in enumerate(self.tables):
-            units = weighted_sample_counts(
-                addr.local(i), counts.astype(np.float64), v_avg
-            )
-            self.machine.charge_ops_one(i, int(keys.size))
-            drawn = units > 0
-            samples.append((keys[drawn], units[drawn]))
-        routed = exchange_into_dht(self.machine, samples)
-        items = take_topk_entries(self.machine, routed, self.k)
+        # one key dtype for all tables: an empty one is int64
+        dtype = integer_key_dtype([keys.dtype for keys, _ in self.tables if keys.size])
+        (_, keys, counts, _, _), sizes = run_pipeline(
+            self.machine, self.tables, pipeline_gen,
+            (_sample_counts, (dtype, self.machine.draw_addr(), v_avg), self.k),
+        )
         result = FrequentResult(
-            items=tuple((key, c * v_avg) for key, c in items),
+            items=tuple((key, c * v_avg) for key, c in zip(keys.tolist(), counts.tolist())),
             exact_counts=v_avg <= 1.0,
             rho=1.0 / v_avg,
-            sample_size=int(sum(units.sum() for _, units in samples)),
+            sample_size=sum(sizes),
             k_star=self.k,
             info={"stream": n, "refreshed": True},
         )

@@ -25,7 +25,7 @@ import numpy as np
 from ..common.sampling import pac_sample_rate
 from ..common.validation import check_k, check_rate
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, run_pipeline, sample_table
+from .dht import array_key_dtype, pipeline_gen, run_pipeline, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_pac", "pac_error", "sample_distributed"]
@@ -73,8 +73,8 @@ def top_k_frequent_pac(
     if rho is None:
         rho = pac_sample_rate(n, k, eps, delta)
     (total, keys, counts, sample_size, _), _ = run_pipeline(
-        machine, data._ensure_ref(), sample_table,
-        (dtype, machine.draw_addr(), rho), k, piggyback=True,
+        machine, data._ensure_ref(), pipeline_gen,
+        (sample_table, (dtype, machine.draw_addr(), rho), k, True),
     )
     return FrequentResult(
         items=tuple((key, c / rho) for key, c in zip(keys.tolist(), counts.tolist())),

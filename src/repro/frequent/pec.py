@@ -14,78 +14,93 @@ pick ``k*`` so that
 ``s_k - sqrt(2 s_k ln(1/delta))`` (Theorem 13).
 
 Stage 2: run EC with that ``k*`` (its communication-optimal ``eps``
-follows from Theorem 11 by inversion).
+follows from Theorem 11 by inversion).  The ``k*`` candidates are the
+first entries of the stage-1 head (both rank by count desc, key asc),
+so no second selection runs.
 
 For Zipf inputs with exponent ``s``, Theorem 14 gives closed forms --
 ``rho n = 4 k^s H_{N,s} ln(k/delta)`` and ``E[k*] ~= (2 + sqrt 2)^{1/s} k``
 -- implemented by :func:`top_k_frequent_pec_zipf` (no probing sample
 needed).
+
+Each call is one worker command composed of :mod:`.dht`'s pieces: every
+PE estimates ``k*`` (or probes the universe) from the same replicated
+values, so no intermediate result returns to the driver.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from ..common.distributions import harmonic_number
 from ..common.sampling import pac_sample_rate
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, count_into_dht, take_topk_entries
-from .ec import exact_count_keys, top_k_frequent_ec
-from .pac import sample_distributed
+from .dht import (
+    array_key_dtype, count_gen, pipeline_gen, run_pipeline, sample_table, topk_entries_gen,
+)
+from .ec import exact_counts_gen, exact_items
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_pec", "top_k_frequent_pec_zipf", "estimate_k_star"]
 
 
-def _local_max_step(rank: int, chunk: np.ndarray) -> int:
-    """Resident worker callback: local universe probe."""
-    return int(chunk.max()) if chunk.size else 1
+def estimate_k_star(head: Sequence[int], k: int, delta: float) -> tuple[int, bool]:
+    """Gap-based candidate count from the head of the sample ranking
+    (Lemma 12): ``head`` holds the largest sample counts, descending
+    (the top ``cap_factor * k`` of them).
 
-
-def estimate_k_star(
-    machine: Machine,
-    sample_counts: list[dict[int, int]],
-    k: int,
-    delta: float,
-    *,
-    cap_factor: int = 16,
-    piggyback=None,
-):
-    """Gap-based candidate count from stage-1 sample counts (Lemma 12).
-
-    Returns ``(k_star, gap_found)``.  The head of the sample ranking
-    (top ``cap_factor * k`` counts) is small, so it is extracted with
-    the usual selection + all-gather machinery; if even the last head
-    entry is above the Lemma-12 threshold the distribution is too flat
-    and ``gap_found`` is False (callers should fall back to plain EC
-    semantics with the capped ``k*``).
-
-    ``piggyback`` (per-PE sample sizes) is fused into the head
-    extraction's winner exchange; the return value then grows a third
-    entry with the summed total.
+    Returns ``(k_star, gap_found)``.  If even the last head entry is
+    above the Lemma-12 threshold the distribution is too flat and
+    ``gap_found`` is False (callers fall back to plain EC semantics
+    with the capped ``k*``).
     """
-    cap = max(cap_factor * k, k + 1)
-    if piggyback is None:
-        head = take_topk_entries(machine, sample_counts, cap)
-        pb_total = None
-    else:
-        head, pb_total = take_topk_entries(
-            machine, sample_counts, cap, piggyback=piggyback
-        )
-
-    def _out(k_star: int, gap: bool):
-        return (k_star, gap) if piggyback is None else (k_star, gap, pb_total)
-
     if len(head) <= k:
-        return _out(max(k, len(head)), True)  # fewer candidates than the cap: exact
-    s_k = head[k - 1][1]
+        return max(k, len(head)), True  # fewer candidates than the cap: exact
+    s_k = head[k - 1]
     # high-probability lower bound on E[s_k] (Theorem 13)
     e_sk = max(0.0, s_k - np.sqrt(2.0 * s_k * np.log(1.0 / delta)))
     threshold = e_sk - np.sqrt(2.0 * max(e_sk, 1e-12) * np.log(k / delta))
-    for rank in range(k, len(head)):
-        if head[rank][1] <= threshold:
-            return _out(rank + 1, True)
-    return _out(len(head), False)
+    below = np.flatnonzero(np.asarray(head[k:]) <= threshold)
+    if below.size:
+        return k + int(below[0]) + 1, True
+    return len(head), False
+
+
+def _pec_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
+             dtype, sample_addr, rho0: float, k: int, delta: float, cap: int):
+    """Both PEC stages in one command: the probing sample's head of
+    ``cap`` entries (the sample size riding its winner exchange), the
+    ``k*`` estimate every PE takes from it, and exact counts of the
+    head's first ``k*`` keys -- the top ``k*`` themselves, since the
+    head is ordered by (count desc, key asc)."""
+    table, local_size = sample_table(rank, chunk, dtype, sample_addr, rho0, log)
+    table, total = yield from count_gen(rank, p, table, log)
+    keys, counts, size = yield from topk_entries_gen(
+        rank, p, table, cap, total, addrs, local_size, log)
+    k_star, gap_found = estimate_k_star(counts.tolist(), k, delta)
+    keys = keys[:k_star]
+    exact = yield from exact_counts_gen(rank, chunk, keys, log)
+    return (keys, exact, k_star, gap_found, size), None
+
+
+def _zipf_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
+              dtype, sample_addr, n: int, k: int, delta: float, s: float,
+              universe: int | None, k_star: int):
+    """PEC-Zipf in one command: the universe (probed by a max
+    all-reduction unless given) fixes the sampling rate, then the
+    common pipeline counts the ``k*`` candidates exactly."""
+    if universe is None:
+        local_max = int(chunk.max()) if chunk.size else 1
+        universe = int((yield ("allreduce", local_max, "max")))
+        log.append(("allreduce", 1))
+    h = harmonic_number(universe, s)
+    rho = min(1.0, 4.0 * k**s * h * np.log(k / delta) / n)
+    answer, _ = yield from pipeline_gen(
+        rank, p, chunk, addrs, log, sample_table, (dtype, sample_addr, rho),
+        k_star, True, exact_counts_gen)
+    return (answer, universe, h, rho), None
 
 
 def top_k_frequent_pec(
@@ -103,30 +118,21 @@ def top_k_frequent_pec(
     more conservative ``k*``).  The result's ``info['gap_found']``
     reports whether Lemma 12's criterion fired; without a gap the
     answer degrades gracefully to an EC-style approximation with the
-    capped candidate set.
+    capped candidate set.  One worker command.
     """
-    n = int(machine.allreduce([int(s) for s in data.sizes()], op="sum")[0])
+    dtype = array_key_dtype(data)
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {"gap_found": True})
-
-    # ---- stage 1: probing sample -------------------------------------
     rho0 = pac_sample_rate(n, k, eps0, delta)
-    samples = sample_distributed(machine, data, rho0)
-    sample_counts = count_into_dht(machine, samples)
-    k_star, gap_found, stage1_size = estimate_k_star(
-        machine, sample_counts, k, delta, cap_factor=cap_factor,
-        piggyback=[int(s.size) for s in samples],
+    cap = max(cap_factor * k, k + 1)
+    (keys, exact, k_star, gap_found, stage1_size), _ = run_pipeline(
+        machine, data._ensure_ref(), _pec_gen,
+        (dtype, machine.draw_addr(), rho0, k, delta, cap),
     )
-
-    # ---- stage 2: exact counting of the k* candidates ----------------
-    candidates = take_topk_entries(machine, sample_counts, k_star)
-    cand_keys = np.array([key for key, _ in candidates], dtype=array_key_dtype(data))
-    exact = exact_count_keys(machine, data, cand_keys)
-    order = np.lexsort((cand_keys, -exact))
-    top = order[: min(k, len(cand_keys))]
-    items = tuple((int(cand_keys[t]), float(exact[t])) for t in top)
     return FrequentResult(
-        items=items,
+        items=exact_items(keys, exact, k) if exact is not None else (),
         exact_counts=True,
         rho=rho0,
         sample_size=stage1_size,
@@ -150,31 +156,23 @@ def top_k_frequent_pec_zipf(
     ``rho = 4 k^s H_{N,s} ln(k/delta) / n`` and
     ``k* = ceil((2 + sqrt 2)^{1/s} k)`` are computed in closed form, and
     the exact result is returned with probability ``>= 1 - delta``.
+    One worker command, the universe probe included.
     """
-    n = int(machine.allreduce([int(s) for s in data.sizes()], op="sum")[0])
+    dtype = array_key_dtype(data)
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {})
-    if universe is None:
-        local_max = data.map_values(_local_max_step)
-        universe = int(machine.allreduce(local_max, op="max")[0])
-    h = harmonic_number(universe, s)
-    rho = min(1.0, 4.0 * k**s * h * np.log(k / delta) / n)
     k_star = int(np.ceil((2.0 + np.sqrt(2.0)) ** (1.0 / s) * k))
-
-    samples = sample_distributed(machine, data, rho)
-    sample_counts = count_into_dht(machine, samples)
-    candidates, sample_size = take_topk_entries(
-        machine, sample_counts, k_star, piggyback=[int(x.size) for x in samples]
+    (answer, universe, h, rho), _ = run_pipeline(
+        machine, data._ensure_ref(), _zipf_gen,
+        (dtype, machine.draw_addr(), n, k, delta, s, universe, k_star),
     )
-    if not candidates:
+    _, cand_keys, _, sample_size, exact = answer
+    if exact is None:
         return FrequentResult((), True, rho, sample_size, k_star, {})
-    cand_keys = np.array([key for key, _ in candidates], dtype=array_key_dtype(data))
-    exact = exact_count_keys(machine, data, cand_keys)
-    order = np.lexsort((cand_keys, -exact))
-    top = order[: min(k, len(cand_keys))]
-    items = tuple((int(cand_keys[t]), float(exact[t])) for t in top)
     return FrequentResult(
-        items=items,
+        items=exact_items(cand_keys, exact, k),
         exact_counts=True,
         rho=rho,
         sample_size=sample_size,

@@ -10,7 +10,10 @@ of ``top_k_frequent_naive``, ``top_k_frequent_naive_tree`` (the
 walk), PEC (gap found and capped), PEC-Zipf (``universe`` given and
 probed), adaptive (stop and escalate), ``dsbf_top_candidates`` with
 retry rounds and the streaming monitor over two refreshes (recorded at
-63af6e3, while they were still several driver commands each),
+63af6e3, while they were still several driver commands each; the PEC,
+adaptive-escalate and dSBF-retry reports re-recorded by the
+one-command port, which drops PEC's second selection and the size
+all-reduction a later selection over the same table repeated),
 ``dta_topk``, ``rdta_topk``, ``ms_select``,
 ``ams_select_batched`` and ``BulkParallelPQ.peek_min`` at p in
 {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the

@@ -3,7 +3,10 @@ are one worker command each.
 
 ``top_k_frequent_{pac,ec,exact}`` and ``top_k_sums_{pac,ec}`` sample,
 count into the array-backed hash table, take its size, select, exchange
-the winners and count them exactly in one command; the driver replays
+the winners and count them exactly in one command; PEC (its ``k*``
+estimate), PEC-Zipf (its universe probe), adaptive (its
+stop-or-escalate test), dSBF (its resolution rounds) and a streaming
+monitor refresh take their decisions inside that command; the driver replays
 the cost model from the charge logs it returns.  These tests pin the
 shape (one driver send per call), equality with sim of results, draw
 addresses and the whole model, the model and draw addresses against a
@@ -19,10 +22,15 @@ import pytest
 from repro.aggregation import DistKeyValue, top_k_sums_ec, top_k_sums_pac
 from repro.common import zipf_sample
 from repro.frequent import (
+    StreamingTopKMonitor,
+    dsbf_top_candidates,
+    top_k_frequent_adaptive,
     top_k_frequent_ec,
     top_k_frequent_ec_dsbf,
     top_k_frequent_exact,
     top_k_frequent_pac,
+    top_k_frequent_pec,
+    top_k_frequent_pec_zipf,
 )
 from repro.machine import DistArray, FaultPlan, Machine, WorkerFailure
 from repro.machine.backends import base
@@ -37,6 +45,24 @@ def _keys(machine):
         machine, lambda r, g: zipf_sample(g, N, universe=1 << 10, s=1.1))
     data._ensure_ref()  # upload now, so send counts see only the call
     return data
+
+
+def _heavy(machine):
+    # eight keys carry 60% of the mass: PEC finds a gap, adaptive stops
+    data = DistArray.generate(machine, lambda r, g: np.where(
+        g.random(N) < 0.6, g.integers(0, 8, N), g.integers(8, 4000, N)))
+    data._ensure_ref()
+    return data
+
+
+def _samples(machine):
+    return [g.integers(0, 400, 300) for g in machine.rngs]
+
+
+def _monitor(machine):
+    mon = StreamingTopKMonitor(machine, k=8, eps=0.05, delta=1e-3)
+    mon.ingest([zipf_sample(g, N, universe=1 << 10, s=1.1) for g in machine.rngs])
+    return mon
 
 
 def _kv(machine):
@@ -65,6 +91,21 @@ CASES = {
     "sums_ec_sel": (_kv, lambda m, d: top_k_sums_ec(
         m, d, 8, eps=0.05, delta=1e-3, k_star=12)),
     "ams": (_seqs, lambda m, d: ams_select(m, d, 300, 450)),
+    "pec": (_keys, lambda m, d: top_k_frequent_pec(m, d, 8, eps0=0.2)),
+    "pec_gap": (_heavy, lambda m, d: top_k_frequent_pec(m, d, 8, eps0=0.2)),
+    "pec_zipf": (_keys, lambda m, d: top_k_frequent_pec_zipf(
+        m, d, 8, s=1.1, universe=1 << 10)),
+    "pec_zipf_probed": (_keys, lambda m, d: top_k_frequent_pec_zipf(m, d, 8, s=1.1)),
+    "adaptive": (_keys, lambda m, d: top_k_frequent_adaptive(
+        m, d, 8, eps=0.05, probe_eps=0.2)),
+    "adaptive_stop": (_heavy, lambda m, d: top_k_frequent_adaptive(
+        m, d, 8, eps=0.2, probe_eps=0.2)),
+    "dsbf": (_keys, lambda m, d: top_k_frequent_ec_dsbf(m, d, 8, eps=0.05, delta=1e-3)),
+    "dsbf_sel": (_keys, lambda m, d: top_k_frequent_ec_dsbf(
+        m, d, 8, eps=0.05, delta=1e-3, k_star=12)),
+    # a negative margin: every resolution round retries
+    "dsbf_retry": (_samples, lambda m, d: dsbf_top_candidates(m, d, 24, kappa0=-1)),
+    "monitor": (_monitor, lambda m, mon: mon.top_k(force=True)),
 }
 GOLDEN_SEED = 1502
 
@@ -74,8 +115,83 @@ GOLDEN_SEED = 1502
 #: and of the two-command form; the model is the one-command form's,
 #: which charges the table size's all-reduction once instead of twice
 #: whenever the call selects (one word and one start-up per tree level
-#: fewer).
+#: fewer).  The PEC, PEC-Zipf, adaptive, dSBF and monitor rows were
+#: recorded at 63af6e3, where those calls took several commands; ``pec``,
+#: ``pec_gap``, ``adaptive`` (escalating) and ``dsbf_retry`` have moved
+#: since only by the second selection PEC no longer runs (its answer is
+#: the head's prefix; one draw address fewer) and by the size
+#: all-reduction a later selection over the same table no longer repeats.
 GOLDEN = {
+    "adaptive": {
+        1: (0.0, 0, 0.0001037647037525157, 3),
+        2: (414.0, 19, 0.00010352892520459061, 3),
+        3: (541.0, 42, 0.00012953134337870408, 3),
+        4: (639.0, 42, 0.00012503271482001754, 3),
+        8: (594.0, 69, 0.0001608652557790485, 3),
+    },
+    "adaptive_stop": {
+        1: (0.0, 0, 6.201392408288469e-05, 2),
+        2: (492.0, 11, 4.949286541284895e-05, 2),
+        3: (440.0, 18, 4.922818723419721e-05, 2),
+        4: (561.0, 22, 5.0849427198542275e-05, 2),
+        8: (425.0, 39, 7.043131582651303e-05, 2),
+    },
+    "dsbf": {
+        1: (0.0, 0, 5.158960488289789e-05, 1),
+        2: (273.5, 6, 6.006696269399472e-05, 1),
+        3: (490.0, 12, 6.847687275296655e-05, 1),
+        4: (425.0, 12, 6.813963453333406e-05, 1),
+        8: (636.5, 18, 7.82085930191064e-05, 1),
+    },
+    "dsbf_retry": {
+        1: (0.0, 0, 1.4875613946045362e-05, 4),
+        2: (531.0, 30, 6.296095593922502e-05, 4),
+        3: (992.0, 104, 0.00017783844730709868, 4),
+        4: (1120.5, 70, 0.00013112899334653965, 4),
+        8: (1731.0, 108, 0.00019393302643610412, 4),
+    },
+    "dsbf_sel": {
+        1: (0.0, 0, 5.557992170094723e-05, 2),
+        2: (249.5, 12, 6.0537917794622216e-05, 2),
+        3: (325.0, 20, 7.071317974421861e-05, 2),
+        4: (373.5, 20, 6.874020131176364e-05, 2),
+        8: (525.0, 48, 0.00010982736786135981, 2),
+    },
+    "monitor": {
+        1: (0.0, 0, 4.043521650639554e-06, 2),
+        2: (482.0, 10, 2.094048092307991e-05, 2),
+        3: (592.0, 20, 3.759521800639428e-05, 2),
+        4: (637.0, 24, 4.32418415647233e-05, 2),
+        8: (570.0, 42, 7.109803978688199e-05, 2),
+    },
+    "pec": {
+        1: (0.0, 0, 0.00011713284104840029, 2),
+        2: (625.0, 12, 0.00010513436846998503, 2),
+        3: (954.0, 24, 0.00011146201533896614, 2),
+        4: (964.0, 28, 0.000113158620480674, 2),
+        8: (1030.0, 48, 0.00013609674871965297, 2),
+    },
+    "pec_gap": {
+        1: (0.0, 0, 9.040144105993878e-05, 2),
+        2: (750.0, 8, 6.901265870651919e-05, 2),
+        3: (1070.0, 28, 8.833794868383797e-05, 2),
+        4: (1127.0, 16, 6.48992204922125e-05, 2),
+        8: (1269.0, 24, 6.99049099002339e-05, 2),
+    },
+    "pec_zipf": {
+        1: (0.0, 0, 0.00010038332883581547, 2),
+        2: (410.0, 11, 8.60910866851285e-05, 2),
+        3: (458.0, 30, 0.00010492032897928016, 2),
+        4: (518.0, 22, 8.795669245547584e-05, 2),
+        8: (507.0, 39, 0.00010807903588826497, 2),
+    },
+    "pec_zipf_probed": {
+        1: (0.0, 0, 0.0001007035368054832, 2),
+        2: (411.0, 12, 8.759406950775459e-05, 2),
+        3: (460.0, 32, 0.00010792338419436422, 2),
+        4: (520.0, 24, 9.095989245547583e-05, 2),
+        8: (510.0, 42, 0.00011258223588826496, 2),
+    },
     "ams": {
         1: (0.0, 0, 2.3027767486515122e-07, 1),
         2: (13.0, 13, 1.975201359525231e-05, 1),
@@ -238,13 +354,19 @@ def _charged_collectives(log):
     return out
 
 
+#: calls whose command takes a scalar all-reduction besides the table
+#: size's: adaptive's probe size and PEC-Zipf's universe probe
+SCALAR_REDUCTIONS = {"adaptive": 2, "adaptive_stop": 2, "pec_zipf_probed": 2}
+
+
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(set(CASES) - {"ams"}))
 def test_charge_log_matches_the_executed_schedule(monkeypatch, name, p):
     """The collectives a call replays are the ones its workers yield
     (sim's in-process runner executes every yield through
     ``spmd_collective``), the table size's all-reduction among them
-    exactly once: no charge without an execution."""
+    exactly once, also when a call selects twice from one table: no
+    charge without an execution."""
     m = Machine(p=p, seed=85)
     build, call = CASES[name]
     data = build(m)
@@ -265,7 +387,17 @@ def test_charge_log_matches_the_executed_schedule(monkeypatch, name, p):
     assert _charged_collectives(replayed) == [kind for kind, _ in yielded]
     sizes = [payload for kind, payload in yielded
              if kind == "allreduce" and np.ndim(payload) == 0]
-    assert len(sizes) == 1
+    assert len(sizes) == SCALAR_REDUCTIONS.get(name, 1)
+
+
+def test_adaptive_leaves_the_chunks_in_the_workers():
+    """The input size comes from the sizes the driver tracks: no chunk
+    travels to the driver."""
+    with Machine(p=2, seed=87, backend="mp") as m:
+        data = _keys(m)
+        assert data._chunks is None
+        top_k_frequent_adaptive(m, data, 8, eps=0.05, probe_eps=0.2)
+        assert data._chunks is None
 
 
 #: override -> (input builder, call, message): each must be refused in
@@ -326,7 +458,8 @@ def test_lockstep_verification_covers_the_one_command(backend):
     """The driver compares every rank's collective trace: the hash
     table's sendrecv hops, the size, the selection's levels, the winner
     exchange -- and the check changes no result and no model."""
-    for name in ("pac", "ec_sel", "sums_ec_sel", "ams"):
+    for name in ("pac", "ec_sel", "sums_ec_sel", "ams", "pec", "pec_zipf_probed",
+                 "adaptive", "dsbf_sel", "dsbf_retry", "monitor"):
         sim = Machine(p=4, seed=83)
         real = Machine(p=4, seed=83, backend=backend)
         with real:

@@ -146,15 +146,20 @@ FAMILIES = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_uint64_keys_above_2_63_shift_the_answer(family):
     """Keys ``2**63 + j`` as uint64 give the int64 answer over ``j``
-    shifted by ``2**63``: the keys keep their dtype end to end."""
+    shifted by ``2**63``: the keys keep their dtype end to end.  In the
+    second layout the last PE holds no keys (an int64 chunk, so its
+    table defaults to int64): joining it must not turn the other PEs'
+    uint64 keys into float64, which would round them."""
     rng = np.random.default_rng(63)
-    keys = np.repeat(np.arange(30), np.arange(30, 0, -1) * 4)
-    chunks = np.array_split(rng.permutation(keys), 4)
-    answers = []
-    for shift, dtype in ((0, np.int64), (2**63, np.uint64)):
-        m = Machine(p=4, seed=21)
-        data = DistArray(m, [c.astype(dtype) + dtype(shift) for c in chunks])
-        answers.append(FAMILIES[family](m, data, 5).items)
-    plain, shifted = answers
-    assert len(plain) == 5
-    assert shifted == tuple((key + 2**63, c) for key, c in plain)
+    keys = rng.permutation(np.repeat(np.arange(30), np.arange(30, 0, -1) * 4))
+    for filled in (4, 3):
+        chunks = np.array_split(keys, filled)
+        answers = []
+        for shift, dtype in ((0, np.int64), (2**63, np.uint64)):
+            m = Machine(p=4, seed=21)
+            parts = [c.astype(dtype) + dtype(shift) for c in chunks]
+            parts += [np.empty(0, dtype=np.int64)] * (4 - filled)
+            answers.append(FAMILIES[family](m, DistArray(m, parts), 5).items)
+        plain, shifted = answers
+        assert len(plain) == 5
+        assert shifted == tuple((key + 2**63, c) for key, c in plain), filled

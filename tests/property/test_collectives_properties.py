@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import key_owner
-from repro.frequent.dht import exchange_into_dht
+from tests.support.dht_runner import exchange
 from repro.machine import Machine
 
 pe_values = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=16)
@@ -68,7 +68,7 @@ class TestDataMovement:
         st.lists(st.tuples(st.integers(0, 30), st.integers(1, 9)), max_size=40),
     )
     @settings(max_examples=50, deadline=None)
-    def test_exchange_into_dht_conserves_counts(self, p, pairs):
+    def test_hash_table_exchange_conserves_counts(self, p, pairs):
         m = Machine(p=p, seed=4)
         dicts = [dict() for _ in range(p)]
         for idx, (key, c) in enumerate(pairs):
@@ -80,7 +80,7 @@ class TestDataMovement:
                 expected[key] = expected.get(key, 0) + c
         tables = [(np.array(list(d), dtype=np.int64),
                    np.array(list(d.values()), dtype=np.int64)) for d in dicts]
-        routed = exchange_into_dht(m, tables)
+        routed = exchange(m, tables)
         got: dict = {}
         for pe, d in enumerate(routed):
             for key, c in d.items():

@@ -1,13 +1,14 @@
-"""Property-based tests: DHT counting and top-k entry extraction."""
+"""Property-based tests: DHT counting and top-k entry extraction (the
+SPMD pieces, run by ``tests/support/dht_runner.py``)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import key_owner, make_owner_fn
-from repro.frequent import count_into_dht, local_key_counts, take_topk_entries
-from repro.frequent.dht import exchange_into_dht
+from repro.frequent import local_key_counts
 from repro.machine import Machine
+from tests.support.dht_runner import count, exchange, topk
 from tests.support.dict_walk import dict_walk
 
 key_chunks = st.lists(
@@ -23,7 +24,7 @@ class TestCounting:
     def test_counts_match_oracle(self, chunks):
         m = Machine(p=len(chunks), seed=8)
         samples = [np.array(c, dtype=np.int64) for c in chunks]
-        routed = count_into_dht(m, samples)
+        routed = count(m, samples)
         got: dict = {}
         for d in routed:
             for key, c in d.items():
@@ -41,8 +42,8 @@ class TestTopkEntries:
     def test_topk_is_count_ranking_prefix(self, chunks, k):
         m = Machine(p=len(chunks), seed=9)
         samples = [np.array(c, dtype=np.int64) for c in chunks]
-        routed = count_into_dht(m, samples)
-        items = take_topk_entries(m, routed, k)
+        routed = count(m, samples)
+        items = topk(m, routed, k)
         # oracle ranking
         allv = np.concatenate([s for s in samples if s.size] or [np.empty(0, dtype=np.int64)])
         expect: dict = {}
@@ -90,11 +91,11 @@ class TestArrayTableAgainstDictWalk:
         local = [local_key_counts(walked, i, s) for i, s in enumerate(samples)]
         want = dict_walk(walked, local, make_owner_fn(p, salt=salt), width)
         if width == 2.0:
-            got = count_into_dht(counted, samples, salt=salt)
+            got = count(counted, samples, salt=salt)
         else:
             tables = [_table(local_key_counts(counted, i, s))
                       for i, s in enumerate(samples)]
-            got = exchange_into_dht(counted, tables, salt=salt, width=width)
+            got = exchange(counted, tables, salt=salt, width=width)
         assert got == want
         assert [list(d) for d in got] == [sorted(d) for d in got]
         if one_owner:

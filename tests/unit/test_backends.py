@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser
-from repro.frequent.dht import exchange_into_dht
+from tests.support.dht_runner import exchange
 from repro.machine import (
     Machine,
     MultiprocessingBackend,
@@ -245,13 +245,13 @@ class TestCollectiveParity:
                 sim.send(0, p - 1, payload), real.send(0, p - 1, payload)
             )
 
-    def test_exchange_into_dht(self, p):
+    def test_hash_table_exchange(self, p):
         sim, real = _pair(p)
         tables = [(np.arange(10 * i, 10 * i + 4), np.arange(1, 5)) for i in range(p)]
         with real:
             _assert_same(
-                exchange_into_dht(sim, tables, width=1.5),
-                exchange_into_dht(real, tables, width=1.5),
+                exchange(sim, tables, width=1.5),
+                exchange(real, tables, width=1.5),
             )
         assert sim.clock.makespan == real.clock.makespan
         assert sim.metrics.bottleneck_words == real.metrics.bottleneck_words

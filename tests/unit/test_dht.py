@@ -1,10 +1,12 @@
-"""Unit tests: distributed hash table counting (repro.frequent.dht)."""
+"""Unit tests: distributed hash table counting (repro.frequent.dht),
+its SPMD pieces run by ``tests/support/dht_runner.py``."""
 
 import numpy as np
 import pytest
 
-from repro.frequent import count_into_dht, local_key_counts, take_topk_entries
-from repro.machine import Machine
+from repro.frequent import local_key_counts, top_k_frequent_exact
+from repro.machine import DistArray
+from tests.support.dht_runner import count, topk
 
 
 @pytest.fixture
@@ -25,10 +27,10 @@ class TestLocalKeyCounts:
         assert machine8.clock.work_time[2] > 0
 
 
-class TestCountIntoDht:
+class TestCounting:
     def test_global_counts_conserved(self, machine, rng):
         samples = [rng.integers(0, 50, 200) for _ in range(machine.p)]
-        routed = count_into_dht(machine, samples)
+        routed = count(machine, samples)
         total: dict = {}
         for d in routed:
             for key, c in d.items():
@@ -38,7 +40,7 @@ class TestCountIntoDht:
 
     def test_each_key_on_exactly_one_pe(self, machine8, rng):
         samples = [rng.integers(0, 100, 300) for _ in range(8)]
-        routed = count_into_dht(machine8, samples)
+        routed = count(machine8, samples)
         seen = set()
         for d in routed:
             for key in d:
@@ -47,24 +49,24 @@ class TestCountIntoDht:
 
     def test_salt_moves_keys(self, machine8, rng):
         samples = [rng.integers(0, 64, 100) for _ in range(8)]
-        a = count_into_dht(machine8, samples, salt=0)
-        b = count_into_dht(machine8, samples, salt=12345)
+        a = count(machine8, samples, salt=0)
+        b = count(machine8, samples, salt=12345)
         placement_a = {key: i for i, d in enumerate(a) for key in d}
         placement_b = {key: i for i, d in enumerate(b) for key in d}
         assert placement_a != placement_b
 
 
-class TestTakeTopk:
+class TestTopkEntries:
     def test_exact_k_entries(self, machine8, rng):
         samples = [rng.integers(0, 40, 500) for _ in range(8)]
-        routed = count_into_dht(machine8, samples)
-        items = take_topk_entries(machine8, routed, 10)
+        routed = count(machine8, samples)
+        items = topk(machine8, routed, 10)
         assert len(items) == 10
 
     def test_matches_oracle_ranking(self, machine8, rng):
         samples = [rng.integers(0, 40, 500) for _ in range(8)]
-        routed = count_into_dht(machine8, samples)
-        items = take_topk_entries(machine8, routed, 10)
+        routed = count(machine8, samples)
+        items = topk(machine8, routed, 10)
         allv, allc = np.unique(np.concatenate(samples), return_counts=True)
         oracle = sorted(
             zip(allv.tolist(), allc.tolist()), key=lambda t: (-t[1], t[0])
@@ -72,28 +74,29 @@ class TestTakeTopk:
         assert [(int(a), int(b)) for a, b in items] == oracle
 
     def test_fewer_entries_than_k(self, machine8):
-        routed = count_into_dht(machine8, [np.array([1, 1, 2])] + [np.empty(0, dtype=np.int64)] * 7)
-        items = take_topk_entries(machine8, routed, 10)
+        routed = count(machine8, [np.array([1, 1, 2])] + [np.empty(0, dtype=np.int64)] * 7)
+        items = topk(machine8, routed, 10)
         assert len(items) == 2
 
     def test_tie_handling_exact_k(self, machine8):
         # 20 keys all with equal counts; k=7 must return exactly 7
         samples = [np.arange(20) for _ in range(8)]
-        routed = count_into_dht(machine8, samples)
-        items = take_topk_entries(machine8, routed, 7)
+        routed = count(machine8, samples)
+        items = topk(machine8, routed, 7)
         assert len(items) == 7
         assert all(c == 8 for _, c in items)
 
     def test_invalid_k(self, machine8):
-        with pytest.raises(ValueError):
-            take_topk_entries(machine8, [{} for _ in range(8)], 0)
+        data = DistArray(machine8, [np.arange(5)] * 8)
+        with pytest.raises(ValueError, match="k must be"):
+            top_k_frequent_exact(machine8, data, 0)
 
     def test_empty_input(self, machine8):
-        assert take_topk_entries(machine8, [{} for _ in range(8)], 5) == []
+        assert topk(machine8, [{} for _ in range(8)], 5) == []
 
     def test_sorted_output(self, machine8, rng):
         samples = [rng.integers(0, 30, 200) for _ in range(8)]
-        routed = count_into_dht(machine8, samples)
-        items = take_topk_entries(machine8, routed, 8)
+        routed = count(machine8, samples)
+        items = topk(machine8, routed, 8)
         counts = [c for _, c in items]
         assert counts == sorted(counts, reverse=True)

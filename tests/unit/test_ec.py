@@ -5,13 +5,13 @@ import pytest
 
 from repro.common import zipf_sample
 from repro.frequent import (
-    exact_count_keys,
     exact_counts_oracle,
     optimal_k_star,
     pac_error,
     top_k_frequent_ec,
 )
 from repro.machine import DistArray, Machine
+from tests.support.dht_runner import exact_counts
 
 
 @pytest.fixture
@@ -25,35 +25,39 @@ def zipf_data(machine, n_per_pe=20_000, universe=2048, s=1.0):
     )
 
 
-class TestExactCountKeys:
+class TestExactCounts:
+    """``exact_counts_gen``, run by ``tests/support/dht_runner.py``."""
+
     def test_counts_match_oracle(self, machine8):
         data = zipf_data(machine8, 3000)
         true = exact_counts_oracle(data)
         keys = np.array(sorted(true)[:50], dtype=np.int64)
-        counts = exact_count_keys(machine8, data, keys)
+        counts = exact_counts(machine8, data, keys)
         for key, c in zip(keys, counts):
             assert c == true[int(key)]
 
     def test_absent_keys_zero(self, machine8):
         data = zipf_data(machine8, 1000, universe=100)
-        counts = exact_count_keys(machine8, data, np.array([10**9, 10**9 + 1]))
+        counts = exact_counts(machine8, data, np.array([10**9, 10**9 + 1]))
         assert list(counts) == [0, 0]
 
     def test_unsorted_candidate_keys(self, machine8):
         data = zipf_data(machine8, 2000, universe=64)
         true = exact_counts_oracle(data)
         keys = np.array([5, 1, 3], dtype=np.int64)
-        counts = exact_count_keys(machine8, data, keys)
+        counts = exact_counts(machine8, data, keys)
         assert counts[0] == true.get(5, 0)
         assert counts[1] == true.get(1, 0)
 
 
     def test_no_keys(self, machine):
-        """An empty key set used to raise IndexError on every p."""
+        """An empty key set counts nothing and reduces nothing (it once
+        raised IndexError on every p)."""
         data = zipf_data(machine, 500, universe=64)
+        machine.reset()
         for keys in ([], np.empty(0, dtype=np.int64)):
-            counts = exact_count_keys(machine, data, keys)
-            assert counts.dtype == np.int64 and counts.size == 0
+            assert exact_counts(machine, data, keys) is None
+        assert machine.metrics.total_traffic == 0
 
 
 class TestOptimalKStar:

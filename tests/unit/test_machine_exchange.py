@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.common.hashing import key_owner
-from repro.frequent.dht import exchange_into_dht
+from tests.support.dht_runner import exchange
 from repro.machine import Machine
 
 
@@ -50,8 +50,9 @@ def _tables(dicts):
     ]
 
 
-class TestExchangeIntoDht:
-    """The hash-table exchange over tables held in the driver."""
+class TestHashTableExchange:
+    """The hash-table exchange (``exchange_gen``) over tables that ride
+    the command."""
 
     def _total(self, dicts):
         out = {}
@@ -63,13 +64,13 @@ class TestExchangeIntoDht:
     def test_counts_conserved(self, machine):
         p = machine.p
         dicts = [{j: i + j for j in range(10)} for i in range(p)]
-        routed = exchange_into_dht(machine, _tables(dicts))
+        routed = exchange(machine, _tables(dicts))
         assert self._total(routed) == self._total(dicts)
 
     def test_keys_land_at_owner(self, machine):
         p = machine.p
         dicts = [{j: 1 for j in range(16)} for _ in range(p)]
-        routed = exchange_into_dht(machine, _tables(dicts), salt=7)
+        routed = exchange(machine, _tables(dicts), salt=7)
         for pe, d in enumerate(routed):
             keys = np.array(list(d), dtype=np.int64)
             assert (key_owner(keys, p, 7) == pe).all()
@@ -77,7 +78,7 @@ class TestExchangeIntoDht:
     def test_odd_p_fallback(self, odd_machine):
         p = odd_machine.p
         dicts = [{j: 1 for j in range(8)} for _ in range(p)]
-        routed = exchange_into_dht(odd_machine, _tables(dicts))
+        routed = exchange(odd_machine, _tables(dicts))
         assert self._total(routed) == {j: p for j in range(8)}
 
     @pytest.mark.parametrize("width", [2.0, 1.5])
@@ -85,7 +86,7 @@ class TestExchangeIntoDht:
         p = 3
         dicts = [{j: 1 for j in range(7 * i, 7 * i + 13)} for i in range(p)]
         m = Machine(p=p, seed=0)
-        exchange_into_dht(m, _tables(dicts), width=width)
+        exchange(m, _tables(dicts), width=width)
         owners = [key_owner(np.array(list(d)), p) for d in dicts]
         want = sum(np.ceil(width * np.count_nonzero(owners[i] == j))
                    for i in range(p) for j in range(p) if i != j)
@@ -96,17 +97,17 @@ class TestExchangeIntoDht:
         traffic = []
         for width in (2.0, 1.5):
             m = Machine(p=8, seed=0)
-            exchange_into_dht(m, _tables(dicts), width=width)
+            exchange(m, _tables(dicts), width=width)
             traffic.append(m.metrics.total_traffic)
         assert traffic[1] == 0.75 * traffic[0] > 0
 
     def test_one_table_per_pe_required(self, machine8):
         with pytest.raises(ValueError, match="one entry per PE"):
-            exchange_into_dht(machine8, _tables([{1: 1}] * 7))
+            exchange(machine8, _tables([{1: 1}] * 7))
 
     def test_single_pe_shortcut(self):
         m = Machine(p=1, seed=0)
-        out = exchange_into_dht(m, _tables([{3: 4, 1: 2}]))
+        out = exchange(m, _tables([{3: 4, 1: 2}]))
         assert out == [{1: 2, 3: 4}]
         assert m.metrics.total_traffic == 0
 
@@ -117,7 +118,7 @@ class TestExchangeIntoDht:
         p = 16
         m = Machine(p=p, seed=3)
         dicts = [{j: 1 for j in range(32)} for _ in range(p)]  # all PEs same keys
-        exchange_into_dht(m, _tables(dicts))
+        exchange(m, _tables(dicts))
         raw_pairs = p * 32 * 2
         assert m.metrics.bottleneck_words < raw_pairs / 2
 

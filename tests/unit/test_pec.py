@@ -5,6 +5,7 @@ import pytest
 
 from repro.common import gapped_sample, zipf_sample
 from repro.frequent import (
+    estimate_k_star,
     exact_counts_oracle,
     top_k_frequent_pec,
     top_k_frequent_pec_zipf,
@@ -22,6 +23,22 @@ def gapped_data(machine, k=16, gap=6.0, n_per_pe=20_000, universe=1024):
         machine,
         lambda r, g: gapped_sample(g, n_per_pe, universe=universe, k=k, gap=gap),
     )
+
+
+class TestEstimateKStar:
+    """Lemma 12 as a pure function of the head's sample counts."""
+
+    def test_first_count_below_the_threshold_ends_the_candidates(self):
+        head = [400, 390, 380, 20, 10, 5]
+        assert estimate_k_star(head, 3, 1e-3) == (4, True)
+
+    def test_flat_head_is_capped(self):
+        head = [100] * 10
+        assert estimate_k_star(head, 3, 1e-3) == (10, False)
+
+    def test_short_head_is_exact(self):
+        assert estimate_k_star([7, 3], 4, 1e-3) == (4, True)
+        assert estimate_k_star([], 4, 1e-3) == (4, True)
 
 
 class TestPec:

@@ -347,11 +347,9 @@ class TestRL002:
         )
         assert len(found) == 1
 
-    @pytest.mark.parametrize(
-        "name", ["count_into_dht", "exchange_into_dht", "take_topk_entries"]
-    )
+    @pytest.mark.parametrize("name", ["run_pipeline"])
     def test_fires_on_dict_view_into_hash_table_call(self, name):
-        # the hash-table calls carry per-PE payloads into one command,
+        # run_pipeline carries a per-PE source list into one command,
         # whether spelled f(machine, ...) or machine.f(...)
         for call in (f"{name}(machine, tables)", f"machine.{name}(tables)"):
             found = hits(

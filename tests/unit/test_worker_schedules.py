@@ -210,7 +210,7 @@ class TestMessageCounts:
         round (entries merge on arrival), or the store-and-forward
         alltoall when ``p`` is not a power of two -- and nothing else,
         the (already aggregated) buckets make no second trip."""
-        from repro.frequent import count_into_dht
+        from tests.support.dht_runner import count
 
         rng = np.random.default_rng(p)
         samples = [rng.integers(0, 200, size=300) for _ in range(p)]
@@ -219,10 +219,10 @@ class TestMessageCounts:
             real.allreduce(list(range(p)))  # start the pool
             before = real.backend.worker_message_counts()
             sends = real.backend.driver_sends
-            got = count_into_dht(real, samples, salt=3)
+            got = count(real, samples, salt=3)
             assert real.backend.driver_sends - sends == 1
             after = real.backend.worker_message_counts()
-        assert got == count_into_dht(sim, samples, salt=3)
+        assert got == count(sim, samples, salt=3)
         assert [a - b for a, b in zip(after, before)] == [log2_ceil(p)] * p
 
     @pytest.mark.parametrize("p", [4, 5, 8])

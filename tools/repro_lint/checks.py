@@ -82,8 +82,8 @@ ACCEPTED_CHARGE_KINDS = {
 }
 
 #: machine/backend collective entry points whose arguments travel, and
-#: the hash-table calls of repro.frequent.dht that carry per-PE
-#: payloads into one command (called as ``m.f(...)`` or ``f(m, ...)``)
+#: repro.frequent.dht's ``run_pipeline``, whose per-PE source list
+#: rides its one command (called as ``m.f(...)`` or ``f(m, ...)``)
 COLLECTIVE_CALL_NAMES = {
     "allgather",
     "allreduce",
@@ -91,16 +91,14 @@ COLLECTIVE_CALL_NAMES = {
     "alltoall",
     "broadcast",
     "collective",
-    "count_into_dht",
-    "exchange_into_dht",
     "gather",
     "reduce",
     "reduce_allgather",
     "reduce_tree",
+    "run_pipeline",
     "scan",
     "scatter",
     "send",
-    "take_topk_entries",
 }
 
 #: wrapping any expression in one of these makes iteration order moot
