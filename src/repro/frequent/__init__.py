@@ -4,7 +4,13 @@ from .adaptive import top_k_frequent_adaptive
 from .dht import local_key_counts
 from .dsbf import DsbfStats, dsbf_top_candidates, top_k_frequent_ec_dsbf
 from .ec import optimal_k_star, top_k_frequent_ec
-from .exact import exact_counts_oracle, top_k_frequent_exact
+from .exact import (
+    CountTable,
+    count_table_top_k,
+    exact_counts_oracle,
+    top_k_frequent_exact,
+    top_k_from_table,
+)
 from .monitor import StreamingTopKMonitor
 from .naive import top_k_frequent_naive, top_k_frequent_naive_tree
 from .pac import pac_error, sample_distributed, top_k_frequent_pac
@@ -13,10 +19,12 @@ from .result import FrequentResult
 from .spacesaving import SpaceSaving, heavy_hitters
 
 __all__ = [
+    "CountTable",
     "DsbfStats",
     "FrequentResult",
     "SpaceSaving",
     "StreamingTopKMonitor",
+    "count_table_top_k",
     "dsbf_top_candidates",
     "estimate_k_star",
     "exact_counts_oracle",
@@ -29,6 +37,7 @@ __all__ = [
     "top_k_frequent_ec",
     "top_k_frequent_ec_dsbf",
     "top_k_frequent_exact",
+    "top_k_from_table",
     "top_k_frequent_naive",
     "top_k_frequent_naive_tree",
     "top_k_frequent_pac",

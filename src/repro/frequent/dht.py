@@ -38,6 +38,13 @@ draws only when more than ``k`` entries exist, which the driver learns
 only from the command's answer: it allocates the call's draw addresses
 at build time and gives back those the command reports unused.  This
 is the package's one hash-table exchange.
+
+A table need not die with its command.  With ``keep`` the kernel's
+table stays resident as the command's output ref, and a later call
+takes that ref as its source: ``repro serve`` counts a dataset once
+and answers every later query with :func:`topk_entries_gen` alone, and
+the streaming monitor ships only the arrivals since its last refresh
+and merges them into the tables it kept.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ import numpy as np
 from ..common.hashing import key_owner
 from ..common.sampling import bernoulli_sample
 from ..machine import DistArray, Machine
+from ..machine.backends import PureStep
 from ..machine.cost import log2_ceil
 from ..selection.unsorted import default_base_case, select_kth_gen
 
@@ -242,7 +250,9 @@ def pipeline_gen(rank: int, p: int, source, addrs: list, log: list, sample_fn,
     counted exactly.  With ``piggyback`` the global sum of the
     ``info``s (the local sample sizes) rides the winner exchange.
 
-    Returns ``((total, keys, counts, info_total, exact), info)``.
+    Returns ``((total, keys, counts, info_total, exact), info, owned)``,
+    ``owned`` being this PE's ``(keys, counts, total)`` after the
+    exchange: the table :func:`run_pipeline` keeps when asked to.
     """
     table, info = sample_fn(rank, source, *sample_args, log)
     table, total = yield from count_gen(rank, p, table, log)
@@ -252,29 +262,48 @@ def pipeline_gen(rank: int, p: int, source, addrs: list, log: list, sample_fn,
     exact = None
     if total and exact_gen is not None:
         exact = yield from exact_gen(rank, source, keys, log)
-    return (total, keys, counts, pb_total, exact), info
+    return (total, keys, counts, pb_total, exact), info, (*table, total)
 
 
 # ----------------------------------------------------------------------
 # The one command path
 # ----------------------------------------------------------------------
 
-def _pipeline_cmd(rank: int, source, p: int, kernel, args: tuple, addrs: list):
+def _pipeline_cmd(rank: int, source, p: int, kernel, args: tuple, addrs: list,
+                  keep: bool):
     """One call, where the data lives: ``kernel(rank, p, source,
-    unused, log, *args)`` returns ``(answer, info)``; every PE returns
-    ``(answer, info, addresses used, log)``, the replicated answer only
-    from PE 0."""
+    unused, log, *args)`` returns ``(answer, info)``, or with ``keep``
+    ``(answer, info, table)``; every PE returns ``(answer, info,
+    addresses used, log)``, the replicated answer only from PE 0, and
+    with ``keep`` the table before it, to stay resident."""
     log: list = []
     unused = list(addrs)
-    answer, info = yield from kernel(rank, p, source, unused, log, *args)
-    return answer if rank == 0 else None, info, len(addrs) - len(unused), log
+    answer, info, *kept = yield from kernel(rank, p, source, unused, log, *args)
+    value = (answer if rank == 0 else None, info, len(addrs) - len(unused), log)
+    return (kept[0], value) if keep else value
 
 
-def run_pipeline(machine: Machine, source, kernel, args: tuple, n_addrs: int = 1):
+def _paired_cmd(rank: int, chunk, rider, *rest):
+    """:func:`_pipeline_cmd` over a resident chunk and this PE's rider,
+    which the kernel gets as the pair ``(chunk, rider)``."""
+    return _pipeline_cmd(rank, (chunk, rider), *rest)
+
+
+def run_pipeline(machine: Machine, source, kernel, args: tuple, n_addrs: int = 1,
+                 keep: bool = False):
     """Send ``kernel`` (a generator composed of the pieces above) as ONE
     worker command and replay its charges.  ``source`` is a resident
-    ref or a list with one value per PE, which rides the command.
-    Returns ``(answer, infos)``, ``infos[i]`` being PE ``i``'s ``info``.
+    ref (a dataset, or a table an earlier call kept), a list with one
+    value per PE, which rides the command, or the pair ``(ref, list)``,
+    the kernel then getting ``(chunk, value)``.  Returns ``(answer,
+    infos)``, ``infos[i]`` being PE ``i``'s ``info``.
+
+    With ``keep`` the kernel also returns a table, which stays where it
+    was made: the call returns ``(answer, infos, ref)``, and a later
+    call takes ``ref`` as its source instead of counting again.  The
+    command is then a :class:`~repro.machine.backends.base.PureStep`
+    (a kept table is never changed; the next state is a new ref), so
+    the ref lives in lineage and a lost pool rebuilds it.
 
     The call's ``n_addrs`` selection draw addresses are allocated here,
     in call order; a selection that draws takes the first unused one
@@ -283,20 +312,27 @@ def run_pipeline(machine: Machine, source, kernel, args: tuple, n_addrs: int = 1
     from.  A failed command keeps them all.
     """
     p = machine.p
+    ref, riders = source if isinstance(source, tuple) else (
+        (None, source) if isinstance(source, list) else (source, None))
+    if riders is not None and len(riders) != p:
+        raise ValueError(f"need one entry per PE, got {len(riders)} for p={p}")
     addrs = [machine.draw_addr() for _ in range(n_addrs)]
-    common = (p, kernel, args, addrs)
-    if isinstance(source, list):
-        if len(source) != p:
-            raise ValueError(f"need one entry per PE, got {len(source)} for p={p}")
-        refs, per_pe = [], [(part, *common) for part in source]
+    common = (p, kernel, args, addrs, keep)
+    cmd, refs = _pipeline_cmd, [] if ref is None else [ref]
+    if riders is None:
+        per_pe = [common] * p
     else:
-        refs, per_pe = [source], [common] * p
-    _, vals = machine.backend.run_spmd(_pipeline_cmd, refs, args=per_pe)
+        per_pe = [(rider, *common) for rider in riders]
+        if ref is not None:
+            cmd = _paired_cmd
+    outs, vals = machine.backend.run_spmd(
+        PureStep(cmd) if keep else cmd, refs, n_out=int(keep), args=per_pe)
     machine.replay_charges([log for *_, log in vals])
     answer, _, used, _ = vals[0]
     for addr in reversed(addrs[used:]):
         machine.give_back_addr(addr)
-    return answer, [info for _, info, _, _ in vals]
+    infos = [info for _, info, _, _ in vals]
+    return (answer, infos, outs[0]) if keep else (answer, infos)
 
 
 def array_key_dtype(data: DistArray) -> np.dtype:

@@ -16,12 +16,18 @@ keys and more for fat keys.  The price is collisions:
    which of its *local* keys map to a selected fingerprint and the
    (key, local count) lists are re-counted exactly -- splitting merged
    counts where two keys collided;
-4. if fewer than ``k*`` distinct keys survive resolution (too many
-   collisions ate the margin), double ``kappa`` and retry.
+4. if fewer than ``k*`` distinct keys were revealed, double ``kappa``
+   and retry, at most ``max_rounds`` rounds in all.  Every selected
+   fingerprint reveals at least the key it was counted from, so a
+   round reveals ``k* + kappa`` keys or every sampled key: with a
+   margin ``kappa >= 0`` one round always suffices, and collisions only
+   add keys.  Only a negative margin retries -- doubling makes it more
+   negative, so it runs all ``max_rounds`` rounds and reports
+   ``flat_suspected`` unless collisions reveal ``k*`` keys first.
 
 The paper observes that if frequent fingerprints are *dominated* by
 collisions, the distribution is flat and extra counting would not help
--- mirrored here by the bounded retry with a flat-distribution flag.
+-- mirrored here by the bounded loop and its flat-distribution flag.
 
 All four steps (and EC's exact pass) are one worker command: the
 fingerprint table is counted once, and every PE runs the same retry

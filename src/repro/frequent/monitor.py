@@ -19,11 +19,15 @@ one-shot-amortized monitor:
   ``eps' = eps + refresh_fraction``, since at most that fraction of
   mass arrived unobserved).
 
-A refresh is one worker command: the tables ride it, and sampling,
-counting and selection run in the workers.  The stream length is
-tracked where the batches arrive, so a cached answer costs no command.
-The only persistent state is the local tables (compare the distributed
-top-k data structure of Biermeier et al., arXiv 1709.07259).
+The tables stay resident between refreshes (compare the distributed
+top-k data structure of Biermeier et al., arXiv 1709.07259, which keeps
+its count state where it is counted).  Between refreshes each PE's
+arrivals are folded into a *delta* table on the driver; a refresh is
+one worker command that ships only the deltas, merges them into the
+resident tables, samples, counts and selects there, and outputs the
+merged tables as the next resident ref (in lineage, so a lost pool
+rebuilds it).  The stream length is tracked where the batches arrive,
+so a cached answer costs no command.
 """
 
 from __future__ import annotations
@@ -56,6 +60,25 @@ def _sample_counts(rank: int, table: Table, dtype, addr, v_avg: float, log: list
     sampled = (keys[drawn].astype(dtype, copy=False),
                units[drawn].astype(np.int64, copy=False))
     return sampled, int(units.sum())
+
+
+def _fold(held: Table | None, delta: Table) -> Table:
+    """A PE's resident table with its delta merged in, in the delta's
+    key dtype (the PE's stream dtype so far)."""
+    if held is None:
+        return delta
+    keys, counts = held
+    return merge_tables([(keys.astype(delta[0].dtype, copy=False), counts), delta])
+
+
+def _refresh_gen(rank: int, p: int, source, addrs: list, log: list, dtype,
+                 addr, v_avg: float, k: int):
+    """One refresh: fold the delta into the resident table, run the
+    pipeline over it and keep the merged table."""
+    table = _fold(*source)
+    answer, info, _ = yield from pipeline_gen(
+        rank, p, table, addrs, log, _sample_counts, (dtype, addr, v_avg), k)
+    return answer, info, table
 
 
 class StreamingTopKMonitor:
@@ -93,10 +116,13 @@ class StreamingTopKMonitor:
         self.eps = eps
         self.delta = delta
         self.refresh_fraction = refresh_fraction
-        #: per-PE ``(keys, counts)`` tables, keys ascending and in the
-        #: stream's own integer dtype (the only persistent stream state)
+        #: the per-PE ``(keys, counts)`` tables as of the last refresh,
+        #: resident (``None`` before the first)
+        self._held = None
+        #: per-PE arrivals since the last refresh, a table each whose
+        #: key dtype is the PE's stream dtype so far
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        self.tables: list[Table] = [empty] * machine.p
+        self._deltas: list[Table] = [empty] * machine.p
         self._local_total = [0] * machine.p
         self._n_at_last_query = 0
         self._cached: FrequentResult | None = None
@@ -120,16 +146,24 @@ class StreamingTopKMonitor:
             batch = np.asarray(batch)
             if batch.size == 0:
                 continue
-            keys, counts = self.tables[i]
+            keys, counts = self._deltas[i]
             dtype = integer_key_dtype(
-                [keys.dtype, batch.dtype] if keys.size else [batch.dtype]
+                [keys.dtype, batch.dtype] if self._local_total[i] else [batch.dtype]
             )
             log: list = []
             fresh = local_table(batch.astype(dtype, copy=False), log)
-            held = (keys.astype(dtype, copy=False), counts)
-            self.tables[i] = merge_tables([held, fresh])
+            self._deltas[i] = merge_tables([(keys.astype(dtype, copy=False), counts), fresh])
             self._local_total[i] += int(batch.size)
             self.machine.charge_ops_one(i, log[0][1])
+
+    @property
+    def tables(self) -> list[Table]:
+        """Per-PE ``(keys, counts)`` stream tables, keys ascending and in
+        the PE's stream dtype (the resident tables, fetched, with the
+        arrivals since the last refresh merged in)."""
+        held = ([None] * self.machine.p if self._held is None
+                else self.machine.backend.get_chunks(self._held))
+        return [_fold(h, d) for h, d in zip(held, self._deltas)]
 
     # ------------------------------------------------------------------
     @property
@@ -159,11 +193,17 @@ class StreamingTopKMonitor:
         target = min(target, float(n))
         v_avg = n / target
         # one key dtype for all tables: an empty one is int64
-        dtype = integer_key_dtype([keys.dtype for keys, _ in self.tables if keys.size])
-        (_, keys, counts, _, _), sizes = run_pipeline(
-            self.machine, self.tables, pipeline_gen,
-            (_sample_counts, (dtype, self.machine.draw_addr(), v_avg), self.k),
+        deltas = self._deltas
+        dtype = integer_key_dtype([
+            delta[0].dtype for delta, seen in zip(deltas, self._local_total) if seen])
+        source = ([(None, delta) for delta in deltas] if self._held is None
+                  else (self._held, deltas))
+        (_, keys, counts, _, _), sizes, self._held = run_pipeline(
+            self.machine, source, _refresh_gen,
+            (dtype, self.machine.draw_addr(), v_avg, self.k), keep=True,
         )
+        self._deltas = [(np.empty(0, dtype=delta[0].dtype), np.empty(0, dtype=np.int64))
+                        for delta in deltas]
         result = FrequentResult(
             items=tuple((key, c * v_avg) for key, c in zip(keys.tolist(), counts.tolist())),
             exact_counts=v_avg <= 1.0,

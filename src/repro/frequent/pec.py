@@ -97,7 +97,7 @@ def _zipf_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
         log.append(("allreduce", 1))
     h = harmonic_number(universe, s)
     rho = min(1.0, 4.0 * k**s * h * np.log(k / delta) / n)
-    answer, _ = yield from pipeline_gen(
+    answer, _, _ = yield from pipeline_gen(
         rank, p, chunk, addrs, log, sample_table, (dtype, sample_addr, rho),
         k_star, True, exact_counts_gen)
     return (answer, universe, h, rho), None

@@ -116,17 +116,18 @@ class LockstepError(ValueError):
 
 class PureStep(functools.partial):
     """An SPMD callback (a :func:`functools.partial`, called like one)
-    whose output chunks are a pure function of the command: no input
-    ref, no state but its per-PE args, and nothing mutates the outputs
-    afterwards (``DistArray.generate`` is the one in the package).
+    whose output chunks are a pure function of the command: no state
+    but its per-PE args and its input refs, and nothing mutates the
+    outputs afterwards (``DistArray.generate``, and the tables
+    ``repro.frequent.dht.run_pipeline`` keeps).
 
     The type is the promise.  A real backend records the command --
-    callback blob plus args, a few hundred bytes -- as the output's
-    whole lineage: a lost pool regenerates the ref and a read after
-    close re-runs it in process.  Because the outputs are immutable,
-    the promise also ends their lineage there: a later command that
-    only reads them records nothing.  In process it is just the
-    callable.
+    callback blob plus args, a few hundred bytes for ``generate`` --
+    and the inputs' lineage as the output's whole lineage: a lost pool
+    regenerates the ref and a read after close re-runs it in process.
+    Because the outputs are immutable, the promise also ends their
+    lineage there: a later command that only reads them records
+    nothing.  In process it is just the callable.
     """
 
 

@@ -7,8 +7,10 @@ worker command loop, resident chunk store, exchange schedules and the
 driver-side dispatch live in :mod:`repro.machine.backends.runtime`.
 What remains here is the *launch wiring* specific to a single host:
 
-* fork one daemon process per PE (``multiprocessing`` context,
-  ``start_method`` selectable);
+* fork one daemon process per PE (always the ``fork`` start method:
+  callbacks shipped by value resolve their globals in the worker's
+  copy of their module, which only a forked worker has as the driver
+  left it);
 * one :class:`~repro.machine.backends.transport.PipeChannel` inbox per
   worker plus a shared results channel -- pipes with a cross-process
   write lock, since every peer writes into every inbox;
@@ -152,13 +154,12 @@ class MultiprocessingBackend(RuntimeBackend):
         self,
         p: int,
         *,
-        start_method: str | None = None,
         shm_threshold: int | None | object = _UNSET,
         command_timeout: float | None = None,
         faults=None,
     ):
         super().__init__(p, command_timeout=command_timeout, faults=faults)
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self._workers: list = []
         # -- zero-copy payload lane ------------------------------------
         if shm_threshold is _UNSET:

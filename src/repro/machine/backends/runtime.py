@@ -91,9 +91,10 @@ live refs depend on, and a checkpoint bounds it: once a live ref has
 been the input of ``_LINEAGE_ENTRIES`` commands, or of
 ``_LINEAGE_BYTES`` bytes of args, since its birth or its last snapshot,
 one ``get`` fetches an owned copy and a ``put`` entry ends the ref's
-lineage.  :meth:`RuntimeBackend.recover` (run by the next command after
-a :class:`WorkerFailure`) replays it on a fresh pool; a read after
-``close()`` replays it in process.
+lineage; a pure output made from refs inherits their count, so a chain
+of such outputs is cut the same way.  :meth:`RuntimeBackend.recover`
+(run by the next command after a :class:`WorkerFailure`) replays it on
+a fresh pool; a read after ``close()`` replays it in process.
 """
 
 from __future__ import annotations
@@ -816,7 +817,9 @@ class RuntimeBackend(Backend):
         #: that only read them record nothing
         self._pure: set[int] = set()
         #: live mutable ref -> ``[entries, bytes]`` of the commands that
-        #: took it as an input since its birth or last snapshot
+        #: took it as an input since its birth or last snapshot; a
+        #: :class:`PureStep` output made from refs starts from the sum of
+        #: theirs plus its own command
         self._since: dict[int, list[int]] = {}
         #: frame bytes of the last command sent
         self._sent_bytes = 0
@@ -1307,9 +1310,19 @@ class RuntimeBackend(Backend):
             nbytes = self._sent_bytes
             self._record(("spmd", blob, in_ids, out_ids, locals_per_pe,
                           mutable, nbytes))
+            grown = list(mutable)
             if isinstance(fn, PureStep):
                 self._pure.update(out_ids)
-            for ref_id in mutable:
+                if in_ids:
+                    # a pure output made from refs carries their lineage:
+                    # a chain of them (a table each command replaces) is
+                    # bounded like one mutable ref
+                    weight = [sum(self._since.get(i, (0, 0))[j] for i in in_ids)
+                              for j in (0, 1)]
+                    for ref_id in out_ids:
+                        self._since[ref_id] = list(weight)
+                    grown += out_ids
+            for ref_id in grown:
                 since = self._since.setdefault(ref_id, [0, 0])
                 since[0] += 1
                 since[1] += nbytes

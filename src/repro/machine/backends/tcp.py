@@ -219,7 +219,6 @@ class TcpBackend(RuntimeBackend):
         bind: str | None = None,
         connect_timeout: float = _DEFAULT_CONNECT_TIMEOUT,
         register_timeout: float | None = None,
-        start_method: str | None = None,
         command_timeout: float | None = None,
         faults=None,
     ):
@@ -236,7 +235,8 @@ class TcpBackend(RuntimeBackend):
                 else connect_timeout
             )
         self._register_timeout = float(register_timeout)
-        self._ctx = multiprocessing.get_context(start_method)
+        # forked, as on mp: by-value callbacks need the driver's modules
+        self._ctx = multiprocessing.get_context("fork")
         self._workers: list = []
         self._local_ranks: list[int] = []
         #: registration-channel fd of each rank (dropped fd == dead rank)

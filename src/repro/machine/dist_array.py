@@ -112,6 +112,12 @@ def generate_resident(
     return refs[0], [meta for meta, _ in metas]
 
 
+def _chunks_dtype(dtypes: Sequence, sizes: Sequence[int]) -> np.dtype:
+    """An array's dtype: its first non-empty chunk's (an empty chunk's
+    dtype says nothing about the data; chunk 0's if all are empty)."""
+    return np.dtype(next((d for d, n in zip(dtypes, sizes) if n), dtypes[0]))
+
+
 def _require_1d(rank: int, shape: tuple) -> None:
     if len(shape) != 1:
         raise ValueError(
@@ -176,7 +182,7 @@ class DistArray:
                 _require_1d(i, c.shape)
             self._chunks: list[np.ndarray] | None = arr
             self._sizes = np.array([c.size for c in arr], dtype=np.int64)
-            self._dtype = arr[0].dtype
+            self._dtype = _chunks_dtype([c.dtype for c in arr], self._sizes)
             self._ref: ChunkRef | None = None
             if resident:
                 self._ensure_ref()
@@ -202,7 +208,8 @@ class DistArray:
         if self._chunks is None:
             self._chunks = list(self.machine.backend.get_chunks(self._ref))
             if self._chunks and hasattr(self._chunks[0], "dtype"):
-                self._dtype = self._chunks[0].dtype
+                self._dtype = _chunks_dtype(
+                    [c.dtype for c in self._chunks], [c.size for c in self._chunks])
         return self._chunks
 
     def _map_resident(
@@ -273,9 +280,10 @@ class DistArray:
         ref, metas = generate_resident(machine, partial(_shaped_chunk, make_chunk))
         for i, (shape, _) in enumerate(metas):
             _require_1d(i, shape)
+        sizes = [shape[0] for shape, _ in metas]
         return cls(
-            machine, ref=ref, sizes=[shape[0] for shape, _ in metas],
-            dtype=metas[0][1],
+            machine, ref=ref, sizes=sizes,
+            dtype=_chunks_dtype([dtype for _, dtype in metas], sizes),
         )
 
     @classmethod
@@ -327,9 +335,10 @@ class DistArray:
         """
         refs, metas, _ = self._map_resident(_measured_wrapper(fn), n_out=1)
         self.machine.charge_ops(self._sizes.astype(np.float64) * ops_per_elem)
+        sizes = [m[0] for m in metas]
         return DistArray(
-            self.machine, ref=refs[0],
-            sizes=[m[0] for m in metas], dtype=np.dtype(metas[0][1]),
+            self.machine, ref=refs[0], sizes=sizes,
+            dtype=_chunks_dtype([m[1] for m in metas], sizes),
         )
 
     def sort_local(self) -> "DistArray":

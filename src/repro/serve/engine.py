@@ -14,10 +14,16 @@ query (``select``, ``quantile``, ``topk``) of a batch that targets the
 same dataset contributes its target ranks to one ``multi_select`` call,
 which resolves them all with a single shared recursion -- one fused
 sample allgather and one fused count reduction per level instead of one
-per query.  ``frequent`` queries on one dataset share a single exact
-counting pass at the batch's largest ``k``; each is answered with the
-prefix its own ``k`` asks for (the order -- count descending, key
-ascending -- is total, so a smaller top-k is a prefix of a larger one).
+per query.  ``frequent`` queries on one dataset share one command at
+the batch's largest ``k``; each is answered with the prefix its own
+``k`` asks for (the order -- count descending, key ascending -- is
+total, so a smaller top-k is a prefix of a larger one).  A dataset
+never changes, so its keys are counted and exchanged once: the first
+``frequent`` command leaves the owner tables resident
+(:func:`~repro.frequent.count_table_top_k`) and every later one only
+selects from them (:func:`~repro.frequent.top_k_from_table`).  The
+tables are a command's output, so a pool recovery rebuilds them from
+lineage like the datasets.
 
 Supported query dicts (``dataset`` defaults to ``"default"``)::
 
@@ -136,6 +142,9 @@ class QueryEngine:
         self.query_deadline = (
             float(query_deadline) if query_deadline else None
         )
+        #: dataset name -> its resident exact count table, made by the
+        #: dataset's first frequent command
+        self._tables: dict = {}
         self.stats = {"queries": 0, "batches": 0, "fused_commands": 0,
                       "max_batch_size": 0, "worker_failures": 0,
                       "rebuilds": 0, "overloads": 0, "expired": 0}
@@ -383,16 +392,21 @@ class QueryEngine:
 
     def _run_frequent_group(self, name: str,
                             items: list[tuple[int, _Pending]]) -> None:
-        """ONE exact counting pass at the largest ``k`` shared by every
-        frequent query on the dataset.  The result order (count desc,
-        key asc) is total, so a smaller ``k``'s answer is a prefix."""
-        from ..frequent import top_k_frequent_exact
+        """ONE command at the largest ``k`` shared by every frequent
+        query on the dataset: the first counts the dataset and keeps its
+        table, later ones select from the table.  The result order
+        (count desc, key asc) is total, so a smaller ``k``'s answer is a
+        prefix."""
+        from ..frequent import count_table_top_k, top_k_from_table
 
-        data = self.datasets[name]
+        k = max(k for k, _ in items)
         try:
-            res = top_k_frequent_exact(
-                self.machine, data, max(k for k, _ in items)
-            )
+            table = self._tables.get(name)
+            if table is None:
+                res, self._tables[name] = count_table_top_k(
+                    self.machine, self.datasets[name], k)
+            else:
+                res = top_k_from_table(self.machine, table, k)
         except Exception as exc:
             for _, item in items:
                 item.future.set_exception(exc)

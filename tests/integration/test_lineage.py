@@ -52,6 +52,34 @@ def _trees(q):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", REAL)
+def test_a_chain_of_kept_tables_is_cut_like_a_mutable_ref(backend):
+    """Each monitor refresh outputs a new resident table made from the
+    last: the chain's lineage inherits the bound, so it is snapshotted
+    instead of growing with the number of refreshes."""
+    from repro.frequent import StreamingTopKMonitor
+
+    sim = Machine(p=2, seed=64)
+    real = Machine(p=2, seed=64, backend=backend)
+    try:
+        mons = [StreamingTopKMonitor(m, k=4) for m in (sim, real)]
+        for i in range(_LINEAGE_ENTRIES + 6):
+            for m, mon in zip((sim, real), mons):
+                mon.ingest([np.random.default_rng([i, r]).integers(0, 50, 40)
+                            for r in range(2)])
+            assert mons[1].top_k(force=True) == mons[0].top_k(force=True)
+            kept = real.backend._lineage_of(real.backend._live_ids)
+            assert len(kept) <= _LINEAGE_ENTRIES
+        assert kept[0][0] == "put" and len(kept) < 10  # cut once, near the end
+        assert _model(real) == _model(sim)
+        real.backend.recover()
+        for (k_s, c_s), (k_r, c_r) in zip(mons[0].tables, mons[1].tables):
+            assert k_s.tolist() == k_r.tolist() and c_s.tolist() == c_r.tolist()
+    finally:
+        real.close()
+        sim.close()
+
+
+@pytest.mark.parametrize("backend", REAL)
 def test_queue_lineage_stays_bounded_and_equal_to_sim(backend):
     sim = Machine(p=2, seed=61)
     real = Machine(p=2, seed=61, backend=backend)

@@ -13,7 +13,10 @@ addresses and the whole model, the model and draw addresses against a
 golden table (sim == mp cannot see drift both share), the charge log
 against the collectives the workers actually yield, refused overrides,
 lockstep verification over the long collective trace, and bit-identical
-lineage replay.
+lineage replay.  The tables a call keeps resident (the exact count
+table ``repro serve`` queries, the monitor's stream tables) are held the
+same way: the call that makes one, a query over it and a refresh that
+ships only the arrivals since the last.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ from repro.aggregation import DistKeyValue, top_k_sums_ec, top_k_sums_pac
 from repro.common import zipf_sample
 from repro.frequent import (
     StreamingTopKMonitor,
+    count_table_top_k,
     dsbf_top_candidates,
     top_k_frequent_adaptive,
     top_k_frequent_ec,
@@ -31,6 +35,7 @@ from repro.frequent import (
     top_k_frequent_pac,
     top_k_frequent_pec,
     top_k_frequent_pec_zipf,
+    top_k_from_table,
 )
 from repro.machine import DistArray, FaultPlan, Machine, WorkerFailure
 from repro.machine.backends import base
@@ -63,6 +68,19 @@ def _monitor(machine):
     mon = StreamingTopKMonitor(machine, k=8, eps=0.05, delta=1e-3)
     mon.ingest([zipf_sample(g, N, universe=1 << 10, s=1.1) for g in machine.rngs])
     return mon
+
+
+def _monitor_delta(machine):
+    # refreshed once, then a quarter more arrives: the next refresh
+    # ships only that quarter
+    mon = _monitor(machine)
+    mon.top_k()
+    mon.ingest([zipf_sample(g, N // 4, universe=1 << 10, s=1.1) for g in machine.rngs])
+    return mon
+
+
+def _table(machine):
+    return count_table_top_k(machine, _keys(machine), 8)[1]
 
 
 def _kv(machine):
@@ -106,6 +124,12 @@ CASES = {
     # a negative margin: every resolution round retries
     "dsbf_retry": (_samples, lambda m, d: dsbf_top_candidates(m, d, 24, kappa0=-1)),
     "monitor": (_monitor, lambda m, mon: mon.top_k(force=True)),
+    "monitor_delta": (_monitor_delta, lambda m, mon: mon.top_k(force=True)),
+    # the exact call that keeps its owner tables, then queries over them
+    "exact_table": (_keys, lambda m, d: count_table_top_k(m, d, 8)[0]),
+    "table_query": (_table, lambda m, t: top_k_from_table(m, t, 8)),
+    # k covers every entry: nothing is drawn, the address goes back
+    "table_query_all": (_table, lambda m, t: top_k_from_table(m, t, 2000)),
 }
 GOLDEN_SEED = 1502
 
@@ -121,6 +145,9 @@ GOLDEN_SEED = 1502
 #: since only by the second selection PEC no longer runs (its answer is
 #: the head's prefix; one draw address fewer) and by the size
 #: all-reduction a later selection over the same table no longer repeats.
+#: The kept-table rows (``exact_table``, ``table_query*``,
+#: ``monitor_delta``) were recorded where those calls were added;
+#: ``exact_table`` equals ``exact``, whose charges it shares.
 GOLDEN = {
     "adaptive": {
         1: (0.0, 0, 0.0001037647037525157, 3),
@@ -163,6 +190,13 @@ GOLDEN = {
         3: (592.0, 20, 3.759521800639428e-05, 2),
         4: (637.0, 24, 4.32418415647233e-05, 2),
         8: (570.0, 42, 7.109803978688199e-05, 2),
+    },
+    "monitor_delta": {
+        1: (0.0, 0, 4.394987384881093e-06, 4),
+        2: (488.0, 8, 1.8171259236619106e-05, 4),
+        3: (584.0, 16, 3.179300393702765e-05, 4),
+        4: (615.0, 22, 4.020256769995725e-05, 4),
+        8: (520.0, 30, 5.2683509775004324e-05, 4),
     },
     "pec": {
         1: (0.0, 0, 0.00011713284104840029, 2),
@@ -219,6 +253,27 @@ GOLDEN = {
         3: (868.0, 28, 0.0001456438722960211, 1),
         4: (1075.0, 32, 0.00015129568072610523, 1),
         8: (1316.0, 33, 0.00015410823820241355, 1),
+    },
+    "exact_table": {
+        1: (0.0, 0, 9.960101309168409e-05, 1),
+        2: (641.0, 16, 0.0001256043516090534, 1),
+        3: (868.0, 28, 0.0001456438722960211, 1),
+        4: (1075.0, 32, 0.00015129568072610523, 1),
+        8: (1316.0, 33, 0.00015410823820241355, 1),
+    },
+    "table_query": {
+        1: (0.0, 0, 2.9539097750043273e-06, 2),
+        2: (39.0, 7, 1.4985446421481677e-05, 2),
+        3: (59.0, 14, 2.615812601015871e-05, 2),
+        4: (68.0, 32, 5.290522286534332e-05, 2),
+        8: (68.0, 39, 6.399381928094888e-05, 2),
+    },
+    "table_query_all": {
+        1: (0.0, 0, 0.0, 1),
+        2: (804.0, 1, 2.7752e-06, 1),
+        3: (1750.0, 2, 4.8816e-06, 1),
+        4: (1434.0, 2, 5.2368e-06, 1),
+        8: (1858.0, 3, 7.328e-06, 1),
     },
     "pac": {
         1: (0.0, 0, 3.047921693949829e-05, 2),
@@ -355,8 +410,10 @@ def _charged_collectives(log):
 
 
 #: calls whose command takes a scalar all-reduction besides the table
-#: size's: adaptive's probe size and PEC-Zipf's universe probe
-SCALAR_REDUCTIONS = {"adaptive": 2, "adaptive_stop": 2, "pec_zipf_probed": 2}
+#: size's (adaptive's probe size and PEC-Zipf's universe probe), and
+#: the queries over a kept table, whose size is already replicated
+SCALAR_REDUCTIONS = {"adaptive": 2, "adaptive_stop": 2, "pec_zipf_probed": 2,
+                     "table_query": 0, "table_query_all": 0}
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -459,7 +516,8 @@ def test_lockstep_verification_covers_the_one_command(backend):
     table's sendrecv hops, the size, the selection's levels, the winner
     exchange -- and the check changes no result and no model."""
     for name in ("pac", "ec_sel", "sums_ec_sel", "ams", "pec", "pec_zipf_probed",
-                 "adaptive", "dsbf_sel", "dsbf_retry", "monitor"):
+                 "adaptive", "dsbf_sel", "dsbf_retry", "monitor", "monitor_delta",
+                 "exact_table", "table_query"):
         sim = Machine(p=4, seed=83)
         real = Machine(p=4, seed=83, backend=backend)
         with real:
@@ -507,3 +565,67 @@ def test_death_in_the_one_command_then_lineage_replay(backend):
     finally:
         faulty.close()
         oracle.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", ["table_query", "monitor_delta"])
+def test_death_under_a_kept_table_then_lineage_replay(backend, name):
+    """A worker dying in the command that reads a kept table loses the
+    table with it; the retry rebuilds the pool, replays the table's
+    lineage (the dataset, the command that counted it or every refresh
+    that merged a delta) and answers as an undisturbed machine does."""
+    build, call = CASES[name]
+    with Machine(p=2, seed=88, backend=backend) as scratch:
+        call(scratch, build(scratch))
+        kill_seq = scratch.backend._seq  # the call's one command
+
+    oracle = Machine(p=2, seed=88)
+    faulty = Machine(
+        p=2, seed=88, backend=backend,
+        faults=FaultPlan().kill(1, seq=kill_seq, phase="before"),
+        command_timeout=10,
+    )
+    try:
+        d_o, d_f = build(oracle), build(faulty)
+        with pytest.raises(WorkerFailure):
+            call(faulty, d_f)
+        call(oracle, d_o)  # the failed command kept its addresses
+        assert faulty._rng_seq == oracle._rng_seq
+        oracle.reset(), faulty.reset()
+        assert call(faulty, d_f) == call(oracle, d_o)
+        assert faulty.backend.recoveries == 1
+        assert _model(faulty) == _model(oracle)
+        if name == "monitor_delta":
+            assert [t[0].tolist() for t in d_f.tables] == [t[0].tolist() for t in d_o.tables]
+    finally:
+        faulty.close()
+        oracle.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_monitor_refresh_ships_only_its_delta(backend):
+    """A refresh sends the arrivals since the last one, not the tables:
+    its command's bytes are bounded by the delta tables, far below the
+    first refresh's, and the merged tables equal sim's."""
+    def sent(m):
+        return sum(v["wire"] + v["shm"] for v in m.backend.transport_bytes().values())
+
+    sim = Machine(p=2, seed=89)
+    with Machine(p=2, seed=89, backend=backend) as real:
+        mons = []
+        for m in (sim, real):
+            mon = StreamingTopKMonitor(m, k=8, eps=0.05, delta=1e-3)
+            mon.ingest([zipf_sample(g, 40_000, universe=1 << 16, s=1.1) for g in m.rngs])
+            mons.append(mon)
+        b0 = sent(real)
+        assert mons[1].top_k() == mons[0].top_k()
+        b1 = sent(real)
+        for m, mon in zip((sim, real), mons):
+            mon.ingest([zipf_sample(g, 2_000, universe=1 << 16, s=1.1) for g in m.rngs])
+        delta = sum(keys.nbytes + counts.nbytes for keys, counts in mons[1]._deltas)
+        assert mons[1].top_k(force=True) == mons[0].top_k(force=True)
+        b2 = sent(real)
+        assert b2 - b1 <= delta + 4096
+        assert 5 * (b2 - b1) < b1 - b0
+        for (k_s, c_s), (k_r, c_r) in zip(mons[0].tables, mons[1].tables):
+            assert k_s.tolist() == k_r.tolist() and c_s.tolist() == c_r.tolist()

@@ -135,6 +135,44 @@ class TestQueryEngine:
         finally:
             engine.close()
 
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_a_later_frequent_query_only_selects(self, backend, monkeypatch):
+        """The first frequent query on a dataset counts and exchanges
+        its keys and keeps the owner tables; a later one is one command
+        that charges what a lone exact call charges minus the local
+        count, the hash-table rounds and the size's all-reduction, and
+        answers as that call does."""
+        from repro.frequent import top_k_frequent_exact
+
+        def capture(machine):
+            logs = []
+            replay = machine.replay_charges
+            monkeypatch.setattr(machine, "replay_charges",
+                                lambda per_pe: (logs.append(per_pe[0]), replay(per_pe)))
+            return logs
+
+        with Machine(p=4, seed=99) as m:
+            keys = default_datasets(m, 2000)["keys"]
+            lone = capture(m)
+            want = [[[int(key), float(c)]
+                     for key, c in top_k_frequent_exact(m, keys, k).items]
+                    for k in (8, 4)]
+        machine = Machine(p=4, seed=99, backend=backend)
+        engine = QueryEngine(machine, default_datasets(machine, 2000), batch_window=0)
+        logs = capture(machine)
+        try:
+            assert engine.query(op="frequent", k=8, dataset="keys") == want[0]
+            sends = machine.backend.driver_sends if backend != "sim" else 0
+            assert engine.query(op="frequent", k=4, dataset="keys") == want[1]
+            if backend != "sim":
+                assert machine.backend.driver_sends == sends + 1
+        finally:
+            engine.close()
+        assert logs[0] == lone[0]
+        # p = 4: the count's ops, two hash-table rounds, the size
+        assert [e[0] for e in lone[1][:4]] == ["ops", "dht_round", "dht_round", "allreduce"]
+        assert logs[1] == lone[1][4:]
+
     def test_quantile_q_must_be_a_number(self):
         values, _ = _oracle()
         n = values.size

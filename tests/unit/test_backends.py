@@ -100,6 +100,19 @@ class TestRegistry:
         assert exc.value.code == 2
         assert "--pipeline-depth" in capsys.readouterr().err
 
+    def test_workers_are_always_forked(self):
+        # by-value callbacks resolve their globals in the worker's copy
+        # of their module: the launchers pin fork and take no start
+        # method (the default differs between Python versions)
+        for cls in (MultiprocessingBackend, TcpBackend):
+            with pytest.raises(TypeError, match="start_method"):
+                cls(2, start_method="spawn")
+            backend = cls(2)
+            try:
+                assert backend._ctx.get_start_method() == "fork"
+            finally:
+                backend.close()
+
     def test_retired_journal_and_rebuild_rejected(self, capsys):
         # lineage is always recorded and the next command after a
         # failure recovers: there is no journal to switch on and no

@@ -53,3 +53,29 @@ class TestOps:
         s = d.sort_local()
         for c in s.chunks:
             assert np.all(np.diff(c) >= 0)
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+def test_dtype_comes_from_the_first_non_empty_chunk(backend):
+    """An empty int64 chunk in front says nothing about uint64 keys at
+    or above 2**63: the constructor, the read-back, ``map_chunks`` and
+    ``generate`` all take the data's dtype, and the exact top-k of both
+    layouts is the same uint64 answer."""
+    from repro.frequent import top_k_frequent_exact
+
+    big = (2**63 + np.arange(4, dtype=np.uint64)).repeat([4, 3, 2, 1])
+    empty = np.empty(0, dtype=np.int64)
+    want = tuple((2**63 + j, float(4 - j)) for j in range(3))
+    with Machine(p=2, seed=3, backend=backend) as m:
+        for chunks in ([empty, big], [big, empty]):
+            data = DistArray(m, chunks, resident=True)
+            assert data.dtype == np.uint64
+            assert top_k_frequent_exact(m, data, 3).items == want
+            assert data.map_chunks(lambda r, c: c + np.uint64(1)).dtype == np.uint64
+            fresh = DistArray(m, ref=data._ref, sizes=data.sizes(), dtype=np.int64)
+            assert fresh.chunks[0].size + fresh.chunks[1].size == big.size
+            assert fresh.dtype == np.uint64
+        made = DistArray.generate(
+            m, lambda r, g: big if r else np.empty(0, dtype=np.int64))
+        assert made.dtype == np.uint64
+        assert top_k_frequent_exact(m, made, 3).items == want

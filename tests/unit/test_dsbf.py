@@ -14,6 +14,7 @@ from repro.frequent import (
     top_k_frequent_ec,
     top_k_frequent_ec_dsbf,
 )
+from repro.frequent.dsbf import MAX_ROUNDS
 from repro.kernels import fingerprint32
 from repro.machine import DistArray, Machine
 
@@ -69,6 +70,26 @@ class TestCandidates:
         boundary = oracle[31][1]
         must_have = {key for key, c in oracle if c > boundary}
         assert must_have <= {key for key, _ in cands}
+
+    @pytest.mark.parametrize("kappa0", [0, 1])
+    def test_a_non_negative_margin_resolves_in_one_round(self, machine8, rng, kappa0):
+        """Every selected fingerprint reveals at least its own key, so
+        ``k_star + kappa0 >= k_star`` keys come back in the first round:
+        the retry never runs and the margin never doubles."""
+        samples = [rng.integers(0, 400, 3000) for _ in range(8)]
+        cands, stats = dsbf_top_candidates(machine8, samples, 32, kappa0=kappa0)
+        assert (stats.rounds, stats.kappa, stats.flat_suspected) == (1, kappa0, False)
+        assert len(cands) == 32
+
+    def test_a_negative_margin_retries_and_flags_flat(self, machine8, rng):
+        """Only a negative margin reveals fewer than ``k_star`` keys;
+        doubling it makes it more negative, so every round retries and
+        the loop ends at its bound with ``flat_suspected``."""
+        samples = [rng.integers(0, 400, 3000) for _ in range(8)]
+        cands, stats = dsbf_top_candidates(machine8, samples, 32, kappa0=-1)
+        assert (stats.rounds, stats.kappa, stats.flat_suspected) == (
+            MAX_ROUNDS, -(2 ** (MAX_ROUNDS - 1)), True)
+        assert len(cands) == 32 - 2 ** (MAX_ROUNDS - 1)
 
 
 class TestEcDsbf:

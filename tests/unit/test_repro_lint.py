@@ -350,11 +350,13 @@ class TestRL002:
     @pytest.mark.parametrize("name", ["run_pipeline"])
     def test_fires_on_dict_view_into_hash_table_call(self, name):
         # run_pipeline carries a per-PE source list into one command,
-        # whether spelled f(machine, ...) or machine.f(...)
-        for call in (f"{name}(machine, tables)", f"machine.{name}(tables)"):
+        # whether spelled f(machine, ...) or machine.f(...), alone or
+        # riding beside a kept table's ref
+        for call in (f"{name}(machine, tables)", f"machine.{name}(tables)",
+                     f"{name}(machine, (ref, tables))"):
             found = hits(
                 f"""
-                def run(machine, counts):
+                def run(machine, counts, ref):
                     tables = [list(d.items()) for d in counts]
                     return {call}
                 """,
