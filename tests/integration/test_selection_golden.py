@@ -7,7 +7,9 @@ modeled-cost tuple of ``report()`` and the draw addresses allocated
 (``Machine._rng_seq``) of ``select_kth``, ``multi_select``,
 ``select_topk_smallest`` and ``top_k_frequent_pac`` at p in {1, 2, 3, 4,
 8} over uniform, duplicate-heavy, all-equal and empty-PE inputs,
-recorded at c838fc2 on sim.  Regenerate (``python
+recorded at c838fc2 on sim.  The ``multi_select_topk`` (a top-8 block)
+and ``multi_select_ends`` (two ranks at each end) rows hold calls whose
+every rank sits at an end of the data; they were added at 92e3f43.  Regenerate (``python
 tests/integration/test_selection_golden.py``) only when a result or cost
 change is intended, and from the parent of that change.
 """
@@ -58,9 +60,19 @@ def _ranks(n):
     return [1, n // 4, n // 2, n // 2 + 1, n]
 
 
+def _top_block(n):
+    return list(range(n - 7, n + 1))  # serve's smallest top-k block
+
+
+def _both_ends(n):
+    return [1, 5, n - 4, n]
+
+
 ALGOS = {
     "select_kth": lambda m, d: select_kth(m, d, d.global_size // 3 + 1),
     "multi_select": lambda m, d: multi_select(m, d, _ranks(d.global_size)),
+    "multi_select_topk": lambda m, d: multi_select(m, d, _top_block(d.global_size)),
+    "multi_select_ends": lambda m, d: multi_select(m, d, _both_ends(d.global_size)),
     "select_topk_smallest": _topk,
     "top_k_frequent_pac": _pac,
 }
