@@ -92,7 +92,8 @@ been the input of ``_LINEAGE_ENTRIES`` commands, or of
 ``_LINEAGE_BYTES`` bytes of args, since its birth or its last snapshot,
 one ``get`` fetches an owned copy and a ``put`` entry ends the ref's
 lineage; a pure output made from refs inherits their count, so a chain
-of such outputs is cut the same way.  :meth:`RuntimeBackend.recover`
+of such outputs is cut the same way (the cut entries are dropped once
+the caller frees the chain's previous link).  :meth:`RuntimeBackend.recover`
 (run by the next command after a :class:`WorkerFailure`) replays it on
 a fresh pool; a read after ``close()`` replays it in process.
 """
@@ -821,6 +822,9 @@ class RuntimeBackend(Backend):
         #: :class:`PureStep` output made from refs starts from the sum of
         #: theirs plus its own command
         self._since: dict[int, list[int]] = {}
+        #: live inputs of a command whose output was just snapshotted:
+        #: the cut chain ends in them, so it is pruned when one is freed
+        self._cut_inputs: set[int] = set()
         #: frame bytes of the last command sent
         self._sent_bytes = 0
         #: the failure that broke the pool (None = healthy)
@@ -1037,12 +1041,15 @@ class RuntimeBackend(Backend):
         self._lineage = self._lineage_of(self._live_ids)
         self._unpruned = [0, 0]
 
-    def _snapshot(self, ref_id: int) -> None:
+    def _snapshot(self, ref_id: int, in_ids: tuple) -> None:
         """Cut a live ref's lineage: fetch an owned copy of its chunks
         (not aliasing any shm segment) and record it as a ``put``.  A
         pool that fails under the fetch is left broken for the next
         command to recover; the command that triggered this is already
-        recorded, so nothing is lost."""
+        recorded, so nothing is lost.  The cut entries go at the next
+        prune: now, or -- while the caller still holds ``in_ids``, the
+        inputs of the command that made the ref (a monitor's previous
+        table) -- when it frees one of them."""
         rx0 = self._results.wire_rx + self._results.shm_rx
         try:
             chunks = copy.deepcopy(self._run(("get", ref_id), [None] * self.p))
@@ -1051,7 +1058,11 @@ class RuntimeBackend(Backend):
         nbytes = self._results.wire_rx + self._results.shm_rx - rx0
         self._lineage.append(("put", ref_id, chunks, nbytes))
         del self._since[ref_id]
-        self._prune()
+        held = self._live_ids.intersection(in_ids) - {ref_id}
+        if held:
+            self._cut_inputs |= held
+        else:
+            self._prune()
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety
         try:
@@ -1238,6 +1249,9 @@ class RuntimeBackend(Backend):
         self._pure.discard(ref_id)
         self._since.pop(ref_id, None)
         self._dead_refs.append(ref_id)
+        if ref_id in self._cut_inputs:
+            self._cut_inputs.discard(ref_id)
+            self._prune()
 
     def put_chunks(self, chunks: Sequence) -> ChunkRef:
         if len(chunks) != self.p:
@@ -1327,7 +1341,7 @@ class RuntimeBackend(Backend):
                 since[0] += 1
                 since[1] += nbytes
                 if since[0] >= _LINEAGE_ENTRIES or since[1] > _LINEAGE_BYTES:
-                    self._snapshot(ref_id)
+                    self._snapshot(ref_id, in_ids)
         return out_refs, self._settle(results, seq)
 
     def submit_spmd(

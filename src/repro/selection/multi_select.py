@@ -27,6 +27,24 @@ to its slice and loops over levels in place; one level is two
   counts are replicated -- derives the next level's segment records
   identically on every rank.
 
+**Generalized base case.**  A segment of global size ``n > base_case``
+whose ranks all lie within ``T = max(1, base_case // (2 ceil(log2
+p)))`` of its bottom or its top (rank ``k <= T`` or ``n - k < T``;
+``T`` = 32 at p <= 2) does not halve its way down to the base case.
+It draws nothing and adds nothing to the sample allgather; each PE's
+``w_lo`` smallest and ``w_hi`` largest elements (``w_lo`` the deepest
+bottom rank, ``w_hi`` the deepest top rank counted from the top) ride
+the level's part-count all-reduction, whose one callable op adds the
+counts and keep-width merges each end block, and the ranks are read
+off the merged blocks -- the textbook keep-k merge reduction, at most
+``2 T ceil(log2 p)`` words, which is a base case's worth.  So a top-k
+block, rank 1 or a quantile near 0 or 1 costs one all-reduction, and a
+deep segment whose ranks land near its edge finishes a level early.
+The one-rank :func:`~repro.selection.unsorted.select_kth_gen` keeps
+Algorithm 1 throughout (the frequent pipelines select their threshold
+through it, where a duplicate pivot ends a count multiset's recursion
+for fewer words).
+
 A level counts first and copies last: the sample half only *counts* a
 segment's three parts around the pivot pair
 (:func:`~repro.kernels.partition_count`); the count half, once the
@@ -36,8 +54,12 @@ rank-free part copy nothing).  Theorem 1 charges ``O(n/p)`` per level;
 the wall cost is now one mask pass plus one copy of what survives.
 
 So a call costs one driver send and one result per PE, whatever the
-recursion depth, and each level costs the two ``O(beta m + alpha log
-p)`` collectives Theorem 1 charges.  Only the results and each PE's
+recursion depth, and each level costs at most the two ``O(beta m +
+alpha log p)`` collectives Theorem 1 charges: the allgather (skipped
+when every segment of the level finishes at its ends) and the
+all-reduction, charged ``len(counts) + sum(w_lo + w_hi)`` words.  The
+end pass is charged ``("ops", local size)`` at its segment's place in
+the sample half.  Only the results and each PE's
 charge log return (its sample words, local work and count words, in
 the order a step-by-step driver would have charged them); the driver
 replays the log in one :meth:`~repro.machine.Machine.replay_charges`
@@ -76,34 +98,94 @@ __all__ = ["multi_select", "quantiles"]
 # lockstep without a driver round trip).
 
 
+def _end_reach(p: int, base_case: int) -> int:
+    """``T``: how near an end of its segment every rank must sit for the
+    segment to finish by keep-width merging.  A PE's end blocks hold at
+    most ``2 T`` words and ride ``ceil(log2 p)`` rounds, so the merge
+    adds at most a base case's worth of words to the all-reduction."""
+    return max(1, base_case // (2 * max(1, (p - 1).bit_length())))
+
+
+def _end_widths(ranks: tuple, n: int, reach: int):
+    """``(w_lo, w_hi)`` when every one of the ascending ``ranks`` lies
+    within ``reach`` of the bottom or the top of a segment of global
+    size ``n``: the number of smallest / largest elements that hold
+    them.  ``None`` when a rank lies deeper."""
+    low = [k for k in ranks if k <= reach]
+    high = ranks[len(low):]
+    if high and n - high[0] >= reach:
+        return None
+    return (low[-1] if low else 0), (n - high[0] + 1 if high else 0)
+
+
+def _local_ends(arr: np.ndarray, w_lo: int, w_hi: int):
+    """This PE's ``w_lo`` smallest and ``w_hi`` largest elements, each
+    sorted (all of them where the slice holds fewer)."""
+    size = int(arr.size)
+    lo = arr[:0] if w_lo == 0 else np.sort(
+        arr if size <= w_lo else np.partition(arr, w_lo - 1)[:w_lo])
+    hi = arr[:0] if w_hi == 0 else np.sort(
+        arr if size <= w_hi else np.partition(arr, size - w_hi)[size - w_hi:])
+    return lo, hi
+
+
+def _keep(a: np.ndarray, b: np.ndarray, width: int, top: bool) -> np.ndarray:
+    """The ``width`` smallest (or largest) of two sorted end blocks."""
+    if not a.size:
+        return b
+    if not b.size:
+        return a
+    both = np.sort(np.concatenate((a, b)))
+    return both[max(0, both.size - width):] if top else both[:width]
+
+
+def _counts_and_ends(a: tuple, b: tuple) -> tuple:
+    """The level's all-reduction op: the split segments' part counts
+    add, and each finishing segment's end blocks keep their width of
+    the merged smallest / largest elements."""
+    (counts_a, ends_a), (counts_b, ends_b) = a, b
+    return counts_a + counts_b, [
+        (w_lo, _keep(lo_a, lo_b, w_lo, False), w_hi, _keep(hi_a, hi_b, w_hi, True))
+        for (w_lo, lo_a, w_hi, hi_a), (_, lo_b, _, hi_b) in zip(ends_a, ends_b)
+    ]
+
+
 def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
                       force: bool, log: list):
     """Sample-extract half of one recursion level.
 
-    Draws each split segment's Bernoulli sample indices in place from
-    ``gen``, the command's handle at the level's address
-    ``addr.local(rank, draw=level)`` (the whole multiselection owns one
-    draw sequence; the level index subdivides it, so the data-dependent
-    depth never perturbs a later caller's draws).  All samples -- and
-    finishing segments' full residual content -- ride ONE in-worker
-    allgather as one packed message per rank: their concatenation in
-    segment order plus the list of their sizes, which the receivers cut
-    back into views.  Pivots are computed replicated and each split
-    segment's local part counts and marks (not the parts) handed to the
-    count half.
+    A segment larger than the base case whose ranks all lie within
+    :func:`_end_reach` of its ends draws nothing and sends nothing
+    here: its local end blocks are cut out for the count half's
+    all-reduction.  Every other segment draws its Bernoulli sample
+    indices in place from ``gen``, the command's handle at the level's
+    address ``addr.local(rank, draw=level)`` (the whole multiselection
+    owns one draw sequence; the level index subdivides it, so the
+    data-dependent depth never perturbs a later caller's draws).  All
+    samples -- and finishing segments' full residual content -- ride ONE
+    in-worker allgather as one packed message per rank: their
+    concatenation in segment order plus the list of their sizes, which
+    the receivers cut back into views.  A level whose every segment
+    finishes at its ends skips the allgather.  Pivots are computed
+    replicated and each split segment's local part counts and marks
+    (not the parts) handed to the count half.
 
     Appends the level's sample-half charges to ``log`` in the order a
     step-by-step driver charged them: the allgather, then per segment
-    its finishing sort, or its sample draw (plus, for a split, the
-    union sort and the partition pass) -- as Python floats, which
-    pickle as 9 bytes where a NumPy scalar takes a reduce call.  Returns ``(inter, finishes)``
-    where ``finishes`` is the replicated list of resolved
-    ``(global_rank, value)`` pairs.
+    its end pass, its finishing sort, or its sample draw (plus, for a
+    split, the union sort and the partition pass) -- as Python floats,
+    which pickle as 9 bytes where a NumPy scalar takes a reduce call.
+    Returns ``(inter, finishes)`` where ``finishes`` is the replicated
+    list of resolved ``(global_rank, value)`` pairs.
     """
+    reach = _end_reach(p, base_case)
     plans: list = []
     samples: list[np.ndarray] = []
     for arr, ranks, offset, n in segs:
-        if n <= base_case or force:
+        ends = None if n <= base_case else _end_widths(ranks, n, reach)
+        if ends is not None:
+            plans.append(ends)
+        elif n <= base_case or force:
             plans.append(None)
             samples.append(arr)  # residual content is small by now
         else:
@@ -111,18 +193,28 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
             idx = bernoulli_sample_indices(gen, int(arr.size), rho)
             plans.append(rho)
             samples.append(arr if idx is None else arr[idx])
-    sizes = [int(s.size) for s in samples]
-    packed = np.concatenate(samples)
-    gathered = yield ("allgather", (packed, sizes))
-    log.append(("allgather", int(packed.size)))
-    # each rank's packed message, cut back into per-segment views
-    bounds = [(g, [0, *itertools.accumulate(gs)]) for g, gs in gathered]
+    bounds: list = []
+    if samples:  # replicated: one per segment that does not finish at its ends
+        sizes = [int(s.size) for s in samples]
+        packed = np.concatenate(samples)
+        gathered = yield ("allgather", (packed, sizes))
+        log.append(("allgather", int(packed.size)))
+        # each rank's packed message, cut back into per-segment views
+        bounds = [(g, [0, *itertools.accumulate(gs)]) for g, gs in gathered]
 
     inter: list = []
     finishes: list[tuple] = []
-    for s, (arr, ranks, offset, n) in enumerate(segs):
+    s = 0  # this segment's place in the packed message
+    for (arr, ranks, offset, n), plan in zip(segs, plans):
+        if isinstance(plan, tuple):
+            w_lo, w_hi = plan
+            lo, hi = _local_ends(arr, w_lo, w_hi)
+            log.append(("ops", float(arr.size)))  # the end pass
+            inter.append(("ends", w_lo, lo, w_hi, hi, ranks, offset, n))
+            continue
         contrib = [g[b[s]:b[s + 1]] for g, b in bounds if b[s + 1] > b[s]]
-        rho = plans[s]
+        s += 1
+        rho = plan
         if rho is None:
             rest = np.sort(np.concatenate(contrib)) if contrib else arr[:0]
             for k in ranks:
@@ -153,34 +245,51 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
 def _ms_count_kernel(rank: int, inter: list, log: list):
     """Partition-count half of one recursion level.
 
-    All split segments' two-word part counts share one in-worker
-    all-reduction (appended to ``log``); the replicated totals let
-    every rank derive the next level's segment records identically, and
-    only the parts that hold a rank are copied out of their segment.
-    Returns ``(new_segs, found)``: the surviving segments and the
-    replicated ``(global_rank, value)`` pairs resolved by an exact pivot
-    hit.
+    All split segments' two-word part counts and all finishing
+    segments' end blocks share ONE in-worker all-reduction
+    (:func:`_counts_and_ends`, charged ``len(counts) + sum(w_lo + w_hi)``
+    words in ``log``).  The merged end blocks hold the finishing
+    segments' ranks; the replicated totals let every rank derive the
+    next level's segment records identically, and only the parts that
+    hold a rank are copied out of their segment.  Returns ``(new_segs,
+    found)``: the surviving segments and the replicated ``(global_rank,
+    value)`` pairs resolved by an end block or an exact pivot hit.
     """
     counts_vec: list[int] = []
+    ends: list[tuple] = []
     for entry in inter:
-        if entry is not None and entry[0] == "split":
+        if entry is None:
+            continue
+        if entry[0] == "split":
             counts_vec.extend(entry[2])
-    totals = None
-    if counts_vec:  # replicated decision: all ranks agree
-        totals = yield (
-            "allreduce", np.asarray(counts_vec, dtype=np.int64), "sum"
+        elif entry[0] == "ends":
+            ends.append(entry[1:5])
+    totals = merged = None
+    if counts_vec or ends:  # replicated decision: all ranks agree
+        totals, merged = yield (
+            "allreduce",
+            (np.asarray(counts_vec, dtype=np.int64), ends),
+            _counts_and_ends,
         )
-        log.append(("allreduce", len(counts_vec)))
+        log.append(("allreduce", len(counts_vec) + sum(e[0] + e[2] for e in ends)))
 
     new_segs: list = []
     found: list[tuple] = []
-    ci = 0
+    ci = ei = 0
     for entry in inter:
         if entry is None:  # finished at the sample half
             continue
         if entry[0] == "retry":
             _, arr, ranks, offset, n = entry
             new_segs.append((arr, ranks, offset, n))
+            continue
+        if entry[0] == "ends":
+            _, w_lo, _, w_hi, _, ranks, offset, n = entry
+            _, lo, _, hi = merged[ei]
+            ei += 1
+            for k in ranks:
+                v = lo[k - 1] if k <= w_lo else hi[k - (n - w_hi) - 1]
+                found.append((offset + k, v.item()))
             continue
         _, arr, (la, lb), masks, lo_p, hi_p, ranks, offset, n = entry
         na, nb = int(totals[2 * ci]), int(totals[2 * ci + 1])
@@ -253,7 +362,9 @@ def multi_select(
     use :func:`quantiles` for a friendlier interface.  Cost: shared
     recursion over disjoint segments; each *level* pays one fused
     Bernoulli-sample allgather and one fused part-count all-reduction
-    covering every active segment; all levels execute inside one
+    covering every active segment, and a segment whose ranks all sit
+    near its ends finishes in that all-reduction (a call whose ranks
+    all do pays the all-reduction alone); all levels execute inside one
     resident SPMD command (the slices never leave the backend).
     """
     n = data.global_size

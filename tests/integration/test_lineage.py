@@ -80,6 +80,28 @@ def test_a_chain_of_kept_tables_is_cut_like_a_mutable_ref(backend):
 
 
 @pytest.mark.parametrize("backend", REAL)
+def test_a_cut_chain_leaves_the_table_once_its_last_link_is_freed(backend):
+    """The refresh that cuts the chain still holds the previous table,
+    so the cut entries are dropped when the monitor lets go of it, not
+    hundreds of entries later: after every refresh the table keeps
+    little beyond what the live refs need."""
+    from repro.frequent import StreamingTopKMonitor
+
+    with Machine(p=2, seed=65, backend=backend) as real:
+        mon = StreamingTopKMonitor(real, k=4)
+        cuts = 0
+        for i in range(_LINEAGE_ENTRIES + 6):
+            mon.ingest([np.random.default_rng([i, r]).integers(0, 50, 40)
+                        for r in range(2)])
+            mon.top_k(force=True)
+            backend_ = real.backend
+            kept = backend_._lineage_of(backend_._live_ids)
+            assert len(backend_._lineage) <= len(kept) + 2, i
+            cuts += kept[0][:2] == ("put", mon._held.id)
+        assert cuts  # the bound was reached and the chain cut
+
+
+@pytest.mark.parametrize("backend", REAL)
 def test_queue_lineage_stays_bounded_and_equal_to_sim(backend):
     sim = Machine(p=2, seed=61)
     real = Machine(p=2, seed=61, backend=backend)

@@ -81,6 +81,43 @@ class TestOneCommand:
             assert _model(real) == _model(sim)
             assert real._rng_seq == sim._rng_seq == 1
 
+    def test_an_end_block_call_is_one_all_reduction(self, backend, monkeypatch):
+        """Ranks all within reach of the ends (a top-k block and both
+        ends at once) take one driver send and, inside it, one
+        all-reduction and no allgather: on sim the in-process table sees
+        exactly that, and the real backend's model equals sim's."""
+        from repro.machine.backends import base
+        from repro.machine.cost import log2_ceil
+
+        kinds: list = []
+        reference = base.spmd_collective
+
+        def spy(kind, requests):
+            kinds.append(kind)
+            return reference(kind, requests)
+
+        sim = Machine(p=P, seed=73)
+        real = Machine(p=P, seed=73, backend=backend)
+        with real:
+            d_sim, d_real = _data(sim), _data(real)
+            n = d_sim.global_size
+            oracle = sorted_oracle(d_sim)
+            for ks in (list(range(n - 9, n + 1)), [1, 2, n - 1, n]):
+                sim.reset(), real.reset()
+                sends = real.backend.driver_sends
+                got = multi_select(real, d_real, ks)
+                assert real.backend.driver_sends - sends == 1
+                kinds.clear()
+                monkeypatch.setattr(base, "spmd_collective", spy)
+                assert multi_select(sim, d_sim, ks) == got
+                monkeypatch.undo()
+                assert kinds == ["allreduce"]
+                assert got == [oracle[k - 1] for k in ks]
+                assert _model(real) == _model(sim)
+                # the root size and the level's one all-reduction
+                assert sim.report().bottleneck_startups == 2 * log2_ceil(P)
+            assert real._rng_seq == sim._rng_seq == 2
+
     def test_select_kth_is_one_command_and_topk_two(self, backend):
         sim = Machine(p=P, seed=72)
         real = Machine(p=P, seed=72, backend=backend)

@@ -251,6 +251,28 @@ class TestMessageCounts:
         assert delta <= (2 * stats.rounds + 1) * p * log2_ceil(p)
         assert delta < stats.rounds * p * (p - 1)  # direct exchange would
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 8])
+    def test_an_end_block_call_is_one_dissemination(self, p):
+        """A multiselection whose ranks all sit near the ends (a top-k
+        block plus rank 1) finishes in its first level's all-reduction:
+        one driver send and ``ceil(log2 p)`` sends per rank, no sample
+        allgather."""
+        from repro.machine import DistArray
+        from repro.selection import multi_select
+
+        with Machine(p=p, seed=7, backend="mp") as m:
+            data = DistArray.generate(m, lambda r, g: g.integers(0, 10_000, 500))
+            oracle = np.sort(data.concat())
+            n = oracle.size
+            ks = [1, *range(n - 7, n + 1)]
+            before = m.backend.worker_message_counts()
+            sends = m.backend.driver_sends
+            got = multi_select(m, data, ks)
+            assert m.backend.driver_sends - sends == 1
+            after = m.backend.worker_message_counts()
+        assert got == [oracle[k - 1] for k in ks]
+        assert [a - b for a, b in zip(after, before)] == [log2_ceil(p)] * p
+
 
 class TestBroadcastCommandChannel:
     """Full-pool commands cost O(1) driver sends: one frame to rank 0,
