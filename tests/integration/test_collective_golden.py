@@ -14,7 +14,9 @@ retry rounds and the streaming monitor over two refreshes (recorded at
 adaptive-escalate and dSBF-retry reports re-recorded by the
 one-command port, which drops PEC's second selection and the size
 all-reduction a later selection over the same table repeated),
-``dta_topk``, ``rdta_topk``, ``ms_select``,
+``heavy_hitters`` over Zipf keys at phi = 0.01 (recorded while its
+space-saving summaries still met on the driver), ``dta_topk``,
+``rdta_topk``, ``ms_select``,
 ``ams_select_batched`` and ``BulkParallelPQ.peek_min`` at p in
 {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
 modeled columns of every ``collectives_microbench`` row, first recorded
@@ -34,6 +36,7 @@ from repro.common import zipf_sample
 from repro.frequent import (
     StreamingTopKMonitor,
     dsbf_top_candidates,
+    heavy_hitters,
     top_k_frequent_adaptive,
     top_k_frequent_ec_dsbf,
     top_k_frequent_naive,
@@ -152,6 +155,8 @@ FAMILIES = {
     "top_k_frequent_adaptive_escalate": lambda m: _result(
         top_k_frequent_adaptive(m, _keys(m), 4, eps=0.2, probe_eps=0.2)),
     "dsbf_top_candidates_retry": _dsbf_retry,
+    "heavy_hitters": lambda m: [
+        [int(k), int(c)] for k, c in heavy_hitters(m, _zipf(m), 0.01)],
     "streaming_monitor": _monitor,
     "dta_topk": _topk(dta_topk),
     "rdta_topk": _topk(rdta_topk),
