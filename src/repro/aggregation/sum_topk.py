@@ -248,17 +248,6 @@ class DistKeyValue:
     def global_size(self) -> int:
         return int(sum(self._sizes))
 
-    def local_aggregate(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """Key -> local-sum aggregation of one PE's pairs (charged)."""
-        key_c, val_c = self.keys[rank], self.values[rank]
-        if key_c.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        uniq, inverse = np.unique(key_c, return_inverse=True)
-        sums = np.zeros(uniq.size)
-        np.add.at(sums, inverse, val_c)
-        self.machine.charge_ops_one(rank, key_c.size * np.log2(max(key_c.size, 2)))
-        return uniq, sums
-
 
 @dataclass(frozen=True)
 class SumAggResult:

@@ -16,12 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..aggregation import exact_sums_oracle, top_k_sums_ec, top_k_sums_pac
+from ..aggregation.sum_topk import _aggregate_logged
 from ..frequent import (
     top_k_frequent_ec,
     top_k_frequent_naive,
     top_k_frequent_naive_tree,
     top_k_frequent_pac,
 )
+from ..frequent.dht import broadcast_top_k_gen, gather_direct_gen, merge_tables, run_pipeline
 from ..machine import DistArray, Machine
 from ..pqueue import BulkParallelPQ, RandomAllocPQ
 from ..redistribution import naive_rebalance, redistribute
@@ -175,6 +177,17 @@ def fig8_strict_accuracy(
 # Table 1: communication volume, old vs new, per problem
 # ----------------------------------------------------------------------
 
+def _old_sum_gen(rank: int, p: int, state, unused: list, log: list, k: int):
+    """Table 1's centralized sum aggregation, where the pairs live: each
+    PE's key -> local-sum table goes straight to PE 0, which merges the
+    tables and broadcasts the ``k`` largest sums."""
+    parts = yield from gather_direct_gen(rank, p, _aggregate_logged(state, log), log)
+    merged = merge_tables(parts) if rank == 0 else None
+    merge_ops = sum(int(t[0].size) for t in parts) if rank == 0 else 0
+    yield from broadcast_top_k_gen(rank, merged, k, merge_ops, log)
+    return None, None
+
+
 def table1_comm_volume(
     p: int = 16,
     n_per_pe: int = 1 << 14,
@@ -269,19 +282,7 @@ def table1_comm_volume(
     make_sum = lambda m: sum_workload(m, n_per_pe, universe=1 << 12)
 
     def old_sum(machine: Machine, kv):
-        local = []
-        for i in range(machine.p):
-            uniq, sums = kv.local_aggregate(i)
-            local.append({int(key): float(s) for key, s in zip(uniq, sums)})
-        gathered = machine.gather(local, root=0, mode="direct")[0]
-        merged: dict = {}
-        for d in gathered:
-            # repro-lint: disable=RL002 -- re-keyed merge over per-PE dicts; gathered is in PE order and the result is key-sorted before broadcast
-            for key, v in d.items():
-                merged[key] = merged.get(key, 0.0) + v
-        machine.charge_ops_one(0, sum(len(d) for d in gathered))
-        top = sorted(merged.items(), key=lambda t: (-t[1], t[0]))[:32]
-        machine.broadcast(top, root=0)
+        run_pipeline(machine, kv._ensure_ref(), _old_sum_gen, (32,), n_addrs=0)
         return {}
 
     rows.append(run_algorithm("table1", "sum-aggregation/old", p, n_per_pe, make_sum, old_sum, seed=seed, backend=backend))

@@ -1,7 +1,6 @@
 """Top-k most frequent objects (Section 7, incl. the 7.4 refinements)."""
 
 from .adaptive import top_k_frequent_adaptive
-from .dht import local_key_counts
 from .dsbf import DsbfStats, dsbf_top_candidates, top_k_frequent_ec_dsbf
 from .ec import optimal_k_star, top_k_frequent_ec
 from .exact import (
@@ -13,7 +12,7 @@ from .exact import (
 )
 from .monitor import StreamingTopKMonitor
 from .naive import top_k_frequent_naive, top_k_frequent_naive_tree
-from .pac import pac_error, sample_distributed, top_k_frequent_pac
+from .pac import pac_error, top_k_frequent_pac
 from .pec import estimate_k_star, top_k_frequent_pec, top_k_frequent_pec_zipf
 from .result import FrequentResult
 from .spacesaving import SpaceSaving, heavy_hitters
@@ -29,10 +28,8 @@ __all__ = [
     "estimate_k_star",
     "exact_counts_oracle",
     "heavy_hitters",
-    "local_key_counts",
     "optimal_k_star",
     "pac_error",
-    "sample_distributed",
     "top_k_frequent_adaptive",
     "top_k_frequent_ec",
     "top_k_frequent_ec_dsbf",

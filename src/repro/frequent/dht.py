@@ -25,15 +25,18 @@ Everything here is an SPMD generator *piece*: it yields in-worker
 collectives, appends to ``log`` every charge a step-by-step driver
 would make (:meth:`Machine.replay_charges` replays them, so modeled
 cost is identical on every backend) and composes by ``yield from``.
-Every frequent-objects family but the naive baselines strings the
-pieces into ONE worker command sent by :func:`run_pipeline`: sample,
+Every frequent-objects family strings the pieces into ONE worker
+command sent by :func:`run_pipeline`: sample,
 exchange, the all-reduction that gives every PE the table's size, then
 its own middle step -- one selection and an optional exact pass (:func:`pipeline_gen`:
 PAC, EC, exact, the sum pipelines and the streaming monitor), PEC's
 gap estimate, adaptive's stop-or-escalate test or dSBF's fingerprint
 resolution, whose entries are 1.5 words wide instead of 2 (``width``;
 Section 7.4).  Every rank takes those decisions from the same
-replicated values, and the table never leaves the kernel.  A selection
+replicated values, and the table never leaves the kernel.  The
+centralized baselines skip the exchange: their tables meet at PE 0,
+gathered directly (:func:`gather_direct_gen`) or merged up a binomial
+tree (:func:`tree_merge_gen`).  A selection
 draws only when more than ``k`` entries exist, which the driver learns
 only from the command's answer: it allocates the call's draw addresses
 at build time and gives back those the command reports unused.  This
@@ -59,16 +62,19 @@ from ..common.sampling import bernoulli_sample
 from ..machine import DistArray, Machine
 from ..machine.backends import PureStep
 from ..machine.cost import log2_ceil
+from ..machine.metrics import payload_words
 from ..selection.unsorted import default_base_case, select_kth_gen
 
 __all__ = [
-    "local_key_counts",
     "array_key_dtype",
+    "broadcast_top_k_gen",
+    "gather_direct_gen",
     "integer_key_dtype",
     "pipeline_gen",
     "run_pipeline",
     "sample_keys",
     "sample_table",
+    "tree_merge_gen",
 ]
 
 #: a PE's hash table: ``(keys, counts)``, keys ascending and unique
@@ -148,6 +154,54 @@ def exchange_gen(rank: int, p: int, table: Table, salt: int, log: list,
             [(keys[~leaving], counts[~leaving]), received[rank ^ bit]]
         )
     return table
+
+
+def gather_direct_gen(rank: int, p: int, value, log: list):
+    """Every PE's ``value`` straight to PE 0 in one hop, the
+    master-worker pattern: PE 0 takes ``p - 1`` messages, one from each
+    PE, an empty table included.  Returns the values in rank order at
+    PE 0, ``None`` elsewhere."""
+    row = [None] * p
+    row[0] = value
+    log.append(("gather_direct", payload_words(value)))
+    received = yield ("sendrecv", row, tuple(range(1, p)) if rank == 0 else ())
+    return received if rank == 0 else None
+
+
+def tree_merge_gen(rank: int, p: int, value, merge, label: str, log: list):
+    """``value`` merged into PE 0 up the binomial tree of
+    ``binomial_edges(p, 0)``, last round first: in round ``r`` PE
+    ``i + 2^r`` sends what it has merged so far to PE ``i``, which
+    merges it as ``merge(own, child's)`` -- the order a merge that
+    shrinks (space-saving's) depends on.  ``label`` names the traffic.
+    Returns the merge of every PE's value at PE 0, ``None`` elsewhere."""
+    for r in reversed(range(log2_ceil(p))):
+        bit = 1 << r
+        row, src, words = [None] * p, (), 0
+        if bit <= rank < 2 * bit:
+            row[rank - bit], words = value, payload_words(value)
+        elif rank + bit < p and rank < bit:
+            src = (rank + bit,)
+        log.append(("tree_hop", r, words, label))
+        received = yield ("sendrecv", row, src)
+        if src:
+            value = merge(value, received[src[0]])
+    return value if rank == 0 else None
+
+
+def broadcast_top_k_gen(rank: int, table, k: int, ops, log: list):
+    """The ``k`` entries of PE 0's ``table`` with the largest values,
+    ties by ascending key, picked after ``ops`` operations of PE 0's
+    work and broadcast to every PE (a centralized coordinator)."""
+    top = None
+    if rank == 0:
+        keys, values = table
+        order = np.lexsort((keys, -values))[:k]
+        top = (keys[order], values[order])
+    log.append(("ops", ops))
+    keys, values = yield ("broadcast", top, 0)
+    log.append(("broadcast", 2 * int(keys.size), 0))
+    return keys, values
 
 
 def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
@@ -339,10 +393,3 @@ def array_key_dtype(data: DistArray) -> np.dtype:
     """:func:`integer_key_dtype` of a distributed key array."""
     return integer_key_dtype([data.dtype] if data.global_size else [])
 
-
-def local_key_counts(machine: Machine, rank: int, keys: np.ndarray) -> dict[int, int]:
-    """Aggregate one PE's keys into a ``{key: count}`` dict (charged)."""
-    log: list = []
-    keys, counts = local_table(np.asarray(keys), log)
-    machine.charge_ops_one(rank, log[0][1])
-    return dict(zip(keys.tolist(), counts.tolist()))

@@ -14,6 +14,11 @@ communication structure:
   coordinator-adjacent links still carry (aggregated) volume that
   grows with the distinct-key count, which is why PAC's hash-
   partitioned counting beats it at every ``p`` in Figure 7.
+
+Each is one worker command built from the hash table's pieces
+(:mod:`repro.frequent.dht`): sample, the sample size's all-reduction,
+the local count, then the direct gather or the tree merge into PE 0,
+whose top ``k`` one broadcast hands to every PE.
 """
 
 from __future__ import annotations
@@ -21,39 +26,64 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.sampling import pac_sample_rate
+from ..common.validation import check_k, check_rate
 from ..machine import DistArray, Machine
-from ..selection.sequential import kth_smallest
-from .dht import local_key_counts
-from .pac import sample_distributed
+from .dht import (
+    array_key_dtype,
+    broadcast_top_k_gen,
+    gather_direct_gen,
+    local_table,
+    merge_tables,
+    run_pipeline,
+    sample_keys,
+    tree_merge_gen,
+)
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_naive", "top_k_frequent_naive_tree"]
 
 
-def _merge_counts(a: dict, b: dict) -> dict:
-    if len(b) > len(a):
-        a, b = b, a
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0) + c
-    return out
+def _naive_gen(rank: int, p: int, chunk: np.ndarray, unused: list, log: list,
+               dtype, addr, rho: float, k: int, tree: bool):
+    """One call of either baseline where the chunks live.  PE 0 answers
+    ``(items, sample size, coordinator keys)``, the items as ``(key,
+    sample count)`` by (count desc, key asc)."""
+    keys = sample_keys(rank, chunk, addr, rho, log)
+    sample_size = int((yield ("allreduce", int(keys.size), "sum")))
+    log.append(("allreduce", 1))
+    table = local_table(keys.astype(dtype, copy=False), log)
+    if tree:
+        merged = yield from tree_merge_gen(
+            rank, p, table, lambda a, b: merge_tables((a, b)), "naive_tree", log)
+    else:
+        parts = yield from gather_direct_gen(rank, p, table, log)
+        merged = merge_tables(parts) if rank == 0 else None
+        log.append(("ops", sum(int(t[0].size) for t in parts) if rank == 0 else 0))
+    if not sample_size:  # nothing was sampled: PE 0 has nothing to send
+        return ((), 0, 0), None
+    size = int(merged[0].size) if rank == 0 else 0
+    # PE 0 quickselects: one operation per entry
+    keys, counts = yield from broadcast_top_k_gen(rank, merged, k, size, log)
+    return (tuple(zip(keys.tolist(), counts.tolist())), sample_size, size), None
 
 
-def _coordinator_topk(machine: Machine, merged: dict, k: int, rho: float):
-    """Quickselect the top-k at the coordinator and broadcast."""
-    if not merged:
-        return tuple()
-    # repro-lint: disable=RL002 -- kth_smallest over the count multiset is order-insensitive; winners are re-derived key-sorted below
-    counts = np.fromiter(merged.values(), dtype=np.int64, count=len(merged))
-    k_eff = min(k, counts.size)
-    thr = -kth_smallest(-counts, k_eff)
-    machine.charge_ops_one(0, counts.size)
-    items = sorted(
-        ((key, c) for key, c in merged.items() if c >= thr),
-        key=lambda t: (-t[1], t[0]),
-    )[:k_eff]
-    machine.broadcast([(key, c) for key, c in items], root=0)
-    return tuple((key, c / rho) for key, c in items)
+def _run(machine: Machine, data: DistArray, k: int, eps: float, delta: float,
+         rho: float | None, tree: bool) -> FrequentResult:
+    check_k(k)
+    if rho is not None:
+        check_rate(rho, "rho")
+    n = data.global_size
+    machine._meter_allreduce(words=1)  # the driver tracks the sizes
+    if n == 0:
+        return FrequentResult((), False, 1.0, 0, k, {})
+    if rho is None:
+        rho = pac_sample_rate(n, k, eps, delta)
+    (items, sample_size, coordinator_keys), _ = run_pipeline(
+        machine, data._ensure_ref(), _naive_gen,
+        (array_key_dtype(data), machine.draw_addr(), rho, k, tree), n_addrs=0,
+    )
+    return FrequentResult(tuple((key, c / rho) for key, c in items), rho >= 1.0, rho,
+                          sample_size, k, {"coordinator_keys": coordinator_keys})
 
 
 def top_k_frequent_naive(
@@ -66,29 +96,7 @@ def top_k_frequent_naive(
     rho: float | None = None,
 ) -> FrequentResult:
     """Master-worker baseline: direct gather of all local samples."""
-    n = int(machine.allreduce([int(s) for s in data.sizes()], op="sum")[0])
-    if n == 0:
-        return FrequentResult((), False, 1.0, 0, k, {})
-    if rho is None:
-        rho = pac_sample_rate(n, k, eps, delta)
-    samples = sample_distributed(machine, data, rho)
-    sample_size = int(machine.allreduce([s.size for s in samples], op="sum")[0])
-    local = [local_key_counts(machine, i, s) for i, s in enumerate(samples)]
-    # p-1 direct messages into the coordinator (the scaling killer)
-    gathered = machine.gather(local, root=0, mode="direct")[0]
-    merged: dict = {}
-    for d in gathered:
-        merged = _merge_counts(merged, d)
-    machine.charge_ops_one(0, sum(len(d) for d in gathered))
-    items = _coordinator_topk(machine, merged, k, rho)
-    return FrequentResult(
-        items=items,
-        exact_counts=rho >= 1.0,
-        rho=rho,
-        sample_size=sample_size,
-        k_star=k,
-        info={"coordinator_keys": len(merged)},
-    )
+    return _run(machine, data, k, eps, delta, rho, tree=False)
 
 
 def top_k_frequent_naive_tree(
@@ -101,21 +109,4 @@ def top_k_frequent_naive_tree(
     rho: float | None = None,
 ) -> FrequentResult:
     """Tree-reduction baseline: counts merged on the way up."""
-    n = int(machine.allreduce([int(s) for s in data.sizes()], op="sum")[0])
-    if n == 0:
-        return FrequentResult((), False, 1.0, 0, k, {})
-    if rho is None:
-        rho = pac_sample_rate(n, k, eps, delta)
-    samples = sample_distributed(machine, data, rho)
-    sample_size = int(machine.allreduce([s.size for s in samples], op="sum")[0])
-    local = [local_key_counts(machine, i, s) for i, s in enumerate(samples)]
-    merged = machine.reduce_tree(local, _merge_counts, root=0, kind="naive_tree")[0]
-    items = _coordinator_topk(machine, merged, k, rho)
-    return FrequentResult(
-        items=items,
-        exact_counts=rho >= 1.0,
-        rho=rho,
-        sample_size=sample_size,
-        k_star=k,
-        info={"coordinator_keys": len(merged)},
-    )
+    return _run(machine, data, k, eps, delta, rho, tree=True)

@@ -20,29 +20,13 @@ returned, relative to ``n`` (see :func:`pac_error`).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..common.sampling import pac_sample_rate
 from ..common.validation import check_k, check_rate
 from ..machine import DistArray, Machine
 from .dht import array_key_dtype, pipeline_gen, run_pipeline, sample_table
 from .result import FrequentResult
 
-__all__ = ["top_k_frequent_pac", "pac_error", "sample_distributed"]
-
-
-def sample_distributed(
-    machine: Machine, data: DistArray, rho: float
-) -> list[np.ndarray]:
-    """Per-PE Bernoulli(rho) samples, with the sampling work charged at
-    the skip-value rate ``O(rho n/p)`` (Section 2).
-
-    The index draws happen where the chunks live, from counter-addressed
-    per-PE streams (:mod:`repro.machine.ctrrng` -- identical on every
-    backend, nothing but the draw address on the wire); only the small
-    sample arrays return.
-    """
-    return data.bernoulli_sample_local(rho)
+__all__ = ["top_k_frequent_pac", "pac_error"]
 
 
 def top_k_frequent_pac(

@@ -11,6 +11,9 @@ Summaries merge associatively (count-wise, then shrink back to
 capacity), so a distributed query is one tree reduction --
 :func:`heavy_hitters` -- giving a monitoring-style baseline to contrast
 with the sampling algorithms of Section 7 (marked dagger in Table 1).
+It is one worker command: every PE summarises its chunk where it
+lives, the summaries merge up the binomial tree into PE 0, and one
+broadcast hands PE 0's heavy hitters to every PE.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import numpy as np
 
 from ..kernels import spacesaving_offer
 from ..machine import DistArray, Machine
+from ..machine.metrics import payload_words
+from .dht import run_pipeline, tree_merge_gen
 
 __all__ = ["SpaceSaving", "heavy_hitters"]
 
@@ -114,6 +119,23 @@ class SpaceSaving:
         return sorted(self.counters.items(), key=lambda t: (-t[1], t[0]))[:k]
 
 
+def _heavy_hitters_gen(rank: int, p: int, chunk: np.ndarray, unused: list,
+                      log: list, capacity: int, phi: float):
+    """One :func:`heavy_hitters` call where the chunks live; PE 0
+    answers the list of ``(key, count)``."""
+    summary = SpaceSaving(capacity)
+    summary.offer_array(chunk)
+    log.append(("ops", max(1.0, chunk.size * np.log2(max(capacity, 2)))))
+    merged = yield from tree_merge_gen(
+        rank, p, summary, SpaceSaving.merge, "spacesaving", log)
+    items = None
+    if rank == 0:
+        items = [(key, c) for key, c in merged.top(capacity) if c > phi * merged.n]
+    items = yield ("broadcast", items, 0)
+    log.append(("broadcast", payload_words(items), 0))
+    return items, None
+
+
 def heavy_hitters(
     machine: Machine, data: DistArray, phi: float, *, slack: int = 4
 ) -> list[tuple[int, int]]:
@@ -126,14 +148,6 @@ def heavy_hitters(
     if not 0.0 < phi < 1.0:
         raise ValueError(f"phi must be in (0, 1), got {phi}")
     capacity = int(np.ceil(slack / phi))
-    summaries = []
-    for i, chunk in enumerate(data.chunks):
-        s = SpaceSaving(capacity)
-        s.offer_array(chunk)
-        machine.charge_ops_one(i, max(1.0, chunk.size * np.log2(max(capacity, 2))))
-        summaries.append(s)
-    merged = machine.reduce_tree(summaries, SpaceSaving.merge, root=0, kind="spacesaving")[0]
-    n = merged.n
-    items = [(key, c) for key, c in merged.top(capacity) if c > phi * n]
-    machine.broadcast(items, root=0)
+    items, _ = run_pipeline(machine, data._ensure_ref(), _heavy_hitters_gen,
+                            (capacity, phi), n_addrs=0)
     return items

@@ -79,7 +79,7 @@ import contextlib
 import pickle
 from itertools import repeat
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -464,15 +464,22 @@ class Machine:
         self._check_root(root, "gather")
         if mode not in ("tree", "direct"):
             raise ValueError(f"unknown gather mode {mode!r}")
-        sizes = np.array([payload_words(v) for v in values], dtype=np.float64)
+        sizes = [payload_words(v) for v in values]
         if mode == "tree":
             self._meter_gather(sizes, root)
         else:
-            total = float(sizes.sum() - sizes[root])
-            edges = [(i, root, sizes[i]) for i in range(self.p) if i != root]
-            self.metrics.record_schedule(edges, "gather_direct")
-            self._charge(self.cost.gather_direct(total, self.p))
+            self._meter_gather_direct(sizes, root)
         return self._collective("gather", values, root)
+
+    def _meter_gather_direct(self, words: Sequence, root: int = 0) -> None:
+        """Control plane of direct-mode :meth:`gather`: PE ``i`` sends
+        its ``words[i]`` straight to ``root``, whose ``p - 1`` start-ups
+        are serialized."""
+        sizes = np.asarray(words, dtype=np.float64)
+        total = float(sizes.sum() - sizes[root])
+        edges = [(i, root, sizes[i]) for i in range(self.p) if i != root]
+        self.metrics.record_schedule(edges, "gather_direct")
+        self._charge(self.cost.gather_direct(total, self.p))
 
     def _meter_gather(self, words: Sequence, root: int = 0) -> None:
         """Control plane of tree-mode :meth:`gather` (schedule + charge
@@ -678,40 +685,18 @@ class Machine:
             self.cost.alpha + self.cost.beta * float(words.max(initial=0.0))
         )
 
-    def reduce_tree(
-        self,
-        values: Sequence,
-        merge: Callable,
-        root: int = 0,
-        kind: str = "reduce_merge",
-    ):
-        """Tree reduction with a *content-dependent* merge (e.g. dict
-        union): payloads are actually sent edge by edge along the
-        binomial tree, so the charged volume reflects the merged sizes
-        at every hop -- this is the Naive-Tree aggregation of
-        Section 10.2 and the paper's "aggregate the counts in each step
-        to keep communication volume low".
-
-        Returns the merged value at ``root`` (list entry; others ``None``).
-        """
-        self._check_len(values, "reduce_tree")
-        acc = list(values)
-        for _, parent, child in reversed(binomial_edges(self.p, root)):
-            payload = acc[child]
-            w = payload_words(payload)
-            if child != parent:
-                self.metrics.record_p2p(child, parent, w, kind)
-                self.clock.charge_p2p(child, parent, self.cost.p2p(w))
-                payload = self._collective_from(
-                    "p2p", child, payload, child, parent)[parent]
-            merged = merge(acc[parent], payload)
-            # merging cost: proportional to the incoming payload
+    def _meter_tree_hop(self, rnd: int, words: Sequence, kind: str) -> None:
+        """Control plane of round ``rnd`` of a merge up the binomial
+        tree into PE 0 (:func:`repro.frequent.dht.tree_merge_gen`): per
+        edge, one message of the child's words, then ``max(1, w)``
+        merge ops at the parent."""
+        for r, parent, child in reversed(binomial_edges(self.p, 0)):
+            if r != rnd:
+                continue
+            w = words[child]
+            self.metrics.record_p2p(child, parent, w, kind)
+            self.clock.charge_p2p(child, parent, self.cost.p2p(w))
             self.charge_ops_one(parent, max(1.0, w))
-            acc[parent] = merged
-            acc[child] = None
-        out: list = [None] * self.p
-        out[root] = acc[root]
-        return out
 
     # ------------------------------------------------------------------
     # Deferred charging (resident SPMD steps)
@@ -741,6 +726,12 @@ class Machine:
           words (replicated entries),
         * ``("gather", w, root)`` -- a tree gather where ``w`` is *this
           rank's* contribution (per-rank word counts, shared ``root``),
+        * ``("gather_direct", w)`` -- every rank sends its ``w`` words
+          straight to PE 0 (:meth:`_meter_gather_direct`),
+        * ``("tree_hop", r, w, label)`` -- round ``r`` of a merge up the
+          binomial tree into PE 0 (:meth:`_meter_tree_hop`): ``w`` is
+          what this rank sends in that round (0 if it sends nothing;
+          ``r`` and ``label`` replicated),
         * ``("reduce_allgather", w, m)`` -- the fused
           :meth:`reduce_allgather`: this rank's ``w`` gathered words
           with an ``m``-word reduction accumulator riding every edge
@@ -791,6 +782,11 @@ class Machine:
                     [float(logs[i][t][1]) for i in range(self.p)],
                     int(logs[0][t][2]),
                 )
+            elif kind == "gather_direct":
+                self._meter_gather_direct([logs[i][t][1] for i in range(self.p)])
+            elif kind == "tree_hop":
+                self._meter_tree_hop(int(logs[0][t][1]),
+                                     [logs[i][t][2] for i in range(self.p)], logs[0][t][3])
             elif kind == "reduce_allgather":
                 self._meter_allgather(
                     words=[float(logs[i][t][1]) for i in range(self.p)],

@@ -49,14 +49,6 @@ def _sort_chunk(rank: int, chunk: np.ndarray) -> tuple:
 def _negate_chunk(rank: int, chunk: np.ndarray) -> tuple:
     return (-chunk, None)
 
-def _bernoulli_take(rank: int, chunk: np.ndarray, addr, rho: float) -> np.ndarray:
-    """Bernoulli(rho) sample of ``chunk``, drawn in the kernel from the
-    counter-addressed per-PE stream (nothing but ``addr`` travels)."""
-    from ..common.sampling import bernoulli_sample_indices
-
-    idx = bernoulli_sample_indices(addr.local(rank), int(chunk.size), rho)
-    return chunk.copy() if idx is None else chunk[idx]
-
 def _measured(fn: Callable, rank: int, chunk: np.ndarray) -> tuple:
     """Wrap a chunk->chunk callback so the driver learns the new size
     and dtype without fetching the (worker-resident) result."""
@@ -362,18 +354,6 @@ class DistArray:
         call site charges its own op count)."""
         _, values, _ = self._map_resident(fn, n_out=0, args=args)
         return values
-
-    def bernoulli_sample_local(self, rho: float) -> list:
-        """Per-PE Bernoulli(rho) samples, drawn and extracted where the
-        chunks live: each PE draws from its counter-addressed stream
-        (:mod:`repro.machine.ctrrng`), so only the tiny draw address
-        travels out and only the sampled values travel back.  Charges
-        the paper's ``O(rho * n/p)`` expected sampling work."""
-        addr = self.machine.draw_addr()
-        self.machine.charge_ops([max(1.0, rho * s) for s in self._sizes])
-        return self.map_values(
-            _bernoulli_take, args=[(addr, rho)] * self.machine.p
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DistArray(p={self.machine.p}, n={self.global_size}, dtype={self.dtype})"

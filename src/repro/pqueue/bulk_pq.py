@@ -267,8 +267,9 @@ class BulkParallelPQ:
     # Queries
     # ------------------------------------------------------------------
     def total_size(self) -> int:
-        """Global element count (one all-reduction)."""
-        return int(self.machine.allreduce(list(self._sizes), op="sum")[0])
+        """Global element count: one all-reduction of the driver-tracked sizes."""
+        self.machine._meter_allreduce(words=1)
+        return int(sum(self._sizes))
 
     def peek_min(self):
         """Globally smallest score without removing it (one reduction,
@@ -305,10 +306,7 @@ class BulkParallelPQ:
         """
         machine = self.machine
         p = machine.p
-        # the total is a one-word all-reduction of the local sizes: the
-        # driver tracks those, so charge it without a worker round trip
-        total = sum(self._sizes)
-        machine._meter_allreduce(words=1)
+        total = self.total_size()
         if not 1 <= k <= total:
             raise ValueError(f"k must satisfy 1 <= k <= {total}, got {k}")
         flush = self._take_pending()

@@ -151,7 +151,9 @@ class RandomAllocPQ:
         return list(self.machine.backend.get_chunks(self._ref))
 
     def total_size(self) -> int:
-        return int(self.machine.allreduce(list(self._sizes), op="sum")[0])
+        """Global element count: one all-reduction of the driver-tracked sizes."""
+        self.machine._meter_allreduce(words=1)
+        return int(sum(self._sizes))
 
     def delete_min(self, k: int) -> tuple[tuple, ...]:
         """Remove the ``k`` globally smallest elements (exact, as in [31])."""

@@ -1,5 +1,7 @@
 """Integration: the bulk priority queue on its one array tree is
-bit-identical on sim, mp and tcp, and ``delete_min`` charges its size all-reduction without the driver round trip.
+bit-identical on sim, mp and tcp, and ``total_size`` (which
+``delete_min`` calls) charges its all-reduction without a driver round
+trip.
 
 Scores are drawn from a few quarter steps, so every flush repeats scores
 inside its batch and shares them with the resident tree (the merge's tie
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.machine import Machine
-from repro.pqueue import BulkParallelPQ
+from repro.pqueue import BulkParallelPQ, RandomAllocPQ
 
 P = 3
 
@@ -64,10 +66,10 @@ def test_cycle_sim_vs_tcp():
 
 
 def delete_min_through_total_size(pq, k):
-    """``delete_min`` with its total taken -- and charged -- by
-    ``total_size()``'s all-reduction round trip: the in-method charge
-    (the first ``_meter_allreduce`` of the call; the later ones replay
-    the workers' charge log) is dropped in exchange."""
+    """``delete_min`` with its total taken -- and charged -- by a
+    ``total_size()`` call before it: the in-method charge (the first
+    ``_meter_allreduce`` of the call; the later ones replay the
+    workers' charge log) is dropped in exchange."""
     machine = pq.machine
     pq.total_size()
     real, calls = machine._meter_allreduce, []
@@ -165,7 +167,7 @@ class TestDeleteMinSizeReduction:
         pq.total_size()
         assert after_error == model_cost(m)
 
-    def test_mp_saves_exactly_one_driver_send(self):
+    def test_mp_sends_one_command_through_total_size_or_not(self):
         sends = []
         for delete in (BulkParallelPQ.delete_min, delete_min_through_total_size):
             with Machine(p=P, seed=46, backend="mp") as m:
@@ -174,7 +176,26 @@ class TestDeleteMinSizeReduction:
                 before = m.backend.driver_sends
                 delete(pq, 200)
                 sends.append(m.backend.driver_sends - before)
-        assert sends[1] - sends[0] == 1
+        assert sends == [1, 1]
+
+
+@pytest.mark.parametrize("queue", [BulkParallelPQ, RandomAllocPQ])
+def test_total_size_sends_nothing_and_charges_as_sim(queue):
+    """The sizes are driver-tracked: the all-reduction is charged, and
+    nothing travels to learn its value."""
+    def run(machine):
+        pq = queue(machine)
+        r = np.random.default_rng(49)
+        pq.insert([r.random(50 + i) for i in range(machine.p)])
+        machine.reset()
+        before = getattr(machine.backend, "driver_sends", 0)
+        total = pq.total_size()
+        sent = getattr(machine.backend, "driver_sends", 0) - before
+        return sent, total, model_cost(machine)
+
+    _, total, cost = run(Machine(p=P, seed=49))
+    with Machine(p=P, seed=49, backend="mp") as m:
+        assert run(m) == (0, total, cost) and total == 3 * 50 + 3
 
 
 class TestInsertValidation:

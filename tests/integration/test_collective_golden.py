@@ -4,8 +4,9 @@ against a table recorded at the parent commit.
 sim == mp cannot see drift both share, so these families are held to
 ``tests/support/collective_golden.json``: values, the modeled-cost tuple
 of ``report()`` and the draw addresses allocated (``Machine._rng_seq``)
-of ``top_k_frequent_naive``, ``top_k_frequent_naive_tree`` (the
-``reduce_tree`` / point-to-point user), ``top_k_frequent_ec_dsbf``
+of ``top_k_frequent_naive``, ``top_k_frequent_naive_tree`` (recorded
+while they met on the driver in a gather and a tree reduction),
+``top_k_frequent_ec_dsbf``
 (recorded at 1ad72a8, while its exchange was still a driver-side dict
 walk), PEC (gap found and capped), PEC-Zipf (``universe`` given and
 probed), adaptive (stop and escalate), ``dsbf_top_candidates`` with

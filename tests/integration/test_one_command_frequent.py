@@ -6,7 +6,10 @@ count into the array-backed hash table, take its size, select, exchange
 the winners and count them exactly in one command; PEC (its ``k*``
 estimate), PEC-Zipf (its universe probe), adaptive (its
 stop-or-escalate test), dSBF (its resolution rounds) and a streaming
-monitor refresh take their decisions inside that command; the driver replays
+monitor refresh take their decisions inside that command; the
+centralized baselines (Naive, Naive-Tree and the space-saving heavy
+hitters) gather or tree-merge their tables into PE 0 and broadcast its
+answer in theirs; the driver replays
 the cost model from the charge logs it returns.  These tests pin the
 shape (one driver send per call), equality with sim of results, draw
 addresses and the whole model, the model and draw addresses against a
@@ -28,10 +31,13 @@ from repro.frequent import (
     StreamingTopKMonitor,
     count_table_top_k,
     dsbf_top_candidates,
+    heavy_hitters,
     top_k_frequent_adaptive,
     top_k_frequent_ec,
     top_k_frequent_ec_dsbf,
     top_k_frequent_exact,
+    top_k_frequent_naive,
+    top_k_frequent_naive_tree,
     top_k_frequent_pac,
     top_k_frequent_pec,
     top_k_frequent_pec_zipf,
@@ -130,6 +136,11 @@ CASES = {
     "table_query": (_table, lambda m, t: top_k_from_table(m, t, 8)),
     # k covers every entry: nothing is drawn, the address goes back
     "table_query_all": (_table, lambda m, t: top_k_from_table(m, t, 2000)),
+    # the centralized baselines: a direct gather, a tree merge of count
+    # tables and one of space-saving summaries (which shrink on merge)
+    "naive": (_keys, lambda m, d: top_k_frequent_naive(m, d, 8, rho=0.3)),
+    "naive_tree": (_keys, lambda m, d: top_k_frequent_naive_tree(m, d, 8, rho=0.3)),
+    "heavy_hitters": (_keys, lambda m, d: heavy_hitters(m, d, 0.01)),
 }
 GOLDEN_SEED = 1502
 
@@ -147,7 +158,10 @@ GOLDEN_SEED = 1502
 #: all-reduction a later selection over the same table no longer repeats.
 #: The kept-table rows (``exact_table``, ``table_query*``,
 #: ``monitor_delta``) were recorded where those calls were added;
-#: ``exact_table`` equals ``exact``, whose charges it shares.
+#: ``exact_table`` equals ``exact``, whose charges it shares.  The
+#: ``naive``, ``naive_tree`` and ``heavy_hitters`` rows were recorded
+#: while those calls still met on the driver (a gather or a tree
+#: reduction of driver-held values); their one command charges the same.
 GOLDEN = {
     "adaptive": {
         1: (0.0, 0, 0.0001037647037525157, 3),
@@ -275,6 +289,27 @@ GOLDEN = {
         4: (1434.0, 2, 5.2368e-06, 1),
         8: (1858.0, 3, 7.328e-06, 1),
     },
+    "naive": {
+        1: (0.0, 0, 2.9646521545516488e-05, 1),
+        2: (602.0, 3, 3.748252154551648e-05, 1),
+        3: (1202.0, 6, 4.525132154551649e-05, 1),
+        4: (1852.0, 7, 4.859132154551648e-05, 1),
+        8: (4258.0, 13, 6.569772154551648e-05, 1),
+    },
+    "naive_tree": {
+        1: (0.0, 0, 2.9004521545516486e-05, 1),
+        2: (602.0, 3, 3.7440521545516485e-05, 1),
+        3: (1202.0, 6, 4.580732154551649e-05, 1),
+        4: (1538.0, 6, 4.716692154551648e-05, 1),
+        8: (2770.0, 9, 5.804796310113316e-05, 1),
+    },
+    "heavy_hitters": {
+        1: (0.0, 0, 6.919244951819781e-05, 0),
+        2: (802.0, 1, 7.507644951819781e-05, 0),
+        3: (1604.0, 2, 8.09636495181978e-05, 0),
+        4: (1604.0, 2, 8.09636495181978e-05, 0),
+        8: (2406.0, 3, 8.685724951819781e-05, 0),
+    },
     "pac": {
         1: (0.0, 0, 3.047921693949829e-05, 2),
         2: (335.0, 10, 4.722417569562899e-05, 2),
@@ -391,9 +426,11 @@ def test_one_command_and_equal_to_sim(backend, name):
 
 #: how a charge log spells the collectives a worker yields: the tie
 #: nomination and the winner exchange are allgathers charged as the
-#: fused reduce+allgather, a hash-table round is a sendrecv hop, and the
+#: fused reduce+allgather, a hash-table round, the baselines' direct
+#: gather and each round of their tree merge are sendrecv hops, and the
 #: selection's base case is one allgather charged as gather + broadcast
-CHARGED_AS = {"reduce_allgather": "allgather", "dht_round": "sendrecv"}
+CHARGED_AS = {"reduce_allgather": "allgather", "dht_round": "sendrecv",
+              "gather_direct": "sendrecv", "tree_hop": "sendrecv"}
 
 
 def _charged_collectives(log):
@@ -410,10 +447,12 @@ def _charged_collectives(log):
 
 
 #: calls whose command takes a scalar all-reduction besides the table
-#: size's (adaptive's probe size and PEC-Zipf's universe probe), and
-#: the queries over a kept table, whose size is already replicated
+#: size's (adaptive's probe size and PEC-Zipf's universe probe), the
+#: queries over a kept table, whose size is already replicated, and the
+#: heavy hitters, which sample nothing (the naive baselines' one is the
+#: sample size's)
 SCALAR_REDUCTIONS = {"adaptive": 2, "adaptive_stop": 2, "pec_zipf_probed": 2,
-                     "table_query": 0, "table_query_all": 0}
+                     "table_query": 0, "table_query_all": 0, "heavy_hitters": 0}
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -457,6 +496,16 @@ def test_adaptive_leaves_the_chunks_in_the_workers():
         assert data._chunks is None
 
 
+def test_heavy_hitters_leave_the_chunks_in_the_workers():
+    """Every PE summarises its own chunk: no chunk travels to the
+    driver, and the driver ships only the call's arguments."""
+    with Machine(p=2, seed=87, backend="mp") as m:
+        data = _keys(m)
+        assert data._chunks is None
+        heavy_hitters(m, data, 0.01)
+        assert data._chunks is None
+
+
 #: override -> (input builder, call, message): each must be refused in
 #: the driver before anything is charged, sent or drawn
 REFUSALS = {
@@ -481,6 +530,10 @@ REFUSALS = {
         m, d, 4, sample_size=0), "sample_size"),
     "sums_pac sample_size=inf": (_kv, lambda m, d: top_k_sums_pac(
         m, d, 4, sample_size=float("inf")), "sample_size"),
+    "naive k=0": (_keys, lambda m, d: top_k_frequent_naive(m, d, 0), "k"),
+    "naive rho=1.5": (_keys, lambda m, d: top_k_frequent_naive(m, d, 4, rho=1.5), "rho"),
+    "naive_tree rho=0": (_keys, lambda m, d: top_k_frequent_naive_tree(
+        m, d, 4, rho=0.0), "rho"),
 }
 
 
@@ -510,14 +563,21 @@ def test_ams_select_over_resident_sorted_chunks(backend):
         assert _model(real) == _model(sim)
 
 
+#: collectives in which PE 0 sends, where fewer than three: the
+#: baselines' PE 0 only receives the gather or the tree merge
+RANK0_SENDING = {"naive": 2, "naive_tree": 2, "heavy_hitters": 1}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lockstep_verification_covers_the_one_command(backend):
     """The driver compares every rank's collective trace: the hash
     table's sendrecv hops, the size, the selection's levels, the winner
-    exchange -- and the check changes no result and no model."""
+    exchange, the baselines' gather, tree rounds and broadcast -- and
+    the check changes no result and no model."""
     for name in ("pac", "ec_sel", "sums_ec_sel", "ams", "pec", "pec_zipf_probed",
                  "adaptive", "dsbf_sel", "dsbf_retry", "monitor", "monitor_delta",
-                 "exact_table", "table_query"):
+                 "exact_table", "table_query", "naive", "naive_tree",
+                 "heavy_hitters"):
         sim = Machine(p=4, seed=83)
         real = Machine(p=4, seed=83, backend=backend)
         with real:
@@ -526,7 +586,8 @@ def test_lockstep_verification_covers_the_one_command(backend):
             sent = real.backend.worker_message_counts()[0] - before
             assert got == _run(sim, name)
             assert _model(real) == _model(sim)
-            assert sent >= 2 * 3  # log2(4) sends per collective
+            # log2(4) sends per collective
+            assert sent >= 2 * RANK0_SENDING.get(name, 3)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

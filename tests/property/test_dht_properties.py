@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import key_owner, make_owner_fn
-from repro.frequent import local_key_counts
 from repro.machine import Machine
 from tests.support.dht_runner import count, exchange, topk
-from tests.support.dict_walk import dict_walk
+from tests.support.dict_walk import dict_walk, local_key_counts
 
 key_chunks = st.lists(
     st.lists(st.integers(0, 40), max_size=80),

@@ -30,7 +30,8 @@ WORDS = st.one_of(
 )
 
 KINDS = ["ops", "allgather", "allreduce", "allreduce_exscan", "scan",
-         "broadcast", "gather", "reduce_allgather", "alltoall", "dht_round"]
+         "broadcast", "gather", "gather_direct", "reduce_allgather", "alltoall",
+         "dht_round", "tree_hop"]
 
 
 @st.composite
@@ -39,10 +40,17 @@ def _entry(draw, p: int) -> list[tuple]:
     # a hypercube round needs a partner for every rank
     hypercube = p > 1 and p & (p - 1) == 0
     kinds = KINDS if hypercube else [k for k in KINDS if k != "dht_round"]
+    if p == 1:  # a tree of one PE has no rounds
+        kinds = [k for k in kinds if k != "tree_hop"]
     kind = draw(st.sampled_from(kinds))
     per_rank = st.lists(WORDS, min_size=p, max_size=p)
-    if kind in ("ops", "allgather"):
+    if kind in ("ops", "allgather", "gather_direct"):
         return [(kind, w) for w in draw(per_rank)]
+    if kind == "tree_hop":
+        # a round of the binomial tree below p, what each rank sends in it
+        rnd = draw(st.integers(min_value=0, max_value=(p - 1).bit_length() - 1))
+        label = draw(st.sampled_from(["naive_tree", "spacesaving"]))
+        return [(kind, rnd, w, label) for w in draw(per_rank)]
     if kind in ("allreduce", "allreduce_exscan", "scan"):
         w = draw(WORDS)
         return [(kind, w)] * p

@@ -1,6 +1,8 @@
 """A runner for the hash table's SPMD pieces over values held in the
-driver: the test harness of :func:`repro.frequent.dht.exchange_gen`,
-:func:`repro.frequent.dht.topk_entries_gen` and
+driver: the test harness of :func:`repro.frequent.dht.sample_keys`,
+:func:`repro.frequent.dht.exchange_gen`,
+:func:`repro.frequent.dht.topk_entries_gen`,
+:func:`repro.frequent.dht.tree_merge_gen` and
 :func:`repro.frequent.ec.exact_counts_gen`.
 
 Each call is ONE worker command sent through
@@ -17,7 +19,9 @@ from repro.frequent.dht import (
     integer_key_dtype,
     local_table,
     run_pipeline,
+    sample_keys,
     topk_entries_gen,
+    tree_merge_gen,
 )
 from repro.frequent.ec import exact_counts_gen
 
@@ -42,6 +46,16 @@ def _topk_gen(rank, p, table, addrs, log, dtype, k):
     keys, counts, _ = yield from topk_entries_gen(
         rank, p, (keys.astype(dtype, copy=False), counts), k, int(total), addrs, None, log)
     return list(zip(keys.tolist(), counts.tolist())), None
+
+
+def _sample_gen(rank, p, chunk, addrs, log, addr, rho):
+    yield from ()  # a piece without a collective
+    return None, sample_keys(rank, chunk, addr, rho, log)
+
+
+def _tree_gen(rank, p, value, addrs, log, merge):
+    merged = yield from tree_merge_gen(rank, p, value, merge, "tree_merge", log)
+    return None, merged
 
 
 def _exact_gen(rank, p, chunk, addrs, log, keys):
@@ -102,3 +116,26 @@ def exact_counts(machine, data, keys):
     exact, _ = run_pipeline(machine, data._ensure_ref(), _exact_gen,
                             (np.asarray(keys),), n_addrs=0)
     return exact
+
+
+def sample(machine, data, rho):
+    """Every PE's Bernoulli(``rho``) sample of the resident ``data``,
+    drawn where its chunk lives from the next draw address."""
+    _, samples = run_pipeline(machine, data._ensure_ref(), _sample_gen,
+                              (machine.draw_addr(), rho), n_addrs=0)
+    return samples
+
+
+def merge_dicts(a: dict, b: dict) -> dict:
+    """``a`` and ``b`` with the counts of equal keys added."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def tree_merge(machine, values, merge=merge_dicts):
+    """``values[i]`` (PE ``i``'s) merged into PE 0 up the binomial tree:
+    one entry per PE, the merge at PE 0 and ``None`` elsewhere."""
+    _, merged = run_pipeline(machine, list(values), _tree_gen, (merge,), n_addrs=0)
+    return merged

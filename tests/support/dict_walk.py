@@ -1,6 +1,9 @@
 """A dict walk of the hash-table exchange: the test oracle of
 :func:`repro.frequent.dht.exchange_gen`.
 
+PE ``i``'s sample is first counted into a ``{key: count}`` dict
+(:func:`local_key_counts`, charged as the table's local count is).
+
 Per-PE ``{key: count}`` dicts are routed to ``owner(key)`` in the
 driver, one plain dict per PE, and charged through ``Machine``'s own
 meters: on a power-of-two ``p`` a hypercube walk whose round ``r``
@@ -11,6 +14,19 @@ round); otherwise direct delivery (one ``_meter_alltoall`` of
 """
 
 from math import ceil
+
+import numpy as np
+
+from repro.frequent.dht import local_table
+
+
+def local_key_counts(machine, rank: int, keys) -> dict:
+    """One PE's keys counted into a ``{key: count}`` dict, the work
+    charged to ``rank``."""
+    log: list = []
+    keys, counts = local_table(np.asarray(keys), log)
+    machine.charge_ops_one(rank, log[0][1])
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def dict_walk(machine, dicts, owner, width: float = 2.0) -> list[dict]:

@@ -104,6 +104,24 @@ def _gather(machine, words, root: int) -> None:
     _sync(machine, machine.cost.gather(total, machine.p))
 
 
+def _gather_direct(machine, words) -> None:
+    sizes = np.asarray(words, dtype=np.float64)
+    total = float(sizes.sum() - sizes[0])
+    _record(machine, [(i, 0, sizes[i]) for i in range(1, machine.p)], "gather_direct")
+    _sync(machine, machine.cost.gather_direct(total, machine.p))
+
+
+def _tree_hop(machine, rnd: int, words, label: str) -> None:
+    cost = machine.cost
+    for r, parent, child in reversed(binomial_edges(machine.p, 0)):
+        if r != rnd:
+            continue
+        w = words[child]
+        _record(machine, [(child, parent, w)], label)
+        machine.clock.charge_p2p(child, parent, cost.p2p(w))
+        machine.clock.charge_local_one(parent, max(1.0, w) * cost.time_per_op)
+
+
 def _alltoall(machine, rows) -> None:
     p = machine.p
     sizes = np.array(rows, dtype=np.float64, copy=True)
@@ -160,6 +178,11 @@ def replay_reference(machine, logs) -> None:
         elif kind == "gather":
             _gather(machine, [float(logs[i][t][1]) for i in range(p)],
                     int(logs[0][t][2]))
+        elif kind == "gather_direct":
+            _gather_direct(machine, [logs[i][t][1] for i in range(p)])
+        elif kind == "tree_hop":
+            _tree_hop(machine, int(logs[0][t][1]),
+                      [logs[i][t][2] for i in range(p)], logs[0][t][3])
         elif kind == "reduce_allgather":
             _allgather(machine, [float(logs[i][t][1]) for i in range(p)],
                        extra_words=float(logs[0][t][2]),

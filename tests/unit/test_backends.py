@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser
-from tests.support.dht_runner import exchange
+from tests.support.dht_runner import exchange, tree_merge
 from repro.machine import (
     Machine,
     MultiprocessingBackend,
@@ -270,19 +270,13 @@ class TestCollectiveParity:
         assert sim.metrics.bottleneck_words == real.metrics.bottleneck_words
         assert sim.metrics.total_traffic == real.metrics.total_traffic
 
-    def test_reduce_tree(self, p):
-        def merge(a, b):
-            out = dict(a)
-            for k, v in b.items():
-                out[k] = out.get(k, 0) + v
-            return out
-
+    def test_tree_merge(self, p):
         sim, real = _pair(p)
         dicts = [{i: 1, 99: 1} for i in range(p)]
         with real:
-            _assert_same(
-                sim.reduce_tree(dicts, merge), real.reduce_tree(dicts, merge)
-            )
+            _assert_same(tree_merge(sim, dicts), tree_merge(real, dicts))
+        assert sim.clock.makespan == real.clock.makespan
+        assert sim.metrics.total_traffic == real.metrics.total_traffic
 
     def test_control_plane_charges_identically(self, p):
         """Modeled cost/metering must not depend on the backend."""

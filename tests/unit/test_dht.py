@@ -4,7 +4,8 @@ its SPMD pieces run by ``tests/support/dht_runner.py``."""
 import numpy as np
 import pytest
 
-from repro.frequent import local_key_counts, top_k_frequent_exact
+from repro.frequent import top_k_frequent_exact
+from repro.frequent.dht import local_table
 from repro.machine import DistArray
 from tests.support.dht_runner import count, topk
 
@@ -14,17 +15,19 @@ def rng():
     return np.random.default_rng(59)
 
 
-class TestLocalKeyCounts:
-    def test_counts(self, machine8):
-        d = local_key_counts(machine8, 0, np.array([1, 1, 2, 3, 3, 3]))
-        assert d == {1: 2, 2: 1, 3: 3}
+class TestLocalTable:
+    def test_counts(self):
+        keys, counts = local_table(np.array([1, 1, 2, 3, 3, 3]), [])
+        assert dict(zip(keys.tolist(), counts.tolist())) == {1: 2, 2: 1, 3: 3}
 
-    def test_empty(self, machine8):
-        assert local_key_counts(machine8, 0, np.empty(0, dtype=np.int64)) == {}
+    def test_empty(self):
+        keys, counts = local_table(np.empty(0, dtype=np.int64), [])
+        assert keys.size == counts.size == 0
 
-    def test_charges_work(self, machine8):
-        local_key_counts(machine8, 2, np.arange(100))
-        assert machine8.clock.work_time[2] > 0
+    def test_charges_work(self):
+        log: list = []
+        local_table(np.arange(100), log)
+        assert log == [("ops", 100 * np.log2(100))]
 
 
 class TestCounting:

@@ -1,11 +1,11 @@
 """Unit tests: personalized exchanges (alltoall, the hash-table
-exchange, reduce_tree, point-to-point send)."""
+exchange, the merge up the binomial tree, point-to-point send)."""
 
 import numpy as np
 import pytest
 
 from repro.common.hashing import key_owner
-from tests.support.dht_runner import exchange
+from tests.support.dht_runner import exchange, tree_merge
 from repro.machine import Machine
 
 
@@ -123,23 +123,24 @@ class TestHashTableExchange:
         assert m.metrics.bottleneck_words < raw_pairs / 2
 
 
-class TestReduceTree:
+class TestTreeMerge:
     def test_merge_dicts(self, machine):
         p = machine.p
         dicts = [{i: 1, "x": 1} for i in range(p)]
-        merged = machine.reduce_tree(
-            dicts, lambda a, b: {k: a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)}
+        merged = tree_merge(
+            machine, dicts,
+            lambda a, b: {k: a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)},
         )[0]
         assert merged["x"] == p
 
     def test_nonroot_gets_none(self, machine8):
-        out = machine8.reduce_tree([{1: 1}] * 8, lambda a, b: a)
+        out = tree_merge(machine8, [{1: 1}] * 8, lambda a, b: a)
         assert out[0] is not None
         assert all(x is None for x in out[1:])
 
     def test_logarithmic_startups_at_root(self):
         m = Machine(p=16, seed=0)
-        m.reduce_tree([{i: 1} for i in range(16)], lambda a, b: {**a, **b})
+        tree_merge(m, [{i: 1} for i in range(16)], lambda a, b: {**a, **b})
         assert m.metrics.msgs_recv[0] <= 4  # log2(16)
 
 

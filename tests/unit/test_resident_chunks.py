@@ -299,11 +299,12 @@ class TestDistArrayResident:
     def test_bernoulli_sample_matches_counter_addressed_draws(self, backend):
         from repro.common.sampling import bernoulli_sample_indices
         from repro.machine.ctrrng import DrawAddress
+        from tests.support.dht_runner import sample
 
         with Machine(p=2, seed=14, backend=backend) as m:
             chunks = [np.arange(100), np.arange(100, 200)]
             da = DistArray(m, chunks)
-            samples = da.bernoulli_sample_local(0.2)
+            samples = sample(m, da, 0.2)
             # a fresh machine's first allocation is (seed, seq=0); the
             # kernel draws from each rank's counter-addressed stream
             addr = DrawAddress(14, 0)

@@ -10,6 +10,7 @@ from repro.aggregation import (
     top_k_sums_ec,
     top_k_sums_pac,
 )
+from repro.aggregation.sum_topk import _aggregate_logged, _SumAggState
 from repro.common import zipf_sample
 from repro.machine import Machine
 
@@ -49,15 +50,15 @@ class TestDistKeyValue:
         with pytest.raises(ValueError, match="integer dtype"):
             DistKeyValue(machine8, [np.array([0.5, 0.9])] * 8, [np.ones(2)] * 8)
 
-    def test_local_aggregate(self, machine8):
-        kv = DistKeyValue(
-            machine8,
-            [np.array([1, 1, 2])] * 8,
-            [np.array([2.0, 3.0, 4.0])] * 8,
-        )
-        uniq, sums = kv.local_aggregate(0)
+    def test_local_aggregation_table(self):
+        state = _SumAggState(np.array([1, 1, 2]), np.array([2.0, 3.0, 4.0]))
+        log: list = []
+        uniq, sums = _aggregate_logged(state, log)
         assert list(uniq) == [1, 2]
         assert list(sums) == [5.0, 4.0]
+        assert log == [("ops", 3 * np.log2(3))]
+        _aggregate_logged(state, log)  # cached: built and charged once
+        assert log[1] == ("ops", 0.0)
 
     def test_global_size(self, machine8):
         kv = DistKeyValue(machine8, [np.arange(5)] * 8, [np.ones(5)] * 8)

@@ -79,6 +79,8 @@ ACCEPTED_CHARGE_KINDS = {
     "reduce_allgather",
     "alltoall",
     "dht_round",
+    "gather_direct",
+    "tree_hop",
 }
 
 #: machine/backend collective entry points whose arguments travel, and
@@ -94,7 +96,6 @@ COLLECTIVE_CALL_NAMES = {
     "gather",
     "reduce",
     "reduce_allgather",
-    "reduce_tree",
     "run_pipeline",
     "scan",
     "scatter",
