@@ -177,7 +177,7 @@ def fig8_strict_accuracy(
 # Table 1: communication volume, old vs new, per problem
 # ----------------------------------------------------------------------
 
-def _old_sum_gen(rank: int, p: int, state, unused: list, log: list, k: int):
+def _old_sum_gen(rank: int, p: int, state, take, log: list, k: int):
     """Table 1's centralized sum aggregation, where the pairs live: each
     PE's key -> local-sum table goes straight to PE 0, which merges the
     tables and broadcasts the ``k`` largest sums."""

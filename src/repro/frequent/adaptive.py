@@ -49,7 +49,7 @@ def _confident_split(head: list[int], k: int, delta: float) -> bool:
     return (s_k - s_next) > fluct
 
 
-def _adaptive_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
+def _adaptive_gen(rank: int, p: int, chunk: np.ndarray, take, log: list,
                   dtype, sample_addr, rho0: float, fine_enough: bool, k: int,
                   k_star: int, delta: float):
     """Probe, count, select the top ``k + 1``; stop if the split is
@@ -64,12 +64,12 @@ def _adaptive_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
     table = local_table(sample.astype(dtype, copy=False), log)
     table, total = yield from count_gen(rank, p, table, log)
     keys, counts, _ = yield from topk_entries_gen(
-        rank, p, table, k + 1, total, addrs, None, log)
+        rank, p, table, k + 1, total, take, None, log)
     confident = _confident_split(counts.tolist(), k, delta)
     if confident and fine_enough:
         return (False, confident, keys[:k], counts[:k], probe_size), None
     keys, _, _ = yield from topk_entries_gen(
-        rank, p, table, k_star, total, addrs, None, log)
+        rank, p, table, k_star, total, take, None, log)
     exact = yield from exact_counts_gen(rank, chunk, keys, log)
     return (True, confident, keys, exact, probe_size), None
 

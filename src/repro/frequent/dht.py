@@ -36,11 +36,14 @@ Section 7.4).  Every rank takes those decisions from the same
 replicated values, and the table never leaves the kernel.  The
 centralized baselines skip the exchange: their tables meet at PE 0,
 gathered directly (:func:`gather_direct_gen`) or merged up a binomial
-tree (:func:`tree_merge_gen`).  A selection
-draws only when more than ``k`` entries exist, which the driver learns
-only from the command's answer: it allocates the call's draw addresses
-at build time and gives back those the command reports unused.  This
-is the package's one hash-table exchange.
+tree (:func:`tree_merge_gen`).  This is the package's one hash-table
+exchange.  A selection draws only when more than ``k`` entries exist,
+which the driver learns only from the command's answer: the command
+carries a draw cursor instead of addresses, takes the next address
+whenever a selection draws and reports how many it took.  The
+multicriteria top-k algorithms (:mod:`repro.topk`) send their commands
+through :func:`run_pipeline` too, each PE's index riding along as its
+source.
 
 A table need not die with its command.  With ``keep`` the kernel's
 table stays resident as the command's output ref, and a later call
@@ -52,6 +55,7 @@ and merges them into the tables it kept.
 
 from __future__ import annotations
 
+from itertools import count
 from math import ceil
 from typing import Sequence
 
@@ -62,6 +66,7 @@ from ..common.sampling import bernoulli_sample
 from ..machine import DistArray, Machine
 from ..machine.backends import PureStep
 from ..machine.cost import log2_ceil
+from ..machine.ctrrng import DrawAddress
 from ..machine.metrics import payload_words
 from ..selection.unsorted import default_base_case, select_kth_gen
 
@@ -205,7 +210,7 @@ def broadcast_top_k_gen(rank: int, table, k: int, ops, log: list):
 
 
 def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
-                     addrs: list, piggyback, log: list):
+                     take, piggyback, log: list):
     """The ``k`` entries with the largest counts, replicated on all PEs.
 
     Runs distributed unsorted selection (Algorithm 1, drawing from
@@ -219,9 +224,9 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
     saving one ``alpha log p`` schedule per call.  ``total`` is the
     global entry count, which the caller has already computed and
     charged (:func:`count_gen`; it is not charged again here).  The
-    selection draws from the first of the command's unused draw
-    addresses ``addrs``, which it removes; if ``total`` is at most
-    ``k``, every entry wins and nothing is drawn.
+    selection draws from the command's next draw address, ``take()``;
+    if ``total`` is at most ``k``, every entry wins and nothing is
+    drawn.
 
     ``piggyback`` optionally is this PE's integer (the pipelines' local
     sample size) whose global sum is fused into the winner all-gather
@@ -239,7 +244,7 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
     keys, counts = table
     if total > k:
         value, *_ = yield from select_kth_gen(
-            rank, -counts, p, addrs.pop(0), k, total, 1.0, default_base_case(p), 64, log
+            rank, -counts, p, take(), k, total, 1.0, default_base_case(p), 64, log
         )
         thr = -int(value)  # k-th largest count
         above, tied = counts > thr, counts == thr
@@ -294,7 +299,7 @@ def sample_table(rank: int, chunk: np.ndarray, dtype, addr, rho: float, log: lis
     return local_table(keys.astype(dtype, copy=False), log), int(keys.size)
 
 
-def pipeline_gen(rank: int, p: int, source, addrs: list, log: list, sample_fn,
+def pipeline_gen(rank: int, p: int, source, take, log: list, sample_fn,
                  sample_args: tuple, k: int, piggyback: bool = False,
                  exact_gen=None):
     """The common pipeline: ``sample_fn(rank, source, *sample_args,
@@ -311,7 +316,7 @@ def pipeline_gen(rank: int, p: int, source, addrs: list, log: list, sample_fn,
     table, info = sample_fn(rank, source, *sample_args, log)
     table, total = yield from count_gen(rank, p, table, log)
     keys, counts, pb_total = yield from topk_entries_gen(
-        rank, p, table, k, total, addrs, info if piggyback else None, log
+        rank, p, table, k, total, take, info if piggyback else None, log
     )
     exact = None
     if total and exact_gen is not None:
@@ -323,17 +328,21 @@ def pipeline_gen(rank: int, p: int, source, addrs: list, log: list, sample_fn,
 # The one command path
 # ----------------------------------------------------------------------
 
-def _pipeline_cmd(rank: int, source, p: int, kernel, args: tuple, addrs: list,
+def _pipeline_cmd(rank: int, source, p: int, kernel, args: tuple, cursor: tuple,
                   keep: bool):
-    """One call, where the data lives: ``kernel(rank, p, source,
-    unused, log, *args)`` returns ``(answer, info)``, or with ``keep``
-    ``(answer, info, table)``; every PE returns ``(answer, info,
-    addresses used, log)``, the replicated answer only from PE 0, and
-    with ``keep`` the table before it, to stay resident."""
+    """One call, where the data lives: ``kernel(rank, p, source, take,
+    log, *args)`` returns ``(answer, info)``, or with ``keep``
+    ``(answer, info, table)``, each ``take()`` handing it the next draw
+    address from ``cursor = (seed, first seq)``; every PE returns
+    ``(answer, info, addresses taken, log)``, the replicated answer only
+    from PE 0, and with ``keep`` the table before it, to stay resident."""
     log: list = []
-    unused = list(addrs)
-    answer, info, *kept = yield from kernel(rank, p, source, unused, log, *args)
-    value = (answer if rank == 0 else None, info, len(addrs) - len(unused), log)
+    seed, first = cursor
+    seqs = count(first)
+    answer, info, *kept = yield from kernel(
+        rank, p, source, lambda: DrawAddress(seed, next(seqs)), log, *args)
+    taken = next(seqs) - first  # next(seqs) is the first seq not taken
+    value = (answer if rank == 0 else None, info, taken, log)
     return (kept[0], value) if keep else value
 
 
@@ -345,11 +354,13 @@ def _paired_cmd(rank: int, chunk, rider, *rest):
 
 def run_pipeline(machine: Machine, source, kernel, args: tuple, n_addrs: int = 1,
                  keep: bool = False):
-    """Send ``kernel`` (a generator composed of the pieces above) as ONE
-    worker command and replay its charges.  ``source`` is a resident
-    ref (a dataset, or a table an earlier call kept), a list with one
-    value per PE, which rides the command, or the pair ``(ref, list)``,
-    the kernel then getting ``(chunk, value)``.  Returns ``(answer,
+    """Send ``kernel`` (a generator composed of SPMD pieces, these or
+    another module's) as ONE worker command and replay its charges.
+    ``source`` is a resident ref (a dataset, or a table an earlier call
+    kept), a list with one value per PE, which rides the command (the
+    samples of :func:`~repro.frequent.dsbf.dsbf_top_candidates`, the
+    indexes of :mod:`repro.topk`), or the pair ``(ref, list)``, the
+    kernel then getting ``(chunk, value)``.  Returns ``(answer,
     infos)``, ``infos[i]`` being PE ``i``'s ``info``.
 
     With ``keep`` the kernel also returns a table, which stays where it
@@ -359,19 +370,21 @@ def run_pipeline(machine: Machine, source, kernel, args: tuple, n_addrs: int = 1
     (a kept table is never changed; the next state is a new ref), so
     the ref lives in lineage and a lost pool rebuilds it.
 
-    The call's ``n_addrs`` selection draw addresses are allocated here,
-    in call order; a selection that draws takes the first unused one
-    (:func:`topk_entries_gen`), and those the command reports unused are given
-    back, last first, so a call takes exactly the addresses it draws
-    from.  A failed command keeps them all.
+    The command carries a draw cursor, the machine's next unallocated
+    draw address: a piece that draws calls ``take()`` for the next one
+    (:func:`topk_entries_gen`), so a call takes exactly the addresses it
+    draws from, in issue order, however many its data ask for.  A
+    failed command keeps ``n_addrs`` of them (the addresses its
+    selections could have drawn from), as a failed command of the
+    multi-command form did.
     """
     p = machine.p
     ref, riders = source if isinstance(source, tuple) else (
         (None, source) if isinstance(source, list) else (source, None))
     if riders is not None and len(riders) != p:
         raise ValueError(f"need one entry per PE, got {len(riders)} for p={p}")
-    addrs = [machine.draw_addr() for _ in range(n_addrs)]
-    common = (p, kernel, args, addrs, keep)
+    first = machine._rng_seq
+    common = (p, kernel, args, (machine.seed, first), keep)
     cmd, refs = _pipeline_cmd, [] if ref is None else [ref]
     if riders is None:
         per_pe = [common] * p
@@ -379,12 +392,12 @@ def run_pipeline(machine: Machine, source, kernel, args: tuple, n_addrs: int = 1
         per_pe = [(rider, *common) for rider in riders]
         if ref is not None:
             cmd = _paired_cmd
+    machine._rng_seq = first + n_addrs  # what a failed command keeps
     outs, vals = machine.backend.run_spmd(
         PureStep(cmd) if keep else cmd, refs, n_out=int(keep), args=per_pe)
+    answer, _, taken, _ = vals[0]
+    machine._rng_seq = first + taken
     machine.replay_charges([log for *_, log in vals])
-    answer, _, used, _ = vals[0]
-    for addr in reversed(addrs[used:]):
-        machine.give_back_addr(addr)
     infos = [info for _, info, _, _ in vals]
     return (answer, infos, outs[0]) if keep else (answer, infos)
 

@@ -74,7 +74,7 @@ class DsbfStats:
     flat_suspected: bool
 
 
-def _dsbf_gen(rank: int, p: int, source, addrs: list, log: list, sample_addr,
+def _dsbf_gen(rank: int, p: int, source, take, log: list, sample_addr,
               rho: float, dtype, k_star: int, kappa: int, salt: int, max_rounds: int):
     """The ``k_star`` most frequently sampled keys, through fingerprints.
 
@@ -100,7 +100,7 @@ def _dsbf_gen(rank: int, p: int, source, addrs: list, log: list, sample_addr,
     while True:
         rounds += 1
         head, _, pb = yield from topk_entries_gen(
-            rank, p, table, k_star + kappa, total, addrs, piggyback, log)
+            rank, p, table, k_star + kappa, total, take, piggyback, log)
         if rounds == 1:
             size, piggyback = pb, None
         # fewer fingerprints exist than requested: resolution will

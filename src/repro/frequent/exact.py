@@ -47,11 +47,11 @@ class CountTable:
     items: int
 
 
-def _table_gen(rank: int, p: int, table: tuple, addrs: list, log: list, k: int):
+def _table_gen(rank: int, p: int, table: tuple, take, log: list, k: int):
     """The top ``k`` of a resident owner table: the selection alone."""
     keys, counts, total = table
     keys, counts, _ = yield from topk_entries_gen(
-        rank, p, (keys, counts), k, total, addrs, None, log)
+        rank, p, (keys, counts), k, total, take, None, log)
     return (total, keys, counts), None
 
 

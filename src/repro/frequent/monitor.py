@@ -71,13 +71,13 @@ def _fold(held: Table | None, delta: Table) -> Table:
     return merge_tables([(keys.astype(delta[0].dtype, copy=False), counts), delta])
 
 
-def _refresh_gen(rank: int, p: int, source, addrs: list, log: list, dtype,
+def _refresh_gen(rank: int, p: int, source, take, log: list, dtype,
                  addr, v_avg: float, k: int):
     """One refresh: fold the delta into the resident table, run the
     pipeline over it and keep the merged table."""
     table = _fold(*source)
     answer, info, _ = yield from pipeline_gen(
-        rank, p, table, addrs, log, _sample_counts, (dtype, addr, v_avg), k)
+        rank, p, table, take, log, _sample_counts, (dtype, addr, v_avg), k)
     return answer, info, table
 
 

@@ -43,7 +43,7 @@ from .result import FrequentResult
 __all__ = ["top_k_frequent_naive", "top_k_frequent_naive_tree"]
 
 
-def _naive_gen(rank: int, p: int, chunk: np.ndarray, unused: list, log: list,
+def _naive_gen(rank: int, p: int, chunk: np.ndarray, take, log: list,
                dtype, addr, rho: float, k: int, tree: bool):
     """One call of either baseline where the chunks live.  PE 0 answers
     ``(items, sample size, coordinator keys)``, the items as ``(key,

@@ -68,7 +68,7 @@ def estimate_k_star(head: Sequence[int], k: int, delta: float) -> tuple[int, boo
     return len(head), False
 
 
-def _pec_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
+def _pec_gen(rank: int, p: int, chunk: np.ndarray, take, log: list,
              dtype, sample_addr, rho0: float, k: int, delta: float, cap: int):
     """Both PEC stages in one command: the probing sample's head of
     ``cap`` entries (the sample size riding its winner exchange), the
@@ -78,14 +78,14 @@ def _pec_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
     table, local_size = sample_table(rank, chunk, dtype, sample_addr, rho0, log)
     table, total = yield from count_gen(rank, p, table, log)
     keys, counts, size = yield from topk_entries_gen(
-        rank, p, table, cap, total, addrs, local_size, log)
+        rank, p, table, cap, total, take, local_size, log)
     k_star, gap_found = estimate_k_star(counts.tolist(), k, delta)
     keys = keys[:k_star]
     exact = yield from exact_counts_gen(rank, chunk, keys, log)
     return (keys, exact, k_star, gap_found, size), None
 
 
-def _zipf_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
+def _zipf_gen(rank: int, p: int, chunk: np.ndarray, take, log: list,
               dtype, sample_addr, n: int, k: int, delta: float, s: float,
               universe: int | None, k_star: int):
     """PEC-Zipf in one command: the universe (probed by a max
@@ -98,7 +98,7 @@ def _zipf_gen(rank: int, p: int, chunk: np.ndarray, addrs: list, log: list,
     h = harmonic_number(universe, s)
     rho = min(1.0, 4.0 * k**s * h * np.log(k / delta) / n)
     answer, _, _ = yield from pipeline_gen(
-        rank, p, chunk, addrs, log, sample_table, (dtype, sample_addr, rho),
+        rank, p, chunk, take, log, sample_table, (dtype, sample_addr, rho),
         k_star, True, exact_counts_gen)
     return (answer, universe, h, rho), None
 

@@ -73,16 +73,17 @@ class SpaceSaving:
                 self.offer(int(key), int(c))
             return
         # batch path: the summary state round-trips through the
-        # insertion-ordered parallel arrays the offer kernel works on
+        # insertion-ordered parallel arrays the offer kernel works on,
+        # in the keys' own dtype (uint64 keys >= 2^63 included)
         cur_keys = np.fromiter(
-            self.counters.keys(), dtype=np.int64, count=len(self.counters)
+            self.counters.keys(), dtype=uniq.dtype, count=len(self.counters)
         )
         cur_counts = np.fromiter(
             self.counters.values(), dtype=np.int64, count=len(self.counters)
         )
         out_keys, out_counts, self.max_evicted = spacesaving_offer(
             cur_keys, cur_counts, self.capacity, self.max_evicted,
-            uniq.astype(np.int64), counts.astype(np.int64),
+            uniq, counts.astype(np.int64),
         )
         self.counters = {int(k): int(c) for k, c in zip(out_keys, out_counts)}
         self.n += int(counts.sum())
@@ -119,7 +120,7 @@ class SpaceSaving:
         return sorted(self.counters.items(), key=lambda t: (-t[1], t[0]))[:k]
 
 
-def _heavy_hitters_gen(rank: int, p: int, chunk: np.ndarray, unused: list,
+def _heavy_hitters_gen(rank: int, p: int, chunk: np.ndarray, take,
                       log: list, capacity: int, phi: float):
     """One :func:`heavy_hitters` call where the chunks live; PE 0
     answers the list of ``(key, count)``."""

@@ -19,7 +19,8 @@ def spacesaving_offer(keys, counts, capacity, max_evicted, new_keys,
                       new_counts):
     """Apply ``(new_keys[i], new_counts[i])`` offers to a Space-Saving
     summary given as insertion-ordered parallel arrays; returns the
-    updated ``(keys, counts, max_evicted)``."""
+    updated ``(keys, counts, max_evicted)``, the keys in ``keys``'
+    dtype."""
     table = {int(k): int(c) for k, c in zip(keys, counts)}
     max_evicted = int(max_evicted)
     for k, c in zip(new_keys, new_counts):
@@ -33,6 +34,6 @@ def spacesaving_offer(keys, counts, capacity, max_evicted, new_keys,
             floor = table.pop(victim)
             max_evicted = max(max_evicted, floor)
             table[k] = floor + c
-    out_keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+    out_keys = np.fromiter(table.keys(), dtype=np.asarray(keys).dtype, count=len(table))
     out_counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
     return out_keys, out_counts, max_evicted

@@ -210,7 +210,9 @@ class Machine:
         #: draws (:meth:`draw_addr`)
         self.seed = int(seed)
         #: next counter-addressed draw sequence number (allocated at
-        #: command-build time, in issue order)
+        #: command-build time, in issue order; a command that carries a
+        #: draw cursor advances it by the addresses it took,
+        #: :func:`repro.frequent.dht.run_pipeline`)
         self._rng_seq = 0
         seq = np.random.SeedSequence(seed)
         children = seq.spawn(self.p + 1)
@@ -243,15 +245,6 @@ class Machine:
         seq = self._rng_seq
         self._rng_seq += 1
         return DrawAddress(self.seed, seq)
-
-    def give_back_addr(self, addr: DrawAddress) -> None:
-        """Un-allocate ``addr``, the last address :meth:`draw_addr`
-        returned: a command that draws only if its own data say so
-        ships an address and, when it reports that it did not draw,
-        gives it back, so the next call draws from it instead."""
-        if addr != DrawAddress(self.seed, self._rng_seq - 1):
-            raise ValueError(f"{addr} is not the last allocated draw address")
-        self._rng_seq -= 1
 
     # ------------------------------------------------------------------
     # Local work
@@ -427,30 +420,6 @@ class Machine:
         ]
         self.metrics.record_schedule(pairs, "allreduce_exscan")
         self._charge(self.cost.allreduce_exscan(m, self.p))
-
-    def tie_grant_prefix(
-        self, strict_counts: Sequence[int], tie_counts: Sequence[int], k: int
-    ) -> tuple[int, list[int]]:
-        """Exact-k tie granting in one fused schedule.
-
-        The selection/top-k extraction kernels all end the same way:
-        elements strictly inside the threshold are kept, and the
-        remaining quota of threshold-equal elements is granted in PE
-        order.  This wraps the required ``k - sum(strict_counts)`` total
-        and the exclusive prefix of ``tie_counts`` into a single
-        :meth:`allreduce_exscan` of (strict, tie) pairs.
-
-        Returns ``(quota, tie_before)`` where PE ``i`` may keep
-        ``clip(quota - tie_before[i], 0, tie_counts[i])`` tied elements.
-        """
-        pairs = [
-            np.array([s, t], dtype=np.int64)
-            for s, t in zip(strict_counts, tie_counts)
-        ]
-        totals, prefixes = self.allreduce_exscan(
-            pairs, op="sum", initial=np.zeros(2, dtype=np.int64)
-        )
-        return k - int(totals[0][0]), [int(pre[1]) for pre in prefixes]
 
     def gather(self, values: Sequence, root: int = 0, mode: str = "tree") -> list:
         """Collect all contributions at ``root`` (a list in rank order).

@@ -156,10 +156,11 @@ def _select_kernel(rank: int, chunk: np.ndarray, *args):
 def _topk_cut_kernel(rank: int, chunk: np.ndarray, threshold, k: int):
     """Count + tie-grant + cut as ONE SPMD step (one backend round trip).
 
-    The below/equal counts ride a fused in-worker ``allreduce_exscan``
-    (exactly :meth:`Machine.tie_grant_prefix`'s schedule); each PE then
-    grants its tie quota and cuts locally, so the selected elements
-    never leave the worker.  Returns the cut chunk plus the small
+    The below/equal counts ride one fused in-worker
+    ``allreduce_exscan`` (total below + tie prefix, the schedule
+    :func:`repro.topk.dta.winners_gen` grants its ties with); each PE
+    then grants its tie quota and cuts locally, so the selected
+    elements never leave the worker.  Returns the cut chunk plus the small
     ``(below, equal, selected)`` count triple the driver re-plays the
     cost model from.
     """

@@ -23,6 +23,16 @@ Expected time ``O(m^2 log^2 K + beta m log K + alpha log p log K)``
 (Theorem 6).  :func:`dta_topk` materializes the hits and runs exact
 distributed selection on their relevances, verifying (and if needed
 growing ``K``) until the output provably contains the true top-k.
+
+Each call is ONE worker command (:func:`repro.frequent.dht.run_pipeline`):
+every PE's :class:`LocalIndex` rides the command, and the PEs run the
+search themselves, as in the paper -- one all-reduction of the object
+count, then per probe ``m`` amsSelects (:func:`ams_select_gen` over the
+negated score columns) and the estimator's sum, every PE deciding from
+the same replicated values.  The draws come from counter addresses in
+issue order: ``m + 1`` per probe and one for the final selection, which
+:func:`winners_gen` runs (RDTA shares it).  Only the answer, each PE's
+prefix sizes and its charge log return to the driver.
 """
 
 from __future__ import annotations
@@ -31,10 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine import DistArray, Machine
+from ..frequent.dht import run_pipeline
+from ..machine import Machine
 from ..selection.accessors import ArraySeq
-from ..selection.flexible import ams_select
-from ..selection.unsorted import select_topk_largest
+from ..selection.flexible import ams_select_gen
+from ..selection.unsorted import default_base_case, select_kth_gen
 from .index import LocalIndex
 from .scoring import ScoringFunction
 
@@ -78,124 +89,62 @@ class DTAResult:
     exact: bool
 
 
+def check_indexes(machine: Machine, indexes: list[LocalIndex], k: int) -> None:
+    """Refuse a call without one index per PE, all over the same
+    criteria, and ``1 <= k <= n`` -- before anything is charged, sent
+    or drawn."""
+    p = machine.p
+    if len(indexes) != p:
+        raise ValueError(f"need one index per PE (p={p}, got {len(indexes)})")
+    m = indexes[0].m
+    if any(ix.m != m for ix in indexes):
+        raise ValueError("all PEs must index the same criteria")
+    n_total = sum(ix.n for ix in indexes)
+    if not 1 <= k <= n_total:
+        raise ValueError(f"k must satisfy 1 <= k <= {n_total}, got {k}")
+
+
+def _search(*, k_start: int | None = None, y_samples: int | None = None,
+            hit_target_factor: float = 2.0, max_rounds: int = 40,
+            probes: int = 1) -> tuple:
+    """The exponential search's options (see :func:`dta_prefixes`),
+    checked, in :func:`_search_gen`'s order."""
+    if probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}")
+    return k_start, y_samples, hit_target_factor, max_rounds, probes
+
+
+def _prefixes(head: tuple, cuts: list) -> DTAPrefixes:
+    tmin, xs, scanned, rounds, estimate = head
+    return DTAPrefixes(tmin, xs, tuple(cuts), scanned, rounds, estimate)
+
+
 def dta_prefixes(
     machine: Machine,
     indexes: list[LocalIndex],
     scorer: ScoringFunction,
     k: int,
-    *,
-    k_start: int | None = None,
-    y_samples: int | None = None,
-    hit_target_factor: float = 2.0,
-    max_rounds: int = 40,
-    probes: int = 1,
+    **search,
 ) -> DTAPrefixes:
     """Run Algorithm 3's exponential search and return the prefixes.
 
-    ``probes > 1`` enables the Section 6 refinement ("we can further
-    reduce the latency of DTA by trying several values of K in each
-    iteration"): each round evaluates the geometric ladder
-    ``K, 2K, ..., 2^(probes-1) K`` and keeps the smallest sufficient
-    one, dividing the expected round count by ``probes`` at the price of
-    proportionally more (cheap, prefix-only) work per round.
+    The search's keyword options: ``k_start`` (the first guess of
+    ``K``; default ``ceil(k / (m p))``), ``y_samples`` (estimator
+    samples per list and PE; default ``max(16, 8 log2(K + 2))``),
+    ``hit_target_factor`` (stop once ``factor * k`` hits are estimated;
+    2.0), ``max_rounds`` (40) and ``probes`` (1).  ``probes > 1``
+    enables the Section 6 refinement ("we can further reduce the
+    latency of DTA by trying several values of K in each iteration"):
+    each round evaluates the geometric ladder ``K, 2K, ...,
+    2^(probes-1) K`` and keeps the smallest sufficient one, dividing the
+    expected round count by ``probes`` at the price of proportionally
+    more (cheap, prefix-only) work per round.
     """
-    p = machine.p
-    if len(indexes) != p:
-        raise ValueError(f"need one index per PE (p={p}, got {len(indexes)})")
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
-    m = indexes[0].m
-    if any(ix.m != m for ix in indexes):
-        raise ValueError("all PEs must index the same criteria")
-    n_total = int(machine.allreduce([ix.n for ix in indexes], op="sum")[0])
-    if not 1 <= k <= n_total:
-        raise ValueError(f"k must satisfy 1 <= k <= {n_total}, got {k}")
-
-    K = k_start if k_start is not None else max(1, int(np.ceil(k / (m * p))))
-    rounds = 0
-    while True:
-        rounds += 1
-        best = None
-        for j in range(probes):
-            K_probe = min(K * (2**j), n_total) if K * (2**j) <= n_total else n_total
-            xs, cuts = _select_prefixes(machine, indexes, K_probe, n_total)
-            tmin = scorer(np.asarray(xs))
-            y = (
-                y_samples
-                if y_samples is not None
-                else max(16, int(8 * np.log2(K_probe + 2)))
-            )
-            estimate = _estimate_hits(machine, indexes, scorer, xs, cuts, tmin, y)
-            best = (K_probe, xs, cuts, tmin, estimate)
-            if estimate >= hit_target_factor * k or K_probe >= n_total:
-                break
-        K_used, xs, cuts, tmin, estimate = best
-        if (
-            estimate >= hit_target_factor * k
-            or K_used >= n_total
-            or rounds >= max_rounds
-        ):
-            return DTAPrefixes(
-                tmin=float(tmin),
-                xs=tuple(xs),
-                prefix_sizes=tuple(tuple(row) for row in cuts),
-                scanned=K_used,
-                rounds=rounds,
-                hit_estimate=float(estimate),
-            )
-        K = K_used * 2
-
-
-def _select_prefixes(machine, indexes, K, n_total):
-    """amsSelect per criterion: threshold ``x_c`` and per-PE prefix cuts."""
-    p = machine.p
-    m = indexes[0].m
-    xs = []
-    cuts = [[0] * m for _ in range(p)]
-    k_lo = min(K, n_total)
-    k_hi = min(2 * K, n_total)
-    for c in range(m):
-        # descending list scores, negated to match amsSelect's ascending
-        # "k smallest" convention
-        seqs = [ArraySeq(-indexes[i].scores_desc(c)) for i in range(p)]
-        res = ams_select(machine, seqs, k_lo, k_hi)
-        xs.append(-float(res.value))
-        for i in range(p):
-            cuts[i][c] = int(res.cuts[i])
-    return xs, cuts
-
-
-def _estimate_hits(machine, indexes, scorer, xs, cuts, tmin, y):
-    """Sampling-based truthful estimator of the global hit count."""
-    p = machine.p
-    m = indexes[0].m
-    per_pe_estimate = []
-    addr = machine.draw_addr()  # counter-addressed estimator draws
-    gens = [addr.local(i) for i in range(p)]
-    for i in range(p):
-        ix = indexes[i]
-        prefix_rows = [set(map(int, ix.prefix_rows(c, cuts[i][c]))) for c in range(m)]
-        total = 0.0
-        ops = 0.0
-        for c in range(m):
-            size = cuts[i][c]
-            if size == 0:
-                continue
-            rows = ix.prefix_rows(c, size)
-            picks = gens[i].integers(0, size, size=y)
-            rejected = 0
-            hits = 0
-            for t in picks:
-                row = int(rows[t])
-                if any(row in prefix_rows[j] for j in range(c)):
-                    rejected += 1  # counted by an earlier list
-                elif scorer(ix.scores[row]) >= tmin:
-                    hits += 1
-            ops += y * (c + scorer.ops_per_eval)
-            total += size * (1.0 - rejected / y) * (hits / y)
-        machine.charge_ops_one(i, max(1.0, ops))
-        per_pe_estimate.append(total)
-    return float(machine.allreduce(per_pe_estimate, op="sum")[0])
+    options = _search(**search)
+    check_indexes(machine, indexes, k)
+    (_, head, _), cuts = run_pipeline(
+        machine, indexes, _dta_cmd, (scorer, k, options, None), n_addrs=0)
+    return _prefixes(head, cuts)
 
 
 def dta_topk(
@@ -205,83 +154,159 @@ def dta_topk(
     k: int,
     *,
     max_growth: int = 20,
-    **prefix_kwargs,
+    **search,
 ) -> DTAResult:
     """Exact global top-k under arbitrary data distribution.
 
-    Runs :func:`dta_prefixes`, materializes the hits (prefix objects
-    with relevance above the threshold -- local work only, the phase the
-    paper notes may be imbalanced), and selects the top-k among them
-    with the unsorted selection algorithm.  If the materialized hits
-    cannot yet certify the top-k (fewer than ``k`` strict hits), the
-    scan depth is doubled and the prefixes recomputed -- the same
-    exponential search, now driven by exact counts.
+    Runs :func:`dta_prefixes`' search (same options), materializes the
+    hits (prefix objects with relevance above the threshold -- local
+    work only, the phase the paper notes may be imbalanced), and
+    selects the top-k among them with the unsorted selection algorithm.
+    If the materialized hits cannot yet certify the top-k (fewer than
+    ``k`` strict hits), the scan depth is doubled and the prefixes
+    recomputed -- the same exponential search, now driven by exact
+    counts.
     """
-    pre = dta_prefixes(machine, indexes, scorer, k, **prefix_kwargs)
-    n_total = int(machine.allreduce([ix.n for ix in indexes], op="sum")[0])
+    options = _search(**search)
+    check_indexes(machine, indexes, k)
+    (items, head, exact), cuts = run_pipeline(
+        machine, indexes, _dta_cmd, (scorer, k, options, max_growth), n_addrs=0)
+    return DTAResult(items, _prefixes(head, cuts), exact)
+
+
+# ----------------------------------------------------------------------
+# SPMD pieces: one PE's part of the call, where its index is
+# ----------------------------------------------------------------------
+
+def _dta_cmd(rank: int, p: int, ix: LocalIndex, take, log: list, scorer, k: int,
+             options: tuple, max_growth: int | None):
+    """:func:`dta_topk` on one PE (the search, grown while the hits
+    cannot certify the top-k, then the winners among the hits), or with
+    ``max_growth=None`` :func:`dta_prefixes` (the search alone).
+    Returns ``((items, head, exact), cuts)``, ``head`` the replicated
+    search result and ``cuts`` this PE's prefix sizes."""
+    n_total = yield ("allreduce", ix.n, "sum")
+    log.append(("allreduce", 1))
+    # descending list scores, negated: amsSelect selects the k smallest
+    cols = [ArraySeq(-ix.scores_desc(c)) for c in range(ix.m)]
+    k_start, *rest = options
     growth = 0
     while True:
-        hits_per_pe = _materialize_hits(machine, indexes, scorer, pre)
-        n_hits = int(machine.allreduce([len(h) for h in hits_per_pe], op="sum")[0])
-        if n_hits >= k or pre.scanned >= n_total or growth >= max_growth:
+        head, cuts = yield from _search_gen(
+            rank, p, ix, cols, n_total, take, log, scorer, k, k_start, *rest)
+        if max_growth is None:
+            return (None, head, None), cuts
+        ids, rel = _hits(ix, scorer, head[0], cuts, log)
+        n_hits = yield ("allreduce", int(ids.size), "sum")
+        log.append(("allreduce", 1))
+        if n_hits >= k or head[2] >= n_total or growth >= max_growth:
             break
         growth += 1
-        pre = dta_prefixes(
-            machine, indexes, scorer, k,
-            k_start=pre.scanned * 2, **prefix_kwargs,
-        )
-
-    exact = n_hits >= k
-    k_eff = min(k, n_hits)
-    rel_chunks = DistArray(
-        machine,
-        [np.array([rel for (_, rel) in h], dtype=np.float64) for h in hits_per_pe],
-    )
-    if k_eff == 0:
-        return DTAResult((), pre, False)
-    sel, thr = select_topk_largest(machine, rel_chunks, k_eff)
-    items = _collect_winners(machine, hits_per_pe, thr, k_eff)
-    return DTAResult(tuple(items), pre, exact)
+        k_start = head[2] * 2
+    items = ()
+    if n_hits:
+        items = yield from winners_gen(rank, p, ids, rel, min(k, n_hits), n_hits, take, log)
+    return (items, head, n_hits >= k), cuts
 
 
-def _materialize_hits(machine, indexes, scorer, pre: DTAPrefixes):
-    """Per-PE scan of the prefix union: objects with ``t(o) >= tmin``.
+def _search_gen(rank: int, p: int, ix: LocalIndex, cols: list, n_total: int, take,
+                log: list, scorer, k: int, k_start, y_samples, hit_target_factor,
+                max_rounds: int, probes: int):
+    """Algorithm 3's exponential search.  Returns ``(head, cuts)``:
+    the replicated ``(tmin, xs, scanned, rounds, hit_estimate)`` and
+    this PE's prefix sizes."""
+    K = k_start if k_start is not None else max(1, int(np.ceil(k / (ix.m * p))))
+    rounds = 0
+    while True:
+        rounds += 1
+        for j in range(probes):
+            K_probe = min(K * (2**j), n_total)
+            # amsSelect per criterion: threshold x_c and this PE's cut
+            xs, cuts = [], []
+            for col in cols:
+                addr = take()
+                value, _, cut, _, _ = yield from ams_select_gen(
+                    rank, p, col, K_probe, min(2 * K_probe, n_total),
+                    addr.local(rank), addr.shared(), log)
+                xs.append(-float(value))
+                cuts.append(int(cut))
+            tmin = scorer(np.asarray(xs))
+            y = max(16, int(8 * np.log2(K_probe + 2))) if y_samples is None else y_samples
+            estimate = yield from _estimate_hits_gen(
+                rank, ix, scorer, cuts, tmin, y, take(), log)
+            if estimate >= hit_target_factor * k or K_probe >= n_total:
+                break
+        if estimate >= hit_target_factor * k or K_probe >= n_total or rounds >= max_rounds:
+            return (float(tmin), tuple(xs), K_probe, rounds, estimate), tuple(cuts)
+        K = K_probe * 2
+
+
+def _estimate_hits_gen(rank: int, ix: LocalIndex, scorer, cuts: list, tmin: float,
+                       y: int, addr, log: list):
+    """Sampling-based truthful estimator of the global hit count, drawn
+    from this PE's stream of the counter address ``addr``."""
+    gen = addr.local(rank)
+    seen = np.zeros(ix.n, dtype=bool)  # rows in an earlier list's prefix
+    total = 0.0
+    ops = 0.0
+    for c, size in enumerate(cuts):
+        rows = ix.prefix_rows(c, size)
+        if size:
+            picked = rows[gen.integers(0, size, size=y)]
+            rejected = seen[picked]  # counted by an earlier list
+            hit = ~rejected & (scorer.apply_rows(ix.scores[picked]) >= tmin)
+            ops += y * (c + scorer.ops_per_eval)
+            total += size * (1.0 - int(rejected.sum()) / y) * (int(hit.sum()) / y)
+        seen[rows] = True
+    log.append(("ops", max(1.0, ops)))
+    estimate = yield ("allreduce", total, "sum")
+    log.append(("allreduce", 1))
+    return float(estimate)
+
+
+def _hits(ix: LocalIndex, scorer, tmin: float, cuts: tuple, log: list):
+    """This PE's scan of the prefix union: the ids and relevances of the
+    objects with ``t(o) >= tmin``.
 
     This is the single local-computation phase whose imbalance the paper
     accepts (worst case: all hits on one PE); its cost is charged to the
-    owning PEs and therefore shows up in the modeled makespan.
+    owning PE and therefore shows up in the modeled makespan.
     """
-    p = machine.p
-    m = indexes[0].m
-    out = []
-    for i in range(p):
-        ix = indexes[i]
-        rows: set[int] = set()
-        for c in range(m):
-            rows.update(map(int, ix.prefix_rows(c, pre.prefix_sizes[i][c])))
-        hits = []
-        for row in rows:
-            rel = scorer(ix.scores[row])
-            if rel >= pre.tmin:
-                hits.append((int(ix.ids[row]), float(rel)))
-        machine.charge_ops_one(i, max(1.0, len(rows) * scorer.ops_per_eval))
-        out.append(hits)
-    return out
+    rows = np.unique(np.concatenate(
+        [ix.prefix_rows(c, size) for c, size in enumerate(cuts)]))
+    rel = scorer.apply_rows(ix.scores[rows])
+    log.append(("ops", max(1.0, rows.size * scorer.ops_per_eval)))
+    hit = rel >= tmin
+    return ix.ids[rows[hit]], rel[hit]
 
 
-def _collect_winners(machine, hits_per_pe, thr, k):
-    """Exact-k extraction with PE-ordered tie granting, then allgather."""
-    strict = [[(o, r) for (o, r) in h if r > thr] for h in hits_per_pe]
-    ties = [[(o, r) for (o, r) in h if r == thr] for h in hits_per_pe]
-    # fused: strict-winner total and tie prefix share one schedule
-    quota, tie_before = machine.tie_grant_prefix(
-        [len(s) for s in strict], [len(t) for t in ties], k
+def winners_gen(rank: int, p: int, ids: np.ndarray, rel: np.ndarray, k: int, n: int,
+                take, log: list):
+    """The ``k`` best ``(id, relevance)`` pairs among every PE's
+    candidates ``(ids, rel)``, ``n`` of them in all, best first (ties
+    by ascending id), on every PE.
+
+    Unsorted selection (:func:`select_kth_gen`, drawing from ``take()``)
+    on the negated relevances finds the threshold; ONE all-reduction
+    with exclusive prefix of the (strict, tied) counts gives the strict
+    winners' total and grants the threshold ties in PE order, so
+    exactly ``k`` win; one allgather shares them.
+    """
+    value, *_ = yield from select_kth_gen(
+        rank, -rel, p, take(), k, n, 1.0, default_base_case(p), 64, log)
+    thr = -value
+    strict, tied = rel > thr, rel == thr
+    log.append(("ops", float(rel.size)))
+    totals, before = yield (
+        "allreduce_exscan", np.array([strict.sum(), tied.sum()], dtype=np.int64),
+        "sum", np.zeros(2, dtype=np.int64),
     )
-    winners_per_pe = []
-    for i in range(machine.p):
-        grant = int(np.clip(quota - tie_before[i], 0, len(ties[i])))
-        winners_per_pe.append(strict[i] + ties[i][:grant])
-    gathered = machine.allgather(winners_per_pe)[0]
-    items = [item for piece in gathered for item in piece]
-    items.sort(key=lambda t: (-t[1], t[0]))
-    return items[:k]
+    log.append(("allreduce_exscan", 2))
+    grant = k - int(totals[0]) - int(before[1])
+    won = strict | (tied & (np.cumsum(tied) <= grant))
+    gathered = yield ("allgather", (ids[won], rel[won]))
+    log.append(("allgather", 2 * int(won.sum())))
+    all_ids = np.concatenate([g[0] for g in gathered])
+    all_rel = np.concatenate([g[1] for g in gathered])
+    order = np.lexsort((all_ids, -all_rel))[:k]
+    return tuple(zip(all_ids[order].tolist(), all_rel[order].tolist()))

@@ -88,13 +88,8 @@ def build_distributed_index(
     """Build one :class:`LocalIndex` per PE, charging the sort cost."""
     if len(ids_per_pe) != machine.p or len(scores_per_pe) != machine.p:
         raise ValueError("need ids and scores for every PE")
-    out = []
-    for i in range(machine.p):
-        idx = LocalIndex(ids_per_pe[i], scores_per_pe[i])
-        machine.charge_ops_one(
-            i, idx.m * idx.n * np.log2(max(idx.n, 2))
-        )
-        out.append(idx)
+    out = [LocalIndex(ids, scores) for ids, scores in zip(ids_per_pe, scores_per_pe)]
+    machine.charge_ops([ix.m * ix.n * np.log2(max(ix.n, 2)) for ix in out])
     return out
 
 

@@ -10,6 +10,11 @@ above it, the top-k among the candidates is found with the unsorted
 selection algorithm.  Otherwise ``k_hat`` doubles and the scan resumes
 -- PEs whose local threshold is already below the current k-th best
 relevance may sit out the extra scanning.
+
+A call is ONE worker command (:func:`repro.frequent.dht.run_pipeline`):
+every PE's index rides it, each round is a local TA pass plus two
+all-reductions, and the winners are selected by the piece DTA ends with
+(:func:`~repro.topk.dta.winners_gen`).
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine import DistArray, Machine
-from ..selection.unsorted import select_topk_largest
+from ..frequent.dht import run_pipeline
+from ..machine import Machine
+from .dta import check_indexes, winners_gen
 from .index import LocalIndex
 from .scoring import ScoringFunction
 from .threshold import ta_topk
@@ -63,79 +69,48 @@ def rdta_topk(
         Multiplier on the balls-into-bins bound ``k/p + log p`` for the
         initial per-PE candidate budget.
     """
-    p = machine.p
-    if len(indexes) != p:
-        raise ValueError(f"need one index per PE (p={p}, got {len(indexes)})")
-    n_total = int(machine.allreduce([ix.n for ix in indexes], op="sum")[0])
-    if not 1 <= k <= n_total:
-        raise ValueError(f"k must satisfy 1 <= k <= {n_total}, got {k}")
+    check_indexes(machine, indexes, k)
+    answer, _ = run_pipeline(machine, indexes, _rdta_cmd, (scorer, k, slack, max_rounds))
+    if answer is None:
+        raise RuntimeError(
+            "RDTA failed to verify a threshold; data placement is "
+            "likely adversarial -- use dta_topk instead"
+        )
+    return RDTAResult(*answer)
 
+
+def _rdta_cmd(rank: int, p: int, ix: LocalIndex, take, log: list, scorer, k: int,
+              slack: float, max_rounds: int):
+    """:func:`rdta_topk` on one PE: ``(items, rounds, k_hat)``, or
+    ``None`` if no round verified a threshold."""
+    n_total = yield ("allreduce", ix.n, "sum")
+    log.append(("allreduce", 1))
     k_hat = max(1, int(np.ceil(slack * (k / p + np.log2(p + 1)))))
     rounds = 0
     while True:
         rounds += 1
-        # local TA pass on every PE: k_hat candidates + local threshold
-        local_results = []
-        for i in range(p):
-            res = ta_topk(indexes[i], scorer, min(k_hat, max(indexes[i].n, 1)))
-            # scanning cost: K rows in m lists plus random accesses
-            machine.charge_ops_one(
-                i,
-                max(1.0, res.scan_depth * indexes[i].m * scorer.ops_per_eval),
-            )
-            local_results.append(res)
+        # local TA pass: k_hat candidates + local threshold; scanning
+        # cost: K rows in m lists plus random accesses
+        res = ta_topk(ix, scorer, min(k_hat, max(ix.n, 1)))
+        log.append(("ops", max(1.0, res.scan_depth * ix.m * scorer.ops_per_eval)))
 
         # global threshold: max over local TA thresholds; a PE that ran
         # out of objects cannot hide better ones (its threshold is -inf)
-        local_thr = [
-            r.threshold if ix.n > len(r.items) else float("-inf")
-            for r, ix in zip(local_results, indexes)
-        ]
-        global_thr = float(machine.allreduce(local_thr, op="max")[0])
-
-        above = [
-            sum(1 for (_, rel) in r.items if rel >= global_thr) for r in local_results
-        ]
-        n_above = int(machine.allreduce(above, op="sum")[0])
+        local_thr = res.threshold if ix.n > len(res.items) else float("-inf")
+        global_thr = yield ("allreduce", local_thr, "max")
+        log.append(("allreduce", 1))
+        above = sum(1 for (_, rel) in res.items if rel >= global_thr)
+        n_above = yield ("allreduce", above, "sum")
+        log.append(("allreduce", 1))
         if n_above >= k or k_hat >= n_total:
             # verify: the k best candidates all dominate the threshold,
             # so no unscanned object can displace them
-            cand_scores = DistArray(
-                machine,
-                [
-                    np.array([rel for (_, rel) in r.items], dtype=np.float64)
-                    for r in local_results
-                ],
-            )
-            sel, thr = select_topk_largest(machine, cand_scores, k)
-            items = _materialize(machine, local_results, sel, thr, k)
-            return RDTAResult(tuple(items), rounds, k_hat)
+            n_cand = yield ("allreduce", len(res.items), "sum")
+            log.append(("allreduce", 1))
+            ids = np.array([oid for oid, _ in res.items], dtype=np.int64)
+            rel = np.array([r for _, r in res.items], dtype=np.float64)
+            items = yield from winners_gen(rank, p, ids, rel, k, int(n_cand), take, log)
+            return (items, rounds, k_hat), None
         if rounds >= max_rounds:
-            raise RuntimeError(
-                "RDTA failed to verify a threshold; data placement is "
-                "likely adversarial -- use dta_topk instead"
-            )
+            return None, None
         k_hat *= 2
-
-
-def _materialize(machine, local_results, sel, thr, k):
-    """Collect the winning (id, relevance) pairs on all PEs."""
-    del sel  # the threshold suffices; the selected array stays distributed
-    per_pe = []
-    for r in local_results:
-        mine = [(oid, rel) for (oid, rel) in r.items if rel > thr]
-        ties = [(oid, rel) for (oid, rel) in r.items if rel == thr]
-        per_pe.append((mine, ties))
-    # grant threshold ties in PE order to hit exactly k
-    # fused: strict-winner total and tie prefix share one schedule
-    quota, tie_before = machine.tie_grant_prefix(
-        [len(m_) for m_, _ in per_pe], [len(t) for _, t in per_pe], k
-    )
-    out_per_pe = []
-    for i, (mine, ties) in enumerate(per_pe):
-        grant = int(np.clip(quota - tie_before[i], 0, len(ties)))
-        out_per_pe.append(mine + ties[:grant])
-    gathered = machine.allgather(out_per_pe)[0]
-    items = [item for piece in gathered for item in piece]
-    items.sort(key=lambda t: (-t[1], t[0]))
-    return items[:k]

@@ -16,8 +16,15 @@ adaptive-escalate and dSBF-retry reports re-recorded by the
 one-command port, which drops PEC's second selection and the size
 all-reduction a later selection over the same table repeated),
 ``heavy_hitters`` over Zipf keys at phi = 0.01 (recorded while its
-space-saving summaries still met on the driver), ``dta_topk``,
-``rdta_topk``, ``ms_select``,
+space-saving summaries still met on the driver), ``dta_topk`` and
+``rdta_topk`` (values and draw addresses recorded while they were
+driver loops; the reports re-recorded by their one-command port, which
+drops collectives whose answer the call already had: in DTA the
+repeated all-reduction of the object count and the threshold
+selection's size all-reduction (the hit count is already replicated),
+in both the second of two identical (strict, tied) ``allreduce_exscan``
+calls, the one that granted the ties after the discarded cut's),
+``ms_select``,
 ``ams_select_batched`` and ``BulkParallelPQ.peek_min`` at p in
 {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
 modeled columns of every ``collectives_microbench`` row, first recorded

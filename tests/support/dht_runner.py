@@ -26,39 +26,39 @@ from repro.frequent.dht import (
 from repro.frequent.ec import exact_counts_gen
 
 
-def _exchange_gen(rank, p, table, addrs, log, dtype, salt, width):
+def _exchange_gen(rank, p, table, take, log, dtype, salt, width):
     keys, counts = table
     owned = yield from exchange_gen(
         rank, p, (keys.astype(dtype, copy=False), counts), salt, log, width)
     return None, owned
 
 
-def _count_gen(rank, p, sample, addrs, log, dtype, salt):
+def _count_gen(rank, p, sample, take, log, dtype, salt):
     table = local_table(sample.astype(dtype, copy=False), log)
     owned = yield from exchange_gen(rank, p, table, salt, log)
     return None, owned
 
 
-def _topk_gen(rank, p, table, addrs, log, dtype, k):
+def _topk_gen(rank, p, table, take, log, dtype, k):
     keys, counts = table
     total = yield ("allreduce", int(keys.size), "sum")
     log.append(("allreduce", 1))
     keys, counts, _ = yield from topk_entries_gen(
-        rank, p, (keys.astype(dtype, copy=False), counts), k, int(total), addrs, None, log)
+        rank, p, (keys.astype(dtype, copy=False), counts), k, int(total), take, None, log)
     return list(zip(keys.tolist(), counts.tolist())), None
 
 
-def _sample_gen(rank, p, chunk, addrs, log, addr, rho):
+def _sample_gen(rank, p, chunk, take, log, addr, rho):
     yield from ()  # a piece without a collective
     return None, sample_keys(rank, chunk, addr, rho, log)
 
 
-def _tree_gen(rank, p, value, addrs, log, merge):
+def _tree_gen(rank, p, value, take, log, merge):
     merged = yield from tree_merge_gen(rank, p, value, merge, "tree_merge", log)
     return None, merged
 
 
-def _exact_gen(rank, p, chunk, addrs, log, keys):
+def _exact_gen(rank, p, chunk, take, log, keys):
     exact = yield from exact_counts_gen(rank, chunk, keys, log)
     return exact, None
 

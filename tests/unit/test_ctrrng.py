@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import Machine
 from repro.machine.ctrrng import (
     STREAM_LOCAL,
     STREAM_SHARED,
@@ -98,17 +97,6 @@ def test_draw_address_survives_pickle():
     assert back == ADDR and isinstance(back, DrawAddress)
     assert np.array_equal(back.local(3).random(16), ADDR.local(3).random(16))
     assert np.array_equal(back.shared(1).random(16), ADDR.shared(1).random(16))
-
-
-def test_only_the_last_address_can_be_given_back():
-    m = Machine(p=2, seed=7)
-    first, second = m.draw_addr(), m.draw_addr()
-    with pytest.raises(ValueError, match="not the last allocated"):
-        m.give_back_addr(first)
-    with pytest.raises(ValueError, match="not the last allocated"):
-        m.give_back_addr(DrawAddress(8, second.seq))  # another machine's seed
-    m.give_back_addr(second)
-    assert m.draw_addr() == second and m._rng_seq == 2
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common import zipf_sample
-from repro.frequent import SpaceSaving, heavy_hitters
+from repro.frequent import SpaceSaving, heavy_hitters, top_k_frequent_naive
 from repro.machine import DistArray, Machine
 
 
@@ -87,3 +87,16 @@ class TestHeavyHitters:
         data = DistArray(machine8, [np.arange(10)] * 8)
         with pytest.raises(ValueError):
             heavy_hitters(machine8, data, 0.0)
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+def test_heavy_hitters_keep_uint64_keys(backend):
+    """Keys at or above 2^63 come back as themselves, as the naive
+    baseline answers them, not wrapped to negative int64."""
+    big = 2**63 + 5
+    keys = np.array([big] * 10 + [1, 2, 3], dtype=np.uint64)
+    with Machine(p=2, seed=5, backend=backend) as m:
+        data = DistArray(m, np.array_split(keys, 2))
+        naive = top_k_frequent_naive(m, data, 1, rho=1.0)
+        assert heavy_hitters(m, data, 0.5) == [(big, 10)]
+        assert naive.items[0][0] == big
