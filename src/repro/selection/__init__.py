@@ -16,7 +16,7 @@
 
 from .accessors import ArraySeq, SortedSequence, as_sorted_seq
 from .flexible import AmsResult, ams_select, ams_select_batched
-from .multi_select import multi_select, quantiles
+from .multi_select import multi_select, multi_select_windows, quantiles
 from .sequential import floyd_rivest_select, fr_pivots, kth_smallest, quickselect
 from .sorted_select import MsSelectStats, ms_select, ms_select_with_cuts
 from .unsorted import (
@@ -41,6 +41,7 @@ __all__ = [
     "ms_select",
     "ms_select_with_cuts",
     "multi_select",
+    "multi_select_windows",
     "quantiles",
     "quickselect",
     "select_kth",

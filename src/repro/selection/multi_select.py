@@ -65,6 +65,18 @@ the order a step-by-step driver would have charged them); the driver
 replays the log in one :meth:`~repro.machine.Machine.replay_charges`
 call, so the modeled cost is bit-identical on every backend.
 
+**Windows and counts.**  :func:`multi_select_windows` takes its root
+segments from the caller as value windows ``(lo, hi)`` whose offsets
+and sizes the caller already knows (the serve engine's index of earlier
+answers); each PE filters its chunk into the windows, charged as one
+local pass, and the level loop runs unchanged inside them.  :func:`multi_select` is
+the one window open at both ends, with no filter pass.  Every resolved
+rank also returns the global counts of elements ``<`` and ``<=`` its
+value, at no communication: segments are value-closed, so a base-case
+answer's counts are searched in the sorted residual, a pivot hit's are
+the part sizes, and an end block's are exact except across the block's
+edge value.
+
 :func:`quantiles` exposes the everyday use case (percentiles /
 histogram boundaries of a distributed vector).
 """
@@ -77,12 +89,12 @@ import numpy as np
 
 from ..common.sampling import bernoulli_sample_indices
 from ..common.validation import as_rank, is_fraction
-from ..kernels import partition_count, partition_take
+from ..kernels import compact, partition_count, partition_take
 from ..machine import DistArray, Machine
 from ..machine.ctrrng import STREAM_LOCAL, readdress
 from .sequential import fr_pivots
 
-__all__ = ["multi_select", "quantiles"]
+__all__ = ["multi_select", "multi_select_windows", "quantiles"]
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +162,54 @@ def _counts_and_ends(a: tuple, b: tuple) -> tuple:
     ]
 
 
+def _resolved(v, n_less, n_leq) -> tuple:
+    """A resolved rank's ``(value, n_less, n_leq)``: the value as a
+    Python scalar and the global counts of elements ``< value`` and
+    ``<= value`` (``None`` where unknown).  Segments are value-closed --
+    a level splits into ``< lo``, ``[lo, hi]`` and the rest, so a value's
+    every copy shares its segment -- which makes counts taken inside a
+    segment global once its offset is added.  A NaN answer keeps no
+    counts: it never brackets a later query."""
+    v = v.item() if hasattr(v, "item") else v
+    return (v, None, None) if v != v else (v, n_less, n_leq)
+
+
+def _end_resolved(k, lo, hi, w_lo, w_hi, offset, n) -> tuple:
+    """:func:`_resolved` for rank ``k`` of a segment finished by its
+    merged end blocks.  A block holds the segment's ``w`` smallest (or
+    largest) elements, so counts on the near side of a value are exact;
+    the count across the block's edge value is unknown, since more
+    copies of it may lie beyond the block."""
+    if k <= w_lo:
+        v = lo[k - 1]
+        upto = int(np.searchsorted(lo, v, "right"))
+        return _resolved(v, offset + int(np.searchsorted(lo, v, "left")),
+                         offset + upto if upto < w_lo else None)
+    v = hi[k - (n - w_hi) - 1]
+    below = int(np.searchsorted(hi, v, "left"))
+    base = offset + n - w_hi
+    return _resolved(v, base + below if below else None,
+                     base + int(np.searchsorted(hi, v, "right")))
+
+
+def _in_window(chunk: np.ndarray, lo, hi) -> np.ndarray:
+    """This PE's elements of the open value window ``(lo, hi)``
+    (``None``: that end is open), in chunk order: ``x`` is in when ``not
+    x <= lo`` and ``x < hi``, :func:`~repro.kernels.partition_count`'s
+    comparisons.  NaN fails both tests, so it lands only in a window
+    open above, where the recursion puts it (above every value)."""
+    if lo is None and hi is None:
+        return chunk
+    mask = None
+    if lo is not None:
+        mask = chunk <= lo
+        np.logical_not(mask, out=mask)
+    if hi is not None:
+        below = chunk < hi
+        mask = below if mask is None else np.logical_and(mask, below, out=mask)
+    return compact(chunk, mask, int(np.count_nonzero(mask)))
+
+
 def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
                       force: bool, log: list):
     """Sample-extract half of one recursion level.
@@ -176,7 +236,9 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
     split, the union sort and the partition pass) -- as Python floats,
     which pickle as 9 bytes where a NumPy scalar takes a reduce call.
     Returns ``(inter, finishes)`` where ``finishes`` is the replicated
-    list of resolved ``(global_rank, value)`` pairs.
+    list of resolved ``(global_rank, (value, n_less, n_leq))`` pairs
+    (:func:`_resolved`; a base-case answer's counts are searched in the
+    sorted residual).
     """
     reach = _end_reach(p, base_case)
     plans: list = []
@@ -218,9 +280,10 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
         if rho is None:
             rest = np.sort(np.concatenate(contrib)) if contrib else arr[:0]
             for k in ranks:
-                finishes.append(
-                    (offset + k, rest[min(k, rest.size) - 1].item())
-                )
+                v = rest[min(k, rest.size) - 1]
+                finishes.append((offset + k, _resolved(
+                    v, offset + int(np.searchsorted(rest, v, "left")),
+                    offset + int(np.searchsorted(rest, v, "right")))))
             inter.append(None)
             rest_size = int(rest.size)
             log.append(("ops", float(max(1, rest_size) * np.log2(max(rest_size, 2)))))
@@ -253,7 +316,9 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
     next level's segment records identically, and only the parts that
     hold a rank are copied out of their segment.  Returns ``(new_segs,
     found)``: the surviving segments and the replicated ``(global_rank,
-    value)`` pairs resolved by an end block or an exact pivot hit.
+    (value, n_less, n_leq))`` pairs resolved by an end block
+    (:func:`_end_resolved`) or an exact pivot hit, whose counts are the
+    part sizes below and through the pivot.
     """
     counts_vec: list[int] = []
     ends: list[tuple] = []
@@ -288,8 +353,8 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
             _, lo, _, hi = merged[ei]
             ei += 1
             for k in ranks:
-                v = lo[k - 1] if k <= w_lo else hi[k - (n - w_hi) - 1]
-                found.append((offset + k, v.item()))
+                found.append((offset + k, _end_resolved(
+                    k, lo, hi, w_lo, w_hi, offset, n)))
             continue
         _, arr, (la, lb), masks, lo_p, hi_p, ranks, offset, n = entry
         na, nb = int(totals[2 * ci]), int(totals[2 * ci + 1])
@@ -303,9 +368,9 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
             )
         if mid_ranks:
             if lo_p == hi_p:
-                v = lo_p.item() if hasattr(lo_p, "item") else lo_p
+                hit = _resolved(lo_p, offset + na, offset + na + nb)
                 for k in mid_ranks:
-                    found.append((offset + na + k, v))
+                    found.append((offset + na + k, hit))
             else:
                 new_segs.append(
                     (partition_take(arr, masks, 1, lb), mid_ranks,
@@ -319,21 +384,31 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
     return new_segs, found
 
 
-def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, ks: tuple,
-               n_total: int, base_case: int, max_depth: int):
+def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
+               base_case: int, max_depth: int):
     """The whole shared recursion, where the data lives.
 
-    Loops the two level halves until no segment survives (``segs`` has
-    the same shape on every rank, so the loop is lockstep); level
-    ``max_depth`` forces every remaining segment to finish.  One draw
-    handle serves the command, moved to each level's address.  Returns
-    the ``{global_rank: value}`` results (replicated, so only rank 0
-    sends them back) and this PE's charge log for
+    ``windows`` holds the root segments as ``(lo, hi, offset, n,
+    ranks)`` records (ranks relative to the window).  A window bounded
+    at either end is filtered out of the chunk first (a comparison mask
+    per window; the windows are disjoint, so the model charges one pass,
+    ``("ops", chunk size)``); the one window open at both ends is the
+    chunk itself and costs no pass.  Then the level
+    halves loop until no segment survives (``segs`` has the same shape
+    on every rank, so the loop is lockstep); level ``max_depth`` forces
+    every remaining segment to finish.  One draw handle serves the
+    command, moved to each level's address.  Returns the ``{global_rank:
+    (value, n_less, n_leq)}`` results (replicated, so only rank 0 sends
+    them back) and this PE's charge log for
     :meth:`Machine.replay_charges`.
     """
-    segs = [(np.asarray(chunk), ks, 0, n_total)]
-    out: dict = {}
+    chunk = np.asarray(chunk)
+    segs = [(_in_window(chunk, lo, hi), ranks, offset, n)
+            for lo, hi, offset, n, ranks in windows]
     log: list = []
+    if any(lo is not None or hi is not None for lo, hi, *_ in windows):
+        log.append(("ops", float(chunk.size)))  # the window filter pass
+    out: dict = {}
     gen = addr.local(rank)
     level = 0
     while segs:
@@ -373,13 +448,54 @@ def multi_select(
         return []
     if ks_sorted[0] < 1 or ks_sorted[-1] > n:
         raise ValueError(f"ranks must lie in 1..{n}, got {ks_sorted[0]}..{ks_sorted[-1]}")
+    out = multi_select_windows(machine, data, [(None, None, 0, n, ks_sorted)],
+                               base_case=base_case, max_depth=max_depth)
+    return [out[k][0] for k in ks_sorted]
+
+
+def multi_select_windows(
+    machine: Machine,
+    data: DistArray,
+    windows,
+    *,
+    base_case: int | None = None,
+    max_depth: int = 80,
+) -> dict:
+    """Order statistics of ``data`` found inside value windows, with
+    their exact counts.
+
+    ``windows`` lists disjoint ``(lo, hi, offset, size, ranks)``: the
+    elements strictly between the values ``lo`` and ``hi`` (``None``
+    leaves that end open) are those of global ranks ``offset + 1 ..
+    offset + size``, and ``ranks`` (ascending) are the global ranks
+    wanted from the window.  A caller that knows, for values it has
+    seen, how many elements lie below and through them (what this
+    function returns) sizes a window with no collective: the recursion
+    then runs inside the window only.  The one window ``(None, None, 0,
+    n, ranks)`` is :func:`multi_select` itself, bit for bit -- the same
+    values, charges and draw sequence.
+
+    Returns ``{rank: (value, n_less, n_leq)}``, the global counts of
+    elements ``< value`` and ``<= value``, ``None`` where the recursion
+    did not learn one (across a finishing end block's edge value, and
+    both for NaN).
+    """
+    roots = []  # the kernel's records: ranks relative to their window
+    for lo, hi, offset, size, ranks in windows:
+        offset, size, ranks = int(offset), int(size), [int(k) for k in ranks]
+        if not ranks or ranks[0] <= offset or ranks[-1] > offset + size:
+            raise ValueError(f"window ({lo!r}, {hi!r}) holds ranks "
+                             f"{offset + 1}..{offset + size}, got {ranks}")
+        roots.append((lo, hi, offset, size, tuple(k - offset for k in ranks)))
     p = machine.p
     if base_case is None:
         base_case = int(max(64, 4 * np.sqrt(p)))
 
-    # The root size falls out of the driver-tracked sizes (the one-word
-    # all-reduction the algorithm needs is charged through the meter).
-    machine._meter_allreduce(words=1)
+    # A window's size comes from its caller; the root's falls out of the
+    # driver-tracked sizes (the one-word all-reduction the algorithm
+    # needs is charged through the meter).
+    if any(lo is None and hi is None for lo, hi, *_ in roots):
+        machine._meter_allreduce(words=1)
     # One draw sequence for the whole multiselection; levels subdivide
     # it by draw index, so the data-dependent recursion depth never
     # perturbs any later caller's draws.
@@ -387,13 +503,12 @@ def multi_select(
     _, vals = machine.backend.run_spmd(
         _ms_kernel,
         [data._ensure_ref()],
-        args=[(p, addr, tuple(ks_sorted), n, base_case, max_depth)] * p,
+        args=[(p, addr, roots, base_case, max_depth)] * p,
     )
     # re-play the model from the PEs' charge logs, in the order a
     # step-by-step driver would have charged it
     machine.replay_charges([log for _, log in vals])
-    out = vals[0][0]
-    return [out[k] for k in ks_sorted]
+    return vals[0][0]
 
 
 def quantiles(machine: Machine, data: DistArray, qs) -> list:

@@ -25,6 +25,15 @@ selects from them (:func:`~repro.frequent.top_k_from_table`).  The
 tables are a command's output, so a pool recovery rebuilds them from
 lineage like the datasets.
 
+Rank answers are remembered the same way: each dataset keeps a
+:class:`~repro.serve.rank_index.RankIndex` of the values its rank
+queries found, with their exact counts of elements ``<`` and ``<=``
+them.  A target rank a recorded value holds is answered from the index
+with no command (``stats["index_answers"]`` counts them); the others
+run :func:`~repro.selection.multi_select_windows`, each only inside the
+window between its nearest recorded neighbours.  The index is driver
+data over immutable datasets, so it stays valid across a pool recovery.
+
 Supported query dicts (``dataset`` defaults to ``"default"``)::
 
     {"op": "select",   "k": 1234}            # k-th smallest value
@@ -46,6 +55,7 @@ import numpy as np
 
 from ..common.validation import as_rank, is_fraction
 from ..machine import DistArray, Machine, WorkerFailure
+from .rank_index import RankIndex
 
 __all__ = ["OverloadedError", "QueryEngine", "QueryError", "default_datasets"]
 
@@ -145,9 +155,16 @@ class QueryEngine:
         #: dataset name -> its resident exact count table, made by the
         #: dataset's first frequent command
         self._tables: dict = {}
+        #: dataset name -> its :class:`RankIndex` of answered order
+        #: statistics (driver data: the datasets never change, so it
+        #: stays valid across a pool recovery)
+        self._index: dict[str, RankIndex] = {}
+        #: ``index_answers`` counts rank targets answered from an index
+        #: with no command
         self.stats = {"queries": 0, "batches": 0, "fused_commands": 0,
                       "max_batch_size": 0, "worker_failures": 0,
-                      "rebuilds": 0, "overloads": 0, "expired": 0}
+                      "rebuilds": 0, "overloads": 0, "expired": 0,
+                      "index_answers": 0}
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         #: submitted-but-not-admitted count backing the admission bound
         #: (SimpleQueue.qsize is unreliable on some platforms)
@@ -364,31 +381,52 @@ class QueryEngine:
         self.stats["rebuilds"] += 1
 
     def _run_rank_group(self, name: str, items: list[_Pending]) -> None:
-        """ONE multi_select over the union of the group's target ranks."""
-        from ..selection import multi_select
+        """The group's target ranks: those a recorded answer holds come
+        from the dataset's index; the rest share ONE
+        :func:`~repro.selection.multi_select_windows` call, each rank
+        recursing only inside the window its nearest recorded neighbours
+        bracket.  Every new answer is recorded; a failed command fails
+        only the queries it had to answer."""
+        from ..selection import multi_select_windows
 
         data = self.datasets[name]
         n = data.global_size
+        index = self._index.setdefault(name, RankIndex(n))
         wanted: dict[int, list[int]] = {}
         for i, item in enumerate(items):
             wanted[i] = self._ranks_of(item.query, n)
-        union = sorted({k for ranks in wanted.values() for k in ranks})
-        try:
-            values = multi_select(self.machine, data, union)
-        except Exception as exc:
-            for item in items:
-                item.future.set_exception(exc)
-            self._after_backend_failure(exc)
-            return
-        self.stats["fused_commands"] += 1
-        by_rank = dict(zip(union, values))
+        by_rank: dict = {}
+        missing: list[int] = []
+        for k in sorted({k for ranks in wanted.values() for k in ranks}):
+            hit, value = index.answer(k)
+            if hit:
+                by_rank[k] = value
+            else:
+                missing.append(k)
+        self.stats["index_answers"] += len(by_rank)
+        failure = None
+        if missing:
+            try:
+                found = multi_select_windows(self.machine, data,
+                                             index.windows(missing))
+            except Exception as exc:
+                failure = exc
+            else:
+                self.stats["fused_commands"] += 1
+                for k, (value, n_less, n_leq) in found.items():
+                    index.record(k, value, n_less, n_leq)
+                    by_rank[k] = value
         for i, item in enumerate(items):
-            op = item.query["op"]
+            if failure is not None and any(k not in by_rank for k in wanted[i]):
+                item.future.set_exception(failure)
+                continue
             got = [by_rank[k] for k in wanted[i]]
-            if op == "topk":
+            if item.query["op"] == "topk":
                 item.future.set_result(got[::-1])  # descending
             else:
                 item.future.set_result(got[0])
+        if failure is not None:
+            self._after_backend_failure(failure)
 
     def _run_frequent_group(self, name: str,
                             items: list[tuple[int, _Pending]]) -> None:

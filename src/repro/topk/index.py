@@ -19,6 +19,7 @@ score matrix, plus one descending sort order per criterion; it answers
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +42,26 @@ class LocalIndex:
             raise ValueError("object ids must be locally unique")
         self.ids = ids
         self.scores = scores
-        # descending order per criterion, stable for reproducibility
-        self.orders = [
-            np.argsort(-scores[:, c], kind="stable") for c in range(scores.shape[1])
-        ]
-        self._row_of = {int(i): r for r, i in enumerate(ids)}
+
+    # An index rides DTA / RDTA commands: it pickles as its two arrays,
+    # and the orders and the row map are derived again where they are
+    # first used (the same stable sorts, so the same lists).  A worker
+    # then builds only what its own kernel reads.
+    def __getstate__(self):
+        return self.ids, self.scores
+
+    def __setstate__(self, state) -> None:
+        self.ids, self.scores = state
+
+    @cached_property
+    def orders(self) -> list[np.ndarray]:
+        """Row indices of each criterion's list, descending (stable,
+        for reproducibility)."""
+        return [np.argsort(-self.scores[:, c], kind="stable") for c in range(self.m)]
+
+    @cached_property
+    def _row_of(self) -> dict[int, int]:
+        return dict(zip(self.ids.tolist(), range(self.n)))
 
     @property
     def n(self) -> int:

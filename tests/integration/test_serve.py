@@ -306,9 +306,12 @@ class TestServeServer:
             assert control.query("ping") == "pong"
             sizes = control.query("datasets")
             assert sizes == {"default": 1000, "keys": 1000}
+            # client 0 asked rank 1 already: the index answers it
+            assert control.query("select", k=1) == values[0]
             stats = control.query("stats")
-            assert stats["queries"] == 6
+            assert stats["queries"] == 7
             assert stats["fused_commands"] < stats["queries"]
+            assert stats["index_answers"] >= 1
             control.query("shutdown")
         server.join(timeout=60)
         assert not server.is_alive()

@@ -1,5 +1,7 @@
 """Unit tests: the per-PE score index (repro.topk.index)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,20 @@ class TestLocalIndex:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             LocalIndex(np.arange(3), np.zeros((2, 1)))
+
+    def test_pickles_as_its_two_arrays(self, rng):
+        """DTA / RDTA commands ship each PE's index: it pickles as
+        ``(ids, scores)`` and derives the orders and the row map again
+        on load."""
+        n, m = 1 << 14, 4
+        ix = LocalIndex(rng.permutation(1 << 20)[:n], rng.random((n, m)))
+        blob = pickle.dumps(ix)
+        assert len(blob) <= ix.ids.nbytes + ix.scores.nbytes + 4096
+        back = pickle.loads(blob)
+        assert all(np.array_equal(a, b) for a, b in zip(back.orders, ix.orders))
+        assert back._row_of == ix._row_of
+        np.testing.assert_array_equal(back.scores, ix.scores)
+        assert back.entry(2, 7) == ix.entry(2, 7)
 
 
 class TestBuilders:
