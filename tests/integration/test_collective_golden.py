@@ -25,7 +25,14 @@ selection's size all-reduction (the hit count is already replicated),
 in both the second of two identical (strict, tied) ``allreduce_exscan``
 calls, the one that granted the ties after the discarded cut's),
 ``ms_select``,
-``ams_select_batched`` and ``BulkParallelPQ.peek_min`` at p in
+``ams_select_batched`` and ``BulkParallelPQ.peek_min``, and (recorded
+at af981dc, while each was a list-of-p ``Machine`` method or charged
+through the private meters) the rooted and personalized collectives
+(``reduce``, tree and direct ``gather``, ``scatter``, direct
+``alltoall``, ``barrier``, ``send``), ``redistribute``,
+``BulkParallelPQ`` (``insert``, ``delete_min``,
+``delete_min_flexible``), ``RandomAllocPQ`` (``insert``,
+``delete_min``) and ``solve_knapsack_parallel``, at p in
 {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
 modeled columns of every ``collectives_microbench`` row, first recorded
 at 8ec87bb on sim.  Regenerate (``python
@@ -53,7 +60,9 @@ from repro.frequent import (
     top_k_frequent_pec_zipf,
 )
 from repro.machine import DistArray, Machine
-from repro.pqueue import BulkParallelPQ
+from repro.apps import random_knapsack, solve_knapsack_parallel
+from repro.pqueue import BulkParallelPQ, RandomAllocPQ
+from repro.redistribution import redistribute
 from repro.selection import ams_select_batched, ms_select
 from repro.topk import SumScore, build_distributed_index, dta_topk, rdta_topk
 
@@ -146,7 +155,102 @@ def _peek_min(m):
     return [float(first), float(pq.peek_min())]
 
 
+def _floats(x):
+    return None if x is None else np.asarray(x, dtype=np.float64).tolist()
+
+
+def _collective_reduce(m):
+    out = m.reduce([g.random(6) for g in m.rngs], op="sum", root=m.p - 1)
+    return [_floats(v) for v in out]
+
+
+def _gathered(mode):
+    def run(m):
+        parts = [g.integers(0, 100, size=r + 1) for r, g in enumerate(m.rngs)]
+        out = m.gather(parts, root=m.p - 1, mode=mode)
+        return [None if v is None else [_floats(x) for x in v] for v in out]
+    return run
+
+
+def _collective_scatter(m):
+    pieces = [g.random(r + 2) for r, g in enumerate(m.rngs)]
+    return [_floats(v) for v in m.scatter(pieces, root=m.p // 2)]
+
+
+def _collective_alltoall_direct(m):
+    # (i + j) % 3 == 0 sends nothing: rows mix messages and gaps
+    matrix = [[None if (i + j) % 3 == 0 else g.random(i + j + 1)
+               for j in range(m.p)] for i, g in enumerate(m.rngs)]
+    out = m.alltoall(matrix, mode="direct")
+    return [[_floats(x) for x in row] for row in out]
+
+
+def _collective_barrier(m):
+    m.charge_ops(np.arange(m.p) * 100.0)  # stragglers wait at the barrier
+    m.barrier()
+    m.barrier()
+    return []
+
+
+def _collective_send(m):
+    last = m.p - 1
+    return [_floats(m.send(0, last, m.rngs[0].random(7))),
+            _floats(m.send(last, 0, m.rngs[last].random(3))),
+            _floats(m.send(last, last, np.arange(4)))]
+
+
+def _redistribute(m):
+    # PE r holds 40 (r + 1)^2 elements: the late PEs shed their tails
+    data = DistArray.generate(m, lambda r, g: g.random(40 * (r + 1) ** 2))
+    out, st = redistribute(m, data)
+    return [out.sizes().tolist(), float(np.concatenate(out.chunks).sum()),
+            st.moved, st.transfers, st.max_sent, st.max_received,
+            st.merge_rounds]
+
+
+def _element(e):
+    score, uid = e
+    return [float(score), list(uid)]
+
+
+def _batches(batches):
+    return [[_element(e) for e in b] for b in batches]
+
+
+def _bulk_pq(m):
+    pq = BulkParallelPQ(m)
+    pq.insert([g.random(30 + 7 * r) for r, g in enumerate(m.rngs)])
+    exact = pq.delete_min(7)
+    flexible = pq.delete_min_flexible(5, 12)
+    return [_batches(exact.batches), _element(exact.threshold),
+            _batches(flexible.batches), flexible.k, _element(flexible.threshold),
+            flexible.rounds, pq.local_sizes()]
+
+
+def _random_alloc_pq(m):
+    pq = RandomAllocPQ(m)
+    pq.insert([g.random(25) for g in m.rngs])
+    return _batches(pq.delete_min(9))
+
+
+def _knapsack(m):
+    res = solve_knapsack_parallel(
+        m, random_knapsack(np.random.default_rng(6), n_items=30))
+    return [res.optimum, res.nodes_expanded, res.iterations]
+
+
 FAMILIES = {
+    "collective_reduce": _collective_reduce,
+    "collective_gather_tree": _gathered("tree"),
+    "collective_gather_direct": _gathered("direct"),
+    "collective_scatter": _collective_scatter,
+    "collective_alltoall_direct": _collective_alltoall_direct,
+    "collective_barrier": _collective_barrier,
+    "collective_send": _collective_send,
+    "redistribute": _redistribute,
+    "bulk_pq": _bulk_pq,
+    "random_alloc_pq": _random_alloc_pq,
+    "solve_knapsack_parallel": _knapsack,
     "top_k_frequent_naive": _frequent(top_k_frequent_naive),
     "top_k_frequent_naive_tree": _frequent(top_k_frequent_naive_tree),
     "top_k_frequent_ec_dsbf": _frequent(top_k_frequent_ec_dsbf),
