@@ -319,9 +319,9 @@ def _collective_msgs(p_list):
             for name, fn in [
                 ("allreduce", lambda: m.allreduce(vals)),
                 ("allgather", lambda: m.allgather(vals)),
-                ("alltoall", lambda: m.alltoall(
-                    [[(i, j) if i != j else None for j in range(p)] for i in range(p)]
-                )),
+                ("alltoall", lambda: m.collective("alltoall", [
+                    ("alltoall", [(i, j) if i != j else None for j in range(p)])
+                    for i in range(p)])),
             ]:
                 before = sum(m.backend.worker_message_counts())
                 sends0 = m.backend.driver_sends

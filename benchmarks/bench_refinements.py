@@ -3,7 +3,6 @@
 * dSBF fingerprint counting vs key-based DHT insertion (volume),
 * adaptive two-pass sampling: probe-only on gapped inputs vs escalation
   on flat inputs (communication),
-* DTA multi-probe exponential search (round count),
 * streaming monitor: per-item amortized communication.
 """
 
@@ -13,7 +12,6 @@ import pytest
 from repro.bench.harness import BenchRow, run_algorithm
 from repro.bench.workloads import (
     gapped_workload,
-    multicriteria_workload,
     zipf_keys_workload,
 )
 from repro.common import zipf_sample
@@ -24,7 +22,6 @@ from repro.frequent import (
     top_k_frequent_ec_dsbf,
 )
 from repro.machine import Machine
-from repro.topk import SumScore, dta_prefixes
 
 from conftest import persist
 
@@ -81,27 +78,6 @@ def test_adaptive_two_pass(benchmark, results_dir):
     # the gapped case stops after the probe and is cheaper
     assert not by["adaptive/gapped"].extra["escalated"]
     assert by["adaptive/gapped"].time_s <= by["adaptive/zipf"].time_s
-
-
-def test_dta_probe_ladder(benchmark, results_dir):
-    def sweep():
-        rows = []
-        for probes in (1, 2, 4):
-            def run(m, idx, probes=probes):
-                pre = dta_prefixes(m, idx, SumScore(3), 32, probes=probes)
-                return {"probes": probes, "rounds": pre.rounds, "K": pre.scanned}
-
-            rows.append(run_algorithm(
-                "refinements", f"DTA/probes={probes}", P, 1 << 10,
-                lambda m: multicriteria_workload(m, 1 << 10, 3), run, seed=43,
-            ))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    persist(results_dir, "refinement_dta_probes", rows,
-            ("algorithm", "p", "time_s", "rounds", "K"))
-    by = {r.extra["probes"]: r for r in rows}
-    assert by[4].extra["rounds"] <= by[1].extra["rounds"]
 
 
 def test_monitor_amortization(benchmark, results_dir):

@@ -288,7 +288,7 @@ def _global_mass(machine: Machine, data: DistKeyValue) -> float:
     """All-reduction of the local value masses.  Each PE's mass came
     back with its sizes when the pairs were made, so the reduction is
     charged without a worker round trip."""
-    machine._meter_allreduce(words=1)
+    machine.replay_charges([[("allreduce", 1)]] * machine.p)
     return float(tree_reduce_order(data._masses, "sum"))
 
 
@@ -306,7 +306,7 @@ def top_k_sums_pac(
     if sample_size is not None:
         check_finite_positive(sample_size, "sample_size")
     n = data.global_size
-    machine._meter_allreduce(words=1)  # the driver tracks the sizes
+    machine.replay_charges([[("allreduce", 1)]] * machine.p)  # the driver tracks the sizes
     if n == 0:
         return SumAggResult((), True, 1.0, 0, k, {})
     m_total = _global_mass(machine, data)
@@ -354,7 +354,7 @@ def top_k_sums_ec(
         check_finite_positive(sample_size, "sample_size")
     p = machine.p
     n = data.global_size
-    machine._meter_allreduce(words=1)  # the driver tracks the sizes
+    machine.replay_charges([[("allreduce", 1)]] * machine.p)  # the driver tracks the sizes
     if n == 0:
         return SumAggResult((), True, 1.0, 0, k, {})
     if k_star is None:

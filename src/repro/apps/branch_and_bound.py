@@ -194,12 +194,14 @@ def solve_knapsack_parallel(
     frontier = BinaryHeap()
     root_bound = inst.greedy_bound(0, 0.0, 0.0)
     frontier.push((-root_bound, (0, 0.0, 0.0)))
+    at_root = np.zeros(p)
+    at_root[0] = inst.n_items  # one expansion's work, on PE 0
     while frontier and len(frontier) < 4 * p:
         neg_bound, (level, value, weight) = frontier.pop()
         if -neg_bound <= incumbent + 1e-12:
             break
         expanded += 1
-        machine.charge_ops_one(0, inst.n_items)
+        machine.charge_ops(at_root)
         exhausted = True
         for child in _children(inst, level, value, weight):
             c_level, c_value, c_weight = child
@@ -216,7 +218,9 @@ def solve_knapsack_parallel(
     pieces: list[list] = [[] for _ in range(p)]
     for idx, item in enumerate(seed_nodes):
         pieces[idx % p].append(item)
-    machine.scatter(pieces, root=0)
+    scatter = [("scatter", None, 0)] * p
+    scatter[0] = ("scatter", pieces, 0)
+    machine.collective("scatter", scatter)
     for rank, piece in enumerate(pieces):
         push_batch(rank, [node for _, node in piece],
                    [-neg_bound for neg_bound, _ in piece])
@@ -233,6 +237,9 @@ def solve_knapsack_parallel(
         k_lo = max(1, k_hi // 2)
         res = pq.delete_min_flexible(k_lo, k_hi)
         local_best = [0.0] * p
+        # expansion work per PE; PEs' clocks are independent, so one
+        # charge after the loop equals one per PE in it
+        work = np.zeros(p)
         for rank, batch in enumerate(res.batches):
             ops = 0.0
             # batch this iteration's surviving children and flush them
@@ -255,8 +262,8 @@ def solve_knapsack_parallel(
                         new_bounds.append(bound)
                 ops += inst.n_items
             push_batch(rank, new_nodes, new_bounds)
-            if ops:
-                machine.charge_ops_one(rank, ops)
+            work[rank] = ops
+        machine.charge_ops(work)
         incumbent = max(
             incumbent, float(machine.allreduce(local_best, op="max")[0])
         )

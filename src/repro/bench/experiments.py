@@ -215,7 +215,7 @@ def table1_comm_volume(
             for j in range(p_):
                 piece = c[dest == j]
                 matrix[i][j] = piece if piece.size else None
-        received = machine.alltoall(matrix, mode="direct")
+        received = machine.collective("alltoall", [("alltoall", row) for row in matrix])
         chunks = [
             np.concatenate([x for x in received[j] if x is not None])
             if any(x is not None for x in received[j])
@@ -396,9 +396,9 @@ def multicriteria_comparison(
             np.vstack([ix.scores for ix in idx]),
         )
         res = ta_topk(merged, scorer, k)
-        machine.charge_ops_one(
-            0, res.scan_depth * m_criteria * scorer.ops_per_eval
-        )
+        ops = np.zeros(machine.p)
+        ops[0] = res.scan_depth * m_criteria * scorer.ops_per_eval
+        machine.charge_ops(ops)
         return {"K": res.scan_depth}
 
     algos = {"DTA": run_dta, "RDTA": run_rdta, "TA(sequential)": run_seq}
@@ -594,22 +594,21 @@ def collectives_microbench(
             return {}
         return run
 
+    def requests(kind, *params):
+        return bench(lambda m, v: m.collective(kind, [(kind, x, *params) for x in v]))
+
     algos = {
-        "allreduce": bench(lambda m, v: m.allreduce(v, op="sum")),
-        "allgather": bench(lambda m, v: m.allgather(v)),
-        "scan": bench(lambda m, v: m.scan(v, op="sum")),
-        "allreduce_exscan(fused)": bench(
-            lambda m, v: m.allreduce_exscan(v, op="sum", initial=0.0)
-        ),
-        "reduce_allgather(fused)": bench(
-            lambda m, v: m.reduce_allgather([float(x[0]) for x in v], v, op="sum")
-        ),
-        "broadcast": bench(lambda m, v: m.broadcast(v[0], root=0)),
-        "alltoall(hypercube)": bench(
-            lambda m, v: m.alltoall(
-                [[v[i] for _ in range(m.p)] for i in range(m.p)], mode="hypercube"
-            )
-        ),
+        "allreduce": requests("allreduce", "sum"),
+        "allgather": requests("allgather"),
+        "scan": requests("scan", "sum"),
+        "allreduce_exscan(fused)": requests("allreduce_exscan", "sum", 0.0),
+        "reduce_allgather(fused)": bench(lambda m, v: m.collective(
+            "reduce_allgather",
+            [("reduce_allgather", float(x[0]), "sum", x) for x in v])),
+        "broadcast": bench(lambda m, v: m.collective(
+            "broadcast", [("broadcast", v[0], 0)] + [("broadcast", None, 0)] * (m.p - 1))),
+        "alltoall(hypercube)": bench(lambda m, v: m.collective(
+            "alltoall_hc", [("alltoall", [x] * m.p) for x in v])),
     }
     return weak_scaling(
         "collectives", algos, p_list, payload, make, seed=seed, backend=backend

@@ -168,7 +168,7 @@ def gather_direct_gen(rank: int, p: int, value, log: list):
     PE 0, ``None`` elsewhere."""
     row = [None] * p
     row[0] = value
-    log.append(("gather_direct", payload_words(value)))
+    log.append(("gather_direct", payload_words(value), 0))
     received = yield ("sendrecv", row, tuple(range(1, p)) if rank == 0 else ())
     return received if rank == 0 else None
 

@@ -96,7 +96,7 @@ def top_k_frequent_ec(
     dtype = array_key_dtype(data)
     p = machine.p
     n = data.global_size
-    machine._meter_allreduce(words=1)  # the driver tracks the sizes
+    machine.replay_charges([[("allreduce", 1)]] * machine.p)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {})
     if k_star is None:

@@ -142,6 +142,7 @@ class StreamingTopKMonitor:
             raise ValueError(
                 f"need one batch per PE (p={self.machine.p}, got {len(per_pe_batches)})"
             )
+        ops = np.zeros(self.machine.p)
         for i, batch in enumerate(per_pe_batches):
             batch = np.asarray(batch)
             if batch.size == 0:
@@ -154,7 +155,8 @@ class StreamingTopKMonitor:
             fresh = local_table(batch.astype(dtype, copy=False), log)
             self._deltas[i] = merge_tables([(keys.astype(dtype, copy=False), counts), fresh])
             self._local_total[i] += int(batch.size)
-            self.machine.charge_ops_one(i, log[0][1])
+            ops[i] = log[0][1]
+        self.machine.charge_ops(ops)
 
     @property
     def tables(self) -> list[Table]:
@@ -170,7 +172,7 @@ class StreamingTopKMonitor:
     def total_items(self) -> int:
         """Global stream length so far (one all-reduction, charged; each
         PE's count is known where its batches arrived)."""
-        self.machine._meter_allreduce(words=1)
+        self.machine.replay_charges([[("allreduce", 1)]] * self.machine.p)
         return sum(self._local_total)
 
     def top_k(self, *, force: bool = False) -> FrequentResult:

@@ -73,7 +73,7 @@ def _run(machine: Machine, data: DistArray, k: int, eps: float, delta: float,
     if rho is not None:
         check_rate(rho, "rho")
     n = data.global_size
-    machine._meter_allreduce(words=1)  # the driver tracks the sizes
+    machine.replay_charges([[("allreduce", 1)]] * machine.p)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), False, 1.0, 0, k, {})
     if rho is None:

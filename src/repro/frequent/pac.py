@@ -51,7 +51,7 @@ def top_k_frequent_pac(
         check_rate(rho, "rho")
     dtype = array_key_dtype(data)
     n = data.global_size
-    machine._meter_allreduce(words=1)  # the driver tracks the sizes
+    machine.replay_charges([[("allreduce", 1)]] * machine.p)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), False, 1.0, 0, k, {})
     if rho is None:

@@ -122,7 +122,7 @@ def top_k_frequent_pec(
     """
     dtype = array_key_dtype(data)
     n = data.global_size
-    machine._meter_allreduce(words=1)  # the driver tracks the sizes
+    machine.replay_charges([[("allreduce", 1)]] * machine.p)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {"gap_found": True})
     rho0 = pac_sample_rate(n, k, eps0, delta)
@@ -160,7 +160,7 @@ def top_k_frequent_pec_zipf(
     """
     dtype = array_key_dtype(data)
     n = data.global_size
-    machine._meter_allreduce(words=1)  # the driver tracks the sizes
+    machine.replay_charges([[("allreduce", 1)]] * machine.p)  # the driver tracks the sizes
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {})
     k_star = int(np.ceil((2.0 + np.sqrt(2.0)) ** (1.0 / s) * k))

@@ -65,13 +65,6 @@ class SimClock:
         self.t[:] = np.add.accumulate(np.vstack([self.t, dt]))[-1]
         self.work_time[:] = np.add.accumulate(np.vstack([self.work_time, dt]))[-1]
 
-    def charge_local_one(self, rank: int, seconds: float) -> None:
-        """Advance a single PE's clock by ``seconds`` of local work."""
-        if seconds < 0:
-            raise ValueError("negative local work duration")
-        self.t[rank] += seconds
-        self.work_time[rank] += seconds
-
     # ------------------------------------------------------------------
     def sync_collective(self, seconds: float, ranks=None) -> float:
         """Synchronize ``ranks`` (default: all) at ``max(t) + seconds``.

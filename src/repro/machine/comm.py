@@ -11,54 +11,36 @@
 * a pluggable execution backend
   (:class:`repro.machine.backends.Backend`) that carries out the data
   plane of every collective, and
-* the collective operations every algorithm in this package is written
-  against.
+* one meter table, :data:`METERS`, through which every communication
+  charge of the package goes.
 
-All collectives follow the SPMD-by-construction convention: the caller
-passes a list of length ``p`` holding each PE's contribution and receives
-a list of length ``p`` with each PE's result.  Returned objects may be
-shared between ranks -- treat them as read-only.
+One charging path
+-----------------
+Every charge is an entry of a *charge log*: a tuple whose first slot
+names its kind (``("allreduce", words)``, ``("ops", x)``, ...).
+:data:`METERS` maps each kind to the function that meters one log
+position -- the schedule's messages into :class:`CommMetrics` and the
+analytic alpha-beta time into :class:`SimClock`.  An SPMD kernel appends
+entries as it runs and the driver replays them
+(:meth:`Machine.replay_charges`); :meth:`Machine.collective` -- the
+list-of-p dialect, one call for all ``p`` ranks -- derives each rank's
+entry from its request and charges it through the same table before it
+runs the data plane.  Local work is :meth:`Machine.charge_ops`.
 
 Execution backends
 ------------------
-Every collective is split into a *control plane* (always executed here:
-schedule metering into :class:`CommMetrics` and analytic alpha-beta cost
-charging into :class:`SimClock`) and a *data plane* (computing the
-result values), which is delegated to the machine's backend as the
-per-PE requests an SPMD kernel would yield
-(:meth:`Backend.collective <repro.machine.backends.Backend.collective>`):
-
-``backend="sim"`` (default)
-    In-process execution with deterministic combination orders.  The
-    meaningful time metric is the **modeled** makespan
-    (:attr:`MachineReport.makespan`); wall-clock only measures driver
-    overhead.
-``backend="mp"``
-    One OS worker process per PE; payloads physically move between the
-    workers, so the same SPMD call sites execute with genuine
-    parallelism.  Results are bit-identical to ``"sim"`` (identical
-    combination orders).  The
-    meaningful extra metric is **wall-clock**
-    (``machine.backend.wall_time`` and the bench harness's ``wall_s``
-    column); modeled cost is still charged so both views stay
-    comparable.
-``backend="tcp"``
-    The same worker runtime behind length-framed stream sockets
-    (workers can live on other hosts; loopback by default, host list
-    via ``REPRO_TCP_HOSTS``).  Identical guarantees to ``"mp"``: both
-    launchers execute the shared runtime of
-    :mod:`repro.machine.backends.runtime`, so results and modeled
-    costs stay bit-identical.  Transport byte accounting
-    (:meth:`Machine.sync_transport`, ``report().wire_bytes``) reports
-    the wire lane only -- there is no shared-memory lane between
-    hosts, so ``shm_bytes`` stays zero by construction.
-
-Select a backend from the CLI (``repro demo --backend mp``), the bench
-harness (``run_algorithm(..., backend="mp")``), or directly as shown
-below.  Custom transports register via
-:func:`repro.machine.backends.register_backend` and are picked up by
-every ``--backend`` flag (the choices come from
-:func:`repro.machine.backends.available_backends`).
+The data plane of a collective is delegated to the machine's backend as
+the per-PE requests an SPMD kernel would yield
+(:meth:`Backend.collective <repro.machine.backends.Backend.collective>`).
+``backend="sim"`` (default) runs in process; its meaningful time is the
+**modeled** makespan (:attr:`MachineReport.makespan`).  ``"mp"`` runs
+one worker process per PE and ``"tcp"`` the same worker runtime behind
+stream sockets (workers may live on other hosts, ``REPRO_TCP_HOSTS``;
+its transport accounting has no shared-memory lane); both add
+**wall-clock** (``machine.backend.wall_time``).  Results and modeled
+costs are bit-identical on every backend.  Custom transports register
+via :func:`repro.machine.backends.register_backend` and are picked up by
+every ``--backend`` flag.
 
 Example
 -------
@@ -66,6 +48,9 @@ Example
 >>> m = Machine(p=4, seed=1)
 >>> m.allreduce([1, 2, 3, 4], op="sum")
 [10, 10, 10, 10]
+>>> m.collective("broadcast", [("broadcast", "hi" if i == 2 else None, 2)
+...                            for i in range(4)])
+['hi', 'hi', 'hi', 'hi']
 >>> m.metrics.bottleneck_words > 0
 True
 >>> with Machine(p=2, seed=1, backend="mp") as real:
@@ -77,20 +62,332 @@ from __future__ import annotations
 
 import contextlib
 import pickle
-from itertools import repeat
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .backends import Backend, make_backend
+from .backends.base import _check_lockstep, _collective_signature
 from .clock import SimClock
 from .ctrrng import DrawAddress
 from .collectives import REDUCTION_OPS, binomial_edges, hypercube_rounds
 from .cost import CollectiveCost, CostParams, log2_ceil
 from .metrics import CommMetrics, payload_words
 
-__all__ = ["Machine", "MachineReport", "PhaseStats"]
+__all__ = ["METERS", "Machine", "MachineReport", "PhaseStats"]
+
+
+# ----------------------------------------------------------------------
+# The meter table: one function per charge-log kind
+# ----------------------------------------------------------------------
+# ``meter(machine, col)`` charges one log position; ``col[i]`` is rank
+# i's entry.  Replicated slots (a root, an op's word count, a label) are
+# read from rank 0's entry, per-rank word counts from every rank's.
+
+def _sync(m: "Machine", c: CollectiveCost) -> None:
+    m.clock.sync_collective(c.time)
+
+
+def _sizes(col) -> np.ndarray:
+    return np.array([float(e[1]) for e in col], dtype=np.float64)
+
+
+def _ops(m, col) -> None:
+    """``("ops", x)``: ``x`` elementary operations of local work."""
+    m.charge_ops([e[1] for e in col])
+
+
+def _allreduce(m, col) -> None:
+    """``("allreduce", w)``: reduce then broadcast over one tree."""
+    w = float(col[0][1])
+    edges = [(d, s, w) for _, s, d in binomial_edges(m.p, 0)]
+    edges += [(s, d, w) for _, s, d in binomial_edges(m.p, 0)]
+    m.metrics.record_schedule(edges, "allreduce")
+    _sync(m, m.cost.allreduce(w, m.p))
+
+
+def _scan(m, col) -> None:
+    """``("scan", w)``: inclusive prefix over the hypercube rounds."""
+    w = float(col[0][1])
+    m.metrics.record_schedule(
+        [(s, d, w) for rnd in hypercube_rounds(m.p) for s, d in rnd], "scan")
+    _sync(m, m.cost.scan(w, m.p))
+
+
+def _allreduce_exscan(m, col) -> None:
+    """``("allreduce_exscan", w)``: the prefix schedule carrying a
+    second accumulator (the running total), so ``2 w`` words per edge."""
+    w = float(col[0][1])
+    m.metrics.record_schedule(
+        [(s, d, 2 * w) for rnd in hypercube_rounds(m.p) for s, d in rnd],
+        "allreduce_exscan")
+    _sync(m, m.cost.allreduce_exscan(w, m.p))
+
+
+def _broadcast(m, col) -> None:
+    """``("broadcast", w, root)``: the root's ``w`` words down a
+    binomial tree."""
+    root = int(col[0][2])
+    w = float(col[root][1])
+    m.metrics.record_schedule(
+        ((s, d, w) for _, s, d in binomial_edges(m.p, root)), "broadcast")
+    _sync(m, m.cost.broadcast(w, m.p))
+
+
+def _reduce(m, col) -> None:
+    """``("reduce", w, root)``: the broadcast tree in reverse."""
+    root = int(col[0][2])
+    w = float(col[root][1])
+    m.metrics.record_schedule(
+        [(d, s, w) for _, s, d in binomial_edges(m.p, root)], "reduce")
+    _sync(m, m.cost.reduce(w, m.p))
+
+
+def _gather(m, col) -> None:
+    """``("gather", w, root)``: this rank's ``w`` words up a binomial
+    tree, each edge carrying the child's whole subtree."""
+    root = int(col[0][2])
+    sizes = _sizes(col)
+    acc = sizes.copy()
+    edges = []
+    for _, s, d in reversed(binomial_edges(m.p, root)):
+        edges.append((d, s, acc[d]))
+        acc[s] += acc[d]
+    m.metrics.record_schedule(edges, "gather")
+    _sync(m, m.cost.gather(float(sizes.sum() - sizes[root]), m.p))
+
+
+def _gather_direct(m, col) -> None:
+    """``("gather_direct", w, root)``: every rank sends its ``w`` words
+    straight to the root, whose ``p - 1`` start-ups are serialized."""
+    root = int(col[0][2])
+    sizes = _sizes(col)
+    m.metrics.record_schedule(
+        [(i, root, sizes[i]) for i in range(m.p) if i != root], "gather_direct")
+    _sync(m, m.cost.gather_direct(float(sizes.sum() - sizes[root]), m.p))
+
+
+def _scatter(m, col) -> None:
+    """``("scatter", w, root)``: ``w`` is the piece this rank receives;
+    a parent forwards the bundle of each child's subtree."""
+    root = int(col[0][2])
+    sizes = _sizes(col)
+    acc = sizes.copy()
+    fwd = []
+    for _, s, d in reversed(binomial_edges(m.p, root)):
+        fwd.append((s, d, acc[d]))
+        acc[s] += acc[d]
+    m.metrics.record_schedule(reversed(fwd), "scatter")
+    _sync(m, m.cost.scatter(float(sizes.sum() - sizes[root]), m.p))
+
+
+def _allgather_edges(m, sizes: np.ndarray, extra: float, kind: str) -> None:
+    # recursive doubling: in round r partners exchange the blocks
+    # accumulated so far, ``extra`` words riding every edge
+    acc = sizes.copy()
+    edges = []
+    for rnd in hypercube_rounds(m.p):
+        nxt = acc.copy()
+        for i, j in rnd:
+            edges.append((i, j, acc[i] + extra))
+            edges.append((j, i, acc[j] + extra))
+            nxt[i] = nxt[j] = acc[i] + acc[j]
+        acc = nxt
+    m.metrics.record_schedule(edges, kind)
+
+
+def _allgather(m, col) -> None:
+    """``("allgather", w)``: this rank's ``w`` words to everybody."""
+    sizes = _sizes(col)
+    _allgather_edges(m, sizes, 0.0, "allgather")
+    _sync(m, m.cost.allgather(float(sizes.mean()), m.p))
+
+
+def _reduce_allgather(m, col) -> None:
+    """``("reduce_allgather", w, r)``: the allgather of this rank's
+    ``w`` words with an ``r``-word reduction accumulator on every edge."""
+    sizes = _sizes(col)
+    extra = float(col[0][2])
+    _allgather_edges(m, sizes, extra, "reduce_allgather")
+    if extra:
+        _sync(m, m.cost.reduce_allgather(extra, float(sizes.mean()), m.p))
+    else:
+        _sync(m, m.cost.allgather(float(sizes.mean()), m.p))
+
+
+def _matrix(col) -> np.ndarray:
+    sizes = np.array([e[1] for e in col], dtype=np.float64)
+    np.fill_diagonal(sizes, 0.0)  # self-delivery is a local handoff
+    return sizes
+
+
+def _alltoall(m, col) -> None:
+    """``("alltoall", row)``: direct delivery, ``row[j]`` words from
+    this rank to PE ``j``."""
+    p = m.p
+    sizes = _matrix(col)
+    m.metrics.record_schedule(
+        [(i, j, sizes[i][j]) for i in range(p) for j in range(p)
+         if i != j and sizes[i][j] > 0], "alltoall")
+    bottleneck = float(np.maximum(sizes.sum(axis=1), sizes.sum(axis=0)).max(initial=0.0))
+    msgs = max(p - 1, 0)
+    _sync(m, CollectiveCost(m.cost.alpha * msgs + m.cost.beta * bottleneck,
+                            msgs, bottleneck))
+
+
+def _alltoall_hc(m, col) -> None:
+    """``("alltoall_hc", row)``: the same matrix routed along
+    dimension-ordered hypercube hops in ``log p`` rounds; intermediate
+    PEs forward what they hold for others."""
+    p = m.p
+    buckets = _matrix(col)  # [i][j]: words parked at i, destined for j
+    ranks = np.arange(p)
+    for r in range(log2_ceil(p)):
+        bit = 1 << r
+        partners = ranks ^ bit
+        active = partners < p  # PEs whose round-r partner exists
+        dest_mask = ((ranks[:, None] ^ ranks[None, :]) & bit) != 0
+        forwarded = np.where(dest_mask & active[:, None], buckets, 0.0)
+        moved = forwarded.sum(axis=1)
+        senders = ranks[active & (moved > 0)]
+        edges = [(int(i), int(partners[i]), float(moved[i])) for i in senders]
+        buckets = buckets - forwarded
+        np.add.at(buckets, partners[senders], forwarded[senders])
+        if edges:
+            m.metrics.record_schedule(edges, "alltoall_hc")
+        m.clock.sync_collective(m.cost.alpha + m.cost.beta * float(moved.max(initial=0.0)))
+
+
+def _dht_round(m, col) -> None:
+    """``("dht_round", bit, n, width)``: one hypercube round of the
+    hash-table exchange -- this rank ships ``n`` entries of ``width``
+    words to ``rank ^ bit``, which merges them (one op per entry);
+    only non-empty messages are metered."""
+    bit, width = int(col[0][1]), float(col[0][3])
+    entries = np.array([e[2] for e in col], dtype=np.float64)
+    partners = np.arange(m.p) ^ bit
+    m.charge_ops(entries[partners])
+    words = width * entries
+    edges = [(int(i), int(partners[i]), float(words[i]))
+             for i in np.flatnonzero(entries)]
+    if edges:
+        m.metrics.record_schedule(edges, "dht_exchange")
+    m.clock.sync_collective(m.cost.alpha + m.cost.beta * float(words.max(initial=0.0)))
+
+
+def _tree_hop(m, col) -> None:
+    """``("tree_hop", r, w, label)``: round ``r`` of a merge up the
+    binomial tree into PE 0 -- per edge one message of the child's
+    ``w`` words, then ``max(1, w)`` merge ops at the parent (a round's
+    edges touch disjoint PEs, so the ops are one clock update)."""
+    rnd, label = int(col[0][1]), col[0][3]
+    ops = np.zeros(m.p)
+    for r, parent, child in reversed(binomial_edges(m.p, 0)):
+        if r != rnd:
+            continue
+        w = col[child][2]
+        m.metrics.record_p2p(child, parent, w, label)
+        m.clock.charge_p2p(child, parent, m.cost.p2p(w))
+        ops[parent] = max(1.0, w)
+    m.charge_ops(ops)
+
+
+def _p2p(m, col) -> None:
+    """``("p2p", w, src, dst, label)``: one message of ``w`` words (a
+    send to oneself is a local handoff and costs nothing)."""
+    _, w, src, dst, label = col[0]
+    if src != dst:
+        m.metrics.record_p2p(src, dst, w, label)
+        m.clock.charge_p2p(src, dst, m.cost.p2p(w))
+
+
+def _rounds(m, col) -> None:
+    """``("rounds", n, w, label)``: ``n`` synchronizing rounds of
+    ``w``-word compare-exchanges on every PE, attributed to ``label``
+    as ``w n p`` words (an analytic schedule, e.g. a Batcher merge)."""
+    _, n, w, label = col[0]
+    for _ in range(n):
+        m.clock.sync_collective(m.cost.alpha + m.cost.beta * w)
+    m.metrics.charge(label, w * n * m.p)
+
+
+def _barrier(m, col) -> None:
+    """``("barrier",)``: synchronize all PEs."""
+    _sync(m, m.cost.barrier(m.p))
+    m.metrics.calls["barrier"] = m.metrics.calls.get("barrier", 0) + 1
+
+
+#: charge-log kind -> meter; the only place the alpha-beta model of a
+#: collective is written down
+METERS: dict[str, Callable] = {
+    "ops": _ops,
+    "allreduce": _allreduce,
+    "scan": _scan,
+    "allreduce_exscan": _allreduce_exscan,
+    "broadcast": _broadcast,
+    "reduce": _reduce,
+    "gather": _gather,
+    "gather_direct": _gather_direct,
+    "scatter": _scatter,
+    "allgather": _allgather,
+    "reduce_allgather": _reduce_allgather,
+    "alltoall": _alltoall,
+    "alltoall_hc": _alltoall_hc,
+    "dht_round": _dht_round,
+    "tree_hop": _tree_hop,
+    "p2p": _p2p,
+    "rounds": _rounds,
+    "barrier": _barrier,
+}
+
+
+# ----------------------------------------------------------------------
+# Machine.collective: requests -> charge entries
+# ----------------------------------------------------------------------
+
+def _own(kind: str, at: int | None = None):
+    """Each rank's entry from its own payload words (plus the root or
+    accumulator slot ``at`` of its request)."""
+    if at is None:
+        return lambda reqs: [(kind, payload_words(r[1])) for r in reqs]
+    return lambda reqs: [(kind, payload_words(r[1]), r[at]) for r in reqs]
+
+
+def _rows(kind: str):
+    return lambda reqs: [(kind, [payload_words(x) for x in r[1]]) for r in reqs]
+
+
+#: collective kind -> ``entries(requests)``, one charge entry per rank;
+#: a kind one rank feeds reads that rank's request alone (the root's
+#: payload for a broadcast, its pieces for a scatter, the sender's)
+_ENTRIES: dict[str, Callable] = {
+    "allreduce": _own("allreduce"),
+    "scan": _own("scan"),
+    "allreduce_exscan": _own("allreduce_exscan"),
+    "broadcast": lambda reqs: [
+        ("broadcast", payload_words(reqs[reqs[0][2]][1]), reqs[0][2])] * len(reqs),
+    "reduce": _own("reduce", 3),
+    "gather": _own("gather", 2),
+    "gather_direct": _own("gather_direct", 2),
+    "scatter": lambda reqs: [
+        ("scatter", payload_words(x), reqs[0][2]) for x in reqs[reqs[0][2]][1]],
+    "allgather": _own("allgather"),
+    "reduce_allgather": lambda reqs: [
+        ("reduce_allgather", payload_words(r[3]), payload_words(r[1])) for r in reqs],
+    "alltoall": _rows("alltoall"),
+    "alltoall_hc": _rows("alltoall_hc"),
+    "p2p": lambda reqs: [("p2p", payload_words(reqs[reqs[0][2]][1]),
+                          reqs[0][2], reqs[0][3], "p2p")] * len(reqs),
+    "barrier": lambda reqs: [("barrier",)] * len(reqs),
+}
+
+#: the request kind of the table kinds whose requests are another kind's
+_REQUEST_KIND = {"gather_direct": "gather", "alltoall_hc": "alltoall"}
+#: request slots holding a rank, and the kinds carrying a reduction op
+_RANK_SLOTS = {"broadcast": {"root": 2}, "reduce": {"root": 3}, "gather": {"root": 2},
+               "scatter": {"root": 2}, "p2p": {"src": 2, "dst": 3}}
+_OP_KINDS = {"reduce", "allreduce", "scan", "allreduce_exscan", "reduce_allgather"}
 
 
 @dataclass(frozen=True)
@@ -151,6 +448,13 @@ class MachineReport:
 class Machine:
     """A ``p``-PE distributed-memory machine with an alpha-beta cost model.
 
+    Twelve public methods: :meth:`draw_addr`; charging through
+    :data:`METERS` (:meth:`charge_ops`, :meth:`replay_charges`); the
+    list-of-p :meth:`collective`, with :meth:`allreduce` and
+    :meth:`allgather` as one-line spellings; and :meth:`phase`,
+    :meth:`sync_transport`, :meth:`report`, :meth:`reset`,
+    :meth:`close`, :meth:`recover`.
+
     Parameters
     ----------
     p:
@@ -178,7 +482,7 @@ class Machine:
         variable installs one globally.  Ignored by ``sim``.
 
     Lockstep needs no option: every backend checks that all PEs of an
-    SPMD step (or of a list-of-p collective, a step of one yield) issue
+    SPMD step (or of a :meth:`collective`, a step of one yield) issue
     the same collective sequence, and raises
     :class:`~repro.machine.backends.LockstepError` naming the command
     and the diverging rank if they do not.  Recovery needs none either:
@@ -247,23 +551,92 @@ class Machine:
         return DrawAddress(self.seed, seq)
 
     # ------------------------------------------------------------------
-    # Local work
+    # Charging
     # ------------------------------------------------------------------
     def charge_ops(self, ops) -> None:
         """Charge per-PE local work, in elementary operations.
 
-        ``ops`` is a scalar (same on every PE) or an array of length ``p``.
+        ``ops`` is a scalar (same on every PE) or an array of length
+        ``p`` (zero where a PE did nothing: adding ``0.0`` leaves its
+        clock bit-identical).
         """
         self.clock.charge_local(np.asarray(ops, dtype=np.float64) * self.cost.time_per_op)
 
-    def charge_ops_one(self, rank: int, ops: float) -> None:
-        self.clock.charge_local_one(rank, float(ops) * self.cost.time_per_op)
+    def replay_charges(self, logs: Sequence[Sequence[tuple]]) -> None:
+        """Charge per-PE charge logs through :data:`METERS`.
+
+        ``logs[i]`` is rank ``i``'s entry list; all ranks must have
+        appended the same entry sequence (SPMD discipline).  A kernel
+        logs what it did inside one command and the driver replays the
+        model in execution order, so straggler effects land where they
+        would have; a collective the driver did not run (the
+        all-reduction of sizes it tracks) is a log of one entry.  Each
+        kind's entry layout is its meter's docstring; a run of ``ops``
+        entries is one clock update (:meth:`SimClock.charge_local_rows`,
+        bit-identical to one :meth:`charge_ops` per entry).  The logs
+        hold small scalars only, so the model is backend-independent.
+        """
+        self._check_len(logs, "replay_charges")
+        head = logs[0]
+        length = len(head)
+        if any(len(entries) != length for entries in logs):
+            raise ValueError("charge logs diverged across ranks")
+        t = 0
+        while t < length:
+            kind = head[t][0]
+            if kind == "ops":
+                end = t + 1
+                while end < length and head[end][0] == "ops":
+                    end += 1
+                ops = np.array([[e[1] for e in entries[t:end]] for entries in logs],
+                               dtype=np.float64)
+                self.clock.charge_local_rows(ops.T * self.cost.time_per_op)
+                t = end
+                continue
+            meter = METERS.get(kind)
+            if meter is None:
+                raise ValueError(f"unknown charge-log entry kind {kind!r}")
+            meter(self, [entries[t] for entries in logs])
+            t += 1
 
     # ------------------------------------------------------------------
-    # Internal charging helpers
+    # The list-of-p collective
     # ------------------------------------------------------------------
-    def _charge(self, c: CollectiveCost) -> None:
-        self.clock.sync_collective(c.time)
+    def collective(self, kind: str, requests: Sequence[tuple]) -> list:
+        """Run one collective for all ``p`` ranks; returns each rank's
+        result (possibly shared between ranks: treat as read-only).
+
+        ``requests[i]`` is the tuple rank ``i`` would yield from an SPMD
+        kernel (:func:`~repro.machine.backends.base.spmd_collective`),
+        e.g. ``("allreduce", v, "sum")`` or ``("broadcast", v, root)``
+        (``None`` where a rank contributes nothing).  ``kind`` is the
+        request kind, or a table kind charging another schedule for the
+        same data plane: ``"gather_direct"`` (gather requests, each
+        straight to the root: ``alpha (p - 1)``) and ``"alltoall_hc"``
+        (alltoall requests along hypercube hops: ``O(beta m p log p +
+        alpha log p)``); ``"barrier"`` (``("barrier",)``) moves nothing.
+        The requests are checked (one per PE, one signature, ranks in
+        range, a usable op) before anything is charged or sent; each
+        rank's entry is derived from its payload words and charged
+        through :data:`METERS`, then the backend runs the data plane.
+        """
+        entries = _ENTRIES.get(kind)
+        if entries is None:
+            raise ValueError(
+                f"unknown collective kind {kind!r}; expected one of {sorted(_ENTRIES)}")
+        self._check_requests(kind, requests)
+        METERS[kind](self, entries(requests))
+        if kind == "barrier":
+            return [None] * self.p
+        return self.backend.collective(_REQUEST_KIND.get(kind, kind), requests)
+
+    def allreduce(self, values: Sequence, op="sum") -> list:
+        """``collective("allreduce", ...)`` over per-PE ``values``."""
+        return self.collective("allreduce", [("allreduce", v, op) for v in values])
+
+    def allgather(self, values: Sequence) -> list:
+        """``collective("allgather", ...)`` over per-PE ``values``."""
+        return self.collective("allgather", [("allgather", v) for v in values])
 
     def _check_len(self, values: Sequence, what: str) -> None:
         if len(values) != self.p:
@@ -272,32 +645,33 @@ class Machine:
                 f"(got {len(values)}, machine has p={self.p})"
             )
 
-    def _collective(self, kind: str, payloads: Sequence, *params) -> list:
-        """Data plane of one list-of-p collective: rank ``i`` requests
-        ``(kind, payloads[i], *params)``, as an SPMD kernel would yield
-        it; returns the per-PE results."""
-        return self.backend.collective(
-            kind, list(zip(repeat(kind), payloads, *map(repeat, params))))
-
-    def _collective_from(self, kind: str, holder: int, payload, *params) -> list:
-        """:meth:`_collective` where only ``holder`` contributes a
-        payload (one shared request for everybody else, so a send stays
-        O(1) Python work at any ``p``)."""
-        requests = [(kind, None, *params)] * self.p
-        requests[holder] = (kind, payload, *params)
-        return self.backend.collective(kind, requests)
-
-    def _check_root(self, root: int, what: str) -> None:
-        if not 0 <= root < self.p:
-            raise ValueError(
-                f"{what}: root {root} out of range for a machine with p={self.p}"
-            )
+    def _check_requests(self, kind: str, requests: Sequence[tuple]) -> None:
+        self._check_len(requests, kind)
+        want = _REQUEST_KIND.get(kind, kind)
+        for i, req in enumerate(requests):
+            if not req or req[0] != want:
+                raise ValueError(f"{kind}: rank {i} requested {req!r:.60}, not {want!r}")
+        _check_lockstep([[_collective_signature(r)] for r in requests],
+                        f"Machine.collective({kind!r})")
+        head = requests[0]
+        for name, at in _RANK_SLOTS.get(want, {}).items():
+            if not (isinstance(head[at], (int, np.integer)) and 0 <= head[at] < self.p):
+                raise ValueError(
+                    f"{kind}: {name} {head[at]!r} out of range for a machine with p={self.p}")
+        if want in _OP_KINDS:
+            self._check_op(head[2], kind)
+        if want == "scatter" and len(requests[head[2]][1]) != self.p:
+            raise ValueError(f"scatter: the root holds {len(requests[head[2]][1])} "
+                             f"pieces, not one per PE (p={self.p})")
+        if want == "alltoall":
+            for i, req in enumerate(requests):
+                if len(req[1]) != self.p:
+                    raise ValueError(f"alltoall row {i} has length {len(req[1])} != p")
 
     def _check_op(self, op, what: str) -> None:
-        """Refuse a reduction op before anything is charged or sent: an
-        unknown name, or on a real backend a callable that cannot cross
-        the process boundary (it would fail inside a command frame,
-        after its seq was consumed, and stall the ack frontier)."""
+        """Refuse an unknown op name, or on a real backend a callable
+        that cannot cross the process boundary (it would fail inside a
+        command frame, after its seq was consumed)."""
         if not callable(op):
             if op not in REDUCTION_OPS:
                 raise ValueError(
@@ -313,480 +687,6 @@ class Machine:
                     f"boundary; use a named op like 'sum' or a module-level "
                     f"callable): {exc}"
                 ) from None
-
-    # ------------------------------------------------------------------
-    # Collectives
-    # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        """Synchronize all PEs."""
-        self._charge(self.cost.barrier(self.p))
-        self.metrics.calls["barrier"] = self.metrics.calls.get("barrier", 0) + 1
-
-    def broadcast(self, value, root: int = 0) -> list:
-        """Send ``value`` from ``root`` to every PE.
-
-        Returns a list of length ``p``; entries may alias ``value``.
-        """
-        self._check_root(root, "broadcast")
-        self._meter_broadcast(payload_words(value), root)
-        return self._collective_from("broadcast", root, value, root)
-
-    def _meter_broadcast(self, words: float, root: int = 0) -> None:
-        """Control plane of :meth:`broadcast` (schedule + charge only)."""
-        m = float(words)
-        self.metrics.record_schedule(
-            ((s, d, m) for _, s, d in binomial_edges(self.p, root)), "broadcast"
-        )
-        self._charge(self.cost.broadcast(m, self.p))
-
-    def reduce(self, values: Sequence, op="sum", root: int = 0) -> list:
-        """Reduce per-PE contributions to ``root``; other PEs get ``None``."""
-        self._check_len(values, "reduce")
-        self._check_root(root, "reduce")
-        self._check_op(op, "reduce")
-        m = payload_words(values[root])
-        edges = [(d, s, m) for _, s, d in binomial_edges(self.p, root)]
-        self.metrics.record_schedule(edges, "reduce")
-        self._charge(self.cost.reduce(m, self.p))
-        return self._collective("reduce", values, op, root)
-
-    def allreduce(self, values: Sequence, op="sum") -> list:
-        """Reduce per-PE contributions; every PE receives the result."""
-        self._check_len(values, "allreduce")
-        self._check_op(op, "allreduce")
-        self._meter_allreduce(values)
-        return self._collective("allreduce", values, op)
-
-    def _meter_allreduce(
-        self, values: Sequence | None = None, *, words: float | None = None
-    ) -> None:
-        """Control plane of :meth:`allreduce` (schedule + charge only).
-
-        ``words`` supplies the payload size directly when the values
-        themselves stayed inside the workers (SPMD steps).
-        """
-        m = float(words) if words is not None else payload_words(values[0])
-        # reduce followed by broadcast over the same tree
-        edges = [(d, s, m) for _, s, d in binomial_edges(self.p, 0)]
-        edges += [(s, d, m) for _, s, d in binomial_edges(self.p, 0)]
-        self.metrics.record_schedule(edges, "allreduce")
-        self._charge(self.cost.allreduce(m, self.p))
-
-    def scan(self, values: Sequence, op="sum") -> list:
-        """Inclusive prefix combine: PE ``j`` receives ``op(values[0..j])``."""
-        self._check_len(values, "scan")
-        self._check_op(op, "scan")
-        self._meter_scan(payload_words(values[0]))
-        return self._collective("scan", values, op)
-
-    def _meter_scan(self, words: float) -> None:
-        """Control plane of :meth:`scan` (schedule + charge only)."""
-        m = float(words)
-        pairs = [(s, d, m) for rnd in hypercube_rounds(self.p) for s, d in rnd]
-        self.metrics.record_schedule(pairs, "scan")
-        self._charge(self.cost.scan(m, self.p))
-
-    def exscan(self, values: Sequence, op="sum", initial=0) -> list:
-        """Exclusive prefix combine: PE ``j`` receives ``op(values[0..j-1])``
-        and PE 0 receives ``initial``."""
-        inc = self.scan(values, op)  # charges once
-        return [initial] + inc[:-1]
-
-    def allreduce_exscan(
-        self, values: Sequence, op="sum", initial=0
-    ) -> tuple[list, list]:
-        """Fused total + exclusive prefix in one hypercube schedule.
-
-        Equivalent to ``(allreduce(values, op), exscan(values, op,
-        initial))`` but pays the ``alpha log p`` startups only once: the
-        recursive-doubling prefix schedule carries a second accumulator
-        holding the running total (a standard scan-and-reduce fusion),
-        so each round ships a two-slot tuple instead of running two
-        separate collectives.  The hot call sites are the
-        "count-below + tie-prefix" pairs of the selection and top-k
-        extraction kernels.
-        """
-        self._check_len(values, "allreduce_exscan")
-        self._check_op(op, "allreduce_exscan")
-        self._meter_allreduce_exscan(payload_words(values[0]))
-        pairs = self._collective("allreduce_exscan", values, op, initial)
-        return [t for t, _ in pairs], [pre for _, pre in pairs]
-
-    def _meter_allreduce_exscan(self, words: float) -> None:
-        """Control plane of :meth:`allreduce_exscan` (schedule + charge)."""
-        m = float(words)
-        pairs = [
-            (s, d, 2 * m) for rnd in hypercube_rounds(self.p) for s, d in rnd
-        ]
-        self.metrics.record_schedule(pairs, "allreduce_exscan")
-        self._charge(self.cost.allreduce_exscan(m, self.p))
-
-    def gather(self, values: Sequence, root: int = 0, mode: str = "tree") -> list:
-        """Collect all contributions at ``root`` (a list in rank order).
-
-        ``mode="tree"`` uses a binomial tree (``alpha log p`` startups);
-        ``mode="direct"`` has every PE send straight to the root
-        (``alpha (p-1)`` serialized startups at the root -- the
-        master-worker pattern of the Naive baseline).
-        """
-        self._check_len(values, "gather")
-        self._check_root(root, "gather")
-        if mode not in ("tree", "direct"):
-            raise ValueError(f"unknown gather mode {mode!r}")
-        sizes = [payload_words(v) for v in values]
-        if mode == "tree":
-            self._meter_gather(sizes, root)
-        else:
-            self._meter_gather_direct(sizes, root)
-        return self._collective("gather", values, root)
-
-    def _meter_gather_direct(self, words: Sequence, root: int = 0) -> None:
-        """Control plane of direct-mode :meth:`gather`: PE ``i`` sends
-        its ``words[i]`` straight to ``root``, whose ``p - 1`` start-ups
-        are serialized."""
-        sizes = np.asarray(words, dtype=np.float64)
-        total = float(sizes.sum() - sizes[root])
-        edges = [(i, root, sizes[i]) for i in range(self.p) if i != root]
-        self.metrics.record_schedule(edges, "gather_direct")
-        self._charge(self.cost.gather_direct(total, self.p))
-
-    def _meter_gather(self, words: Sequence, root: int = 0) -> None:
-        """Control plane of tree-mode :meth:`gather` (schedule + charge
-        only).  ``words[i]`` is PE ``i``'s payload size; used directly
-        by call sites whose payloads stayed inside the workers."""
-        sizes = np.asarray(words, dtype=np.float64)
-        total = float(sizes.sum() - sizes[root])
-        # accumulate subtree payloads bottom-up along the binomial tree
-        acc = sizes.copy()
-        edges = []
-        for _, s, d in reversed(binomial_edges(self.p, root)):
-            edges.append((d, s, acc[d]))
-            acc[s] += acc[d]
-        self.metrics.record_schedule(edges, "gather")
-        self._charge(self.cost.gather(total, self.p))
-
-    def allgather(self, values: Sequence) -> list:
-        """All-to-all broadcast (gossiping): every PE gets every piece."""
-        self._check_len(values, "allgather")
-        self._meter_allgather(values)
-        return self._collective("allgather", values)
-
-    def _meter_allgather(
-        self,
-        values: Sequence | None = None,
-        extra_words: float = 0.0,
-        kind: str = "allgather",
-        *,
-        words: Sequence | None = None,
-    ) -> None:
-        """Control plane of :meth:`allgather` (schedule + charge only).
-
-        ``extra_words`` rides every edge -- the piggybacked reduction
-        accumulator of the fused :meth:`reduce_allgather`.  ``words``
-        supplies per-PE payload sizes directly when the values
-        themselves stayed inside the workers (SPMD steps).
-        """
-        if words is not None:
-            sizes = np.asarray(words, dtype=np.float64)
-        else:
-            sizes = np.array([payload_words(v) for v in values], dtype=np.float64)
-        # recursive-doubling schedule: in round r partners exchange the
-        # blocks accumulated so far
-        acc = sizes.copy()
-        edges = []
-        for rnd in hypercube_rounds(self.p):
-            nxt = acc.copy()
-            for i, j in rnd:
-                edges.append((i, j, acc[i] + extra_words))
-                edges.append((j, i, acc[j] + extra_words))
-                nxt[i] = nxt[j] = acc[i] + acc[j]
-            acc = nxt
-        self.metrics.record_schedule(edges, kind)
-        if extra_words:
-            self._charge(
-                self.cost.reduce_allgather(extra_words, float(sizes.mean()), self.p)
-            )
-        else:
-            self._charge(self.cost.allgather(float(sizes.mean()), self.p))
-
-    def reduce_allgather(
-        self, values: Sequence, payloads: Sequence, op="sum"
-    ) -> tuple[list, list]:
-        """Fused ``allreduce(values)`` + ``allgather(payloads)``.
-
-        One dissemination schedule carries the gathered payload blocks
-        with the reduction accumulator riding along, so the ``alpha log
-        p`` startups of a separate allreduce are paid only once.  The
-        hot call sites are the sample-size + sample-payload pairs of the
-        ``frequent/*`` pipelines (ROADMAP's remaining fusion candidate).
-
-        Returns ``(totals, gathered)``, both replicated on every PE:
-        ``totals[i]`` is the binomial-tree-order reduction of ``values``
-        and ``gathered[i]`` the rank-ordered list of ``payloads``.
-        """
-        self._check_len(values, "reduce_allgather")
-        self._check_len(payloads, "reduce_allgather")
-        self._check_op(op, "reduce_allgather")
-        self._meter_allgather(
-            payloads, extra_words=payload_words(values[0]), kind="reduce_allgather"
-        )
-        pairs = self.backend.collective(
-            "reduce_allgather",
-            [("reduce_allgather", v, op, w) for v, w in zip(values, payloads)],
-        )
-        return [t for t, _ in pairs], [g for _, g in pairs]
-
-    def scatter(self, pieces: Sequence, root: int = 0) -> list:
-        """Distribute ``pieces[i]`` from ``root`` to PE ``i``."""
-        self._check_len(pieces, "scatter")
-        self._check_root(root, "scatter")
-        sizes = np.array([payload_words(v) for v in pieces], dtype=np.float64)
-        total = float(sizes.sum() - sizes[root])
-        # top-down binomial tree: a parent forwards the payload bundle
-        # destined to each child's subtree
-        acc = sizes.copy()
-        fwd = []
-        for _, s, d in reversed(binomial_edges(self.p, root)):
-            fwd.append((s, d, acc[d]))
-            acc[s] += acc[d]
-        self.metrics.record_schedule(reversed(fwd), "scatter")
-        self._charge(self.cost.scatter(total, self.p))
-        return self._collective_from("scatter", root, pieces, root)
-
-    # ------------------------------------------------------------------
-    # Personalized exchanges
-    # ------------------------------------------------------------------
-    def alltoall(self, matrix: Sequence[Sequence], mode: str = "direct") -> list[list]:
-        """All-to-all personalized exchange.
-
-        ``matrix[i][j]`` is the payload PE ``i`` sends to PE ``j``
-        (``None`` for no message).  Returns ``out`` with
-        ``out[j][i] == matrix[i][j]``.
-
-        ``mode="direct"``: ``O(beta m p + alpha p)``.
-        ``mode="hypercube"``: indirect delivery in ``log p`` rounds,
-        ``O(beta m p log p + alpha log p)`` (Leighton [21, Thm 3.24]).
-        """
-        self._check_len(matrix, "alltoall")
-        for i, row in enumerate(matrix):
-            if len(row) != self.p:
-                raise ValueError(f"alltoall row {i} has length {len(row)} != p")
-        if mode not in ("direct", "hypercube"):
-            raise ValueError(f"unknown alltoall mode {mode!r}")
-        sizes = np.array(
-            [[payload_words(matrix[i][j]) if i != j else 0 for j in range(self.p)] for i in range(self.p)],
-            dtype=np.float64,
-        )
-        self._meter_alltoall(sizes, mode)
-        return self._collective("alltoall", matrix)
-
-    def _meter_alltoall(self, sizes: np.ndarray, mode: str = "direct") -> None:
-        """Control plane of :meth:`alltoall` (schedule + charge only).
-
-        ``sizes[i][j]`` is the word count PE ``i`` sends to PE ``j``
-        (diagonal ignored).  Used directly by call sites whose payloads
-        stay inside the workers (SPMD ``alltoall`` yields).
-        """
-        sizes = np.array(sizes, dtype=np.float64, copy=True)
-        np.fill_diagonal(sizes, 0.0)  # self-delivery is a local handoff
-        if mode == "direct":
-            edges = [
-                (i, j, sizes[i][j])
-                for i in range(self.p)
-                for j in range(self.p)
-                if i != j and sizes[i][j] > 0
-            ]
-            self.metrics.record_schedule(edges, "alltoall")
-            sent = sizes.sum(axis=1)
-            recv = sizes.sum(axis=0)
-            bottleneck = float(np.maximum(sent, recv).max(initial=0.0))
-            msgs = max(self.p - 1, 0)
-            self._charge(CollectiveCost(self.cost.alpha * msgs + self.cost.beta * bottleneck, msgs, bottleneck))
-        elif mode == "hypercube":
-            self._route_hypercube_sizes(sizes, kind="alltoall_hc")
-        else:
-            raise ValueError(f"unknown alltoall mode {mode!r}")
-
-    def _route_hypercube_sizes(self, sizes: np.ndarray, kind: str) -> None:
-        """Charge metrics/time for hypercube-routing the ``sizes`` matrix.
-
-        ``sizes[i][j]`` words travel from ``i`` to ``j`` along dimension-
-        ordered hypercube hops; intermediate PEs forward the payload.
-        """
-        p = self.p
-        # buckets[i][j] = words currently parked at i, destined for j
-        buckets = sizes.copy()
-        dims = log2_ceil(p)
-        ranks = np.arange(p)
-        for r in range(dims):
-            bit = 1 << r
-            partners = ranks ^ bit
-            active = partners < p  # PEs whose round-r partner exists
-            # dest_mask[i, j]: destination j differs from i in bit r
-            dest_mask = ((ranks[:, None] ^ ranks[None, :]) & bit) != 0
-            forwarded = np.where(dest_mask & active[:, None], buckets, 0.0)
-            moved = forwarded.sum(axis=1)
-            senders = ranks[active & (moved > 0)]
-            edges = [(int(i), int(partners[i]), float(moved[i])) for i in senders]
-            buckets = buckets - forwarded
-            np.add.at(buckets, partners[senders], forwarded[senders])
-            if edges:
-                self.metrics.record_schedule(edges, kind)
-            self.clock.sync_collective(self.cost.alpha + self.cost.beta * float(moved.max(initial=0.0)))
-
-    def _meter_dht_round(self, bit: int, sent: Sequence[int], width: float) -> None:
-        """Control plane of one hypercube round of the hash-table
-        exchange (:func:`repro.frequent.dht.exchange_gen`): PE ``i``
-        ships ``sent[i]`` entries of ``width`` words each to PE
-        ``i ^ bit``, which merges them into its table (one probe per
-        entry); only non-empty messages are metered."""
-        entries = np.asarray(sent, dtype=np.float64)
-        partners = np.arange(self.p) ^ bit
-        self.charge_ops(entries[partners])
-        words = width * entries
-        edges = [
-            (int(i), int(partners[i]), float(words[i]))
-            for i in np.flatnonzero(entries)
-        ]
-        if edges:
-            self.metrics.record_schedule(edges, "dht_exchange")
-        self.clock.sync_collective(
-            self.cost.alpha + self.cost.beta * float(words.max(initial=0.0))
-        )
-
-    def _meter_tree_hop(self, rnd: int, words: Sequence, kind: str) -> None:
-        """Control plane of round ``rnd`` of a merge up the binomial
-        tree into PE 0 (:func:`repro.frequent.dht.tree_merge_gen`): per
-        edge, one message of the child's words, then ``max(1, w)``
-        merge ops at the parent."""
-        for r, parent, child in reversed(binomial_edges(self.p, 0)):
-            if r != rnd:
-                continue
-            w = words[child]
-            self.metrics.record_p2p(child, parent, w, kind)
-            self.clock.charge_p2p(child, parent, self.cost.p2p(w))
-            self.charge_ops_one(parent, max(1.0, w))
-
-    # ------------------------------------------------------------------
-    # Deferred charging (resident SPMD steps)
-    # ------------------------------------------------------------------
-    def replay_charges(self, logs: Sequence[Sequence[tuple]]) -> None:
-        """Re-play the cost model from per-PE charge logs.
-
-        A resident SPMD kernel runs many rounds of local work and
-        embedded collectives inside one backend command; the driver
-        cannot charge step by step, so the kernel records what it did
-        and the driver replays the model afterwards in the exact
-        execution order (interleaving local charges with collective
-        synchronizations, so straggler effects land where they would
-        have).  ``logs[i]`` is rank ``i``'s entry list; all ranks must
-        have appended the same entry sequence (SPMD discipline):
-
-        * ``("ops", x)`` -- ``x`` elementary operations of local work on
-          this rank (:meth:`charge_ops`),
-        * ``("allgather", w)`` -- an embedded allgather whose local
-          contribution was ``w`` words,
-        * ``("allreduce", w)`` / ``("allreduce_exscan", w)`` /
-          ``("scan", w)`` -- embedded reduction-type collectives of
-          ``w`` payload words (replicated entries; rank 0's word count
-          sizes the schedule, matching what the live collective would
-          have metered),
-        * ``("broadcast", w, root)`` -- a rooted broadcast of ``w``
-          words (replicated entries),
-        * ``("gather", w, root)`` -- a tree gather where ``w`` is *this
-          rank's* contribution (per-rank word counts, shared ``root``),
-        * ``("gather_direct", w)`` -- every rank sends its ``w`` words
-          straight to PE 0 (:meth:`_meter_gather_direct`),
-        * ``("tree_hop", r, w, label)`` -- round ``r`` of a merge up the
-          binomial tree into PE 0 (:meth:`_meter_tree_hop`): ``w`` is
-          what this rank sends in that round (0 if it sends nothing;
-          ``r`` and ``label`` replicated),
-        * ``("reduce_allgather", w, m)`` -- the fused
-          :meth:`reduce_allgather`: this rank's ``w`` gathered words
-          with an ``m``-word reduction accumulator riding every edge
-          (``m`` replicated),
-        * ``("alltoall", row)`` -- a direct personalized exchange;
-          ``row[j]`` is the word count this rank sends to PE ``j``,
-        * ``("dht_round", bit, n, width)`` -- one hypercube round of
-          the hash-table exchange (:meth:`_meter_dht_round`): this rank
-          ships ``n`` entries of ``width`` words each to PE
-          ``rank ^ bit``, which merges them (``bit`` and ``width``
-          replicated).
-
-        Modeled time and metered volume are identical on every backend
-        because the log contains only small scalars.
-        """
-        self._check_len(logs, "replay_charges")
-        head = logs[0]
-        length = len(head)
-        if any(len(entries) != length for entries in logs):
-            raise ValueError("charge logs diverged across ranks")
-        t = 0
-        while t < length:
-            kind = head[t][0]
-            if kind == "ops":
-                # a run of local work is one clock update
-                end = t + 1
-                while end < length and head[end][0] == "ops":
-                    end += 1
-                ops = np.array([[e[1] for e in entries[t:end]] for entries in logs],
-                               dtype=np.float64)
-                self.clock.charge_local_rows(ops.T * self.cost.time_per_op)
-                t = end
-                continue
-            if kind == "allgather":
-                self._meter_allgather(
-                    words=[float(logs[i][t][1]) for i in range(self.p)]
-                )
-            elif kind == "allreduce":
-                self._meter_allreduce(words=float(logs[0][t][1]))
-            elif kind == "allreduce_exscan":
-                self._meter_allreduce_exscan(float(logs[0][t][1]))
-            elif kind == "scan":
-                self._meter_scan(float(logs[0][t][1]))
-            elif kind == "broadcast":
-                self._meter_broadcast(float(logs[0][t][1]), int(logs[0][t][2]))
-            elif kind == "gather":
-                self._meter_gather(
-                    [float(logs[i][t][1]) for i in range(self.p)],
-                    int(logs[0][t][2]),
-                )
-            elif kind == "gather_direct":
-                self._meter_gather_direct([logs[i][t][1] for i in range(self.p)])
-            elif kind == "tree_hop":
-                self._meter_tree_hop(int(logs[0][t][1]),
-                                     [logs[i][t][2] for i in range(self.p)], logs[0][t][3])
-            elif kind == "reduce_allgather":
-                self._meter_allgather(
-                    words=[float(logs[i][t][1]) for i in range(self.p)],
-                    extra_words=float(logs[0][t][2]),
-                    kind="reduce_allgather",
-                )
-            elif kind == "alltoall":
-                self._meter_alltoall([logs[i][t][1] for i in range(self.p)])
-            elif kind == "dht_round":
-                self._meter_dht_round(
-                    int(logs[0][t][1]),
-                    [logs[i][t][2] for i in range(self.p)],
-                    float(logs[0][t][3]),
-                )
-            else:
-                raise ValueError(f"unknown charge-log entry kind {kind!r}")
-            t += 1
-
-    # ------------------------------------------------------------------
-    # Point-to-point
-    # ------------------------------------------------------------------
-    def send(self, src: int, dst: int, payload, kind: str = "p2p"):
-        """Transfer ``payload`` from PE ``src`` to PE ``dst``."""
-        if not (0 <= src < self.p and 0 <= dst < self.p):
-            raise ValueError(f"ranks out of range: {src} -> {dst} with p={self.p}")
-        w = payload_words(payload)
-        if src != dst:
-            self.metrics.record_p2p(src, dst, w, kind)
-            self.clock.charge_p2p(src, dst, self.cost.p2p(w))
-            payload = self._collective_from("p2p", src, payload, src, dst)[dst]
-        return payload
 
     # ------------------------------------------------------------------
     # Phases & reporting

@@ -53,7 +53,7 @@ import numpy as np
 
 from ..common.ordering import TOP
 from ..common.validation import check_rank_range
-from ..machine import Machine
+from ..machine import Machine, payload_words
 from ..selection.flexible import ams_select_gen
 from ..selection.sorted_select import ms_select_with_cuts_gen
 from ..trees import Treap
@@ -225,9 +225,9 @@ class BulkParallelPQ:
             n = self._sizes[rank]
             # the paper's search tree: log2(size) ops per inserted key
             sizes = np.arange(n + 1, n + m + 1)
-            self.machine.charge_ops_one(
-                rank, float(np.log2(np.maximum(sizes, 2)).sum())
-            )
+            ops = np.zeros(self.machine.p)
+            ops[rank] = np.log2(np.maximum(sizes, 2)).sum()
+            self.machine.charge_ops(ops)
             self._pending[rank].append(batch)
             self._uid[rank] = first + m
             self._sizes[rank] = n + m
@@ -268,7 +268,7 @@ class BulkParallelPQ:
     # ------------------------------------------------------------------
     def total_size(self) -> int:
         """Global element count: one all-reduction of the driver-tracked sizes."""
-        self.machine._meter_allreduce(words=1)
+        self.machine.replay_charges([[("allreduce", 1)]] * self.machine.p)
         return int(sum(self._sizes))
 
     def peek_min(self):
@@ -277,7 +277,8 @@ class BulkParallelPQ:
         _, out = self.machine.backend.run_spmd(
             _peek_step, [self._ref], args=self._take_pending()
         )
-        self.machine._meter_allreduce([local for local, _ in out])
+        self.machine.replay_charges(
+            [[("allreduce", payload_words(local))] for local, _ in out])
         v = out[0][1]
         if v is TOP:
             raise IndexError("peek_min on empty queue")
@@ -306,8 +307,9 @@ class BulkParallelPQ:
         """
         machine = self.machine
         p = machine.p
-        total = self.total_size()
+        total = int(sum(self._sizes))  # the size all-reduction heads the log
         if not 1 <= k <= total:
+            self.total_size()  # a refusal still paid for learning the total
             raise ValueError(f"k must satisfy 1 <= k <= {total}, got {k}")
         flush = self._take_pending()
         addr = machine.draw_addr()
@@ -315,7 +317,7 @@ class BulkParallelPQ:
             _delete_min_kernel, [self._ref],
             args=[(*flush[i], k, p, addr) for i in range(p)],
         )
-        machine.replay_charges([v["log"] for v in vals])
+        machine.replay_charges([[("allreduce", 1)] + v["log"] for v in vals])
         return self._finish(vals, k, vals[0]["value"], rounds=0)
 
     def delete_min_flexible(self, k_lo: int, k_hi: int) -> DeleteMinResult:

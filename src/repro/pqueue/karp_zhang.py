@@ -131,7 +131,7 @@ class RandomAllocPQ:
                     words[i][d] = 3 * len(items)
                     self._sizes[d] += len(items)
             routed.append(buckets)
-        machine._meter_alltoall(words, mode="direct")
+        machine.replay_charges([[("alltoall", row)] for row in words.tolist()])
         srcs = [
             [i for i in range(p) if i != d and d in routed[i]] for d in range(p)
         ]
@@ -152,13 +152,14 @@ class RandomAllocPQ:
 
     def total_size(self) -> int:
         """Global element count: one all-reduction of the driver-tracked sizes."""
-        self.machine._meter_allreduce(words=1)
+        self.machine.replay_charges([[("allreduce", 1)]] * self.machine.p)
         return int(sum(self._sizes))
 
     def delete_min(self, k: int) -> tuple[tuple, ...]:
         """Remove the ``k`` globally smallest elements (exact, as in [31])."""
-        total = self.total_size()
+        total = int(sum(self._sizes))  # the size all-reduction heads the log
         if not 1 <= k <= total:
+            self.total_size()  # a refusal still paid for learning the total
             raise ValueError(f"k must satisfy 1 <= k <= {total}, got {k}")
         machine = self.machine
         p = machine.p
@@ -167,7 +168,7 @@ class RandomAllocPQ:
             _kz_delete_kernel, [self._ref], n_out=0,
             args=[(k, p, addr)] * p,
         )
-        machine.replay_charges([v["log"] for v in vals])
+        machine.replay_charges([[("allreduce", 1)] + v["log"] for v in vals])
         batches = tuple(v["batch"] for v in vals)
         for i, batch in enumerate(batches):
             self._sizes[i] -= len(batch)

@@ -152,32 +152,23 @@ def redistribute(
     """
     p = machine.p
     sizes = data.sizes()
-    # the global size falls out of the driver-tracked per-PE sizes; the
-    # one-word all-reduction the algorithm semantically needs is still
-    # charged so the model matches the paper's schedule
-    machine._meter_allreduce(words=1)
     n = int(sizes.sum())
     if n_bar is None:
         n_bar = -(-n // p)
-
-    # prefix sums over surpluses and deficits (two scans, or one
-    # two-vector scan; we charge one scan of a 2-vector for honesty --
-    # the plan itself falls out of the driver-tracked sizes)
-    machine._meter_scan(2)
-    # Batcher merge of the two enumerations: log p rounds of
-    # constant-size compare-exchanges
     rounds = merge_round_count(2 * p)
-    for _ in range(rounds):
-        machine.clock.sync_collective(machine.cost.alpha + machine.cost.beta * 2.0)
-    machine.metrics.charge("batcher_merge", 2.0 * rounds * p)
-
     plan = balance_plan(sizes, n_bar)
+    # the sizes, the prefix sums and the plan fall out of the
+    # driver-tracked per-PE sizes; the schedule the algorithm needs is
+    # still charged so the model matches the paper's: the one-word size
+    # all-reduction, one scan of a 2-vector (surpluses and deficits),
+    # the Batcher merge of the two enumerations (log p rounds of
+    # constant-size compare-exchanges), then each planned message
+    log = [("allreduce", 1), ("scan", 2), ("rounds", rounds, 2.0, "batcher_merge")]
+    log += [("p2p", t.count, t.src, t.dst, "redistribute") for t in plan]
+    machine.replay_charges([log] * p)
     sent_per_pe = np.zeros(p, dtype=np.int64)
     recv_per_pe = np.zeros(p, dtype=np.int64)
     for t in plan:
-        # charge the planned message exactly as a driver-side send would
-        machine.metrics.record_p2p(t.src, t.dst, t.count, kind="redistribute")
-        machine.clock.charge_p2p(t.src, t.dst, machine.cost.p2p(t.count))
         sent_per_pe[t.src] += t.count
         recv_per_pe[t.dst] += t.count
 
@@ -245,7 +236,7 @@ def naive_rebalance(machine: Machine, data: DistArray) -> tuple[DistArray, int]:
         n_out=1,
         args=[(bounds, int(offsets[i]), srcs[i], p) for i in range(p)],
     )
-    machine._meter_alltoall(words, mode="direct")
+    machine.replay_charges([[("alltoall", row)] for row in words.tolist()])
     new_sizes = [hi - lo for lo, hi in bounds]
     return (
         DistArray(machine, ref=refs[0], sizes=new_sizes, dtype=data.dtype),

@@ -493,9 +493,9 @@ def multi_select_windows(
 
     # A window's size comes from its caller; the root's falls out of the
     # driver-tracked sizes (the one-word all-reduction the algorithm
-    # needs is charged through the meter).
-    if any(lo is None and hi is None for lo, hi, *_ in roots):
-        machine._meter_allreduce(words=1)
+    # needs heads the kernel's charge log).
+    head = ([("allreduce", 1)]
+            if any(lo is None and hi is None for lo, hi, *_ in roots) else [])
     # One draw sequence for the whole multiselection; levels subdivide
     # it by draw index, so the data-dependent recursion depth never
     # perturbs any later caller's draws.
@@ -507,7 +507,7 @@ def multi_select_windows(
     )
     # re-play the model from the PEs' charge logs, in the order a
     # step-by-step driver would have charged it
-    machine.replay_charges([log for _, log in vals])
+    machine.replay_charges([head + log for _, log in vals])
     return vals[0][0]
 
 

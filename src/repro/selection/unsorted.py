@@ -218,10 +218,9 @@ def select_kth(
         base_case = default_base_case(p)
 
     # One all-reduction establishes the global size (the driver tracks
-    # the sizes, so it is charged through the meter); afterwards every
+    # the sizes, so it heads the kernel's charge log); afterwards every
     # PE updates n locally from the part counts it already received, so
     # the recursion pays a single collective per level instead of two.
-    machine._meter_allreduce(words=1)
     # one draw address for the whole recursion; each level subdivides it
     # via its ``draw=level`` slot, so the number of levels (which varies
     # with the data) never perturbs any later caller's draws
@@ -231,7 +230,7 @@ def select_kth(
         [data._ensure_ref()],
         args=[(p, addr, k, n, sample_factor, base_case, max_rounds)] * p,
     )
-    machine.replay_charges([log for _, log in vals])
+    machine.replay_charges([[("allreduce", 1)] + log for _, log in vals])
     stats = SelectionStats(*vals[0][0])
     return stats if return_stats else stats.value
 
@@ -265,8 +264,8 @@ def select_topk_smallest(
     )
     # re-play the model: the local counting pass, then the fused
     # two-word collective (same charges the step-by-step driver made)
-    machine.charge_ops(data.sizes().astype(np.float64))
-    machine._meter_allreduce_exscan(2)
+    machine.replay_charges(
+        [[("ops", s), ("allreduce_exscan", 2)] for s in data.sizes().tolist()])
     out = DistArray(
         machine, ref=refs[0], sizes=[v[2] for v in vals], dtype=data.dtype
     )

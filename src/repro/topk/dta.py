@@ -105,13 +105,10 @@ def check_indexes(machine: Machine, indexes: list[LocalIndex], k: int) -> None:
 
 
 def _search(*, k_start: int | None = None, y_samples: int | None = None,
-            hit_target_factor: float = 2.0, max_rounds: int = 40,
-            probes: int = 1) -> tuple:
-    """The exponential search's options (see :func:`dta_prefixes`),
-    checked, in :func:`_search_gen`'s order."""
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
-    return k_start, y_samples, hit_target_factor, max_rounds, probes
+            hit_target_factor: float = 2.0, max_rounds: int = 40) -> tuple:
+    """The exponential search's options (see :func:`dta_prefixes`), in
+    :func:`_search_gen`'s order."""
+    return k_start, y_samples, hit_target_factor, max_rounds
 
 
 def _prefixes(head: tuple, cuts: list) -> DTAPrefixes:
@@ -132,13 +129,7 @@ def dta_prefixes(
     ``K``; default ``ceil(k / (m p))``), ``y_samples`` (estimator
     samples per list and PE; default ``max(16, 8 log2(K + 2))``),
     ``hit_target_factor`` (stop once ``factor * k`` hits are estimated;
-    2.0), ``max_rounds`` (40) and ``probes`` (1).  ``probes > 1``
-    enables the Section 6 refinement ("we can further reduce the
-    latency of DTA by trying several values of K in each iteration"):
-    each round evaluates the geometric ladder ``K, 2K, ...,
-    2^(probes-1) K`` and keeps the smallest sufficient one, dividing the
-    expected round count by ``probes`` at the price of proportionally
-    more (cheap, prefix-only) work per round.
+    2.0) and ``max_rounds`` (40).
     """
     options = _search(**search)
     check_indexes(machine, indexes, k)
@@ -211,7 +202,7 @@ def _dta_cmd(rank: int, p: int, ix: LocalIndex, take, log: list, scorer, k: int,
 
 def _search_gen(rank: int, p: int, ix: LocalIndex, cols: list, n_total: int, take,
                 log: list, scorer, k: int, k_start, y_samples, hit_target_factor,
-                max_rounds: int, probes: int):
+                max_rounds: int):
     """Algorithm 3's exponential search.  Returns ``(head, cuts)``:
     the replicated ``(tmin, xs, scanned, rounds, hit_estimate)`` and
     this PE's prefix sizes."""
@@ -219,26 +210,23 @@ def _search_gen(rank: int, p: int, ix: LocalIndex, cols: list, n_total: int, tak
     rounds = 0
     while True:
         rounds += 1
-        for j in range(probes):
-            K_probe = min(K * (2**j), n_total)
-            # amsSelect per criterion: threshold x_c and this PE's cut
-            xs, cuts = [], []
-            for col in cols:
-                addr = take()
-                value, _, cut, _, _ = yield from ams_select_gen(
-                    rank, p, col, K_probe, min(2 * K_probe, n_total),
-                    addr.local(rank), addr.shared(), log)
-                xs.append(-float(value))
-                cuts.append(int(cut))
-            tmin = scorer(np.asarray(xs))
-            y = max(16, int(8 * np.log2(K_probe + 2))) if y_samples is None else y_samples
-            estimate = yield from _estimate_hits_gen(
-                rank, ix, scorer, cuts, tmin, y, take(), log)
-            if estimate >= hit_target_factor * k or K_probe >= n_total:
-                break
-        if estimate >= hit_target_factor * k or K_probe >= n_total or rounds >= max_rounds:
-            return (float(tmin), tuple(xs), K_probe, rounds, estimate), tuple(cuts)
-        K = K_probe * 2
+        K = min(K, n_total)
+        # amsSelect per criterion: threshold x_c and this PE's cut
+        xs, cuts = [], []
+        for col in cols:
+            addr = take()
+            value, _, cut, _, _ = yield from ams_select_gen(
+                rank, p, col, K, min(2 * K, n_total),
+                addr.local(rank), addr.shared(), log)
+            xs.append(-float(value))
+            cuts.append(int(cut))
+        tmin = scorer(np.asarray(xs))
+        y = max(16, int(8 * np.log2(K + 2))) if y_samples is None else y_samples
+        estimate = yield from _estimate_hits_gen(
+            rank, ix, scorer, cuts, tmin, y, take(), log)
+        if estimate >= hit_target_factor * k or K >= n_total or rounds >= max_rounds:
+            return (float(tmin), tuple(xs), K, rounds, estimate), tuple(cuts)
+        K *= 2
 
 
 def _estimate_hits_gen(rank: int, ix: LocalIndex, scorer, cuts: list, tmin: float,

@@ -67,21 +67,19 @@ def test_cycle_sim_vs_tcp():
 
 def delete_min_through_total_size(pq, k):
     """``delete_min`` with its total taken -- and charged -- by a
-    ``total_size()`` call before it: the in-method charge (the first
-    ``_meter_allreduce`` of the call; the later ones replay the
-    workers' charge log) is dropped in exchange."""
+    ``total_size()`` call before it: the size all-reduction that heads
+    the call's one charge log is dropped in exchange."""
     machine = pq.machine
     pq.total_size()
-    real, calls = machine._meter_allreduce, []
+    real, heads = machine.replay_charges, []
 
-    def all_but_first(*args, **kwargs):
-        calls.append(kwargs)
-        if len(calls) > 1:
-            real(*args, **kwargs)
+    def without_head(logs):
+        heads.append(logs[0][0])
+        real([log[1:] for log in logs])
 
-    with mock.patch.object(machine, "_meter_allreduce", all_but_first):
+    with mock.patch.object(machine, "replay_charges", without_head):
         res = pq.delete_min(k)
-    assert calls[0] == {"words": 1}
+    assert heads == [("allreduce", 1)]
     return res
 
 
@@ -243,6 +241,6 @@ class TestInsertValidation:
         pq.insert_local(0, [0.5] * 5)
         pq.insert_local(0, [0.5] * 3)
         ref = Machine(p=P, seed=51)
-        ref.charge_ops_one(0, sum(np.log2(max(n, 2)) for n in range(1, 6)))
-        ref.charge_ops_one(0, sum(np.log2(n) for n in range(6, 9)))
+        ref.charge_ops([sum(np.log2(max(n, 2)) for n in range(1, 6))] + [0.0] * (P - 1))
+        ref.charge_ops([sum(np.log2(n) for n in range(6, 9))] + [0.0] * (P - 1))
         assert m.report().work_time == pytest.approx(ref.report().work_time, rel=1e-12)

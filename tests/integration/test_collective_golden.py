@@ -66,6 +66,8 @@ from repro.redistribution import redistribute
 from repro.selection import ams_select_batched, ms_select
 from repro.topk import SumScore, build_distributed_index, dta_topk, rdta_topk
 
+from tests.support import listp
+
 GOLDEN_PATH = Path(__file__).parents[1] / "support" / "collective_golden.json"
 GOLDEN_SEED = 1919
 PS = (1, 2, 3, 4, 8)
@@ -160,43 +162,43 @@ def _floats(x):
 
 
 def _collective_reduce(m):
-    out = m.reduce([g.random(6) for g in m.rngs], op="sum", root=m.p - 1)
+    out = listp.reduce(m, [g.random(6) for g in m.rngs], op="sum", root=m.p - 1)
     return [_floats(v) for v in out]
 
 
 def _gathered(mode):
     def run(m):
         parts = [g.integers(0, 100, size=r + 1) for r, g in enumerate(m.rngs)]
-        out = m.gather(parts, root=m.p - 1, mode=mode)
+        out = listp.gather(m, parts, root=m.p - 1, mode=mode)
         return [None if v is None else [_floats(x) for x in v] for v in out]
     return run
 
 
 def _collective_scatter(m):
     pieces = [g.random(r + 2) for r, g in enumerate(m.rngs)]
-    return [_floats(v) for v in m.scatter(pieces, root=m.p // 2)]
+    return [_floats(v) for v in listp.scatter(m, pieces, root=m.p // 2)]
 
 
 def _collective_alltoall_direct(m):
     # (i + j) % 3 == 0 sends nothing: rows mix messages and gaps
     matrix = [[None if (i + j) % 3 == 0 else g.random(i + j + 1)
                for j in range(m.p)] for i, g in enumerate(m.rngs)]
-    out = m.alltoall(matrix, mode="direct")
+    out = listp.alltoall(m, matrix, mode="direct")
     return [[_floats(x) for x in row] for row in out]
 
 
 def _collective_barrier(m):
     m.charge_ops(np.arange(m.p) * 100.0)  # stragglers wait at the barrier
-    m.barrier()
-    m.barrier()
+    listp.barrier(m)
+    listp.barrier(m)
     return []
 
 
 def _collective_send(m):
     last = m.p - 1
-    return [_floats(m.send(0, last, m.rngs[0].random(7))),
-            _floats(m.send(last, 0, m.rngs[last].random(3))),
-            _floats(m.send(last, last, np.arange(4)))]
+    return [_floats(listp.send(m, 0, last, m.rngs[0].random(7))),
+            _floats(listp.send(m, last, 0, m.rngs[last].random(3))),
+            _floats(listp.send(m, last, last, np.arange(4)))]
 
 
 def _redistribute(m):

@@ -14,12 +14,14 @@ from repro.machine.calibrate import preset
 from repro.machine.cost import FREE_COMMUNICATION, log2_ceil
 from repro.selection import ms_select, select_kth
 
+from tests.support import listp
+
 
 class TestFormulaExactness:
     def test_broadcast_time_matches_formula(self):
         c = CostParams(alpha=1.0, beta=0.1, time_per_op=0.0)
         m = Machine(p=8, cost=c, seed=0)
-        m.broadcast(np.zeros(50))
+        listp.broadcast(m, np.zeros(50))
         expected = c.alpha * log2_ceil(8) + c.beta * 50
         assert m.clock.makespan == pytest.approx(expected)
 
@@ -33,14 +35,14 @@ class TestFormulaExactness:
     def test_p2p_time_matches_formula(self):
         c = CostParams(alpha=3.0, beta=0.25, time_per_op=0.0)
         m = Machine(p=4, cost=c, seed=0)
-        m.send(0, 1, np.zeros(100))
+        listp.send(m, 0, 1, np.zeros(100))
         assert m.clock.makespan == pytest.approx(3.0 + 25.0)
 
     def test_sequenced_collectives_accumulate(self):
         c = CostParams(alpha=1.0, beta=0.0, time_per_op=0.0)
         m = Machine(p=8, cost=c, seed=0)
         for _ in range(5):
-            m.barrier()
+            listp.barrier(m)
         assert m.clock.makespan == pytest.approx(5 * 3.0)
 
 

@@ -474,7 +474,10 @@ def test_charge_log_matches_the_executed_schedule(monkeypatch, name, p):
         return real_collective(kind, requests)
 
     def replay(logs):
-        replayed.extend(logs[0])
+        # the driver charges the all-reduction of the sizes it tracks
+        # as a log of its own, which no worker yields
+        if logs[0] != [("allreduce", 1)]:
+            replayed.extend(logs[0])
         real_replay(logs)
 
     monkeypatch.setattr(base, "spmd_collective", collective)

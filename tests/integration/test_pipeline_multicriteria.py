@@ -111,7 +111,7 @@ class TestScanEfficiency:
 #: one call of each family; ``dta_topk_grown`` stops the search early,
 #: so the command grows the scan depth before it selects
 CALLS = {
-    "dta_prefixes": lambda m, idx: dta_prefixes(m, idx, SumScore(3), 24, probes=2),
+    "dta_prefixes": lambda m, idx: dta_prefixes(m, idx, SumScore(3), 24),
     "dta_topk": lambda m, idx: dta_topk(m, idx, SumScore(3), 24),
     "dta_topk_grown": lambda m, idx: dta_topk(
         m, idx, SumScore(3), 24, hit_target_factor=0.02),
@@ -150,7 +150,6 @@ class TestOneCommand:
                 "index count": lambda: rdta_topk(m, idx[:2], SumScore(3), 4),
                 "mismatched m": lambda: dta_topk(
                     m, idx[:2] + other[2:], SumScore(3), 4),
-                "probes": lambda: dta_prefixes(m, idx, SumScore(3), 4, probes=0),
             }
             before = (_model(m), m._rng_seq, _sends(m))
             for name, call in refusals.items():

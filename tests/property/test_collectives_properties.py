@@ -8,6 +8,8 @@ from repro.common.hashing import key_owner
 from tests.support.dht_runner import exchange
 from repro.machine import Machine
 
+from tests.support import listp
+
 pe_values = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=16)
 
 
@@ -29,14 +31,14 @@ class TestReductions:
     @settings(max_examples=60, deadline=None)
     def test_scan_prefix_sums(self, vals):
         m = Machine(p=len(vals), seed=1)
-        got = m.scan(vals, op="sum")
+        got = listp.scan(m, vals, op="sum")
         assert got == list(np.cumsum(vals))
 
     @given(pe_values)
     @settings(max_examples=60, deadline=None)
     def test_exscan(self, vals):
         m = Machine(p=len(vals), seed=1)
-        got = m.exscan(vals, op="sum")
+        got = listp.exscan(m, vals, op="sum")
         expect = [0] + list(np.cumsum(vals))[:-1]
         assert got == expect
 
@@ -49,7 +51,7 @@ class TestDataMovement:
             [data.draw(st.integers(0, 100)) for _ in range(p)] for _ in range(p)
         ]
         m = Machine(p=p, seed=2)
-        out = m.alltoall(matrix)
+        out = listp.alltoall(m, matrix)
         for i in range(p):
             for j in range(p):
                 assert out[j][i] == matrix[i][j]
@@ -59,8 +61,8 @@ class TestDataMovement:
     def test_gather_broadcast_roundtrip(self, p, data):
         vals = [data.draw(st.integers(-50, 50)) for _ in range(p)]
         m = Machine(p=p, seed=3)
-        root_list = m.gather(vals, root=0)[0]
-        back = m.broadcast(root_list, root=0)
+        root_list = listp.gather(m, vals, root=0)[0]
+        back = listp.broadcast(m, root_list, root=0)
         assert all(b == vals for b in back)
 
     @given(

@@ -44,7 +44,7 @@ def _entry(draw, p: int) -> list[tuple]:
         kinds = [k for k in kinds if k != "tree_hop"]
     kind = draw(st.sampled_from(kinds))
     per_rank = st.lists(WORDS, min_size=p, max_size=p)
-    if kind in ("ops", "allgather", "gather_direct"):
+    if kind in ("ops", "allgather"):
         return [(kind, w) for w in draw(per_rank)]
     if kind == "tree_hop":
         # a round of the binomial tree below p, what each rank sends in it
@@ -57,7 +57,7 @@ def _entry(draw, p: int) -> list[tuple]:
     root = draw(st.integers(min_value=0, max_value=p - 1))
     if kind == "broadcast":
         return [(kind, draw(WORDS), root)] * p
-    if kind == "gather":
+    if kind in ("gather", "gather_direct"):
         return [(kind, w, root) for w in draw(per_rank)]
     if kind == "reduce_allgather":
         m = draw(WORDS)

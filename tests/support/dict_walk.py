@@ -6,10 +6,10 @@ PE ``i``'s sample is first counted into a ``{key: count}`` dict
 
 Per-PE ``{key: count}`` dicts are routed to ``owner(key)`` in the
 driver, one plain dict per PE, and charged through ``Machine``'s own
-meters: on a power-of-two ``p`` a hypercube walk whose round ``r``
+meter table: on a power-of-two ``p`` a hypercube walk whose round ``r``
 hands every entry whose owner differs in bit ``r`` to the partner
-across it, merging equal keys on arrival (one ``_meter_dht_round`` per
-round); otherwise direct delivery (one ``_meter_alltoall`` of
+across it, merging equal keys on arrival (one ``dht_round`` entry per
+round); otherwise direct delivery (one ``alltoall`` entry of
 ``ceil(width * n)`` words per destination) and the owners' merge work.
 """
 
@@ -25,7 +25,9 @@ def local_key_counts(machine, rank: int, keys) -> dict:
     charged to ``rank``."""
     log: list = []
     keys, counts = local_table(np.asarray(keys), log)
-    machine.charge_ops_one(rank, log[0][1])
+    ops = np.zeros(machine.p)
+    ops[rank] = log[0][1]
+    machine.charge_ops(ops)
     return dict(zip(keys.tolist(), counts.tolist()))
 
 
@@ -38,21 +40,24 @@ def dict_walk(machine, dicts, owner, width: float = 2.0) -> list[dict]:
         for i, d in enumerate(dicts):
             for key, c in d.items():
                 split[i][owner(key)][key] = c
-        machine._meter_alltoall(
-            [[ceil(width * len(b)) for b in row] for row in split])
+        machine.replay_charges(
+            [[("alltoall", [ceil(width * len(b)) for b in row])] for row in split])
         held = [{} for _ in range(p)]
+        merged = np.zeros(p)
         for j in range(p):
             for i in range(p):
                 for key, c in split[i][j].items():
                     held[j][key] = held[j].get(key, 0) + c
-            machine.charge_ops_one(j, sum(len(split[i][j]) for i in range(p)))
+            merged[j] = sum(len(split[i][j]) for i in range(p))
+        machine.charge_ops(merged)
     else:
         held = [dict(d) for d in dicts]
         bit = 1
         while bit < p:
             leaving = [{key: c for key, c in held[i].items() if (owner(key) ^ i) & bit}
                        for i in range(p)]
-            machine._meter_dht_round(bit, [len(out) for out in leaving], width)
+            machine.replay_charges(
+                [[("dht_round", bit, len(out), width)] for out in leaving])
             for i, out in enumerate(leaving):
                 for key, c in out.items():
                     del held[i][key]

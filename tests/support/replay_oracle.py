@@ -104,10 +104,11 @@ def _gather(machine, words, root: int) -> None:
     _sync(machine, machine.cost.gather(total, machine.p))
 
 
-def _gather_direct(machine, words) -> None:
+def _gather_direct(machine, words, root: int) -> None:
     sizes = np.asarray(words, dtype=np.float64)
-    total = float(sizes.sum() - sizes[0])
-    _record(machine, [(i, 0, sizes[i]) for i in range(1, machine.p)], "gather_direct")
+    total = float(sizes.sum() - sizes[root])
+    _record(machine, [(i, root, sizes[i]) for i in range(machine.p) if i != root],
+            "gather_direct")
     _sync(machine, machine.cost.gather_direct(total, machine.p))
 
 
@@ -119,7 +120,9 @@ def _tree_hop(machine, rnd: int, words, label: str) -> None:
         w = words[child]
         _record(machine, [(child, parent, w)], label)
         machine.clock.charge_p2p(child, parent, cost.p2p(w))
-        machine.clock.charge_local_one(parent, max(1.0, w) * cost.time_per_op)
+        seconds = np.zeros(machine.p)
+        seconds[parent] = max(1.0, w) * cost.time_per_op
+        machine.clock.charge_local(seconds)
 
 
 def _alltoall(machine, rows) -> None:
@@ -179,7 +182,8 @@ def replay_reference(machine, logs) -> None:
             _gather(machine, [float(logs[i][t][1]) for i in range(p)],
                     int(logs[0][t][2]))
         elif kind == "gather_direct":
-            _gather_direct(machine, [logs[i][t][1] for i in range(p)])
+            _gather_direct(machine, [logs[i][t][1] for i in range(p)],
+                           int(logs[0][t][2]))
         elif kind == "tree_hop":
             _tree_hop(machine, int(logs[0][t][1]),
                       [logs[i][t][2] for i in range(p)], logs[0][t][3])

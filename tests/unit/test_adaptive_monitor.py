@@ -127,23 +127,14 @@ class TestStreamingMonitor:
 
 
 class TestDtaProbes:
-    def test_probes_reduce_rounds(self):
-        from repro.bench.workloads import multicriteria_workload
-        from repro.topk import SumScore, dta_prefixes
-
-        m = Machine(p=8, seed=30)
-        idx = multicriteria_workload(m, 1500, 3)
-        scorer = SumScore(3)
-        r1 = dta_prefixes(m, idx, scorer, 32, probes=1)
-        r4 = dta_prefixes(m, idx, scorer, 32, probes=4)
-        assert r4.rounds <= r1.rounds
-        assert r4.hit_estimate >= 2 * 32 or r4.scanned >= 1500 * 8
-
-    def test_probes_validation(self):
+    def test_probes_is_not_an_option(self):
+        """A ladder of probes evaluated one after another ran the same
+        K sequence as one probe per round and only relabelled the
+        rounds, so the option is gone."""
         from repro.bench.workloads import multicriteria_workload
         from repro.topk import SumScore, dta_prefixes
 
         m = Machine(p=2, seed=31)
         idx = multicriteria_workload(m, 50, 2)
-        with pytest.raises(ValueError):
-            dta_prefixes(m, idx, SumScore(2), 4, probes=0)
+        with pytest.raises(TypeError, match="probes"):
+            dta_prefixes(m, idx, SumScore(2), 4, probes=2)

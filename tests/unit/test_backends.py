@@ -23,6 +23,8 @@ from repro.machine import (
 )
 from repro.machine.backends import TcpBackend
 
+from tests.support import listp
+
 PS = [1, 2, 4]
 
 
@@ -204,28 +206,28 @@ class TestCollectiveParity:
         sim, real = _pair(p)
         vals = [float(i) for i in range(p)]
         with real:
-            _assert_same(sim.reduce(vals, root=p - 1), real.reduce(vals, root=p - 1))
+            _assert_same(listp.reduce(sim, vals, root=p - 1), listp.reduce(real, vals, root=p - 1))
 
     def test_broadcast(self, p):
         sim, real = _pair(p)
         payload = np.arange(5)
         with real:
-            _assert_same(sim.broadcast(payload, root=0), real.broadcast(payload, root=0))
+            _assert_same(listp.broadcast(sim, payload, root=0), listp.broadcast(real, payload, root=0))
 
     def test_scan_exscan(self, p):
         sim, real = _pair(p)
         vals = [i + 1 for i in range(p)]
         with real:
-            _assert_same(sim.scan(vals), real.scan(vals))
-            _assert_same(sim.exscan(vals), real.exscan(vals))
+            _assert_same(listp.scan(sim, vals), listp.scan(real, vals))
+            _assert_same(listp.exscan(sim, vals), listp.exscan(real, vals))
 
     def test_allreduce_exscan_fused(self, p):
         sim, real = _pair(p)
         vals = [np.array([i, 2 * i], dtype=np.int64) for i in range(p)]
         init = np.zeros(2, dtype=np.int64)
         with real:
-            st, sp = sim.allreduce_exscan(vals, initial=init)
-            rt, rp = real.allreduce_exscan(vals, initial=init)
+            st, sp = listp.allreduce_exscan(sim, vals, initial=init)
+            rt, rp = listp.allreduce_exscan(real, vals, initial=init)
         _assert_same(st, rt)
         _assert_same(sp, rp)
 
@@ -233,14 +235,14 @@ class TestCollectiveParity:
         sim, real = _pair(p)
         vals = [np.full(i + 1, i) for i in range(p)]
         with real:
-            _assert_same(sim.gather(vals, root=0), real.gather(vals, root=0))
+            _assert_same(listp.gather(sim, vals, root=0), listp.gather(real, vals, root=0))
             _assert_same(sim.allgather(vals), real.allgather(vals))
 
     def test_scatter(self, p):
         sim, real = _pair(p)
         pieces = [np.arange(i + 2) for i in range(p)]
         with real:
-            _assert_same(sim.scatter(pieces, root=0), real.scatter(pieces, root=0))
+            _assert_same(listp.scatter(sim, pieces, root=0), listp.scatter(real, pieces, root=0))
 
     def test_alltoall(self, p):
         sim, real = _pair(p)
@@ -248,14 +250,14 @@ class TestCollectiveParity:
             [np.array([i, j]) if i != j else None for j in range(p)] for i in range(p)
         ]
         with real:
-            _assert_same(sim.alltoall(matrix), real.alltoall(matrix))
+            _assert_same(listp.alltoall(sim, matrix), listp.alltoall(real, matrix))
 
     def test_send(self, p):
         sim, real = _pair(p)
         payload = {"k": np.arange(3)}
         with real:
             _assert_same(
-                sim.send(0, p - 1, payload), real.send(0, p - 1, payload)
+                listp.send(sim, 0, p - 1, payload), listp.send(real, 0, p - 1, payload)
             )
 
     def test_hash_table_exchange(self, p):
@@ -286,7 +288,7 @@ class TestCollectiveParity:
             for m in (sim, real):
                 m.allreduce(vals, op="sum")
                 m.allgather(vals)
-                m.allreduce_exscan([1] * p)
+                listp.allreduce_exscan(m, [1] * p)
         assert sim.clock.makespan == real.clock.makespan
         assert sim.metrics.bottleneck_words == real.metrics.bottleneck_words
         assert sim.metrics.bottleneck_startups == real.metrics.bottleneck_startups
@@ -322,8 +324,8 @@ class TestMpLifecycle:
         with Machine(p=4, seed=3, backend="mp") as m:
             for i in range(10):
                 assert m.allreduce([i] * 4)[0] == 4 * i
-                assert m.scan([1] * 4) == [1, 2, 3, 4]
-                assert m.broadcast(i, root=i % 4)[0] == i
+                assert listp.scan(m, [1] * 4) == [1, 2, 3, 4]
+                assert listp.broadcast(m, i, root=i % 4)[0] == i
 
     def test_worker_error_is_surfaced(self):
         with Machine(p=2, backend="mp") as m:

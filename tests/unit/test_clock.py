@@ -27,7 +27,7 @@ class TestLocalCharging:
 
     def test_single_pe_charge(self):
         c = SimClock(4)
-        c.charge_local_one(2, 5.0)
+        c.charge_local([0.0, 0.0, 5.0, 0.0])
         assert c.t[2] == pytest.approx(5.0)
         assert c.t[0] == 0.0
 

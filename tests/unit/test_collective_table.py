@@ -2,15 +2,16 @@
 
 Every collective kind exists once per side -- ``spmd_collective`` is the
 in-process reference, ``_run_collective`` the worker schedule -- and is
-reachable three ways: list-of-p through :class:`Machine`, yielded from
-an SPMD kernel, and the reference called directly.  For every kind, p
+reachable three ways: list-of-p through :meth:`Machine.collective`
+(spelled by ``tests/support/listp.py``), yielded from an SPMD kernel,
+and the reference called directly.  For every kind, p
 in {1, 2, 3, 5, 8} and every root / sender-receiver pair the three must
 agree on sim, mp and tcp (every backend checking lockstep), and on real
 backends each costs every rank exactly the messages recorded at 8ec87bb
 in ``tests/support/collective_msgs.json`` (``python
 tests/unit/test_collective_table.py`` rewrites it through the list-of-p
-calls alone, so it runs at any commit; do that only from the parent of a
-change that means to move a schedule).
+calls alone; do that only from the parent of a change that means to move
+a schedule).
 """
 
 import json
@@ -23,6 +24,8 @@ from repro.machine import Machine
 from repro.machine.backends import LockstepError
 from repro.machine.backends.base import spmd_collective
 from repro.machine.backends.runtime import Comm, WorkerLinks, _execute
+
+from tests.support import listp
 
 MSGS_PATH = Path(__file__).parents[1] / "support" / "collective_msgs.json"
 PS = (1, 2, 3, 5, 8)
@@ -105,30 +108,30 @@ def _via_machine(m, kind, target):
     reqs = _requests(kind, p, target)
     payloads = [r[1] for r in reqs]
     if kind == "broadcast":
-        return m.broadcast(payloads[target[0]], root=target[0])
+        return listp.broadcast(m, payloads[target[0]], root=target[0])
     if kind == "reduce":
-        return m.reduce(payloads, op="sum", root=target[0])
+        return listp.reduce(m, payloads, op="sum", root=target[0])
     if kind == "allreduce":
         return m.allreduce(payloads, op="sum")
     if kind == "scan":
-        return m.scan(payloads, op="sum")
+        return listp.scan(m, payloads, op="sum")
     if kind == "allreduce_exscan":
-        return list(zip(*m.allreduce_exscan(payloads, op="sum", initial=0.0)))
+        return list(zip(*listp.allreduce_exscan(m, payloads, op="sum", initial=0.0)))
     if kind == "reduce_allgather":
-        return list(zip(*m.reduce_allgather(
+        return list(zip(*listp.reduce_allgather(m, 
             payloads, [r[3] for r in reqs], op="sum")))
     if kind == "gather":
-        return m.gather(payloads, root=target[0])
+        return listp.gather(m, payloads, root=target[0])
     if kind == "allgather":
         return m.allgather(payloads)
     if kind == "scatter":
-        return m.scatter(payloads[target[0]], root=target[0])
+        return listp.scatter(m, payloads[target[0]], root=target[0])
     if kind == "alltoall":
-        return m.alltoall(payloads)
+        return listp.alltoall(m, payloads)
     if kind == "p2p":
         src, dst = target
         out = [None] * p
-        out[dst] = m.send(src, dst, payloads[src])
+        out[dst] = listp.send(m, src, dst, payloads[src])
         return out
     return None
 
@@ -248,11 +251,11 @@ def pair(request):
 
 @pytest.mark.parametrize("root", [-1, 2, 5])
 @pytest.mark.parametrize("call", [
-    lambda m, root: m.broadcast(1, root=root),
-    lambda m, root: m.reduce([1, 2], root=root),
-    lambda m, root: m.gather([1, 2], root=root),
-    lambda m, root: m.gather([1, 2], root=root, mode="direct"),
-    lambda m, root: m.scatter([1, 2], root=root),
+    lambda m, root: listp.broadcast(m, 1, root=root),
+    lambda m, root: listp.reduce(m, [1, 2], root=root),
+    lambda m, root: listp.gather(m, [1, 2], root=root),
+    lambda m, root: listp.gather(m, [1, 2], root=root, mode="direct"),
+    lambda m, root: listp.scatter(m, [1, 2], root=root),
 ], ids=["broadcast", "reduce", "gather", "gather-direct", "scatter"])
 def test_root_out_of_range_is_rejected(pair, call, root):
     before = _state(pair)
@@ -264,13 +267,13 @@ def test_root_out_of_range_is_rejected(pair, call, root):
 
 @pytest.mark.parametrize("call", [
     lambda m: m.allreduce([1, 2], op="bogus"),
-    lambda m: m.reduce([1, 2], op="bogus"),
-    lambda m: m.scan([1, 2], op="bogus"),
-    lambda m: m.exscan([1, 2], op="bogus"),
-    lambda m: m.allreduce_exscan([1, 2], op="bogus"),
-    lambda m: m.reduce_allgather([1, 2], [3, 4], op="bogus"),
-    lambda m: m.gather([1, 2], mode="x"),
-    lambda m: m.alltoall([[1, 2], [3, 4]], mode="x"),
+    lambda m: listp.reduce(m, [1, 2], op="bogus"),
+    lambda m: listp.scan(m, [1, 2], op="bogus"),
+    lambda m: listp.exscan(m, [1, 2], op="bogus"),
+    lambda m: listp.allreduce_exscan(m, [1, 2], op="bogus"),
+    lambda m: listp.reduce_allgather(m, [1, 2], [3, 4], op="bogus"),
+    lambda m: listp.gather(m, [1, 2], mode="x"),
+    lambda m: listp.alltoall(m, [[1, 2], [3, 4]], mode="x"),
 ], ids=["allreduce", "reduce", "scan", "exscan", "allreduce_exscan",
         "reduce_allgather", "gather-mode", "alltoall-mode"])
 def test_rejected_call_charges_and_sends_nothing(pair, call):

@@ -12,6 +12,8 @@ from repro.machine.collectives import (
     tree_reduce_order,
 )
 
+from tests.support import listp
+
 
 class TestSchedules:
     def test_binomial_edges_cover_all_pes(self):
@@ -73,21 +75,21 @@ class TestSchedules:
 
 class TestBroadcast:
     def test_value_reaches_all(self, machine):
-        out = machine.broadcast("hello", root=0)
+        out = listp.broadcast(machine, "hello", root=0)
         assert out == ["hello"] * machine.p
 
     def test_nonzero_root(self, machine8):
-        out = machine8.broadcast(42, root=5)
+        out = listp.broadcast(machine8, 42, root=5)
         assert out[0] == 42
 
     def test_charges_time(self, machine8):
-        machine8.broadcast(np.zeros(100))
+        listp.broadcast(machine8, np.zeros(100))
         assert machine8.clock.makespan > 0
 
 
 class TestReductions:
     def test_reduce_sum_at_root(self, machine):
-        out = machine.reduce(list(range(machine.p)), op="sum", root=0)
+        out = listp.reduce(machine, list(range(machine.p)), op="sum", root=0)
         assert out[0] == sum(range(machine.p))
         if machine.p > 1:
             assert out[1] is None
@@ -113,38 +115,38 @@ class TestReductions:
 
 class TestScans:
     def test_inclusive_scan(self, machine8):
-        out = machine8.scan([1] * 8, op="sum")
+        out = listp.scan(machine8, [1] * 8, op="sum")
         assert out == list(range(1, 9))
 
     def test_exscan_with_initial(self, machine8):
-        out = machine8.exscan([1] * 8, op="sum", initial=0)
+        out = listp.exscan(machine8, [1] * 8, op="sum", initial=0)
         assert out == list(range(8))
 
     def test_exscan_on_odd_machine(self, odd_machine):
         p = odd_machine.p
-        out = odd_machine.exscan(list(range(p)), op="sum")
+        out = listp.exscan(odd_machine, list(range(p)), op="sum")
         expect = [sum(range(i)) for i in range(p)]
         assert out == expect
 
 
 class TestGatherScatter:
     def test_gather_orders_by_rank(self, machine8):
-        out = machine8.gather([f"pe{i}" for i in range(8)], root=0)
+        out = listp.gather(machine8, [f"pe{i}" for i in range(8)], root=0)
         assert out[0] == [f"pe{i}" for i in range(8)]
 
     def test_gather_direct_costs_linear_startups(self):
         m_tree = Machine(p=16, seed=1)
-        m_tree.gather([np.zeros(4)] * 16, root=0, mode="tree")
+        listp.gather(m_tree, [np.zeros(4)] * 16, root=0, mode="tree")
         m_dir = Machine(p=16, seed=1)
-        m_dir.gather([np.zeros(4)] * 16, root=0, mode="direct")
+        listp.gather(m_dir, [np.zeros(4)] * 16, root=0, mode="direct")
         assert m_dir.metrics.msgs_recv[0] > m_tree.metrics.msgs_recv[0]
 
     def test_gather_unknown_mode(self, machine8):
         with pytest.raises(ValueError):
-            machine8.gather([1] * 8, mode="quantum")
+            listp.gather(machine8, [1] * 8, mode="quantum")
 
     def test_scatter_delivers_pieces(self, machine8):
-        out = machine8.scatter([i * 10 for i in range(8)], root=0)
+        out = listp.scatter(machine8, [i * 10 for i in range(8)], root=0)
         assert out == [i * 10 for i in range(8)]
 
     def test_allgather(self, machine):
@@ -155,7 +157,7 @@ class TestGatherScatter:
 
 class TestTimeAdvancement:
     def test_collectives_synchronize_clocks(self, machine8):
-        machine8.clock.charge_local_one(3, 1.0)
+        machine8.clock.charge_local([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         machine8.allreduce([0] * 8)
         assert np.allclose(machine8.clock.t, machine8.clock.t[0])
         assert machine8.clock.makespan > 1.0

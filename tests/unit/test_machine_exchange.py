@@ -8,38 +8,40 @@ from repro.common.hashing import key_owner
 from tests.support.dht_runner import exchange, tree_merge
 from repro.machine import Machine
 
+from tests.support import listp
+
 
 class TestAlltoall:
     def test_transpose_semantics(self, machine):
         p = machine.p
         matrix = [[i * p + j for j in range(p)] for i in range(p)]
-        out = machine.alltoall(matrix)
+        out = listp.alltoall(machine, matrix)
         for i in range(p):
             for j in range(p):
                 assert out[j][i] == matrix[i][j]
 
     def test_none_payloads_are_free(self, machine8):
         matrix = [[None] * 8 for _ in range(8)]
-        machine8.alltoall(matrix)
+        listp.alltoall(machine8, matrix)
         assert machine8.metrics.total_traffic == 0
 
     def test_hypercube_mode_charges_more_volume(self):
         p = 8
         matrix = [[np.zeros(10) for _ in range(p)] for _ in range(p)]
         m_dir = Machine(p=p, seed=1)
-        m_dir.alltoall(matrix, mode="direct")
+        listp.alltoall(m_dir, matrix, mode="direct")
         m_hc = Machine(p=p, seed=1)
-        m_hc.alltoall(matrix, mode="hypercube")
+        listp.alltoall(m_hc, matrix, mode="hypercube")
         assert m_hc.metrics.total_traffic > m_dir.metrics.total_traffic
         assert m_hc.metrics.bottleneck_startups < m_dir.metrics.bottleneck_startups
 
     def test_bad_row_length(self, machine8):
         with pytest.raises(ValueError, match="length"):
-            machine8.alltoall([[None] * 3 for _ in range(8)])
+            listp.alltoall(machine8, [[None] * 3 for _ in range(8)])
 
     def test_unknown_mode(self, machine8):
         with pytest.raises(ValueError):
-            machine8.alltoall([[None] * 8 for _ in range(8)], mode="warp")
+            listp.alltoall(machine8, [[None] * 8 for _ in range(8)], mode="warp")
 
 
 def _tables(dicts):
@@ -146,21 +148,21 @@ class TestTreeMerge:
 
 class TestSend:
     def test_payload_returned(self, machine8):
-        out = machine8.send(1, 2, np.arange(5))
+        out = listp.send(machine8, 1, 2, np.arange(5))
         assert list(out) == [0, 1, 2, 3, 4]
 
     def test_metrics_and_clock_charged(self, machine8):
-        machine8.send(0, 7, np.zeros(100))
+        listp.send(machine8, 0, 7, np.zeros(100))
         assert machine8.metrics.words_sent[0] == 100
         assert machine8.clock.t[7] > 0
 
     def test_self_send_free(self, machine8):
-        machine8.send(3, 3, np.zeros(100))
+        listp.send(machine8, 3, 3, np.zeros(100))
         assert machine8.metrics.total_traffic == 0
 
     def test_rank_bounds(self, machine8):
         with pytest.raises(ValueError):
-            machine8.send(0, 8, 1)
+            listp.send(machine8, 0, 8, 1)
 
 
 class TestPhasesAndReport:

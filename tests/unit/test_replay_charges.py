@@ -17,6 +17,8 @@ from repro.machine import Machine
 from repro.machine.metrics import payload_words
 from tests.support.dict_walk import dict_walk
 
+from tests.support import listp
+
 PS = [1, 2, 4, 5, 8]
 
 
@@ -43,7 +45,7 @@ def test_broadcast_entry_matches_direct_call(p, root):
     root = p - 1 if root == "last" else root
     direct, replayed = Machine(p=p), Machine(p=p)
     value = np.arange(17, dtype=np.int64)
-    direct.broadcast(value, root=root)
+    listp.broadcast(direct, value, root=root)
     replayed.replay_charges(
         [[("broadcast", payload_words(value), root)]] * p
     )
@@ -56,7 +58,7 @@ def test_gather_entry_matches_direct_call(p, root):
     root = p - 1 if root == "last" else root
     direct, replayed = Machine(p=p), Machine(p=p)
     values = [np.arange(3 + 2 * i, dtype=np.int64) for i in range(p)]
-    direct.gather(values, root=root)
+    listp.gather(direct, values, root=root)
     replayed.replay_charges(
         [[("gather", payload_words(values[i]), root)] for i in range(p)]
     )
@@ -67,7 +69,7 @@ def test_gather_entry_matches_direct_call(p, root):
 def test_scan_entry_matches_direct_call(p):
     direct, replayed = Machine(p=p), Machine(p=p)
     values = [np.arange(5, dtype=np.int64)] * p
-    direct.scan(values)
+    listp.scan(direct, values)
     replayed.replay_charges([[("scan", payload_words(values[0]))]] * p)
     _assert_same_model(direct, replayed)
 
@@ -76,7 +78,7 @@ def test_scan_entry_matches_direct_call(p):
 def test_reduce_allgather_entry_matches_direct_call(p):
     direct, replayed = Machine(p=p), Machine(p=p)
     payloads = [list(range(2 * i + 1)) for i in range(p)]
-    direct.reduce_allgather([7] * p, payloads)
+    listp.reduce_allgather(direct, [7] * p, payloads)
     replayed.replay_charges(
         [[("reduce_allgather", payload_words(payloads[i]), 1)] for i in range(p)]
     )
@@ -150,10 +152,10 @@ def test_mixed_log_matches_direct_sequence(p):
     vec = np.arange(4, dtype=np.int64)
     per_rank_ops = [float(3 * i + 1) for i in range(p)]
     direct.charge_ops(per_rank_ops)
-    direct.broadcast(vec, root=0)
+    listp.broadcast(direct, vec, root=0)
     direct.allreduce([7] * p)
-    direct.gather([vec] * p, root=p - 1)
-    direct.scan([1] * p)
+    listp.gather(direct, [vec] * p, root=p - 1)
+    listp.scan(direct, [1] * p)
     w = payload_words(vec)
     replayed.replay_charges(
         [
@@ -173,7 +175,7 @@ def test_mixed_log_matches_direct_sequence(p):
 def test_unknown_entry_kind_rejected():
     m = Machine(p=2)
     with pytest.raises(ValueError, match="unknown charge-log entry"):
-        m.replay_charges([[("scatter", 3)], [("scatter", 3)]])
+        m.replay_charges([[("flops", 3)], [("flops", 3)]])
 
 
 def test_diverged_logs_rejected():

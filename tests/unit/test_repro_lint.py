@@ -1,4 +1,4 @@
-"""Golden fixtures for the repro-lint checks (RL001 -- RL009).
+"""Golden fixtures for the repro-lint checks (RL001 -- RL011).
 
 Every check has at least one firing case, one non-firing case, and one
 suppression case, so a behavior change in any check breaks a fixture
@@ -569,27 +569,19 @@ class TestRL004:
         assert found[0].suppressed
 
     def test_accepted_kinds_pinned_to_replay_charges(self):
-        """The hardcoded accept-set must match the dispatch in
-        Machine.replay_charges -- this fixture fails when someone adds a
-        charge kind to comm.py without teaching the linter."""
+        """The hardcoded accept-set must match the meter table that
+        Machine.replay_charges dispatches through -- this fixture fails
+        when someone adds a charge kind to comm.py without teaching the
+        linter."""
         src = (REPO / "src/repro/machine/comm.py").read_text(encoding="utf-8")
-        tree = ast.parse(src)
-        replay = next(
-            n
-            for n in ast.walk(tree)
-            if isinstance(n, ast.FunctionDef) and n.name == "replay_charges"
+        table = next(
+            n.value
+            for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.AnnAssign)
+            and isinstance(n.target, ast.Name)
+            and n.target.id == "METERS"
         )
-        dispatched = {
-            n.comparators[0].value
-            for n in ast.walk(replay)
-            if isinstance(n, ast.Compare)
-            and isinstance(n.left, ast.Name)
-            and n.left.id == "kind"
-            and len(n.comparators) == 1
-            and isinstance(n.comparators[0], ast.Constant)
-            and isinstance(n.comparators[0].value, str)
-        }
-        assert dispatched == ACCEPTED_CHARGE_KINDS
+        assert {k.value for k in table.keys} == ACCEPTED_CHARGE_KINDS
 
 
 # ----------------------------------------------------------------------
@@ -961,6 +953,68 @@ class TestRL009:
 
 
 # ----------------------------------------------------------------------
+# RL011 -- charging around the charge log
+# ----------------------------------------------------------------------
+
+class TestRL011:
+    def test_fires_on_every_way_around_the_log(self):
+        found = hits(
+            """
+            def charge(machine, plan):
+                machine._meter_allreduce(words=1)
+                machine._charge(cost)
+                machine._collective("scan", [1, 2], "sum")
+                machine.clock.sync_collective(1e-6)
+                machine.metrics.charge("batcher_merge", 4.0)
+                for t in plan:
+                    machine.metrics.record_p2p(t.src, t.dst, t.count)
+                self.machine.metrics.record_schedule([(0, 1, 2.0)], "x")
+            """,
+            "RL011",
+        )
+        assert [f.line for f in found] == [3, 4, 5, 6, 7, 9, 10]
+        assert "._meter_allreduce()" in found[0].message
+
+    def test_clean_on_the_charge_log(self):
+        assert not hits(
+            """
+            def charge(machine, plan, ops):
+                machine.replay_charges([[("allreduce", 1)]] * machine.p)
+                machine.collective("scan", [("scan", 1, "sum")] * machine.p)
+                machine.charge_ops(ops)
+                words = machine.metrics.bottleneck_words
+                t = machine.clock.makespan
+                machine.metrics.by_kind.get("allreduce")
+                return machine.report(), words, t
+            """,
+            "RL011",
+        )
+
+    def test_clean_inside_the_machine_package(self):
+        src = """
+            def _p2p(m, col):
+                m.metrics.record_p2p(0, 1, 2.0, "p2p")
+                m.clock.charge_p2p(0, 1, 1e-6)
+            """
+        assert not hits(src, "RL011", path="src/repro/machine/comm.py")
+        assert len(hits(src, "RL011", path="src/repro/pqueue/bulk_pq.py")) == 2
+
+    def test_suppression(self):
+        found = [
+            f
+            for f in lint(
+                """
+                def f(machine):
+                    machine.clock.reset()  # repro-lint: disable=RL011 -- a test double
+                """
+            )
+            if f.check == "RL011"
+        ]
+        assert len(found) == 1
+        assert found[0].suppressed
+
+
+# ----------------------------------------------------------------------
 # Framework: suppressions, config, CLI
 # ----------------------------------------------------------------------
 
@@ -968,7 +1022,7 @@ class TestFramework:
     def test_all_checks_registered(self):
         assert set(all_checks()) >= {
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL008",
-            "RL009",
+            "RL009", "RL011",
         }
         # RL007 linted around the driver's dependency tracker, which
         # went with pipelined issue: a command completes before the next

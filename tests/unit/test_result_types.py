@@ -8,6 +8,8 @@ from repro.machine import Machine, MachineReport
 from repro.pqueue import DeleteMinResult
 from repro.selection import AmsResult, SelectionStats
 
+from tests.support import listp
+
 
 class TestFrequentResult:
     def _res(self):
@@ -73,7 +75,7 @@ class TestMachineReport:
     def test_phases_tuple(self):
         m = Machine(p=2, seed=2)
         with m.phase("x"):
-            m.barrier()
+            listp.barrier(m)
         rep = m.report()
         assert isinstance(rep.phases, tuple)
         assert rep.phases[0].name == "x"

@@ -23,6 +23,8 @@ from repro.machine.backends.shm import (
     segment_names,
 )
 
+from tests.support import listp
+
 #: a tiny threshold makes every array payload ride shared memory without
 #: needing megabyte test inputs
 TINY = 256
@@ -162,7 +164,7 @@ class TestShmPayloadParity:
         with Machine(p=4, seed=5, backend=MultiprocessingBackend(
                 4, shm_threshold=TINY)) as m:
             big = np.arange(6000, dtype=np.float64)
-            out = m.broadcast(big, root=2)
+            out = listp.broadcast(m, big, root=2)
             for arr in out:
                 np.testing.assert_array_equal(arr, big)
             gathered = m.allgather([big * i for i in range(4)])
@@ -247,7 +249,7 @@ class TestThresholdRouting:
         with Machine(p=2, seed=6, backend=MultiprocessingBackend(
                 2, shm_threshold=TINY)) as m:
             big = np.arange(8000, dtype=np.float64)
-            m.broadcast(big)
+            listp.broadcast(m, big)
             m.sync_transport()
             assert m.metrics.shm_bytes.get("spmd", 0) > 0
             first = dict(m.metrics.shm_bytes)
@@ -428,7 +430,7 @@ class TestSegmentLifecycle:
                 2, shm_threshold=TINY)) as m:
             big = np.arange(1 << 17, dtype=np.float64)  # 1 MiB payload
             for i in range(12):
-                out = m.broadcast(big * i)
+                out = listp.broadcast(m, big * i)
                 del out
             assert len(m.backend._pool._segments) <= 3
         assert segment_names(m.backend._shm_family) == []

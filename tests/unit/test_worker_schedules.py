@@ -27,6 +27,8 @@ from repro.machine.collectives import (
 from repro.machine.backends.runtime import _bruck_plan
 from repro.machine.cost import log2_ceil
 
+from tests.support import listp
+
 NON_POW2 = [3, 5, 6]
 
 
@@ -110,32 +112,32 @@ class TestNonPowerOfTwoParity:
             vals = [0.1 * (i + 1) for i in range(p)]
             vecs = [np.array([i + 1, 2 * i]) for i in range(p)]
             assert sim.allreduce(vals, op="sum") == real.allreduce(vals, op="sum")
-            assert sim.scan(vals) == real.scan(vals)
-            st, sp = sim.allreduce_exscan(vals)
-            rt, rp = real.allreduce_exscan(vals)
+            assert listp.scan(sim, vals) == listp.scan(real, vals)
+            st, sp = listp.allreduce_exscan(sim, vals)
+            rt, rp = listp.allreduce_exscan(real, vals)
             assert st == rt and sp == rp
             for a, b in zip(sim.allgather(vecs)[0], real.allgather(vecs)[0]):
                 np.testing.assert_array_equal(a, b)
             for root in range(p):
-                assert sim.reduce(vals, root=root) == real.reduce(vals, root=root)
-                assert sim.broadcast(vals[root], root=root) == real.broadcast(
+                assert listp.reduce(sim, vals, root=root) == listp.reduce(real, vals, root=root)
+                assert listp.broadcast(sim, vals[root], root=root) == listp.broadcast(real, 
                     vals[root], root=root
                 )
-                assert sim.gather(vals, root=root) == real.gather(vals, root=root)
+                assert listp.gather(sim, vals, root=root) == listp.gather(real, vals, root=root)
 
     def test_alltoall_store_and_forward(self, p):
         sim = Machine(p=p, seed=4)
         with Machine(p=p, seed=4, backend="mp") as real:
             matrix = [[(i, j) if i != j else None for j in range(p)] for i in range(p)]
-            assert sim.alltoall(matrix) == real.alltoall(matrix)
+            assert listp.alltoall(sim, matrix) == listp.alltoall(real, matrix)
 
     def test_fused_reduce_allgather(self, p):
         sim = Machine(p=p, seed=5)
         with Machine(p=p, seed=5, backend="mp") as real:
             values = [0.25 * (i + 1) for i in range(p)]
             payloads = [[i, i + 1] for i in range(p)]
-            st, sg = sim.reduce_allgather(values, payloads)
-            rt, rg = real.reduce_allgather(values, payloads)
+            st, sg = listp.reduce_allgather(sim, values, payloads)
+            rt, rg = listp.reduce_allgather(real, values, payloads)
             assert st == rt and sg == rg
 
 
@@ -163,12 +165,12 @@ class TestMessageCounts:
             m.allreduce(vals)
             for fn, count in [
                 (lambda: m.allreduce(vals), p * log2_ceil(p)),
-                (lambda: m.scan(vals), p * log2_ceil(p)),
-                (lambda: m.allreduce_exscan(vals), p * log2_ceil(p)),
-                (lambda: m.broadcast(1, root=0), p - 1),
-                (lambda: m.reduce(vals, root=0), p - 1),
-                (lambda: m.gather(vals, root=0), p - 1),
-                (lambda: m.scatter(vals, root=0), p - 1),
+                (lambda: listp.scan(m, vals), p * log2_ceil(p)),
+                (lambda: listp.allreduce_exscan(m, vals), p * log2_ceil(p)),
+                (lambda: listp.broadcast(m, 1, root=0), p - 1),
+                (lambda: listp.reduce(m, vals, root=0), p - 1),
+                (lambda: listp.gather(m, vals, root=0), p - 1),
+                (lambda: listp.scatter(m, vals, root=0), p - 1),
             ]:
                 assert self._delta(m, fn) == count
 
@@ -184,9 +186,9 @@ class TestMessageCounts:
             (3, lambda m, ref: m.backend.run_spmd(_three_collectives, [ref])[1]),
             (1, lambda m, ref: m.allgather(vals)),
             (1, lambda m, ref: m.allreduce(vals, op="sum")),
-            (1, lambda m, ref: m.scan(vals, op="sum")),
-            (1, lambda m, ref: m.allreduce_exscan(vals, op="sum")),
-            (1, lambda m, ref: m.reduce_allgather(vals, pairs, op="sum")),
+            (1, lambda m, ref: listp.scan(m, vals, op="sum")),
+            (1, lambda m, ref: listp.allreduce_exscan(m, vals, op="sum")),
+            (1, lambda m, ref: listp.reduce_allgather(m, vals, pairs, op="sum")),
         ]
         sim = Machine(p=p, seed=6)
         with Machine(p=p, seed=6, backend="mp") as real:
@@ -230,7 +232,7 @@ class TestMessageCounts:
         with Machine(p=p, seed=6, backend="mp") as m:
             m.allreduce(list(range(p)))
             matrix = [[(i, j) if i != j else None for j in range(p)] for i in range(p)]
-            delta = self._delta(m, lambda: m.alltoall(matrix))
+            delta = self._delta(m, lambda: listp.alltoall(m, matrix))
         assert delta == p * log2_ceil(p)
         assert delta < p * (p - 1) or p <= 3
 
@@ -287,8 +289,8 @@ class TestBroadcastCommandChannel:
             before = m.backend.driver_sends
             m.allreduce(vals)
             m.allgather(vals)
-            m.scan(vals)
-            m.alltoall(matrix)
+            listp.scan(m, vals)
+            listp.alltoall(m, matrix)
             assert m.backend.driver_sends - before == 4
 
     @pytest.mark.parametrize("p", [4, 5, 8])
@@ -308,7 +310,7 @@ class TestBroadcastCommandChannel:
             m.allreduce([1, 2, 3, 4])
             before = m.backend.driver_sends
             msgs = m.backend.worker_message_counts()
-            assert m.send(0, 2, 17) == 17
+            assert listp.send(m, 0, 2, 17) == 17
             assert m.backend.worker_message_counts() == [
                 a + b for a, b in zip(msgs, [1, 0, 0, 0])]
             # the send and the two counter reads: one frame each
@@ -331,7 +333,7 @@ class TestLargePayloads:
                 [np.full(30_000, i * p + j, dtype=np.int64) for j in range(p)]
                 for i in range(p)
             ]
-            out_s, out_r = sim.alltoall(matrix), real.alltoall(matrix)
+            out_s, out_r = listp.alltoall(sim, matrix), listp.alltoall(real, matrix)
             for row_s, row_r in zip(out_s, out_r):
                 for a, b in zip(row_s, row_r):
                     np.testing.assert_array_equal(a, b)

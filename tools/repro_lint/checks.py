@@ -1,4 +1,5 @@
-"""The repro-lint check catalogue (RL001 -- RL009; RL007 is retired).
+"""The repro-lint check catalogue (RL001 -- RL011; RL007 and RL010 are
+retired).
 
 Every check targets one hand-maintained invariant of the backend
 machinery (see ROADMAP "Architecture notes"); breaking it produces a
@@ -14,8 +15,8 @@ RL002     unordered set/dict iteration feeding a collective payload,
           charge log, or kernel return value (order parity hazard)
 RL003     global ``random`` / ``np.random`` use inside a worker kernel
           instead of the counter-addressed draw streams (ctrrng)
-RL004     charge-log entry kind that ``Machine.replay_charges`` does not
-          accept (the replay would raise, or worse, silently skew cost)
+RL004     charge-log entry kind that ``comm.METERS`` has no meter for
+          (the replay would raise, or worse, silently skew cost)
 RL005     transport-decoded ``memoryview``/buffer stored beyond the
           command round (use-after-recycle once the pool recycles)
 RL006     shm / out-of-band transport features used without consulting
@@ -28,6 +29,10 @@ RL009     stateful ``Generator``/``default_rng`` construction inside a
           worker kernel, or a raw ``Philox`` bit generator built outside
           ``machine/ctrrng.py`` (counter-reuse hazard: hand-keyed
           streams can collide with the sanctioned address space)
+RL011     charging around the charge log outside ``repro/machine/``: a
+          call to a private ``Machine`` meter / charge / collective
+          helper, any call through ``.clock.``, or a write through
+          ``.metrics.`` (``charge``, ``record_p2p``, ``record_schedule``)
 ========  ==============================================================
 
 Adding a check: subclass :class:`~tools.repro_lint.core.Check`, give it
@@ -66,20 +71,27 @@ SPMD_YIELD_KINDS = {
 #: rank) -- a value derived from one is NOT rank-dependent
 _REPLICATED_RESULT = {"allgather", "allreduce", "broadcast", "reduce_allgather"}
 
-#: charge-log entry kinds Machine.replay_charges accepts; pinned against
-#: the dispatch in src/repro/machine/comm.py by test_repro_lint.py
+#: charge-log entry kinds, the keys of the meter table
+#: (src/repro/machine/comm.py::METERS); pinned to it by
+#: test_repro_lint.py and test_collective_charges.py
 ACCEPTED_CHARGE_KINDS = {
     "ops",
     "allgather",
     "allreduce",
     "allreduce_exscan",
-    "scan",
-    "broadcast",
-    "gather",
-    "reduce_allgather",
     "alltoall",
+    "alltoall_hc",
+    "barrier",
+    "broadcast",
     "dht_round",
+    "gather",
     "gather_direct",
+    "p2p",
+    "reduce",
+    "reduce_allgather",
+    "rounds",
+    "scan",
+    "scatter",
     "tree_hop",
 }
 
@@ -754,7 +766,7 @@ class GlobalRngInKernel(Check):
 class UnknownChargeKind(Check):
     id = "RL004"
     summary = (
-        "charge-log entry kind not accepted by Machine.replay_charges "
+        "charge-log entry kind with no meter in comm.METERS "
         "(the replay raises, or modeled cost silently diverges)"
     )
 
@@ -786,8 +798,8 @@ class UnknownChargeKind(Check):
                     ctx.finding(
                         self.id,
                         node,
-                        f"charge-log entry kind {kind!r} is not accepted by "
-                        f"replay_charges (accepted: "
+                        f"charge-log entry kind {kind!r} has no meter in "
+                        f"comm.METERS (accepted: "
                         f"{', '.join(sorted(ACCEPTED_CHARGE_KINDS))})",
                     )
                 )
@@ -1098,3 +1110,51 @@ class StatefulRngConstruction(Check):
                 )
         return findings
 
+
+
+# ----------------------------------------------------------------------
+# RL011 -- charging around the charge log
+# ----------------------------------------------------------------------
+
+#: ``.metrics.`` methods that write modeled volume
+_METRICS_WRITES = {"charge", "record_p2p", "record_schedule"}
+
+
+def _charges_around_the_log(fn: ast.Attribute) -> str | None:
+    """What a called attribute reaches past, or None."""
+    name = fn.attr
+    if name.startswith(("_meter_", "_collective")) or name == "_charge":
+        return f"the private Machine helper .{name}()"
+    owner = fn.value
+    if isinstance(owner, ast.Attribute):
+        if owner.attr == "clock":
+            return f"the clock (.clock.{name}())"
+        if owner.attr == "metrics" and name in _METRICS_WRITES:
+            return f"the metrics (.metrics.{name}())"
+    return None
+
+
+@register_check
+class ChargeOutsideTheLog(Check):
+    id = "RL011"
+    summary = (
+        "outside repro/machine/, charge only through the charge log "
+        "(Machine.replay_charges / Machine.collective) and charge_ops: "
+        "no private meter, clock or metrics write"
+    )
+
+    def run(self, ctx: FileContext) -> list[Finding]:
+        if "repro/machine/" in ctx.path.replace("\\", "/"):
+            return []  # the machine package is where the meters live
+        findings: list[Finding] = []
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            what = _charges_around_the_log(node.func)
+            if what is not None:
+                findings.append(ctx.finding(
+                    self.id, node,
+                    f"call to {what} outside repro/machine/: every charge is "
+                    f"a charge-log entry through comm.METERS (replay_charges, "
+                    f"collective) or per-PE local work (charge_ops)"))
+        return findings
