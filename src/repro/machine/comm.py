@@ -94,8 +94,11 @@ def _sizes(col) -> np.ndarray:
 
 
 def _ops(m, col) -> None:
-    """``("ops", x)``: ``x`` elementary operations of local work."""
-    m.charge_ops([e[1] for e in col])
+    """``("ops", x)``: ``x`` elementary operations of local work (the
+    replay hands a run of entries over as ``("ops", [x1, x2, ...])``:
+    one clock update, bit-identical to one per entry)."""
+    rows = np.array([np.atleast_1d(e[1]) for e in col], dtype=np.float64)
+    m.clock.charge_local_rows(rows.T * m.cost.time_per_op)
 
 
 def _allreduce(m, col) -> None:
@@ -571,10 +574,8 @@ class Machine:
         model in execution order, so straggler effects land where they
         would have; a collective the driver did not run (the
         all-reduction of sizes it tracks) is a log of one entry.  Each
-        kind's entry layout is its meter's docstring; a run of ``ops``
-        entries is one clock update (:meth:`SimClock.charge_local_rows`,
-        bit-identical to one :meth:`charge_ops` per entry).  The logs
-        hold small scalars only, so the model is backend-independent.
+        kind's entry layout is its meter's docstring.  The logs hold
+        small scalars only, so the model is backend-independent.
         """
         self._check_len(logs, "replay_charges")
         head = logs[0]
@@ -583,21 +584,18 @@ class Machine:
             raise ValueError("charge logs diverged across ranks")
         t = 0
         while t < length:
-            kind = head[t][0]
-            if kind == "ops":
-                end = t + 1
+            kind, end = head[t][0], t + 1
+            if kind == "ops":  # a run of local work is one clock update
                 while end < length and head[end][0] == "ops":
                     end += 1
-                ops = np.array([[e[1] for e in entries[t:end]] for entries in logs],
-                               dtype=np.float64)
-                self.clock.charge_local_rows(ops.T * self.cost.time_per_op)
-                t = end
-                continue
+                col = [("ops", [e[1] for e in entries[t:end]]) for entries in logs]
+            else:
+                col = [entries[t] for entries in logs]
             meter = METERS.get(kind)
             if meter is None:
                 raise ValueError(f"unknown charge-log entry kind {kind!r}")
-            meter(self, [entries[t] for entries in logs])
-            t += 1
+            meter(self, col)
+            t = end
 
     # ------------------------------------------------------------------
     # The list-of-p collective

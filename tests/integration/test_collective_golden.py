@@ -35,9 +35,10 @@ through the private meters) the rooted and personalized collectives
 ``delete_min``) and ``solve_knapsack_parallel``, at p in
 {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
 modeled columns of every ``collectives_microbench`` row, first recorded
-at 8ec87bb on sim.  Regenerate (``python
-tests/integration/test_collective_golden.py``) only when a result or
-cost change is intended, and from the parent of that change.
+at 8ec87bb on sim.  Regenerate (``PYTHONPATH=src:. python
+tests/integration/test_collective_golden.py`` from the repository root)
+only when a result or cost change is intended, and from the parent of
+that change.
 """
 
 import json

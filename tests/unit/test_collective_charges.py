@@ -7,11 +7,12 @@ from the same requests, replayed, must charge the same: the
 ``report()`` tuple and the per-kind metrics (``by_kind``, ``calls``)
 equal bit for bit, and the results equal, at p in {1, 2, 3, 5, 8}, on
 clocks staggered so that every synchronization has stragglers; on mp
-workers a call's results and charges equal sim's.  The
-other kinds are logged by kernels alone (local work, and schedules
-of several messages a kernel records itself); the replay differential
-(``tests/property/test_replay_differential.py``) holds those.  The
-linter's list of accepted kinds is the table's keys.
+workers a call's results and charges equal sim's.  The other kinds are
+logged by kernels alone (local work, and schedules of several messages
+a kernel records itself): the replay differential
+(``tests/property/test_replay_differential.py``) holds ``ops``,
+``dht_round`` and ``tree_hop``, the ``redistribute`` golden rows
+``rounds``.  The linter's list of accepted kinds is the table's keys.
 """
 
 from __future__ import annotations

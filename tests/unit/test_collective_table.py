@@ -8,10 +8,10 @@ and the reference called directly.  For every kind, p
 in {1, 2, 3, 5, 8} and every root / sender-receiver pair the three must
 agree on sim, mp and tcp (every backend checking lockstep), and on real
 backends each costs every rank exactly the messages recorded at 8ec87bb
-in ``tests/support/collective_msgs.json`` (``python
-tests/unit/test_collective_table.py`` rewrites it through the list-of-p
-calls alone; do that only from the parent of a change that means to move
-a schedule).
+in ``tests/support/collective_msgs.json`` (``PYTHONPATH=src:. python
+tests/unit/test_collective_table.py`` from the repository root rewrites
+it through the list-of-p calls alone; do that only from the parent of a
+change that means to move a schedule).
 """
 
 import json
