@@ -69,13 +69,20 @@ call, so the modeled cost is bit-identical on every backend.
 segments from the caller as value windows ``(lo, hi)`` whose offsets
 and sizes the caller already knows (the serve engine's index of earlier
 answers); each PE filters its chunk into the windows, charged as one
-local pass, and the level loop runs unchanged inside them.  :func:`multi_select` is
-the one window open at both ends, with no filter pass.  Every resolved
-rank also returns the global counts of elements ``<`` and ``<=`` its
-value, at no communication: segments are value-closed, so a base-case
-answer's counts are searched in the sorted residual, a pivot hit's are
-the part sizes, and an end block's are exact except across the block's
-edge value.
+local pass, and the level loop runs unchanged inside them.
+:func:`multi_select` is the one window open at both ends, with no
+filter pass.  Every resolved rank also
+returns the global counts of elements ``<`` and ``<=`` its value, at no
+communication: segments are value-closed, so a base-case answer's
+counts are searched in the sorted residual, a pivot hit's are the part
+sizes, and an end block's are exact except across the block's edge
+value.  The pivots themselves are answers too: once a level's
+all-reduction has summed a split's part counts, every PE knows the
+global rank of its lower pivot (with the count below it) and of its
+upper one (with the count through it), so :func:`multi_select_windows`
+returns those ranks beside the asked ones -- a caller that keeps them
+(the serve engine) starts its next windows at the cut points of every
+level this call ran.
 
 :func:`quantiles` exposes the everyday use case (percentiles /
 histogram boundaries of a distributed vector).
@@ -190,6 +197,32 @@ def _end_resolved(k, lo, hi, w_lo, w_hi, offset, n) -> tuple:
     base = offset + n - w_hi
     return _resolved(v, base + below if below else None,
                      base + int(np.searchsorted(hi, v, "right")))
+
+
+def _pivot_facts(lo_p, hi_p, offset: int, na: int, nb: int) -> list[tuple]:
+    """The ranks a split segment's pivot pair pins, once the level's
+    all-reduction has summed its part counts: ``na`` elements lie below
+    ``lo_p`` and ``nb`` in ``[lo_p, hi_p]``.  Both pivots are elements
+    of the value-closed segment, so ``lo_p`` is the global rank
+    ``offset + na + 1`` with ``offset + na`` elements below it, and
+    ``hi_p`` the rank ``offset + na + nb`` with that many at or below it;
+    equal pivots know both counts.  A NaN pivot pins nothing: nothing
+    compares below it, so ``na`` does not place it (and it leaves ``nb =
+    0``)."""
+    if lo_p != lo_p:
+        return []
+    less, leq = offset + na, offset + na + nb
+    tie = lo_p == hi_p
+    facts = [(less + 1, _resolved(lo_p, less, leq if tie else None))]
+    if nb > 0:
+        facts.append((leq, _resolved(hi_p, less if tie else None, leq)))
+    return facts
+
+
+def _merged(a: tuple, b: tuple) -> tuple:
+    """Two pins of one rank: ``a``'s value, and every count either
+    learned."""
+    return (a[0], b[1] if a[1] is None else a[1], b[2] if a[2] is None else a[2])
 
 
 def _in_window(chunk: np.ndarray, lo, hi) -> np.ndarray:
@@ -315,10 +348,11 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
     segments' ranks; the replicated totals let every rank derive the
     next level's segment records identically, and only the parts that
     hold a rank are copied out of their segment.  Returns ``(new_segs,
-    found)``: the surviving segments and the replicated ``(global_rank,
-    (value, n_less, n_leq))`` pairs resolved by an end block
-    (:func:`_end_resolved`) or an exact pivot hit, whose counts are the
-    part sizes below and through the pivot.
+    found, pinned)``: the surviving segments, the replicated
+    ``(global_rank, (value, n_less, n_leq))`` pairs resolved by an end
+    block (:func:`_end_resolved`) or an exact pivot hit, whose counts are
+    the part sizes below and through the pivot, and the same pairs for
+    every split segment's pivots (:func:`_pivot_facts`), asked or not.
     """
     counts_vec: list[int] = []
     ends: list[tuple] = []
@@ -340,6 +374,7 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
 
     new_segs: list = []
     found: list[tuple] = []
+    pinned: list[tuple] = []
     ci = ei = 0
     for entry in inter:
         if entry is None:  # finished at the sample half
@@ -359,6 +394,7 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
         _, arr, (la, lb), masks, lo_p, hi_p, ranks, offset, n = entry
         na, nb = int(totals[2 * ci]), int(totals[2 * ci + 1])
         ci += 1
+        pinned.extend(_pivot_facts(lo_p, hi_p, offset, na, nb))
         lo_ranks = tuple(k for k in ranks if k <= na)
         mid_ranks = tuple(k - na for k in ranks if na < k <= na + nb)
         hi_ranks = tuple(k - na - nb for k in ranks if k > na + nb)
@@ -381,7 +417,7 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
                 (partition_take(arr, masks, 2, arr.size - la - lb),
                  hi_ranks, offset + na + nb, n - na - nb)
             )
-    return new_segs, found
+    return new_segs, found, pinned
 
 
 def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
@@ -393,13 +429,14 @@ def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
     at either end is filtered out of the chunk first (a comparison mask
     per window; the windows are disjoint, so the model charges one pass,
     ``("ops", chunk size)``); the one window open at both ends is the
-    chunk itself and costs no pass.  Then the level
-    halves loop until no segment survives (``segs`` has the same shape
-    on every rank, so the loop is lockstep); level ``max_depth`` forces
-    every remaining segment to finish.  One draw handle serves the
-    command, moved to each level's address.  Returns the ``{global_rank:
-    (value, n_less, n_leq)}`` results (replicated, so only rank 0 sends
-    them back) and this PE's charge log for
+    chunk itself and costs no pass.  Then the level halves loop until
+    no segment survives (``segs`` has the same shape on every rank, so
+    the loop is lockstep); level ``max_depth`` forces every remaining
+    segment to finish.  One draw handle serves the command, moved to
+    each level's address.  Returns the ``{global_rank: (value, n_less,
+    n_leq)}`` results -- the asked ranks and every rank a pivot pinned,
+    each pin merged by :func:`_merged` -- (replicated, so only rank 0
+    sends them back) and this PE's charge log for
     :meth:`Machine.replay_charges`.
     """
     chunk = np.asarray(chunk)
@@ -417,9 +454,11 @@ def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
         inter, finishes = yield from _ms_sample_kernel(
             rank, segs, p, gen, base_case, level >= max_depth, log
         )
-        segs, found = yield from _ms_count_kernel(rank, inter, log)
-        out.update(finishes)
-        out.update(found)
+        segs, found, pinned = yield from _ms_count_kernel(rank, inter, log)
+        for k, fact in finishes + found:  # an asked rank keeps its own value
+            out[k] = _merged(fact, out[k]) if k in out else fact
+        for k, fact in pinned:
+            out[k] = _merged(out[k], fact) if k in out else fact
     return (out if rank == 0 else None), log
 
 
@@ -478,7 +517,11 @@ def multi_select_windows(
     Returns ``{rank: (value, n_less, n_leq)}``, the global counts of
     elements ``< value`` and ``<= value``, ``None`` where the recursion
     did not learn one (across a finishing end block's edge value, and
-    both for NaN).
+    both for NaN).  Its keys are a superset of the asked ranks: every
+    rank a split's pivot pinned comes back too, with the count the
+    level's all-reduction gave it (both for a duplicate pivot), at no
+    extra charge.  A rank pinned more than once keeps the asked answer's
+    value and every count any pin learned.
     """
     roots = []  # the kernel's records: ranks relative to their window
     for lo, hi, offset, size, ranks in windows:

@@ -23,16 +23,23 @@ never changes, so its keys are counted and exchanged once: the first
 (:func:`~repro.frequent.count_table_top_k`) and every later one only
 selects from them (:func:`~repro.frequent.top_k_from_table`).  The
 tables are a command's output, so a pool recovery rebuilds them from
-lineage like the datasets.
+lineage like the datasets.  The longest answer given is kept too: a
+later group whose largest ``k`` it covers -- or whose dataset it showed
+to hold fewer keys than it asked for -- is answered by its prefix with
+no command (``stats["prefix_answers"]`` counts those queries).
 
 Rank answers are remembered the same way: each dataset keeps a
 :class:`~repro.serve.rank_index.RankIndex` of the values its rank
 queries found, with their exact counts of elements ``<`` and ``<=``
-them.  A target rank a recorded value holds is answered from the index
-with no command (``stats["index_answers"]`` counts them); the others
-run :func:`~repro.selection.multi_select_windows`, each only inside the
-window between its nearest recorded neighbours.  The index is driver
-data over immutable datasets, so it stays valid across a pool recovery.
+them -- every rank the command pinned, not only the asked ones: each
+pivot a level of the recursion split on comes back with its global rank
+and count, so the index learns the cut points of every level.  A target
+rank a recorded value holds is answered from the index with no command
+(``stats["index_answers"]`` counts them); the others run
+:func:`~repro.selection.multi_select_windows`, each only inside the
+window between its nearest recorded neighbours.  The index and the kept
+frequent answers are driver data over immutable datasets, so they stay
+valid across a pool recovery.
 
 Supported query dicts (``dataset`` defaults to ``"default"``)::
 
@@ -155,16 +162,20 @@ class QueryEngine:
         #: dataset name -> its resident exact count table, made by the
         #: dataset's first frequent command
         self._tables: dict = {}
+        #: dataset name -> ``(k, payload)``: the longest frequent answer
+        #: given, whose prefixes answer every smaller ``k``
+        self._frequent: dict[str, tuple] = {}
         #: dataset name -> its :class:`RankIndex` of answered order
         #: statistics (driver data: the datasets never change, so it
         #: stays valid across a pool recovery)
         self._index: dict[str, RankIndex] = {}
         #: ``index_answers`` counts rank targets answered from an index
-        #: with no command
+        #: with no command, ``prefix_answers`` frequent queries answered
+        #: from a kept longer answer with no command
         self.stats = {"queries": 0, "batches": 0, "fused_commands": 0,
                       "max_batch_size": 0, "worker_failures": 0,
                       "rebuilds": 0, "overloads": 0, "expired": 0,
-                      "index_answers": 0}
+                      "index_answers": 0, "prefix_answers": 0}
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         #: submitted-but-not-admitted count backing the admission bound
         #: (SimpleQueue.qsize is unreliable on some platforms)
@@ -385,8 +396,9 @@ class QueryEngine:
         from the dataset's index; the rest share ONE
         :func:`~repro.selection.multi_select_windows` call, each rank
         recursing only inside the window its nearest recorded neighbours
-        bracket.  Every new answer is recorded; a failed command fails
-        only the queries it had to answer."""
+        bracket.  Every rank the command pinned is recorded, the pivots'
+        with the asked ones; a failed command fails only the queries it
+        had to answer."""
         from ..selection import multi_select_windows
 
         data = self.datasets[name]
@@ -434,10 +446,18 @@ class QueryEngine:
         query on the dataset: the first counts the dataset and keeps its
         table, later ones select from the table.  The result order
         (count desc, key asc) is total, so a smaller ``k``'s answer is a
-        prefix."""
+        prefix: a group whose largest ``k`` the longest answer given so
+        far covers -- or whose dataset that answer showed to hold fewer
+        keys than it asked for -- needs no command at all."""
         from ..frequent import count_table_top_k, top_k_from_table
 
         k = max(k for k, _ in items)
+        kept = self._frequent.get(name)
+        if kept is not None and (k <= kept[0] or len(kept[1]) < kept[0]):
+            self.stats["prefix_answers"] += len(items)
+            for k, item in items:
+                item.future.set_result(kept[1][:k])
+            return
         try:
             table = self._tables.get(name)
             if table is None:
@@ -452,5 +472,6 @@ class QueryEngine:
             return
         self.stats["fused_commands"] += 1
         payload = [[int(key), float(c)] for key, c in res.items]
+        self._frequent[name] = (k, payload)
         for k, item in items:
             item.future.set_result(payload[:k])

@@ -16,10 +16,19 @@ rebuilds the same chunks) leaves them valid.  A later rank ``k`` is then
   n_less(hi)``, so the window's offset and size need no collective and
   the selection recurses inside it only.
 
+The selection returns more than the asked ranks: every pivot its
+recursion split on pins a rank with one exact count (both for a
+duplicate pivot), so each command leaves the index the cut points of
+every level it ran, and a later rank's window starts between the
+nearest cut points any earlier command split on.
+
 The index is a few words per distinct value and holds at most
 :data:`MAX_ENTRIES` of them; past the cap new values are not recorded
-(answers stay exact, later queries just find wider windows).  NaN is
-never recorded: it has no place in a value order a bracket could use.
+(answers stay exact, later queries just find wider windows).  NaN sorts
+above every value, so a rank that holds NaN makes every rank above it
+NaN too: the index keeps the lowest such rank and answers every rank
+from it on with NaN.  NaN never bounds a window -- it has no place in a
+value order a bracket could use.
 """
 
 from __future__ import annotations
@@ -47,8 +56,12 @@ class RankIndex:
         self._lows: list[tuple] = []
         #: ``(n_less, value)`` of values whose n_less is exact, ascending
         self._highs: list[tuple] = []
+        #: the lowest rank seen to hold NaN, and that NaN (every rank
+        #: from it on holds NaN)
+        self._nan: tuple | None = None
 
     def __len__(self) -> int:
+        """The number of recorded values (NaN is not one)."""
         return len(self._values)
 
     def entries(self) -> list[tuple]:
@@ -58,7 +71,9 @@ class RankIndex:
 
     def record(self, rank: int, value, n_less, n_leq) -> None:
         """Note that rank ``rank`` holds ``value``, with its counts."""
-        if value != value:  # NaN
+        if value != value:  # NaN: so does every rank above
+            if self._nan is None or rank < self._nan[0]:
+                self._nan = (rank, value)
             return
         rec = self._rec.get(value)
         i = bisect_left(self._values, value)
@@ -80,6 +95,8 @@ class RankIndex:
     def answer(self, k: int) -> tuple[bool, object]:
         """``(True, value)`` when a recorded value holds rank ``k``,
         else ``(False, None)``."""
+        if self._nan is not None and k >= self._nan[0]:
+            return True, self._nan[1]
         i = bisect_right(self._starts, k) - 1
         if i < 0:
             return False, None

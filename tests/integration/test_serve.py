@@ -89,7 +89,9 @@ class TestQueryEngine:
         """Frequent queries on one dataset at different ``k`` make one
         counting pass at the largest ``k``; each answer is the prefix a
         lone exact call returns -- across a tie at the k = 4 cut and for
-        a ``k`` above the number of distinct keys."""
+        a ``k`` above the number of distinct keys.  The lone queries ask
+        for less than the batch's largest ``k``, so no kept answer
+        covers the batch."""
         from repro.frequent import top_k_frequent_exact
 
         # counts 9, 8, 7, then 6 / 6 / 6 tied across the k = 4 cut,
@@ -103,7 +105,7 @@ class TestQueryEngine:
             want = {
                 k: [[int(key), float(c)] for key, c in
                     top_k_frequent_exact(m, DistArray.from_global(m, keys), k).items]
-                for k in set(ks)
+                for k in {2, 3, *ks}
             }
         assert [row[0] for row in want[4]] == [10, 11, 12, 13]
         assert len(want[16]) == len(counts)
@@ -116,9 +118,9 @@ class TestQueryEngine:
         real = backend != "sim"
         try:
             # the first query also makes the keys resident
-            assert engine.query(op="frequent", k=4, dataset="keys") == want[4]
+            assert engine.query(op="frequent", k=2, dataset="keys") == want[2]
             sends = machine.backend.driver_sends if real else 0
-            assert engine.query(op="frequent", k=16, dataset="keys") == want[16]
+            assert engine.query(op="frequent", k=3, dataset="keys") == want[3]
             lone_sends = machine.backend.driver_sends - sends if real else 0
             stats = dict(engine.stats)
             futures = [
@@ -138,10 +140,10 @@ class TestQueryEngine:
     @pytest.mark.parametrize("backend", ["sim", "mp"])
     def test_a_later_frequent_query_only_selects(self, backend, monkeypatch):
         """The first frequent query on a dataset counts and exchanges
-        its keys and keeps the owner tables; a later one is one command
-        that charges what a lone exact call charges minus the local
-        count, the hash-table rounds and the size's all-reduction, and
-        answers as that call does."""
+        its keys and keeps the owner tables; a later one with a larger
+        ``k`` is one command that charges what a lone exact call charges
+        minus the local count, the hash-table rounds and the size's
+        all-reduction, and answers as that call does."""
         from repro.frequent import top_k_frequent_exact
 
         def capture(machine):
@@ -156,14 +158,14 @@ class TestQueryEngine:
             lone = capture(m)
             want = [[[int(key), float(c)]
                      for key, c in top_k_frequent_exact(m, keys, k).items]
-                    for k in (8, 4)]
+                    for k in (4, 8)]
         machine = Machine(p=4, seed=99, backend=backend)
         engine = QueryEngine(machine, default_datasets(machine, 2000), batch_window=0)
         logs = capture(machine)
         try:
-            assert engine.query(op="frequent", k=8, dataset="keys") == want[0]
+            assert engine.query(op="frequent", k=4, dataset="keys") == want[0]
             sends = machine.backend.driver_sends if backend != "sim" else 0
-            assert engine.query(op="frequent", k=4, dataset="keys") == want[1]
+            assert engine.query(op="frequent", k=8, dataset="keys") == want[1]
             if backend != "sim":
                 assert machine.backend.driver_sends == sends + 1
         finally:
@@ -172,6 +174,68 @@ class TestQueryEngine:
         # p = 4: the count's ops, two hash-table rounds, the size
         assert [e[0] for e in lone[1][:4]] == ["ops", "dht_round", "dht_round", "allreduce"]
         assert logs[1] == lone[1][4:]
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_frequent_answers_are_kept_as_prefixes(self, backend, monkeypatch):
+        """The longest frequent answer given is kept per dataset: a
+        ``k`` it covers is its prefix, with no command, charge or draw; a
+        larger ``k`` runs one selection over the resident table; and a
+        dataset that showed fewer distinct keys than a kept ``k`` answers
+        every ``k`` from the kept answer."""
+        import repro.frequent
+        from repro.frequent import top_k_frequent_exact
+
+        few = np.repeat(np.arange(5, dtype=np.int64), [7, 5, 5, 2, 1])
+        with Machine(p=4, seed=99) as m:
+            data = {"keys": default_datasets(m, 2000)["keys"],
+                    "few": DistArray.from_global(m, few)}
+            want = {(name, k): [[int(key), float(c)] for key, c in
+                                top_k_frequent_exact(m, data[name], k).items]
+                    for name, k in [("keys", 4), ("keys", 8), ("keys", 12),
+                                    ("few", 8), ("few", 3), ("few", 50)]}
+        assert len(want["few", 50]) == 5
+
+        selects = []
+        from_table = repro.frequent.top_k_from_table
+        monkeypatch.setattr(repro.frequent, "top_k_from_table",
+                            lambda *a: (selects.append(a[-1]), from_table(*a))[1])
+        machine = Machine(p=4, seed=99, backend=backend)
+        engine = QueryEngine(
+            machine, {"keys": default_datasets(machine, 2000)["keys"],
+                      "few": DistArray.from_global(machine, few)},
+            batch_window=0)
+        real = backend != "sim"
+
+        def free(name, k):
+            machine.reset()
+            report, seq = machine.report(), machine._rng_seq
+            sends = machine.backend.driver_sends if real else 0
+            stats = dict(engine.stats)
+            assert engine.query(op="frequent", k=k, dataset=name) == want[name, k]
+            assert machine.report() == report
+            assert machine._rng_seq == seq
+            if real:
+                assert machine.backend.driver_sends == sends
+            assert engine.stats["prefix_answers"] == stats["prefix_answers"] + 1
+            assert engine.stats["fused_commands"] == stats["fused_commands"]
+
+        try:
+            assert engine.query(op="frequent", k=8, dataset="keys") == want["keys", 8]
+            free("keys", 4)
+            free("keys", 8)
+            commands = engine.stats["fused_commands"]
+            assert engine.query(op="frequent", k=12, dataset="keys") == want["keys", 12]
+            assert selects == [12]
+            assert engine.stats["fused_commands"] == commands + 1
+            free("keys", 8)
+            # 5 distinct keys: the answer to k = 8 holds all of them
+            assert engine.query(op="frequent", k=8, dataset="few") == want["few", 8]
+            free("few", 50)
+            free("few", 3)
+            assert selects == [12]
+            assert engine.stats["prefix_answers"] == 5
+        finally:
+            engine.close()
 
     def test_quantile_q_must_be_a_number(self):
         values, _ = _oracle()

@@ -44,6 +44,21 @@ class TestAnswers:
         assert len(index) == 0
         assert index.windows([5]) == [(None, None, 0, 5, [5])]
 
+    def test_a_nan_answer_holds_every_rank_above_it(self):
+        """NaN sorts last: the lowest rank seen to hold it starts a span
+        that runs to ``n``, and NaN never bounds a window."""
+        index = RankIndex(7)  # sorted: 1, 2, 2, 3, NaN, NaN, NaN
+        index.record(6, float("nan"), None, None)
+        assert [index.answer(k)[0] for k in range(1, 8)] == [False] * 5 + [True] * 2
+        value = index.answer(7)[1]
+        assert value != value
+        index.record(5, float("nan"), None, None)
+        index.record(7, float("nan"), None, None)  # a higher rank: no change
+        assert [index.answer(k)[0] for k in range(1, 8)] == [False] * 4 + [True] * 3
+        index.record(2, 2.0, 1, 3)
+        assert index.windows([4]) == [(2.0, None, 3, 4, [4])]
+        assert index.entries() == [(2.0, 1, 3)]
+
 
 class TestWindows:
     def test_an_empty_index_gives_the_whole_dataset(self):
