@@ -28,7 +28,13 @@ next query's command as extra per-PE args; ``peek_min`` and each
 (:meth:`Backend.run_spmd`) that first inserts the batch into its tree,
 then runs the whole multisequence-selection recursion -- pivot draws,
 rank counts, tie granting and the final tree split -- next to the
-trees.  All randomness (pivot and estimator draws) is counter-addressed
+trees.  The selection is handed the driver-tracked global size (the
+one-word all-reduction that learns it heads the charge log), so an
+exact ``deleteMin`` pays one ``allreduce_exscan`` opening the search,
+two collectives per pivot round (the pivot's reduction, one fused
+count-and-prefix ``allreduce_exscan``) and the base case's allgather
+if it runs; the cuts need none of their own.  All randomness (pivot
+and estimator draws) is counter-addressed
 (:mod:`repro.machine.ctrrng`): each command ships a tiny draw address
 and the kernels derive identical streams in place, so backends stay
 bit-identical with no generator state on the wire.  Only the extracted
@@ -122,17 +128,19 @@ def _peek_step(rank: int, tree: Treap, scores, first_uid):
 
 
 def _delete_min_kernel(
-    rank: int, tree: Treap, scores, first_uid, k: int, p: int, addr
+    rank: int, tree: Treap, scores, first_uid, k: int, n: int, p: int, addr
 ):
     """``deleteMin`` as ONE SPMD step: flush, exact multisequence
     selection on the resident trees (Theorem 5's ``O(alpha log^2 kp)``
-    recursion runs entirely in-worker), tie-grant, tree split, batch
-    extraction.  The replicated pivot stream is derived in place from
+    recursion runs entirely in-worker, two collectives a round), the
+    tie grant its last round already paid for, tree split, batch
+    extraction.  ``n`` is the driver-tracked global size (flush
+    included); the replicated pivot stream is derived in place from
     ``addr``."""
     _insert_step(rank, tree, scores, first_uid)
     log: list = []
     value, cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, tree, k, addr.shared(), log
+        rank, p, tree, k, n, addr.shared(), log
     )
     batch = tuple(tree.split_at_rank(int(cut)))
     log.append(("ops", max(1.0, cut * tree.access_cost(k))))
@@ -144,17 +152,18 @@ def _delete_min_kernel(
 
 
 def _delete_flex_kernel(
-    rank: int, tree: Treap, scores, first_uid, k_lo: int, k_hi: int, p: int,
-    addr,
+    rank: int, tree: Treap, scores, first_uid, k_lo: int, k_hi: int, n: int,
+    p: int, addr,
 ):
     """``deleteMin*`` with flexible batch size, resident: flush, then
-    ``amsSelect``'s estimator rounds draw from this PE's
-    counter-addressed stream (``addr.local(rank)``) and the shared
-    stream only if the exact fallback fires."""
+    ``amsSelect`` over the ``n`` driver-tracked elements; its estimator
+    rounds draw from this PE's counter-addressed stream
+    (``addr.local(rank)``) and the shared stream only if the exact
+    fallback fires."""
     _insert_step(rank, tree, scores, first_uid)
     log: list = []
     value, k_hat, cut, rounds, _ = yield from ams_select_gen(
-        rank, p, tree, k_lo, k_hi, addr.local(rank), addr.shared(), log
+        rank, p, tree, k_lo, k_hi, n, addr.local(rank), addr.shared(), log
     )
     batch = tuple(tree.split_at_rank(int(cut)))
     log.append(("ops", max(1.0, cut * tree.access_cost(k_hat))))
@@ -303,7 +312,10 @@ class BulkParallelPQ:
 
         Runs exact multisequence selection (``O(alpha log^2 kp)``,
         Theorem 5) on the resident trees and splits each tree at its cut
-        rank -- one SPMD worker command end to end.
+        rank -- one SPMD worker command end to end.  The global size is
+        the driver's (its all-reduction heads the charge log), so the
+        command pays one ``allreduce_exscan`` to open the search and two
+        collectives per pivot round; the cuts cost none.
         """
         machine = self.machine
         p = machine.p
@@ -315,7 +327,7 @@ class BulkParallelPQ:
         addr = machine.draw_addr()
         _, vals = machine.backend.run_spmd(
             _delete_min_kernel, [self._ref],
-            args=[(*flush[i], k, p, addr) for i in range(p)],
+            args=[(*flush[i], k, total, p, addr) for i in range(p)],
         )
         machine.replay_charges([[("allreduce", 1)] + v["log"] for v in vals])
         return self._finish(vals, k, vals[0]["value"], rounds=0)
@@ -325,17 +337,20 @@ class BulkParallelPQ:
 
         Uses ``amsSelect``; with ``k_hi - k_lo = Omega(k_hi)`` this runs
         in ``O(alpha log kp)`` expected (Theorem 5's flexible variant).
+        The global size is the driver's, its all-reduction heading the
+        charge log, as for :meth:`delete_min`.
         """
-        check_rank_range(k_lo, k_hi, sum(self._sizes))  # fail driver-side
+        total = int(sum(self._sizes))
+        check_rank_range(k_lo, k_hi, total)  # fail driver-side
         machine = self.machine
         p = machine.p
         flush = self._take_pending()
         addr = machine.draw_addr()
         _, vals = machine.backend.run_spmd(
             _delete_flex_kernel, [self._ref],
-            args=[(*flush[i], k_lo, k_hi, p, addr) for i in range(p)],
+            args=[(*flush[i], k_lo, k_hi, total, p, addr) for i in range(p)],
         )
-        machine.replay_charges([v["log"] for v in vals])
+        machine.replay_charges([[("allreduce", 1)] + v["log"] for v in vals])
         return self._finish(vals, vals[0]["k"], vals[0]["value"], vals[0]["rounds"])
 
     def _finish(self, vals, k: int, threshold, rounds: int) -> DeleteMinResult:

@@ -76,16 +76,18 @@ def _kz_insert_kernel(rank: int, heap: BinaryHeap, buckets, srcs, p: int):
     return ops
 
 
-def _kz_delete_kernel(rank: int, heap: BinaryHeap, k: int, p: int, addr):
+def _kz_delete_kernel(rank: int, heap: BinaryHeap, k: int, n: int, p: int,
+                      addr):
     """Exact ``deleteMin`` of [31] as one SPMD step: snapshot-sort the
-    local heap, multisequence-select over the snapshots, pop the cut.
-    The replicated pivot stream is derived in place from ``addr``."""
+    local heap, multisequence-select over the snapshots of the ``n``
+    driver-tracked elements, pop the cut.  The replicated pivot stream
+    is derived in place from ``addr``."""
     log: list = []
     seq = _HeapSeq(heap)
     # snapshot sort models the heap-ordered scan of [31]
     log.append(("ops", max(1.0, min(len(seq), k) * np.log2(max(len(seq), 2)))))
     _, cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, seq, k, addr.shared(), log
+        rank, p, seq, k, n, addr.shared(), log
     )
     batch = tuple((b[0], b[1]) for b in heap.pop_k(int(cut)))
     log.append(("ops", max(1.0, cut * np.log2(max(len(heap) + cut, 2)))))
@@ -166,7 +168,7 @@ class RandomAllocPQ:
         addr = machine.draw_addr()
         _, vals = machine.backend.run_spmd(
             _kz_delete_kernel, [self._ref], n_out=0,
-            args=[(k, p, addr)] * p,
+            args=[(k, total, p, addr)] * p,
         )
         machine.replay_charges([[("allreduce", 1)] + v["log"] for v in vals])
         batches = tuple(v["batch"] for v in vals)

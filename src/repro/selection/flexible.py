@@ -11,7 +11,11 @@ one geometric deviate ``x`` (constant time), reads its window's x-th
 element, and a single min-reduction yields a truthful estimate ``v`` of
 an element with rank ``~1/rho``.  Counting ``<= v`` via binary search
 plus one sum-reduction either finishes (count in range) or recurses on
-the half bracketing the target.  When the target rank is close to the
+the half bracketing the target.  The global size ``n`` is the caller's
+(the driver's, whose one-word all-reduction heads the charge log, or a
+kernel's that already knows it), so a round is those two collectives
+and nothing more; the exact fallback is handed the remaining window's
+size the same way.  When the target rank is close to the
 total size ``n``, the dual *max-based* estimator is used (sampling from
 the top), which is what the ``k_lo < n - k_hi`` branch switches on.
 
@@ -121,14 +125,14 @@ def _flexible(machine: Machine, seqs, gen, k_lo, k_hi, options: dict) -> AmsResu
     return AmsResult(value, k_hat, tuple(v[2] for v in vals), rounds, fallback)
 
 
-def _flexible_kernel(rank: int, seq, p: int, addr, gen, k_lo: int,
+def _flexible_kernel(rank: int, seq, p: int, addr, n: int, gen, k_lo: int,
                      k_hi: int, options: dict):
     """``gen`` as one worker command: the estimator rounds draw from
     this PE's counter-addressed stream, the exact fallback from the
     shared one."""
     log: list = []
     result = yield from gen(
-        rank, p, as_sorted_seq(seq), k_lo, k_hi, addr.local(rank),
+        rank, p, as_sorted_seq(seq), k_lo, k_hi, n, addr.local(rank),
         addr.shared(), log, **options,
     )
     return (*result, log)
@@ -152,25 +156,25 @@ class _SeqWindow:
         return int(np.clip(self.seq.count_le(v), self.lo, self.hi)) - self.lo
 
 
-def ams_select_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log, *, max_rounds=60):
+def ams_select_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng, log, *,
+                   max_rounds=60):
     """:func:`ams_select` over per-rank views, as an SPMD generator.
 
-    ``local_rng`` is this rank's stream and ``shared_rng`` the
-    replicated one, both derived by the calling kernel from a counter
-    draw address (``addr.local(rank)`` / ``addr.shared()``); the shared
-    stream is only consumed if the exact fallback fires.  Yields SPMD
-    collectives, appends charge entries to ``log`` and returns
-    ``(value, k_hat, cut, rounds, exact_fallback)``.
+    ``n`` is the global size, which the caller knows (no collective
+    learns it).  ``local_rng`` is this rank's stream and ``shared_rng``
+    the replicated one, both derived by the calling kernel from a
+    counter draw address (``addr.local(rank)`` / ``addr.shared()``);
+    the shared stream is only consumed if the exact fallback fires.
+    Yields two collectives per estimator round (the pivot's min- or
+    max-reduction, the count's sum), appends charge entries to ``log``
+    and returns ``(value, k_hat, cut, rounds, exact_fallback)``.
     """
-    totals = yield ("allreduce", len(seq), "sum")
-    log.append(("allreduce", 1))
-    n = int(totals)
     k_lo, k_hi = check_rank_range(k_lo, k_hi, n)
 
     lo, hi = 0, len(seq)
     accepted = 0
     accepted_total = 0
-    cur_lo, cur_hi, cur_n = k_lo, k_hi, n
+    cur_lo, cur_hi, cur_n = k_lo, k_hi, int(n)
 
     for rnd in range(1, max_rounds + 1):
         # estimator round: geometric deviate + min/max reduction
@@ -216,7 +220,7 @@ def ams_select_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log, *, max_
 
     # safety net: exact selection of rank cur_lo in the remaining windows
     value, rel_cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, _SeqWindow(seq, lo, hi), cur_lo, shared_rng, log
+        rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, shared_rng, log
     )
     return value, accepted_total + cur_lo, accepted + rel_cut, max_rounds, True
 
@@ -255,20 +259,17 @@ def _key_dtype(seq) -> np.dtype:
     return np.asarray(seq.item(0)).dtype if len(seq) else np.dtype(np.float64)
 
 
-def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log,
-                           *, d=8, max_rounds=40):
+def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng,
+                           log, *, d=8, max_rounds=40):
     """:func:`ams_select_batched` over per-rank views, as an SPMD
     generator.
 
-    Streams, charge log and result ``(value, k_hat, cut, rounds,
-    exact_fallback)`` are as for :func:`ams_select_gen`.  The ``d``
-    picks stay in the keys' dtype, so the threshold is an input
-    element; a trial without a pick holds the dtype's maximum (``+inf``
-    for floats).
+    Global size ``n``, streams, charge log and result ``(value, k_hat,
+    cut, rounds, exact_fallback)`` are as for :func:`ams_select_gen`.
+    The ``d`` picks stay in the keys' dtype, so the threshold is an
+    input element; a trial without a pick holds the dtype's maximum
+    (``+inf`` for floats).
     """
-    totals = yield ("allreduce", len(seq), "sum")
-    log.append(("allreduce", 1))
-    n = int(totals)
     k_lo, k_hi = check_rank_range(k_lo, k_hi, n)
     dtype = _key_dtype(seq)
     floats = dtype.kind == "f"
@@ -277,7 +278,7 @@ def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log,
     lo, hi = 0, len(seq)
     accepted = 0
     accepted_total = 0
-    cur_lo, cur_hi, cur_n = k_lo, k_hi, n
+    cur_lo, cur_hi, cur_n = k_lo, k_hi, int(n)
 
     for rnd in range(1, max_rounds + 1):
         # d estimator trials: d geometric deviates, one vector min-reduction
@@ -334,6 +335,6 @@ def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log,
 
     # safety net: exact selection of rank cur_lo in the remaining windows
     value, rel_cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, _SeqWindow(seq, lo, hi), cur_lo, shared_rng, log
+        rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, shared_rng, log
     )
     return value, accepted_total + cur_lo, accepted + rel_cut, max_rounds, True

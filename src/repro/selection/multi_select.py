@@ -82,7 +82,8 @@ global rank of its lower pivot (with the count below it) and of its
 upper one (with the count through it), so :func:`multi_select_windows`
 returns those ranks beside the asked ones -- a caller that keeps them
 (the serve engine) starts its next windows at the cut points of every
-level this call ran.
+level this call ran.  :func:`multi_select` has no use for them, so its
+command sends back the asked ranks alone.
 
 :func:`quantiles` exposes the everyday use case (percentiles /
 histogram boundaries of a distributed vector).
@@ -421,7 +422,7 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
 
 
 def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
-               base_case: int, max_depth: int):
+               base_case: int, max_depth: int, pins: bool):
     """The whole shared recursion, where the data lives.
 
     ``windows`` holds the root segments as ``(lo, hi, offset, n,
@@ -434,9 +435,9 @@ def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
     the loop is lockstep); level ``max_depth`` forces every remaining
     segment to finish.  One draw handle serves the command, moved to
     each level's address.  Returns the ``{global_rank: (value, n_less,
-    n_leq)}`` results -- the asked ranks and every rank a pivot pinned,
-    each pin merged by :func:`_merged` -- (replicated, so only rank 0
-    sends them back) and this PE's charge log for
+    n_leq)}`` results -- the asked ranks and, with ``pins``, every rank
+    a pivot pinned, each pin merged by :func:`_merged` -- (replicated,
+    so only rank 0 sends them back) and this PE's charge log for
     :meth:`Machine.replay_charges`.
     """
     chunk = np.asarray(chunk)
@@ -457,7 +458,7 @@ def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
         segs, found, pinned = yield from _ms_count_kernel(rank, inter, log)
         for k, fact in finishes + found:  # an asked rank keeps its own value
             out[k] = _merged(fact, out[k]) if k in out else fact
-        for k, fact in pinned:
+        for k, fact in pinned if pins else ():
             out[k] = _merged(out[k], fact) if k in out else fact
     return (out if rank == 0 else None), log
 
@@ -479,7 +480,8 @@ def multi_select(
     covering every active segment, and a segment whose ranks all sit
     near its ends finishes in that all-reduction (a call whose ranks
     all do pays the all-reduction alone); all levels execute inside one
-    resident SPMD command (the slices never leave the backend).
+    resident SPMD command (the slices never leave the backend), which
+    sends back the asked ranks alone.
     """
     n = data.global_size
     ks_sorted = sorted({as_rank(k, "rank") for k in ks})
@@ -487,8 +489,8 @@ def multi_select(
         return []
     if ks_sorted[0] < 1 or ks_sorted[-1] > n:
         raise ValueError(f"ranks must lie in 1..{n}, got {ks_sorted[0]}..{ks_sorted[-1]}")
-    out = multi_select_windows(machine, data, [(None, None, 0, n, ks_sorted)],
-                               base_case=base_case, max_depth=max_depth)
+    out = _select(machine, data, [(None, None, 0, n, tuple(ks_sorted))],
+                  base_case, max_depth, pins=False)
     return [out[k][0] for k in ks_sorted]
 
 
@@ -530,6 +532,14 @@ def multi_select_windows(
             raise ValueError(f"window ({lo!r}, {hi!r}) holds ranks "
                              f"{offset + 1}..{offset + size}, got {ranks}")
         roots.append((lo, hi, offset, size, tuple(k - offset for k in ranks)))
+    return _select(machine, data, roots, base_case, max_depth, pins=True)
+
+
+def _select(machine: Machine, data: DistArray, roots: list, base_case,
+            max_depth: int, pins: bool) -> dict:
+    """Run :func:`_ms_kernel` over the root windows ``roots`` as one
+    command; ``pins`` keeps the ranks the pivots pinned in the
+    result."""
     p = machine.p
     if base_case is None:
         base_case = int(max(64, 4 * np.sqrt(p)))
@@ -546,7 +556,7 @@ def multi_select_windows(
     _, vals = machine.backend.run_spmd(
         _ms_kernel,
         [data._ensure_ref()],
-        args=[(p, addr, roots, base_case, max_depth)] * p,
+        args=[(p, addr, roots, base_case, max_depth, pins)] * p,
     )
     # re-play the model from the PEs' charge logs, in the order a
     # step-by-step driver would have charged it

@@ -1,22 +1,40 @@
 """Multisequence selection from locally sorted input (Appendix A, Alg. 9).
 
 Each PE holds a locally *sorted* sequence; we must find the globally
-k-th smallest element.  The algorithm is distributed quickselect:
+k-th smallest element.  The algorithm is distributed quickselect over
+per-PE windows, which start as each PE's first ``min(len, k)``
+elements (the search never looks further).  The caller supplies the
+global size ``n`` -- the driver knows it, and the one-word
+all-reduction that would learn it heads the charge log -- so a call
+runs:
 
-1. pick a global element uniformly at random as pivot ``v`` (the same
-   random rank is drawn on every PE from the synchronized stream; a
-   prefix sum over window sizes locates its owner, which shares ``v``),
-2. every PE finds its split position by *binary search* (sortedness
-   replaces the linear partition of unsorted quickselect),
-3. a sum-reduction of the split positions decides the recursion side.
+1. one ``allreduce_exscan`` of the window sizes: the total sizes the
+   search, the exclusive prefix is this PE's offset in it;
+2. per round, two dependent collectives: a min-reduction sharing the
+   pivot ``v`` -- the g-th remaining element, ``g`` drawn from the
+   synchronized stream, read by the PE whose offset range holds it --
+   and one ``allreduce_exscan`` of this PE's ``[#< v, #== v]`` in its
+   window (found by *binary search*: sortedness replaces the linear
+   partition of unsorted quickselect).  Its totals decide the side,
+   and its prefixes give the next window's offset (``p_lt`` on the low
+   side, ``offset - p_lt - p_eq`` on the high side), so no round pays
+   for its window sizes again;
+3. once the remaining windows hold at most ``base_case`` elements, one
+   allgather of them, after which every PE finishes sequentially.
+
+Each PE's *cut* -- its share of the k smallest, threshold ties granted
+in PE order -- costs no further collective: a pivot that hits rank k
+grants ``clip(k - n_lt - p_eq, 0, eq)`` from that round's counts, and
+at the base case every PE counts ``<`` and ``==`` in the replicated
+windows itself.
 
 Expected ``O((alpha log p + log min(n/p, k)) * log min(kp, n))``, i.e.
-``O(alpha log^2 kp)`` (Theorem 16).  The search can be restricted to the
-first ``k`` elements of every local sequence.
+``O(alpha log^2 kp)`` (Theorem 16).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +50,12 @@ __all__ = ["ms_select", "ms_select_with_cuts", "MsSelectStats"]
 
 @dataclass(frozen=True)
 class MsSelectStats:
-    """Diagnostics of one msSelect run (latency is rounds-dominated)."""
+    """Diagnostics of one msSelect run (latency is rounds-dominated).
+
+    ``rounds`` counts pivot rounds; ``comm_rounds`` every collective
+    the call is charged: the size all-reduction, the opening
+    ``allreduce_exscan``, two per pivot round and the base case's
+    allgather, if it ran."""
 
     value: object
     rounds: int
@@ -49,10 +72,11 @@ def run_sorted(machine: Machine, seqs, kernel, check) -> list[tuple]:
     where it is.  ``check(n)`` validates the caller's ranks against the
     global size ``n`` and returns the kernel's trailing arguments; a
     refused call is neither charged, sent nor drawn for.  The one
-    command runs ``kernel(rank, seq, p, addr, *args)`` on every PE under
-    one fresh draw address; each kernel returns its result followed by
-    its charge log, which the driver replays.  Returns the per-PE
-    results without the logs.
+    command runs ``kernel(rank, seq, p, addr, n, *args)`` on every PE
+    under one fresh draw address; each kernel returns its result
+    followed by its charge log, which the driver replays behind the
+    one-word all-reduction of the size.  Returns the per-PE results
+    without the logs.
     """
     p = machine.p
     resident = isinstance(seqs, DistArray)
@@ -68,10 +92,10 @@ def run_sorted(machine: Machine, seqs, kernel, check) -> list[tuple]:
     addr = machine.draw_addr()
     _, vals = machine.backend.run_spmd(
         kernel, refs,
-        args=[((p,) if resident else (seqs[i], p)) + (addr, *args)
+        args=[((p,) if resident else (seqs[i], p)) + (addr, n, *args)
               for i in range(p)],
     )
-    machine.replay_charges([v[-1] for v in vals])
+    machine.replay_charges([[("allreduce", 1)] + v[-1] for v in vals])
     return [v[:-1] for v in vals]
 
 
@@ -116,10 +140,11 @@ def ms_select_with_cuts(
 
     Returns ``(value, cuts)`` where ``cuts[i]`` is the number of elements
     PE ``i`` contributes to the global k smallest; ``sum(cuts) == k``
-    exactly (duplicate threshold elements are granted in PE order via a
-    prefix sum, as in Section 4's output convention).  ``seqs`` is as
-    for :func:`ms_select`; :func:`ms_select_with_cuts_gen` runs as one
-    worker command.
+    exactly (duplicate threshold elements are granted in PE order, as in
+    Section 4's output convention, from the last round's prefix sums or
+    the base case's replicated windows -- no collective of their own).
+    ``seqs`` is as for :func:`ms_select`; :func:`ms_select_with_cuts_gen`
+    runs as one worker command.
     """
     vals = run_sorted(
         machine, seqs, _exact_kernel,
@@ -129,17 +154,18 @@ def ms_select_with_cuts(
     return vals[0][0], [v[1] for v in vals]
 
 
-def _exact_kernel(rank: int, seq, p: int, addr, gen, k: int, base_case: int,
-                  max_rounds: int):
+def _exact_kernel(rank: int, seq, p: int, addr, n: int, gen, k: int,
+                  base_case: int, max_rounds: int):
     """The exact selection generator ``gen`` as one worker command,
     pivots drawn from the shared stream; its result is followed by the
-    number of collectives it ran."""
+    number of collectives the call is charged (the size all-reduction
+    heading the log included)."""
     log: list = []
     result = yield from gen(
-        rank, p, as_sorted_seq(seq), k, addr.shared(), log,
+        rank, p, as_sorted_seq(seq), k, n, addr.shared(), log,
         base_case=base_case, max_rounds=max_rounds,
     )
-    return (*result, sum(entry[0] != "ops" for entry in log), log)
+    return (*result, 1 + sum(entry[0] != "ops" for entry in log), log)
 
 
 def _count_lt(seq: SortedSequence, v, lo: int, hi: int) -> int:
@@ -171,26 +197,49 @@ def _count_lt(seq: SortedSequence, v, lo: int, hi: int) -> int:
 # queues run them by ``yield from`` inside their own commands, where
 # their trees live.
 
-def ms_select_gen(rank, p, seq, k, shared_rng, log, *, base_case=64, max_rounds=200):
+def ms_select_gen(rank, p, seq, k, n, shared_rng, log, *, base_case=64,
+                  max_rounds=200):
     """SPMD generator: globally k-th smallest over per-rank sorted views.
 
-    ``seq`` is this rank's :class:`SortedSequence`-style view;
+    ``seq`` is this rank's :class:`SortedSequence`-style view and ``n``
+    the global size, which the caller knows (no collective learns it);
     ``shared_rng`` a replicated generator the caller derives from a
     counter draw address (``addr.shared(...)`` -- every rank constructs
-    the identical stream).  Yields SPMD collectives and returns
+    the identical stream).  Yields one ``allreduce_exscan``, then two
+    collectives per round and the base case's allgather; returns
     ``(value, rounds)``.
     """
-    totals = yield ("allreduce", len(seq), "sum")
-    log.append(("allreduce", 1))
-    n = int(totals)
-    k = check_rank(k, n)
+    value, rounds, _ = yield from _search_gen(
+        rank, p, seq, k, n, shared_rng, log, base_case, max_rounds)
+    return value, rounds
 
+
+def ms_select_with_cuts_gen(rank, p, seq, k, n, shared_rng, log, *,
+                            base_case=64, max_rounds=200):
+    """SPMD generator: k-th smallest plus this rank's exact cut.
+
+    Arguments and collectives are :func:`ms_select_gen`'s: the cut
+    needs none of its own (the tie quota is granted in PE order from
+    the last round's prefix sums, or from the replicated base-case
+    windows).  Returns ``(value, cut, rounds)`` with ``sum(cut) == k``
+    across ranks.
+    """
+    value, rounds, cut = yield from _search_gen(
+        rank, p, seq, k, n, shared_rng, log, base_case, max_rounds)
+    return value, cut(), rounds
+
+
+def _search_gen(rank, p, seq, k, n, shared_rng, log, base_case, max_rounds):
+    """The rounds of :func:`ms_select_gen`.  Returns ``(value, rounds,
+    cut)``; calling ``cut()`` gives this rank's share of the k smallest
+    (charging the base case's local counting)."""
+    k = check_rank(k, n)
     lo, hi = 0, min(len(seq), k)
+    total, offset = yield ("allreduce_exscan", hi - lo, "sum", 0)
+    log.append(("allreduce_exscan", 1))
     rounds = 0
     while True:
         size = hi - lo
-        total, offset = yield ("allreduce_exscan", size, "sum", 0)
-        log.append(("allreduce_exscan", 1))
         if total <= max(base_case, 1) or rounds >= max_rounds:
             window = [seq.item(x) for x in range(lo, hi)]
             log.append(("ops", max(1, size)))
@@ -200,7 +249,8 @@ def ms_select_gen(rank, p, seq, k, shared_rng, log, *, base_case=64, max_rounds=
             log.append(("ops", len(rest) * np.log2(max(len(rest), 2))))
             value = rest[min(k, len(rest)) - 1]
             value = value.item() if hasattr(value, "item") else value
-            return value, rounds
+            return value, rounds, lambda: lo + _base_cut(
+                rank, gathered, value, k, log)
 
         # pivot: the g-th element of the remaining windows, g replicated
         g = int(shared_rng.integers(total))
@@ -215,44 +265,38 @@ def ms_select_gen(rank, p, seq, k, shared_rng, log, *, base_case=64, max_rounds=
 
         le = int(np.clip(seq.count_le(v), lo, hi)) - lo
         lt = _count_lt(seq, v, lo, hi)
+        eq = le - lt
         log.append(("ops", np.log2(max(size, 2))))
-        counts = yield (
-            "allreduce", np.array([lt, le - lt], dtype=np.int64), "sum"
+        counts, before = yield (
+            "allreduce_exscan", np.array([lt, eq], dtype=np.int64), "sum",
+            np.zeros(2, dtype=np.int64),
         )
-        log.append(("allreduce", 2))
+        log.append(("allreduce_exscan", 2))
         n_lt, n_eq = int(counts[0]), int(counts[1])
+        p_lt, p_eq = int(before[0]), int(before[1])
+        rounds += 1
 
         if n_lt >= k:
             hi = lo + lt
+            total = n_lt
+            offset = p_lt
         elif n_lt + n_eq >= k:
-            return v, rounds + 1
+            cut = lo + lt + int(np.clip(k - n_lt - p_eq, 0, eq))
+            return v, rounds, lambda: cut
         else:
-            lo = lo + lt + (le - lt)
+            lo += lt + eq
             k -= n_lt + n_eq
-        rounds += 1
+            total -= n_lt + n_eq
+            offset -= p_lt + p_eq
 
 
-def ms_select_with_cuts_gen(rank, p, seq, k, shared_rng, log, **kwargs):
-    """SPMD generator: k-th smallest plus this rank's exact cut.
-
-    The tie quota is granted in PE order through one fused in-worker
-    ``allreduce_exscan``.  Returns
-    ``(value, cut, rounds)`` with ``sum(cut) == k`` across ranks.
-    """
-    value, rounds = yield from ms_select_gen(
-        rank, p, seq, k, shared_rng, log, **kwargs
-    )
-    n_le = seq.count_le(value)
-    n_lt = _count_lt(seq, value, 0, len(seq))
-    eq = n_le - n_lt
-    log.append(("ops", np.log2(max(len(seq), 2))))
-    totals, prefix = yield (
-        "allreduce_exscan",
-        np.array([n_lt, eq], dtype=np.int64),
-        "sum",
-        np.zeros(2, dtype=np.int64),
-    )
-    log.append(("allreduce_exscan", 2))
-    quota = k - int(totals[0])
-    keep_eq = int(np.clip(quota - int(prefix[1]), 0, eq))
-    return value, n_lt + keep_eq, rounds
+def _base_cut(rank: int, gathered: list, value, k: int, log: list) -> int:
+    """This rank's cut into its base-case window: the windows are
+    replicated, so every rank counts each one's ``< value`` and
+    ``== value`` itself and grants the ``k - #<`` ties in PE order."""
+    lt = np.array([bisect_left(w, value) for w in gathered], dtype=np.int64)
+    eq = np.array([bisect_right(w, value) for w in gathered],
+                  dtype=np.int64) - lt
+    log.append(("ops", sum(np.log2(max(len(w), 2)) for w in gathered)))
+    quota = k - int(lt.sum()) - int(eq[:rank].sum())
+    return int(lt[rank]) + int(np.clip(quota, 0, eq[rank]))

@@ -28,8 +28,9 @@ Each call is ONE worker command (:func:`repro.frequent.dht.run_pipeline`):
 every PE's :class:`LocalIndex` rides the command, and the PEs run the
 search themselves, as in the paper -- one all-reduction of the object
 count, then per probe ``m`` amsSelects (:func:`ams_select_gen` over the
-negated score columns) and the estimator's sum, every PE deciding from
-the same replicated values.  The draws come from counter addresses in
+negated score columns, each given that count rather than reducing it
+again) and the estimator's sum, every PE deciding from the same
+replicated values.  The draws come from counter addresses in
 issue order: ``m + 1`` per probe and one for the final selection, which
 :func:`winners_gen` runs (RDTA shares it).  Only the answer, each PE's
 prefix sizes and its charge log return to the driver.
@@ -216,7 +217,7 @@ def _search_gen(rank: int, p: int, ix: LocalIndex, cols: list, n_total: int, tak
         for col in cols:
             addr = take()
             value, _, cut, _, _ = yield from ams_select_gen(
-                rank, p, col, K, min(2 * K, n_total),
+                rank, p, col, K, min(2 * K, n_total), n_total,
                 addr.local(rank), addr.shared(), log)
             xs.append(-float(value))
             cuts.append(int(cut))

@@ -35,7 +35,13 @@ through the private meters) the rooted and personalized collectives
 ``delete_min``) and ``solve_knapsack_parallel``, at p in
 {1, 2, 3, 4, 8} on sim (and at p = 3 on mp and tcp), plus the
 modeled columns of every ``collectives_microbench`` row, first recorded
-at 8ec87bb on sim.  Regenerate (``PYTHONPATH=src:. python
+at 8ec87bb on sim.  The ``ms_select``, ``peek_min``, ``bulk_pq``,
+``random_alloc_pq`` and ``dta_topk`` reports were re-recorded by the
+change on top of 9f3f666 that stopped the sorted-input selection paying
+for answers it had (the generators' own all-reduction of the size the caller knows,
+every round's window ``allreduce_exscan`` after the first, now fused
+into the count reduction, and the cuts' tie-grant ``allreduce_exscan``);
+their values and draw addresses did not move.  Regenerate (``PYTHONPATH=src:. python
 tests/integration/test_collective_golden.py`` from the repository root)
 only when a result or cost change is intended, and from the parent of
 that change.

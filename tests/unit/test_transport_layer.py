@@ -323,7 +323,9 @@ class TestWritePath:
 
     def test_full_buffer_invokes_drain(self):
         """A frame bigger than the socket buffer blocks until the other
-        side consumes; the writer's drain callback keeps firing."""
+        side consumes; the writer's drain callback keeps firing.  The
+        reader starts from the first drain callback, so the buffer is
+        full before anything is read."""
         tx, rx = _sock_pair()
         drained = {"n": 0}
         out = {}
@@ -332,9 +334,16 @@ class TestWritePath:
             out["v"] = rx.get(timeout=10.0)
 
         thread = threading.Thread(target=consume)
-        thread.start()
+
+        def drain():
+            drained["n"] += 1
+            if thread.ident is None:
+                thread.start()
+
         big = np.arange(1 << 20, dtype=np.int64)  # 8 MiB >> socket buffer
-        tx.put(("bulk", big), drain=lambda: drained.__setitem__("n", drained["n"] + 1))
+        tx.put(("bulk", big), drain=drain)
+        if thread.ident is None:  # never full: read it anyway, fail below
+            thread.start()
         thread.join(timeout=10.0)
         np.testing.assert_array_equal(out["v"][1], big)
         assert drained["n"] > 0
