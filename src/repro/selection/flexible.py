@@ -314,6 +314,7 @@ def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng,
         # overestimate among the d failed trials
         under = found & (counts < cur_lo)
         over = found & (counts > cur_hi)
+        c = 0
         if under.any():
             t = int(np.argmax(np.where(under, counts, -1)))
             c = int(counts[t])
@@ -327,11 +328,13 @@ def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng,
             t = int(np.argmin(np.where(over, counts, np.iinfo(np.int64).max)))
             # the window cut for the over-pivot is recomputed against the
             # (possibly just advanced) lo, since ``local`` predates the
-            # acceptance step above
+            # acceptance step above; the over-pivot exceeds the
+            # under-pivot, so on every PE the new window is what lies
+            # between their cuts and its global size is the difference
+            # of their replicated counts
             le = int(np.clip(seq.count_le(pivots[t]), lo, len(seq)))
             hi = max(lo, le)
-            cur_n = int((yield ("allreduce", hi - lo, "sum")))
-            log.append(("allreduce", 1))
+            cur_n = int(counts[t]) - c
 
     # safety net: exact selection of rank cur_lo in the remaining windows
     value, rel_cut, _ = yield from ms_select_with_cuts_gen(

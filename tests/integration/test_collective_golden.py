@@ -41,7 +41,10 @@ change on top of 9f3f666 that stopped the sorted-input selection paying
 for answers it had (the generators' own all-reduction of the size the caller knows,
 every round's window ``allreduce_exscan`` after the first, now fused
 into the count reduction, and the cuts' tie-grant ``allreduce_exscan``);
-their values and draw addresses did not move.  Regenerate (``PYTHONPATH=src:. python
+their values and draw addresses did not move.  The ``ams_select_batched``
+reports were re-recorded once more when an over-estimating round began
+to derive its window's size from its counts instead of all-reducing it
+(one start-up fewer per such round; values and draws unchanged).  Regenerate (``PYTHONPATH=src:. python
 tests/integration/test_collective_golden.py`` from the repository root)
 only when a result or cost change is intended, and from the parent of
 that change.
