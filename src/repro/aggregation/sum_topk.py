@@ -39,7 +39,7 @@ from ..common.sampling import weighted_sample_counts
 from ..common.validation import (
     check_finite_positive, check_k, check_k_star, check_probability,
 )
-from ..frequent.dht import integer_key_dtype, pipeline_gen, run_pipeline
+from ..frequent.dht import integer_key_dtype, pipeline_gen
 from ..machine import Machine
 from ..machine.collectives import tree_reduce_order
 from ..machine.dist_array import generate_resident
@@ -314,10 +314,8 @@ def top_k_sums_pac(
         return SumAggResult((), True, 1.0, 0, k, {"mass": 0.0})
     s = sample_size if sample_size is not None else sum_sample_size(n, machine.p, eps, delta)
     v_avg = _safe_v_avg(m_total, s)
-    (_, keys, units, _, _), sizes = run_pipeline(
-        machine, data._ensure_ref(), pipeline_gen,
-        (_sample_units, (machine.draw_addr(), v_avg), k),
-    )
+    (_, keys, units, _, _), sizes = machine.run_command(
+        pipeline_gen, data._ensure_ref(), (_sample_units, (machine.draw_addr(), v_avg), k))
     return SumAggResult(
         items=tuple(
             (key, float(c * v_avg)) for key, c in zip(keys.tolist(), units.tolist())
@@ -369,8 +367,8 @@ def top_k_sums_ec(
             16.0, sum_sample_size(n, p, eps, delta) / np.sqrt(max(k_star, 1))
         )
     v_avg = _safe_v_avg(m_total, sample_size)
-    (_, cand_keys, _, _, exact), sizes = run_pipeline(
-        machine, data._ensure_ref(), pipeline_gen,
+    (_, cand_keys, _, _, exact), sizes = machine.run_command(
+        pipeline_gen, data._ensure_ref(),
         (_sample_units, (machine.draw_addr(), v_avg), k_star, False, _exact_sums_gen),
     )
     realized = sum(sizes)

@@ -23,7 +23,7 @@ from ..frequent import (
     top_k_frequent_naive_tree,
     top_k_frequent_pac,
 )
-from ..frequent.dht import broadcast_top_k_gen, gather_direct_gen, merge_tables, run_pipeline
+from ..frequent.dht import broadcast_top_k_gen, gather_direct_gen, merge_tables
 from ..machine import DistArray, Machine
 from ..pqueue import BulkParallelPQ, RandomAllocPQ
 from ..redistribution import naive_rebalance, redistribute
@@ -282,7 +282,7 @@ def table1_comm_volume(
     make_sum = lambda m: sum_workload(m, n_per_pe, universe=1 << 12)
 
     def old_sum(machine: Machine, kv):
-        run_pipeline(machine, kv._ensure_ref(), _old_sum_gen, (32,), n_addrs=0)
+        machine.run_command(_old_sum_gen, kv._ensure_ref(), (32,), n_addrs=0)
         return {}
 
     rows.append(run_algorithm("table1", "sum-aggregation/old", p, n_per_pe, make_sum, old_sum, seed=seed, backend=backend))

@@ -28,7 +28,7 @@ import numpy as np
 from ..common.sampling import pac_sample_rate
 from ..machine import DistArray, Machine
 from .dht import (
-    array_key_dtype, count_gen, local_table, run_pipeline, sample_keys, topk_entries_gen,
+    array_key_dtype, count_gen, local_table, sample_keys, topk_entries_gen,
 )
 from .ec import exact_counts_gen, exact_items
 from .result import FrequentResult
@@ -107,8 +107,8 @@ def top_k_frequent_adaptive(
     # the probe is already fine enough for eps
     fine_enough = rho0 >= pac_sample_rate(n, k, eps, delta)
     k_star = max(k, k_star_factor * k)
-    (escalated, confident, keys, counts, probe_size), _ = run_pipeline(
-        machine, data._ensure_ref(), _adaptive_gen,
+    (escalated, confident, keys, counts, probe_size), _ = machine.run_command(
+        _adaptive_gen, data._ensure_ref(),
         (dtype, machine.draw_addr(), rho0, fine_enough, k, k_star, delta), n_addrs=2,
     )
     if not escalated:

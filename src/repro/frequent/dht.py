@@ -26,9 +26,10 @@ collectives, appends to ``log`` every charge a step-by-step driver
 would make (:meth:`Machine.replay_charges` replays them, so modeled
 cost is identical on every backend) and composes by ``yield from``.
 Every frequent-objects family strings the pieces into ONE worker
-command sent by :func:`run_pipeline`: sample,
-exchange, the all-reduction that gives every PE the table's size, then
-its own middle step -- one selection and an optional exact pass (:func:`pipeline_gen`:
+command, sent by :meth:`Machine.run_command
+<repro.machine.Machine.run_command>`: sample, exchange, the
+all-reduction that gives every PE the table's size, then its own middle
+step -- one selection and an optional exact pass (:func:`pipeline_gen`:
 PAC, EC, exact, the sum pipelines and the streaming monitor), PEC's
 gap estimate, adaptive's stop-or-escalate test or dSBF's fingerprint
 resolution, whose entries are 1.5 words wide instead of 2 (``width``;
@@ -42,12 +43,13 @@ which the driver learns only from the command's answer: the command
 carries a draw cursor instead of addresses, takes the next address
 whenever a selection draws and reports how many it took.  The
 multicriteria top-k algorithms (:mod:`repro.topk`) send their commands
-through :func:`run_pipeline` too, each PE's index riding along as its
-source.
+the same way, each PE's index riding along as its source.
 
 A table need not die with its command.  With ``keep`` the kernel's
-table stays resident as the command's output ref, and a later call
-takes that ref as its source: ``repro serve`` counts a dataset once
+table stays resident as the command's output ref (the kernel is wrapped
+in :class:`~repro.machine.backends.PureStep`: a kept table is never
+changed), and a later call takes that ref as its source: ``repro
+serve`` counts a dataset once
 and answers every later query with :func:`topk_entries_gen` alone, and
 the streaming monitor ships only the arrivals since its last refresh
 and merges them into the tables it kept.
@@ -55,7 +57,6 @@ and merges them into the tables it kept.
 
 from __future__ import annotations
 
-from itertools import count
 from math import ceil
 from typing import Sequence
 
@@ -63,12 +64,10 @@ import numpy as np
 
 from ..common.hashing import key_owner
 from ..common.sampling import bernoulli_sample
-from ..machine import DistArray, Machine
-from ..machine.backends import PureStep
+from ..machine import DistArray
 from ..machine.cost import log2_ceil
-from ..machine.ctrrng import DrawAddress
 from ..machine.metrics import payload_words
-from ..selection.unsorted import default_base_case, select_kth_gen
+from ..selection.unsorted import select_kth_gen
 
 __all__ = [
     "array_key_dtype",
@@ -76,7 +75,6 @@ __all__ = [
     "gather_direct_gen",
     "integer_key_dtype",
     "pipeline_gen",
-    "run_pipeline",
     "sample_keys",
     "sample_table",
     "tree_merge_gen",
@@ -213,8 +211,8 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
                      take, piggyback, log: list):
     """The ``k`` entries with the largest counts, replicated on all PEs.
 
-    Runs distributed unsorted selection (Algorithm 1, drawing from
-    ``addr``) over the count multiset for the threshold, then grants
+    Runs distributed unsorted selection (Algorithm 1) over the count
+    multiset for the threshold, then grants
     threshold ties globally by ascending key so the output is
     deterministic and exactly ``k`` entries win.  Both tie-granting and
     the winner exchange are the fused reduce+allgather: the
@@ -243,9 +241,7 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
         return empty, empty, pb_total
     keys, counts = table
     if total > k:
-        value, *_ = yield from select_kth_gen(
-            rank, -counts, p, take(), k, total, 1.0, default_base_case(p), 64, log
-        )
+        value, *_ = yield from select_kth_gen(rank, p, -counts, take, log, k, total)
         thr = -int(value)  # k-th largest count
         above, tied = counts > thr, counts == thr
         log.append(("ops", max(1, int(counts.size))))
@@ -311,7 +307,8 @@ def pipeline_gen(rank: int, p: int, source, take, log: list, sample_fn,
 
     Returns ``((total, keys, counts, info_total, exact), info, owned)``,
     ``owned`` being this PE's ``(keys, counts, total)`` after the
-    exchange: the table :func:`run_pipeline` keeps when asked to.
+    exchange: the table a ``keep`` command keeps
+    (:meth:`~repro.machine.Machine.run_command`).
     """
     table, info = sample_fn(rank, source, *sample_args, log)
     table, total = yield from count_gen(rank, p, table, log)
@@ -322,84 +319,6 @@ def pipeline_gen(rank: int, p: int, source, take, log: list, sample_fn,
     if total and exact_gen is not None:
         exact = yield from exact_gen(rank, source, keys, log)
     return (total, keys, counts, pb_total, exact), info, (*table, total)
-
-
-# ----------------------------------------------------------------------
-# The one command path
-# ----------------------------------------------------------------------
-
-def _pipeline_cmd(rank: int, source, p: int, kernel, args: tuple, cursor: tuple,
-                  keep: bool):
-    """One call, where the data lives: ``kernel(rank, p, source, take,
-    log, *args)`` returns ``(answer, info)``, or with ``keep``
-    ``(answer, info, table)``, each ``take()`` handing it the next draw
-    address from ``cursor = (seed, first seq)``; every PE returns
-    ``(answer, info, addresses taken, log)``, the replicated answer only
-    from PE 0, and with ``keep`` the table before it, to stay resident."""
-    log: list = []
-    seed, first = cursor
-    seqs = count(first)
-    answer, info, *kept = yield from kernel(
-        rank, p, source, lambda: DrawAddress(seed, next(seqs)), log, *args)
-    taken = next(seqs) - first  # next(seqs) is the first seq not taken
-    value = (answer if rank == 0 else None, info, taken, log)
-    return (kept[0], value) if keep else value
-
-
-def _paired_cmd(rank: int, chunk, rider, *rest):
-    """:func:`_pipeline_cmd` over a resident chunk and this PE's rider,
-    which the kernel gets as the pair ``(chunk, rider)``."""
-    return _pipeline_cmd(rank, (chunk, rider), *rest)
-
-
-def run_pipeline(machine: Machine, source, kernel, args: tuple, n_addrs: int = 1,
-                 keep: bool = False):
-    """Send ``kernel`` (a generator composed of SPMD pieces, these or
-    another module's) as ONE worker command and replay its charges.
-    ``source`` is a resident ref (a dataset, or a table an earlier call
-    kept), a list with one value per PE, which rides the command (the
-    samples of :func:`~repro.frequent.dsbf.dsbf_top_candidates`, the
-    indexes of :mod:`repro.topk`), or the pair ``(ref, list)``, the
-    kernel then getting ``(chunk, value)``.  Returns ``(answer,
-    infos)``, ``infos[i]`` being PE ``i``'s ``info``.
-
-    With ``keep`` the kernel also returns a table, which stays where it
-    was made: the call returns ``(answer, infos, ref)``, and a later
-    call takes ``ref`` as its source instead of counting again.  The
-    command is then a :class:`~repro.machine.backends.base.PureStep`
-    (a kept table is never changed; the next state is a new ref), so
-    the ref lives in lineage and a lost pool rebuilds it.
-
-    The command carries a draw cursor, the machine's next unallocated
-    draw address: a piece that draws calls ``take()`` for the next one
-    (:func:`topk_entries_gen`), so a call takes exactly the addresses it
-    draws from, in issue order, however many its data ask for.  A
-    failed command keeps ``n_addrs`` of them (the addresses its
-    selections could have drawn from), as a failed command of the
-    multi-command form did.
-    """
-    p = machine.p
-    ref, riders = source if isinstance(source, tuple) else (
-        (None, source) if isinstance(source, list) else (source, None))
-    if riders is not None and len(riders) != p:
-        raise ValueError(f"need one entry per PE, got {len(riders)} for p={p}")
-    first = machine._rng_seq
-    common = (p, kernel, args, (machine.seed, first), keep)
-    cmd, refs = _pipeline_cmd, [] if ref is None else [ref]
-    if riders is None:
-        per_pe = [common] * p
-    else:
-        per_pe = [(rider, *common) for rider in riders]
-        if ref is not None:
-            cmd = _paired_cmd
-    machine._rng_seq = first + n_addrs  # what a failed command keeps
-    outs, vals = machine.backend.run_spmd(
-        PureStep(cmd) if keep else cmd, refs, n_out=int(keep), args=per_pe)
-    answer, _, taken, _ = vals[0]
-    machine._rng_seq = first + taken
-    machine.replay_charges([log for *_, log in vals])
-    infos = [info for _, info, _, _ in vals]
-    return (answer, infos, outs[0]) if keep else (answer, infos)
 
 
 def array_key_dtype(data: DistArray) -> np.dtype:

@@ -50,7 +50,6 @@ from .dht import (
     integer_key_dtype,
     local_table,
     merge_tables,
-    run_pipeline,
     sample_keys,
     topk_entries_gen,
 )
@@ -148,8 +147,8 @@ def dsbf_top_candidates(
     check_k(k_star + min(kappa, kappa * 2 ** (max(max_rounds, 1) - 1)))
     samples = [np.asarray(s) for s in samples_per_pe]
     dtype = integer_key_dtype([s.dtype for s in samples if s.size])
-    (keys, counts, _, stats, _), _ = run_pipeline(
-        machine, samples, _dsbf_gen,
+    (keys, counts, _, stats, _), _ = machine.run_command(
+        _dsbf_gen, samples,
         (None, 1.0, dtype, k_star, kappa, salt, max_rounds), n_addrs=max(max_rounds, 1),
     )
     return list(zip(keys.tolist(), counts.tolist())), stats
@@ -184,8 +183,8 @@ def top_k_frequent_ec_dsbf(
         k_star = optimal_k_star(n, k, machine.p, eps, delta)
     if rho is None:
         rho = ec_sample_rate(n, k_star, eps, delta)
-    (cand_keys, _, exact, stats, sample_size), _ = run_pipeline(
-        machine, data._ensure_ref(), _dsbf_gen,
+    (cand_keys, _, exact, stats, sample_size), _ = machine.run_command(
+        _dsbf_gen, data._ensure_ref(),
         (machine.draw_addr(), rho, dtype, k_star, max(8, k_star // 4), SALT,
          MAX_ROUNDS), n_addrs=MAX_ROUNDS,
     )

@@ -28,7 +28,7 @@ import numpy as np
 from ..common.sampling import ec_sample_rate
 from ..common.validation import check_k, check_k_star, check_rate
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, pipeline_gen, run_pipeline, sample_table
+from .dht import array_key_dtype, pipeline_gen, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_ec", "optimal_k_star"]
@@ -104,8 +104,8 @@ def top_k_frequent_ec(
     if rho is None:
         rho = ec_sample_rate(n, k_star, eps, delta)
 
-    (_, cand_keys, _, sample_size, exact), _ = run_pipeline(
-        machine, data._ensure_ref(), pipeline_gen,
+    (_, cand_keys, _, sample_size, exact), _ = machine.run_command(
+        pipeline_gen, data._ensure_ref(),
         (sample_table, (dtype, machine.draw_addr(), rho), k_star, True,
          exact_counts_gen),
     )

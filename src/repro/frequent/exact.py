@@ -21,7 +21,8 @@ import numpy as np
 
 from ..common.validation import check_k
 from ..machine import ChunkRef, DistArray, Machine
-from .dht import array_key_dtype, pipeline_gen, run_pipeline, sample_table, topk_entries_gen
+from ..machine.backends import PureStep
+from .dht import array_key_dtype, pipeline_gen, sample_table, topk_entries_gen
 from .result import FrequentResult
 
 __all__ = [
@@ -80,7 +81,7 @@ def top_k_frequent_exact(machine: Machine, data: DistArray, k: int) -> FrequentR
     merging hypercube exchange, only the winners return.
     """
     check_k(k)
-    answer, _ = run_pipeline(machine, data._ensure_ref(), pipeline_gen, _counting(data, k))
+    answer, _ = machine.run_command(pipeline_gen, data._ensure_ref(), _counting(data, k))
     return _result(answer, data.global_size, k)
 
 
@@ -89,8 +90,8 @@ def count_table_top_k(machine: Machine, data: DistArray,
     """:func:`top_k_frequent_exact` that also keeps the owner tables
     resident.  One worker command, charged as the plain call."""
     check_k(k)
-    answer, _, ref = run_pipeline(
-        machine, data._ensure_ref(), pipeline_gen, _counting(data, k), keep=True)
+    answer, _, ref = machine.run_command(
+        PureStep(pipeline_gen), data._ensure_ref(), _counting(data, k), keep=True)
     return _result(answer, data.global_size, k), CountTable(ref, data.global_size)
 
 
@@ -99,7 +100,7 @@ def top_k_from_table(machine: Machine, table: CountTable, k: int) -> FrequentRes
     runs only the selection over the count multiset and the tie grant
     (one draw address, given back when ``k`` covers every entry)."""
     check_k(k)
-    answer, _ = run_pipeline(machine, table.ref, _table_gen, (k,))
+    answer, _ = machine.run_command(_table_gen, table.ref, (k,))
     return _result(answer, table.items, k)
 
 

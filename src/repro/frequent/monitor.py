@@ -36,13 +36,13 @@ import numpy as np
 
 from ..common.sampling import weighted_sample_counts
 from ..machine import Machine
+from ..machine.backends import PureStep
 from .dht import (
     Table,
     integer_key_dtype,
     local_table,
     merge_tables,
     pipeline_gen,
-    run_pipeline,
 )
 from .result import FrequentResult
 
@@ -200,8 +200,8 @@ class StreamingTopKMonitor:
             delta[0].dtype for delta, seen in zip(deltas, self._local_total) if seen])
         source = ([(None, delta) for delta in deltas] if self._held is None
                   else (self._held, deltas))
-        (_, keys, counts, _, _), sizes, self._held = run_pipeline(
-            self.machine, source, _refresh_gen,
+        (_, keys, counts, _, _), sizes, self._held = self.machine.run_command(
+            PureStep(_refresh_gen), source,
             (dtype, self.machine.draw_addr(), v_avg, self.k), keep=True,
         )
         self._deltas = [(np.empty(0, dtype=delta[0].dtype), np.empty(0, dtype=np.int64))

@@ -34,7 +34,6 @@ from .dht import (
     gather_direct_gen,
     local_table,
     merge_tables,
-    run_pipeline,
     sample_keys,
     tree_merge_gen,
 )
@@ -78,8 +77,8 @@ def _run(machine: Machine, data: DistArray, k: int, eps: float, delta: float,
         return FrequentResult((), False, 1.0, 0, k, {})
     if rho is None:
         rho = pac_sample_rate(n, k, eps, delta)
-    (items, sample_size, coordinator_keys), _ = run_pipeline(
-        machine, data._ensure_ref(), _naive_gen,
+    (items, sample_size, coordinator_keys), _ = machine.run_command(
+        _naive_gen, data._ensure_ref(),
         (array_key_dtype(data), machine.draw_addr(), rho, k, tree), n_addrs=0,
     )
     return FrequentResult(tuple((key, c / rho) for key, c in items), rho >= 1.0, rho,

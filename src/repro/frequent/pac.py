@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..common.sampling import pac_sample_rate
 from ..common.validation import check_k, check_rate
 from ..machine import DistArray, Machine
-from .dht import array_key_dtype, pipeline_gen, run_pipeline, sample_table
+from .dht import array_key_dtype, pipeline_gen, sample_table
 from .result import FrequentResult
 
 __all__ = ["top_k_frequent_pac", "pac_error"]
@@ -56,8 +56,8 @@ def top_k_frequent_pac(
         return FrequentResult((), False, 1.0, 0, k, {})
     if rho is None:
         rho = pac_sample_rate(n, k, eps, delta)
-    (total, keys, counts, sample_size, _), _ = run_pipeline(
-        machine, data._ensure_ref(), pipeline_gen,
+    (total, keys, counts, sample_size, _), _ = machine.run_command(
+        pipeline_gen, data._ensure_ref(),
         (sample_table, (dtype, machine.draw_addr(), rho), k, True),
     )
     return FrequentResult(

@@ -38,7 +38,7 @@ from ..common.distributions import harmonic_number
 from ..common.sampling import pac_sample_rate
 from ..machine import DistArray, Machine
 from .dht import (
-    array_key_dtype, count_gen, pipeline_gen, run_pipeline, sample_table, topk_entries_gen,
+    array_key_dtype, count_gen, pipeline_gen, sample_table, topk_entries_gen,
 )
 from .ec import exact_counts_gen, exact_items
 from .result import FrequentResult
@@ -127,8 +127,8 @@ def top_k_frequent_pec(
         return FrequentResult((), True, 1.0, 0, k, {"gap_found": True})
     rho0 = pac_sample_rate(n, k, eps0, delta)
     cap = max(cap_factor * k, k + 1)
-    (keys, exact, k_star, gap_found, stage1_size), _ = run_pipeline(
-        machine, data._ensure_ref(), _pec_gen,
+    (keys, exact, k_star, gap_found, stage1_size), _ = machine.run_command(
+        _pec_gen, data._ensure_ref(),
         (dtype, machine.draw_addr(), rho0, k, delta, cap),
     )
     return FrequentResult(
@@ -164,8 +164,8 @@ def top_k_frequent_pec_zipf(
     if n == 0:
         return FrequentResult((), True, 1.0, 0, k, {})
     k_star = int(np.ceil((2.0 + np.sqrt(2.0)) ** (1.0 / s) * k))
-    (answer, universe, h, rho), _ = run_pipeline(
-        machine, data._ensure_ref(), _zipf_gen,
+    (answer, universe, h, rho), _ = machine.run_command(
+        _zipf_gen, data._ensure_ref(),
         (dtype, machine.draw_addr(), n, k, delta, s, universe, k_star),
     )
     _, cand_keys, _, sample_size, exact = answer

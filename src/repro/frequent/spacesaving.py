@@ -23,7 +23,7 @@ import numpy as np
 from ..kernels import spacesaving_offer
 from ..machine import DistArray, Machine
 from ..machine.metrics import payload_words
-from .dht import run_pipeline, tree_merge_gen
+from .dht import tree_merge_gen
 
 __all__ = ["SpaceSaving", "heavy_hitters"]
 
@@ -149,6 +149,6 @@ def heavy_hitters(
     if not 0.0 < phi < 1.0:
         raise ValueError(f"phi must be in (0, 1), got {phi}")
     capacity = int(np.ceil(slack / phi))
-    items, _ = run_pipeline(machine, data._ensure_ref(), _heavy_hitters_gen,
-                            (capacity, phi), n_addrs=0)
+    items, _ = machine.run_command(_heavy_hitters_gen, data._ensure_ref(),
+                                   (capacity, phi), n_addrs=0)
     return items

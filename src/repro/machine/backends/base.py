@@ -118,8 +118,9 @@ class PureStep(functools.partial):
     """An SPMD callback (a :func:`functools.partial`, called like one)
     whose output chunks are a pure function of the command: no state
     but its per-PE args and its input refs, and nothing mutates the
-    outputs afterwards (``DistArray.generate``, and the tables
-    ``repro.frequent.dht.run_pipeline`` keeps).
+    outputs afterwards (``DistArray.generate``, and the tables the
+    frequent-objects commands keep, ``Machine.run_command(PureStep(kernel),
+    ..., keep=True)``).
 
     The type is the promise.  A real backend records the command --
     callback blob plus args, a few hundred bytes for ``generate`` --

@@ -27,6 +27,13 @@ list-of-p dialect, one call for all ``p`` ranks -- derives each rank's
 entry from its request and charges it through the same table before it
 runs the data plane.  Local work is :meth:`Machine.charge_ops`.
 
+One command path
+----------------
+Code outside this package issues a worker command one way,
+:meth:`Machine.run_command`: the kernel runs on every PE where its
+source lives, draws its addresses from a cursor the command carries,
+appends its charges to a log, and the driver replays the logs once.
+
 Execution backends
 ------------------
 The data plane of a collective is delegated to the machine's backend as
@@ -62,12 +69,14 @@ from __future__ import annotations
 
 import contextlib
 import pickle
+from collections.abc import Generator
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .backends import Backend, make_backend
+from .backends import Backend, PureStep, make_backend
 from .backends.base import _check_lockstep, _collective_signature
 from .clock import SimClock
 from .ctrrng import DrawAddress
@@ -448,10 +457,36 @@ class MachineReport:
         }
 
 
+def _command(rank: int, source, p: int, kernel, args: tuple, cursor: tuple,
+             keep: bool):
+    """One :meth:`Machine.run_command` call, where the data lives: the
+    kernel's ``take()`` hands out ``DrawAddress(seed, first + i)`` from
+    ``cursor = (seed, first)``.  Every PE returns ``(answer, info,
+    addresses taken, log)``, the answer only from PE 0, and with
+    ``keep`` the kernel's third value before it, to stay resident."""
+    log: list = []
+    seed, first = cursor
+    seqs = count(first)
+    out = kernel(rank, p, source, lambda: DrawAddress(seed, next(seqs)), log, *args)
+    if isinstance(out, Generator):
+        out = yield from out
+    answer, info, *kept = out
+    taken = next(seqs) - first  # next(seqs) is the first seq not taken
+    value = (answer if rank == 0 else None, info, taken, log)
+    return (kept[0], value) if keep else value
+
+
+def _paired_command(rank: int, chunk, rider, *rest):
+    """:func:`_command` over a resident chunk and this PE's rider,
+    which the kernel gets as the pair ``(chunk, rider)``."""
+    return _command(rank, (chunk, rider), *rest)
+
+
 class Machine:
     """A ``p``-PE distributed-memory machine with an alpha-beta cost model.
 
-    Twelve public methods: :meth:`draw_addr`; charging through
+    Thirteen public methods: :meth:`draw_addr`; :meth:`run_command`,
+    the one way a worker command is issued; charging through
     :data:`METERS` (:meth:`charge_ops`, :meth:`replay_charges`); the
     list-of-p :meth:`collective`, with :meth:`allreduce` and
     :meth:`allgather` as one-line spellings; and :meth:`phase`,
@@ -517,9 +552,9 @@ class Machine:
         #: draws (:meth:`draw_addr`)
         self.seed = int(seed)
         #: next counter-addressed draw sequence number (allocated at
-        #: command-build time, in issue order; a command that carries a
-        #: draw cursor advances it by the addresses it took,
-        #: :func:`repro.frequent.dht.run_pipeline`)
+        #: command-build time, in issue order; a command carries it as
+        #: its draw cursor and advances it by the addresses it took,
+        #: :meth:`run_command`)
         self._rng_seq = 0
         seq = np.random.SeedSequence(seed)
         children = seq.spawn(self.p + 1)
@@ -552,6 +587,71 @@ class Machine:
         seq = self._rng_seq
         self._rng_seq += 1
         return DrawAddress(self.seed, seq)
+
+    # ------------------------------------------------------------------
+    # The one command path
+    # ------------------------------------------------------------------
+    def run_command(self, kernel, source=None, args: tuple = (), n_addrs: int = 1,
+                    keep: bool = False):
+        """Send ``kernel`` as ONE worker command, settle its draw cursor
+        and replay its charges.
+
+        Every PE runs ``kernel(rank, p, source, take, log, *args)``, a
+        generator of SPMD collective yields (or a plain function, a step
+        of none), which returns ``(answer, info)``.  ``source`` is a
+        resident ref (a dataset, or a table an earlier command kept), a
+        list with one value per PE, which rides the command, the pair
+        ``(ref, list)``, the kernel then getting ``(chunk, value)``, or
+        ``None``.  The kernel appends to ``log`` every charge of the
+        call -- a size the driver tracks included, as its first entry --
+        and the logs are replayed once (:meth:`replay_charges`; not at
+        all when every log is empty).  Returns ``(answer, infos)``:
+        ``answer`` is PE 0's (a replicated result), ``infos[i]`` PE
+        ``i``'s ``info``.
+
+        With ``keep`` the kernel returns a third value, which stays
+        resident where it was made as the command's output: the call
+        returns ``(answer, infos, ref)``.  A
+        :class:`~repro.machine.backends.base.PureStep` kernel promises
+        that output is never changed (a kept table; the next state is a
+        new ref), so the ref lives in lineage and reading it records
+        nothing; any other kernel's output (a queue's trees, a cut) is
+        mutable state.
+
+        The command carries a draw cursor, :attr:`_rng_seq`: each
+        ``take()`` hands the kernel the next
+        :class:`~repro.machine.ctrrng.DrawAddress`, so a call takes
+        exactly the addresses it draws from, in issue order, however
+        many its data ask for, and the cursor then moves past them.  A
+        failed command keeps ``n_addrs`` of them.
+        """
+        p = self.p
+        if isinstance(source, tuple):
+            ref, riders = source
+        elif isinstance(source, list):
+            ref, riders = None, source
+        else:
+            ref, riders = source, None
+        if riders is not None and len(riders) != p:
+            raise ValueError(f"need one entry per PE, got {len(riders)} for p={p}")
+        first = self._rng_seq
+        common = (p, kernel, args, (self.seed, first), keep)
+        if riders is None:
+            cmd, per_pe = _command, [((None,) if ref is None else ()) + common] * p
+        else:
+            cmd = _command if ref is None else _paired_command
+            per_pe = [(rider, *common) for rider in riders]
+        self._rng_seq = first + n_addrs  # what a failed command keeps
+        outs, vals = self.backend.run_spmd(
+            PureStep(cmd) if isinstance(kernel, PureStep) else cmd,
+            [] if ref is None else [ref], n_out=int(keep), args=per_pe)
+        answer, _, taken, _ = vals[0]
+        self._rng_seq = first + taken
+        logs = [log for *_, log in vals]
+        if any(logs):
+            self.replay_charges(logs)
+        infos = [info for _, info, _, _ in vals]
+        return (answer, infos, outs[0]) if keep else (answer, infos)
 
     # ------------------------------------------------------------------
     # Charging

@@ -23,9 +23,9 @@ flush of ``m`` keys into ``n`` is one stable sort of the batch plus an
 Execution is resident: the trees live in the execution backend's
 worker memory behind a :class:`~repro.machine.backends.base.ChunkRef`
 handle.  Insertions are buffered driver-side (as arrays) and ride the
-next query's command as extra per-PE args; ``peek_min`` and each
+next query's command as per-PE riders; ``peek_min`` and each
 ``deleteMin*`` are a single generator SPMD step
-(:meth:`Backend.run_spmd`) that first inserts the batch into its tree,
+(:meth:`Machine.run_command`) that first inserts the batch into its tree,
 then runs the whole multisequence-selection recursion -- pivot draws,
 rank counts, tie granting and the final tree split -- next to the
 trees.  The selection is handed the driver-tracked global size (the
@@ -102,78 +102,71 @@ def _as_scores(scores) -> np.ndarray:
 # Resident worker callbacks (module-level so real backends can ship them)
 # ----------------------------------------------------------------------
 
-def _make_tree(rank: int) -> tuple:
+def _make_tree(rank: int, p: int, source, take, log: list):
     """Per-PE resident state: one (initially empty) tree."""
-    return (Treap(), None)
+    return None, None, Treap()
 
 
-def _insert_step(rank: int, tree: Treap, scores, first_uid):
-    """Flush this PE's buffered insertions into its resident tree.
+def _flushed(rank: int, source) -> Treap:
+    """This PE's resident tree, its buffered insertions flushed in.
 
-    ``scores`` arrives as a binary float array (cheap on the wire) with
-    uids reconstructed from ``first_uid`` -- buffered insertions number
-    their uids contiguously per PE.  Every query kernel below calls it
-    first, so a query carries the flush in its own command.
+    ``source`` is ``(tree, (scores, first_uid))``: ``scores`` arrives as
+    a binary float array (cheap on the wire) with uids reconstructed
+    from ``first_uid`` -- buffered insertions number their uids
+    contiguously per PE.  Every query kernel below calls it first, so a
+    query carries the flush in its own command.
     """
+    tree, (scores, first_uid) = source
     if scores is not None:
         tree.insert_batch(scores, rank, int(first_uid))
-    return None
+    return tree
 
 
-def _peek_step(rank: int, tree: Treap, scores, first_uid):
-    _insert_step(rank, tree, scores, first_uid)
+def _insert_step(rank: int, p: int, source, take, log: list):
+    _flushed(rank, source)
+    return None, None
+
+
+def _peek_step(rank: int, p: int, source, take, log: list):
+    tree = _flushed(rank, source)
     local = tree.min() if len(tree) else TOP
     best = yield ("allreduce", local, "min")
-    return local, best
+    log.append(("allreduce", payload_words(local)))
+    return best, None
 
 
-def _delete_min_kernel(
-    rank: int, tree: Treap, scores, first_uid, k: int, n: int, p: int, addr
-):
+def _delete_min_kernel(rank: int, p: int, source, take, log: list, k: int, n: int):
     """``deleteMin`` as ONE SPMD step: flush, exact multisequence
     selection on the resident trees (Theorem 5's ``O(alpha log^2 kp)``
     recursion runs entirely in-worker, two collectives a round), the
     tie grant its last round already paid for, tree split, batch
     extraction.  ``n`` is the driver-tracked global size (flush
-    included); the replicated pivot stream is derived in place from
-    ``addr``."""
-    _insert_step(rank, tree, scores, first_uid)
-    log: list = []
-    value, cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, tree, k, n, addr.shared(), log
-    )
+    included; its all-reduction heads the log); the replicated pivot
+    stream is derived in place from the command's draw address.
+    Returns the threshold and this PE's batch."""
+    tree = _flushed(rank, source)
+    log.append(("allreduce", 1))
+    value, cut, _ = yield from ms_select_with_cuts_gen(rank, p, tree, k, n, take(), log)
     batch = tuple(tree.split_at_rank(int(cut)))
     log.append(("ops", max(1.0, cut * tree.access_cost(k))))
-    return {
-        "batch": batch,
-        "value": value,
-        "log": log,
-    }
+    return value, batch
 
 
-def _delete_flex_kernel(
-    rank: int, tree: Treap, scores, first_uid, k_lo: int, k_hi: int, n: int,
-    p: int, addr,
-):
+def _delete_flex_kernel(rank: int, p: int, source, take, log: list, k_lo: int,
+                        k_hi: int, n: int):
     """``deleteMin*`` with flexible batch size, resident: flush, then
-    ``amsSelect`` over the ``n`` driver-tracked elements; its estimator
-    rounds draw from this PE's counter-addressed stream
-    (``addr.local(rank)``) and the shared stream only if the exact
-    fallback fires."""
-    _insert_step(rank, tree, scores, first_uid)
-    log: list = []
+    ``amsSelect`` over the ``n`` driver-tracked elements (their
+    all-reduction heads the log); its estimator rounds draw from this
+    PE's stream of the command's draw address and the shared stream
+    only if the exact fallback fires.  Returns ``(threshold, k_hat,
+    rounds)`` and this PE's batch."""
+    tree = _flushed(rank, source)
+    log.append(("allreduce", 1))
     value, k_hat, cut, rounds, _ = yield from ams_select_gen(
-        rank, p, tree, k_lo, k_hi, n, addr.local(rank), addr.shared(), log
-    )
+        rank, p, tree, k_lo, k_hi, n, take(), log)
     batch = tuple(tree.split_at_rank(int(cut)))
     log.append(("ops", max(1.0, cut * tree.access_cost(k_hat))))
-    return {
-        "batch": batch,
-        "value": value,
-        "k": k_hat,
-        "rounds": rounds,
-        "log": log,
-    }
+    return (value, k_hat, rounds), batch
 
 
 class BulkParallelPQ:
@@ -182,10 +175,7 @@ class BulkParallelPQ:
 
     def __init__(self, machine: Machine):
         self.machine = machine
-        refs, _, _ = machine.backend.map_resident(
-            _make_tree, [], n_out=1, args=[()] * machine.p
-        )
-        self._ref = refs[0]
+        _, _, self._ref = machine.run_command(_make_tree, n_addrs=0, keep=True)
         self._uid = [0] * machine.p
         self._sizes = [0] * machine.p  # driver-tracked (resident + pending)
         # per PE: float64 arrays, one per buffered insert, in uid order
@@ -242,10 +232,11 @@ class BulkParallelPQ:
             self._sizes[rank] = n + m
         return first
 
-    def _take_pending(self) -> list[tuple]:
-        """Empty the insertion buffer into per-PE ``(scores, first_uid)``
-        args (``(None, 0)`` where a PE buffered nothing), which the next
-        command's kernel inserts before it does anything else.
+    def _take_pending(self) -> tuple:
+        """Empty the insertion buffer into the next command's source:
+        the trees and per PE ``(scores, first_uid)`` (``(None, 0)`` where
+        a PE buffered nothing), which the kernel inserts before it does
+        anything else.
 
         A batch takes one draw address of its own, before the address
         of the query that carries it: the flush draws nothing, but the
@@ -263,14 +254,12 @@ class BulkParallelPQ:
             else:
                 args.append((None, 0))
         self._pending = [[] for _ in range(machine.p)]
-        return args
+        return self._ref, args
 
     def _flush(self) -> None:
         """Insert the buffered batches on their own (one command)."""
         if any(self._pending):
-            self.machine.backend.run_spmd(
-                _insert_step, [self._ref], args=self._take_pending()
-            )
+            self.machine.run_command(_insert_step, self._take_pending(), n_addrs=0)
 
     # ------------------------------------------------------------------
     # Queries
@@ -283,12 +272,7 @@ class BulkParallelPQ:
     def peek_min(self):
         """Globally smallest score without removing it (one reduction,
         yielded from the resident lookup's step, which flushes first)."""
-        _, out = self.machine.backend.run_spmd(
-            _peek_step, [self._ref], args=self._take_pending()
-        )
-        self.machine.replay_charges(
-            [[("allreduce", payload_words(local))] for local, _ in out])
-        v = out[0][1]
+        v, _ = self.machine.run_command(_peek_step, self._take_pending(), n_addrs=0)
         if v is TOP:
             raise IndexError("peek_min on empty queue")
         return v[0]
@@ -317,20 +301,13 @@ class BulkParallelPQ:
         command pays one ``allreduce_exscan`` to open the search and two
         collectives per pivot round; the cuts cost none.
         """
-        machine = self.machine
-        p = machine.p
         total = int(sum(self._sizes))  # the size all-reduction heads the log
         if not 1 <= k <= total:
             self.total_size()  # a refusal still paid for learning the total
             raise ValueError(f"k must satisfy 1 <= k <= {total}, got {k}")
-        flush = self._take_pending()
-        addr = machine.draw_addr()
-        _, vals = machine.backend.run_spmd(
-            _delete_min_kernel, [self._ref],
-            args=[(*flush[i], k, total, p, addr) for i in range(p)],
-        )
-        machine.replay_charges([[("allreduce", 1)] + v["log"] for v in vals])
-        return self._finish(vals, k, vals[0]["value"], rounds=0)
+        value, batches = self.machine.run_command(
+            _delete_min_kernel, self._take_pending(), (k, total))
+        return self._finish(batches, k, value, rounds=0)
 
     def delete_min_flexible(self, k_lo: int, k_hi: int) -> DeleteMinResult:
         """Remove the k̂ smallest elements for some ``k̂ in [k_lo, k_hi]``.
@@ -342,22 +319,14 @@ class BulkParallelPQ:
         """
         total = int(sum(self._sizes))
         check_rank_range(k_lo, k_hi, total)  # fail driver-side
-        machine = self.machine
-        p = machine.p
-        flush = self._take_pending()
-        addr = machine.draw_addr()
-        _, vals = machine.backend.run_spmd(
-            _delete_flex_kernel, [self._ref],
-            args=[(*flush[i], k_lo, k_hi, total, p, addr) for i in range(p)],
-        )
-        machine.replay_charges([[("allreduce", 1)] + v["log"] for v in vals])
-        return self._finish(vals, vals[0]["k"], vals[0]["value"], vals[0]["rounds"])
+        (value, k_hat, rounds), batches = self.machine.run_command(
+            _delete_flex_kernel, self._take_pending(), (k_lo, k_hi, total))
+        return self._finish(batches, k_hat, value, rounds)
 
-    def _finish(self, vals, k: int, threshold, rounds: int) -> DeleteMinResult:
-        batches = tuple(v["batch"] for v in vals)
+    def _finish(self, batches: list, k: int, threshold, rounds: int) -> DeleteMinResult:
         for i, batch in enumerate(batches):
             self._sizes[i] -= len(batch)
-        return DeleteMinResult(batches, k, threshold, rounds)
+        return DeleteMinResult(tuple(batches), k, threshold, rounds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BulkParallelPQ(p={self.machine.p}, sizes={self.local_sizes()})"

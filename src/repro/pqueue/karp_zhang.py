@@ -53,14 +53,19 @@ class _HeapSeq:
 # Resident worker callbacks (module-level so real backends can ship them)
 # ----------------------------------------------------------------------
 
-def _make_heap(rank: int) -> tuple:
-    return (BinaryHeap(), None)
+def _make_heap(rank: int, p: int, source, take, log: list):
+    return None, None, BinaryHeap()
 
 
-def _kz_insert_kernel(rank: int, heap: BinaryHeap, buckets, srcs, p: int):
+def _kz_insert_kernel(rank: int, p: int, source, take, log: list):
     """Route this PE's randomly-addressed items worker-to-worker and
     deliver arrivals into the local heap (the communication this design
-    pays and Section 5's avoids)."""
+    pays and Section 5's avoids).  ``source`` is the heap and this PE's
+    ``(buckets, srcs, words)``: its ``(dst, items)`` buckets, the PEs
+    it receives from and its row of the exchange's word matrix, charged
+    as the driver-planned alltoall it models."""
+    heap, (buckets, srcs, words) = source
+    log.append(("alltoall", words))
     row: list = [None] * p
     for dst, items in buckets:
         row[dst] = items
@@ -73,25 +78,25 @@ def _kz_insert_kernel(rank: int, heap: BinaryHeap, buckets, srcs, p: int):
         for item in items:
             heap.push(tuple(item))
         ops += len(items) * np.log2(max(len(heap), 2))
-    return ops
+    log.append(("ops", ops))
+    return None, None
 
 
-def _kz_delete_kernel(rank: int, heap: BinaryHeap, k: int, n: int, p: int,
-                      addr):
+def _kz_delete_kernel(rank: int, p: int, heap: BinaryHeap, take, log: list, k: int,
+                      n: int):
     """Exact ``deleteMin`` of [31] as one SPMD step: snapshot-sort the
     local heap, multisequence-select over the snapshots of the ``n``
-    driver-tracked elements, pop the cut.  The replicated pivot stream
-    is derived in place from ``addr``."""
-    log: list = []
+    driver-tracked elements (their all-reduction heads the log), pop
+    the cut.  The replicated pivot stream is derived in place from the
+    command's draw address.  Returns this PE's batch."""
+    log.append(("allreduce", 1))
     seq = _HeapSeq(heap)
     # snapshot sort models the heap-ordered scan of [31]
     log.append(("ops", max(1.0, min(len(seq), k) * np.log2(max(len(seq), 2)))))
-    _, cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, seq, k, n, addr.shared(), log
-    )
+    _, cut, _ = yield from ms_select_with_cuts_gen(rank, p, seq, k, n, take(), log)
     batch = tuple((b[0], b[1]) for b in heap.pop_k(int(cut)))
     log.append(("ops", max(1.0, cut * np.log2(max(len(heap) + cut, 2)))))
-    return {"batch": batch, "log": log}
+    return None, batch
 
 
 class RandomAllocPQ:
@@ -99,10 +104,7 @@ class RandomAllocPQ:
 
     def __init__(self, machine: Machine):
         self.machine = machine
-        refs, _, _ = machine.backend.map_resident(
-            _make_heap, [], n_out=1, args=[()] * machine.p
-        )
-        self._ref = refs[0]
+        _, _, self._ref = machine.run_command(_make_heap, n_addrs=0, keep=True)
         self._uid = [0] * machine.p
         self._sizes = [0] * machine.p  # driver-tracked heap sizes
 
@@ -128,22 +130,17 @@ class RandomAllocPQ:
                 for s, d in zip(scores, dests):
                     buckets.setdefault(int(d), []).append((s, (i, self._uid[i])))
                     self._uid[i] += 1
-                for d, items in buckets.items():
+                for d, items in sorted(buckets.items()):
                     # wire format: one word per score + two per uid
                     words[i][d] = 3 * len(items)
                     self._sizes[d] += len(items)
             routed.append(buckets)
-        machine.replay_charges([[("alltoall", row)] for row in words.tolist()])
         srcs = [
             [i for i in range(p) if i != d and d in routed[i]] for d in range(p)
         ]
-        _, ops = machine.backend.run_spmd(
-            _kz_insert_kernel, [self._ref], n_out=0,
-            args=[
-                (sorted(routed[i].items()), srcs[i], p) for i in range(p)
-            ],
-        )
-        machine.charge_ops([float(o) for o in ops])
+        rows = words.tolist()
+        riders = [(sorted(routed[i].items()), srcs[i], rows[i]) for i in range(p)]
+        machine.run_command(_kz_insert_kernel, (self._ref, riders), n_addrs=0)
 
     # ------------------------------------------------------------------
     @property
@@ -163,15 +160,8 @@ class RandomAllocPQ:
         if not 1 <= k <= total:
             self.total_size()  # a refusal still paid for learning the total
             raise ValueError(f"k must satisfy 1 <= k <= {total}, got {k}")
-        machine = self.machine
-        p = machine.p
-        addr = machine.draw_addr()
-        _, vals = machine.backend.run_spmd(
-            _kz_delete_kernel, [self._ref], n_out=0,
-            args=[(k, total, p, addr)] * p,
-        )
-        machine.replay_charges([[("allreduce", 1)] + v["log"] for v in vals])
-        batches = tuple(v["batch"] for v in vals)
+        _, batches = self.machine.run_command(_kz_delete_kernel, self._ref, (k, total))
+        batches = tuple(batches)
         for i, batch in enumerate(batches):
             self._sizes[i] -= len(batch)
         return batches

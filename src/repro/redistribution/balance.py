@@ -93,16 +93,20 @@ def balance_plan(sizes: np.ndarray, n_bar: int | None = None) -> list[Transfer]:
 # Resident worker kernels (module-level so real backends can ship them)
 # ----------------------------------------------------------------------
 
-def _redistribute_kernel(rank: int, chunk: np.ndarray, sends, srcs, p: int):
+def _redistribute_kernel(rank: int, p: int, source, take, log: list, charges: list):
     """Execute this PE's side of the balance plan where the chunk lives.
 
-    ``sends`` lists ``(dst, count)`` transfers in plan order (tail
-    slices walk downward so kept elements keep their local order);
-    ``srcs`` lists the senders this PE receives from.  The transfers
-    ride one in-worker sparse direct exchange -- exactly the plan's p2p
-    messages, each payload travelling a single hop, receivers appending
-    in sender-rank order.  The chunk never visits the driver.
+    ``source`` is the chunk and this PE's ``(sends, srcs)``: ``sends``
+    lists ``(dst, count)`` transfers in plan order (tail slices walk
+    downward so kept elements keep their local order), ``srcs`` the
+    senders this PE receives from.  The transfers ride one in-worker
+    sparse direct exchange -- exactly the plan's p2p messages, each
+    payload travelling a single hop, receivers appending in sender-rank
+    order.  The chunk never visits the driver.  ``charges`` is the
+    plan's log, which the driver derived from the sizes it tracks.
     """
+    chunk, (sends, srcs) = source
+    log.extend(charges)
     hi = chunk.size
     row: list = [None] * p
     for dst, count in sends:
@@ -112,16 +116,16 @@ def _redistribute_kernel(rank: int, chunk: np.ndarray, sends, srcs, p: int):
     received = yield ("sendrecv", row, srcs)
     base = chunk[:hi]
     pieces = [r for r in received if r is not None and r.size]
-    new = np.concatenate([base] + pieces) if pieces else base
-    return new, new.size
+    return None, None, np.concatenate([base] + pieces) if pieces else base
 
 
-def _naive_rebalance_kernel(
-    rank: int, chunk: np.ndarray, bounds, offset: int, srcs, p: int
-):
+def _naive_rebalance_kernel(rank: int, p: int, source, take, log: list, bounds):
     """Blind repartition, resident: slice by global target bounds and
-    exchange worker-to-worker (direct delivery, like the driver-side
-    ``alltoall(mode="direct")`` it replaces)."""
+    exchange worker-to-worker (direct delivery, charged as the alltoall
+    of ``words``, this PE's row of the driver-tracked word matrix).
+    ``source`` is the chunk and this PE's ``(offset, srcs, words)``."""
+    chunk, (offset, srcs, words) = source
+    log.append(("alltoall", words))
     row: list = [None] * p
     hi_off = offset + chunk.size
     for j, (t_lo, t_hi) in enumerate(bounds):
@@ -130,8 +134,7 @@ def _naive_rebalance_kernel(
             row[j] = chunk[a - offset : b - offset]
     received = yield ("sendrecv", row, srcs)
     pieces = [x for x in received if x is not None and len(x)]
-    new = np.concatenate(pieces) if pieces else chunk[:0]
-    return new, new.size
+    return None, None, np.concatenate(pieces) if pieces else chunk[:0]
 
 
 def redistribute(
@@ -165,7 +168,6 @@ def redistribute(
     # constant-size compare-exchanges), then each planned message
     log = [("allreduce", 1), ("scan", 2), ("rounds", rounds, 2.0, "batcher_merge")]
     log += [("p2p", t.count, t.src, t.dst, "redistribute") for t in plan]
-    machine.replay_charges([log] * p)
     sent_per_pe = np.zeros(p, dtype=np.int64)
     recv_per_pe = np.zeros(p, dtype=np.int64)
     for t in plan:
@@ -180,6 +182,7 @@ def redistribute(
         merge_rounds=rounds,
     )
     if not plan:  # already acceptable: nothing moves, nothing executes
+        machine.replay_charges([log] * p)
         return (
             DistArray(machine, ref=data._ensure_ref(), sizes=sizes, dtype=data.dtype),
             stats,
@@ -190,14 +193,11 @@ def redistribute(
     for t in plan:
         sends[t.src].append((t.dst, t.count))
         srcs[t.dst].append(t.src)
-    refs, _ = machine.backend.run_spmd(
-        _redistribute_kernel,
-        [data._ensure_ref()],
-        n_out=1,
-        args=[(sends[i], srcs[i], p) for i in range(p)],
-    )
+    _, _, ref = machine.run_command(
+        _redistribute_kernel, (data._ensure_ref(), list(zip(sends, srcs))), (log,),
+        n_addrs=0, keep=True)
     new_sizes = sizes - sent_per_pe + recv_per_pe
-    return DistArray(machine, ref=refs[0], sizes=new_sizes, dtype=data.dtype), stats
+    return DistArray(machine, ref=ref, sizes=new_sizes, dtype=data.dtype), stats
 
 
 def naive_rebalance(machine: Machine, data: DistArray) -> tuple[DistArray, int]:
@@ -230,15 +230,9 @@ def naive_rebalance(machine: Machine, data: DistArray) -> tuple[DistArray, int]:
     srcs = [
         [i for i in range(p) if i != j and words[i][j] > 0] for j in range(p)
     ]
-    refs, _ = machine.backend.run_spmd(
-        _naive_rebalance_kernel,
-        [data._ensure_ref()],
-        n_out=1,
-        args=[(bounds, int(offsets[i]), srcs[i], p) for i in range(p)],
-    )
-    machine.replay_charges([[("alltoall", row)] for row in words.tolist()])
+    rows = words.tolist()
+    riders = [(int(offsets[i]), srcs[i], rows[i]) for i in range(p)]
+    _, _, ref = machine.run_command(_naive_rebalance_kernel, (data._ensure_ref(), riders),
+                                    (bounds,), n_addrs=0, keep=True)
     new_sizes = [hi - lo for lo, hi in bounds]
-    return (
-        DistArray(machine, ref=refs[0], sizes=new_sizes, dtype=data.dtype),
-        moved,
-    )
+    return DistArray(machine, ref=ref, sizes=new_sizes, dtype=data.dtype), moved

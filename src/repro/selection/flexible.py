@@ -42,7 +42,6 @@ from ..common.ordering import BOTTOM, TOP
 from ..common.validation import check_rank_range, is_whole
 from ..machine import Machine
 from ..machine.metrics import payload_words
-from .accessors import as_sorted_seq
 from .sorted_select import ms_select_with_cuts_gen, run_sorted
 
 __all__ = ["ams_select", "ams_select_batched", "AmsResult"]
@@ -117,25 +116,10 @@ def ams_select(
 def _flexible(machine: Machine, seqs, gen, k_lo, k_hi, options: dict) -> AmsResult:
     """Run the flexible selection generator ``gen`` (keywords
     ``options``) as one worker command."""
-    vals = run_sorted(
-        machine, seqs, _flexible_kernel,
-        lambda n: (gen, *check_rank_range(k_lo, k_hi, n), options),
-    )
-    value, k_hat, _, rounds, fallback = vals[0]
-    return AmsResult(value, k_hat, tuple(v[2] for v in vals), rounds, fallback)
-
-
-def _flexible_kernel(rank: int, seq, p: int, addr, n: int, gen, k_lo: int,
-                     k_hi: int, options: dict):
-    """``gen`` as one worker command: the estimator rounds draw from
-    this PE's counter-addressed stream, the exact fallback from the
-    shared one."""
-    log: list = []
-    result = yield from gen(
-        rank, p, as_sorted_seq(seq), k_lo, k_hi, n, addr.local(rank),
-        addr.shared(), log, **options,
-    )
-    return (*result, log)
+    _, results = run_sorted(
+        machine, seqs, gen, lambda n: (check_rank_range(k_lo, k_hi, n), options))
+    value, k_hat, _, rounds, fallback = results[0]
+    return AmsResult(value, k_hat, tuple(r[2] for r in results), rounds, fallback)
 
 
 class _SeqWindow:
@@ -156,20 +140,19 @@ class _SeqWindow:
         return int(np.clip(self.seq.count_le(v), self.lo, self.hi)) - self.lo
 
 
-def ams_select_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng, log, *,
-                   max_rounds=60):
+def ams_select_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, max_rounds=60):
     """:func:`ams_select` over per-rank views, as an SPMD generator.
 
     ``n`` is the global size, which the caller knows (no collective
-    learns it).  ``local_rng`` is this rank's stream and ``shared_rng``
-    the replicated one, both derived by the calling kernel from a
-    counter draw address (``addr.local(rank)`` / ``addr.shared()``);
-    the shared stream is only consumed if the exact fallback fires.
-    Yields two collectives per estimator round (the pivot's min- or
-    max-reduction, the count's sum), appends charge entries to ``log``
-    and returns ``(value, k_hat, cut, rounds, exact_fallback)``.
+    learns it).  The estimator rounds draw from this rank's stream of
+    the counter draw address ``addr`` (``addr.local(rank)``), the exact
+    fallback, if it fires, from its replicated one.  Yields two
+    collectives per estimator round (the pivot's min- or max-reduction,
+    the count's sum), appends charge entries to ``log`` and returns
+    ``(value, k_hat, cut, rounds, exact_fallback)``.
     """
     k_lo, k_hi = check_rank_range(k_lo, k_hi, n)
+    local_rng = addr.local(rank)
 
     lo, hi = 0, len(seq)
     accepted = 0
@@ -220,7 +203,7 @@ def ams_select_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng, log, *,
 
     # safety net: exact selection of rank cur_lo in the remaining windows
     value, rel_cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, shared_rng, log
+        rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, addr, log
     )
     return value, accepted_total + cur_lo, accepted + rel_cut, max_rounds, True
 
@@ -259,18 +242,20 @@ def _key_dtype(seq) -> np.dtype:
     return np.asarray(seq.item(0)).dtype if len(seq) else np.dtype(np.float64)
 
 
-def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng,
-                           log, *, d=8, max_rounds=40):
+def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, d=8,
+                           max_rounds=40):
     """:func:`ams_select_batched` over per-rank views, as an SPMD
     generator.
 
-    Global size ``n``, streams, charge log and result ``(value, k_hat,
-    cut, rounds, exact_fallback)`` are as for :func:`ams_select_gen`.
+    Global size ``n``, draw address, charge log and result ``(value,
+    k_hat, cut, rounds, exact_fallback)`` are as for
+    :func:`ams_select_gen`.
     The ``d`` picks stay in the keys' dtype, so the threshold is an
     input element; a trial without a pick holds the dtype's maximum
     (``+inf`` for floats).
     """
     k_lo, k_hi = check_rank_range(k_lo, k_hi, n)
+    local_rng = addr.local(rank)
     dtype = _key_dtype(seq)
     floats = dtype.kind == "f"
     no_pick = np.inf if floats else np.iinfo(dtype).max
@@ -338,6 +323,6 @@ def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng,
 
     # safety net: exact selection of rank cur_lo in the remaining windows
     value, rel_cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, shared_rng, log
+        rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, addr, log
     )
     return value, accepted_total + cur_lo, accepted + rel_cut, max_rounds, True

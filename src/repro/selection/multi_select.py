@@ -421,12 +421,15 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
     return new_segs, found, pinned
 
 
-def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
+def _ms_kernel(rank: int, p: int, chunk: np.ndarray, take, log: list, windows: list,
                base_case: int, max_depth: int, pins: bool):
     """The whole shared recursion, where the data lives.
 
     ``windows`` holds the root segments as ``(lo, hi, offset, n,
-    ranks)`` records (ranks relative to the window).  A window bounded
+    ranks)`` records (ranks relative to the window).  A window's size
+    comes from its caller; the root's falls out of the driver-tracked
+    sizes, so the one-word all-reduction the algorithm needs heads the
+    log when a window is open at both ends.  A window bounded
     at either end is filtered out of the chunk first (a comparison mask
     per window; the windows are disjoint, so the model charges one pass,
     ``("ops", chunk size)``); the one window open at both ends is the
@@ -434,16 +437,19 @@ def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
     no segment survives (``segs`` has the same shape on every rank, so
     the loop is lockstep); level ``max_depth`` forces every remaining
     segment to finish.  One draw handle serves the command, moved to
-    each level's address.  Returns the ``{global_rank: (value, n_less,
-    n_leq)}`` results -- the asked ranks and, with ``pins``, every rank
-    a pivot pinned, each pin merged by :func:`_merged` -- (replicated,
-    so only rank 0 sends them back) and this PE's charge log for
-    :meth:`Machine.replay_charges`.
+    each level's address: the command's one, so the data-dependent
+    recursion depth never perturbs any later caller's draws.  Returns
+    the ``{global_rank: (value, n_less, n_leq)}`` results -- the asked
+    ranks and, with ``pins``, every rank a pivot pinned, each pin
+    merged by :func:`_merged` -- (replicated, so only rank 0's return
+    to the driver).
     """
+    addr = take()
+    if any(lo is None and hi is None for lo, hi, *_ in windows):
+        log.append(("allreduce", 1))
     chunk = np.asarray(chunk)
     segs = [(_in_window(chunk, lo, hi), ranks, offset, n)
             for lo, hi, offset, n, ranks in windows]
-    log: list = []
     if any(lo is not None or hi is not None for lo, hi, *_ in windows):
         log.append(("ops", float(chunk.size)))  # the window filter pass
     out: dict = {}
@@ -460,7 +466,7 @@ def _ms_kernel(rank: int, chunk: np.ndarray, p: int, addr, windows: list,
             out[k] = _merged(fact, out[k]) if k in out else fact
         for k, fact in pinned if pins else ():
             out[k] = _merged(out[k], fact) if k in out else fact
-    return (out if rank == 0 else None), log
+    return out, None
 
 
 def multi_select(
@@ -540,28 +546,11 @@ def _select(machine: Machine, data: DistArray, roots: list, base_case,
     """Run :func:`_ms_kernel` over the root windows ``roots`` as one
     command; ``pins`` keeps the ranks the pivots pinned in the
     result."""
-    p = machine.p
     if base_case is None:
-        base_case = int(max(64, 4 * np.sqrt(p)))
-
-    # A window's size comes from its caller; the root's falls out of the
-    # driver-tracked sizes (the one-word all-reduction the algorithm
-    # needs heads the kernel's charge log).
-    head = ([("allreduce", 1)]
-            if any(lo is None and hi is None for lo, hi, *_ in roots) else [])
-    # One draw sequence for the whole multiselection; levels subdivide
-    # it by draw index, so the data-dependent recursion depth never
-    # perturbs any later caller's draws.
-    addr = machine.draw_addr()
-    _, vals = machine.backend.run_spmd(
-        _ms_kernel,
-        [data._ensure_ref()],
-        args=[(p, addr, roots, base_case, max_depth, pins)] * p,
-    )
-    # re-play the model from the PEs' charge logs, in the order a
-    # step-by-step driver would have charged it
-    machine.replay_charges([head + log for _, log in vals])
-    return vals[0][0]
+        base_case = int(max(64, 4 * np.sqrt(machine.p)))
+    out, _ = machine.run_command(
+        _ms_kernel, data._ensure_ref(), (roots, base_case, max_depth, pins))
+    return out
 
 
 def quantiles(machine: Machine, data: DistArray, qs) -> list:

@@ -62,41 +62,42 @@ class MsSelectStats:
     comm_rounds: int
 
 
-def run_sorted(machine: Machine, seqs, kernel, check) -> list[tuple]:
-    """Run a sorted-input selection as ONE worker command.
+def run_sorted(machine: Machine, seqs, gen, check) -> tuple[int, list]:
+    """Run the sorted-input selection generator ``gen`` as ONE worker
+    command.
 
     ``seqs`` is one sorted sequence per PE: arrays or
     :class:`SortedSequence` adapters, which ride along with the command
     (adapters must pickle on real backends), or a
     :class:`~repro.machine.DistArray` of sorted chunks, which stays
     where it is.  ``check(n)`` validates the caller's ranks against the
-    global size ``n`` and returns the kernel's trailing arguments; a
-    refused call is neither charged, sent nor drawn for.  The one
-    command runs ``kernel(rank, seq, p, addr, n, *args)`` on every PE
-    under one fresh draw address; each kernel returns its result
-    followed by its charge log, which the driver replays behind the
-    one-word all-reduction of the size.  Returns the per-PE results
-    without the logs.
+    global size ``n`` and returns ``(ranks, options)``; a refused call
+    is neither charged, sent nor drawn for.  Every PE runs
+    ``gen(rank, p, seq, *ranks, n, addr, log, **options)`` under one
+    fresh draw address, the one-word all-reduction of the size heading
+    its log.  Returns ``(collectives, results)``: the number of
+    collectives the call is charged and every PE's result.
     """
     p = machine.p
-    resident = isinstance(seqs, DistArray)
-    if resident:
-        n = seqs.global_size
+    if isinstance(seqs, DistArray):
+        n, source = seqs.global_size, seqs._ensure_ref()
     else:
-        seqs = [as_sorted_seq(s) for s in seqs]
-        if len(seqs) != p:
-            raise ValueError(f"need one sequence per PE (p={p}, got {len(seqs)})")
-        n = sum(len(s) for s in seqs)
-    args = check(n)
-    refs = [seqs._ensure_ref()] if resident else []
-    addr = machine.draw_addr()
-    _, vals = machine.backend.run_spmd(
-        kernel, refs,
-        args=[((p,) if resident else (seqs[i], p)) + (addr, n, *args)
-              for i in range(p)],
-    )
-    machine.replay_charges([[("allreduce", 1)] + v[-1] for v in vals])
-    return [v[:-1] for v in vals]
+        source = [as_sorted_seq(s) for s in seqs]
+        if len(source) != p:
+            raise ValueError(f"need one sequence per PE (p={p}, got {len(source)})")
+        n = sum(len(s) for s in source)
+    ranks, options = check(n)
+    return machine.run_command(_sorted_cmd, source, (gen, ranks, n, options))
+
+
+def _sorted_cmd(rank: int, p: int, seq, take, log: list, gen, ranks: tuple,
+                n: int, options: dict):
+    """:func:`run_sorted`'s command on one PE: the size the driver
+    tracks heads the log, then ``gen`` draws from the command's one
+    address.  Returns the collectives charged and this PE's result."""
+    log.append(("allreduce", 1))
+    result = yield from gen(rank, p, as_sorted_seq(seq), *ranks, n, take(), log, **options)
+    return sum(entry[0] != "ops" for entry in log), result
 
 
 def ms_select(
@@ -125,10 +126,11 @@ def ms_select(
         Remaining window size below which the PEs finish sequentially
         on the gathered windows.
     """
-    value, rounds, comm_rounds = run_sorted(
-        machine, seqs, _exact_kernel,
-        lambda n: (ms_select_gen, check_rank(k, n), base_case, max_rounds),
-    )[0]
+    comm_rounds, results = run_sorted(
+        machine, seqs, ms_select_gen,
+        lambda n: ((check_rank(k, n),), {"base_case": base_case, "max_rounds": max_rounds}),
+    )
+    value, rounds = results[0]
     return MsSelectStats(value, rounds, comm_rounds) if return_stats else value
 
 
@@ -146,26 +148,11 @@ def ms_select_with_cuts(
     ``seqs`` is as for :func:`ms_select`; :func:`ms_select_with_cuts_gen`
     runs as one worker command.
     """
-    vals = run_sorted(
-        machine, seqs, _exact_kernel,
-        lambda n: (ms_select_with_cuts_gen, check_rank(k, n), base_case,
-                   max_rounds),
+    _, results = run_sorted(
+        machine, seqs, ms_select_with_cuts_gen,
+        lambda n: ((check_rank(k, n),), {"base_case": base_case, "max_rounds": max_rounds}),
     )
-    return vals[0][0], [v[1] for v in vals]
-
-
-def _exact_kernel(rank: int, seq, p: int, addr, n: int, gen, k: int,
-                  base_case: int, max_rounds: int):
-    """The exact selection generator ``gen`` as one worker command,
-    pivots drawn from the shared stream; its result is followed by the
-    number of collectives the call is charged (the size all-reduction
-    heading the log included)."""
-    log: list = []
-    result = yield from gen(
-        rank, p, as_sorted_seq(seq), k, n, addr.shared(), log,
-        base_case=base_case, max_rounds=max_rounds,
-    )
-    return (*result, 1 + sum(entry[0] != "ops" for entry in log), log)
+    return results[0][0], [r[1] for r in results]
 
 
 def _count_lt(seq: SortedSequence, v, lo: int, hi: int) -> int:
@@ -189,32 +176,32 @@ def _count_lt(seq: SortedSequence, v, lo: int, hi: int) -> int:
 # ----------------------------------------------------------------------
 #
 # Each rank sees only its own sequence.  Embedded collectives are
-# ``yield``ed, randomness comes from counter-addressed streams the
-# calling kernel derives in place (:mod:`repro.machine.ctrrng` -- no
-# state crosses the wire), and every charge is appended to ``log`` for
-# :meth:`Machine.replay_charges`.  The public selectors above run them
-# as one worker command each (:func:`run_sorted`); the bulk priority
-# queues run them by ``yield from`` inside their own commands, where
-# their trees live.
+# ``yield``ed, randomness comes from the streams of the draw address
+# ``addr`` the calling kernel hands in, derived in place
+# (:mod:`repro.machine.ctrrng` -- no state crosses the wire), and every
+# charge is appended to ``log`` for :meth:`Machine.replay_charges`.
+# The public selectors above run them as one worker command each
+# (:func:`run_sorted`); the bulk priority queues and DTA run them by
+# ``yield from`` inside their own commands, where their data lives.
 
-def ms_select_gen(rank, p, seq, k, n, shared_rng, log, *, base_case=64,
+def ms_select_gen(rank, p, seq, k, n, addr, log, *, base_case=64,
                   max_rounds=200):
     """SPMD generator: globally k-th smallest over per-rank sorted views.
 
     ``seq`` is this rank's :class:`SortedSequence`-style view and ``n``
     the global size, which the caller knows (no collective learns it);
-    ``shared_rng`` a replicated generator the caller derives from a
-    counter draw address (``addr.shared(...)`` -- every rank constructs
-    the identical stream).  Yields one ``allreduce_exscan``, then two
+    the pivots are drawn from the replicated stream of the counter draw
+    address ``addr`` (``addr.shared()`` -- every rank constructs the
+    identical stream).  Yields one ``allreduce_exscan``, then two
     collectives per round and the base case's allgather; returns
     ``(value, rounds)``.
     """
     value, rounds, _ = yield from _search_gen(
-        rank, p, seq, k, n, shared_rng, log, base_case, max_rounds)
+        rank, p, seq, k, n, addr.shared(), log, base_case, max_rounds)
     return value, rounds
 
 
-def ms_select_with_cuts_gen(rank, p, seq, k, n, shared_rng, log, *,
+def ms_select_with_cuts_gen(rank, p, seq, k, n, addr, log, *,
                             base_case=64, max_rounds=200):
     """SPMD generator: k-th smallest plus this rank's exact cut.
 
@@ -225,7 +212,7 @@ def ms_select_with_cuts_gen(rank, p, seq, k, n, shared_rng, log, *,
     across ranks.
     """
     value, rounds, cut = yield from _search_gen(
-        rank, p, seq, k, n, shared_rng, log, base_case, max_rounds)
+        rank, p, seq, k, n, addr.shared(), log, base_case, max_rounds)
     return value, cut(), rounds
 
 

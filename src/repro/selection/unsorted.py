@@ -70,18 +70,21 @@ def default_base_case(p: int) -> int:
 # Resident worker callbacks (module-level so real backends can ship them)
 # ----------------------------------------------------------------------
 
-def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
-                   sample_factor: float, base_case: int, max_rounds: int,
-                   log: list):
+def select_kth_gen(rank: int, p: int, chunk: np.ndarray, take, log: list, k: int,
+                   n: int, sample_factor: float = 1.0, base_case: int | None = None,
+                   max_rounds: int = 64):
     """The whole recursion of Algorithm 1, executed where the chunk lives.
 
-    SPMD generator.  Per level: draw the Bernoulli(rho) sample *in the
-    kernel* from the counter-addressed stream (``addr.local(rank,
-    draw=level)`` -- the same bits on every backend, with nothing but
-    the tiny address on the wire), share it (in-worker allgather), pick
-    the Floyd-Rivest pivots from the replicated union, count the local
-    slice's three parts, combine the two-word part counts (in-worker
-    allreduce) and continue in the part holding rank ``k``, the only
+    SPMD generator, in the calling convention of
+    :meth:`Machine.run_command` (``take()`` hands out the command's next
+    draw address; this takes one, at the start).  Per level: draw the
+    Bernoulli(rho) sample *in the kernel* from the counter-addressed
+    stream (the address's local stream, moved to ``draw=level`` -- the
+    same bits on every backend, with nothing but the tiny address on
+    the wire), share it (in-worker allgather), pick the Floyd-Rivest
+    pivots from the replicated union, count the local slice's three
+    parts, combine the two-word part counts (in-worker allreduce) and
+    continue in the part holding rank ``k``, the only
     one ever copied (``k`` and the global size ``n`` are updated from
     the replicated counts, so every rank takes the same branch).  Once
     ``n <= base_case`` (or after ``max_rounds`` levels) the residual elements
@@ -89,8 +92,15 @@ def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
 
     Every charge a step-by-step driver would make is appended to
     ``log`` for :meth:`Machine.replay_charges`, in that driver's order.
-    Returns ``(value, rounds, sample_total, base_case_size)``.
+    ``base_case`` defaults to :func:`default_base_case`.  Returns
+    ``(value, rounds, sample_total, base_case_size)``.
     """
+    # one draw address for the whole recursion; each level subdivides
+    # it via its ``draw=level`` slot, so the number of levels (which
+    # varies with the data) never perturbs any later caller's draws
+    addr = take()
+    if base_case is None:
+        base_case = default_base_case(p)
     rounds = sample_total = 0
     gen = addr.local(rank)  # one handle per command, moved every level
     while n > base_case and rounds < max_rounds:
@@ -145,34 +155,37 @@ def select_kth_gen(rank: int, chunk: np.ndarray, p: int, addr, k: int, n: int,
     return value, rounds, sample_total, rest_size
 
 
-def _select_kernel(rank: int, chunk: np.ndarray, *args):
-    """:func:`select_kth_gen` as one worker command: the selection's
-    result plus this PE's charge log."""
-    log: list = []
-    stats = yield from select_kth_gen(rank, chunk, *args, log)
-    return stats, log
+def _select_kth_cmd(rank: int, p: int, chunk: np.ndarray, take, log: list, *args):
+    """:func:`select_kth` where the chunk lives: the one-word
+    all-reduction of the size the driver tracks heads the log, then
+    :func:`select_kth_gen` (which pays a single collective per level,
+    updating ``n`` from the part counts it already received)."""
+    log.append(("allreduce", 1))
+    return (yield from select_kth_gen(rank, p, chunk, take, log, *args)), None
 
 
-def _topk_cut_kernel(rank: int, chunk: np.ndarray, threshold, k: int):
+def _topk_cut_kernel(rank: int, p: int, chunk: np.ndarray, take, log: list,
+                     threshold, k: int):
     """Count + tie-grant + cut as ONE SPMD step (one backend round trip).
 
     The below/equal counts ride one fused in-worker
     ``allreduce_exscan`` (total below + tie prefix, the schedule
     :func:`repro.topk.dta.winners_gen` grants its ties with); each PE
     then grants its tie quota and cuts locally, so the selected
-    elements never leave the worker.  Returns the cut chunk plus the small
-    ``(below, equal, selected)`` count triple the driver re-plays the
-    cost model from.
+    elements never leave the worker.  Returns this PE's cut size and
+    the cut, which stays resident.
     """
     n_below, n_eq = topk_count(chunk, threshold)
+    log.append(("ops", int(chunk.size)))
     counts = np.array([n_below, n_eq], dtype=np.int64)
     totals, prefix = yield (
         "allreduce_exscan", counts, "sum", np.zeros(2, dtype=np.int64)
     )
+    log.append(("allreduce_exscan", 2))
     quota = k - int(totals[0])
     keep_eq = int(np.clip(quota - int(prefix[1]), 0, n_eq))
     sel = topk_cut(chunk, threshold, keep_eq)
-    return sel, (n_below, n_eq, sel.size)
+    return None, sel.size, sel
 
 
 def select_kth(
@@ -211,27 +224,12 @@ def select_kth(
     -------
     The k-th smallest value (a Python scalar), or stats including it.
     """
-    p = machine.p
     n = data.global_size
     k = check_rank(k, n)
-    if base_case is None:
-        base_case = default_base_case(p)
-
-    # One all-reduction establishes the global size (the driver tracks
-    # the sizes, so it heads the kernel's charge log); afterwards every
-    # PE updates n locally from the part counts it already received, so
-    # the recursion pays a single collective per level instead of two.
-    # one draw address for the whole recursion; each level subdivides it
-    # via its ``draw=level`` slot, so the number of levels (which varies
-    # with the data) never perturbs any later caller's draws
-    addr = machine.draw_addr()
-    _, vals = machine.backend.run_spmd(
-        _select_kernel,
-        [data._ensure_ref()],
-        args=[(p, addr, k, n, sample_factor, base_case, max_rounds)] * p,
-    )
-    machine.replay_charges([[("allreduce", 1)] + log for _, log in vals])
-    stats = SelectionStats(*vals[0][0])
+    stats, _ = machine.run_command(
+        _select_kth_cmd, data._ensure_ref(),
+        (k, n, sample_factor, base_case, max_rounds))
+    stats = SelectionStats(*stats)
     return stats if return_stats else stats.value
 
 
@@ -255,21 +253,9 @@ def select_topk_smallest(
     n = data.global_size
     k = check_rank(k, n)
     threshold = select_kth(machine, data, k, **kwargs)
-    p = machine.p
-    refs, vals = machine.backend.run_spmd(
-        _topk_cut_kernel,
-        [data._ensure_ref()],
-        n_out=1,
-        args=[(threshold, k)] * p,
-    )
-    # re-play the model: the local counting pass, then the fused
-    # two-word collective (same charges the step-by-step driver made)
-    machine.replay_charges(
-        [[("ops", s), ("allreduce_exscan", 2)] for s in data.sizes().tolist()])
-    out = DistArray(
-        machine, ref=refs[0], sizes=[v[2] for v in vals], dtype=data.dtype
-    )
-    return out, threshold
+    _, sizes, ref = machine.run_command(
+        _topk_cut_kernel, data._ensure_ref(), (threshold, k), n_addrs=0, keep=True)
+    return DistArray(machine, ref=ref, sizes=sizes, dtype=data.dtype), threshold
 
 
 def select_topk_largest(

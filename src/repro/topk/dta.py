@@ -24,7 +24,7 @@ Expected time ``O(m^2 log^2 K + beta m log K + alpha log p log K)``
 distributed selection on their relevances, verifying (and if needed
 growing ``K``) until the output provably contains the true top-k.
 
-Each call is ONE worker command (:func:`repro.frequent.dht.run_pipeline`):
+Each call is ONE worker command (:meth:`repro.machine.Machine.run_command`):
 every PE's :class:`LocalIndex` rides the command, and the PEs run the
 search themselves, as in the paper -- one all-reduction of the object
 count, then per probe ``m`` amsSelects (:func:`ams_select_gen` over the
@@ -42,11 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..frequent.dht import run_pipeline
 from ..machine import Machine
 from ..selection.accessors import ArraySeq
 from ..selection.flexible import ams_select_gen
-from ..selection.unsorted import default_base_case, select_kth_gen
+from ..selection.unsorted import select_kth_gen
 from .index import LocalIndex
 from .scoring import ScoringFunction
 
@@ -134,8 +133,8 @@ def dta_prefixes(
     """
     options = _search(**search)
     check_indexes(machine, indexes, k)
-    (_, head, _), cuts = run_pipeline(
-        machine, indexes, _dta_cmd, (scorer, k, options, None), n_addrs=0)
+    (_, head, _), cuts = machine.run_command(
+        _dta_cmd, indexes, (scorer, k, options, None), n_addrs=0)
     return _prefixes(head, cuts)
 
 
@@ -161,8 +160,8 @@ def dta_topk(
     """
     options = _search(**search)
     check_indexes(machine, indexes, k)
-    (items, head, exact), cuts = run_pipeline(
-        machine, indexes, _dta_cmd, (scorer, k, options, max_growth), n_addrs=0)
+    (items, head, exact), cuts = machine.run_command(
+        _dta_cmd, indexes, (scorer, k, options, max_growth), n_addrs=0)
     return DTAResult(items, _prefixes(head, cuts), exact)
 
 
@@ -215,10 +214,8 @@ def _search_gen(rank: int, p: int, ix: LocalIndex, cols: list, n_total: int, tak
         # amsSelect per criterion: threshold x_c and this PE's cut
         xs, cuts = [], []
         for col in cols:
-            addr = take()
             value, _, cut, _, _ = yield from ams_select_gen(
-                rank, p, col, K, min(2 * K, n_total), n_total,
-                addr.local(rank), addr.shared(), log)
+                rank, p, col, K, min(2 * K, n_total), n_total, take(), log)
             xs.append(-float(value))
             cuts.append(int(cut))
         tmin = scorer(np.asarray(xs))
@@ -281,8 +278,7 @@ def winners_gen(rank: int, p: int, ids: np.ndarray, rel: np.ndarray, k: int, n: 
     winners' total and grants the threshold ties in PE order, so
     exactly ``k`` win; one allgather shares them.
     """
-    value, *_ = yield from select_kth_gen(
-        rank, -rel, p, take(), k, n, 1.0, default_base_case(p), 64, log)
+    value, *_ = yield from select_kth_gen(rank, p, -rel, take, log, k, n)
     thr = -value
     strict, tied = rel > thr, rel == thr
     log.append(("ops", float(rel.size)))

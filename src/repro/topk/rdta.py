@@ -11,7 +11,7 @@ selection algorithm.  Otherwise ``k_hat`` doubles and the scan resumes
 -- PEs whose local threshold is already below the current k-th best
 relevance may sit out the extra scanning.
 
-A call is ONE worker command (:func:`repro.frequent.dht.run_pipeline`):
+A call is ONE worker command (:meth:`repro.machine.Machine.run_command`):
 every PE's index rides it, each round is a local TA pass plus two
 all-reductions, and the winners are selected by the piece DTA ends with
 (:func:`~repro.topk.dta.winners_gen`).
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..frequent.dht import run_pipeline
 from ..machine import Machine
 from .dta import check_indexes, winners_gen
 from .index import LocalIndex
@@ -70,7 +69,7 @@ def rdta_topk(
         initial per-PE candidate budget.
     """
     check_indexes(machine, indexes, k)
-    answer, _ = run_pipeline(machine, indexes, _rdta_cmd, (scorer, k, slack, max_rounds))
+    answer, _ = machine.run_command(_rdta_cmd, indexes, (scorer, k, slack, max_rounds))
     if answer is None:
         raise RuntimeError(
             "RDTA failed to verify a threshold; data placement is "

@@ -7,7 +7,8 @@ window's global size with one more sum-reduction of every PE's
 ``hi - lo``; the size is the over-pivot's replicated count minus the
 count of the under-pivot that moved ``lo`` in the same round (zero if
 none did), so the generator now derives it.  :func:`reference_gen` is
-the former generator, kept here verbatim; both run through the same
+the former generator (in the generators' current calling convention,
+a draw address in place of two streams); both run through the same
 one-command driver and must agree on the value, ``k_hat``, every cut,
 the rounds, the fallback flag and the draw addresses taken, on
 duplicate-heavy inputs with empty PEs, narrow ranges and short round
@@ -30,11 +31,11 @@ from repro.selection.flexible import (
 from repro.selection.sorted_select import ms_select_with_cuts_gen
 
 
-def reference_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng, log, *,
-                  d=8, max_rounds=40):
+def reference_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, d=8, max_rounds=40):
     """``ams_select_batched_gen`` as it was before the window size was
     derived: an over-estimate all-reduces ``hi - lo``."""
     k_lo, k_hi = check_rank_range(k_lo, k_hi, n)
+    local_rng = addr.local(rank)
     dtype = _key_dtype(seq)
     floats = dtype.kind == "f"
     no_pick = np.inf if floats else np.iinfo(dtype).max
@@ -92,7 +93,7 @@ def reference_gen(rank, p, seq, k_lo, k_hi, n, local_rng, shared_rng, log, *,
             log.append(("allreduce", 1))
 
     value, rel_cut, _ = yield from ms_select_with_cuts_gen(
-        rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, shared_rng, log
+        rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, addr, log
     )
     return value, accepted_total + cur_lo, accepted + rel_cut, max_rounds, True
 

@@ -6,7 +6,7 @@ driver: the test harness of :func:`repro.frequent.dht.sample_keys`,
 :func:`repro.frequent.ec.exact_counts_gen`.
 
 Each call is ONE worker command sent through
-:func:`repro.frequent.dht.run_pipeline`, the per-PE values riding
+:meth:`repro.machine.Machine.run_command`, the per-PE values riding
 along, its charges replayed as the pipelines' are.  Tables come back as
 one key-sorted ``{key: count}`` dict per PE, the selection as a list of
 ``(key, count)`` by (count desc, key asc).
@@ -18,7 +18,6 @@ from repro.frequent.dht import (
     exchange_gen,
     integer_key_dtype,
     local_table,
-    run_pipeline,
     sample_keys,
     topk_entries_gen,
     tree_merge_gen,
@@ -85,17 +84,15 @@ def exchange(machine, tables, salt=0, width=2.0):
     the count of each) to their owners, an entry costing ``width`` words
     on the wire."""
     lead = _key_sorted(tables)
-    _, owned = run_pipeline(
-        machine, lead, _exchange_gen,
-        (_dtype([keys for keys, _ in lead]), salt, width), n_addrs=0)
+    _, owned = machine.run_command(
+        _exchange_gen, lead, (_dtype([keys for keys, _ in lead]), salt, width), n_addrs=0)
     return _dicts(owned)
 
 
 def count(machine, samples, salt=0):
     """Count ``samples[i]`` (PE ``i``'s keys) into the table."""
     samples = [np.asarray(s) for s in samples]
-    _, owned = run_pipeline(machine, samples, _count_gen, (_dtype(samples), salt),
-                            n_addrs=0)
+    _, owned = machine.run_command(_count_gen, samples, (_dtype(samples), salt), n_addrs=0)
     return _dicts(owned)
 
 
@@ -105,24 +102,24 @@ def topk(machine, dicts, k):
     lead = _key_sorted([(np.fromiter(d, dtype=np.int64, count=len(d)),
                          np.fromiter(d.values(), dtype=np.int64, count=len(d)))
                         for d in dicts])
-    items, _ = run_pipeline(machine, lead, _topk_gen,
-                            (_dtype([keys for keys, _ in lead]), k))
+    items, _ = machine.run_command(_topk_gen, lead,
+                                   (_dtype([keys for keys, _ in lead]), k))
     return items
 
 
 def exact_counts(machine, data, keys):
     """Exact global counts of ``keys`` in the resident ``data``
     (``None`` without keys)."""
-    exact, _ = run_pipeline(machine, data._ensure_ref(), _exact_gen,
-                            (np.asarray(keys),), n_addrs=0)
+    exact, _ = machine.run_command(_exact_gen, data._ensure_ref(),
+                                   (np.asarray(keys),), n_addrs=0)
     return exact
 
 
 def sample(machine, data, rho):
     """Every PE's Bernoulli(``rho``) sample of the resident ``data``,
     drawn where its chunk lives from the next draw address."""
-    _, samples = run_pipeline(machine, data._ensure_ref(), _sample_gen,
-                              (machine.draw_addr(), rho), n_addrs=0)
+    _, samples = machine.run_command(_sample_gen, data._ensure_ref(),
+                                     (machine.draw_addr(), rho), n_addrs=0)
     return samples
 
 
@@ -137,5 +134,5 @@ def merge_dicts(a: dict, b: dict) -> dict:
 def tree_merge(machine, values, merge=merge_dicts):
     """``values[i]`` (PE ``i``'s) merged into PE 0 up the binomial tree:
     one entry per PE, the merge at PE 0 and ``None`` elsewhere."""
-    _, merged = run_pipeline(machine, list(values), _tree_gen, (merge,), n_addrs=0)
+    _, merged = machine.run_command(_tree_gen, list(values), (merge,), n_addrs=0)
     return merged

@@ -1,4 +1,4 @@
-"""Golden fixtures for the repro-lint checks (RL001 -- RL011).
+"""Golden fixtures for the repro-lint checks (RL001 -- RL012).
 
 Every check has at least one firing case, one non-firing case, and one
 suppression case, so a behavior change in any check breaks a fixture
@@ -347,9 +347,9 @@ class TestRL002:
         )
         assert len(found) == 1
 
-    @pytest.mark.parametrize("name", ["run_pipeline"])
+    @pytest.mark.parametrize("name", ["run_command"])
     def test_fires_on_dict_view_into_hash_table_call(self, name):
-        # run_pipeline carries a per-PE source list into one command,
+        # run_command carries a per-PE source list into one command,
         # whether spelled f(machine, ...) or machine.f(...), alone or
         # riding beside a kept table's ref
         for call in (f"{name}(machine, tables)", f"machine.{name}(tables)",
@@ -1015,6 +1015,57 @@ class TestRL011:
 
 
 # ----------------------------------------------------------------------
+# RL012 -- commands around the one command path
+# ----------------------------------------------------------------------
+
+class TestRL012:
+    SRC = """
+        def send(machine, data, backend):
+            machine.backend.run_spmd(_kernel, [data._ensure_ref()])
+            refs, _ = self.machine.backend.submit_spmd(_kernel, [], n_out=1)
+            refs, _, _ = machine.backend.map_resident(_make, [], n_out=1)
+            backend.run_spmd(_kernel, [])
+        """
+
+    def test_fires_outside_the_machine_package(self):
+        found = hits(self.SRC, "RL012", path="src/repro/pqueue/bulk_pq.py")
+        assert [f.line for f in found] == [3, 4, 5, 6]
+        assert ".backend.run_spmd()" in found[0].message
+        assert "Machine.run_command" in found[0].message
+
+    def test_silent_inside_the_machine_package(self):
+        assert not hits(self.SRC, "RL012", path="src/repro/machine/comm.py")
+        assert not hits(self.SRC, "RL012", path="src/repro/machine/dist_array.py")
+
+    def test_clean_on_the_command_path(self):
+        assert not hits(
+            """
+            def send(machine, data, worker):
+                machine.run_command(_kernel, data._ensure_ref(), (1,))
+                machine.backend.get_chunks(ref)
+                worker.run_spmd(_kernel, [])
+            """,
+            "RL012",
+            path="src/repro/selection/unsorted.py",
+        )
+
+    def test_suppression(self):
+        found = [
+            f
+            for f in lint(
+                """
+                def f(machine):
+                    machine.backend.run_spmd(k, [])  # repro-lint: disable=RL012 -- a probe
+                """,
+                path="src/repro/bench/experiments.py",
+            )
+            if f.check == "RL012"
+        ]
+        assert len(found) == 1
+        assert found[0].suppressed
+
+
+# ----------------------------------------------------------------------
 # Framework: suppressions, config, CLI
 # ----------------------------------------------------------------------
 
@@ -1022,7 +1073,7 @@ class TestFramework:
     def test_all_checks_registered(self):
         assert set(all_checks()) >= {
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL008",
-            "RL009", "RL011",
+            "RL009", "RL011", "RL012",
         }
         # RL007 linted around the driver's dependency tracker, which
         # went with pipelined issue: a command completes before the next

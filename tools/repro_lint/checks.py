@@ -1,4 +1,4 @@
-"""The repro-lint check catalogue (RL001 -- RL011; RL007 and RL010 are
+"""The repro-lint check catalogue (RL001 -- RL012; RL007 and RL010 are
 retired).
 
 Every check targets one hand-maintained invariant of the backend
@@ -33,6 +33,10 @@ RL011     charging around the charge log outside ``repro/machine/``: a
           call to a private ``Machine`` meter / charge / collective
           helper, any call through ``.clock.``, or a write through
           ``.metrics.`` (``charge``, ``record_p2p``, ``record_schedule``)
+RL012     a worker command issued around the one command path outside
+          ``repro/machine/``: a ``.backend.run_spmd`` /
+          ``.backend.submit_spmd`` / ``.backend.map_resident`` call
+          (use ``Machine.run_command``)
 ========  ==============================================================
 
 Adding a check: subclass :class:`~tools.repro_lint.core.Check`, give it
@@ -96,8 +100,8 @@ ACCEPTED_CHARGE_KINDS = {
 }
 
 #: machine/backend collective entry points whose arguments travel, and
-#: repro.frequent.dht's ``run_pipeline``, whose per-PE source list
-#: rides its one command (called as ``m.f(...)`` or ``f(m, ...)``)
+#: ``Machine.run_command``, whose per-PE source list rides its one
+#: command (called as ``m.f(...)`` or ``f(m, ...)``)
 COLLECTIVE_CALL_NAMES = {
     "allgather",
     "allreduce",
@@ -108,7 +112,7 @@ COLLECTIVE_CALL_NAMES = {
     "gather",
     "reduce",
     "reduce_allgather",
-    "run_pipeline",
+    "run_command",
     "scan",
     "scatter",
     "send",
@@ -1157,4 +1161,40 @@ class ChargeOutsideTheLog(Check):
                     f"call to {what} outside repro/machine/: every charge is "
                     f"a charge-log entry through comm.METERS (replay_charges, "
                     f"collective) or per-PE local work (charge_ops)"))
+        return findings
+
+
+# ----------------------------------------------------------------------
+# RL012 -- commands around the one command path
+# ----------------------------------------------------------------------
+
+#: the ``Backend`` methods that send a worker command
+_COMMAND_METHODS = {"run_spmd", "submit_spmd", "map_resident"}
+
+
+@register_check
+class CommandOutsideTheRunner(Check):
+    id = "RL012"
+    summary = (
+        "outside repro/machine/, issue a worker command only through "
+        "Machine.run_command: no .backend.run_spmd / submit_spmd / "
+        "map_resident call"
+    )
+
+    def run(self, ctx: FileContext) -> list[Finding]:
+        if "repro/machine/" in ctx.path.replace("\\", "/"):
+            return []  # the machine package is where commands are built
+        findings: list[Finding] = []
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _COMMAND_METHODS):
+                continue
+            owner = node.func.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "backend") or (
+                    isinstance(owner, ast.Name) and owner.id == "backend"):
+                findings.append(ctx.finding(
+                    self.id, node,
+                    f"call to .backend.{node.func.attr}() outside repro/machine/: "
+                    f"a command is built, drawn for and settled in one place, "
+                    f"Machine.run_command"))
         return findings
