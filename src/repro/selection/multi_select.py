@@ -16,7 +16,10 @@ to its slice and loops over levels in place; one level is two
 ``yield from`` halves:
 
 * the **sample-extract half** draws each split segment's Bernoulli
-  sample where the data lives (counter-addressed randomness,
+  sample at rate ``SAMPLE_FACTOR sqrt(p) / n`` (``7/4``: at p = 2 a
+  union of expected size ``sqrt(2)`` is empty a quarter of the time,
+  and each empty union is an allgather that makes no progress) where
+  the data lives (counter-addressed randomness,
   :mod:`repro.machine.ctrrng` -- the driver ships a tiny draw address,
   never index arrays or generator state) and fuses every segment's
   sample (plus finishing segments' residual content) into one
@@ -40,6 +43,12 @@ off the merged blocks -- the textbook keep-k merge reduction, at most
 ``2 T ceil(log2 p)`` words, which is a base case's worth.  So a top-k
 block, rank 1 or a quantile near 0 or 1 costs one all-reduction, and a
 deep segment whose ranks land near its edge finishes a level early.
+A segment of at most ``base_case`` elements finishes the same way
+instead of allgathering its residual: each rank goes to the block of
+its nearer end (reach ``max(T, n // 2 + 1)``) whenever all ``p`` PEs'
+blocks together hold no more than the residual, ``(w_lo + w_hi) p <=
+n``, so a level whose every segment is small and has its ranks near
+its ends pays the all-reduction alone.
 The one-rank :func:`~repro.selection.unsorted.select_kth_gen` keeps
 Algorithm 1 throughout (the frequent pipelines select their threshold
 through it, where a duplicate pivot ends a count multiset's recursion
@@ -104,6 +113,9 @@ from .sequential import fr_pivots
 
 __all__ = ["multi_select", "multi_select_windows", "quantiles"]
 
+#: a split segment's Bernoulli rate is ``SAMPLE_FACTOR sqrt(p) / n``
+SAMPLE_FACTOR = 7 / 4
+
 
 # ----------------------------------------------------------------------
 # Resident worker kernels (module-level so real backends can ship them)
@@ -136,6 +148,19 @@ def _end_widths(ranks: tuple, n: int, reach: int):
     if high and n - high[0] >= reach:
         return None
     return (low[-1] if low else 0), (n - high[0] + 1 if high else 0)
+
+
+def _finish_widths(ranks: tuple, n: int, p: int, base_case: int, reach: int):
+    """``(w_lo, w_hi)`` when a segment finishes by its end blocks in the
+    level's all-reduction, ``None`` when it splits or allgathers its
+    residual.  A segment above the base case needs every rank within
+    ``reach`` of an end.  A base-case segment puts each rank in the
+    block of its nearer end, and takes the blocks when all ``p`` PEs'
+    blocks together hold no more than the residual would have sent."""
+    if n > base_case:
+        return _end_widths(ranks, n, reach)
+    ends = _end_widths(ranks, n, max(reach, n // 2 + 1))
+    return ends if ends is not None and (ends[0] + ends[1]) * p <= n else None
 
 
 def _local_ends(arr: np.ndarray, w_lo: int, w_hi: int):
@@ -248,10 +273,13 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
                       force: bool, log: list):
     """Sample-extract half of one recursion level.
 
-    A segment larger than the base case whose ranks all lie within
-    :func:`_end_reach` of its ends draws nothing and sends nothing
-    here: its local end blocks are cut out for the count half's
-    all-reduction.  Every other segment draws its Bernoulli sample
+    A segment that :func:`_finish_widths` finishes at its ends (one
+    larger than the base case whose ranks all lie within
+    :func:`_end_reach` of its ends, or a base-case segment whose end
+    blocks are no larger than its residual) draws nothing and sends
+    nothing here: its local end blocks are cut out for the count half's
+    all-reduction.  Every other base-case segment sends its residual;
+    every other segment draws its Bernoulli sample
     indices in place from ``gen``, the command's handle at the level's
     address ``addr.local(rank, draw=level)`` (the whole multiselection
     owns one draw sequence; the level index subdivides it, so the
@@ -278,14 +306,14 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
     plans: list = []
     samples: list[np.ndarray] = []
     for arr, ranks, offset, n in segs:
-        ends = None if n <= base_case else _end_widths(ranks, n, reach)
+        ends = _finish_widths(ranks, n, p, base_case, reach)
         if ends is not None:
             plans.append(ends)
         elif n <= base_case or force:
             plans.append(None)
             samples.append(arr)  # residual content is small by now
         else:
-            rho = min(1.0, np.sqrt(p) / n)
+            rho = min(1.0, SAMPLE_FACTOR * np.sqrt(p) / n)
             idx = bernoulli_sample_indices(gen, int(arr.size), rho)
             plans.append(rho)
             samples.append(arr if idx is None else arr[idx])
@@ -354,6 +382,9 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
     block (:func:`_end_resolved`) or an exact pivot hit, whose counts are
     the part sizes below and through the pivot, and the same pairs for
     every split segment's pivots (:func:`_pivot_facts`), asked or not.
+    ``inter`` is emptied as it is read, so that a split segment's slice
+    and masks are freed once its parts are copied out instead of living
+    beside the whole next level.
     """
     counts_vec: list[int] = []
     ends: list[tuple] = []
@@ -377,7 +408,8 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
     found: list[tuple] = []
     pinned: list[tuple] = []
     ci = ei = 0
-    for entry in inter:
+    for i, entry in enumerate(inter):
+        inter[i] = None
         if entry is None:  # finished at the sample half
             continue
         if entry[0] == "retry":
@@ -461,6 +493,7 @@ def _ms_kernel(rank: int, p: int, chunk: np.ndarray, take, log: list, windows: l
         inter, finishes = yield from _ms_sample_kernel(
             rank, segs, p, gen, base_case, level >= max_depth, log
         )
+        segs = None  # ``inter`` holds the slices now
         segs, found, pinned = yield from _ms_count_kernel(rank, inter, log)
         for k, fact in finishes + found:  # an asked rank keeps its own value
             out[k] = _merged(fact, out[k]) if k in out else fact

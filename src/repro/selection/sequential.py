@@ -64,13 +64,24 @@ def quickselect(data: np.ndarray, k: int, rng: np.random.Generator | None = None
     return np.sort(work)[k - 1].item()
 
 
-def fr_pivots(sample: np.ndarray, k: int, n: int, delta_exp: float = 5.0 / 6.0) -> tuple:
+def fr_pivots(sample: np.ndarray, k: int, n: int) -> tuple:
     """Floyd-Rivest pivot pair from a *sorted* sample.
 
-    Pivots are the sample elements with ranks ``k * |S| / n +- Delta``
-    where ``Delta = |S|^delta_exp`` (the paper uses ``Delta =
-    p^(1/4+delta)`` with sample size ``Theta(sqrt(p))``, i.e.
-    ``Delta ~ |S|^(1/2+2*delta)``; ``delta = 1/6`` gives exponent 5/6).
+    The target of rank ``k`` among ``n`` elements sits near sample
+    position ``c = k |S| / n``; the pivots are the sample elements at
+    ``c -+ Delta``, clamped to the sample.  How many of ``|S|`` sample
+    elements fall below the target is binomial with mean ``c`` and
+    standard deviation ``sqrt(c (|S| - c) / |S|)``, so ``Delta`` is that
+    standard deviation, floored at half a gap so that the two positions
+    never meet: the pair keeps the target with constant probability and
+    the part between them holds about ``2 Delta n / |S|`` elements.
+
+    The paper's ``Delta = p^(1/4+delta)`` with a sample of
+    ``Theta(sqrt(p))`` (``Delta = |S|^(5/6)`` for ``delta = 1/6``) is an
+    asymptotic choice: it is at least ``|S| / 2`` for every ``|S| <
+    64``, so below p = 4096 both pivots sat at or next to the sample's
+    extremes and a level kept most of its segment.  With ``Delta`` one
+    standard deviation a level keeps an ``O(1 / sqrt(|S|))`` share.
 
     Returns ``(lo_pivot, hi_pivot)`` with ``lo_pivot <= hi_pivot``.
     """
@@ -78,7 +89,7 @@ def fr_pivots(sample: np.ndarray, k: int, n: int, delta_exp: float = 5.0 / 6.0) 
     if s == 0:
         raise ValueError("cannot pick pivots from an empty sample")
     center = k * s / max(n, 1)
-    delta = max(1.0, s**delta_exp)
+    delta = max(0.5, math.sqrt(max(center * (s - center), 0.0) / s))
     lo = min(max(math.floor(center - delta), 0), s - 1)
     hi = min(max(math.ceil(center + delta), 0), s - 1)
     return sample[lo], sample[hi]

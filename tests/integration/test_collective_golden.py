@@ -44,7 +44,10 @@ into the count reduction, and the cuts' tie-grant ``allreduce_exscan``);
 their values and draw addresses did not move.  The ``ams_select_batched``
 reports were re-recorded once more when an over-estimating round began
 to derive its window's size from its counts instead of all-reducing it
-(one start-up fewer per such round; values and draws unchanged).  Regenerate (``PYTHONPATH=src:. python
+(one start-up fewer per such round; values and draws unchanged).  The
+dSBF-retry, adaptive-escalate and PEC-capped reports that moved were
+re-recorded when the threshold selection's Floyd-Rivest pivots came to
+sit one standard deviation apart (values and draws unchanged).  Regenerate (``PYTHONPATH=src:. python
 tests/integration/test_collective_golden.py`` from the repository root)
 only when a result or cost change is intended, and from the parent of
 that change.

@@ -9,7 +9,12 @@ modeled-cost tuple of ``report()`` and the draw addresses allocated
 8} over uniform, duplicate-heavy, all-equal and empty-PE inputs,
 recorded at c838fc2 on sim.  The ``multi_select_topk`` (a top-8 block)
 and ``multi_select_ends`` (two ranks at each end) rows hold calls whose
-every rank sits at an end of the data; they were added at 92e3f43.  Regenerate (``python
+every rank sits at an end of the data; they were added at 92e3f43.  The ``select_kth``, ``multi_select``,
+``select_topk_smallest`` and ``top_k_frequent_pac`` reports that moved
+were re-recorded when the Floyd-Rivest pivots came to sit one standard
+deviation apart, ``multi_select`` sampled at ``7/4 sqrt(p) / n`` and a
+base-case segment began to finish by its end blocks (values and draw
+addresses unchanged).  Regenerate (``python
 tests/integration/test_selection_golden.py``) only when a result or cost
 change is intended, and from the parent of that change.
 """

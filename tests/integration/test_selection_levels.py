@@ -1,14 +1,21 @@
 """Integration: the number of selection levels beyond the golden tables' p.
 
-The golden tables stop at p = 8, where a level's start-ups are few and
-its words many.  A level of the unsorted selectors costs ``O(alpha log
-p)`` whatever it keeps, so at the paper's p the modeled start-ups count
-levels.  This table holds, on sim at 1 Ki int64 per PE over 8 seeds,
+The golden tables stop at p = 8.  A level of the unsorted selectors
+costs ``O(log p)`` start-ups whatever it keeps, so at the paper's p the
+modeled start-ups count levels.  This table holds, on sim at 1 Ki int64 per PE over 8 seeds,
 the mean bottleneck start-ups and words of one ``multi_select`` at the
 golden rank shape ``(1, n/4, n/2, n/2 + 1, n)`` and of
 ``select_kth(n/3 + 1)`` on the same machine after it, at p in {2, 8,
-64}.  ``PARENT`` is the table recorded at a91085c.  Run as a script to
-print the table at this commit.
+64}.  ``PARENT`` is the table recorded at a91085c, before the
+Floyd-Rivest pivots sat one standard deviation apart, ``multi_select``
+sampled at ``7/4 sqrt(p) / n`` and a base-case segment finished by its
+end blocks.  At p = 64 a call now pays at most ``GATE`` times the
+parent's start-ups, and at p = 8 no more than the parent.  At p = 2 an
+8-seed mean is noise (``select_kth`` read 16.25 -> 17.875 start-ups
+over these 8 seeds and 16.88 -> 16.85 over seeds 0-199), so that
+column is recorded, not gated.  ``PYTHONPATH=src python
+tests/integration/test_selection_levels.py`` prints the table at the
+current commit.
 """
 
 import numpy as np
@@ -26,6 +33,10 @@ PARENT = {
     "multi_select": {2: (17.625, 68.625), 8: (67.5, 197.75), 64: (196.5, 603.75)},
     "select_kth": {2: (16.25, 36.0), 8: (54.75, 99.875), 64: (140.25, 255.25)},
 }
+
+
+#: the most start-ups a call may pay at p = 64, as a share of the parent's
+GATE = {"multi_select": 0.6, "select_kth": 0.8}
 
 
 def _costs(p: int, seed: int) -> dict:
@@ -58,8 +69,11 @@ def table():
 
 
 @pytest.mark.parametrize("name", sorted(PARENT))
-def test_equals_the_recorded_table(table, name):
-    assert table[name] == PARENT[name]
+def test_fewer_start_ups_than_the_parent(table, name):
+    startups = {p: table[name][p][0] for p in PS}
+    parent = {p: PARENT[name][p][0] for p in PS}
+    assert startups[64] <= GATE[name] * parent[64], startups
+    assert startups[8] <= parent[8], startups
 
 
 if __name__ == "__main__":

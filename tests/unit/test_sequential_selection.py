@@ -1,5 +1,7 @@
 """Unit tests: sequential quickselect / Floyd-Rivest."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,45 @@ class TestFrPivots:
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
             fr_pivots(np.empty(0), 1, 10)
+
+    @pytest.mark.parametrize("s,k,n", [(2, 1, 2), (9, 3, 10), (40, 500, 1000),
+                                       (40, 1, 1000), (100, 999, 1000), (7, 7, 7)])
+    def test_delta_is_one_standard_deviation(self, s, k, n):
+        # positions c -+ max(1/2, sqrt(c (s - c) / s)), c = k s / n, clamped
+        sample = np.arange(s) * 10
+        c = k * s / n
+        delta = max(0.5, math.sqrt(c * (s - c) / s))
+        lo = min(max(math.floor(c - delta), 0), s - 1)
+        hi = min(max(math.ceil(c + delta), 0), s - 1)
+        assert fr_pivots(sample, k, n) == (sample[lo], sample[hi])
+
+    @pytest.mark.parametrize("k", [1, 50, 100])
+    def test_one_element_sample_gives_equal_pivots(self, k):
+        lo, hi = fr_pivots(np.array([3.5]), k, 100)
+        assert lo == hi == 3.5
+
+    def test_pivots_are_sample_members_and_clamp_at_both_ends(self, rng):
+        for s in range(1, 70):
+            sample = np.sort(rng.random(s))
+            for k, n in ((1, 10**6), (10**6, 10**6), (s, 2 * s), (1, 1)):
+                lo, hi = fr_pivots(sample, k, n)
+                assert lo in sample and hi in sample and lo <= hi
+            assert fr_pivots(sample, 1, 10**6)[0] == sample[0]
+            assert fr_pivots(sample, 10**6, 10**6)[1] == sample[-1]
+
+    def test_index_bracket_contains_the_target_position(self):
+        for s in range(1, 70):
+            sample = np.arange(s)  # a pivot's value is its index
+            for k in range(1, 201):
+                c = k * s / 200
+                lo, hi = fr_pivots(sample, k, 200)
+                assert lo <= min(c, s - 1) <= hi, (s, k)
+
+    def test_median_pivots_no_longer_span_the_sample(self):
+        # Delta = s^(5/6) >= s/2 put the pair at (S[0], S[-1]) for s < 64
+        for s in range(4, 64):
+            sample = np.arange(s)
+            assert fr_pivots(sample, 5000, 10_000) != (sample[0], sample[-1]), s
 
 
 class TestDispatch:
