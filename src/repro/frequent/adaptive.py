@@ -60,7 +60,6 @@ def _adaptive_gen(rank: int, p: int, chunk: np.ndarray, take, log: list,
     counts when it escalates."""
     sample = sample_keys(rank, chunk, sample_addr, rho0, log)
     probe_size = int((yield ("allreduce", int(sample.size), "sum")))
-    log.append(("allreduce", 1))
     table = local_table(sample.astype(dtype, copy=False), log)
     table, total = yield from count_gen(rank, p, table, log)
     keys, counts, _ = yield from topk_entries_gen(

@@ -22,9 +22,8 @@ entries with the unsorted selection algorithm of Section 4.1 (count
 ties resolved globally by ascending key, so the output size is exact).
 
 Everything here is an SPMD generator *piece*: it yields in-worker
-collectives, appends to ``log`` every charge a step-by-step driver
-would make (:meth:`Machine.replay_charges` replays them, so modeled
-cost is identical on every backend) and composes by ``yield from``.
+collectives (each charges itself), logs its local work in ``log`` and
+composes by ``yield from``.
 Every frequent-objects family strings the pieces into ONE worker
 command, sent by :meth:`Machine.run_command
 <repro.machine.Machine.run_command>`: sample, exchange, the
@@ -64,7 +63,7 @@ import numpy as np
 
 from ..common.hashing import key_owner
 from ..common.sampling import bernoulli_sample
-from ..machine import DistArray
+from ..machine import DistArray, charged
 from ..machine.cost import log2_ceil
 from ..machine.metrics import payload_words
 from ..selection.unsorted import select_kth_gen
@@ -141,8 +140,8 @@ def exchange_gen(rank: int, p: int, table: Table, salt: int, log: list,
         keys, counts = table
         owner = key_owner(keys, p, salt)
         row = [(keys[mine], counts[mine]) for mine in (owner == d for d in range(p))]
-        log.append(("alltoall", tuple(ceil(width * part[0].size) for part in row)))
-        received = yield ("alltoall", row)
+        received = yield charged(
+            ("alltoall", row), ("alltoall", tuple(ceil(width * part[0].size) for part in row)))
         log.append(("ops", sum(int(part[0].size) for part in received)))
         return merge_tables(received)
     for r in range(log2_ceil(p)):
@@ -151,8 +150,8 @@ def exchange_gen(rank: int, p: int, table: Table, salt: int, log: list,
         leaving = ((key_owner(keys, p, salt) ^ rank) & bit) != 0
         row: list = [None] * p
         row[rank ^ bit] = (keys[leaving], counts[leaving])
-        log.append(("dht_round", bit, int(leaving.sum()), width))
-        received = yield ("sendrecv", row, (rank ^ bit,))
+        received = yield charged(("sendrecv", row, (rank ^ bit,)),
+                                 ("dht_round", bit, int(leaving.sum()), width))
         table = merge_tables(
             [(keys[~leaving], counts[~leaving]), received[rank ^ bit]]
         )
@@ -166,8 +165,8 @@ def gather_direct_gen(rank: int, p: int, value, log: list):
     PE 0, ``None`` elsewhere."""
     row = [None] * p
     row[0] = value
-    log.append(("gather_direct", payload_words(value), 0))
-    received = yield ("sendrecv", row, tuple(range(1, p)) if rank == 0 else ())
+    received = yield charged(("sendrecv", row, tuple(range(1, p)) if rank == 0 else ()),
+                             ("gather_direct", payload_words(value), 0))
     return received if rank == 0 else None
 
 
@@ -185,8 +184,7 @@ def tree_merge_gen(rank: int, p: int, value, merge, label: str, log: list):
             row[rank - bit], words = value, payload_words(value)
         elif rank + bit < p and rank < bit:
             src = (rank + bit,)
-        log.append(("tree_hop", r, words, label))
-        received = yield ("sendrecv", row, src)
+        received = yield charged(("sendrecv", row, src), ("tree_hop", r, words, label))
         if src:
             value = merge(value, received[src[0]])
     return value if rank == 0 else None
@@ -203,7 +201,6 @@ def broadcast_top_k_gen(rank: int, table, k: int, ops, log: list):
         top = (keys[order], values[order])
     log.append(("ops", ops))
     keys, values = yield ("broadcast", top, 0)
-    log.append(("broadcast", 2 * int(keys.size), 0))
     return keys, values
 
 
@@ -236,7 +233,6 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
         pb_total = None
         if piggyback is not None:
             pb_total = int((yield ("allreduce", piggyback, "sum")))
-            log.append(("allreduce", 1))
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, pb_total
     keys, counts = table
@@ -245,22 +241,19 @@ def topk_entries_gen(rank: int, p: int, table: Table, k: int, total: int,
         thr = -int(value)  # k-th largest count
         above, tied = counts > thr, counts == thr
         log.append(("ops", max(1, int(counts.size))))
-        ties = keys[tied][:k]
-        gathered = yield ("allgather", (int(above.sum()), ties))
-        log.append(("reduce_allgather", int(ties.size), 1))
-        quota = k - sum(n_above for n_above, _ in gathered)
-        all_ties = np.sort(np.concatenate([t for _, t in gathered]))
+        n_above, nominated = yield (
+            "reduce_allgather", int(above.sum()), "sum", keys[tied][:k])
+        quota = k - int(n_above)
+        all_ties = np.sort(np.concatenate(nominated))
         granted = all_ties[: max(quota, 0)]
         won = above | (tied & np.isin(keys, granted))
         keys, counts = keys[won], counts[won]
     if piggyback is None:
         gathered = yield ("allgather", (keys, counts))
-        log.append(("allgather", 2 * int(keys.size)))
         pb_total = None
     else:
-        gathered = yield ("allgather", (keys, counts, piggyback))
-        log.append(("reduce_allgather", 2 * int(keys.size), 1))
-        pb_total = int(sum(g[2] for g in gathered))
+        pb_total, gathered = yield ("reduce_allgather", piggyback, "sum", (keys, counts))
+        pb_total = int(pb_total)
     keys = np.concatenate([g[0] for g in gathered])
     counts = np.concatenate([g[1] for g in gathered])
     order = np.lexsort((keys, -counts))[:k]
@@ -273,7 +266,6 @@ def count_gen(rank: int, p: int, table: Table, log: list, salt: int = 0,
     size: returns ``(owned entries, global entry count)``."""
     table = yield from exchange_gen(rank, p, table, salt, log, width)
     total = yield ("allreduce", int(table[0].size), "sum")
-    log.append(("allreduce", 1))
     return table, int(total)
 
 

@@ -111,7 +111,6 @@ def _dsbf_gen(rank: int, p: int, source, take, log: list, sample_addr,
         hit = np.isin(fps, head)
         log.append(("ops", max(1, int(keys.size))))
         gathered = yield ("allgather", (keys[hit], counts[hit]))
-        log.append(("allgather", 2 * int(hit.sum())))
         found, found_counts = merge_tables(gathered)
         if found.size >= k_star or exhausted or rounds >= max_rounds:
             break

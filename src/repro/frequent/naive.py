@@ -49,7 +49,6 @@ def _naive_gen(rank: int, p: int, chunk: np.ndarray, take, log: list,
     sample count)`` by (count desc, key asc)."""
     keys = sample_keys(rank, chunk, addr, rho, log)
     sample_size = int((yield ("allreduce", int(keys.size), "sum")))
-    log.append(("allreduce", 1))
     table = local_table(keys.astype(dtype, copy=False), log)
     if tree:
         merged = yield from tree_merge_gen(

@@ -94,7 +94,6 @@ def _zipf_gen(rank: int, p: int, chunk: np.ndarray, take, log: list,
     if universe is None:
         local_max = int(chunk.max()) if chunk.size else 1
         universe = int((yield ("allreduce", local_max, "max")))
-        log.append(("allreduce", 1))
     h = harmonic_number(universe, s)
     rho = min(1.0, 4.0 * k**s * h * np.log(k / delta) / n)
     answer, _, _ = yield from pipeline_gen(

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..kernels import spacesaving_offer
 from ..machine import DistArray, Machine
-from ..machine.metrics import payload_words
 from .dht import tree_merge_gen
 
 __all__ = ["SpaceSaving", "heavy_hitters"]
@@ -133,7 +132,6 @@ def _heavy_hitters_gen(rank: int, p: int, chunk: np.ndarray, take,
     if rank == 0:
         items = [(key, c) for key, c in merged.top(capacity) if c > phi * merged.n]
     items = yield ("broadcast", items, 0)
-    log.append(("broadcast", payload_words(items), 0))
     return items, None
 
 

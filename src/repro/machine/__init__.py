@@ -28,7 +28,7 @@ from .backends import (
     register_backend,
 )
 from .clock import SimClock
-from .comm import Machine, MachineReport, PhaseStats
+from .comm import Machine, MachineReport, PhaseStats, charged
 from .cost import FREE_COMMUNICATION, CollectiveCost, CostParams, log2_ceil
 from .dist_array import DistArray
 from .faults import FaultPlan
@@ -52,6 +52,7 @@ __all__ = [
     "SimClock",
     "WorkerFailure",
     "available_backends",
+    "charged",
     "log2_ceil",
     "make_backend",
     "payload_words",

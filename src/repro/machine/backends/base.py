@@ -275,8 +275,9 @@ class Backend:
         single command round trip; chunks never leave the workers.  The
         embedded collectives use the same combination orders as the
         machine's, so results are bit-identical across backends.  Cost
-        charging stays with the caller (the driver re-plays the model
-        from the small returned values).
+        charging stays with the caller: ``Machine.run_command`` appends
+        each yield's charge entry to the kernel's log and replays the
+        logs.
 
         Returns ``(out_refs, values)``.
         """

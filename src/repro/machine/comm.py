@@ -20,12 +20,15 @@ Every charge is an entry of a *charge log*: a tuple whose first slot
 names its kind (``("allreduce", words)``, ``("ops", x)``, ...).
 :data:`METERS` maps each kind to the function that meters one log
 position -- the schedule's messages into :class:`CommMetrics` and the
-analytic alpha-beta time into :class:`SimClock`.  An SPMD kernel appends
-entries as it runs and the driver replays them
-(:meth:`Machine.replay_charges`); :meth:`Machine.collective` -- the
-list-of-p dialect, one call for all ``p`` ranks -- derives each rank's
-entry from its request and charges it through the same table before it
-runs the data plane.  Local work is :meth:`Machine.charge_ops`.
+analytic alpha-beta time into :class:`SimClock`.  The yield is the
+charge: each collective a kernel yields appends to its log the entry
+derived from the request, or what a ``yield charged(request, *entries)``
+declares where the model deliberately charges another schedule (each
+such pair is in :data:`CHARGED_AS`); the kernel logs only ``ops`` and
+charges that send no message.  The driver replays the logs
+(:meth:`Machine.replay_charges`); :meth:`Machine.collective`, the
+list-of-p dialect, charges through the same derivation.  Local work is
+:meth:`Machine.charge_ops`.
 
 One command path
 ----------------
@@ -84,7 +87,7 @@ from .collectives import REDUCTION_OPS, binomial_edges, hypercube_rounds
 from .cost import CollectiveCost, CostParams, log2_ceil
 from .metrics import CommMetrics, payload_words
 
-__all__ = ["METERS", "Machine", "MachineReport", "PhaseStats"]
+__all__ = ["CHARGED_AS", "METERS", "Machine", "MachineReport", "PhaseStats", "charged"]
 
 
 # ----------------------------------------------------------------------
@@ -306,9 +309,10 @@ def _tree_hop(m, col) -> None:
 
 
 def _p2p(m, col) -> None:
-    """``("p2p", w, src, dst, label)``: one message of ``w`` words (a
-    send to oneself is a local handoff and costs nothing)."""
-    _, w, src, dst, label = col[0]
+    """``("p2p", w, src, dst, label)``: one message of the sender's
+    ``w`` words (a send to oneself is a local handoff: free)."""
+    _, _, src, dst, label = col[0]
+    w = col[src][1]
     if src != dst:
         m.metrics.record_p2p(src, dst, w, label)
         m.clock.charge_p2p(src, dst, m.cost.p2p(w))
@@ -354,44 +358,70 @@ METERS: dict[str, Callable] = {
 }
 
 
+#: request kind -> the kinds a kernel may charge it as instead, with
+#: ``yield charged(request, *entries)``: the model's deliberate
+#: differences from the schedule that runs
+CHARGED_AS: dict[str, frozenset[str]] = {
+    # multi_select's packed sample (its keys alone); the base case's gather
+    "allgather": frozenset({"allgather", "gather"}),
+    "allreduce": frozenset({"allreduce"}),  # multi_select's count widths
+    "alltoall": frozenset({"alltoall"}),  # hash-table entries, 1.5 words in dSBF
+    # a hash-table round, the baselines' direct gather and tree merge, a
+    # driver-planned alltoall row (Karp-Zhang, the blind rebalance) and
+    # redistribute's plan
+    "sendrecv": frozenset({"alltoall", "dht_round", "gather_direct", "tree_hop",
+                           "allreduce", "scan", "rounds", "p2p"}),
+}
+
+
+class charged:
+    """``yield charged(request, *entries)``: run ``request``, charge
+    ``entries`` in place of the entry derived from it.  Their kinds must
+    be ones :data:`CHARGED_AS` declares for the request's kind."""
+
+    def __init__(self, request: tuple, *entries: tuple):
+        undeclared = {e[0] for e in entries} - CHARGED_AS.get(request[0], frozenset())
+        if undeclared:
+            raise ValueError(f"a {request[0]!r} request charged as {sorted(undeclared)}: "
+                             f"not a difference CHARGED_AS declares")
+        self.request, self.entries = request, entries
+
+
 # ----------------------------------------------------------------------
-# Machine.collective: requests -> charge entries
+# Charge entries derived from collectives
 # ----------------------------------------------------------------------
 
 def _own(kind: str, at: int | None = None):
-    """Each rank's entry from its own payload words (plus the root or
+    """A rank's entry from its own payload words (plus the root or
     accumulator slot ``at`` of its request)."""
     if at is None:
-        return lambda reqs: [(kind, payload_words(r[1])) for r in reqs]
-    return lambda reqs: [(kind, payload_words(r[1]), r[at]) for r in reqs]
+        return lambda req, res: (kind, payload_words(req[1]))
+    return lambda req, res: (kind, payload_words(req[1]), req[at])
 
 
 def _rows(kind: str):
-    return lambda reqs: [(kind, [payload_words(x) for x in r[1]]) for r in reqs]
+    return lambda req, res: (kind, [payload_words(x) for x in req[1]])
 
 
-#: collective kind -> ``entries(requests)``, one charge entry per rank;
-#: a kind one rank feeds reads that rank's request alone (the root's
-#: payload for a broadcast, its pieces for a scatter, the sender's)
+#: collective kind -> ``entry(request, result)``, one rank's charge
+#: entry (a broadcast's and a scatter's words are what the rank received;
+#: a one-sender kind's meter reads the root's or the sender's)
 _ENTRIES: dict[str, Callable] = {
     "allreduce": _own("allreduce"),
     "scan": _own("scan"),
     "allreduce_exscan": _own("allreduce_exscan"),
-    "broadcast": lambda reqs: [
-        ("broadcast", payload_words(reqs[reqs[0][2]][1]), reqs[0][2])] * len(reqs),
+    "broadcast": lambda req, res: ("broadcast", payload_words(res), req[2]),
     "reduce": _own("reduce", 3),
     "gather": _own("gather", 2),
     "gather_direct": _own("gather_direct", 2),
-    "scatter": lambda reqs: [
-        ("scatter", payload_words(x), reqs[0][2]) for x in reqs[reqs[0][2]][1]],
+    "scatter": lambda req, res: ("scatter", payload_words(res), req[2]),
     "allgather": _own("allgather"),
-    "reduce_allgather": lambda reqs: [
-        ("reduce_allgather", payload_words(r[3]), payload_words(r[1])) for r in reqs],
+    "reduce_allgather": lambda req, res: (
+        "reduce_allgather", payload_words(req[3]), payload_words(req[1])),
     "alltoall": _rows("alltoall"),
     "alltoall_hc": _rows("alltoall_hc"),
-    "p2p": lambda reqs: [("p2p", payload_words(reqs[reqs[0][2]][1]),
-                          reqs[0][2], reqs[0][3], "p2p")] * len(reqs),
-    "barrier": lambda reqs: [("barrier",)] * len(reqs),
+    "p2p": lambda req, res: ("p2p", payload_words(req[1]), req[2], req[3], "p2p"),
+    "barrier": lambda req, res: ("barrier",),
 }
 
 #: the request kind of the table kinds whose requests are another kind's
@@ -463,13 +493,30 @@ def _command(rank: int, source, p: int, kernel, args: tuple, cursor: tuple,
     kernel's ``take()`` hands out ``DrawAddress(seed, first + i)`` from
     ``cursor = (seed, first)``.  Every PE returns ``(answer, info,
     addresses taken, log)``, the answer only from PE 0, and with
-    ``keep`` the kernel's third value before it, to stay resident."""
+    ``keep`` the kernel's third value before it, to stay resident.
+    Once a collective the kernel yields returns, its charge goes into
+    ``log`` before the kernel resumes: the entry :data:`_ENTRIES`
+    derives, or what a :class:`charged` yield declares."""
     log: list = []
     seed, first = cursor
     seqs = count(first)
     out = kernel(rank, p, source, lambda: DrawAddress(seed, next(seqs)), log, *args)
     if isinstance(out, Generator):
-        out = yield from out
+        gen, result = out, None
+        try:
+            while True:
+                req = gen.send(result)
+                if isinstance(req, charged):
+                    result = yield req.request
+                    log.extend(req.entries)
+                elif req[0] in _ENTRIES:
+                    result = yield req
+                    log.append(_ENTRIES[req[0]](req, result))
+                else:
+                    raise ValueError(f"no charge derives from a {req[0]!r} request; "
+                                     f"yield charged(request, *entries)")
+        except StopIteration as stop:
+            out = stop.value
     answer, info, *kept = out
     taken = next(seqs) - first  # next(seqs) is the first seq not taken
     value = (answer if rank == 0 else None, info, taken, log)
@@ -602,12 +649,12 @@ class Machine:
         resident ref (a dataset, or a table an earlier command kept), a
         list with one value per PE, which rides the command, the pair
         ``(ref, list)``, the kernel then getting ``(chunk, value)``, or
-        ``None``.  The kernel appends to ``log`` every charge of the
-        call -- a size the driver tracks included, as its first entry --
-        and the logs are replayed once (:meth:`replay_charges`; not at
-        all when every log is empty).  Returns ``(answer, infos)``:
-        ``answer`` is PE 0's (a replicated result), ``infos[i]`` PE
-        ``i``'s ``info``.
+        ``None``.  Each yield charges itself; the kernel appends to
+        ``log`` its ``ops`` and charges that send no message (a size the
+        driver tracks first), and the logs are replayed once
+        (:meth:`replay_charges`; not at all when every log is empty).
+        Returns ``(answer, infos)``: ``answer`` is PE 0's (a replicated
+        result), ``infos[i]`` PE ``i``'s ``info``.
 
         With ``keep`` the kernel returns a third value, which stays
         resident where it was made as the command's output: the call
@@ -714,19 +761,19 @@ class Machine:
         (alltoall requests along hypercube hops: ``O(beta m p log p +
         alpha log p)``); ``"barrier"`` (``("barrier",)``) moves nothing.
         The requests are checked (one per PE, one signature, ranks in
-        range, a usable op) before anything is charged or sent; each
-        rank's entry is derived from its payload words and charged
-        through :data:`METERS`, then the backend runs the data plane.
+        range, a usable op) before anything is sent; the backend runs
+        the data plane, then each rank's entry is derived as a kernel's
+        yield derives it and charged through :data:`METERS`.
         """
-        entries = _ENTRIES.get(kind)
-        if entries is None:
+        derive = _ENTRIES.get(kind)
+        if derive is None:
             raise ValueError(
                 f"unknown collective kind {kind!r}; expected one of {sorted(_ENTRIES)}")
         self._check_requests(kind, requests)
-        METERS[kind](self, entries(requests))
-        if kind == "barrier":
-            return [None] * self.p
-        return self.backend.collective(_REQUEST_KIND.get(kind, kind), requests)
+        results = ([None] * self.p if kind == "barrier"
+                   else self.backend.collective(_REQUEST_KIND.get(kind, kind), requests))
+        METERS[kind](self, [derive(req, res) for req, res in zip(requests, results)])
+        return results
 
     def allreduce(self, values: Sequence, op="sum") -> list:
         """``collective("allreduce", ...)`` over per-PE ``values``."""

@@ -59,7 +59,7 @@ import numpy as np
 
 from ..common.ordering import TOP
 from ..common.validation import check_rank_range
-from ..machine import Machine, payload_words
+from ..machine import Machine
 from ..selection.flexible import ams_select_gen
 from ..selection.sorted_select import ms_select_with_cuts_gen
 from ..trees import Treap
@@ -131,7 +131,6 @@ def _peek_step(rank: int, p: int, source, take, log: list):
     tree = _flushed(rank, source)
     local = tree.min() if len(tree) else TOP
     best = yield ("allreduce", local, "min")
-    log.append(("allreduce", payload_words(local)))
     return best, None
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine import Machine
+from ..machine import Machine, charged
 from ..selection.sorted_select import ms_select_with_cuts_gen
 from .heap import BinaryHeap
 
@@ -65,11 +65,10 @@ def _kz_insert_kernel(rank: int, p: int, source, take, log: list):
     it receives from and its row of the exchange's word matrix, charged
     as the driver-planned alltoall it models."""
     heap, (buckets, srcs, words) = source
-    log.append(("alltoall", words))
     row: list = [None] * p
     for dst, items in buckets:
         row[dst] = items
-    received = yield ("sendrecv", row, srcs)
+    received = yield charged(("sendrecv", row, srcs), ("alltoall", words))
     ops = 0.0
     for src in range(p):
         items = received[src]

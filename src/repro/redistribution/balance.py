@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine import DistArray, Machine
+from ..machine import DistArray, Machine, charged
 from .batcher import merge_round_count
 
 __all__ = ["balance_plan", "redistribute", "naive_rebalance", "Transfer", "RedistributionStats"]
@@ -102,18 +102,17 @@ def _redistribute_kernel(rank: int, p: int, source, take, log: list, charges: li
     senders this PE receives from.  The transfers ride one in-worker
     sparse direct exchange -- exactly the plan's p2p messages, each
     payload travelling a single hop, receivers appending in sender-rank
-    order.  The chunk never visits the driver.  ``charges`` is the
-    plan's log, which the driver derived from the sizes it tracks.
+    order.  The chunk never visits the driver.  ``charges``, the plan's
+    log derived from the sizes the driver tracks, is the exchange's.
     """
     chunk, (sends, srcs) = source
-    log.extend(charges)
     hi = chunk.size
     row: list = [None] * p
     for dst, count in sends:
         lo = hi - int(count)
         row[dst] = chunk[lo:hi]
         hi = lo
-    received = yield ("sendrecv", row, srcs)
+    received = yield charged(("sendrecv", row, srcs), *charges)
     base = chunk[:hi]
     pieces = [r for r in received if r is not None and r.size]
     return None, None, np.concatenate([base] + pieces) if pieces else base
@@ -125,14 +124,13 @@ def _naive_rebalance_kernel(rank: int, p: int, source, take, log: list, bounds):
     of ``words``, this PE's row of the driver-tracked word matrix).
     ``source`` is the chunk and this PE's ``(offset, srcs, words)``."""
     chunk, (offset, srcs, words) = source
-    log.append(("alltoall", words))
     row: list = [None] * p
     hi_off = offset + chunk.size
     for j, (t_lo, t_hi) in enumerate(bounds):
         a, b = max(offset, t_lo), min(hi_off, t_hi)
         if a < b:
             row[j] = chunk[a - offset : b - offset]
-    received = yield ("sendrecv", row, srcs)
+    received = yield charged(("sendrecv", row, srcs), ("alltoall", words))
     pieces = [x for x in received if x is not None and len(x)]
     return None, None, np.concatenate(pieces) if pieces else chunk[:0]
 

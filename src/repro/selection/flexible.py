@@ -41,7 +41,6 @@ import numpy as np
 from ..common.ordering import BOTTOM, TOP
 from ..common.validation import check_rank_range, is_whole
 from ..machine import Machine
-from ..machine.metrics import payload_words
 from .sorted_select import ms_select_with_cuts_gen, run_sorted
 
 __all__ = ["ams_select", "ams_select_batched", "AmsResult"]
@@ -169,7 +168,6 @@ def ams_select_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, max_rounds=60):
             pick = seq.item(lo + x - 1) if 1 <= x <= size else TOP
             log.append(("ops", np.log2(max(size, 2))))
             v = yield ("allreduce", pick, "min")
-            log.append(("allreduce", payload_words(pick)))
             if v is TOP:
                 continue
         else:
@@ -178,14 +176,12 @@ def ams_select_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, max_rounds=60):
             pick = seq.item(hi - x) if 1 <= x <= size else BOTTOM
             log.append(("ops", np.log2(max(size, 2))))
             v = yield ("allreduce", pick, "max")
-            log.append(("allreduce", payload_words(pick)))
             if v is BOTTOM:
                 continue
 
         j = int(np.clip(seq.count_le(v), lo, hi)) - lo
         log.append(("ops", np.log2(max(size, 2))))
         count = yield ("allreduce", j, "sum")
-        log.append(("allreduce", 1))
         count = int(count)
 
         if count < cur_lo:
@@ -277,7 +273,6 @@ def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, d=8,
             picks[valid] = [seq.item(int(x)) for x in lo + xs[valid] - 1]
         log.append(("ops", d * np.log2(max(size, 2)) if size > 0 else 0.0))
         pivots = yield ("allreduce", picks, "min")
-        log.append(("allreduce", d))
         found = np.isfinite(pivots) if floats else pivots != no_pick
         if not found.any():
             continue
@@ -287,7 +282,6 @@ def ams_select_batched_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, d=8,
             local[t] = int(np.clip(seq.count_le(pivots[t]), lo, hi)) - lo
         log.append(("ops", d * np.log2(max(size, 2))))
         counts = yield ("allreduce", local, "sum")
-        log.append(("allreduce", d))
 
         ok = found & (counts >= cur_lo) & (counts <= cur_hi)
         if ok.any():

@@ -69,10 +69,9 @@ when every segment of the level finishes at its ends) and the
 all-reduction, charged ``len(counts) + sum(w_lo + w_hi)`` words.  The
 end pass is charged ``("ops", local size)`` at its segment's place in
 the sample half.  Only the results and each PE's
-charge log return (its sample words, local work and count words, in
-the order a step-by-step driver would have charged them); the driver
-replays the log in one :meth:`~repro.machine.Machine.replay_charges`
-call, so the modeled cost is bit-identical on every backend.
+charge log return; the driver replays it in one
+:meth:`~repro.machine.Machine.replay_charges` call, so the modeled
+cost is bit-identical on every backend.
 
 **Windows and counts.**  :func:`multi_select_windows` takes its root
 segments from the caller as value windows ``(lo, hi)`` whose offsets
@@ -107,7 +106,7 @@ import numpy as np
 from ..common.sampling import bernoulli_sample_indices
 from ..common.validation import as_rank, is_fraction
 from ..kernels import compact, partition_count, partition_take
-from ..machine import DistArray, Machine
+from ..machine import DistArray, Machine, charged
 from ..machine.ctrrng import STREAM_LOCAL, readdress
 from .sequential import fr_pivots
 
@@ -292,11 +291,10 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
     replicated and each split segment's local part counts and marks
     (not the parts) handed to the count half.
 
-    Appends the level's sample-half charges to ``log`` in the order a
-    step-by-step driver charged them: the allgather, then per segment
-    its end pass, its finishing sort, or its sample draw (plus, for a
-    split, the union sort and the partition pass) -- as Python floats,
-    which pickle as 9 bytes where a NumPy scalar takes a reduce call.
+    Logs the level's sample-half work per segment: its end pass, its
+    finishing sort, or its sample draw (plus, for a split, the union
+    sort and the partition pass) -- as Python floats, which pickle as 9
+    bytes where a NumPy scalar takes a reduce call.
     Returns ``(inter, finishes)`` where ``finishes`` is the replicated
     list of resolved ``(global_rank, (value, n_less, n_leq))`` pairs
     (:func:`_resolved`; a base-case answer's counts are searched in the
@@ -321,8 +319,8 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, gen, base_case: int,
     if samples:  # replicated: one per segment that does not finish at its ends
         sizes = [int(s.size) for s in samples]
         packed = np.concatenate(samples)
-        gathered = yield ("allgather", (packed, sizes))
-        log.append(("allgather", int(packed.size)))
+        gathered = yield charged(("allgather", (packed, sizes)),
+                                 ("allgather", int(packed.size)))
         # each rank's packed message, cut back into per-segment views
         bounds = [(g, [0, *itertools.accumulate(gs)]) for g, gs in gathered]
 
@@ -397,12 +395,10 @@ def _ms_count_kernel(rank: int, inter: list, log: list):
             ends.append(entry[1:5])
     totals = merged = None
     if counts_vec or ends:  # replicated decision: all ranks agree
-        totals, merged = yield (
-            "allreduce",
-            (np.asarray(counts_vec, dtype=np.int64), ends),
-            _counts_and_ends,
+        totals, merged = yield charged(
+            ("allreduce", (np.asarray(counts_vec, dtype=np.int64), ends), _counts_and_ends),
+            ("allreduce", len(counts_vec) + sum(e[0] + e[2] for e in ends)),
         )
-        log.append(("allreduce", len(counts_vec) + sum(e[0] + e[2] for e in ends)))
 
     new_segs: list = []
     found: list[tuple] = []

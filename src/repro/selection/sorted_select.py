@@ -42,7 +42,6 @@ import numpy as np
 from ..common.ordering import TOP
 from ..common.validation import check_rank
 from ..machine import DistArray, Machine
-from ..machine.metrics import payload_words
 from .accessors import SortedSequence, as_sorted_seq
 
 __all__ = ["ms_select", "ms_select_with_cuts", "MsSelectStats"]
@@ -178,8 +177,8 @@ def _count_lt(seq: SortedSequence, v, lo: int, hi: int) -> int:
 # Each rank sees only its own sequence.  Embedded collectives are
 # ``yield``ed, randomness comes from the streams of the draw address
 # ``addr`` the calling kernel hands in, derived in place
-# (:mod:`repro.machine.ctrrng` -- no state crosses the wire), and every
-# charge is appended to ``log`` for :meth:`Machine.replay_charges`.
+# (:mod:`repro.machine.ctrrng` -- no state crosses the wire), and local
+# work is appended to ``log`` (each collective charges itself).
 # The public selectors above run them as one worker command each
 # (:func:`run_sorted`); the bulk priority queues and DTA run them by
 # ``yield from`` inside their own commands, where their data lives.
@@ -223,7 +222,6 @@ def _search_gen(rank, p, seq, k, n, shared_rng, log, base_case, max_rounds):
     k = check_rank(k, n)
     lo, hi = 0, min(len(seq), k)
     total, offset = yield ("allreduce_exscan", hi - lo, "sum", 0)
-    log.append(("allreduce_exscan", 1))
     rounds = 0
     while True:
         size = hi - lo
@@ -231,7 +229,6 @@ def _search_gen(rank, p, seq, k, n, shared_rng, log, base_case, max_rounds):
             window = [seq.item(x) for x in range(lo, hi)]
             log.append(("ops", max(1, size)))
             gathered = yield ("allgather", window)
-            log.append(("allgather", payload_words(window)))
             rest = sorted(x for w in gathered for x in w)
             log.append(("ops", len(rest) * np.log2(max(len(rest), 2))))
             value = rest[min(k, len(rest)) - 1]
@@ -248,7 +245,6 @@ def _search_gen(rank, p, seq, k, n, shared_rng, log, base_case, max_rounds):
             candidate = TOP
             log.append(("ops", 0.0))
         v = yield ("allreduce", candidate, "min")
-        log.append(("allreduce", payload_words(candidate)))
 
         le = int(np.clip(seq.count_le(v), lo, hi)) - lo
         lt = _count_lt(seq, v, lo, hi)
@@ -258,7 +254,6 @@ def _search_gen(rank, p, seq, k, n, shared_rng, log, base_case, max_rounds):
             "allreduce_exscan", np.array([lt, eq], dtype=np.int64), "sum",
             np.zeros(2, dtype=np.int64),
         )
-        log.append(("allreduce_exscan", 2))
         n_lt, n_eq = int(counts[0]), int(counts[1])
         p_lt, p_eq = int(before[0]), int(before[1])
         rounds += 1

@@ -26,8 +26,7 @@ pass plus one copy of what survives); the level loop, the
 duplicate-pivot early exit and the residual base case all run in the
 workers.  Only the value and each PE's small charge log return, from
 which the driver replays the cost model (:meth:`Machine.replay_charges`)
-in the order a step-by-step driver would have charged it -- one driver
-send per call, modeled cost bit-identical on every backend.
+-- one driver send per call, modeled cost bit-identical on every backend.
 
 Expected running time ``O(n/p + beta * min(sqrt(p) log_p n, n/p)
 + alpha * log n)`` (Theorem 1); for constant alpha/beta this is
@@ -43,7 +42,7 @@ import numpy as np
 from ..common.sampling import bernoulli_sample_indices
 from ..common.validation import check_rank
 from ..kernels import partition_count, partition_take, topk_count, topk_cut
-from ..machine import DistArray, Machine
+from ..machine import DistArray, Machine, charged
 from ..machine.ctrrng import STREAM_LOCAL, readdress
 from ..machine.metrics import payload_words
 from .sequential import fr_pivots
@@ -90,8 +89,7 @@ def select_kth_gen(rank: int, p: int, chunk: np.ndarray, take, log: list, k: int
     ``n <= base_case`` (or after ``max_rounds`` levels) the residual elements
     are shared and sorted and rank ``k`` read off.
 
-    Every charge a step-by-step driver would make is appended to
-    ``log`` for :meth:`Machine.replay_charges`, in that driver's order.
+    ``log`` takes the local work (each collective charges itself).
     ``base_case`` defaults to :func:`default_base_case`.  Returns
     ``(value, rounds, sample_total, base_case_size)``.
     """
@@ -112,7 +110,6 @@ def select_kth_gen(rank: int, p: int, chunk: np.ndarray, take, log: list, k: int
         sample = chunk.copy() if idx is None else chunk[idx]
         log.append(("ops", max(1.0, rho * int(chunk.size))))
         gathered = yield ("allgather", sample)
-        log.append(("allgather", payload_words(sample)))
         nonempty = [s for s in gathered if s.size]
         if not nonempty:
             continue  # empty sample union: keep the slice and retry
@@ -126,7 +123,6 @@ def select_kth_gen(rank: int, p: int, chunk: np.ndarray, take, log: list, k: int
         (la, lb), masks = partition_count(chunk, lo_p, hi_p)
         log.append(("ops", float(chunk.size)))
         totals = yield ("allreduce", np.array([la, lb], dtype=np.int64), "sum")
-        log.append(("allreduce", 2))
         na, nb = int(totals[0]), int(totals[1])
         # only now is the part holding rank k copied out
         if na >= k:
@@ -143,11 +139,10 @@ def select_kth_gen(rank: int, p: int, chunk: np.ndarray, take, log: list, k: int
     # base case: the data plane shares the residual elements with every
     # PE (one dissemination); the model charges gather + sort on PE 0 +
     # broadcast
-    gathered = yield ("allgather", chunk)
+    gathered = yield charged(("allgather", chunk), ("gather", int(chunk.size), 0))
     rest = np.sort(np.concatenate([c for c in gathered if c.size]))
     value = rest[min(k, rest.size) - 1].item()
     rest_size = int(rest.size)
-    log.append(("gather", int(chunk.size), 0))
     log.append(
         ("ops", rest_size * np.log2(max(rest_size, 2)) if rank == 0 else 0.0)
     )
@@ -181,7 +176,6 @@ def _topk_cut_kernel(rank: int, p: int, chunk: np.ndarray, take, log: list,
     totals, prefix = yield (
         "allreduce_exscan", counts, "sum", np.zeros(2, dtype=np.int64)
     )
-    log.append(("allreduce_exscan", 2))
     quota = k - int(totals[0])
     keep_eq = int(np.clip(quota - int(prefix[1]), 0, n_eq))
     sel = topk_cut(chunk, threshold, keep_eq)

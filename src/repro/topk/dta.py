@@ -177,7 +177,6 @@ def _dta_cmd(rank: int, p: int, ix: LocalIndex, take, log: list, scorer, k: int,
     Returns ``((items, head, exact), cuts)``, ``head`` the replicated
     search result and ``cuts`` this PE's prefix sizes."""
     n_total = yield ("allreduce", ix.n, "sum")
-    log.append(("allreduce", 1))
     # descending list scores, negated: amsSelect selects the k smallest
     cols = [ArraySeq(-ix.scores_desc(c)) for c in range(ix.m)]
     k_start, *rest = options
@@ -189,7 +188,6 @@ def _dta_cmd(rank: int, p: int, ix: LocalIndex, take, log: list, scorer, k: int,
             return (None, head, None), cuts
         ids, rel = _hits(ix, scorer, head[0], cuts, log)
         n_hits = yield ("allreduce", int(ids.size), "sum")
-        log.append(("allreduce", 1))
         if n_hits >= k or head[2] >= n_total or growth >= max_growth:
             break
         growth += 1
@@ -246,7 +244,6 @@ def _estimate_hits_gen(rank: int, ix: LocalIndex, scorer, cuts: list, tmin: floa
         seen[rows] = True
     log.append(("ops", max(1.0, ops)))
     estimate = yield ("allreduce", total, "sum")
-    log.append(("allreduce", 1))
     return float(estimate)
 
 
@@ -286,11 +283,9 @@ def winners_gen(rank: int, p: int, ids: np.ndarray, rel: np.ndarray, k: int, n: 
         "allreduce_exscan", np.array([strict.sum(), tied.sum()], dtype=np.int64),
         "sum", np.zeros(2, dtype=np.int64),
     )
-    log.append(("allreduce_exscan", 2))
     grant = k - int(totals[0]) - int(before[1])
     won = strict | (tied & (np.cumsum(tied) <= grant))
     gathered = yield ("allgather", (ids[won], rel[won]))
-    log.append(("allgather", 2 * int(won.sum())))
     all_ids = np.concatenate([g[0] for g in gathered])
     all_rel = np.concatenate([g[1] for g in gathered])
     order = np.lexsort((all_ids, -all_rel))[:k]

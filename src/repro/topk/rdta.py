@@ -83,7 +83,6 @@ def _rdta_cmd(rank: int, p: int, ix: LocalIndex, take, log: list, scorer, k: int
     """:func:`rdta_topk` on one PE: ``(items, rounds, k_hat)``, or
     ``None`` if no round verified a threshold."""
     n_total = yield ("allreduce", ix.n, "sum")
-    log.append(("allreduce", 1))
     k_hat = max(1, int(np.ceil(slack * (k / p + np.log2(p + 1)))))
     rounds = 0
     while True:
@@ -97,15 +96,12 @@ def _rdta_cmd(rank: int, p: int, ix: LocalIndex, take, log: list, scorer, k: int
         # out of objects cannot hide better ones (its threshold is -inf)
         local_thr = res.threshold if ix.n > len(res.items) else float("-inf")
         global_thr = yield ("allreduce", local_thr, "max")
-        log.append(("allreduce", 1))
         above = sum(1 for (_, rel) in res.items if rel >= global_thr)
         n_above = yield ("allreduce", above, "sum")
-        log.append(("allreduce", 1))
         if n_above >= k or k_hat >= n_total:
             # verify: the k best candidates all dominate the threshold,
             # so no unscanned object can displace them
             n_cand = yield ("allreduce", len(res.items), "sum")
-            log.append(("allreduce", 1))
             ids = np.array([oid for oid, _ in res.items], dtype=np.int64)
             rel = np.array([r for _, r in res.items], dtype=np.float64)
             items = yield from winners_gen(rank, p, ids, rel, k, int(n_cand), take, log)

@@ -45,6 +45,7 @@ from repro.frequent import (
 )
 from repro.machine import DistArray, FaultPlan, Machine, WorkerFailure
 from repro.machine.backends import base
+from repro.machine.comm import CHARGED_AS
 from repro.selection import ams_select
 
 BACKENDS = ["mp", "tcp"]
@@ -428,13 +429,14 @@ def test_one_command_and_equal_to_sim(backend, name):
         assert real._rng_seq == sim._rng_seq
 
 
-#: how a charge log spells the collectives a worker yields: the tie
-#: nomination and the winner exchange are allgathers charged as the
-#: fused reduce+allgather, a hash-table round, the baselines' direct
-#: gather and each round of their tree merge are sendrecv hops, and the
-#: selection's base case is one allgather charged as gather + broadcast
-CHARGED_AS = {"reduce_allgather": "allgather", "dht_round": "sendrecv",
-              "gather_direct": "sendrecv", "tree_hop": "sendrecv"}
+#: how a charge log spells the collectives a worker yields: a model kind
+#: that the production table of deliberate differences (``CHARGED_AS``)
+#: declares for one request kind alone stands for that request -- a
+#: hash-table round, the baselines' direct gather and each round of
+#: their tree merge are sendrecv hops -- and the selection's base case
+#: is one allgather charged as gather + broadcast
+YIELDED_AS = {model: kind for kind, models in CHARGED_AS.items() for model in models
+              if sum(model in other for other in CHARGED_AS.values()) == 1}
 
 
 def _charged_collectives(log):
@@ -445,7 +447,7 @@ def _charged_collectives(log):
             out.append("allgather")
             i += 2
         else:
-            out.append(CHARGED_AS.get(kinds[i], kinds[i]))
+            out.append(YIELDED_AS.get(kinds[i], kinds[i]))
             i += 1
     return out
 

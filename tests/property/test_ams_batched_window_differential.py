@@ -56,7 +56,6 @@ def reference_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, d=8, max_rounds=40)
             picks[valid] = [seq.item(int(x)) for x in lo + xs[valid] - 1]
         log.append(("ops", d * np.log2(max(size, 2)) if size > 0 else 0.0))
         pivots = yield ("allreduce", picks, "min")
-        log.append(("allreduce", d))
         found = np.isfinite(pivots) if floats else pivots != no_pick
         if not found.any():
             continue
@@ -66,7 +65,6 @@ def reference_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, d=8, max_rounds=40)
             local[t] = int(np.clip(seq.count_le(pivots[t]), lo, hi)) - lo
         log.append(("ops", d * np.log2(max(size, 2))))
         counts = yield ("allreduce", local, "sum")
-        log.append(("allreduce", d))
 
         ok = found & (counts >= cur_lo) & (counts <= cur_hi)
         if ok.any():
@@ -90,7 +88,6 @@ def reference_gen(rank, p, seq, k_lo, k_hi, n, addr, log, *, d=8, max_rounds=40)
             le = int(np.clip(seq.count_le(pivots[t]), lo, len(seq)))
             hi = max(lo, le)
             cur_n = int((yield ("allreduce", hi - lo, "sum")))
-            log.append(("allreduce", 1))
 
     value, rel_cut, _ = yield from ms_select_with_cuts_gen(
         rank, p, _SeqWindow(seq, lo, hi), cur_lo, cur_n, addr, log

@@ -41,7 +41,6 @@ def _count_gen(rank, p, sample, take, log, dtype, salt):
 def _topk_gen(rank, p, table, take, log, dtype, k):
     keys, counts = table
     total = yield ("allreduce", int(keys.size), "sum")
-    log.append(("allreduce", 1))
     keys, counts, _ = yield from topk_entries_gen(
         rank, p, (keys.astype(dtype, copy=False), counts), k, int(total), take, None, log)
     return list(zip(keys.tolist(), counts.tolist())), None

@@ -1,15 +1,19 @@
-"""Unit: one meter table charges both dialects.
+"""Unit: one derivation and one meter table charge both dialects.
 
-``comm.METERS`` holds the alpha-beta model of every charge-log kind.
-For every kind ``Machine.collective`` takes, the list-of-p call and a
-one-yield SPMD kernel whose charge log holds the entry the table derives
-from the same requests, replayed, must charge the same: the
-``report()`` tuple and the per-kind metrics (``by_kind``, ``calls``)
-equal bit for bit, and the results equal, at p in {1, 2, 3, 5, 8}, on
-clocks staggered so that every synchronization has stragglers; on mp
-workers a call's results and charges equal sim's.  The other kinds are
-logged by kernels alone (local work, and schedules of several messages
-a kernel records itself): the replay differential
+``comm.METERS`` holds the alpha-beta model of every charge-log kind,
+and ``comm._ENTRIES`` derives one rank's entry from its request and
+result.  For every kind a kernel yields, the list-of-p call and a
+one-yield kernel sent through ``Machine.run_command`` -- whose runner
+appends the derived entry to the kernel's log -- must charge the same:
+the ``report()`` tuple and the per-kind metrics (``by_kind``,
+``calls``) equal bit for bit, and the results equal, at p in {1, 2, 3,
+5, 8}, on clocks staggered so that every synchronization has
+stragglers; on mp and tcp workers a call's results and charges equal
+sim's.  A ``yield charged(request, *entries)`` whose kinds
+``comm.CHARGED_AS`` does not declare for the request's kind raises on
+every backend, and the declared pairs are pinned here.  The other kinds are logged by
+kernels alone (local work, and schedules of several messages a kernel
+declares): the replay differential
 (``tests/property/test_replay_differential.py``) holds ``ops``,
 ``dht_round`` and ``tree_hop``, the ``redistribute`` golden rows
 ``rounds``.  The linter's list of accepted kinds is the table's keys.
@@ -20,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.machine import Machine
+from repro.machine import Machine, charged
 from repro.machine.backends import LockstepError
-from repro.machine.comm import _ENTRIES, METERS
+from repro.machine.comm import _ENTRIES, _REQUEST_KIND, CHARGED_AS, METERS
 from tools.repro_lint.checks import ACCEPTED_CHARGE_KINDS
 
 PS = (1, 2, 3, 5, 8)
@@ -65,11 +69,20 @@ REQUESTS = {
 }
 
 
-def _one_yield(rank, request, entry):
-    """Rank ``rank``'s part: yield its request (a barrier moves nothing),
-    log the entry the table derives."""
-    result = None if request[0] == "barrier" else (yield request)
-    return [entry], result
+#: the table kinds a kernel yields bare: ``gather_direct`` and
+#: ``alltoall_hc`` charge gather / alltoall requests on another schedule
+#: (only a list-of-p call names them), and a barrier moves nothing
+YIELDED = sorted(set(_ENTRIES) - set(_REQUEST_KIND) - {"barrier"})
+
+
+def _one_yield(rank, p, request, take, log):
+    """A ``run_command`` kernel: yield this rank's request and return
+    its result; the runner logs the entry it derives."""
+    return None, (yield request)
+
+
+def _yielded(m: Machine, requests) -> list:
+    return m.run_command(_one_yield, list(requests), n_addrs=0)[1]
 
 
 def _staggered(p: int) -> Machine:
@@ -106,25 +119,19 @@ def test_every_kind_is_a_collective_or_logged_by_kernels_alone():
 
 
 @pytest.mark.parametrize("p", PS)
-@pytest.mark.parametrize("kind", sorted(REQUESTS))
-def test_collective_charges_what_its_replayed_entry_charges(kind, p):
+@pytest.mark.parametrize("kind", YIELDED)
+def test_a_yield_charges_what_the_collective_charges(kind, p):
     requests = REQUESTS[kind](p)
-    direct = _staggered(p)
+    direct, kernel = _staggered(p), _staggered(p)
     got = direct.collective(kind, requests)
-
-    kernel = _staggered(p)
-    entries = _ENTRIES[kind](requests)
-    _, vals = kernel.backend.run_spmd(
-        _one_yield, [], args=[(requests[i], entries[i]) for i in range(p)])
-    kernel.replay_charges([log for log, _ in vals])
-
+    results = _yielded(kernel, requests)
     assert _model(direct) == _model(kernel)
-    assert _plain(got) == _plain([result for _, result in vals])
+    assert _plain(got) == _plain(results)
 
 
-@pytest.fixture(scope="module")
-def twins():
-    with Machine(3, seed=7, backend="mp") as real:
+@pytest.fixture(scope="module", params=["mp", "tcp"])
+def twins(request):
+    with Machine(3, seed=7, backend=request.param) as real:
         yield Machine(3, seed=7), real
 
 
@@ -134,6 +141,50 @@ def test_mp_equals_sim(twins, kind):
     requests = REQUESTS[kind](3)
     assert _plain(real.collective(kind, requests)) == _plain(sim.collective(kind, requests))
     assert _model(real) == _model(sim)
+
+
+@pytest.mark.parametrize("kind", YIELDED)
+def test_a_yield_on_workers_charges_what_the_collective_charges_on_sim(twins, kind):
+    sim, real = twins
+    requests = REQUESTS[kind](3)
+    assert _plain(_yielded(real, requests)) == _plain(sim.collective(kind, requests))
+    assert _model(real) == _model(sim)
+
+
+def test_the_declared_differences_are_pinned():
+    """A new deliberate difference between what runs and what the
+    model charges is a new pair here."""
+    assert {kind: sorted(models) for kind, models in CHARGED_AS.items()} == {
+        "allgather": ["allgather", "gather"],
+        "allreduce": ["allreduce"],
+        "alltoall": ["alltoall"],
+        "sendrecv": ["allreduce", "alltoall", "dht_round", "gather_direct", "p2p",
+                     "rounds", "scan", "tree_hop"],
+    }
+    assert set().union(*CHARGED_AS.values()) <= set(METERS)
+
+
+def _declared(rank, p, value, take, log, entry):
+    return None, (yield charged(("allgather", value), entry))
+
+
+def _bare_sendrecv(rank, p, value, take, log):
+    return None, (yield ("sendrecv", [value] * p, tuple(range(p))))
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp", "tcp"])
+def test_a_declared_charge_replaces_the_derived_one_and_must_be_listed(backend):
+    with Machine(3, seed=7, backend=backend) as m, Machine(3, seed=7) as gather:
+        assert _plain(m.run_command(_declared, [1.0, 2.0, 3.0], (("gather", 1, 0),),
+                                    n_addrs=0)[1]) == [[1.0, 2.0, 3.0]] * 3
+        gather.collective("gather", [("gather", 1.0, 0)] * 3)
+        assert _model(m) == _model(gather)
+        for kernel, args, match in (
+                (_declared, (("scan", 1),), "not a difference CHARGED_AS declares"),
+                (_bare_sendrecv, (), "no charge derives from a 'sendrecv' request")):
+            with pytest.raises((ValueError, RuntimeError), match=match):
+                m.run_command(kernel, [1.0, 2.0, 3.0], args, n_addrs=0)
+            assert _model(m) == _model(gather)  # charged nothing
 
 
 @pytest.mark.parametrize("kind", sorted(REQUESTS))

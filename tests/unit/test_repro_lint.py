@@ -1,4 +1,4 @@
-"""Golden fixtures for the repro-lint checks (RL001 -- RL012).
+"""Golden fixtures for the repro-lint checks (RL001 -- RL013).
 
 Every check has at least one firing case, one non-firing case, and one
 suppression case, so a behavior change in any check breaks a fixture
@@ -51,6 +51,20 @@ class TestRL001:
         )
         assert len(found) == 1
         assert "'allreduce'" in found[0].message
+
+    def test_fires_on_rank_guarded_declared_yield(self):
+        # a request whose charge the kernel declares is still a collective
+        found = hits(
+            """
+            def _kernel(rank, p, row, log):
+                if rank == 0:
+                    got = yield charged(("sendrecv", row, (1,)), ("tree_hop", 0, 1, "x"))
+                return row
+            """,
+            "RL001",
+        )
+        assert len(found) == 1
+        assert "'sendrecv'" in found[0].message
 
     def test_fires_on_derived_rank_taint(self):
         found = hits(
@@ -306,6 +320,17 @@ class TestRL002:
         )
         assert len(found) == 1
 
+    def test_fires_on_a_set_spliced_into_a_declared_payload(self):
+        found = hits(
+            """
+            def _kernel(rank, chunk, n):
+                res = yield charged(("allgather", {3, 1, 2}), ("gather", n, 0))
+                return res
+            """,
+            "RL002",
+        )
+        assert len(found) == 1
+
     def test_fires_on_set_loop_into_charge_log(self):
         found = hits(
             """
@@ -553,6 +578,18 @@ class TestRL004:
             """,
             "RL004",
         )
+
+    def test_fires_on_an_unknown_declared_kind(self):
+        found = hits(
+            """
+            def _kernel(rank, row, log):
+                got = yield charged(("sendrecv", row, ()), ("hop", 1), ("p2p", 1, 0, 1, "x"))
+                return got
+            """,
+            "RL004",
+        )
+        assert len(found) == 1
+        assert "'hop'" in found[0].message
 
     def test_suppression(self):
         found = [
@@ -1066,6 +1103,66 @@ class TestRL012:
 
 
 # ----------------------------------------------------------------------
+# RL013 -- a hand-written entry beside the yield it charges
+# ----------------------------------------------------------------------
+
+class TestRL013:
+    SRC = """
+        def _kernel(rank, p, chunk, take, log):
+            log.append(("ops", chunk.size))
+            total = yield ("allreduce", chunk.size, "sum")
+            log.append(("allreduce", 1))
+            log.extend([("ops", 1.0)])
+            log.append(("allgather", 1))
+            got = yield charged(("allgather", chunk), ("gather", chunk.size, 0))
+            log.extend(plan)
+            return got
+        """
+
+    def test_fires_beside_a_yield_outside_the_machine_package(self):
+        found = hits(self.SRC, "RL013", path="src/repro/selection/unsorted.py")
+        assert [f.line for f in found] == [5, 7, 9]
+        assert "charged(request" in found[0].message
+
+    def test_silent_inside_the_machine_package(self):
+        assert not hits(self.SRC, "RL013", path="src/repro/machine/comm.py")
+
+    def test_clean_on_ops_heads_and_declarations(self):
+        assert not hits(
+            """
+            def _cmd(rank, p, chunk, take, log):
+                log.append(("allreduce", 1))  # a size the driver tracks
+                value = yield from select_kth_gen(rank, p, chunk, take, log)
+                if value:
+                    total = yield ("allreduce", value, "sum")
+                log.append(("broadcast", 1, 0))
+                log.append(("ops", 1.0))
+                got = yield charged(("sendrecv", [None] * p, ()), ("tree_hop", 0, 0, "x"))
+                log.append(("ops", 2.0))
+                return got
+            """,
+            "RL013",
+            path="src/repro/frequent/dht.py",
+        )
+
+    def test_suppression(self):
+        found = [
+            f
+            for f in lint(
+                """
+                def _kernel(rank, log):
+                    x = yield ("allgather", rank)
+                    log.append(("allgather", 1))  # repro-lint: disable=RL013 -- a test double
+                """,
+                path="src/repro/frequent/dht.py",
+            )
+            if f.check == "RL013"
+        ]
+        assert len(found) == 1
+        assert found[0].suppressed
+
+
+# ----------------------------------------------------------------------
 # Framework: suppressions, config, CLI
 # ----------------------------------------------------------------------
 
@@ -1073,7 +1170,7 @@ class TestFramework:
     def test_all_checks_registered(self):
         assert set(all_checks()) >= {
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL008",
-            "RL009", "RL011", "RL012",
+            "RL009", "RL011", "RL012", "RL013",
         }
         # RL007 linted around the driver's dependency tracker, which
         # went with pipelined issue: a command completes before the next

@@ -1,4 +1,4 @@
-"""The repro-lint check catalogue (RL001 -- RL012; RL007 and RL010 are
+"""The repro-lint check catalogue (RL001 -- RL013; RL007 and RL010 are
 retired).
 
 Every check targets one hand-maintained invariant of the backend
@@ -15,8 +15,10 @@ RL002     unordered set/dict iteration feeding a collective payload,
           charge log, or kernel return value (order parity hazard)
 RL003     global ``random`` / ``np.random`` use inside a worker kernel
           instead of the counter-addressed draw streams (ctrrng)
-RL004     charge-log entry kind that ``comm.METERS`` has no meter for
-          (the replay would raise, or worse, silently skew cost)
+RL004     charge-log entry kind -- appended to a log or declared in a
+          ``charged(request, *entries)`` yield -- that ``comm.METERS``
+          has no meter for (the replay would raise, or worse, silently
+          skew cost)
 RL005     transport-decoded ``memoryview``/buffer stored beyond the
           command round (use-after-recycle once the pool recycles)
 RL006     shm / out-of-band transport features used without consulting
@@ -37,6 +39,11 @@ RL012     a worker command issued around the one command path outside
           ``repro/machine/``: a ``.backend.run_spmd`` /
           ``.backend.submit_spmd`` / ``.backend.map_resident`` call
           (use ``Machine.run_command``)
+RL013     a non-``ops`` charge entry appended in the statement directly
+          before or after a collective ``yield`` outside
+          ``repro/machine/``: the runner derives every yield's entry,
+          so a hand-written one charges it twice (declare a different
+          charge with ``yield charged(request, *entries)``)
 ========  ==============================================================
 
 Adding a check: subclass :class:`~tools.repro_lint.core.Check`, give it
@@ -152,10 +159,14 @@ def own_nodes(func: ast.AST):
 
 
 def spmd_yield_kind(node: ast.AST) -> str | None:
-    """The collective name if ``node`` is ``yield ("<kind>", ...)``."""
+    """The collective name if ``node`` is ``yield ("<kind>", ...)`` or
+    ``yield charged(("<kind>", ...), *entries)``, a request whose charge
+    the kernel declares."""
     if not isinstance(node, ast.Yield) or node.value is None:
         return None
     val = node.value
+    if isinstance(val, ast.Call) and _call_name(val) == "charged" and val.args:
+        val = val.args[0]
     if (
         isinstance(val, ast.Tuple)
         and val.elts
@@ -641,9 +652,11 @@ class UnorderedIterationFeedsCollective(Check):
             name = _call_name(par)
             if name in {"list", "tuple", "fromiter", "array", "concatenate"}:
                 return node
-        # direct splice into a payload tuple of a yield
+        # direct splice into a payload tuple of a yield (declared or not)
         if isinstance(par, ast.Tuple):
             grand = parents.get(par)
+            if isinstance(grand, ast.Call) and _call_name(grand) == "charged":
+                grand = parents.get(grand)
             if isinstance(grand, ast.Yield):
                 return node
         return None
@@ -779,35 +792,48 @@ class UnknownChargeKind(Check):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            fn = node.func
-            if not (
-                isinstance(fn, ast.Attribute)
-                and fn.attr == "append"
-                and _is_log_receiver(fn.value)
-            ):
-                continue
-            if len(node.args) != 1:
-                continue
-            arg = node.args[0]
-            if not (
-                isinstance(arg, ast.Tuple)
-                and arg.elts
-                and isinstance(arg.elts[0], ast.Constant)
-                and isinstance(arg.elts[0].value, str)
-            ):
-                continue
-            kind = arg.elts[0].value
-            if kind not in ACCEPTED_CHARGE_KINDS:
-                findings.append(
-                    ctx.finding(
-                        self.id,
-                        node,
-                        f"charge-log entry kind {kind!r} has no meter in "
-                        f"comm.METERS (accepted: "
-                        f"{', '.join(sorted(ACCEPTED_CHARGE_KINDS))})",
+            if _call_name(node) == "charged":
+                entries = node.args[1:]  # the request is a collective's
+            else:
+                entries = [e for e in [_appended_entry(node)] if e is not None]
+            for entry in entries:
+                kind = _entry_kind(entry)
+                if kind is not None and kind not in ACCEPTED_CHARGE_KINDS:
+                    findings.append(
+                        ctx.finding(
+                            self.id,
+                            node,
+                            f"charge-log entry kind {kind!r} has no meter in "
+                            f"comm.METERS (accepted: "
+                            f"{', '.join(sorted(ACCEPTED_CHARGE_KINDS))})",
+                        )
                     )
-                )
         return findings
+
+
+def _appended_entry(node: ast.AST) -> ast.AST | None:
+    """The entry if ``node`` is ``<log>.append(entry)``."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "append"
+        and _is_log_receiver(node.func.value)
+        and len(node.args) == 1
+    ):
+        return node.args[0]
+    return None
+
+
+def _entry_kind(entry: ast.AST) -> str | None:
+    """The kind of a literal charge entry ``("<kind>", ...)``."""
+    if (
+        isinstance(entry, ast.Tuple)
+        and entry.elts
+        and isinstance(entry.elts[0], ast.Constant)
+        and isinstance(entry.elts[0].value, str)
+    ):
+        return entry.elts[0].value
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -1197,4 +1223,70 @@ class CommandOutsideTheRunner(Check):
                     f"call to .backend.{node.func.attr}() outside repro/machine/: "
                     f"a command is built, drawn for and settled in one place, "
                     f"Machine.run_command"))
+        return findings
+
+
+# ----------------------------------------------------------------------
+# RL013 -- a hand-written entry beside the yield it charges
+# ----------------------------------------------------------------------
+
+_SIMPLE = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr, ast.Return)
+
+
+def _yields_collective(stmt: ast.stmt) -> bool:
+    """A simple statement that yields a collective request."""
+    return isinstance(stmt, _SIMPLE) and any(
+        spmd_yield_kind(n) is not None for n in ast.walk(stmt))
+
+
+def _charges_a_message(stmt: ast.stmt) -> bool:
+    """``<log>.append(entry)`` of a non-``ops`` entry, or any
+    ``<log>.extend(...)`` but of a literal list of ``ops`` entries."""
+    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
+        return False
+    call = stmt.value
+    entry = _appended_entry(call)
+    if entry is not None:
+        return _entry_kind(entry) != "ops"
+    if (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "extend"
+        and _is_log_receiver(call.func.value)
+        and len(call.args) == 1
+    ):
+        arg = call.args[0]
+        return not (isinstance(arg, (ast.List, ast.Tuple))
+                    and all(_entry_kind(e) == "ops" for e in arg.elts))
+    return False
+
+
+@register_check
+class HandWrittenCollectiveCharge(Check):
+    id = "RL013"
+    summary = (
+        "outside repro/machine/, no non-ops charge entry directly before or "
+        "after a collective yield: the runner derives each yield's entry "
+        "(declare a deliberate difference with yield charged(request, *entries))"
+    )
+
+    def run(self, ctx: FileContext) -> list[Finding]:
+        if "repro/machine/" in ctx.path.replace("\\", "/"):
+            return []  # the machine package derives the entries
+        findings: list[Finding] = []
+        for node in ast.walk(ctx.tree):
+            for field in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, field, None)
+                if not isinstance(stmts, list):
+                    continue
+                for i, stmt in enumerate(stmts):
+                    beside = stmts[max(i - 1, 0):i] + stmts[i + 1:i + 2]
+                    if _charges_a_message(stmt) and any(
+                            _yields_collective(s) for s in beside):
+                        findings.append(ctx.finding(
+                            self.id, stmt,
+                            "a charge entry beside a collective yield: the "
+                            "runner already appends the entry it derives from "
+                            "the request; delete this one, or declare a "
+                            "different charge with yield charged(request, "
+                            "*entries)"))
         return findings
